@@ -5,8 +5,6 @@ tracker frame by frame, and shows how the feature bank carries identities
 across the gaps. Run with `python3 demos/01_tracking_basics.py`.
 """
 
-import numpy as np
-
 from trajkit import SynthConfig, Tracker, TrackerConfig, gen_scene
 
 # A small scene: 6 identities, 3 categories, mild embedding noise, and two
@@ -57,7 +55,7 @@ for tr in tracks:
 
 # Peek at the memory vs bank machinery for one track.
 tr = tracks[0]
-bank = np.stack(tr.feature_bank)
+bank = tr.feature_bank  # unit rows, oldest first
 print(f"\ntrack {tr.id} internals: memory dim {tr.memory.shape[0]}, "
       f"bank {bank.shape[0]} embeddings (cap {TrackerConfig().n_bank}), "
       f"category bank {list(tr.category_bank)}")

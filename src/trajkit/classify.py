@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError, FormatError, MissingWeightsError
+from .errors import DimMismatchError, FormatError, MissingWeightsError, ZeroNormError
 from .fusion import (
     FUSION_MECHANISMS,
     FusionWeights,
@@ -34,7 +34,7 @@ from .fusion import (
     fuse_self,
 )
 from .io import DetectionRecord, TrackEntry, TrackRecord, Vocabulary
-from .tracker import Observation, RetainedPred, Track, cosine, majority_vote
+from .tracker import Observation, RetainedPred, Track, majority_vote
 
 
 @dataclass
@@ -106,10 +106,44 @@ def project_language(vocab: Vocabulary, lang_proj: np.ndarray) -> tuple[np.ndarr
     return vocab.cate_matrix() @ lang_proj, vocab.attr_matrix() @ lang_proj
 
 
-def affinity(f_traj: np.ndarray, lang_rows: np.ndarray) -> np.ndarray:
-    """Cosine of the fused trajectory vector against each language row."""
+@dataclass
+class LanguageRows:
+    """Projected vocabulary rows and their L2 norms, computed once per command."""
+
+    cate: np.ndarray
+    attr: np.ndarray
+    cate_norms: np.ndarray
+    attr_norms: np.ndarray
+
+
+def project_vocabulary(vocab: Vocabulary, weights: FusionWeights | None = None) -> LanguageRows:
+    """Language rows for every track of a run; ``weights=None`` projects by identity."""
+    lang_proj = np.eye(vocab.dim_text) if weights is None else weights.lang_proj
+    f_cate, f_attr = project_language(vocab, lang_proj)
+    return LanguageRows(f_cate, f_attr, _row_norms(f_cate), _row_norms(f_attr))
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    # Row by row, so each norm has the bits cosine() would compute for that row.
+    return np.array([np.linalg.norm(row) for row in rows])
+
+
+def affinity(f_traj: np.ndarray, lang_rows: np.ndarray,
+             row_norms: np.ndarray | None = None) -> np.ndarray:
+    """Cosine of the fused trajectory vector against each language row.
+
+    ``row_norms`` are the rows' L2 norms, when the caller already has them.
+    """
+    f = np.asarray(f_traj, dtype=np.float64)
     lang_rows = np.atleast_2d(np.asarray(lang_rows, dtype=np.float64))
-    return np.array([cosine(f_traj, row) for row in lang_rows])
+    if lang_rows.shape[1:] != f.shape:
+        raise DimMismatchError(f"vectors disagree in shape: {f.shape} vs {lang_rows.shape[1:]}")
+    if row_norms is None:
+        row_norms = _row_norms(lang_rows)
+    norm = np.linalg.norm(f)
+    if norm == 0.0 or np.any(row_norms == 0.0):
+        raise ZeroNormError("cosine undefined for zero-norm vector")
+    return np.array([f @ row / (norm * n) for row, n in zip(lang_rows, row_norms)])
 
 
 def _fuse(rows: np.ndarray, weights: FusionWeights | None, cfg: ClassifyConfig) -> np.ndarray:
@@ -128,11 +162,14 @@ def _fuse(rows: np.ndarray, weights: FusionWeights | None, cfg: ClassifyConfig) 
 
 def classify_trajectory(track: Track, vocab: Vocabulary,
                         weights: FusionWeights | None = None,
-                        cfg: ClassifyConfig | None = None) -> TrajectoryClassification:
+                        cfg: ClassifyConfig | None = None,
+                        lang: LanguageRows | None = None) -> TrajectoryClassification:
     """Assign a trajectory-level category to a finished track.
 
     ``weights=None`` is allowed for average fusion when the vocabulary lives
-    in the visual space already (identity language projection).
+    in the visual space already (identity language projection). ``lang`` is
+    ``project_vocabulary(vocab, weights)``; pass it when classifying many
+    tracks so the vocabulary is projected once.
     """
     cfg = cfg or ClassifyConfig()
     clip = sample_clip(track, cfg.n_clip)
@@ -143,19 +180,17 @@ def classify_trajectory(track: Track, vocab: Vocabulary,
         if vocab.dim_text != d:
             raise DimMismatchError(
                 f"identity projection needs dim_text == d, got {vocab.dim_text} vs {d}")
-        lang_proj = np.eye(d)
-    else:
-        lang_proj = weights.lang_proj
-    f_cate, f_attr = project_language(vocab, lang_proj)
+    if lang is None:
+        lang = project_vocabulary(vocab, weights)
 
     ids = vocab.ids
     if cfg.fusion == "concat":
-        s_cate = np.array([concat_score(clip.rows, row, weights, cfg.heads) for row in f_cate])
-        s_attr = np.array([concat_score(clip.rows, row, weights, cfg.heads) for row in f_attr])
+        s_cate = np.array([concat_score(clip.rows, row, weights, cfg.heads) for row in lang.cate])
+        s_attr = np.array([concat_score(clip.rows, row, weights, cfg.heads) for row in lang.attr])
     else:
         f_traj = _fuse(clip.rows, weights, cfg)
-        s_cate = affinity(f_traj, f_cate)
-        s_attr = affinity(f_traj, f_attr)
+        s_cate = affinity(f_traj, lang.cate, lang.cate_norms)
+        s_attr = affinity(f_traj, lang.attr, lang.attr_norms)
         if cfg.calibrate_scores:
             s_cate = (1.0 + s_cate) / 2.0
             s_attr = (1.0 + s_attr) / 2.0
@@ -212,6 +247,6 @@ def track_from_record(record: TrackRecord,
         embeddings.append(frame_dets[e.det_idx].embedding)
         retained.append(RetainedPred(e.frame, e.category_id, e.confidence))
     memory = np.asarray(embeddings[-1], dtype=np.float64) if embeddings else np.zeros(1)
-    return Track(id=record.track_id, memory=memory, feature_bank=deque(),
+    return Track(id=record.track_id, memory=memory, feature_bank=np.zeros((0, memory.size)),
                  category_bank=deque(), observations=observations,
                  embeddings=embeddings, retained_preds=retained)

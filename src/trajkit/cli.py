@@ -23,11 +23,17 @@ from pathlib import Path
 import numpy as np
 
 from . import io, metrics
-from .classify import ClassifyConfig, classify_trajectory, to_track_record, track_from_record
+from .classify import (
+    ClassifyConfig,
+    classify_trajectory,
+    project_vocabulary,
+    to_track_record,
+    track_from_record,
+)
 from .errors import FormatError, MissingWeightsError, TrajkitError
 from .fusion import FusionWeights, init_fusion_weights
 from .synth import Augmentations, SynthConfig, gen_scene, make_train_pairs
-from .tracker import Tracker, TrackerConfig, majority_vote, score_matrix
+from .tracker import Tracker, TrackerConfig, majority_vote
 from .train import TrainConfig, train_fusion
 
 GLOBAL_DEFAULTS = {"seed": 0, "threads": 1, "out_dir": "."}
@@ -150,9 +156,11 @@ def _scene_config(opts: dict, seed: int) -> SynthConfig:
 
 def _classify_tracks(tracks, vocab, weights, ccfg, threads):
     """Label finished tracks; falls back to detection voting without a vocabulary."""
+    lang = project_vocabulary(vocab, weights) if vocab is not None and tracks else None
+
     def one(track):
         if vocab is not None:
-            cls = classify_trajectory(track, vocab, weights, ccfg)
+            cls = classify_trajectory(track, vocab, weights, ccfg, lang)
             return to_track_record(track, cls)
         rec = to_track_record(track)
         retained = [rp.category_id for rp in track.retained_preds]
@@ -186,14 +194,12 @@ def cmd_track(args) -> int:
     events = []
     csv_rows = []
     for frame in sorted(dets):
-        frame_dets = dets[frame]
+        events.extend(tracker.step(frame, dets[frame]))
         if opts["dump_csv"]:
-            live = [t for t in tracker.tracks if t.state.value != "dead"]
-            scores = score_matrix(live, frame_dets, tcfg)
-            for ti, t in enumerate(live):
-                for di in range(len(frame_dets)):
-                    csv_rows.append((frame, t.id, di, f"{scores[ti, di]:.6f}"))
-        events.extend(tracker.step(frame, frame_dets))
+            scores = tracker.last_scores
+            for ti, track_id in enumerate(tracker.last_ids):
+                for di in range(scores.shape[1]):
+                    csv_rows.append((frame, track_id, di, f"{scores[ti, di]:.6f}"))
 
     records = _classify_tracks(tracker.tracks, vocab, weights, ccfg, opts["threads"])
     io.write_tracks(records, out_dir / "tracks.jsonl")
@@ -227,10 +233,11 @@ def cmd_classify(args) -> int:
     records = io.read_tracks(_need_file(opts["tracks"], "tracks"))
     dets = io.load_detections(_need_file(opts["detections"], "detections"))
     ccfg = _classify_config(opts)
+    lang = project_vocabulary(vocab, weights) if records else None
 
     def one(record):
         track = track_from_record(record, dets)
-        cls = classify_trajectory(track, vocab, weights, ccfg)
+        cls = classify_trajectory(track, vocab, weights, ccfg, lang)
         return to_track_record(track, cls)
 
     out = _parallel_map(one, records, opts["threads"])
@@ -317,10 +324,11 @@ def _bench_one_scene(scene_seed: int, opts: dict, weights: FusionWeights):
         tracker.step(frame, scene.detections[frame])
     splits = scene.vocabulary.splits()
     ecfg = metrics.EvalConfig(splits=splits)
+    lang = project_vocabulary(scene.vocabulary, weights)
     row = {}
     for mech in BENCH_MECHANISMS:
         ccfg = ClassifyConfig(fusion=mech, n_clip=opts["n_clip"], heads=opts["heads"])
-        records = [to_track_record(t, classify_trajectory(t, scene.vocabulary, weights, ccfg))
+        records = [to_track_record(t, classify_trajectory(t, scene.vocabulary, weights, ccfg, lang))
                    for t in tracker.tracks]
         report = metrics.evaluate(records, scene.gt_tracks, ecfg)
         row[mech] = report.overall

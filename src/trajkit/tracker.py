@@ -3,10 +3,13 @@
 Each track keeps three things besides its box history:
 
 - ``memory``: an exponential moving average of matched embeddings,
-  ``alpha_mem * det + (1 - alpha_mem) * memory``.
-- ``feature_bank``: the last ``n_bank`` matched embeddings (FIFO). The bank
-  similarity is the mean cosine against every entry, which is considerably
-  more noise tolerant than the EMA alone.
+  ``alpha_mem * det + (1 - alpha_mem) * memory``. Its unit-normalized copy,
+  ``memory_unit``, is refreshed only when the memory changes.
+- ``feature_bank``: the last ``n_bank`` matched embeddings (FIFO), held as
+  one contiguous ``(n, d)`` float64 array of unit rows, oldest first. A row
+  is normalized once, when it is inserted. The bank similarity is the mean
+  cosine against every entry, which is considerably more noise tolerant
+  than the EMA alone.
 - ``category_bank``: the last ``n_cat_bank`` retained category ids, used to
   smooth noisy per-frame classifications through majority voting.
 
@@ -16,12 +19,20 @@ averaged with a bi-directional softmax of the same matrix. Matching is a
 greedy per-detection argmax in descending confidence order; there is no
 motion model and no box gating, appearance carries everything.
 
-Embeddings are L2-normalized inside the similarity ops only; stored vectors
-are never mutated.
+``Tracker`` keeps its live tracks (active or lost) in a list in id order and
+drops a track from it in the frame the track dies, so per-frame work grows
+with the live tracks only, never with every track ever born. Scoring a frame
+then costs one concatenation of the live banks, two matrix products and the
+bi-softmax. The scores of the last step and the ids of the tracks they rank
+stay on the tracker as ``last_scores`` and ``last_ids``.
+
+The embeddings and memory a track stores as observed are never mutated;
+only the bank and ``memory_unit`` hold normalized copies.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -103,13 +114,34 @@ class RetainedPred:
 class Track:
     id: int
     memory: np.ndarray  # float64 EMA of matched embeddings
-    feature_bank: deque  # of float64 embeddings, maxlen n_bank
+    feature_bank: np.ndarray  # (n <= n_bank, d) float64 unit rows, oldest first
     category_bank: deque  # of int category ids, maxlen n_cat_bank
     state: TrackState = TrackState.ACTIVE
     retained_preds: list[RetainedPred] = field(default_factory=list)
     observations: list[Observation] = field(default_factory=list)
     embeddings: list[np.ndarray] = field(default_factory=list)  # as observed
     last_matched_frame: int = -1
+    memory_unit: np.ndarray | None = None  # memory / ||memory||, kept by start() and absorb()
+
+    @classmethod
+    def start(cls, track_id: int, embedding: np.ndarray, cfg: TrackerConfig) -> Track:
+        """A track whose memory and bank hold one embedding and no categories yet."""
+        emb = np.asarray(embedding, dtype=np.float64)
+        unit = _unit_row(emb)
+        return cls(id=track_id, memory=emb.copy(), feature_bank=unit[None, :],
+                   category_bank=deque(maxlen=cfg.n_cat_bank), memory_unit=unit)
+
+    def absorb(self, embedding: np.ndarray, cfg: TrackerConfig) -> None:
+        """Fold a matched embedding into the memory and push it into the bank."""
+        self.memory = update_memory(self.memory, embedding, cfg.alpha_mem)
+        self.memory_unit = _unit_row(self.memory)
+        self.push_bank(embedding, cfg.n_bank)
+
+    def push_bank(self, embedding: np.ndarray, n_bank: int) -> None:
+        """Append the embedding's unit row, dropping the oldest rows past n_bank."""
+        unit = _unit_row(np.asarray(embedding, dtype=np.float64))
+        keep = self.feature_bank[max(len(self.feature_bank) - n_bank + 1, 0):]
+        self.feature_bank = np.concatenate([keep, unit[None, :]])
 
 
 @dataclass
@@ -149,6 +181,15 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / norms
 
 
+def _unit_row(x: np.ndarray) -> np.ndarray:
+    # The sum of squares that np.linalg.norm reduces, so the bits match the
+    # same row normalized by _normalize_rows, at a third of its overhead.
+    norm = np.sqrt(np.add.reduce(x * x))
+    if norm == 0.0:
+        raise ZeroNormError("cannot normalize zero-norm embedding")
+    return x / norm
+
+
 def bisoftmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Mean of row-wise and column-wise softmax of logits / temperature."""
     if temperature <= 0:
@@ -166,13 +207,13 @@ def score_matrix(tracks: Sequence[Track], dets: Sequence[DetectionRecord],
     if T == 0 or D == 0:
         return np.zeros((T, D))
     det_n = _normalize_rows(np.stack([d.embedding for d in dets]).astype(np.float64))
-    mem_n = _normalize_rows(np.stack([t.memory for t in tracks]))
+    mem_n = np.stack([t.memory_unit for t in tracks])
     c_mem = mem_n @ det_n.T
-    counts = np.array([len(t.feature_bank) for t in tracks])
+    banks = [t.feature_bank for t in tracks]
+    counts = np.array([len(b) for b in banks])
     if np.any(counts == 0):
         raise ValueError("every track needs a non-empty feature bank")
-    bank_n = _normalize_rows(np.concatenate([np.stack(list(t.feature_bank)) for t in tracks]))
-    sims = bank_n @ det_n.T
+    sims = np.concatenate(banks) @ det_n.T
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
     c_bank = np.add.reduceat(sims, offsets, axis=0) / counts[:, None]
     r = cfg.alpha_sim * c_mem + (1.0 - cfg.alpha_sim) * c_bank
@@ -198,18 +239,17 @@ def associate_frame(tracks: Sequence[Track], dets: Sequence[DetectionRecord],
     if scores.shape != (len(tracks), len(dets)):
         raise DimMismatchError(f"scores shape {scores.shape} != ({len(tracks)}, {len(dets)})")
     events: list[AssociationEvent] = []
-    remaining = list(range(len(tracks)))
+    # One row per detection; a matched track's column is masked with -inf,
+    # which tau_match (finite) never accepts.
+    open_scores = scores.T.copy()
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
     for i in order:
         det = dets[i]
-        best = None
-        if remaining:
-            col = scores[remaining, i]
-            k = int(np.argmax(col))  # ties resolve to the lowest track index
-            best = (remaining[k], float(col[k]))
-        if best is not None and best[1] >= cfg.tau_match:
-            events.append(AssociationEvent(det.frame, MATCHED, tracks[best[0]].id, i, best[1]))
-            remaining.remove(best[0])
+        row = open_scores[i]
+        k = int(np.argmax(row)) if len(row) else -1  # ties resolve to the lowest track index
+        if k >= 0 and row[k] >= cfg.tau_match:
+            events.append(AssociationEvent(det.frame, MATCHED, tracks[k].id, i, float(row[k])))
+            open_scores[:, k] = -np.inf
         elif det.confidence >= cfg.tau_new:
             events.append(AssociationEvent(det.frame, BORN, next_track_id, i))
             next_track_id += 1
@@ -254,11 +294,20 @@ def retain_category(track: Track, matched_det: DetectionRecord, cfg: TrackerConf
 
 
 class Tracker:
-    """Stateful frame-by-frame association engine."""
+    """Stateful frame-by-frame association engine.
+
+    ``tracks`` holds every track ever born, in id order; only the live ones
+    (active or lost) are scored. After each ``step``, ``last_scores`` is the
+    (live, detections) score matrix that association used and ``last_ids``
+    names the track of each of its rows.
+    """
 
     def __init__(self, cfg: TrackerConfig | None = None):
         self.cfg = cfg or TrackerConfig()
         self.tracks: list[Track] = []
+        self.last_scores = np.zeros((0, 0))
+        self.last_ids: list[int] = []
+        self._live: list[Track] = []  # in id order; a track leaves in the frame it dies
         self._next_id = 1
         self._last_frame: int | None = None
 
@@ -275,41 +324,37 @@ class Tracker:
             raise ValueError(f"frames must be strictly increasing, got {frame} after {self._last_frame}")
         self._last_frame = frame
         cfg = self.cfg
-        live = [t for t in self.tracks if t.state != TrackState.DEAD]
+        live = self._live
         scores = score_matrix(live, dets, cfg)
         events = associate_frame(live, dets, scores, cfg, next_track_id=self._next_id)
-        by_id = {t.id: t for t in live}
-        matched_ids = set()
+        ids = [t.id for t in live]
+        self.last_scores, self.last_ids = scores, ids
+        born = []
         for ev in events:
+            det = dets[ev.det_idx]
             if ev.kind == MATCHED:
-                track = by_id[ev.track_id]
-                det = dets[ev.det_idx]
-                track.memory = update_memory(track.memory, det.embedding, cfg.alpha_mem)
-                track.feature_bank.append(np.asarray(det.embedding, dtype=np.float64))
-                retain_category(track, det, cfg)
-                self._record(track, det, ev.det_idx)
-                matched_ids.add(track.id)
+                track = live[bisect_left(ids, ev.track_id)]
+                track.absorb(det.embedding, cfg)
             elif ev.kind == BORN:
-                det = dets[ev.det_idx]
-                emb = np.asarray(det.embedding, dtype=np.float64)
-                track = Track(
-                    id=ev.track_id,
-                    memory=emb.copy(),
-                    feature_bank=deque([emb.copy()], maxlen=cfg.n_bank),
-                    category_bank=deque(maxlen=cfg.n_cat_bank),
-                )
-                retain_category(track, det, cfg)
-                self._record(track, det, ev.det_idx)
+                track = Track.start(ev.track_id, det.embedding, cfg)
                 self.tracks.append(track)
+                born.append(track)
                 self._next_id = max(self._next_id, track.id + 1)
-                matched_ids.add(track.id)
+            else:
+                continue
+            retain_category(track, det, cfg)
+            self._record(track, det, ev.det_idx)
+        survivors = []
         for track in live:
-            if track.id not in matched_ids:
+            if track.last_matched_frame != frame:
                 track.state = TrackState.LOST
-        for track in self.tracks:
-            if track.state != TrackState.DEAD and frame - track.last_matched_frame > cfg.max_age:
-                track.state = TrackState.DEAD
-                events.append(AssociationEvent(frame, DIED, track.id))
+                if frame - track.last_matched_frame > cfg.max_age:
+                    track.state = TrackState.DEAD
+                    events.append(AssociationEvent(frame, DIED, track.id))
+                    continue
+            survivors.append(track)
+        # Born ids exceed every live id, so the list stays in id order.
+        self._live = survivors + born
         return events
 
 

@@ -12,6 +12,7 @@ from trajkit.tracker import (
     DIED,
     DISCARDED,
     MATCHED,
+    Track,
     Tracker,
     TrackerConfig,
     TrackState,
@@ -113,11 +114,9 @@ def test_bisoftmax_temperature_sharpens():
 
 
 def _fresh_track(tid, emb, cfg, cat=0):
-    from collections import deque
-    from trajkit.tracker import Track
-    e = np.asarray(emb, dtype=np.float64)
-    return Track(id=tid, memory=e.copy(), feature_bank=deque([e.copy()], maxlen=cfg.n_bank),
-                 category_bank=deque([cat], maxlen=cfg.n_cat_bank))
+    tr = Track.start(tid, emb, cfg)
+    tr.category_bank.append(cat)
+    return tr
 
 
 def test_score_matrix_oracle():
@@ -131,7 +130,7 @@ def test_score_matrix_oracle():
         for t in range(int(rng.integers(1, 4))):
             tr = _fresh_track(t, rng.normal(size=d), cfg)
             for _ in range(int(rng.integers(0, 4))):
-                tr.feature_bank.append(rng.normal(size=d))
+                tr.push_bank(rng.normal(size=d), cfg.n_bank)
             tracks.append(tr)
         dets = [_det(rng.normal(size=d)) for _ in range(int(rng.integers(1, 4)))]
         got = score_matrix(tracks, dets, cfg)
@@ -291,10 +290,12 @@ def test_memory_and_bank_update_on_match():
     tk.step(1, [_det([0.0, 1.0], frame=1)])
     track = tk.tracks[0]
     np.testing.assert_allclose(track.memory, [0.75, 0.25])
+    np.testing.assert_allclose(track.memory_unit, np.array([0.75, 0.25]) / np.hypot(0.75, 0.25))
     assert len(track.feature_bank) == 2
     tk.step(2, [_det([0.5, 0.5], frame=2)])
     assert len(track.feature_bank) == 2  # capped at n_bank
-    np.testing.assert_allclose(list(track.feature_bank)[-1], [0.5, 0.5])
+    # the bank holds unit rows, oldest first: frame 1's [0, 1], then frame 2's [0.5, 0.5]
+    np.testing.assert_allclose(track.feature_bank, [[0.0, 1.0], [0.5 ** 0.5, 0.5 ** 0.5]])
 
 
 def test_stored_embeddings_not_renormalized():
@@ -303,7 +304,9 @@ def test_stored_embeddings_not_renormalized():
     tk.step(0, [_det([3.0, 0.0], frame=0)])
     track = tk.tracks[0]
     np.testing.assert_allclose(track.memory, [3.0, 0.0])
-    np.testing.assert_allclose(list(track.feature_bank)[0], [3.0, 0.0])
+    np.testing.assert_allclose(track.embeddings[0], [3.0, 0.0])
+    # only the bank keeps a normalized copy
+    np.testing.assert_allclose(track.feature_bank, [[1.0, 0.0]])
 
 
 def test_run_sequence_bridges_gap():
@@ -343,3 +346,90 @@ def test_two_object_separation_property():
         for tr in tracks:
             cats = {rp.category_id for rp in tr.retained_preds}
             assert len(cats) == 1
+
+
+def _replayed_scores(histories, dets, cfg):
+    """Scores recomputed from each live track's observed embeddings alone."""
+    r = np.zeros((len(histories), len(dets)))
+    for i, embs in enumerate(histories):
+        embs = [np.asarray(e, dtype=np.float64) for e in embs]
+        memory = embs[0]
+        for e in embs[1:]:
+            memory = cfg.alpha_mem * e + (1 - cfg.alpha_mem) * memory
+        bank = embs[-cfg.n_bank:]
+        for j, det in enumerate(dets):
+            c_mem = _oracle_cosine(memory.tolist(), det.embedding.tolist())
+            c_bank = sum(_oracle_cosine(b.tolist(), det.embedding.tolist())
+                         for b in bank) / len(bank)
+            r[i, j] = cfg.alpha_sim * c_mem + (1 - cfg.alpha_sim) * c_bank
+    if cfg.sim_mode == "cosine_only" or r.size == 0:
+        return r
+    return 0.5 * (r + bisoftmax(r, cfg.softmax_temperature))
+
+
+@pytest.mark.parametrize("sim_mode", ["cosine_plus_bisoftmax", "cosine_only"])
+def test_live_store_matches_replay_oracle(sim_mode):
+    # misses and clutter with a 3-row bank and max_age=2: banks wrap and
+    # tracks die every few frames
+    from trajkit.synth import SynthConfig, gen_scene
+    scene = gen_scene(SynthConfig(n_identities=10, n_frames=30, embed_dim=8, noise_sigma=0.17,
+                                  miss_rate=0.25, fp_rate=1.5, seed=11))
+    cfg = TrackerConfig(n_bank=3, max_age=2, sim_mode=sim_mode)
+    tk = Tracker(cfg)
+    dead, prev = set(), None
+    for frame in sorted(scene.detections):
+        dets = scene.detections[frame]
+        live = []
+        for tr in tk.tracks:
+            last = tr.observations[-1].frame
+            if tr.id not in dead and prev is not None and prev - last <= cfg.max_age:
+                live.append(tr)
+        histories = [tr.embeddings[:] for tr in live]
+        events = tk.step(frame, dets)
+
+        assert tk.last_ids == [tr.id for tr in live]
+        np.testing.assert_allclose(tk.last_scores, _replayed_scores(histories, dets, cfg),
+                                   rtol=0, atol=1e-12)
+        assert not dead & set(tk.last_ids)
+        for ev in events:
+            assert ev.track_id not in dead
+            if ev.kind == MATCHED:
+                assert ev.track_id in tk.last_ids
+            if ev.kind == DIED:
+                dead.add(ev.track_id)
+        for tr in tk.tracks:
+            assert (tr.state == TrackState.DEAD) == (tr.id in dead)
+            assert len(tr.feature_bank) == min(len(tr.observations), cfg.n_bank)
+        prev = frame
+
+    # the scene really exercised the store: deaths, wrapped banks, rematches after a gap
+    assert len(dead) >= 5
+    assert sum(len(tr.observations) > cfg.n_bank for tr in tk.tracks) >= 5
+    assert any(b.frame - a.frame > 1 for tr in tk.tracks
+               for a, b in zip(tr.observations, tr.observations[1:]))
+
+
+def test_unit_row_bits_match_batch_normalization():
+    # banks and memories are normalized one row at a time; scores stay
+    # bit-identical only if that equals normalizing the stacked rows
+    from trajkit.tracker import _normalize_rows, _unit_row
+    rng = np.random.default_rng(12)
+    for d in (1, 2, 7, 8, 9, 16, 33, 128, 300):
+        rows = rng.normal(size=(6, d)) * rng.uniform(0.01, 100, size=(6, 1))
+        batch = _normalize_rows(rows)
+        for k in range(len(rows)):
+            assert _unit_row(rows[k]).tobytes() == batch[k].tobytes()
+    with pytest.raises(ZeroNormError):
+        _unit_row(np.zeros(3))
+
+
+def test_push_bank_fifo_and_cap():
+    cfg = TrackerConfig(n_bank=5)
+    rng = np.random.default_rng(13)
+    rows = rng.normal(size=(12, 4))
+    tr = Track.start(0, rows[0], cfg)
+    for k in range(1, len(rows)):
+        tr.push_bank(rows[k], cfg.n_bank)
+        want = rows[max(0, k + 1 - cfg.n_bank):k + 1]
+        np.testing.assert_allclose(tr.feature_bank, want / np.linalg.norm(want, axis=1, keepdims=True))
+        assert tr.feature_bank.flags.c_contiguous

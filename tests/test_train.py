@@ -104,6 +104,21 @@ def test_numeric_gradient_on_quadratic():
     np.testing.assert_allclose(theta, [1.0, -2.0, 3.0])  # restored in place
 
 
+def test_pair_loss_matches_loss_and_gradients():
+    # the forward-only loss and the loss of the backprop path are one function
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        d = int(rng.integers(2, 4)) * 2
+        w = init_fusion_weights(d, seed=int(rng.integers(10000)), zero_residual=False)
+        cfg = TrainConfig(margin=float(rng.uniform(0.2, 2.5)),
+                          distance="euclidean" if rng.random() < 0.5 else "cosine",
+                          normalize_outputs=bool(rng.random() < 0.5), d=d)
+        pair = TrainPair(rng.normal(size=(int(rng.integers(1, 5)), d)),
+                         rng.normal(size=(int(rng.integers(1, 5)), d)), int(rng.integers(0, 2)))
+        assert pair_loss(pair, w, cfg) == pytest.approx(loss_and_gradients(pair, w, cfg)[0],
+                                                        rel=0, abs=1e-12)
+
+
 def test_pair_loss_normalization_flag():
     rng = np.random.default_rng(3)
     d = 4
