@@ -80,12 +80,12 @@ def sample_clip(track: Track, n_clip: int = 5) -> ClipSample:
     """
     if not track.observations:
         raise ValueError(f"track {track.id} has no observations to sample")
-    obs = sorted(track.observations, key=lambda o: o.frame)
-    if len(obs) > n_clip:
-        obs = sorted(obs, key=lambda o: (-o.confidence, o.frame))[:n_clip]
-        obs.sort(key=lambda o: o.frame)
-    rows = np.stack([track.embeddings[o.emb_index] for o in obs]).astype(np.float64)
-    return ClipSample(rows, [o.frame for o in obs])
+    picked = sorted(zip(track.observations, track.embeddings), key=lambda p: p[0].frame)
+    if len(picked) > n_clip:
+        picked = sorted(picked, key=lambda p: (-p[0].confidence, p[0].frame))[:n_clip]
+        picked.sort(key=lambda p: p[0].frame)
+    rows = np.stack([emb for _, emb in picked]).astype(np.float64)
+    return ClipSample(rows, [obs.frame for obs, _ in picked])
 
 
 def build_attribute_text(name: str, description: str) -> str:
@@ -237,13 +237,13 @@ def track_from_record(record: TrackRecord,
                       dets_by_frame: dict[int, list[DetectionRecord]]) -> Track:
     """Rebuild a classify-ready track from tracks.jsonl plus its detections."""
     observations, embeddings, retained = [], [], []
-    for i, e in enumerate(record.entries):
+    for e in record.entries:
         frame_dets = dets_by_frame.get(e.frame)
         if frame_dets is None or not 0 <= e.det_idx < len(frame_dets):
             raise FormatError(
                 f"track {record.track_id} references detection {e.det_idx} of frame {e.frame}, "
                 f"which the detections file does not contain")
-        observations.append(Observation(e.frame, e.bbox, e.confidence, e.det_idx, i))
+        observations.append(Observation(e.frame, e.bbox, e.confidence, e.det_idx))
         embeddings.append(frame_dets[e.det_idx].embedding)
         retained.append(RetainedPred(e.frame, e.category_id, e.confidence))
     memory = np.asarray(embeddings[-1], dtype=np.float64) if embeddings else np.zeros(1)

@@ -2,8 +2,8 @@
 
 Subcommands: ``track``, ``classify``, ``eval``, ``synth``, ``train`` and
 ``bench-fusion``. Every subcommand accepts ``--config`` (a JSON file of
-option values), ``--seed``, ``--threads`` and ``--out-dir``; explicit flags
-override config values, which override built-in defaults. Each run writes
+option values), ``--seed`` and ``--out-dir``; explicit flags override
+config values, which override built-in defaults. Each run writes
 its fully resolved options to ``<command>_manifest.json`` in the output
 directory, and all outputs are deterministic functions of manifest + seed.
 
@@ -17,7 +17,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +35,7 @@ from .synth import Augmentations, SynthConfig, gen_scene, make_train_pairs
 from .tracker import Tracker, TrackerConfig, majority_vote
 from .train import TrainConfig, train_fusion
 
-GLOBAL_DEFAULTS = {"seed": 0, "threads": 1, "out_dir": "."}
+GLOBAL_DEFAULTS = {"seed": 0, "out_dir": "."}
 
 TRACKER_DEFAULTS = {
     "alpha_mem": 0.25, "alpha_sim": 0.25, "tau_match": 0.4, "tau_new": None,
@@ -58,14 +57,6 @@ def _need_file(path, what: str) -> Path:
     if not p.is_file():
         raise FileNotFoundError(f"{what} file not found: {p}")
     return p
-
-
-def _parallel_map(fn, items, threads: int):
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _resolve(args, defaults: dict) -> dict:
@@ -154,7 +145,7 @@ def _scene_config(opts: dict, seed: int) -> SynthConfig:
     )
 
 
-def _classify_tracks(tracks, vocab, weights, ccfg, threads):
+def _classify_tracks(tracks, vocab, weights, ccfg):
     """Label finished tracks; falls back to detection voting without a vocabulary."""
     lang = project_vocabulary(vocab, weights) if vocab is not None and tracks else None
 
@@ -170,7 +161,7 @@ def _classify_tracks(tracks, vocab, weights, ccfg, threads):
             rec.scores = {"det": prop}
         return rec
 
-    return _parallel_map(one, tracks, threads)
+    return [one(track) for track in tracks]
 
 
 def cmd_track(args) -> int:
@@ -201,7 +192,7 @@ def cmd_track(args) -> int:
                 for di in range(scores.shape[1]):
                     csv_rows.append((frame, track_id, di, f"{scores[ti, di]:.6f}"))
 
-    records = _classify_tracks(tracker.tracks, vocab, weights, ccfg, opts["threads"])
+    records = _classify_tracks(tracker.tracks, vocab, weights, ccfg)
     io.write_tracks(records, out_dir / "tracks.jsonl")
     with open(out_dir / "events.jsonl", "w", encoding="utf-8") as fh:
         for ev in events:
@@ -240,7 +231,7 @@ def cmd_classify(args) -> int:
         cls = classify_trajectory(track, vocab, weights, ccfg, lang)
         return to_track_record(track, cls)
 
-    out = _parallel_map(one, records, opts["threads"])
+    out = [one(record) for record in records]
     io.write_tracks(out, out_dir / "tracks.jsonl")
     print(f"classified {len(out)} tracks with fusion={opts['fusion']}")
     print(f"wrote {out_dir / 'tracks.jsonl'}")
@@ -344,7 +335,7 @@ def cmd_bench_fusion(args) -> int:
         weights = init_fusion_weights(opts["dim"], seed=opts["seed"], zero_residual=False)
     out_dir = _write_manifest("bench-fusion", opts)
     seeds = [opts["seed"] + s for s in range(opts["scenes"])]
-    rows = _parallel_map(lambda s: _bench_one_scene(s, opts, weights), seeds, opts["threads"])
+    rows = [_bench_one_scene(s, opts, weights) for s in seeds]
 
     table = {}
     for mech in BENCH_MECHANISMS:
@@ -365,7 +356,6 @@ def cmd_bench_fusion(args) -> int:
 def _add_global_flags(sp):
     sp.add_argument("--config", help="JSON file of option values; flags override it")
     sp.add_argument("--seed", type=int, help="random seed (default 0)")
-    sp.add_argument("--threads", type=int, help="worker threads (default 1)")
     sp.add_argument("--out-dir", dest="out_dir", help="output directory (default .)")
 
 

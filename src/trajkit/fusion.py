@@ -17,6 +17,14 @@ language vector):
 
 There is no positional encoding and no masking: clips are unordered sets as
 far as average/attention/self fusion are concerned. All math runs in float64.
+
+This module holds the only forward pass of the residual block. Its layer
+norm, attention and MLP forwards also return the intermediates that their
+hand-written backward functions beside them read. ``fuse_self_forward``
+returns the fused vector with the clip-level cache, and
+``fuse_self_backward`` turns the gradient at the fused vector into
+gradients of every ``ln1``, ``ln2``, ``attn`` and ``mlp`` tensor for
+:mod:`trajkit.train`.
 """
 
 from __future__ import annotations
@@ -177,12 +185,26 @@ def validate_fusion_shapes(tensors: Mapping[str, np.ndarray]) -> int:
     return d
 
 
+def _layer_norm_forward(x, gamma, beta, eps):
+    mu = x.mean(axis=-1, keepdims=True)
+    std = np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+    xhat = (x - mu) / std
+    return xhat * gamma + beta, (xhat, std, gamma)
+
+
+def _layer_norm_backward(dy, cache, grads, prefix):
+    xhat, std, gamma = cache
+    grads[f"{prefix}.gamma"] += (dy * xhat).sum(axis=0)
+    grads[f"{prefix}.beta"] += dy.sum(axis=0)
+    dxhat = dy * gamma
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return (dxhat - m1 - xhat * m2) / std
+
+
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = LN_EPS) -> np.ndarray:
     """Per-row layer normalization with population (1/d) variance."""
-    x = np.asarray(x, dtype=np.float64)
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * gamma + beta
+    return _layer_norm_forward(np.asarray(x, dtype=np.float64), gamma, beta, eps)[0]
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -191,14 +213,22 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 
 
+def _gelu_grad(x):
+    phi = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+    return 0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * phi
+
+
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     n, d = x.shape
     return x.reshape(n, heads, d // heads)
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, w: AttentionParams,
-            heads: int) -> np.ndarray:
-    """Scaled dot-product attention of query rows against key/value rows."""
+            heads: int) -> tuple[np.ndarray, tuple]:
+    """Scaled dot-product attention of query rows against key/value rows.
+
+    Returns the output and the cache :func:`_self_attention_backward` reads.
+    """
     d = q.shape[-1]
     if d % heads:
         raise DimMismatchError(f"width {d} is not divisible by {heads} heads")
@@ -209,13 +239,32 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, w: AttentionParams,
     scores = np.einsum("nhk,mhk->hnm", qh, kh) * scale
     attn = softmax(scores, axis=-1)
     mixed = np.einsum("hnm,mhk->nhk", attn, vh).reshape(q.shape[0], d)
-    return mixed @ w.wo + w.bo
+    return mixed @ w.wo + w.bo, (q, qh, kh, vh, attn, mixed, scale, w)
+
+
+def _self_attention_backward(dout, cache, grads):
+    """Backward of ``_attend(x, x, x, ...)`` into the ``attn.*`` gradients."""
+    x, qh, kh, vh, attn, mixed, scale, w = cache
+    n, d = x.shape
+    grads["attn.wo"] += mixed.T @ dout
+    grads["attn.bo"] += dout.sum(axis=0)
+    dmixed = (dout @ w.wo.T).reshape(qh.shape)
+    dattn = np.einsum("nhk,mhk->hnm", dmixed, vh)
+    dvh = np.einsum("hnm,nhk->mhk", attn, dmixed)
+    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    dqh = np.einsum("hnm,mhk->nhk", dscores, kh) * scale
+    dkh = np.einsum("hnm,nhk->mhk", dscores, qh) * scale
+    dq, dk, dv = (g.reshape(n, d) for g in (dqh, dkh, dvh))
+    for key, g in (("q", dq), ("k", dk), ("v", dv)):
+        grads[f"attn.w{key}"] += x.T @ g
+        grads[f"attn.b{key}"] += g.sum(axis=0)
+    return dq @ w.wq.T + dk @ w.wk.T + dv @ w.wv.T
 
 
 def self_attention(x: np.ndarray, w: AttentionParams, heads: int = 1) -> np.ndarray:
     """Multi-head self-attention over the rows of x, no masking."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    return _attend(x, x, x, w, heads)
+    return _attend(x, x, x, w, heads)[0]
 
 
 def cross_attention(query: np.ndarray, keyvalue: np.ndarray, w: AttentionParams,
@@ -225,13 +274,28 @@ def cross_attention(query: np.ndarray, keyvalue: np.ndarray, w: AttentionParams,
     kv = np.atleast_2d(np.asarray(keyvalue, dtype=np.float64))
     if q.shape[1] != kv.shape[1]:
         raise DimMismatchError(f"query width {q.shape[1]} != key/value width {kv.shape[1]}")
-    return _attend(q, kv, kv, w, heads)
+    return _attend(q, kv, kv, w, heads)[0]
+
+
+def _mlp_forward(x, w: MlpParams):
+    pre = x @ w.w1 + w.b1
+    act = gelu(pre)
+    return act @ w.w2 + w.b2, (x, pre, act, w)
+
+
+def _mlp_backward(dout, cache, grads):
+    x, pre, act, w = cache
+    grads["mlp.w2"] += act.T @ dout
+    grads["mlp.b2"] += dout.sum(axis=0)
+    dpre = (dout @ w.w2.T) * _gelu_grad(pre)
+    grads["mlp.w1"] += x.T @ dpre
+    grads["mlp.b1"] += dpre.sum(axis=0)
+    return dpre @ w.w1.T
 
 
 def mlp_block(x: np.ndarray, w: MlpParams) -> np.ndarray:
     """Two-layer GELU MLP applied per row."""
-    x = np.asarray(x, dtype=np.float64)
-    return gelu(x @ w.w1 + w.b1) @ w.w2 + w.b2
+    return _mlp_forward(np.asarray(x, dtype=np.float64), w)[0]
 
 
 def fuse_average(clip: np.ndarray) -> np.ndarray:
@@ -254,14 +318,34 @@ def fuse_self(clip: np.ndarray, weights: FusionWeights, heads: int = 1,
     ``residual=False`` variant drops the norms and skips entirely:
     Avg(MLP(SA(clip))).
     """
-    x = np.atleast_2d(np.asarray(clip, dtype=np.float64))
     if not residual:
-        return fuse_average(mlp_block(self_attention(x, weights.attn, heads), weights.mlp))
-    x = x + self_attention(layer_norm(x, weights.ln1.gamma, weights.ln1.beta, weights.ln1.eps),
-                           weights.attn, heads)
-    x = x + mlp_block(layer_norm(x, weights.ln2.gamma, weights.ln2.beta, weights.ln2.eps),
-                      weights.mlp)
-    return fuse_average(x)
+        return fuse_average(mlp_block(self_attention(clip, weights.attn, heads), weights.mlp))
+    return fuse_self_forward(clip, weights, heads)[0]
+
+
+def fuse_self_forward(clip: np.ndarray, weights: FusionWeights,
+                      heads: int) -> tuple[np.ndarray, tuple]:
+    """The residual ``fuse_self`` plus the cache :func:`fuse_self_backward` reads."""
+    x = np.atleast_2d(np.asarray(clip, dtype=np.float64))
+    ln1, ln2 = weights.ln1, weights.ln2
+    h1, ln1_cache = _layer_norm_forward(x, ln1.gamma, ln1.beta, ln1.eps)
+    s, attn_cache = _attend(h1, h1, h1, weights.attn, heads)
+    u = x + s
+    h2, ln2_cache = _layer_norm_forward(u, ln2.gamma, ln2.beta, ln2.eps)
+    m, mlp_cache = _mlp_forward(h2, weights.mlp)
+    return fuse_average(u + m), (x.shape[0], ln1_cache, attn_cache, ln2_cache, mlp_cache)
+
+
+def fuse_self_backward(dfused: np.ndarray, cache: tuple, grads: dict[str, np.ndarray]) -> None:
+    """Reverse-mode pass of :func:`fuse_self_forward` from the gradient at its output.
+
+    Adds the gradient of every ``ln1``, ``ln2``, ``attn`` and ``mlp`` tensor
+    into ``grads``, keyed by bundle name; the entries must already exist.
+    """
+    n, ln1_cache, attn_cache, ln2_cache, mlp_cache = cache
+    dv = np.tile(dfused / n, (n, 1))
+    du = dv + _layer_norm_backward(_mlp_backward(dv, mlp_cache, grads), ln2_cache, grads, "ln2")
+    _layer_norm_backward(_self_attention_backward(du, attn_cache, grads), ln1_cache, grads, "ln1")
 
 
 def fuse_cross(clip: np.ndarray, weights: FusionWeights, heads: int = 1) -> np.ndarray:

@@ -170,6 +170,17 @@ def _require(cond: bool, where: str, msg: str):
         raise FormatError(f"{where}: {msg}")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)  # JSON true/false are not ints
+
+
+def _as_float(raw, where: str, key: str) -> float:
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise FormatError(f"{where}: {key} must be a number, got {raw!r}") from None
+
+
 def _as_bbox(raw, where: str) -> BBox:
     _require(isinstance(raw, (list, tuple)) and len(raw) == 4, where, "bbox must have 4 entries")
     try:
@@ -215,16 +226,16 @@ def _detection_from_obj(obj: dict, where: str, sidecar: np.ndarray | None,
     for key in ("frame", "bbox", "conf", "cat", "cat_score"):
         _require(key in obj, where, f"missing key {key!r}")
     frame = obj["frame"]
-    _require(isinstance(frame, int) and frame >= 0, where, f"frame must be a non-negative int, got {frame!r}")
+    _require(_is_int(frame) and frame >= 0, where, f"frame must be a non-negative int, got {frame!r}")
     bbox = _as_bbox(obj["bbox"], where)
-    raw_conf = float(obj["conf"])
+    raw_conf = _as_float(obj["conf"], where, "conf")
     _require(np.isfinite(raw_conf) and raw_conf >= 0, where, f"conf must be finite and >= 0, got {raw_conf}")
     conf = min(max(raw_conf * score_scale, 0.0), 1.0)
     cat = obj["cat"]
-    _require(isinstance(cat, int), where, f"cat must be an int, got {cat!r}")
+    _require(_is_int(cat), where, f"cat must be an int, got {cat!r}")
     if vocabulary is not None and cat not in vocabulary:
         raise UnknownCategoryError(f"{where}: unknown category id {cat}")
-    cat_score = float(obj["cat_score"])
+    cat_score = _as_float(obj["cat_score"], where, "cat_score")
     _require(0.0 <= cat_score <= 1.0, where, f"cat_score must lie in [0, 1], got {cat_score}")
 
     if "emb" in obj:
@@ -234,7 +245,7 @@ def _detection_from_obj(obj: dict, where: str, sidecar: np.ndarray | None,
         if sidecar is None:
             raise FormatError(f"{where}: emb_ref used but no embedding sidecar found")
         ref = obj["emb_ref"]
-        _require(isinstance(ref, int) and 0 <= ref < len(sidecar), where,
+        _require(_is_int(ref) and 0 <= ref < len(sidecar), where,
                  f"emb_ref {ref!r} outside sidecar with {0 if sidecar is None else len(sidecar)} rows")
         emb = sidecar[ref]
     else:
@@ -329,13 +340,14 @@ def load_vocabulary(path) -> Vocabulary:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: malformed JSON ({exc.msg})") from None
-    _require(isinstance(obj, dict) and "dim_text" in obj and "entries" in obj,
-             str(path), "vocabulary needs dim_text and entries")
+    _require(isinstance(obj, dict) and "dim_text" in obj and isinstance(obj.get("entries"), list),
+             str(path), "vocabulary needs dim_text and an entries list")
     dim_text = obj["dim_text"]
-    _require(isinstance(dim_text, int) and dim_text > 0, str(path), "dim_text must be a positive int")
+    _require(_is_int(dim_text) and dim_text > 0, str(path), "dim_text must be a positive int")
     entries = []
     for i, raw in enumerate(obj["entries"]):
         where = f"{path}: entry {i}"
+        _require(isinstance(raw, dict), where, "entry must be a JSON object")
         for key in ("id", "name", "split"):
             _require(key in raw, where, f"missing key {key!r}")
         split = raw["split"]

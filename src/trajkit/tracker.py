@@ -100,7 +100,6 @@ class Observation:
     bbox: BBox
     confidence: float
     det_idx: int  # index of the detection within its frame
-    emb_index: int  # index into Track.embeddings
 
 
 @dataclass
@@ -119,7 +118,7 @@ class Track:
     state: TrackState = TrackState.ACTIVE
     retained_preds: list[RetainedPred] = field(default_factory=list)
     observations: list[Observation] = field(default_factory=list)
-    embeddings: list[np.ndarray] = field(default_factory=list)  # as observed
+    embeddings: list[np.ndarray] = field(default_factory=list)  # as observed, one per observation
     last_matched_frame: int = -1
     memory_unit: np.ndarray | None = None  # memory / ||memory||, kept by start() and absorb()
 
@@ -312,8 +311,7 @@ class Tracker:
         self._last_frame: int | None = None
 
     def _record(self, track: Track, det: DetectionRecord, det_idx: int):
-        track.observations.append(Observation(det.frame, det.bbox, det.confidence,
-                                              det_idx, len(track.embeddings)))
+        track.observations.append(Observation(det.frame, det.bbox, det.confidence, det_idx))
         track.embeddings.append(det.embedding)
         track.last_matched_frame = det.frame
         track.state = TrackState.ACTIVE

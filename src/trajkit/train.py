@@ -6,6 +6,10 @@ weights, the outputs (L2-normalized by default) feed a margin contrastive
 loss, and plain gradient descent updates the sixteen tensors on that path.
 Gradients are exact reverse-mode derivatives written out by hand; they are
 checked against :func:`numeric_gradient` central differences in the tests.
+The forward and backward of the ``fuse_self`` path live in
+:mod:`trajkit.fusion` (``fuse_self_forward`` / ``fuse_self_backward``), so
+training runs the very forward pass that classification runs; this module
+holds the loss head, output normalization and the optimizer loop.
 
 Loss for a pair with label y (1 = same category):
 
@@ -17,13 +21,12 @@ with D either the euclidean distance or the cosine distance (1 - cosine).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
-from scipy.special import erf, softmax
 
 from .errors import DivergedError, ZeroNormError
-from .fusion import AttentionParams, FusionWeights, LayerNormParams, MlpParams, fuse_self
+from .fusion import FusionWeights, fuse_self, fuse_self_backward, fuse_self_forward
 
 DISTANCES = ("euclidean", "cosine")
 
@@ -123,121 +126,6 @@ def pair_loss(pair: TrainPair, weights: FusionWeights, cfg: TrainConfig) -> floa
     return contrastive_loss(fa, fb, pair.label, cfg.margin, cfg.distance)
 
 
-def _gelu(x):
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
-
-
-def _gelu_grad(x):
-    phi = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    return 0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * phi
-
-
-def _ln_forward(x, p: LayerNormParams):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    istd = 1.0 / np.sqrt(var + p.eps)
-    xhat = (x - mu) * istd
-    return xhat * p.gamma + p.beta, (xhat, istd, p.gamma)
-
-
-def _ln_backward(dy, cache):
-    xhat, istd, gamma = cache
-    dgamma = (dy * xhat).sum(axis=0)
-    dbeta = dy.sum(axis=0)
-    dxhat = dy * gamma
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = istd * (dxhat - m1 - xhat * m2)
-    return dx, dgamma, dbeta
-
-
-def _attn_forward(x, w: AttentionParams, heads):
-    n, d = x.shape
-    dh = d // heads
-    q = x @ w.wq + w.bq
-    k = x @ w.wk + w.bk
-    v = x @ w.wv + w.bv
-    qh, kh, vh = (a.reshape(n, heads, dh) for a in (q, k, v))
-    scale = 1.0 / np.sqrt(dh)
-    z = np.einsum("nhk,mhk->hnm", qh, kh) * scale
-    a = softmax(z, axis=-1)
-    mix = np.einsum("hnm,mhk->nhk", a, vh).reshape(n, d)
-    out = mix @ w.wo + w.bo
-    return out, (x, qh, kh, vh, a, mix, scale, w)
-
-
-def _attn_backward(dout, cache):
-    x, qh, kh, vh, a, mix, scale, w = cache
-    n, d = x.shape
-    heads = a.shape[0]
-    dh = d // heads
-    dwo = mix.T @ dout
-    dbo = dout.sum(axis=0)
-    dmix = (dout @ w.wo.T).reshape(n, heads, dh)
-    da = np.einsum("nhk,mhk->hnm", dmix, vh)
-    dvh = np.einsum("hnm,nhk->mhk", a, dmix)
-    dz = a * (da - (da * a).sum(axis=-1, keepdims=True))
-    dqh = np.einsum("hnm,mhk->nhk", dz, kh) * scale
-    dkh = np.einsum("hnm,nhk->mhk", dz, qh) * scale
-    dq, dk, dv = (g.reshape(n, d) for g in (dqh, dkh, dvh))
-    grads = {
-        "wq": x.T @ dq, "bq": dq.sum(axis=0),
-        "wk": x.T @ dk, "bk": dk.sum(axis=0),
-        "wv": x.T @ dv, "bv": dv.sum(axis=0),
-        "wo": dwo, "bo": dbo,
-    }
-    dx = dq @ w.wq.T + dk @ w.wk.T + dv @ w.wv.T
-    return dx, grads
-
-
-def _mlp_forward(x, w: MlpParams):
-    pre = x @ w.w1 + w.b1
-    act = _gelu(pre)
-    return act @ w.w2 + w.b2, (x, pre, act, w)
-
-
-def _mlp_backward(dout, cache):
-    x, pre, act, w = cache
-    dw2 = act.T @ dout
-    db2 = dout.sum(axis=0)
-    dact = dout @ w.w2.T
-    dpre = dact * _gelu_grad(pre)
-    grads = {"w1": x.T @ dpre, "b1": dpre.sum(axis=0), "w2": dw2, "b2": db2}
-    dx = dpre @ w.w1.T
-    return dx, grads
-
-
-def _fuse_self_forward(x, weights: FusionWeights, heads):
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    h1, ln1_cache = _ln_forward(x, weights.ln1)
-    s, attn_cache = _attn_forward(h1, weights.attn, heads)
-    u = x + s
-    h2, ln2_cache = _ln_forward(u, weights.ln2)
-    m, mlp_cache = _mlp_forward(h2, weights.mlp)
-    v = u + m
-    f = v.mean(axis=0)
-    return f, (x.shape[0], ln1_cache, attn_cache, ln2_cache, mlp_cache)
-
-
-def _fuse_self_backward(df, cache, grads):
-    n, ln1_cache, attn_cache, ln2_cache, mlp_cache = cache
-    dv = np.tile(df / n, (n, 1))
-    du = dv.copy()
-    dh2, mlp_g = _mlp_backward(dv, mlp_cache)
-    du2, dg2, db2 = _ln_backward(dh2, ln2_cache)
-    du += du2
-    dh1, attn_g = _attn_backward(du, attn_cache)
-    _, dg1, db1 = _ln_backward(dh1, ln1_cache)
-    grads["ln1.gamma"] += dg1
-    grads["ln1.beta"] += db1
-    grads["ln2.gamma"] += dg2
-    grads["ln2.beta"] += db2
-    for key, g in attn_g.items():
-        grads[f"attn.{key}"] += g
-    for key, g in mlp_g.items():
-        grads[f"mlp.{key}"] += g
-
-
 def analytic_gradients(pair: TrainPair, weights: FusionWeights,
                        cfg: TrainConfig) -> dict[str, np.ndarray]:
     """Exact gradients of the pair loss for every trainable tensor."""
@@ -247,8 +135,8 @@ def analytic_gradients(pair: TrainPair, weights: FusionWeights,
 
 def loss_and_gradients(pair: TrainPair, weights: FusionWeights,
                        cfg: TrainConfig) -> tuple[float, dict[str, np.ndarray]]:
-    fa, cache_a = _fuse_self_forward(pair.clip_a, weights, cfg.heads)
-    fb, cache_b = _fuse_self_forward(pair.clip_b, weights, cfg.heads)
+    fa, cache_a = fuse_self_forward(pair.clip_a, weights, cfg.heads)
+    fb, cache_b = fuse_self_forward(pair.clip_b, weights, cfg.heads)
     if cfg.normalize_outputs:
         fa_n, back_a = _normalize_with_grad(fa)
         fb_n, back_b = _normalize_with_grad(fb)
@@ -258,8 +146,8 @@ def loss_and_gradients(pair: TrainPair, weights: FusionWeights,
     loss, dfa_n, dfb_n = _loss_head(fa_n, fb_n, pair.label, cfg.margin, cfg.distance)
     tensors = weights.to_dict()
     grads = {name: np.zeros_like(tensors[name]) for name in TRAINABLE_TENSORS}
-    _fuse_self_backward(back_a(dfa_n), cache_a, grads)
-    _fuse_self_backward(back_b(dfb_n), cache_b, grads)
+    fuse_self_backward(back_a(dfa_n), cache_a, grads)
+    fuse_self_backward(back_b(dfb_n), cache_b, grads)
     return loss, grads
 
 

@@ -145,6 +145,25 @@ def test_detections_error_carries_line_number(tmp_path):
         io.load_detections(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("frame", True), ("cat", True), ("emb_ref", True),
+    ("conf", "high"), ("conf", None), ("cat_score", "x"), ("cat_score", [0.5]),
+])
+def test_detections_reject_bad_field_values(tmp_path, field, value):
+    # bool is a subclass of int and float() raises bare ValueError/TypeError;
+    # each must surface as a FormatError naming the file and line
+    path = tmp_path / "d.jsonl"
+    good = {"frame": 0, "bbox": [0, 0, 5, 5], "conf": 0.5, "cat": 1, "cat_score": 0.4,
+            "emb": [1.0, 0.0]}
+    bad = dict(good, **{field: value})
+    if field == "emb_ref":
+        del bad["emb"]
+        io.write_embedding_sidecar(np.eye(2, dtype=np.float32), path.with_suffix(".embin"))
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(FormatError, match=rf"d\.jsonl:2: {field}"):
+        io.load_detections(path)
+
+
 def test_detections_unknown_category_against_vocab(tmp_path):
     vocab = _vocab(dim=2, n=1)
     path = tmp_path / "d.jsonl"
@@ -193,6 +212,21 @@ def test_vocabulary_bad_split(tmp_path):
                                        "description": "", "cate_emb": [1, 0], "attr_emb": [0, 1]}]}
     path.write_text(json.dumps(doc))
     with pytest.raises(FormatError):
+        io.load_vocabulary(path)
+
+
+_ENTRY = {"id": 0, "name": "x", "split": "base", "cate_emb": [1, 0], "attr_emb": [0, 1]}
+
+
+@pytest.mark.parametrize("dim_text, entries, message", [
+    (2, [_ENTRY, 7], r"v\.json: entry 1: entry must be a JSON object"),
+    (2, 7, r"v\.json: vocabulary needs dim_text and an entries list"),
+    (True, [_ENTRY], r"v\.json: dim_text must be a positive int"),
+])
+def test_vocabulary_malformed_entries(tmp_path, dim_text, entries, message):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"dim_text": dim_text, "entries": entries}))
+    with pytest.raises(FormatError, match=message):
         io.load_vocabulary(path)
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from trajkit.errors import DivergedError, ZeroNormError
+from trajkit.errors import DimMismatchError, DivergedError, ZeroNormError
 from trajkit.fusion import init_fusion_weights
 from trajkit.train import (
     TRAINABLE_TENSORS,
@@ -47,13 +47,14 @@ def test_contrastive_loss_label_validation():
         contrastive_loss(np.ones(2), np.ones(2), 2)
 
 
-def test_gradients_match_numeric_euclidean():
+@pytest.mark.parametrize("heads", [1, 2])
+def test_gradients_match_numeric_euclidean(heads):
     rng = np.random.default_rng(0)
     d = 6
     w = init_fusion_weights(d, seed=1, zero_residual=False)
     # normalized outputs sit on the unit sphere, so any margin above 2 keeps
     # the hinge active for negative pairs
-    cfg = TrainConfig(margin=2.5, distance="euclidean", d=d)
+    cfg = TrainConfig(margin=2.5, distance="euclidean", d=d, heads=heads)
     for y in (1, 0):
         pair = TrainPair(rng.normal(size=(3, d)), rng.normal(size=(2, d)) * 0.2, y)
         loss, grads = loss_and_gradients(pair, w, cfg)
@@ -115,8 +116,14 @@ def test_pair_loss_matches_loss_and_gradients():
                           normalize_outputs=bool(rng.random() < 0.5), d=d)
         pair = TrainPair(rng.normal(size=(int(rng.integers(1, 5)), d)),
                          rng.normal(size=(int(rng.integers(1, 5)), d)), int(rng.integers(0, 2)))
-        assert pair_loss(pair, w, cfg) == pytest.approx(loss_and_gradients(pair, w, cfg)[0],
-                                                        rel=0, abs=1e-12)
+        assert pair_loss(pair, w, cfg) == loss_and_gradients(pair, w, cfg)[0]
+
+
+def test_heads_must_divide_width():
+    w = init_fusion_weights(6, seed=0)
+    pair = TrainPair(np.ones((2, 6)), np.ones((2, 6)), 1)
+    with pytest.raises(DimMismatchError):
+        loss_and_gradients(pair, w, TrainConfig(d=6, heads=4))
 
 
 def test_pair_loss_normalization_flag():
