@@ -44,7 +44,7 @@ tracks = run_sequence(scene.detections, TrackerConfig())
 ccfg = ClassifyConfig(fusion="average", calibrate_scores=True)
 right = 0
 for tr in tracks:
-    result = classify_trajectory(tr, scene.vocabulary, None, ccfg)
+    result = classify_trajectory(tr.observations, tr.embeddings, scene.vocabulary, None, ccfg)
     ident = scene.detection_identity[tr.observations[0].frame][tr.observations[0].det_idx]
     truth = scene.identity_category[ident]
     right += result.final == truth

@@ -76,9 +76,9 @@ from .classify import (
     TrajectoryClassification,
     classify_trajectory,
     project_language,
+    record_embeddings,
     sample_clip,
     to_track_record,
-    track_from_record,
 )
 from .train import (
     TrainConfig,
@@ -110,8 +110,8 @@ __all__ = [
     "iou", "iou_matrix", "layer_norm", "load_detections", "load_groundtruth",
     "load_vocabulary", "load_weights", "loss_and_gradients", "majority_vote",
     "make_train_pairs", "mlp_block", "numeric_gradient", "project_language",
-    "read_embedding_sidecar", "read_tracks", "run_sequence", "sample_clip",
-    "score_matrix", "self_attention", "to_track_record", "track_from_record",
+    "read_embedding_sidecar", "read_tracks", "record_embeddings", "run_sequence",
+    "sample_clip", "score_matrix", "self_attention", "to_track_record",
     "train_fusion", "update_memory", "validate_fusion_shapes",
     "write_detections", "write_embedding_sidecar", "write_groundtruth",
     "write_tracks", "write_vocabulary", "write_weights",

@@ -1,13 +1,15 @@
 """Trajectory-level open-vocabulary classification.
 
-A finished track is classified by fusing a sampled clip of its appearance
+A trajectory is a list of ``io.TrackEntry`` rows (``Track.observations`` or
+a ``tracks.jsonl`` record) and the embedding of each row (``Track.embeddings``
+or ``record_embeddings``). It is classified by fusing a sampled clip of its
 embeddings into one vector and comparing that vector against projected
 language embeddings of the vocabulary. Three candidate labels compete:
 
 - ``cate``: best cosine against the category-name embeddings,
 - ``attr``: best cosine against the attribute-description embeddings
   (texts of the ``"name: description"`` shape),
-- ``det``: majority vote over the per-frame retained predictions, scored by
+- ``det``: majority vote over the entries' retained categories, scored by
   the winning proportion.
 
 The candidate with the highest score wins; ties prefer det, then cate,
@@ -18,8 +20,8 @@ of producing a fused trajectory vector.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .fusion import (
     fuse_self,
 )
 from .io import DetectionRecord, TrackEntry, TrackRecord, Vocabulary
-from .tracker import Observation, RetainedPred, Track, majority_vote
+from .tracker import Track, majority_vote
 
 
 @dataclass
@@ -63,7 +65,7 @@ class TrajectoryClassification:
     cate_score: float
     attr_id: int
     attr_score: float
-    det_id: int | None
+    det_id: int
     det_score: float
     final: int
     final_source: str  # "cate" | "attr" | "det"
@@ -72,20 +74,22 @@ class TrajectoryClassification:
         return {"cate": self.cate_score, "attr": self.attr_score, "det": self.det_score}
 
 
-def sample_clip(track: Track, n_clip: int = 5) -> ClipSample:
-    """Pick the clip fed to fusion: top n_clip observations by confidence.
+def sample_clip(entries: Sequence[TrackEntry], embeddings: Sequence[np.ndarray],
+                n_clip: int = 5) -> ClipSample:
+    """Pick the clip fed to fusion: top n_clip entries by confidence.
 
-    Short tracks are taken whole. Confidence ties prefer the earlier frame.
-    Rows come back in chronological order regardless of how they were picked.
+    ``embeddings[i]`` belongs to ``entries[i]``. Short trajectories are taken
+    whole. Confidence ties prefer the earlier frame. Rows come back in
+    chronological order regardless of how they were picked.
     """
-    if not track.observations:
-        raise ValueError(f"track {track.id} has no observations to sample")
-    picked = sorted(zip(track.observations, track.embeddings), key=lambda p: p[0].frame)
+    if not entries:
+        raise ValueError("a trajectory needs at least one entry to sample")
+    picked = sorted(zip(entries, embeddings), key=lambda p: p[0].frame)
     if len(picked) > n_clip:
         picked = sorted(picked, key=lambda p: (-p[0].confidence, p[0].frame))[:n_clip]
         picked.sort(key=lambda p: p[0].frame)
     rows = np.stack([emb for _, emb in picked]).astype(np.float64)
-    return ClipSample(rows, [obs.frame for obs, _ in picked])
+    return ClipSample(rows, [e.frame for e, _ in picked])
 
 
 def build_attribute_text(name: str, description: str) -> str:
@@ -160,11 +164,11 @@ def _fuse(rows: np.ndarray, weights: FusionWeights | None, cfg: ClassifyConfig) 
     raise ValueError(f"unknown fusion {cfg.fusion!r}")
 
 
-def classify_trajectory(track: Track, vocab: Vocabulary,
-                        weights: FusionWeights | None = None,
+def classify_trajectory(entries: Sequence[TrackEntry], embeddings: Sequence[np.ndarray],
+                        vocab: Vocabulary, weights: FusionWeights | None = None,
                         cfg: ClassifyConfig | None = None,
                         lang: LanguageRows | None = None) -> TrajectoryClassification:
-    """Assign a trajectory-level category to a finished track.
+    """Assign a trajectory-level category; ``embeddings[i]`` belongs to ``entries[i]``.
 
     ``weights=None`` is allowed for average fusion when the vocabulary lives
     in the visual space already (identity language projection). ``lang`` is
@@ -172,7 +176,7 @@ def classify_trajectory(track: Track, vocab: Vocabulary,
     tracks so the vocabulary is projected once.
     """
     cfg = cfg or ClassifyConfig()
-    clip = sample_clip(track, cfg.n_clip)
+    clip = sample_clip(entries, embeddings, cfg.n_clip)
     d = clip.rows.shape[1]
     if weights is None:
         if cfg.fusion != "average":
@@ -197,11 +201,7 @@ def classify_trajectory(track: Track, vocab: Vocabulary,
     k_cate = int(np.argmax(s_cate))
     k_attr = int(np.argmax(s_attr))
 
-    retained = [rp.category_id for rp in track.retained_preds]
-    if retained:
-        det_id, det_score = majority_vote(retained)
-    else:
-        det_id, det_score = None, float("-inf")
+    det_id, det_score = majority_vote([e.category_id for e in entries])
 
     candidates = [
         ("det", det_id, det_score),
@@ -213,40 +213,35 @@ def classify_trajectory(track: Track, vocab: Vocabulary,
     return TrajectoryClassification(
         cate_id=ids[k_cate], cate_score=float(s_cate[k_cate]),
         attr_id=ids[k_attr], attr_score=float(s_attr[k_attr]),
-        det_id=det_id, det_score=float(det_score) if retained else 0.0,
+        det_id=det_id, det_score=det_score,
         final=final, final_source=source,
     )
 
 
 def to_track_record(track: Track,
                     classification: TrajectoryClassification | None = None) -> TrackRecord:
-    """Flatten a live track (plus optional classification) for serialization."""
-    entries = [
-        TrackEntry(obs.frame, obs.bbox, obs.confidence, rp.category_id, obs.det_idx)
-        for obs, rp in zip(track.observations, track.retained_preds)
-    ]
-    rec = TrackRecord(track.id, entries)
-    if classification is not None:
-        rec.label = classification.final
-        rec.label_source = classification.final_source
-        rec.scores = classification.score_dict()
-    return rec
+    """A live track's entries (plus optional classification) for serialization."""
+    rec = TrackRecord(track.id, list(track.observations))
+    return rec if classification is None else label_record(rec, classification)
 
 
-def track_from_record(record: TrackRecord,
-                      dets_by_frame: dict[int, list[DetectionRecord]]) -> Track:
-    """Rebuild a classify-ready track from tracks.jsonl plus its detections."""
-    observations, embeddings, retained = [], [], []
+def label_record(record: TrackRecord, classification: TrajectoryClassification) -> TrackRecord:
+    """Set the record's trajectory label, its source and the channel scores."""
+    record.label = classification.final
+    record.label_source = classification.final_source
+    record.scores = classification.score_dict()
+    return record
+
+
+def record_embeddings(record: TrackRecord,
+                      dets_by_frame: dict[int, list[DetectionRecord]]) -> list[np.ndarray]:
+    """The embedding of each of a tracks.jsonl record's entries, from its detections."""
+    embeddings = []
     for e in record.entries:
         frame_dets = dets_by_frame.get(e.frame)
         if frame_dets is None or not 0 <= e.det_idx < len(frame_dets):
             raise FormatError(
                 f"track {record.track_id} references detection {e.det_idx} of frame {e.frame}, "
                 f"which the detections file does not contain")
-        observations.append(Observation(e.frame, e.bbox, e.confidence, e.det_idx))
         embeddings.append(frame_dets[e.det_idx].embedding)
-        retained.append(RetainedPred(e.frame, e.category_id, e.confidence))
-    memory = np.asarray(embeddings[-1], dtype=np.float64) if embeddings else np.zeros(1)
-    return Track(id=record.track_id, memory=memory, feature_bank=np.zeros((0, memory.size)),
-                 category_bank=deque(), observations=observations,
-                 embeddings=embeddings, retained_preds=retained)
+    return embeddings

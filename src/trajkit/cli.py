@@ -25,14 +25,15 @@ from . import io, metrics
 from .classify import (
     ClassifyConfig,
     classify_trajectory,
+    label_record,
     project_vocabulary,
+    record_embeddings,
     to_track_record,
-    track_from_record,
 )
 from .errors import FormatError, MissingWeightsError, TrajkitError
-from .fusion import FusionWeights, init_fusion_weights
+from .fusion import FUSION_MECHANISMS, FusionWeights, init_fusion_weights
 from .synth import Augmentations, SynthConfig, gen_scene, make_train_pairs
-from .tracker import Tracker, TrackerConfig, majority_vote
+from .tracker import SIM_MODES, Tracker, TrackerConfig, majority_vote
 from .train import TrainConfig, train_fusion
 
 GLOBAL_DEFAULTS = {"seed": 0, "out_dir": "."}
@@ -151,14 +152,12 @@ def _classify_tracks(tracks, vocab, weights, ccfg):
 
     def one(track):
         if vocab is not None:
-            cls = classify_trajectory(track, vocab, weights, ccfg, lang)
+            cls = classify_trajectory(track.observations, track.embeddings, vocab, weights, ccfg, lang)
             return to_track_record(track, cls)
         rec = to_track_record(track)
-        retained = [rp.category_id for rp in track.retained_preds]
-        if retained:
-            rec.label, prop = majority_vote(retained)
-            rec.label_source = "det"
-            rec.scores = {"det": prop}
+        rec.label, prop = majority_vote([e.category_id for e in rec.entries])
+        rec.label_source = "det"
+        rec.scores = {"det": prop}
         return rec
 
     return [one(track) for track in tracks]
@@ -227,9 +226,9 @@ def cmd_classify(args) -> int:
     lang = project_vocabulary(vocab, weights) if records else None
 
     def one(record):
-        track = track_from_record(record, dets)
-        cls = classify_trajectory(track, vocab, weights, ccfg, lang)
-        return to_track_record(track, cls)
+        embeddings = record_embeddings(record, dets)
+        return label_record(record, classify_trajectory(record.entries, embeddings, vocab,
+                                                        weights, ccfg, lang))
 
     out = [one(record) for record in records]
     io.write_tracks(out, out_dir / "tracks.jsonl")
@@ -319,7 +318,8 @@ def _bench_one_scene(scene_seed: int, opts: dict, weights: FusionWeights):
     row = {}
     for mech in BENCH_MECHANISMS:
         ccfg = ClassifyConfig(fusion=mech, n_clip=opts["n_clip"], heads=opts["heads"])
-        records = [to_track_record(t, classify_trajectory(t, scene.vocabulary, weights, ccfg, lang))
+        records = [to_track_record(t, classify_trajectory(t.observations, t.embeddings,
+                                                          scene.vocabulary, weights, ccfg, lang))
                    for t in tracker.tracks]
         report = metrics.evaluate(records, scene.gt_tracks, ecfg)
         row[mech] = report.overall
@@ -369,14 +369,12 @@ def _add_tracker_flags(sp):
     sp.add_argument("--n-bank", dest="n_bank", type=int)
     sp.add_argument("--n-cat-bank", dest="n_cat_bank", type=int)
     sp.add_argument("--max-age", dest="max_age", type=int)
-    sp.add_argument("--sim-mode", dest="sim_mode",
-                    choices=["cosine_only", "cosine_plus_bisoftmax"])
+    sp.add_argument("--sim-mode", dest="sim_mode", choices=SIM_MODES)
     sp.add_argument("--temperature", type=float)
 
 
 def _add_classify_flags(sp):
-    sp.add_argument("--fusion", choices=["average", "attention", "self",
-                                         "self_noresidual", "cross", "concat"])
+    sp.add_argument("--fusion", choices=FUSION_MECHANISMS)
     sp.add_argument("--n-clip", dest="n_clip", type=int)
     sp.add_argument("--heads", type=int)
     sp.add_argument("--calibrate-scores", dest="calibrate_scores",

@@ -34,7 +34,7 @@ class NonFiniteError(TrajkitError):
 
 
 class ZeroNormError(TrajkitError):
-    """Cosine similarity was requested for a zero-norm vector."""
+    """A vector that has to be normalized (cosine, bank row, loaded embedding) is zero."""
 
 
 class MissingWeightsError(TrajkitError):

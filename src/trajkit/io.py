@@ -46,6 +46,7 @@ from .errors import (
     NonFiniteError,
     TruncatedError,
     UnknownCategoryError,
+    ZeroNormError,
 )
 
 SIDECAR_MAGIC = b"TRJK"
@@ -171,7 +172,24 @@ def _require(cond: bool, where: str, msg: str):
 
 
 def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)  # JSON true/false are not ints
+    return type(v) is int  # JSON true/false load as bool, which is no int here
+
+
+def _require_keys(obj, keys: tuple[str, ...], where: str) -> None:
+    """A JSONL line must hold an object with every one of ``keys``."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{where}: line must hold a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise FormatError(f"{where}: missing key {key!r}")
+
+
+def _ints(obj: dict, keys: tuple[str, ...], where: str) -> list[int]:
+    values = [obj[key] for key in keys]
+    for key, v in zip(keys, values):
+        if not _is_int(v):
+            raise FormatError(f"{where}: {key} must be an int, got {v!r}")
+    return values
 
 
 def _as_float(raw, where: str, key: str) -> float:
@@ -254,6 +272,8 @@ def _detection_from_obj(obj: dict, where: str, sidecar: np.ndarray | None,
         raise DimMismatchError(f"{where}: embedding has {emb.shape[0]} dims, expected {expect_dim}")
     if not np.all(np.isfinite(emb)):
         raise NonFiniteError(f"{where}: embedding contains non-finite entries")
+    if not np.count_nonzero(emb):  # a fraction of np.any's per-call cost on short rows
+        raise ZeroNormError(f"{where}: embedding has zero norm")
     return DetectionRecord(frame, bbox, conf, cat, cat_score, emb)
 
 
@@ -409,7 +429,10 @@ def load_weights(path) -> WeightBundle:
         off += 2
         if off + name_len + 1 > len(raw):
             raise TruncatedError(f"{path}: truncated tensor header at byte {off}")
-        name = raw[off:off + name_len].decode("utf-8")
+        try:
+            name = raw[off:off + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: tensor name at byte {off} is not valid UTF-8") from None
         off += name_len
         rank = raw[off]
         off += 1
@@ -461,14 +484,14 @@ def load_groundtruth(path) -> list[GroundTruthTrack]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{where}: malformed JSON ({exc.msg})") from None
-            for key in ("track_id", "cat", "frame", "bbox"):
-                _require(key in obj, where, f"missing key {key!r}")
-            tid, cat, frame = int(obj["track_id"]), int(obj["cat"]), int(obj["frame"])
+            _require_keys(obj, ("track_id", "cat", "frame", "bbox"), where)
+            tid, cat, frame = _ints(obj, ("track_id", "cat", "frame"), where)
             bbox = _as_bbox(obj["bbox"], where)
             track = tracks.setdefault(tid, GroundTruthTrack(tid, cat))
-            _require(track.category_id == cat, where,
-                     f"track {tid} switches category {track.category_id} -> {cat}")
-            _require(frame not in track.boxes, where, f"track {tid} repeats frame {frame}")
+            if track.category_id != cat:
+                raise FormatError(f"{where}: track {tid} switches category {track.category_id} -> {cat}")
+            if frame in track.boxes:
+                raise FormatError(f"{where}: track {tid} repeats frame {frame}")
             track.boxes[frame] = bbox
     out = sorted(tracks.values(), key=lambda t: t.track_id)
     for t in out:
@@ -522,16 +545,18 @@ def read_tracks(path) -> list[TrackRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{where}: malformed JSON ({exc.msg})") from None
-            for key in ("track_id", "frame", "bbox", "conf", "cat", "det"):
-                _require(key in obj, where, f"missing key {key!r}")
-            tid = int(obj["track_id"])
+            _require_keys(obj, ("track_id", "frame", "bbox", "conf", "cat", "det"), where)
+            tid, frame, cat, det = _ints(obj, ("track_id", "frame", "cat", "det"), where)
             rec = recs.setdefault(tid, TrackRecord(tid, []))
-            rec.entries.append(TrackEntry(int(obj["frame"]), _as_bbox(obj["bbox"], where),
-                                          float(obj["conf"]), int(obj["cat"]), int(obj["det"])))
+            rec.entries.append(TrackEntry(frame, _as_bbox(obj["bbox"], where),
+                                          _as_float(obj["conf"], where, "conf"), cat, det))
             if "label" in obj:
-                rec.label = int(obj["label"])
+                (rec.label,) = _ints(obj, ("label",), where)
                 rec.label_source = obj.get("label_source")
-                rec.scores = {k: float(v) for k, v in obj.get("scores", {}).items()}
+                try:
+                    rec.scores = {k: float(v) for k, v in obj.get("scores", {}).items()}
+                except (AttributeError, TypeError, ValueError):
+                    raise FormatError(f"{where}: scores must map names to numbers") from None
     out = sorted(recs.values(), key=lambda r: r.track_id)
     for rec in out:
         rec.entries.sort(key=lambda e: e.frame)

@@ -1,6 +1,8 @@
 """Appearance-only multi-object association with feature and category banks.
 
-Each track keeps three things besides its box history:
+Each track records one ``io.TrackEntry`` per matched detection in
+``observations`` (its ``category_id`` is the retained category) and the
+embedding as observed beside it in ``embeddings``. It also keeps:
 
 - ``memory``: an exponential moving average of matched embeddings,
   ``alpha_mem * det + (1 - alpha_mem) * memory``. Its unit-normalized copy,
@@ -42,7 +44,7 @@ import numpy as np
 from scipy.special import softmax
 
 from .errors import DimMismatchError, ZeroNormError
-from .io import BBox, DetectionRecord
+from .io import DetectionRecord, TrackEntry
 
 SIM_MODES = ("cosine_only", "cosine_plus_bisoftmax")
 
@@ -94,21 +96,6 @@ class TrackerConfig:
             raise ValueError("softmax_temperature must be positive")
 
 
-@dataclass
-class Observation:
-    frame: int
-    bbox: BBox
-    confidence: float
-    det_idx: int  # index of the detection within its frame
-
-
-@dataclass
-class RetainedPred:
-    frame: int
-    category_id: int
-    confidence: float
-
-
 @dataclass(eq=False)
 class Track:
     id: int
@@ -116,10 +103,8 @@ class Track:
     feature_bank: np.ndarray  # (n <= n_bank, d) float64 unit rows, oldest first
     category_bank: deque  # of int category ids, maxlen n_cat_bank
     state: TrackState = TrackState.ACTIVE
-    retained_preds: list[RetainedPred] = field(default_factory=list)
-    observations: list[Observation] = field(default_factory=list)
+    observations: list[TrackEntry] = field(default_factory=list)  # category_id is the retained one
     embeddings: list[np.ndarray] = field(default_factory=list)  # as observed, one per observation
-    last_matched_frame: int = -1
     memory_unit: np.ndarray | None = None  # memory / ||memory||, kept by start() and absorb()
 
     @classmethod
@@ -275,8 +260,7 @@ def retain_category(track: Track, matched_det: DetectionRecord, cfg: TrackerConf
 
     High-confidence raw predictions pass through, mid-confidence ones are
     smoothed by voting together with the category bank, low-confidence ones
-    defer to the bank entirely. The retained id is pushed into the bank and
-    recorded with the frame and confidence.
+    defer to the bank entirely. The retained id is pushed into the bank.
     """
     p = matched_det.confidence
     c = matched_det.category_id
@@ -288,7 +272,6 @@ def retain_category(track: Track, matched_det: DetectionRecord, cfg: TrackerConf
     else:
         retained = majority_vote(bank)[0] if bank else c
     track.category_bank.append(retained)
-    track.retained_preds.append(RetainedPred(matched_det.frame, retained, p))
     return retained
 
 
@@ -310,10 +293,9 @@ class Tracker:
         self._next_id = 1
         self._last_frame: int | None = None
 
-    def _record(self, track: Track, det: DetectionRecord, det_idx: int):
-        track.observations.append(Observation(det.frame, det.bbox, det.confidence, det_idx))
+    def _record(self, track: Track, det: DetectionRecord, det_idx: int, category_id: int):
+        track.observations.append(TrackEntry(det.frame, det.bbox, det.confidence, category_id, det_idx))
         track.embeddings.append(det.embedding)
-        track.last_matched_frame = det.frame
         track.state = TrackState.ACTIVE
 
     def step(self, frame: int, dets: Sequence[DetectionRecord]) -> list[AssociationEvent]:
@@ -340,13 +322,13 @@ class Tracker:
                 self._next_id = max(self._next_id, track.id + 1)
             else:
                 continue
-            retain_category(track, det, cfg)
-            self._record(track, det, ev.det_idx)
+            self._record(track, det, ev.det_idx, retain_category(track, det, cfg))
         survivors = []
         for track in live:
-            if track.last_matched_frame != frame:
+            last = track.observations[-1].frame  # a live track has at least one
+            if last != frame:
                 track.state = TrackState.LOST
-                if frame - track.last_matched_frame > cfg.max_age:
+                if frame - last > cfg.max_age:
                     track.state = TrackState.DEAD
                     events.append(AssociationEvent(frame, DIED, track.id))
                     continue

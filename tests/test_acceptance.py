@@ -258,7 +258,8 @@ def test_criterion_03_zero_noise_oracle(capfd):
         assert len(seen) == 20
 
         ccfg = ClassifyConfig()
-        recs = [to_track_record(t, classify_trajectory(t, scene.vocabulary, None, ccfg))
+        recs = [to_track_record(t, classify_trajectory(t.observations, t.embeddings,
+                                                       scene.vocabulary, None, ccfg))
                 for t in tracks]
         rep = evaluate(recs, scene.gt_tracks, EvalConfig(splits=scene.vocabulary.splits()))
         elapsed = time.perf_counter() - t0
@@ -326,7 +327,7 @@ def test_criterion_05_voting_beats_per_frame_labels(capfd):
             recs = []
             for t in tracks:
                 rec = to_track_record(t)
-                rec.label, _ = majority_vote([rp.category_id for rp in t.retained_preds])
+                rec.label, _ = majority_vote([e.category_id for e in t.observations])
                 rec.label_source = "det"
                 recs.append(rec)
             cls_a = evaluate(recs, scene.gt_tracks, EvalConfig()).overall.cls_a

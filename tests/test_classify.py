@@ -10,9 +10,9 @@ from trajkit.classify import (
     build_attribute_text,
     classify_trajectory,
     project_language,
+    record_embeddings,
     sample_clip,
     to_track_record,
-    track_from_record,
 )
 from trajkit.errors import DimMismatchError, FormatError, MissingWeightsError
 from trajkit.fusion import init_fusion_weights
@@ -25,12 +25,13 @@ def _det(emb, conf=0.9, cat=0, frame=0, bbox=None):
                               np.asarray(emb, dtype=np.float32))
 
 
-def _track_from_dets(dets_by_frame, cfg=None):
+def _trajectory(dets_by_frame, cfg=None):
+    """The entries and embeddings of the one track the detections form."""
     tk = Tracker(cfg or TrackerConfig(tau_new=0.0, tau_match=0.1))
     for f in sorted(dets_by_frame):
         tk.step(f, dets_by_frame[f])
     assert len(tk.tracks) == 1
-    return tk.tracks[0]
+    return tk.tracks[0].observations, tk.tracks[0].embeddings
 
 
 def _vocab(d, protos, names=None, splits=None):
@@ -45,8 +46,8 @@ def _vocab(d, protos, names=None, splits=None):
 
 def test_sample_clip_keeps_all_when_short():
     dets = {f: [_det([1.0, 0.0], conf=0.5 + 0.1 * f, frame=f)] for f in range(3)}
-    track = _track_from_dets(dets)
-    clip = sample_clip(track, n_clip=5)
+    traj = _trajectory(dets)
+    clip = sample_clip(*traj, n_clip=5)
     assert clip.rows.shape == (3, 2)
     assert clip.frames == [0, 1, 2]
 
@@ -54,8 +55,8 @@ def test_sample_clip_keeps_all_when_short():
 def test_sample_clip_top_confidence_chronological():
     confs = {0: 0.2, 1: 0.9, 2: 0.5, 3: 0.95, 4: 0.1, 5: 0.8}
     dets = {f: [_det([1.0, float(f)], conf=c, frame=f)] for f, c in confs.items()}
-    track = _track_from_dets(dets)
-    clip = sample_clip(track, n_clip=3)
+    traj = _trajectory(dets)
+    clip = sample_clip(*traj, n_clip=3)
     # picks frames 3, 1, 5 by confidence, then reorders chronologically
     assert clip.frames == [1, 3, 5]
     np.testing.assert_allclose(clip.rows[:, 1], [1.0, 3.0, 5.0])
@@ -63,8 +64,8 @@ def test_sample_clip_top_confidence_chronological():
 
 def test_sample_clip_confidence_tie_prefers_earlier_frame():
     dets = {f: [_det([1.0, float(f)], conf=0.7, frame=f)] for f in range(4)}
-    track = _track_from_dets(dets)
-    clip = sample_clip(track, n_clip=2)
+    traj = _trajectory(dets)
+    clip = sample_clip(*traj, n_clip=2)
     assert clip.frames == [0, 1]
 
 
@@ -93,23 +94,23 @@ def test_affinity_is_rowwise_cosine():
 
 def test_classify_requires_weights_for_nonaverage():
     vocab = _vocab(2, [[1, 0]])
-    track = _track_from_dets({0: [_det([1.0, 0.0])]})
+    traj = _trajectory({0: [_det([1.0, 0.0])]})
     with pytest.raises(MissingWeightsError):
-        classify_trajectory(track, vocab, None, ClassifyConfig(fusion="self"))
+        classify_trajectory(*traj, vocab, None, ClassifyConfig(fusion="self"))
 
 
 def test_classify_identity_projection_needs_matching_dims():
     vocab = _vocab(3, [[1, 0, 0]])  # text dim 3, embeddings dim 2
-    track = _track_from_dets({0: [_det([1.0, 0.0])]})
+    traj = _trajectory({0: [_det([1.0, 0.0])]})
     with pytest.raises(DimMismatchError):
-        classify_trajectory(track, vocab, None, ClassifyConfig())
+        classify_trajectory(*traj, vocab, None, ClassifyConfig())
 
 
 def test_classify_picks_nearest_category():
     vocab = _vocab(2, [[1, 0], [0, 1]])
-    track = _track_from_dets({f: [_det([0.95, 0.05], cat=1, conf=0.2, frame=f)]
+    traj = _trajectory({f: [_det([0.95, 0.05], cat=1, conf=0.2, frame=f)]
                               for f in range(4)})
-    cls = classify_trajectory(track, vocab, None, ClassifyConfig())
+    cls = classify_trajectory(*traj, vocab, None, ClassifyConfig())
     assert cls.cate_id == 0
     assert cls.cate_score == pytest.approx(np.cos(np.arctan2(0.05, 0.95)), rel=1e-6)
 
@@ -118,8 +119,8 @@ def test_classify_det_channel_majority():
     vocab = _vocab(2, [[1, 0], [0, 1]])
     dets = {f: [_det([1.0, 0.0], cat=1 if f < 2 else 0, conf=0.9, frame=f)]
             for f in range(5)}
-    track = _track_from_dets(dets)
-    cls = classify_trajectory(track, vocab, None, ClassifyConfig())
+    traj = _trajectory(dets)
+    cls = classify_trajectory(*traj, vocab, None, ClassifyConfig())
     assert cls.det_id == 0
     assert cls.det_score == pytest.approx(3 / 5)
 
@@ -127,9 +128,9 @@ def test_classify_det_channel_majority():
 def test_classify_final_tie_order():
     # equal scores resolve det first, then cate, then attr
     vocab = _vocab(2, [[1, 0]])
-    track = _track_from_dets({f: [_det([1.0, 0.0], cat=0, conf=0.9, frame=f)]
+    traj = _trajectory({f: [_det([1.0, 0.0], cat=0, conf=0.9, frame=f)]
                               for f in range(3)})
-    cls = classify_trajectory(track, vocab, None, ClassifyConfig())
+    cls = classify_trajectory(*traj, vocab, None, ClassifyConfig())
     # det proportion 1.0, cate cosine 1.0, attr cosine 1.0: det wins the tie
     assert cls.det_score == pytest.approx(1.0)
     assert cls.cate_score == pytest.approx(1.0)
@@ -139,10 +140,10 @@ def test_classify_final_tie_order():
 
 def test_classify_calibration_rescales_cosines():
     vocab = _vocab(2, [[-1, 0]])  # single entry, cosine with the clip is exactly -1
-    track = _track_from_dets({f: [_det([1.0, 0.0], cat=0, conf=0.01, frame=f)]
+    traj = _trajectory({f: [_det([1.0, 0.0], cat=0, conf=0.01, frame=f)]
                               for f in range(3)})
-    raw = classify_trajectory(track, vocab, None, ClassifyConfig())
-    cal = classify_trajectory(track, vocab, None, ClassifyConfig(calibrate_scores=True))
+    raw = classify_trajectory(*traj, vocab, None, ClassifyConfig())
+    cal = classify_trajectory(*traj, vocab, None, ClassifyConfig(calibrate_scores=True))
     assert raw.cate_score == pytest.approx(-1.0)
     assert cal.cate_score == pytest.approx(0.0)  # (1 + cos) / 2
     # the det channel proportion is untouched by calibration
@@ -154,9 +155,9 @@ def test_classify_concat_channel():
     d = 6
     vocab = _vocab(d, rng.normal(size=(3, d)))
     w = init_fusion_weights(d, seed=1, zero_residual=False)
-    track = _track_from_dets({f: [_det(rng.normal(size=d), cat=0, conf=0.9, frame=f)]
+    traj = _trajectory({f: [_det(rng.normal(size=d), cat=0, conf=0.9, frame=f)]
                               for f in range(4)})
-    cls = classify_trajectory(track, vocab, w, ClassifyConfig(fusion="concat"))
+    cls = classify_trajectory(*traj, vocab, w, ClassifyConfig(fusion="concat"))
     assert 0.0 < cls.cate_score < 1.0
     assert cls.cate_id in (0, 1, 2)
     assert cls.score_dict()["cate"] == cls.cate_score
@@ -167,10 +168,10 @@ def test_classify_all_fusions_run():
     d = 8
     vocab = _vocab(d, rng.normal(size=(2, d)))
     w = init_fusion_weights(d, seed=2, zero_residual=False)
-    track = _track_from_dets({f: [_det(rng.normal(size=d), cat=0, conf=0.8, frame=f)]
+    traj = _trajectory({f: [_det(rng.normal(size=d), cat=0, conf=0.8, frame=f)]
                               for f in range(6)})
     for mech in ("average", "attention", "self", "self_noresidual", "cross", "concat"):
-        cls = classify_trajectory(track, vocab, w, ClassifyConfig(fusion=mech))
+        cls = classify_trajectory(*traj, vocab, w, ClassifyConfig(fusion=mech))
         assert cls.final in (0, 1)
         assert cls.final_source in ("det", "cate", "attr")
 
@@ -196,18 +197,17 @@ def test_track_record_roundtrip_via_join(tmp_path):
     recs_back = io.read_tracks(trk_path)
 
     for rec, orig in zip(recs_back, tk.tracks):
-        rebuilt = track_from_record(rec, dets_back)
-        assert rebuilt.id == orig.id
-        assert [o.frame for o in rebuilt.observations] == [o.frame for o in orig.observations]
-        got = np.stack(rebuilt.embeddings)
+        assert rec.track_id == orig.id
+        assert [e.frame for e in rec.entries] == [o.frame for o in orig.observations]
+        got = np.stack(record_embeddings(rec, dets_back))
         want = np.stack(orig.embeddings)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
 
-def test_track_from_record_missing_det():
+def test_record_embeddings_missing_det():
     rec = io.TrackRecord(1, [io.TrackEntry(0, (0.0, 0.0, 1.0, 1.0), 0.5, 0, 3)])
     with pytest.raises(FormatError):
-        track_from_record(rec, {0: [_det([1.0, 0.0])]})
+        record_embeddings(rec, {0: [_det([1.0, 0.0])]})
 
 
 def test_config_validation():

@@ -145,6 +145,38 @@ def test_classify_rewrites_labels(tmp_path):
     assert all(t.scores and "cate" in t.scores for t in after)
 
 
+def test_classify_reproduces_track_output(tmp_path):
+    # track --vocabulary and classify on that run's own tracks.jsonl label
+    # through the same classify_trajectory, so their files must agree byte for byte
+    scene = _synth(tmp_path / "scene", seed=6, extra=["--sigma", "0.2", "--flip-prob", "0.3",
+                                                     "--miss-rate", "0.2", "--fp-rate", "1.0"])
+    common = ["--detections", scene / "detections.jsonl", "--vocabulary", scene / "vocabulary.json"]
+    run, cls_dir = tmp_path / "run", tmp_path / "cls"
+    assert _run(["track", *common, "--out-dir", run]) == 0
+    assert _run(["classify", "--tracks", run / "tracks.jsonl", *common, "--out-dir", cls_dir]) == 0
+    tracked = io.read_tracks(run / "tracks.jsonl")
+    # the scene exercises what classify reads: gaps, clutter tracks, mixed retained categories
+    assert len(tracked) > 5
+    assert any(b.frame - a.frame > 1 for r in tracked for a, b in zip(r.entries, r.entries[1:]))
+    assert any(len({e.category_id for e in r.entries}) > 1 for r in tracked)
+    assert (cls_dir / "tracks.jsonl").read_bytes() == (run / "tracks.jsonl").read_bytes()
+
+
+def test_track_names_line_of_zero_norm_embedding(tmp_path, capsys):
+    scene = _synth(tmp_path / "scene")
+    det_path = scene / "detections.jsonl"
+    lines = det_path.read_text().splitlines()
+    bad = json.loads(lines[3])
+    bad["emb"] = [0.0] * len(bad["emb"])
+    lines[3] = json.dumps(bad)
+    det_path.write_text("\n".join(lines) + "\n")
+    rc = _run(["track", "--detections", det_path, "--out-dir", tmp_path / "run"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ZeroNormError:")
+    assert "detections.jsonl:4: embedding has zero norm" in err
+
+
 def test_train_writes_weights_and_curve(tmp_path):
     out = tmp_path / "tr"
     rc = _run(["train", "--steps", 20, "--identities", 4, "--frames", 10,

@@ -289,6 +289,16 @@ def test_weights_duplicate_name(tmp_path):
         io.load_weights(path)
 
 
+def test_weights_name_not_utf8(tmp_path):
+    path = tmp_path / "w.twb"
+    io.write_weights({"t": np.ones(2)}, path)
+    raw = bytearray(path.read_bytes())
+    raw[8] = 0xFF  # the one-byte name follows the 6-byte header and its 2-byte length
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=r"w\.twb: tensor name at byte 8 is not valid UTF-8"):
+        io.load_weights(path)
+
+
 def test_groundtruth_roundtrip(tmp_path):
     tracks = [io.GroundTruthTrack(1, 0, {0: (0.0, 0.0, 2.0, 2.0), 2: (1.0, 1.0, 2.0, 2.0)}),
               io.GroundTruthTrack(2, 1, {1: (5.0, 5.0, 3.0, 3.0)})]
@@ -333,3 +343,35 @@ def test_tracks_roundtrip(tmp_path):
     assert back[1].label is None
     assert back[0].boxes == recs[0].boxes
     assert [e.det_idx for e in back[0].entries] == [0, 2]
+
+
+_TRACK_LINE = {"track_id": 1, "frame": 0, "bbox": [0, 0, 1, 1], "conf": 0.5, "cat": 0, "det": 0,
+               "label": 0, "label_source": "det", "scores": {"det": 1.0}}
+_GT_LINE = {"track_id": 1, "cat": 0, "frame": 0, "bbox": [0, 0, 1, 1]}
+
+
+@pytest.mark.parametrize("loader, field, value", [
+    ("read_tracks", None, 5),
+    ("read_tracks", None, [1, 2]),
+    ("read_tracks", "track_id", "a"),
+    ("read_tracks", "frame", True),
+    ("read_tracks", "cat", 1.5),
+    ("read_tracks", "det", None),
+    ("read_tracks", "label", True),
+    ("read_tracks", "conf", "x"),
+    ("read_tracks", "scores", 5),
+    ("load_groundtruth", None, 5),
+    ("load_groundtruth", "track_id", "a"),
+    ("load_groundtruth", "cat", True),
+    ("load_groundtruth", "frame", 2.0),
+])
+def test_tracks_and_groundtruth_reject_bad_lines(tmp_path, loader, field, value):
+    # a non-object line, a bool or float id and a non-numeric conf must each
+    # surface as a FormatError naming the file and line, never TypeError/ValueError
+    good = _TRACK_LINE if loader == "read_tracks" else _GT_LINE
+    bad = value if field is None else dict(good, **{field: value})
+    path = tmp_path / "t.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    message = field or "line must hold a JSON object"
+    with pytest.raises(FormatError, match=rf"t\.jsonl:2: {message}"):
+        getattr(io, loader)(path)

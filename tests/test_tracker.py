@@ -219,7 +219,7 @@ def test_retain_category_gates():
     assert retain_category(tr, _det([1.0, 0.0], conf=0.2, cat=9), cfg) == 4
     # low band: bank only, candidate ignored entirely
     assert retain_category(tr, _det([1.0, 0.0], conf=0.05, cat=9), cfg) == 4
-    assert [rp.category_id for rp in tr.retained_preds] == [8, 4, 4]
+    assert list(tr.category_bank)[-3:] == [8, 4, 4]
 
 
 def test_retain_category_low_band_empty_bank():
@@ -344,7 +344,7 @@ def test_two_object_separation_property():
         tracks = run_sequence(dets, TrackerConfig())
         assert len(tracks) == 2
         for tr in tracks:
-            cats = {rp.category_id for rp in tr.retained_preds}
+            cats = {e.category_id for e in tr.observations}
             assert len(cats) == 1
 
 
