@@ -19,7 +19,7 @@ from trajkit import (
 rng = np.random.default_rng(0)
 d = 8
 clip = rng.normal(size=(5, d))  # five sampled observations of one track
-lang = rng.normal(size=d)       # a language embedding for concat scoring
+lang = rng.normal(size=(3, d))  # three language rows for concat scoring
 
 # zero_residual=True zeroes the output projections, so the residual block
 # passes inputs straight through at step 0.
@@ -33,7 +33,11 @@ for name, fn in [("average", fuse_average),
                  ("cross", lambda c: fuse_cross(c, w))]:
     out = fn(clip)
     print(f"  {name:<9} {np.array2string(out[:4], precision=3)}")
-print(f"  concat    score vs language row: {concat_score(clip, lang, w):.4f}")
+# concat scores the clip against every language row in one batched pass;
+# a single row gives the same score as its entry in the batch.
+scores = concat_score(clip, lang, w)
+print(f"  concat    scores vs 3 language rows: {np.array2string(scores, precision=4)}")
+print(f"  concat    row 0 alone: {concat_score(clip, lang[0], w):.4f}")
 
 # At zeroed residual projections, the self mechanism IS averaging.
 gap = np.abs(fuse_self(clip, w0) - fuse_average(clip)).max()

@@ -2,8 +2,8 @@
 
 A clip is an (n, d) matrix whose rows are per-frame appearance embeddings of
 one trajectory. Each mechanism turns a clip into a single d-vector (or, for
-the concatenation scorer, directly into a scalar affinity against one
-language vector):
+the concatenation scorer, directly into an affinity against each of a set
+of language vectors):
 
 - ``fuse_average``: column mean.
 - ``fuse_attention``: column mean of one self-attention layer.
@@ -12,8 +12,9 @@ language vector):
   Avg(MLP(SA(X))) form instead.
 - ``fuse_cross``: sequential cross-attention, the running fused vector is
   the query and the next row the key/value; order sensitive by design.
-- ``concat_score``: stack the clip with one language vector, self-attend,
-  mean-pool, project, and squash a linear score through a logistic.
+- ``concat_score``: stack the clip with a language vector, self-attend,
+  mean-pool, project, and squash a linear score through a logistic. Given V
+  language rows it attends all V stacks in one batched pass.
 
 There is no positional encoding and no masking: clips are unordered sets as
 far as average/attention/self fusion are concerned. All math runs in float64.
@@ -219,14 +220,14 @@ def _gelu_grad(x):
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    n, d = x.shape
-    return x.reshape(n, heads, d // heads)
+    return x.reshape(*x.shape[:-1], heads, x.shape[-1] // heads)
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, w: AttentionParams,
             heads: int) -> tuple[np.ndarray, tuple]:
     """Scaled dot-product attention of query rows against key/value rows.
 
+    Rows are the second-to-last axis; any axes before it are batch axes.
     Returns the output and the cache :func:`_self_attention_backward` reads.
     """
     d = q.shape[-1]
@@ -236,9 +237,9 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, w: AttentionParams,
     kh = _split_heads(k @ w.wk + w.bk, heads)
     vh = _split_heads(v @ w.wv + w.bv, heads)
     scale = 1.0 / np.sqrt(d // heads)
-    scores = np.einsum("nhk,mhk->hnm", qh, kh) * scale
+    scores = np.einsum("...nhk,...mhk->...hnm", qh, kh) * scale
     attn = softmax(scores, axis=-1)
-    mixed = np.einsum("hnm,mhk->nhk", attn, vh).reshape(q.shape[0], d)
+    mixed = np.einsum("...hnm,...mhk->...nhk", attn, vh).reshape(q.shape)
     return mixed @ w.wo + w.bo, (q, qh, kh, vh, attn, mixed, scale, w)
 
 
@@ -363,22 +364,34 @@ def fuse_cross(clip: np.ndarray, weights: FusionWeights, heads: int = 1) -> np.n
 
 
 def concat_score(clip: np.ndarray, lang: np.ndarray, weights: FusionWeights,
-                 heads: int = 1) -> float:
-    """Affinity of a clip against one language vector via concatenation.
+                 heads: int = 1) -> float | np.ndarray:
+    """Affinity of a clip against language vectors via concatenation.
 
-    Stacks the clip with the language row, self-attends, mean-pools, applies
+    Stacks the clip with a language row, self-attends, mean-pools, applies
     the pooling projection and a final linear layer, then squashes through a
-    logistic so the result is comparable with the other channels.
+    logistic so the result is comparable with the other channels. A (d,)
+    ``lang`` gives a float; a (V, d) ``lang`` gives the (V,) scores of its
+    rows, with all V stacks attended in one batched pass.
     """
     clip = np.atleast_2d(np.asarray(clip, dtype=np.float64))
-    lang = np.asarray(lang, dtype=np.float64).reshape(1, -1)
-    if lang.shape[1] != clip.shape[1]:
-        raise DimMismatchError(f"language width {lang.shape[1]} != clip width {clip.shape[1]}")
-    stacked = np.concatenate([clip, lang], axis=0)
-    pooled = self_attention(stacked, weights.attn, heads).mean(axis=0)
+    lang = np.asarray(lang, dtype=np.float64)
+    rows = np.atleast_2d(lang)
+    n, d = clip.shape
+    if rows.ndim != 2:
+        raise DimMismatchError(
+            f"language must be one vector or a matrix of rows, got shape {lang.shape}")
+    if rows.shape[1] != d:
+        raise DimMismatchError(f"language width {rows.shape[1]} != clip width {d}")
+    stacked = np.empty((rows.shape[0], n + 1, d))
+    stacked[:, :n] = clip
+    stacked[:, n] = rows
+    # Pooled rows stay (V, 1, d), so the projections below are one 1 x d
+    # product per stack and every score has the bits of a one-row call.
+    pooled = _attend(stacked, stacked, stacked, weights.attn, heads)[0].mean(axis=-2, keepdims=True)
     projected = pooled @ weights.concat.pool_w + weights.concat.pool_b
-    raw = float(projected @ weights.concat.fc_w + np.asarray(weights.concat.fc_b).reshape(()))
-    return float(1.0 / (1.0 + np.exp(-raw)))
+    raw = projected @ weights.concat.fc_w + np.asarray(weights.concat.fc_b).reshape(())
+    scores = 1.0 / (1.0 + np.exp(-raw[:, 0]))
+    return float(scores[0]) if lang.ndim == 1 else scores
 
 
 def init_fusion_weights(d: int, hidden: int | None = None, d_text: int | None = None,

@@ -32,6 +32,7 @@ as float32; similarity math upcasts, storage never mutates them.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -195,17 +196,25 @@ def _ints(obj: dict, keys: tuple[str, ...], where: str) -> list[int]:
 def _as_float(raw, where: str, key: str) -> float:
     try:
         return float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise FormatError(f"{where}: {key} must be a number, got {raw!r}") from None
+
+
+def _as_vector(raw, where: str, key: str) -> np.ndarray:
+    try:
+        return np.asarray(raw, dtype=np.float32)
+    except (TypeError, ValueError, OverflowError):
+        raise FormatError(f"{where}: {key} entries must be numbers") from None
 
 
 def _as_bbox(raw, where: str) -> BBox:
     _require(isinstance(raw, (list, tuple)) and len(raw) == 4, where, "bbox must have 4 entries")
     try:
         x, y, w, h = (float(v) for v in raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise FormatError(f"{where}: bbox entries must be numbers") from None
-    _require(w > 0 and h > 0, where, f"bbox needs positive width/height, got w={w} h={h}")
+    if not (w > 0 and h > 0):
+        raise FormatError(f"{where}: bbox needs positive width/height, got w={w} h={h}")
     return (x, y, w, h)
 
 
@@ -241,36 +250,41 @@ def write_embedding_sidecar(embeddings: np.ndarray, path) -> None:
 def _detection_from_obj(obj: dict, where: str, sidecar: np.ndarray | None,
                         score_scale: float, vocabulary: Vocabulary | None,
                         expect_dim: int | None) -> DetectionRecord:
-    for key in ("frame", "bbox", "conf", "cat", "cat_score"):
-        _require(key in obj, where, f"missing key {key!r}")
+    # Runs once per detection, so each message is formatted only on failure.
+    _require_keys(obj, ("frame", "bbox", "conf", "cat", "cat_score"), where)
     frame = obj["frame"]
-    _require(_is_int(frame) and frame >= 0, where, f"frame must be a non-negative int, got {frame!r}")
+    if not _is_int(frame) or frame < 0:
+        raise FormatError(f"{where}: frame must be a non-negative int, got {frame!r}")
     bbox = _as_bbox(obj["bbox"], where)
     raw_conf = _as_float(obj["conf"], where, "conf")
-    _require(np.isfinite(raw_conf) and raw_conf >= 0, where, f"conf must be finite and >= 0, got {raw_conf}")
+    if not (math.isfinite(raw_conf) and raw_conf >= 0):
+        raise FormatError(f"{where}: conf must be finite and >= 0, got {raw_conf}")
     conf = min(max(raw_conf * score_scale, 0.0), 1.0)
     cat = obj["cat"]
-    _require(_is_int(cat), where, f"cat must be an int, got {cat!r}")
+    if not _is_int(cat):
+        raise FormatError(f"{where}: cat must be an int, got {cat!r}")
     if vocabulary is not None and cat not in vocabulary:
         raise UnknownCategoryError(f"{where}: unknown category id {cat}")
     cat_score = _as_float(obj["cat_score"], where, "cat_score")
-    _require(0.0 <= cat_score <= 1.0, where, f"cat_score must lie in [0, 1], got {cat_score}")
+    if not 0.0 <= cat_score <= 1.0:
+        raise FormatError(f"{where}: cat_score must lie in [0, 1], got {cat_score}")
 
     if "emb" in obj:
-        emb = np.asarray(obj["emb"], dtype=np.float32)
-        _require(emb.ndim == 1 and emb.size > 0, where, "emb must be a non-empty flat list")
+        emb = _as_vector(obj["emb"], where, "emb")
+        if emb.ndim != 1 or not emb.size:
+            raise FormatError(f"{where}: emb must be a non-empty flat list")
     elif "emb_ref" in obj:
         if sidecar is None:
             raise FormatError(f"{where}: emb_ref used but no embedding sidecar found")
         ref = obj["emb_ref"]
-        _require(_is_int(ref) and 0 <= ref < len(sidecar), where,
-                 f"emb_ref {ref!r} outside sidecar with {0 if sidecar is None else len(sidecar)} rows")
+        if not (_is_int(ref) and 0 <= ref < len(sidecar)):
+            raise FormatError(f"{where}: emb_ref {ref!r} outside sidecar with {len(sidecar)} rows")
         emb = sidecar[ref]
     else:
         raise FormatError(f"{where}: record needs either emb or emb_ref")
     if expect_dim is not None and emb.shape[0] != expect_dim:
         raise DimMismatchError(f"{where}: embedding has {emb.shape[0]} dims, expected {expect_dim}")
-    if not np.all(np.isfinite(emb)):
+    if not np.isfinite(emb).all():
         raise NonFiniteError(f"{where}: embedding contains non-finite entries")
     if not np.count_nonzero(emb):  # a fraction of np.any's per-call cost on short rows
         raise ZeroNormError(f"{where}: embedding has zero norm")
@@ -370,18 +384,21 @@ def load_vocabulary(path) -> Vocabulary:
         _require(isinstance(raw, dict), where, "entry must be a JSON object")
         for key in ("id", "name", "split"):
             _require(key in raw, where, f"missing key {key!r}")
+        (category_id,) = _ints(raw, ("id",), where)
         split = raw["split"]
         _require(split in SPLITS, where, f"split must be one of {SPLITS}, got {split!r}")
         embs = []
         for key in ("cate_emb", "attr_emb"):
             _require(key in raw, where, f"missing embedding {key!r}")
-            emb = np.asarray(raw[key], dtype=np.float32)
+            emb = _as_vector(raw[key], where, key)
             if emb.ndim != 1 or emb.shape[0] != dim_text:
                 raise DimMismatchError(f"{where}: {key} has {emb.size} dims, expected {dim_text}")
-            if not np.all(np.isfinite(emb)):
+            if not np.isfinite(emb).all():
                 raise NonFiniteError(f"{where}: {key} contains non-finite entries")
+            if not np.count_nonzero(emb):
+                raise ZeroNormError(f"{where}: {key} has zero norm")
             embs.append(emb)
-        entries.append(VocabularyEntry(int(raw["id"]), str(raw["name"]), split,
+        entries.append(VocabularyEntry(category_id, str(raw["name"]), split,
                                        str(raw.get("description", "")), embs[0], embs[1]))
     return Vocabulary(entries, dim_text)
 

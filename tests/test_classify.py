@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from trajkit import io
+from trajkit import classify, io
 from trajkit.classify import (
     ClassifyConfig,
     affinity,
@@ -174,6 +174,30 @@ def test_classify_all_fusions_run():
         cls = classify_trajectory(*traj, vocab, w, ClassifyConfig(fusion=mech))
         assert cls.final in (0, 1)
         assert cls.final_source in ("det", "cate", "attr")
+
+
+@pytest.mark.parametrize("mech, name", [
+    ("average", "fuse_average"), ("attention", "fuse_attention"), ("self", "fuse_self"),
+    ("self_noresidual", "fuse_self"), ("cross", "fuse_cross"), ("concat", "concat_score"),
+])
+def test_classify_calls_fusion_through_module_names(monkeypatch, mech, name):
+    # per-layer tracing wraps these names in trajkit.classify; a dispatch that
+    # bound the functions at import would bypass the wrapper
+    calls = []
+    inner = getattr(classify, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(classify, name, counted)
+    rng = np.random.default_rng(4)
+    d = 8
+    vocab = _vocab(d, rng.normal(size=(2, d)))
+    w = init_fusion_weights(d, seed=2, zero_residual=False)
+    traj = _trajectory({f: [_det(rng.normal(size=d), frame=f)] for f in range(3)})
+    classify_trajectory(*traj, vocab, w, ClassifyConfig(fusion=mech))
+    assert calls == [name] * (2 if mech == "concat" else 1)
 
 
 def test_track_record_roundtrip_via_join(tmp_path):

@@ -210,6 +210,19 @@ def test_missing_input_exits_1(tmp_path, capsys):
     assert "nope.jsonl" in err
 
 
+@pytest.mark.parametrize("key", ["cate_emb", "attr_emb"])
+def test_zero_norm_vocabulary_row_fails_at_load(tmp_path, capsys, key):
+    scene = _synth(tmp_path / "scene")
+    vocab_path = scene / "vocabulary.json"
+    doc = json.loads(vocab_path.read_text())
+    doc["entries"][1][key] = [0.0] * doc["dim_text"]
+    vocab_path.write_text(json.dumps(doc))
+    rc = _run(["track", "--detections", scene / "detections.jsonl",
+               "--vocabulary", vocab_path, "--out-dir", tmp_path / "run"])
+    assert rc == 1
+    assert f"{vocab_path}: entry 1: {key} has zero norm" in capsys.readouterr().err
+
+
 def test_usage_error_exits_2():
     assert _run(["eval", "--definitely-not-a-flag"]) == 2
     assert _run(["not-a-command"]) == 2

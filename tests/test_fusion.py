@@ -1,5 +1,6 @@
 """Transformer-style ops checked against slow scalar re-implementations."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -214,6 +215,62 @@ def test_concat_score_range_and_lang_dependence():
     s2 = concat_score(clip, rng.normal(size=d), w)
     assert 0.0 < s1 < 1.0 and 0.0 < s2 < 1.0
     assert s1 != s2
+
+
+@pytest.mark.parametrize("d", [8, 32])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_concat_score_batch_matches_rowwise(d, heads, n):
+    rng = np.random.default_rng(100 * d + 10 * heads + n)
+    w = init_fusion_weights(d, seed=d + n, zero_residual=False)
+    clip = rng.normal(size=(n, d))
+    rows = rng.normal(size=(6, d))
+    batch = concat_score(clip, rows, w, heads)
+    assert batch.shape == (6,)
+    np.testing.assert_allclose(batch, [concat_score(clip, r, w, heads) for r in rows],
+                               rtol=0, atol=1e-15)
+
+
+def test_concat_score_vector_gives_float():
+    rng = np.random.default_rng(14)
+    w = init_fusion_weights(8, seed=6, zero_residual=False)
+    score = concat_score(rng.normal(size=(3, 8)), rng.normal(size=8), w)
+    assert type(score) is float
+
+
+@pytest.mark.parametrize("lang_shape", [(4, 6), (6,), (2, 3, 8)])
+def test_concat_score_rejects_mismatched_language(lang_shape):
+    rng = np.random.default_rng(15)
+    w = init_fusion_weights(8, seed=6, zero_residual=False)
+    with pytest.raises(DimMismatchError):
+        concat_score(rng.normal(size=(3, 8)), rng.normal(size=lang_shape), w)
+
+
+def test_fusion_outputs_keep_their_bits():
+    # Pins the exact output bits of every attention-based mechanism on one
+    # fixed input, so a change to the shared attention pass that moves a
+    # last bit shows here. A numpy or BLAS build that rounds its small
+    # matrix products differently needs new hashes.
+    rng = np.random.default_rng(2024)
+    clip = rng.normal(size=(5, 8))
+    lang = rng.normal(size=(3, 8))
+    w = init_fusion_weights(8, seed=21, zero_residual=False)
+    outs = {
+        "attention": fuse_attention(clip, w, 2),
+        "self": fuse_self(clip, w, 2),
+        "self_noresidual": fuse_self(clip, w, 2, residual=False),
+        "cross": fuse_cross(clip, w, 2),
+        "concat": concat_score(clip, lang, w, 2),
+    }
+    hashes = {k: hashlib.sha256(np.asarray(v, dtype=np.float64).tobytes()).hexdigest()[:16]
+              for k, v in outs.items()}
+    assert hashes == {
+        "attention": "56f9bc011f29203c",
+        "self": "612f1d8cbb7fac9a",
+        "self_noresidual": "8be761db879232c1",
+        "cross": "43b81e2e5e2179c7",
+        "concat": "eb2c8686fa194a94",
+    }
 
 
 def test_init_weights_shapes_and_determinism():

@@ -8,11 +8,13 @@ import pytest
 
 from trajkit import io
 from trajkit.errors import (
+    DimMismatchError,
     DuplicateCategoryError,
     FormatError,
     NonFiniteError,
     TruncatedError,
     UnknownCategoryError,
+    ZeroNormError,
 )
 
 
@@ -162,6 +164,50 @@ def test_detections_reject_bad_field_values(tmp_path, field, value):
     path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
     with pytest.raises(FormatError, match=rf"d\.jsonl:2: {field}"):
         io.load_detections(path)
+
+
+_DET_LINE = {"frame": 0, "bbox": [0, 0, 5, 5], "conf": 0.5, "cat": 1, "cat_score": 0.4,
+             "emb": [1.0, 0.0]}
+
+
+@pytest.mark.parametrize("changes, error, message", [
+    ({"frame": None}, FormatError, "missing key 'frame'"),
+    ({"cat_score": None}, FormatError, "missing key 'cat_score'"),
+    ({"frame": -1}, FormatError, "frame must be a non-negative int, got -1"),
+    ({"frame": 1.5}, FormatError, "frame must be a non-negative int, got 1.5"),
+    ({"bbox": [0, 0, 5]}, FormatError, "bbox must have 4 entries"),
+    ({"bbox": [0, 0, "x", 5]}, FormatError, "bbox entries must be numbers"),
+    ({"bbox": [0, 0, 10 ** 400, 5]}, FormatError, "bbox entries must be numbers"),
+    ({"bbox": [0, 0, -5, 5]}, FormatError, "bbox needs positive width/height, got w=-5.0 h=5.0"),
+    ({"conf": "high"}, FormatError, "conf must be a number, got 'high'"),
+    ({"conf": -0.5}, FormatError, "conf must be finite and >= 0, got -0.5"),
+    ({"conf": float("nan")}, FormatError, "conf must be finite and >= 0, got nan"),
+    ({"conf": float("inf")}, FormatError, "conf must be finite and >= 0, got inf"),
+    ({"cat": "1"}, FormatError, "cat must be an int, got '1'"),
+    ({"cat": 99}, UnknownCategoryError, "unknown category id 99"),
+    ({"cat_score": [0.5]}, FormatError, "cat_score must be a number, got [0.5]"),
+    ({"cat_score": 1.5}, FormatError, "cat_score must lie in [0, 1], got 1.5"),
+    ({"emb": None}, FormatError, "record needs either emb or emb_ref"),
+    ({"emb": []}, FormatError, "emb must be a non-empty flat list"),
+    ({"emb": [[1.0, 0.0]]}, FormatError, "emb must be a non-empty flat list"),
+    ({"emb": ["a", 0.0]}, FormatError, "emb entries must be numbers"),
+    ({"emb": [[1.0], [0.0, 1.0]]}, FormatError, "emb entries must be numbers"),
+    ({"emb": [1.0, 0.0, 0.0]}, DimMismatchError, "embedding has 3 dims, expected 2"),
+    ({"emb": [float("nan"), 1.0]}, NonFiniteError, "embedding contains non-finite entries"),
+    ({"emb": [0.0, 0.0]}, ZeroNormError, "embedding has zero norm"),
+    ({"emb": None, "emb_ref": True}, FormatError, "emb_ref True outside sidecar with 2 rows"),
+    ({"emb": None, "emb_ref": 5}, FormatError, "emb_ref 5 outside sidecar with 2 rows"),
+])
+def test_detections_bad_line_messages(tmp_path, changes, error, message):
+    # the exact text of every detection-line error: file, line, then the fault
+    bad = {k: v for k, v in dict(_DET_LINE, **changes).items() if v is not None}
+    path = tmp_path / "d.jsonl"
+    if "emb_ref" in bad:
+        io.write_embedding_sidecar(np.eye(2, dtype=np.float32), path.with_suffix(".embin"))
+    path.write_text(json.dumps(_DET_LINE) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(error) as exc:
+        io.load_detections(path, vocabulary=_vocab(dim=2, n=2))
+    assert str(exc.value) == f"{path}:2: {message}"
 
 
 def test_detections_unknown_category_against_vocab(tmp_path):
@@ -347,6 +393,24 @@ def test_tracks_roundtrip(tmp_path):
 
 _TRACK_LINE = {"track_id": 1, "frame": 0, "bbox": [0, 0, 1, 1], "conf": 0.5, "cat": 0, "det": 0,
                "label": 0, "label_source": "det", "scores": {"det": 1.0}}
+@pytest.mark.parametrize("changes, error, message", [
+    ({"id": "x"}, FormatError, "id must be an int, got 'x'"),
+    ({"id": True}, FormatError, "id must be an int, got True"),
+    ({"cate_emb": ["a", 0]}, FormatError, "cate_emb entries must be numbers"),
+    ({"attr_emb": [0, {"a": 1}]}, FormatError, "attr_emb entries must be numbers"),
+    ({"cate_emb": [0, 0]}, ZeroNormError, "cate_emb has zero norm"),
+    ({"attr_emb": [0.0, 0.0]}, ZeroNormError, "attr_emb has zero norm"),
+])
+def test_vocabulary_bad_entry_names_file_and_entry(tmp_path, changes, error, message):
+    # bare int()/float() conversion errors and an all-zero row used to
+    # surface without the file, the zero row only later, inside a cosine
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"dim_text": 2, "entries": [_ENTRY, dict(_ENTRY, **changes)]}))
+    with pytest.raises(error) as exc:
+        io.load_vocabulary(path)
+    assert str(exc.value) == f"{path}: entry 1: {message}"
+
+
 _GT_LINE = {"track_id": 1, "cat": 0, "frame": 0, "bbox": [0, 0, 1, 1]}
 
 
