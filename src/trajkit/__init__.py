@@ -83,7 +83,6 @@ from .classify import (
 from .train import (
     TrainConfig,
     TrainPair,
-    analytic_gradients,
     contrastive_loss,
     loss_and_gradients,
     numeric_gradient,
@@ -103,7 +102,7 @@ __all__ = [
     "TrackEntry", "TrackRecord", "TrackState", "Tracker", "TrackerConfig",
     "TrainConfig", "TrainPair", "TrajectoryClassification", "TrajkitError",
     "TruncatedError", "UnknownCategoryError", "Vocabulary", "VocabularyEntry",
-    "WeightBundle", "ZeroNormError", "analytic_gradients", "bisoftmax",
+    "WeightBundle", "ZeroNormError", "bisoftmax",
     "classify_trajectory", "concat_score", "contrastive_loss", "cosine",
     "cross_attention", "evaluate", "fuse_attention", "fuse_average",
     "fuse_cross", "fuse_self", "gelu", "gen_scene", "init_fusion_weights",

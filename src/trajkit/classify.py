@@ -94,11 +94,6 @@ def sample_clip(entries: Sequence[TrackEntry], embeddings: Sequence[np.ndarray],
     return ClipSample(rows, [e.frame for e, _ in picked])
 
 
-def build_attribute_text(name: str, description: str) -> str:
-    """Attribute prompt of the fixed 'name: description' shape."""
-    return f"{name}: {description}"
-
-
 def project_language(vocab: Vocabulary, lang_proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Project category and attribute embeddings into the visual space.
 
@@ -126,12 +121,7 @@ def project_vocabulary(vocab: Vocabulary, weights: FusionWeights | None = None) 
     """Language rows for every track of a run; ``weights=None`` projects by identity."""
     lang_proj = np.eye(vocab.dim_text) if weights is None else weights.lang_proj
     f_cate, f_attr = project_language(vocab, lang_proj)
-    return LanguageRows(f_cate, f_attr, _row_norms(f_cate), _row_norms(f_attr))
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    # Row by row, so each norm has the bits cosine() would compute for that row.
-    return np.array([np.linalg.norm(row) for row in rows])
+    return LanguageRows(f_cate, f_attr, np.linalg.norm(f_cate, axis=1), np.linalg.norm(f_attr, axis=1))
 
 
 def affinity(f_traj: np.ndarray, lang_rows: np.ndarray,
@@ -145,11 +135,11 @@ def affinity(f_traj: np.ndarray, lang_rows: np.ndarray,
     if lang_rows.shape[1:] != f.shape:
         raise DimMismatchError(f"vectors disagree in shape: {f.shape} vs {lang_rows.shape[1:]}")
     if row_norms is None:
-        row_norms = _row_norms(lang_rows)
+        row_norms = np.linalg.norm(lang_rows, axis=1)
     norm = np.linalg.norm(f)
     if norm == 0.0 or np.any(row_norms == 0.0):
         raise ZeroNormError("cosine undefined for zero-norm vector")
-    return np.array([f @ row / (norm * n) for row, n in zip(lang_rows, row_norms)])
+    return (lang_rows @ f) / (norm * row_norms)
 
 
 # Every mechanism but concat. Each entry looks its fuse function up in this

@@ -176,6 +176,10 @@ def _is_int(v) -> bool:
     return type(v) is int  # JSON true/false load as bool, which is no int here
 
 
+# JSON numbers load as int or float; true/false (bool) and "1.5" (str) are no numbers here.
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _require_keys(obj, keys: tuple[str, ...], where: str) -> None:
     """A JSONL line must hold an object with every one of ``keys``."""
     if not isinstance(obj, dict):
@@ -194,25 +198,34 @@ def _ints(obj: dict, keys: tuple[str, ...], where: str) -> list[int]:
 
 
 def _as_float(raw, where: str, key: str) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise FormatError(f"{where}: {key} must be a number, got {raw!r}") from None
+    if type(raw) in _NUMBER_TYPES:
+        try:
+            return float(raw)
+        except OverflowError:
+            pass
+    raise FormatError(f"{where}: {key} must be a number, got {raw!r}")
 
 
 def _as_vector(raw, where: str, key: str) -> np.ndarray:
     try:
-        return np.asarray(raw, dtype=np.float32)
+        vec = np.asarray(raw, dtype=np.float32)
+        if vec.ndim != 1 or _NUMBER_TYPES.issuperset(map(type, raw)):  # the caller checks ndim
+            return vec
     except (TypeError, ValueError, OverflowError):
-        raise FormatError(f"{where}: {key} entries must be numbers") from None
+        pass
+    raise FormatError(f"{where}: {key} entries must be numbers")
 
 
 def _as_bbox(raw, where: str) -> BBox:
     _require(isinstance(raw, (list, tuple)) and len(raw) == 4, where, "bbox must have 4 entries")
+    if not _NUMBER_TYPES.issuperset(map(type, raw)):
+        raise FormatError(f"{where}: bbox entries must be numbers")
     try:
-        x, y, w, h = (float(v) for v in raw)
-    except (TypeError, ValueError, OverflowError):
+        x, y, w, h = map(float, raw)
+    except OverflowError:  # an int too large for a float
         raise FormatError(f"{where}: bbox entries must be numbers") from None
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h)):
+        raise FormatError(f"{where}: bbox entries must be finite, got {[x, y, w, h]}")
     if not (w > 0 and h > 0):
         raise FormatError(f"{where}: bbox needs positive width/height, got w={w} h={h}")
     return (x, y, w, h)

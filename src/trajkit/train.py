@@ -126,13 +126,6 @@ def pair_loss(pair: TrainPair, weights: FusionWeights, cfg: TrainConfig) -> floa
     return contrastive_loss(fa, fb, pair.label, cfg.margin, cfg.distance)
 
 
-def analytic_gradients(pair: TrainPair, weights: FusionWeights,
-                       cfg: TrainConfig) -> dict[str, np.ndarray]:
-    """Exact gradients of the pair loss for every trainable tensor."""
-    _, grads = loss_and_gradients(pair, weights, cfg)
-    return grads
-
-
 def loss_and_gradients(pair: TrainPair, weights: FusionWeights,
                        cfg: TrainConfig) -> tuple[float, dict[str, np.ndarray]]:
     fa, cache_a = fuse_self_forward(pair.clip_a, weights, cfg.heads)

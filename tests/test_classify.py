@@ -7,7 +7,6 @@ from trajkit import classify, io
 from trajkit.classify import (
     ClassifyConfig,
     affinity,
-    build_attribute_text,
     classify_trajectory,
     project_language,
     record_embeddings,
@@ -16,7 +15,7 @@ from trajkit.classify import (
 )
 from trajkit.errors import DimMismatchError, FormatError, MissingWeightsError
 from trajkit.fusion import init_fusion_weights
-from trajkit.tracker import Tracker, TrackerConfig
+from trajkit.tracker import Tracker, TrackerConfig, cosine
 
 
 def _det(emb, conf=0.9, cat=0, frame=0, bbox=None):
@@ -69,10 +68,6 @@ def test_sample_clip_confidence_tie_prefers_earlier_frame():
     assert clip.frames == [0, 1]
 
 
-def test_build_attribute_text():
-    assert build_attribute_text("cat", "a small feline") == "cat: a small feline"
-
-
 def test_project_language_identity_and_matrix():
     vocab = _vocab(3, [[1, 0, 0], [0, 2, 0]])
     f_cate, f_attr = project_language(vocab, np.eye(3))
@@ -90,6 +85,11 @@ def test_affinity_is_rowwise_cosine():
     rows = np.array([[2.0, 2.0], [1.0, 0.0], [-1.0, -1.0]])
     got = affinity(f, rows)
     np.testing.assert_allclose(got, [1.0, np.sqrt(0.5), -1.0], rtol=1e-12)
+    # one matrix-vector product against the row-by-row cosine it replaced
+    rng = np.random.default_rng(3)
+    f, rows = rng.normal(size=64), rng.normal(size=(200, 64))
+    np.testing.assert_allclose(affinity(f, rows), [cosine(f, row) for row in rows],
+                               rtol=0, atol=1e-15)
 
 
 def test_classify_requires_weights_for_nonaverage():

@@ -197,6 +197,16 @@ _DET_LINE = {"frame": 0, "bbox": [0, 0, 5, 5], "conf": 0.5, "cat": 1, "cat_score
     ({"emb": [0.0, 0.0]}, ZeroNormError, "embedding has zero norm"),
     ({"emb": None, "emb_ref": True}, FormatError, "emb_ref True outside sidecar with 2 rows"),
     ({"emb": None, "emb_ref": 5}, FormatError, "emb_ref 5 outside sidecar with 2 rows"),
+    # JSON NaN/Infinity, true/false and numeric strings used to load as numbers
+    ({"bbox": [float("nan"), 0, 5, 5]}, FormatError, "bbox entries must be finite, got [nan, 0.0, 5.0, 5.0]"),
+    ({"bbox": [0, 0, float("inf"), 5]}, FormatError, "bbox entries must be finite, got [0.0, 0.0, inf, 5.0]"),
+    ({"bbox": [True, 0, 5, 5]}, FormatError, "bbox entries must be numbers"),
+    ({"bbox": [0, "1", 5, 5]}, FormatError, "bbox entries must be numbers"),
+    ({"conf": True}, FormatError, "conf must be a number, got True"),
+    ({"conf": "0.5"}, FormatError, "conf must be a number, got '0.5'"),
+    ({"cat_score": True}, FormatError, "cat_score must be a number, got True"),
+    ({"emb": ["1.5", 0.0]}, FormatError, "emb entries must be numbers"),
+    ({"emb": [True, 0.0]}, FormatError, "emb entries must be numbers"),
 ])
 def test_detections_bad_line_messages(tmp_path, changes, error, message):
     # the exact text of every detection-line error: file, line, then the fault
@@ -400,6 +410,7 @@ _TRACK_LINE = {"track_id": 1, "frame": 0, "bbox": [0, 0, 1, 1], "conf": 0.5, "ca
     ({"attr_emb": [0, {"a": 1}]}, FormatError, "attr_emb entries must be numbers"),
     ({"cate_emb": [0, 0]}, ZeroNormError, "cate_emb has zero norm"),
     ({"attr_emb": [0.0, 0.0]}, ZeroNormError, "attr_emb has zero norm"),
+    ({"cate_emb": ["1", 0]}, FormatError, "cate_emb entries must be numbers"),
 ])
 def test_vocabulary_bad_entry_names_file_and_entry(tmp_path, changes, error, message):
     # bare int()/float() conversion errors and an all-zero row used to
@@ -423,11 +434,14 @@ _GT_LINE = {"track_id": 1, "cat": 0, "frame": 0, "bbox": [0, 0, 1, 1]}
     ("read_tracks", "det", None),
     ("read_tracks", "label", True),
     ("read_tracks", "conf", "x"),
+    ("read_tracks", "conf", True),
+    ("read_tracks", "bbox", [0, 0, float("inf"), 1]),
     ("read_tracks", "scores", 5),
     ("load_groundtruth", None, 5),
     ("load_groundtruth", "track_id", "a"),
     ("load_groundtruth", "cat", True),
     ("load_groundtruth", "frame", 2.0),
+    ("load_groundtruth", "bbox", [float("nan"), 0, 1, 1]),
 ])
 def test_tracks_and_groundtruth_reject_bad_lines(tmp_path, loader, field, value):
     # a non-object line, a bool or float id and a non-numeric conf must each

@@ -1,5 +1,6 @@
 """Association math against hand-rolled oracles plus lifecycle behavior."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -433,3 +434,41 @@ def test_push_bank_fifo_and_cap():
         want = rows[max(0, k + 1 - cfg.n_bank):k + 1]
         np.testing.assert_allclose(tr.feature_bank, want / np.linalg.norm(want, axis=1, keepdims=True))
         assert tr.feature_bank.flags.c_contiguous
+
+
+def test_start_sets_bank_mean_to_first_unit_row():
+    cfg = TrackerConfig()
+    tr = Track.start(0, np.array([3.0, 4.0]), cfg)
+    np.testing.assert_array_equal(tr.bank_mean, [0.6, 0.8])
+    assert tr.bank_mean.tobytes() == tr.feature_bank[0].tobytes()
+
+
+def test_bank_mean_is_recomputed_not_accumulated():
+    # far past n_bank every insert evicts a row; a running sum that
+    # subtracted evicted rows would drift from the kept rows' mean
+    cfg = TrackerConfig(n_bank=7)
+    rng = np.random.default_rng(14)
+    tr = Track.start(0, rng.normal(size=16), cfg)
+    for k in range(500):
+        tr.push_bank(rng.normal(size=16) * rng.uniform(0.01, 100), cfg.n_bank)
+        if k % 50 == 0 or k == 499:
+            assert tr.bank_mean.tobytes() == tr.feature_bank.mean(axis=0).tobytes()
+    assert len(tr.feature_bank) == cfg.n_bank
+
+
+def test_default_decisions_pinned_on_a_crowded_scene():
+    # 60 noisy identities with clutter at the default settings. The digest
+    # covers what association decided, not the scores, so a change that may
+    # only move score bits must leave it as it is.
+    from trajkit.synth import SynthConfig, gen_scene
+    scene = gen_scene(SynthConfig(n_identities=60, n_frames=15, embed_dim=32, noise_sigma=0.1,
+                                  miss_rate=0.05, fp_rate=2.0, seed=21))
+    tk = Tracker(TrackerConfig())
+    decisions = []
+    for frame in sorted(scene.detections):
+        decisions += [(ev.frame, ev.kind, ev.track_id, ev.det_idx)
+                      for ev in tk.step(frame, scene.detections[frame])]
+    kinds = {kind for _, kind, _, _ in decisions}
+    assert {MATCHED, BORN, DISCARDED} <= kinds and len(decisions) == 870
+    digest = hashlib.sha256(repr(decisions).encode()).hexdigest()
+    assert digest == "3f7a6f18f2d9ab51273b79f70281b34131dacb567c297641c76dddcc9addaf0d"

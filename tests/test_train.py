@@ -11,7 +11,6 @@ from trajkit.train import (
     TRAINABLE_TENSORS,
     TrainConfig,
     TrainPair,
-    analytic_gradients,
     contrastive_loss,
     loss_and_gradients,
     numeric_gradient,
@@ -90,8 +89,8 @@ def test_analytic_gradients_inventory():
     d = 4
     w = init_fusion_weights(d, seed=3, zero_residual=False)
     cfg = TrainConfig(d=d)
-    grads = analytic_gradients(TrainPair(rng.normal(size=(2, d)),
-                                         rng.normal(size=(2, d)), 1), w, cfg)
+    _, grads = loss_and_gradients(TrainPair(rng.normal(size=(2, d)),
+                                            rng.normal(size=(2, d)), 1), w, cfg)
     assert set(grads) == set(TRAINABLE_TENSORS)
     tensors = w.to_dict()
     for name in TRAINABLE_TENSORS:
