@@ -28,7 +28,7 @@ pos = sum(p.label for p in pairs)
 print(f"{len(pairs)} training pairs ({pos} same-class, {len(pairs) - pos} different-class)")
 
 weights = init_fusion_weights(d, seed=1)
-cfg = TrainConfig(steps=500, learning_rate=0.05, batch_size=8, seed=1, d=d)
+cfg = TrainConfig(steps=500, learning_rate=0.05, batch_size=8, seed=1)
 
 # Spot-check one analytic gradient against central differences before
 # trusting the optimizer with it (on a non-degenerate init: the default

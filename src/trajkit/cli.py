@@ -1,11 +1,14 @@
 """Command line frontend.
 
-Subcommands: ``track``, ``classify``, ``eval``, ``synth``, ``train`` and
-``bench-fusion``. Every subcommand accepts ``--config`` (a JSON file of
-option values), ``--seed`` and ``--out-dir``; explicit flags override
-config values, which override built-in defaults. Each run writes
-its fully resolved options to ``<command>_manifest.json`` in the output
-directory, and all outputs are deterministic functions of manifest + seed.
+``COMMANDS`` lists the subcommands (``track``, ``classify``, ``eval``,
+``synth``, ``train``, ``bench-fusion``) with their options and defaults.
+An option ``x_y`` is the flag ``--x-y``, typed by its default (a bool gives
+``--x-y/--no-x-y``); tracker and classify options are the fields of
+``TrackerConfig`` and ``ClassifyConfig``. Every subcommand also takes
+``--config`` (a JSON object of option values, each of its option's type),
+``--seed`` and ``--out-dir``; flags override config values, which override
+defaults. Each run writes its resolved options to ``<command>_manifest.json``
+in the output directory; outputs are deterministic in manifest + seed.
 
 Exit codes: 0 success, 1 domain error (bad file, missing weights, diverged
 training, ...), 2 usage error.
@@ -17,6 +20,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -33,66 +37,106 @@ from .classify import (
 from .errors import FormatError, MissingWeightsError, TrajkitError
 from .fusion import FUSION_MECHANISMS, FusionWeights, init_fusion_weights
 from .synth import Augmentations, SynthConfig, gen_scene, make_train_pairs
-from .tracker import SIM_MODES, Tracker, TrackerConfig, majority_vote
-from .train import TrainConfig, train_fusion
+from .tracker import SIM_MODES, Tracker, TrackerConfig, majority_vote, run_sequence
+from .train import DISTANCES, TrainConfig, train_fusion
 
 GLOBAL_DEFAULTS = {"seed": 0, "out_dir": "."}
-
-TRACKER_DEFAULTS = {
-    "alpha_mem": 0.25, "alpha_sim": 0.25, "tau_match": 0.4, "tau_new": None,
-    "tau_high": 0.3, "tau_low": 0.1, "n_bank": 15, "n_cat_bank": 5,
-    "max_age": 30, "sim_mode": "cosine_plus_bisoftmax", "temperature": 1.0,
-}
-CLASSIFY_DEFAULTS = {"fusion": "average", "n_clip": 5, "heads": 1, "calibrate_scores": False}
 SCENE_DEFAULTS = {
     "identities": 20, "frames": 100, "categories": 4, "dim": 32, "sigma": 0.0,
     "miss_rate": 0.0, "fp_rate": 0.0, "flip_prob": 0.0, "class_spread": None,
     "occlusion": None,
 }
 
+# What an option's default cannot tell: the type of a None default (str when
+# not listed), the allowed values and the help line.
+NONE_TYPES = {"tau_new": float, "class_spread": float, "hidden": int,
+              "scale_min": float, "scale_max": float}
+CHOICES = {"sim_mode": SIM_MODES, "fusion": FUSION_MECHANISMS, "distance": DISTANCES}
+HELP = {
+    "seed": "random seed (default 0)",
+    "out_dir": "output directory (default .)",
+    "dump_csv": "write per-frame association scores to scores.csv",
+    "occlusion": "windows as ident:first-last[,ident:first-last...]",
+    "sidecar": "store embeddings in a binary sidecar instead of inline JSON",
+}
+
+# The JSON types a --config file may give an option of each type, as messages name them.
+CONFIG_KINDS = {int: ("an int", (int,)), float: ("a number", (int, float)),
+                bool: ("true or false", (bool,)), str: ("a string", (str,))}
+
 BENCH_MECHANISMS = ("average", "attention", "self", "cross", "concat")
 
 
 def _need_file(path, what: str) -> Path:
+    if path is None:
+        raise ValueError(f"--{what} is required")
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"{what} file not found: {p}")
     return p
 
 
-def _resolve(args, defaults: dict) -> dict:
-    """Overlay built-in defaults, config file values, then explicit flags."""
-    merged = dict(GLOBAL_DEFAULTS)
-    merged.update(defaults)
-    from_file = {}
-    if args.config is not None:
-        cfg_path = _need_file(args.config, "config")
+def _defaults(cls, *names: str) -> dict:
+    """Field defaults of a config dataclass: all of them, or only those named."""
+    return {f.name: f.default for f in fields(cls) if not names or f.name in names}
+
+
+def _config(cls, opts: dict):
+    return cls(**{f.name: opts[f.name] for f in fields(cls)})
+
+
+def _option_type(key: str, default) -> type:
+    return NONE_TYPES.get(key, str) if default is None else type(default)
+
+
+def _fits(key: str, default, value) -> bool:
+    if value is None:
+        return default is None
+    if key == "occlusion" and type(value) is list:  # windows as [ident, first, last]
+        return all(type(w) is list and len(w) == 3 and all(type(v) is int for v in w)
+                   for w in value)
+    return type(value) in CONFIG_KINDS[_option_type(key, default)][1]
+
+
+def _read_config(path, options: dict) -> dict:
+    """A --config file's values, each checked against its option's type."""
+    cfg_path = _need_file(path, "config")
+    try:
         with open(cfg_path, "r", encoding="utf-8") as fh:
-            from_file = json.load(fh)
-        unknown = set(from_file) - set(merged)
-        if unknown:
-            raise FormatError(f"config {cfg_path} has unknown keys: {', '.join(sorted(unknown))}")
+            values = json.load(fh)
+    except ValueError as exc:  # malformed JSON or bad UTF-8
+        raise FormatError(f"config {cfg_path} is not valid JSON: {exc}") from None
+    if not isinstance(values, dict):
+        raise FormatError(f"config {cfg_path} must hold a JSON object of option values")
+    unknown = set(values) - set(options)
+    if unknown:
+        raise FormatError(f"config {cfg_path} has unknown keys: {', '.join(sorted(unknown))}")
+    for key, value in values.items():
+        if not _fits(key, options[key], value):
+            kind = CONFIG_KINDS[_option_type(key, options[key])][0]
+            kind += " or a list of windows" if key == "occlusion" else ""
+            raise FormatError(f"config {cfg_path}: {key} must be {kind}"
+                              f"{' or null' if options[key] is None else ''}, got {value!r}")
+    return values
+
+
+def _resolve(args) -> dict:
+    """Overlay built-in defaults, config file values, then explicit flags."""
+    from_file = _read_config(args.config, args.options) if args.config is not None else {}
     resolved = {}
-    for key, default in merged.items():
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            resolved[key] = flag_val
-        elif key in from_file:
-            resolved[key] = from_file[key]
-        else:
-            resolved[key] = default
+    for key, default in args.options.items():
+        flag_val = getattr(args, key)
+        resolved[key] = flag_val if flag_val is not None else from_file.get(key, default)
     return resolved
 
 
-def _write_manifest(command: str, resolved: dict, extra: dict | None = None) -> Path:
+def _write_manifest(command: str, resolved: dict) -> Path:
     out_dir = Path(resolved["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     # out_dir names the destination but never changes what gets computed, so
     # it stays out of the manifest and runs into different dirs stay comparable.
     manifest = {"command": command,
                 "options": {k: v for k, v in sorted(resolved.items()) if k != "out_dir"}}
-    if extra:
-        manifest["inputs"] = {k: str(v) for k, v in sorted(extra.items())}
     path = out_dir / f"{command}_manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return out_dir
@@ -101,10 +145,10 @@ def _write_manifest(command: str, resolved: dict, extra: dict | None = None) -> 
 def _parse_occlusion(spec) -> list[tuple[int, int, int]]:
     if not spec:
         return []
-    if isinstance(spec, list):  # from a JSON config
-        return [tuple(int(v) for v in item) for item in spec]
+    if isinstance(spec, list):  # from a JSON config, already checked by _read_config
+        return [tuple(item) for item in spec]
     windows = []
-    for part in str(spec).split(","):
+    for part in spec.split(","):
         try:
             ident, rng = part.split(":")
             lo, hi = rng.split("-")
@@ -112,22 +156,6 @@ def _parse_occlusion(spec) -> list[tuple[int, int, int]]:
         except ValueError:
             raise FormatError(f"bad occlusion window {part!r}, expected ident:first-last") from None
     return windows
-
-
-def _tracker_config(opts: dict) -> TrackerConfig:
-    return TrackerConfig(
-        alpha_mem=opts["alpha_mem"], alpha_sim=opts["alpha_sim"],
-        tau_match=opts["tau_match"], tau_new=opts["tau_new"],
-        tau_high=opts["tau_high"], tau_low=opts["tau_low"],
-        n_bank=opts["n_bank"], n_cat_bank=opts["n_cat_bank"],
-        max_age=opts["max_age"], sim_mode=opts["sim_mode"],
-        softmax_temperature=opts["temperature"],
-    )
-
-
-def _classify_config(opts: dict) -> ClassifyConfig:
-    return ClassifyConfig(fusion=opts["fusion"], n_clip=opts["n_clip"],
-                          heads=opts["heads"], calibrate_scores=opts["calibrate_scores"])
 
 
 def _load_fusion_weights(path) -> FusionWeights:
@@ -164,12 +192,7 @@ def _classify_tracks(tracks, vocab, weights, ccfg):
 
 
 def cmd_track(args) -> int:
-    opts = _resolve(args, {
-        "detections": None, "vocabulary": None, "weights": None, "score_scale": 1.0,
-        "dump_csv": False, **TRACKER_DEFAULTS, **CLASSIFY_DEFAULTS,
-    })
-    if opts["detections"] is None:
-        raise ValueError("track needs --detections")
+    opts = _resolve(args)
     det_path = _need_file(opts["detections"], "detections")
     vocab = io.load_vocabulary(_need_file(opts["vocabulary"], "vocabulary")) if opts["vocabulary"] else None
     weights = _load_fusion_weights(opts["weights"]) if opts["weights"] else None
@@ -177,10 +200,9 @@ def cmd_track(args) -> int:
         raise MissingWeightsError(f"fusion={opts['fusion']!r} needs --weights")
     out_dir = _write_manifest("track", opts)
     dets = io.load_detections(det_path, opts["score_scale"], vocabulary=vocab)
-    tcfg = _tracker_config(opts)
-    ccfg = _classify_config(opts)
+    ccfg = _config(ClassifyConfig, opts)
 
-    tracker = Tracker(tcfg)
+    tracker = Tracker(_config(TrackerConfig, opts))
     events = []
     csv_rows = []
     for frame in sorted(dets):
@@ -210,19 +232,17 @@ def cmd_track(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    opts = _resolve(args, {"tracks": None, "detections": None, "vocabulary": None,
-                           "weights": None, **CLASSIFY_DEFAULTS})
-    for key in ("tracks", "detections", "vocabulary"):
-        if opts[key] is None:
-            raise ValueError(f"classify needs --{key}")
+    opts = _resolve(args)
+    tracks_path = _need_file(opts["tracks"], "tracks")
+    det_path = _need_file(opts["detections"], "detections")
     vocab = io.load_vocabulary(_need_file(opts["vocabulary"], "vocabulary"))
     weights = _load_fusion_weights(opts["weights"]) if opts["weights"] else None
     if weights is None and opts["fusion"] != "average":
         raise MissingWeightsError(f"fusion={opts['fusion']!r} needs --weights")
     out_dir = _write_manifest("classify", opts)
-    records = io.read_tracks(_need_file(opts["tracks"], "tracks"))
-    dets = io.load_detections(_need_file(opts["detections"], "detections"))
-    ccfg = _classify_config(opts)
+    records = io.read_tracks(tracks_path)
+    dets = io.load_detections(det_path)
+    ccfg = _config(ClassifyConfig, opts)
     lang = project_vocabulary(vocab, weights) if records else None
 
     def one(record):
@@ -238,10 +258,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    opts = _resolve(args, {"pred": None, "gt": None, "vocabulary": None, "iou_threshold": 0.5})
-    for key in ("pred", "gt"):
-        if opts[key] is None:
-            raise ValueError(f"eval needs --{key}")
+    opts = _resolve(args)
     preds = io.read_tracks(_need_file(opts["pred"], "pred"))
     gts = io.load_groundtruth(_need_file(opts["gt"], "gt"))
     splits = {}
@@ -257,7 +274,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    opts = _resolve(args, {**SCENE_DEFAULTS, "sidecar": False})
+    opts = _resolve(args)
     out_dir = _write_manifest("synth", opts)
     scene = gen_scene(_scene_config(opts, opts["seed"]))
     io.write_detections(scene.detections, out_dir / "detections.jsonl", sidecar=opts["sidecar"])
@@ -271,14 +288,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    opts = _resolve(args, {
-        "identities": 8, "frames": 40, "categories": 2, "dim": 16, "sigma": 0.05,
-        "class_spread": 0.1, "occlusion": None, "miss_rate": 0.0, "fp_rate": 0.0,
-        "flip_prob": 0.0, "pairs": 64, "n_clip": 5, "heads": 1,
-        "rotate": False, "erase_fraction": 0.0, "scale_min": None, "scale_max": None,
-        "steps": 500, "lr": 0.05, "batch_size": 8, "margin": 0.5,
-        "distance": "euclidean", "hidden": None,
-    })
+    opts = _resolve(args)
     out_dir = _write_manifest("train", opts)
     scene = gen_scene(_scene_config(opts, opts["seed"]))
     scale_range = None
@@ -291,8 +301,7 @@ def cmd_train(args) -> int:
     weights = init_fusion_weights(opts["dim"], hidden=opts["hidden"], seed=opts["seed"])
     tcfg = TrainConfig(margin=opts["margin"], distance=opts["distance"],
                        learning_rate=opts["lr"], steps=opts["steps"],
-                       batch_size=opts["batch_size"], seed=opts["seed"],
-                       d=opts["dim"], heads=opts["heads"])
+                       batch_size=opts["batch_size"], seed=opts["seed"], heads=opts["heads"])
     trained, curve = train_fusion(pairs, weights, tcfg)
     io.write_weights(trained.to_dict(), out_dir / "weights.twb")
     (out_dir / "loss_curve.json").write_text(
@@ -308,10 +317,7 @@ def cmd_train(args) -> int:
 
 def _bench_one_scene(scene_seed: int, opts: dict, weights: FusionWeights):
     scene = gen_scene(_scene_config(opts, scene_seed))
-    tcfg = _tracker_config(opts)
-    tracker = Tracker(tcfg)
-    for frame in sorted(scene.detections):
-        tracker.step(frame, scene.detections[frame])
+    tracks = run_sequence(scene.detections, _config(TrackerConfig, opts))
     splits = scene.vocabulary.splits()
     ecfg = metrics.EvalConfig(splits=splits)
     lang = project_vocabulary(scene.vocabulary, weights)
@@ -320,15 +326,14 @@ def _bench_one_scene(scene_seed: int, opts: dict, weights: FusionWeights):
         ccfg = ClassifyConfig(fusion=mech, n_clip=opts["n_clip"], heads=opts["heads"])
         records = [to_track_record(t, classify_trajectory(t.observations, t.embeddings,
                                                           scene.vocabulary, weights, ccfg, lang))
-                   for t in tracker.tracks]
+                   for t in tracks]
         report = metrics.evaluate(records, scene.gt_tracks, ecfg)
         row[mech] = report.overall
     return row
 
 
 def cmd_bench_fusion(args) -> int:
-    opts = _resolve(args, {**SCENE_DEFAULTS, "scenes": 3, "weights": None,
-                           "n_clip": 5, "heads": 1, **TRACKER_DEFAULTS})
+    opts = _resolve(args)
     if opts["weights"]:
         weights = _load_fusion_weights(opts["weights"])
     else:
@@ -353,116 +358,45 @@ def cmd_bench_fusion(args) -> int:
     return 0
 
 
-def _add_global_flags(sp):
-    sp.add_argument("--config", help="JSON file of option values; flags override it")
-    sp.add_argument("--seed", type=int, help="random seed (default 0)")
-    sp.add_argument("--out-dir", dest="out_dir", help="output directory (default .)")
-
-
-def _add_tracker_flags(sp):
-    sp.add_argument("--alpha-mem", dest="alpha_mem", type=float)
-    sp.add_argument("--alpha-sim", dest="alpha_sim", type=float)
-    sp.add_argument("--tau-match", dest="tau_match", type=float)
-    sp.add_argument("--tau-new", dest="tau_new", type=float)
-    sp.add_argument("--tau-high", dest="tau_high", type=float)
-    sp.add_argument("--tau-low", dest="tau_low", type=float)
-    sp.add_argument("--n-bank", dest="n_bank", type=int)
-    sp.add_argument("--n-cat-bank", dest="n_cat_bank", type=int)
-    sp.add_argument("--max-age", dest="max_age", type=int)
-    sp.add_argument("--sim-mode", dest="sim_mode", choices=SIM_MODES)
-    sp.add_argument("--temperature", type=float)
-
-
-def _add_classify_flags(sp):
-    sp.add_argument("--fusion", choices=FUSION_MECHANISMS)
-    sp.add_argument("--n-clip", dest="n_clip", type=int)
-    sp.add_argument("--heads", type=int)
-    sp.add_argument("--calibrate-scores", dest="calibrate_scores",
-                    action=argparse.BooleanOptionalAction)
-
-
-def _add_scene_flags(sp):
-    sp.add_argument("--identities", type=int)
-    sp.add_argument("--frames", type=int)
-    sp.add_argument("--categories", type=int)
-    sp.add_argument("--dim", type=int)
-    sp.add_argument("--sigma", type=float)
-    sp.add_argument("--miss-rate", dest="miss_rate", type=float)
-    sp.add_argument("--fp-rate", dest="fp_rate", type=float)
-    sp.add_argument("--flip-prob", dest="flip_prob", type=float)
-    sp.add_argument("--class-spread", dest="class_spread", type=float)
-    sp.add_argument("--occlusion", help="windows as ident:first-last[,ident:first-last...]")
+COMMANDS = (
+    ("track", cmd_track, "associate detections into tracks and label them",
+     {"detections": None, "vocabulary": None, "weights": None, "score_scale": 1.0,
+      "dump_csv": False, **_defaults(TrackerConfig), **_defaults(ClassifyConfig)}),
+    ("classify", cmd_classify, "relabel existing tracks at trajectory level",
+     {"tracks": None, "detections": None, "vocabulary": None, "weights": None,
+      **_defaults(ClassifyConfig)}),
+    ("eval", cmd_eval, "score predicted tracks against ground truth",
+     {"pred": None, "gt": None, "vocabulary": None, "iou_threshold": 0.5}),
+    ("synth", cmd_synth, "generate a synthetic scene with ground truth",
+     {**SCENE_DEFAULTS, "sidecar": False}),
+    # train clips have the classify clip length and head count
+    ("train", cmd_train, "train the fusion block on synthetic pairs",
+     {**SCENE_DEFAULTS, "identities": 8, "frames": 40, "categories": 2, "dim": 16,
+      "sigma": 0.05, "class_spread": 0.1, "pairs": 64, **_defaults(ClassifyConfig, "n_clip", "heads"),
+      "hidden": None, "rotate": False, "erase_fraction": 0.0, "scale_min": None,
+      "scale_max": None, "steps": 500, "lr": 0.05, "batch_size": 8, "margin": 0.5,
+      "distance": "euclidean"}),
+    ("bench-fusion", cmd_bench_fusion, "compare fusion mechanisms on seeded scenes",
+     {**SCENE_DEFAULTS, "scenes": 3, "weights": None, **_defaults(ClassifyConfig, "n_clip", "heads"),
+      **_defaults(TrackerConfig)}),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="trajkit",
                                      description="Trajectory-aware open-vocabulary tracking toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("track", help="associate detections into tracks and label them")
-    _add_global_flags(sp)
-    sp.add_argument("--detections")
-    sp.add_argument("--vocabulary")
-    sp.add_argument("--weights")
-    sp.add_argument("--score-scale", dest="score_scale", type=float)
-    sp.add_argument("--dump-csv", dest="dump_csv", action=argparse.BooleanOptionalAction,
-                    help="write per-frame association scores to scores.csv")
-    _add_tracker_flags(sp)
-    _add_classify_flags(sp)
-    sp.set_defaults(handler=cmd_track)
-
-    sp = sub.add_parser("classify", help="relabel existing tracks at trajectory level")
-    _add_global_flags(sp)
-    sp.add_argument("--tracks")
-    sp.add_argument("--detections")
-    sp.add_argument("--vocabulary")
-    sp.add_argument("--weights")
-    _add_classify_flags(sp)
-    sp.set_defaults(handler=cmd_classify)
-
-    sp = sub.add_parser("eval", help="score predicted tracks against ground truth")
-    _add_global_flags(sp)
-    sp.add_argument("--pred")
-    sp.add_argument("--gt")
-    sp.add_argument("--vocabulary")
-    sp.add_argument("--iou-threshold", dest="iou_threshold", type=float)
-    sp.set_defaults(handler=cmd_eval)
-
-    sp = sub.add_parser("synth", help="generate a synthetic scene with ground truth")
-    _add_global_flags(sp)
-    _add_scene_flags(sp)
-    sp.add_argument("--sidecar", action=argparse.BooleanOptionalAction,
-                    help="store embeddings in a binary sidecar instead of inline JSON")
-    sp.set_defaults(handler=cmd_synth)
-
-    sp = sub.add_parser("train", help="train the fusion block on synthetic pairs")
-    _add_global_flags(sp)
-    _add_scene_flags(sp)
-    sp.add_argument("--pairs", type=int)
-    sp.add_argument("--n-clip", dest="n_clip", type=int)
-    sp.add_argument("--heads", type=int)
-    sp.add_argument("--hidden", type=int)
-    sp.add_argument("--rotate", action=argparse.BooleanOptionalAction)
-    sp.add_argument("--erase-fraction", dest="erase_fraction", type=float)
-    sp.add_argument("--scale-min", dest="scale_min", type=float)
-    sp.add_argument("--scale-max", dest="scale_max", type=float)
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--lr", type=float)
-    sp.add_argument("--batch-size", dest="batch_size", type=int)
-    sp.add_argument("--margin", type=float)
-    sp.add_argument("--distance", choices=["euclidean", "cosine"])
-    sp.set_defaults(handler=cmd_train)
-
-    sp = sub.add_parser("bench-fusion", help="compare fusion mechanisms on seeded scenes")
-    _add_global_flags(sp)
-    _add_scene_flags(sp)
-    sp.add_argument("--scenes", type=int)
-    sp.add_argument("--weights")
-    sp.add_argument("--n-clip", dest="n_clip", type=int)
-    sp.add_argument("--heads", type=int)
-    _add_tracker_flags(sp)
-    sp.set_defaults(handler=cmd_bench_fusion)
-
+    for name, handler, help_line, command_options in COMMANDS:
+        sp = sub.add_parser(name, help=help_line)
+        sp.add_argument("--config", help="JSON file of option values; flags override it")
+        options = {**GLOBAL_DEFAULTS, **command_options}
+        for key, default in options.items():
+            if type(default) is bool:
+                kind = {"action": argparse.BooleanOptionalAction}
+            else:
+                kind = {"type": _option_type(key, default), "choices": CHOICES.get(key)}
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, help=HELP.get(key), **kind)
+        sp.set_defaults(handler=handler, options=options)
     return parser
 
 
@@ -474,7 +408,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.handler(args)
-    except (TrajkitError, ValueError, OSError) as exc:
+    except (TrajkitError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -231,7 +231,7 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, w: AttentionParams,
     Returns the output and the cache :func:`_self_attention_backward` reads.
     """
     d = q.shape[-1]
-    if d % heads:
+    if heads < 1 or d % heads:
         raise DimMismatchError(f"width {d} is not divisible by {heads} heads")
     qh = _split_heads(q @ w.wq + w.bq, heads)
     kh = _split_heads(k @ w.wk + w.bk, heads)

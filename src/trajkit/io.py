@@ -21,7 +21,8 @@ tracks.jsonl
     One line per (track, frame): ``{"track_id", "frame", "bbox", "conf",
     "cat", "det"}`` plus optional ``label`` / ``label_source`` / ``scores``
     once a trajectory level label exists. ``det`` is the index of the source
-    detection within its frame.
+    detection within its frame, ``conf`` lies in [0, 1], ``label_source`` is
+    ``cate``, ``attr`` or ``det`` and ``scores`` maps names to finite numbers.
 groundtruth.jsonl
     One line per (track, frame): ``{"track_id", "cat", "frame", "bbox"}``.
 
@@ -152,6 +153,9 @@ class TrackEntry:
     det_idx: int  # index of the source detection within its frame
 
 
+LABEL_SOURCES = ("cate", "attr", "det")  # the channel a track label came from
+
+
 @dataclass
 class TrackRecord:
     """Finalized track as serialized to tracks.jsonl."""
@@ -159,7 +163,7 @@ class TrackRecord:
     track_id: int
     entries: list[TrackEntry]
     label: int | None = None
-    label_source: str | None = None  # "cate" | "attr" | "det"
+    label_source: str | None = None  # one of LABEL_SOURCES when labelled
     scores: dict[str, float] | None = None
 
     @property
@@ -562,6 +566,21 @@ def write_tracks(records: Sequence[TrackRecord], path) -> None:
                 fh.write(json.dumps(obj) + "\n")
 
 
+def _as_scores(raw, where: str) -> dict[str, float]:
+    """A tracks line's ``scores``: an object of finite JSON numbers."""
+    scores = {}
+    try:
+        for name, v in raw.items():
+            if type(v) not in _NUMBER_TYPES or not math.isfinite(v):
+                break
+            scores[name] = float(v)
+        else:
+            return scores
+    except (AttributeError, OverflowError):  # not an object; an int too large for a float
+        pass
+    raise FormatError(f"{where}: scores must map names to finite numbers, got {raw!r}")
+
+
 def read_tracks(path) -> list[TrackRecord]:
     """Inverse of :func:`write_tracks` on logical content."""
     path = Path(path)
@@ -577,16 +596,18 @@ def read_tracks(path) -> list[TrackRecord]:
                 raise FormatError(f"{where}: malformed JSON ({exc.msg})") from None
             _require_keys(obj, ("track_id", "frame", "bbox", "conf", "cat", "det"), where)
             tid, frame, cat, det = _ints(obj, ("track_id", "frame", "cat", "det"), where)
+            conf = _as_float(obj["conf"], where, "conf")
+            if not 0.0 <= conf <= 1.0:  # also false for NaN
+                raise FormatError(f"{where}: conf must lie in [0, 1], got {conf}")
             rec = recs.setdefault(tid, TrackRecord(tid, []))
-            rec.entries.append(TrackEntry(frame, _as_bbox(obj["bbox"], where),
-                                          _as_float(obj["conf"], where, "conf"), cat, det))
+            rec.entries.append(TrackEntry(frame, _as_bbox(obj["bbox"], where), conf, cat, det))
             if "label" in obj:
                 (rec.label,) = _ints(obj, ("label",), where)
                 rec.label_source = obj.get("label_source")
-                try:
-                    rec.scores = {k: float(v) for k, v in obj.get("scores", {}).items()}
-                except (AttributeError, TypeError, ValueError):
-                    raise FormatError(f"{where}: scores must map names to numbers") from None
+                if rec.label_source not in LABEL_SOURCES:
+                    raise FormatError(f"{where}: label_source must be one of {LABEL_SOURCES}, "
+                                      f"got {rec.label_source!r}")
+                rec.scores = _as_scores(obj.get("scores", {}), where)
     out = sorted(recs.values(), key=lambda r: r.track_id)
     for rec in out:
         rec.entries.sort(key=lambda e: e.frame)

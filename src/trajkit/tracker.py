@@ -37,6 +37,7 @@ only the bank, ``bank_mean`` and ``memory_unit`` hold normalized copies.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
@@ -85,7 +86,7 @@ class TrackerConfig:
         if not 0.0 <= self.alpha_sim <= 1.0:
             raise ValueError(f"alpha_sim must lie in [0, 1], got {self.alpha_sim}")
         for name in ("tau_match", "tau_new", "tau_high", "tau_low"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):  # also takes a big Python int
                 raise ValueError(f"{name} must be finite")
         if self.tau_low > self.tau_high:
             raise ValueError(f"tau_low ({self.tau_low}) must not exceed tau_high ({self.tau_high})")

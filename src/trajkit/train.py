@@ -54,7 +54,6 @@ class TrainConfig:
     steps: int = 500
     batch_size: int = 8
     seed: int = 0
-    d: int | None = None  # embedding width, for weight initialization
     heads: int = 1
     normalize_outputs: bool = True  # L2-normalize fused vectors before the loss
 

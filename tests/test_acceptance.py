@@ -219,7 +219,7 @@ def test_criterion_02_gradient_check(capfd):
             distance = "euclidean" if rng.random() < 0.5 else "cosine"
             margin = float(rng.uniform(1.8, 2.5)) if y == 0 else float(rng.uniform(0.2, 1.0))
             w = init_fusion_weights(d, seed=int(rng.integers(10000)), zero_residual=False)
-            cfg = TrainConfig(margin=margin, distance=distance, d=d)
+            cfg = TrainConfig(margin=margin, distance=distance)
             pair = TrainPair(rng.normal(size=(na, d)), rng.normal(size=(nb, d)), y)
             _, grads = loss_and_gradients(pair, w, cfg)
             tensors = w.to_dict()
@@ -392,7 +392,7 @@ def test_criterion_08_trainability(capfd):
                                           class_spread=0.1, seed=seed))
             pairs = make_train_pairs(scene, n_clip=5, seed=seed, n_pairs=64)
             w0 = init_fusion_weights(16, seed=seed)
-            cfg = TrainConfig(steps=500, learning_rate=0.05, batch_size=8, seed=seed, d=16)
+            cfg = TrainConfig(steps=500, learning_rate=0.05, batch_size=8, seed=seed)
             before = float(np.mean([pair_loss(p, w0, cfg) for p in pairs]))
             trained, _curve = train_fusion(pairs, w0, cfg)
             after = float(np.mean([pair_loss(p, trained, cfg) for p in pairs]))

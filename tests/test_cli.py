@@ -1,11 +1,16 @@
 """End-to-end subcommand behavior through cli.main()."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from trajkit import cli, io
+from trajkit.classify import ClassifyConfig
+from trajkit.tracker import TrackerConfig
 
 
 def _run(args):
@@ -210,6 +215,16 @@ def test_missing_input_exits_1(tmp_path, capsys):
     assert "nope.jsonl" in err
 
 
+@pytest.mark.parametrize("command, missing", [
+    ("track", "detections"), ("classify", "tracks"), ("eval", "pred"),
+])
+def test_missing_required_input_exits_1_before_any_output(tmp_path, capsys, command, missing):
+    out = tmp_path / "run"
+    assert _run([command, "--out-dir", out]) == 1
+    assert capsys.readouterr().err == f"error: ValueError: --{missing} is required\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["cate_emb", "attr_emb"])
 def test_zero_norm_vocabulary_row_fails_at_load(tmp_path, capsys, key):
     scene = _synth(tmp_path / "scene")
@@ -240,3 +255,182 @@ def test_repeat_runs_byte_identical(tmp_path):
     for name in ("detections.jsonl", "groundtruth.jsonl", "vocabulary.json",
                  "synth_manifest.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("track", '{"max_age": "x"}', "max_age must be an int"),
+    ("track", '{"n_bank": 2.5}', "n_bank must be an int"),
+    ("track", '{"tau_match": null}', "tau_match must be a number"),
+    ("track", '{"dump_csv": "no"}', "dump_csv must be true or false"),
+    ("track", '{"sim_mode": 1}', "sim_mode must be a string"),
+    ("track", '{"tau_new": "0.5"}', "tau_new must be a number or null"),
+    ("synth", '{"identities": 2.5}', "identities must be an int"),
+    ("synth", '{"frames": "4"}', "frames must be an int"),
+    ("synth", '{"sigma": "0.1"}', "sigma must be a number"),
+    ("synth", '{"sidecar": 1}', "sidecar must be true or false"),
+    ("synth", '{"occlusion": [1]}', "occlusion must be a string or a list of"),
+    ("synth", '{"occlusion": [[0, 1]]}', "occlusion must be a string or a list of"),
+    ("synth", '[1]', "must hold a JSON object"),
+    ("synth", '{"frames": ', "is not valid JSON"),
+])
+def test_config_values_are_type_checked(tmp_path, capsys, command, text, key):
+    # each of these used to escape cli.main as a TypeError/JSONDecodeError, or
+    # (dump_csv "no") to be read as true, without naming the config file
+    scene = _synth(tmp_path / "scene")
+    capsys.readouterr()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    inputs = ["--detections", scene / "detections.jsonl"] if command == "track" else []
+    assert _run([command, "--config", cfg, *inputs, "--out-dir", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: FormatError: config {cfg}")
+    assert key in err
+    assert not out.exists()
+
+
+def test_config_accepts_each_type_and_null_where_default_is_none(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"identities": 3, "sigma": 0, "sidecar": True,
+                               "class_spread": None, "occlusion": [[0, 1, 2]]}))
+    out = tmp_path / "scene"
+    assert _run(["synth", "--config", cfg, "--frames", 5, "--dim", 8, "--out-dir", out]) == 0
+    opts = json.loads((out / "synth_manifest.json").read_text())["options"]
+    assert opts["sigma"] == 0 and opts["sidecar"] is True and opts["occlusion"] == [[0, 1, 2]]
+    # the occlusion window hides one identity in frames 1-2
+    assert sorted(len(t.boxes) for t in io.load_groundtruth(out / "groundtruth.jsonl")) == [3, 5, 5]
+
+
+_TRACKER_OPTIONS = {
+    "alpha_mem": 0.25, "alpha_sim": 0.25, "max_age": 30, "n_bank": 15, "n_cat_bank": 5,
+    "sim_mode": "cosine_plus_bisoftmax", "softmax_temperature": 1.0, "tau_high": 0.3,
+    "tau_low": 0.1, "tau_match": 0.4, "tau_new": None,
+}
+_CLASSIFY_OPTIONS = {"calibrate_scores": False, "fusion": "average", "heads": 1, "n_clip": 5}
+_SCENE_OPTIONS = {
+    "categories": 2, "class_spread": None, "dim": 8, "flip_prob": 0.0, "fp_rate": 0.0,
+    "frames": 5, "identities": 3, "miss_rate": 0.0, "occlusion": None, "seed": 0, "sigma": 0.0,
+}
+
+
+def test_manifest_options_of_every_subcommand_are_pinned(tmp_path):
+    # the option surface as it was when each flag was written out by hand,
+    # with the tracker's temperature under its dataclass name
+    s, t = tmp_path / "s", tmp_path / "t"
+    det, voc, gt = s / "detections.jsonl", s / "vocabulary.json", s / "groundtruth.jsonl"
+    runs = {
+        "synth": (["--identities", 3, "--frames", 5, "--categories", 2, "--dim", 8, "--out-dir", s],
+                  {**_SCENE_OPTIONS, "sidecar": False}),
+        "track": (["--detections", det, "--vocabulary", voc, "--out-dir", t],
+                  {**_TRACKER_OPTIONS, **_CLASSIFY_OPTIONS, "detections": str(det), "dump_csv": False,
+                   "score_scale": 1.0, "seed": 0, "vocabulary": str(voc), "weights": None}),
+        "classify": (["--tracks", t / "tracks.jsonl", "--detections", det, "--vocabulary", voc,
+                      "--out-dir", tmp_path / "c"],
+                     {**_CLASSIFY_OPTIONS, "detections": str(det), "seed": 0,
+                      "tracks": str(t / "tracks.jsonl"), "vocabulary": str(voc), "weights": None}),
+        "eval": (["--pred", t / "tracks.jsonl", "--gt", gt, "--out-dir", tmp_path / "e"],
+                 {"gt": str(gt), "iou_threshold": 0.5, "pred": str(t / "tracks.jsonl"), "seed": 0,
+                  "vocabulary": None}),
+        "train": (["--identities", 3, "--frames", 6, "--dim", 8, "--steps", 2, "--pairs", 4,
+                   "--out-dir", tmp_path / "tr"],
+                  {**_SCENE_OPTIONS, "batch_size": 8, "class_spread": 0.1, "distance": "euclidean",
+                   "erase_fraction": 0.0, "frames": 6, "heads": 1, "hidden": None, "lr": 0.05,
+                   "margin": 0.5, "n_clip": 5, "pairs": 4, "rotate": False, "scale_max": None,
+                   "scale_min": None, "sigma": 0.05, "steps": 2}),
+        "bench-fusion": (["--identities", 3, "--frames", 5, "--categories", 2, "--dim", 8,
+                          "--scenes", 1, "--out-dir", tmp_path / "b"],
+                         {**_SCENE_OPTIONS, **_TRACKER_OPTIONS, "heads": 1, "n_clip": 5, "scenes": 1,
+                          "weights": None}),
+    }
+    for command, (flags, expected) in runs.items():
+        assert _run([command, *flags]) == 0
+        manifest = json.loads((flags[-1] / f"{command}_manifest.json").read_text())
+        assert manifest == {"command": command, "options": expected}
+
+
+def _other_value(f):
+    """A valid value for a config field other than its default."""
+    kind = type(f.default)
+    if f.default is None:
+        return 0.5
+    if kind is bool:
+        return not f.default
+    if kind is int:
+        return f.default + 1
+    if kind is float:
+        return f.default / 2
+    return next(c for c in cli.CHOICES[f.name] if c != f.default)
+
+
+def test_track_takes_every_config_field_as_a_flag(tmp_path):
+    scene = _synth(tmp_path / "scene")
+    flags, expected = [], {}
+    for f in (*fields(TrackerConfig), *fields(ClassifyConfig)):
+        value = expected[f.name] = _other_value(f)
+        name = f.name.replace("_", "-")
+        if type(value) is bool:
+            flags.append(f"--{name}" if value else f"--no-{name}")
+        else:
+            flags += [f"--{name}", value]
+    out = tmp_path / "run"
+    assert _run(["track", "--detections", scene / "detections.jsonl", *flags, "--out-dir", out]) == 0
+    opts = json.loads((out / "track_manifest.json").read_text())["options"]
+    assert {k: opts[k] for k in expected} == expected
+
+
+def test_old_temperature_name_is_gone(tmp_path, capsys):
+    scene = _synth(tmp_path / "scene")
+    det = scene / "detections.jsonl"
+    assert _run(["track", "--detections", det, "--temperature", 0.5, "--out-dir", tmp_path / "a"]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"temperature": 0.5}))
+    capsys.readouterr()
+    assert _run(["track", "--config", cfg, "--detections", det, "--out-dir", tmp_path / "b"]) == 1
+    assert "unknown keys: temperature" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"tau_high": -2 ** 63 - 1}, "ValueError: tau_low (0.1) must not exceed tau_high"),
+    ({"tau_match": 10 ** 400}, "OverflowError: int too large to convert to float"),
+])
+def test_config_int_too_big_for_int64_exits_1(tmp_path, capsys, values, message):
+    # a JSON int past int64 reached np.isfinite in TrackerConfig and raised TypeError
+    scene = _synth(tmp_path / "scene")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    capsys.readouterr()
+    rc = _run(["track", "--config", cfg, "--detections", scene / "detections.jsonl",
+               "--out-dir", tmp_path / "run"])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.text(max_size=4))
+_TRACK_KEYS = sorted({**cli.GLOBAL_DEFAULTS,
+                      **next(options for name, _, _, options in cli.COMMANDS if name == "track")})
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.dictionaries(st.sampled_from(_TRACK_KEYS), _JSON_SCALARS, max_size=4))
+def test_any_config_scalars_exit_cleanly(tmp_path, values):
+    # arbitrary JSON scalars under track's option keys are used or refused,
+    # never a traceback
+    det = tmp_path / "scene" / "detections.jsonl"
+    if not det.exists():
+        _synth(tmp_path / "scene")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    rc = _run(["track", "--config", cfg, "--detections", det, "--out-dir", tmp_path / "run"])
+    assert rc in (0, 1)
+
+
+def test_bank_size_too_large_for_a_deque_exits_1(tmp_path, capsys):
+    # the category bank's deque(maxlen=...) raised OverflowError past cli.main
+    scene = _synth(tmp_path / "scene")
+    capsys.readouterr()
+    rc = _run(["track", "--detections", scene / "detections.jsonl", "--n-cat-bank", 10 ** 30,
+               "--out-dir", tmp_path / "run"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: OverflowError:")

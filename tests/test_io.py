@@ -442,9 +442,19 @@ _GT_LINE = {"track_id": 1, "cat": 0, "frame": 0, "bbox": [0, 0, 1, 1]}
     ("load_groundtruth", "cat", True),
     ("load_groundtruth", "frame", 2.0),
     ("load_groundtruth", "bbox", [float("nan"), 0, 1, 1]),
+    ("read_tracks", "conf", float("nan")),
+    ("read_tracks", "conf", -3.0),
+    ("read_tracks", "conf", 1.5),
+    ("read_tracks", "scores", {"det": True}),
+    ("read_tracks", "scores", {"cate": "0.5"}),
+    ("read_tracks", "scores", {"attr": float("nan")}),
+    ("read_tracks", "scores", {"det": 10 ** 400}),
+    ("read_tracks", "label_source", 5),
+    ("read_tracks", "label_source", "vote"),
 ])
 def test_tracks_and_groundtruth_reject_bad_lines(tmp_path, loader, field, value):
-    # a non-object line, a bool or float id and a non-numeric conf must each
+    # a non-object line, a bool or float id, a non-numeric or out-of-range conf,
+    # a score that is no finite number and an unknown label source must each
     # surface as a FormatError naming the file and line, never TypeError/ValueError
     good = _TRACK_LINE if loader == "read_tracks" else _GT_LINE
     bad = value if field is None else dict(good, **{field: value})

@@ -53,7 +53,7 @@ def test_gradients_match_numeric_euclidean(heads):
     w = init_fusion_weights(d, seed=1, zero_residual=False)
     # normalized outputs sit on the unit sphere, so any margin above 2 keeps
     # the hinge active for negative pairs
-    cfg = TrainConfig(margin=2.5, distance="euclidean", d=d, heads=heads)
+    cfg = TrainConfig(margin=2.5, distance="euclidean", heads=heads)
     for y in (1, 0):
         pair = TrainPair(rng.normal(size=(3, d)), rng.normal(size=(2, d)) * 0.2, y)
         loss, grads = loss_and_gradients(pair, w, cfg)
@@ -73,7 +73,7 @@ def test_gradients_match_numeric_cosine():
     rng = np.random.default_rng(1)
     d = 4
     w = init_fusion_weights(d, seed=2, zero_residual=False)
-    cfg = TrainConfig(margin=0.8, distance="cosine", d=d)
+    cfg = TrainConfig(margin=0.8, distance="cosine")
     pair = TrainPair(rng.normal(size=(2, d)), rng.normal(size=(3, d)), 1)
     _, grads = loss_and_gradients(pair, w, cfg)
     tensors = w.to_dict()
@@ -88,7 +88,7 @@ def test_analytic_gradients_inventory():
     rng = np.random.default_rng(2)
     d = 4
     w = init_fusion_weights(d, seed=3, zero_residual=False)
-    cfg = TrainConfig(d=d)
+    cfg = TrainConfig()
     _, grads = loss_and_gradients(TrainPair(rng.normal(size=(2, d)),
                                             rng.normal(size=(2, d)), 1), w, cfg)
     assert set(grads) == set(TRAINABLE_TENSORS)
@@ -112,7 +112,7 @@ def test_pair_loss_matches_loss_and_gradients():
         w = init_fusion_weights(d, seed=int(rng.integers(10000)), zero_residual=False)
         cfg = TrainConfig(margin=float(rng.uniform(0.2, 2.5)),
                           distance="euclidean" if rng.random() < 0.5 else "cosine",
-                          normalize_outputs=bool(rng.random() < 0.5), d=d)
+                          normalize_outputs=bool(rng.random() < 0.5))
         pair = TrainPair(rng.normal(size=(int(rng.integers(1, 5)), d)),
                          rng.normal(size=(int(rng.integers(1, 5)), d)), int(rng.integers(0, 2)))
         assert pair_loss(pair, w, cfg) == loss_and_gradients(pair, w, cfg)[0]
@@ -122,7 +122,16 @@ def test_heads_must_divide_width():
     w = init_fusion_weights(6, seed=0)
     pair = TrainPair(np.ones((2, 6)), np.ones((2, 6)), 1)
     with pytest.raises(DimMismatchError):
-        loss_and_gradients(pair, w, TrainConfig(d=6, heads=4))
+        loss_and_gradients(pair, w, TrainConfig(heads=4))
+
+
+@pytest.mark.parametrize("heads", [0, -1])
+def test_heads_must_be_positive(heads):
+    # heads=0 used to raise ZeroDivisionError, heads=-1 a reshape ValueError
+    w = init_fusion_weights(6, seed=0)
+    pair = TrainPair(np.ones((2, 6)), np.ones((2, 6)), 1)
+    with pytest.raises(DimMismatchError):
+        loss_and_gradients(pair, w, TrainConfig(heads=heads))
 
 
 def test_pair_loss_normalization_flag():
@@ -130,8 +139,8 @@ def test_pair_loss_normalization_flag():
     d = 4
     w = init_fusion_weights(d, seed=4, zero_residual=False)
     pair = TrainPair(rng.normal(size=(2, d)) * 5, rng.normal(size=(2, d)) * 5, 1)
-    with_norm = pair_loss(pair, w, TrainConfig(d=d, normalize_outputs=True))
-    without = pair_loss(pair, w, TrainConfig(d=d, normalize_outputs=False))
+    with_norm = pair_loss(pair, w, TrainConfig(normalize_outputs=True))
+    without = pair_loss(pair, w, TrainConfig(normalize_outputs=False))
     # normalized outputs live on the unit sphere, so the distance is bounded by 2
     assert with_norm <= 0.5 * 4 + 1e-12
     assert without != pytest.approx(with_norm)
@@ -148,7 +157,7 @@ def test_train_reduces_loss_and_is_deterministic():
         pairs.append(TrainPair(ca, cb, 1))
         cb2 = protos[(k + 1) % 2] + 0.05 * rng.normal(size=(3, d))
         pairs.append(TrainPair(ca, cb2, 0))
-    cfg = TrainConfig(steps=60, learning_rate=0.1, batch_size=4, seed=5, d=d)
+    cfg = TrainConfig(steps=60, learning_rate=0.1, batch_size=4, seed=5)
     w0 = init_fusion_weights(d, seed=6)
     trained, curve = train_fusion(pairs, w0, cfg)
     assert len(curve) == 60
@@ -170,7 +179,7 @@ def test_train_divergence_reports_step():
              for k in range(6)]
     w = init_fusion_weights(d, seed=7, zero_residual=False)
     # unnormalized outputs let the distance blow up under a huge step size
-    cfg = TrainConfig(steps=200, learning_rate=1e9, batch_size=2, seed=0, d=d,
+    cfg = TrainConfig(steps=200, learning_rate=1e9, batch_size=2, seed=0,
                       normalize_outputs=False)
     with pytest.raises(DivergedError) as exc:
         train_fusion(pairs, w, cfg)
