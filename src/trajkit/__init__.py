@@ -27,7 +27,6 @@ from .io import (
     TrackRecord,
     Vocabulary,
     VocabularyEntry,
-    WeightBundle,
     load_detections,
     load_groundtruth,
     load_vocabulary,
@@ -102,7 +101,7 @@ __all__ = [
     "TrackEntry", "TrackRecord", "TrackState", "Tracker", "TrackerConfig",
     "TrainConfig", "TrainPair", "TrajectoryClassification", "TrajkitError",
     "TruncatedError", "UnknownCategoryError", "Vocabulary", "VocabularyEntry",
-    "WeightBundle", "ZeroNormError", "bisoftmax",
+    "ZeroNormError", "bisoftmax",
     "classify_trajectory", "concat_score", "contrastive_loss", "cosine",
     "cross_attention", "evaluate", "fuse_attention", "fuse_average",
     "fuse_cross", "fuse_self", "gelu", "gen_scene", "init_fusion_weights",

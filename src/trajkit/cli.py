@@ -34,7 +34,7 @@ from .classify import (
     record_embeddings,
     to_track_record,
 )
-from .errors import FormatError, MissingWeightsError, TrajkitError
+from .errors import DimMismatchError, FormatError, MissingWeightsError, TrajkitError
 from .fusion import FUSION_MECHANISMS, FusionWeights, init_fusion_weights
 from .synth import Augmentations, SynthConfig, gen_scene, make_train_pairs
 from .tracker import SIM_MODES, Tracker, TrackerConfig, majority_vote, run_sequence
@@ -159,8 +159,28 @@ def _parse_occlusion(spec) -> list[tuple[int, int, int]]:
 
 
 def _load_fusion_weights(path) -> FusionWeights:
-    bundle = io.load_weights(_need_file(path, "weights"))
-    return FusionWeights.from_bundle(bundle)
+    path = _need_file(path, "weights")
+    tensors = io.load_weights(path)
+    try:
+        return FusionWeights.from_dict(tensors)
+    except (MissingWeightsError, DimMismatchError) as exc:  # name the file, as io's errors do
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _check_weights_fit(path, weights: FusionWeights | None, width: int | None,
+                       dim_text: int | None) -> None:
+    """Weights must be as wide as the embeddings and project the vocabulary's text width."""
+    if weights is None:
+        return
+    if width is not None and weights.d != width:
+        raise DimMismatchError(f"{path}: weights are {weights.d} wide, embeddings {width}")
+    rows = weights.lang_proj.shape[0]
+    if dim_text is not None and rows != dim_text:
+        raise DimMismatchError(f"{path}: lang_proj.w has {rows} rows, vocabulary dim_text is {dim_text}")
+
+
+def _embedding_width(dets: dict) -> int | None:
+    return next(iter(dets.values()))[0].embedding.shape[0] if dets else None
 
 
 def _scene_config(opts: dict, seed: int) -> SynthConfig:
@@ -200,6 +220,8 @@ def cmd_track(args) -> int:
         raise MissingWeightsError(f"fusion={opts['fusion']!r} needs --weights")
     out_dir = _write_manifest("track", opts)
     dets = io.load_detections(det_path, opts["score_scale"], vocabulary=vocab)
+    _check_weights_fit(opts["weights"], weights, _embedding_width(dets),
+                       vocab.dim_text if vocab is not None else None)
     ccfg = _config(ClassifyConfig, opts)
 
     tracker = Tracker(_config(TrackerConfig, opts))
@@ -242,6 +264,7 @@ def cmd_classify(args) -> int:
     out_dir = _write_manifest("classify", opts)
     records = io.read_tracks(tracks_path)
     dets = io.load_detections(det_path)
+    _check_weights_fit(opts["weights"], weights, _embedding_width(dets), vocab.dim_text)
     ccfg = _config(ClassifyConfig, opts)
     lang = project_vocabulary(vocab, weights) if records else None
 
@@ -336,6 +359,8 @@ def cmd_bench_fusion(args) -> int:
     opts = _resolve(args)
     if opts["weights"]:
         weights = _load_fusion_weights(opts["weights"])
+        # a synthetic scene's embeddings and text vectors are both --dim wide
+        _check_weights_fit(opts["weights"], weights, opts["dim"], opts["dim"])
     else:
         weights = init_fusion_weights(opts["dim"], seed=opts["seed"], zero_residual=False)
     out_dir = _write_manifest("bench-fusion", opts)

@@ -19,6 +19,10 @@ of language vectors):
 There is no positional encoding and no masking: clips are unordered sets as
 far as average/attention/self fusion are concerned. All math runs in float64.
 
+``FUSION_TENSOR_SHAPES`` is the only statement of the ``.twb`` weight bundle:
+the bundle names, the shape check, ``FusionWeights.to_dict``/``from_dict``
+and the trainable set of :mod:`trajkit.train` are all read off it.
+
 This module holds the only forward pass of the residual block. Its layer
 norm, attention and MLP forwards also return the intermediates that their
 hand-written backward functions beside them read. ``fuse_self_forward``
@@ -30,7 +34,7 @@ gradients of every ``ln1``, ``ln2``, ``attn`` and ``mlp`` tensor for
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -42,22 +46,25 @@ LN_EPS = 1e-5  # layer norm default epsilon
 
 FUSION_MECHANISMS = ("average", "attention", "self", "self_noresidual", "cross", "concat")
 
-# Fixed tensor naming used by the .twb weight bundles.
-_ATTN_KEYS = ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")
-FUSION_TENSOR_NAMES = (
-    "ln1.gamma", "ln1.beta", "ln2.gamma", "ln2.beta",
-    *(f"attn.{k}" for k in _ATTN_KEYS),
-    "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2",
-    *(f"cross.{k}" for k in _ATTN_KEYS),
-    "concat.pool_w", "concat.pool_b", "concat.fc_w", "concat.fc_b",
-    "lang_proj.w",
-)
+# The .twb weight bundle: every tensor, in bundle order, with its shape in the
+# letters d (embedding width), h (MLP width) and t (text width); "" is a scalar.
+FUSION_TENSOR_SHAPES = {
+    "ln1.gamma": "d", "ln1.beta": "d", "ln2.gamma": "d", "ln2.beta": "d",
+    "attn.wq": "dd", "attn.wk": "dd", "attn.wv": "dd", "attn.wo": "dd",
+    "attn.bq": "d", "attn.bk": "d", "attn.bv": "d", "attn.bo": "d",
+    "mlp.w1": "dh", "mlp.b1": "h", "mlp.w2": "hd", "mlp.b2": "d",
+    "cross.wq": "dd", "cross.wk": "dd", "cross.wv": "dd", "cross.wo": "dd",
+    "cross.bq": "d", "cross.bk": "d", "cross.bv": "d", "cross.bo": "d",
+    "concat.pool_w": "dd", "concat.pool_b": "d", "concat.fc_w": "d", "concat.fc_b": "",
+    "lang_proj.w": "td",
+}
+FUSION_TENSOR_NAMES = tuple(FUSION_TENSOR_SHAPES)
 
 
 @dataclass
 class LayerNormParams:
-    gamma: np.ndarray  # (d,)
-    beta: np.ndarray  # (d,)
+    gamma: np.ndarray
+    beta: np.ndarray
     eps: float = LN_EPS
 
 
@@ -65,11 +72,11 @@ class LayerNormParams:
 class AttentionParams:
     """Projection weights for one attention layer, applied as x @ w + b."""
 
-    wq: np.ndarray  # (d, d)
+    wq: np.ndarray
     wk: np.ndarray
     wv: np.ndarray
     wo: np.ndarray
-    bq: np.ndarray  # (d,)
+    bq: np.ndarray
     bk: np.ndarray
     bv: np.ndarray
     bo: np.ndarray
@@ -77,23 +84,23 @@ class AttentionParams:
 
 @dataclass
 class MlpParams:
-    w1: np.ndarray  # (d, h)
-    b1: np.ndarray  # (h,)
-    w2: np.ndarray  # (h, d)
-    b2: np.ndarray  # (d,)
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
 
 
 @dataclass
 class ConcatParams:
-    pool_w: np.ndarray  # (d, d) projection after mean pooling
-    pool_b: np.ndarray  # (d,)
-    fc_w: np.ndarray  # (d,)
-    fc_b: np.ndarray  # scalar
+    pool_w: np.ndarray  # projection after mean pooling
+    pool_b: np.ndarray
+    fc_w: np.ndarray  # final linear score
+    fc_b: np.ndarray
 
 
 @dataclass
 class FusionWeights:
-    """Complete weight set for every fusion mechanism plus language projection."""
+    """Weights of every fusion mechanism and the language projection (see FUSION_TENSOR_SHAPES)."""
 
     ln1: LayerNormParams
     ln2: LayerNormParams
@@ -101,89 +108,62 @@ class FusionWeights:
     mlp: MlpParams
     cross: AttentionParams
     concat: ConcatParams
-    lang_proj: np.ndarray  # (d_text, d)
+    lang_proj: np.ndarray  # bundle name lang_proj.w
 
     @property
     def d(self) -> int:
         return self.ln1.gamma.shape[0]
 
     def to_dict(self) -> dict[str, np.ndarray]:
-        out = {
-            "ln1.gamma": self.ln1.gamma, "ln1.beta": self.ln1.beta,
-            "ln2.gamma": self.ln2.gamma, "ln2.beta": self.ln2.beta,
-            "mlp.w1": self.mlp.w1, "mlp.b1": self.mlp.b1,
-            "mlp.w2": self.mlp.w2, "mlp.b2": self.mlp.b2,
-            "concat.pool_w": self.concat.pool_w, "concat.pool_b": self.concat.pool_b,
-            "concat.fc_w": self.concat.fc_w, "concat.fc_b": self.concat.fc_b,
-            "lang_proj.w": self.lang_proj,
-        }
-        for prefix, group in (("attn", self.attn), ("cross", self.cross)):
-            for key in _ATTN_KEYS:
-                out[f"{prefix}.{key}"] = getattr(group, key)
-        return {name: out[name] for name in FUSION_TENSOR_NAMES}
+        """The weights' own arrays (not copies) keyed by bundle name, in bundle order."""
+        out = {}
+        for name in FUSION_TENSOR_NAMES:
+            group, key = name.split(".")
+            part = getattr(self, group)
+            out[name] = part if isinstance(part, np.ndarray) else getattr(part, key)
+        return out
 
     def copy(self) -> "FusionWeights":
         return FusionWeights.from_dict({k: v.copy() for k, v in self.to_dict().items()})
 
     @classmethod
-    def from_dict(cls, tensors: Mapping[str, np.ndarray], eps: float = LN_EPS) -> "FusionWeights":
+    def from_dict(cls, tensors: Mapping[str, np.ndarray]) -> "FusionWeights":
         validate_fusion_shapes(tensors)
-        t = {k: np.asarray(v, dtype=np.float64) for k, v in tensors.items()}
-        attn, cross = ({k: t[f"{p}.{k}"] for k in _ATTN_KEYS} for p in ("attn", "cross"))
+        groups: dict[str, dict[str, np.ndarray]] = {}
+        for name in FUSION_TENSOR_NAMES:
+            group, key = name.split(".")
+            groups.setdefault(group, {})[key] = np.asarray(tensors[name], dtype=np.float64)
         return cls(
-            ln1=LayerNormParams(t["ln1.gamma"], t["ln1.beta"], eps),
-            ln2=LayerNormParams(t["ln2.gamma"], t["ln2.beta"], eps),
-            attn=AttentionParams(**attn),
-            mlp=MlpParams(t["mlp.w1"], t["mlp.b1"], t["mlp.w2"], t["mlp.b2"]),
-            cross=AttentionParams(**cross),
-            concat=ConcatParams(t["concat.pool_w"], t["concat.pool_b"],
-                                t["concat.fc_w"], t["concat.fc_b"]),
-            lang_proj=t["lang_proj.w"],
+            ln1=LayerNormParams(**groups["ln1"]), ln2=LayerNormParams(**groups["ln2"]),
+            attn=AttentionParams(**groups["attn"]), mlp=MlpParams(**groups["mlp"]),
+            cross=AttentionParams(**groups["cross"]), concat=ConcatParams(**groups["concat"]),
+            lang_proj=groups["lang_proj"]["w"],
         )
-
-    @classmethod
-    def from_bundle(cls, bundle, eps: float = LN_EPS) -> "FusionWeights":
-        return cls.from_dict(bundle.tensors, eps)
 
 
 def validate_fusion_shapes(tensors: Mapping[str, np.ndarray]) -> int:
-    """Check the fixed tensor set for presence and mutual shape consistency.
+    """Check every tensor of :data:`FUSION_TENSOR_SHAPES` is present with its shape.
 
-    Returns the embedding width d. Raises MissingWeightsError for absent
-    tensors and DimMismatchError for inconsistent shapes.
+    d, h and t are read off ``ln1.gamma``, ``mlp.w1`` and ``lang_proj.w``;
+    ``concat.fc_b`` may also have shape (1,). Returns d. Raises
+    MissingWeightsError for absent tensors and DimMismatchError for bad shapes.
     """
     missing = [n for n in FUSION_TENSOR_NAMES if n not in tensors]
     if missing:
         raise MissingWeightsError(f"weight bundle lacks tensors: {', '.join(missing)}")
-    shape = {n: np.asarray(tensors[n]).shape for n in FUSION_TENSOR_NAMES}
-    d = shape["ln1.gamma"][0] if shape["ln1.gamma"] else 0
-
-    def expect(name, want):
-        if shape[name] != want:
+    shape = {n: np.shape(tensors[n]) for n in FUSION_TENSOR_NAMES}
+    width = {}
+    for letter, name in (("d", "ln1.gamma"), ("h", "mlp.w1"), ("t", "lang_proj.w")):
+        letters = FUSION_TENSOR_SHAPES[name]
+        if len(shape[name]) != len(letters):
+            raise DimMismatchError(f"tensor {name} has shape {shape[name]}, "
+                                   f"expected a rank-{len(letters)} tensor")
+        width[letter] = shape[name][letters.index(letter)]
+    for name, letters in FUSION_TENSOR_SHAPES.items():
+        want = tuple(width[c] for c in letters)
+        if shape[name] != want and not (name == "concat.fc_b" and shape[name] == (1,)):
             raise DimMismatchError(f"tensor {name} has shape {shape[name]}, expected {want}")
-
-    for name in ("ln1.gamma", "ln1.beta", "ln2.gamma", "ln2.beta",
-                 "concat.pool_b", "concat.fc_w"):
-        expect(name, (d,))
-    for prefix in ("attn", "cross"):
-        for key in ("wq", "wk", "wv", "wo"):
-            expect(f"{prefix}.{key}", (d, d))
-        for key in ("bq", "bk", "bv", "bo"):
-            expect(f"{prefix}.{key}", (d,))
-    expect("concat.pool_w", (d, d))
-    if shape["concat.fc_b"] not in ((), (1,)):
-        raise DimMismatchError(f"tensor concat.fc_b has shape {shape['concat.fc_b']}, expected a scalar")
-    w1, w2 = shape["mlp.w1"], shape["mlp.w2"]
-    if len(w1) != 2 or w1[0] != d:
-        raise DimMismatchError(f"tensor mlp.w1 has shape {w1}, expected ({d}, h)")
-    h = w1[1]
-    expect("mlp.b1", (h,))
-    expect("mlp.w2", (h, d))
-    expect("mlp.b2", (d,))
-    lp = shape["lang_proj.w"]
-    if len(lp) != 2 or lp[1] != d:
-        raise DimMismatchError(f"tensor lang_proj.w has shape {lp}, expected (d_text, {d})")
-    return d
+    return width["d"]
 
 
 def _layer_norm_forward(x, gamma, beta, eps):

@@ -15,8 +15,9 @@ vocabulary.json
     "cate_emb", "attr_emb"}, ...]}`` with ``split`` one of base/novel.
 weights bundle (``.twb``)
     magic ``TRJW``, u16 version (=1), then repeated records of
-    u16 name length, UTF-8 name, u8 rank, rank u32 dims, float32 payload
-    (little endian) until end of file.
+    u16 name length, UTF-8 name, u8 rank (at most 32), rank u32 dims,
+    float32 payload (little endian) until end of file. The fusion block's
+    tensor names and shapes are ``trajkit.fusion.FUSION_TENSOR_SHAPES``.
 tracks.jsonl
     One line per (track, frame): ``{"track_id", "frame", "bbox", "conf",
     "cat", "det"}`` plus optional ``label`` / ``label_source`` / ``scores``
@@ -37,7 +38,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,6 +56,7 @@ SIDECAR_MAGIC = b"TRJK"
 WEIGHTS_MAGIC = b"TRJW"
 SIDECAR_VERSION = 1
 WEIGHTS_VERSION = 1
+_MAX_RANK = 32  # the most axes a .twb tensor may have; numpy 1.x allows no more
 SPLITS = ("base", "novel")
 
 BBox = tuple[float, float, float, float]
@@ -123,14 +125,6 @@ class Vocabulary:
         return np.stack([e.attr_embedding for e in self.entries]).astype(np.float64)
 
 
-@dataclass(eq=False)
-class WeightBundle:
-    """Raw named tensors read from a .twb file."""
-
-    tensors: dict[str, np.ndarray]
-    version: int = WEIGHTS_VERSION
-
-
 @dataclass
 class GroundTruthTrack:
     track_id: int
@@ -191,6 +185,25 @@ def _require_keys(obj, keys: tuple[str, ...], where: str) -> None:
     for key in keys:
         if key not in obj:
             raise FormatError(f"{where}: missing key {key!r}")
+
+
+def _jsonl(path: Path, keys: tuple[str, ...]) -> Iterator[tuple[str, dict]]:
+    """Yield ``(where, obj)`` for each non-blank line of a JSONL file.
+
+    ``where`` is ``path:lineno``; ``obj`` is the line's JSON object, checked
+    to hold every one of ``keys``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"{where}: malformed JSON ({exc.msg})") from None
+            _require_keys(obj, keys, where)
+            yield where, obj
 
 
 def _ints(obj: dict, keys: tuple[str, ...], where: str) -> list[int]:
@@ -268,7 +281,6 @@ def _detection_from_obj(obj: dict, where: str, sidecar: np.ndarray | None,
                         score_scale: float, vocabulary: Vocabulary | None,
                         expect_dim: int | None) -> DetectionRecord:
     # Runs once per detection, so each message is formatted only on failure.
-    _require_keys(obj, ("frame", "bbox", "conf", "cat", "cat_score"), where)
     frame = obj["frame"]
     if not _is_int(frame) or frame < 0:
         raise FormatError(f"{where}: frame must be a non-negative int, got {frame!r}")
@@ -314,38 +326,32 @@ def load_detections(path, score_scale: float = 1.0, *,
     """Load a detections.jsonl file into a frame -> detections map.
 
     Confidences are multiplied by ``score_scale`` and clamped to [0, 1]
-    (detectors whose raw scores exceed 1 are tamed with e.g. 0.1). Frames are
-    returned in ascending order; records within a frame are sorted by a
-    canonical content key so input line order never matters.
+    (detectors whose raw scores exceed 1 are tamed with e.g. 0.1); a scale
+    that is not finite or not > 0 raises ValueError. Frames are returned in
+    ascending order; records within a frame are sorted by a canonical content
+    key so input line order never matters.
 
     ``sidecar`` may name an .embin file; when omitted and a record uses
     ``emb_ref``, a sibling file with the .embin suffix is tried.
     """
+    if not (math.isfinite(score_scale) and score_scale > 0):
+        raise ValueError(f"score_scale must be finite and > 0, got {score_scale}")
     path = Path(path)
     side_arr = None
     if sidecar is not None:
         side_arr = read_embedding_sidecar(sidecar)
     by_frame: dict[int, list[DetectionRecord]] = {}
     expect_dim = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{where}: malformed JSON ({exc.msg})") from None
-            _require(isinstance(obj, dict), where, "line must hold a JSON object")
-            if side_arr is None and "emb_ref" in obj:
-                default_side = path.with_suffix(".embin")
-                if not default_side.exists():
-                    raise FormatError(f"{where}: emb_ref used but no embedding sidecar found")
-                side_arr = read_embedding_sidecar(default_side)
-            rec = _detection_from_obj(obj, where, side_arr, score_scale, vocabulary, expect_dim)
-            if expect_dim is None:
-                expect_dim = rec.embedding.shape[0]
-            by_frame.setdefault(rec.frame, []).append(rec)
+    for where, obj in _jsonl(path, ("frame", "bbox", "conf", "cat", "cat_score")):
+        if side_arr is None and "emb_ref" in obj:
+            default_side = path.with_suffix(".embin")
+            if not default_side.exists():
+                raise FormatError(f"{where}: emb_ref used but no embedding sidecar found")
+            side_arr = read_embedding_sidecar(default_side)
+        rec = _detection_from_obj(obj, where, side_arr, score_scale, vocabulary, expect_dim)
+        if expect_dim is None:
+            expect_dim = rec.embedding.shape[0]
+        by_frame.setdefault(rec.frame, []).append(rec)
     out: dict[int, list[DetectionRecord]] = {}
     for frame in sorted(by_frame):
         recs = by_frame[frame]
@@ -440,11 +446,12 @@ def write_vocabulary(vocab: Vocabulary, path) -> None:
         fh.write("\n")
 
 
-def load_weights(path) -> WeightBundle:
-    """Read a .twb weights bundle; validates magic, version and finiteness.
+def load_weights(path) -> dict[str, np.ndarray]:
+    """Read a .twb weights bundle into its float64 tensors, keyed by name.
 
-    Shape consistency across tensors is the concern of
-    :func:`trajkit.fusion.FusionWeights.from_bundle`.
+    Validates magic, version, truncation, UTF-8 names, duplicate names and
+    finiteness. Which tensors a bundle holds and their shapes are the concern
+    of :meth:`trajkit.fusion.FusionWeights.from_dict`.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 6:
@@ -470,11 +477,13 @@ def load_weights(path) -> WeightBundle:
         off += name_len
         rank = raw[off]
         off += 1
+        if rank > _MAX_RANK:
+            raise FormatError(f"{path}: tensor {name!r} has rank {rank}, more than {_MAX_RANK}")
         if off + 4 * rank > len(raw):
             raise TruncatedError(f"{path}: truncated dims for tensor {name!r}")
         dims = struct.unpack_from(f"<{rank}I", raw, off) if rank else ()
         off += 4 * rank
-        count = int(np.prod(dims, dtype=np.int64)) if rank else 1
+        count = math.prod(dims)  # exact: a fixed-width product wraps round
         if off + 4 * count > len(raw):
             raise TruncatedError(f"{path}: truncated payload for tensor {name!r}")
         data = np.frombuffer(raw, dtype="<f4", count=count, offset=off).reshape(dims)
@@ -484,14 +493,14 @@ def load_weights(path) -> WeightBundle:
         if not np.all(np.isfinite(data)):
             raise NonFiniteError(f"{path}: tensor {name!r} contains non-finite entries")
         tensors[name] = data.astype(np.float64)
-    return WeightBundle(tensors, version)
+    return tensors
 
 
-def write_weights(tensors: dict[str, np.ndarray], path, version: int = WEIGHTS_VERSION) -> None:
+def write_weights(tensors: dict[str, np.ndarray], path) -> None:
     """Write named tensors as a .twb bundle (float32 payloads)."""
     with open(path, "wb") as fh:
         fh.write(WEIGHTS_MAGIC)
-        fh.write(struct.pack("<H", version))
+        fh.write(struct.pack("<H", WEIGHTS_VERSION))
         for name, arr in tensors.items():
             arr = np.asarray(arr, dtype="<f4")
             if not np.all(np.isfinite(arr)):
@@ -507,26 +516,16 @@ def write_weights(tensors: dict[str, np.ndarray], path, version: int = WEIGHTS_V
 
 def load_groundtruth(path) -> list[GroundTruthTrack]:
     """Load groundtruth.jsonl into per-track box timelines."""
-    path = Path(path)
     tracks: dict[int, GroundTruthTrack] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{where}: malformed JSON ({exc.msg})") from None
-            _require_keys(obj, ("track_id", "cat", "frame", "bbox"), where)
-            tid, cat, frame = _ints(obj, ("track_id", "cat", "frame"), where)
-            bbox = _as_bbox(obj["bbox"], where)
-            track = tracks.setdefault(tid, GroundTruthTrack(tid, cat))
-            if track.category_id != cat:
-                raise FormatError(f"{where}: track {tid} switches category {track.category_id} -> {cat}")
-            if frame in track.boxes:
-                raise FormatError(f"{where}: track {tid} repeats frame {frame}")
-            track.boxes[frame] = bbox
+    for where, obj in _jsonl(Path(path), ("track_id", "cat", "frame", "bbox")):
+        tid, cat, frame = _ints(obj, ("track_id", "cat", "frame"), where)
+        bbox = _as_bbox(obj["bbox"], where)
+        track = tracks.setdefault(tid, GroundTruthTrack(tid, cat))
+        if track.category_id != cat:
+            raise FormatError(f"{where}: track {tid} switches category {track.category_id} -> {cat}")
+        if frame in track.boxes:
+            raise FormatError(f"{where}: track {tid} repeats frame {frame}")
+        track.boxes[frame] = bbox
     out = sorted(tracks.values(), key=lambda t: t.track_id)
     for t in out:
         t.boxes = {f: t.boxes[f] for f in sorted(t.boxes)}
@@ -583,31 +582,21 @@ def _as_scores(raw, where: str) -> dict[str, float]:
 
 def read_tracks(path) -> list[TrackRecord]:
     """Inverse of :func:`write_tracks` on logical content."""
-    path = Path(path)
     recs: dict[int, TrackRecord] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{where}: malformed JSON ({exc.msg})") from None
-            _require_keys(obj, ("track_id", "frame", "bbox", "conf", "cat", "det"), where)
-            tid, frame, cat, det = _ints(obj, ("track_id", "frame", "cat", "det"), where)
-            conf = _as_float(obj["conf"], where, "conf")
-            if not 0.0 <= conf <= 1.0:  # also false for NaN
-                raise FormatError(f"{where}: conf must lie in [0, 1], got {conf}")
-            rec = recs.setdefault(tid, TrackRecord(tid, []))
-            rec.entries.append(TrackEntry(frame, _as_bbox(obj["bbox"], where), conf, cat, det))
-            if "label" in obj:
-                (rec.label,) = _ints(obj, ("label",), where)
-                rec.label_source = obj.get("label_source")
-                if rec.label_source not in LABEL_SOURCES:
-                    raise FormatError(f"{where}: label_source must be one of {LABEL_SOURCES}, "
-                                      f"got {rec.label_source!r}")
-                rec.scores = _as_scores(obj.get("scores", {}), where)
+    for where, obj in _jsonl(Path(path), ("track_id", "frame", "bbox", "conf", "cat", "det")):
+        tid, frame, cat, det = _ints(obj, ("track_id", "frame", "cat", "det"), where)
+        conf = _as_float(obj["conf"], where, "conf")
+        if not 0.0 <= conf <= 1.0:  # also false for NaN
+            raise FormatError(f"{where}: conf must lie in [0, 1], got {conf}")
+        rec = recs.setdefault(tid, TrackRecord(tid, []))
+        rec.entries.append(TrackEntry(frame, _as_bbox(obj["bbox"], where), conf, cat, det))
+        if "label" in obj:
+            (rec.label,) = _ints(obj, ("label",), where)
+            rec.label_source = obj.get("label_source")
+            if rec.label_source not in LABEL_SOURCES:
+                raise FormatError(f"{where}: label_source must be one of {LABEL_SOURCES}, "
+                                  f"got {rec.label_source!r}")
+            rec.scores = _as_scores(obj.get("scores", {}), where)
     out = sorted(recs.values(), key=lambda r: r.track_id)
     for rec in out:
         rec.entries.sort(key=lambda e: e.frame)

@@ -3,7 +3,9 @@
 The trainable path is ``fuse_self``: clip -> LN -> self-attention -> residual
 -> LN -> MLP -> residual -> column mean. Two clips are fused with shared
 weights, the outputs (L2-normalized by default) feed a margin contrastive
-loss, and plain gradient descent updates the sixteen tensors on that path.
+loss, and plain gradient descent updates the sixteen tensors on that path
+(``TRAINABLE_TENSORS``: the ``ln1``, ``ln2``, ``attn`` and ``mlp`` groups of
+:data:`trajkit.fusion.FUSION_TENSOR_SHAPES`, in bundle order).
 Gradients are exact reverse-mode derivatives written out by hand; they are
 checked against :func:`numeric_gradient` central differences in the tests.
 The forward and backward of the ``fuse_self`` path live in
@@ -26,17 +28,13 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import DivergedError, ZeroNormError
-from .fusion import FusionWeights, fuse_self, fuse_self_backward, fuse_self_forward
+from .fusion import FUSION_TENSOR_NAMES, FusionWeights, fuse_self, fuse_self_backward, fuse_self_forward
 
 DISTANCES = ("euclidean", "cosine")
 
-# Tensors updated by training, in bundle naming.
-TRAINABLE_TENSORS = (
-    "ln1.gamma", "ln1.beta", "ln2.gamma", "ln2.beta",
-    "attn.wq", "attn.wk", "attn.wv", "attn.wo",
-    "attn.bq", "attn.bk", "attn.bv", "attn.bo",
-    "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2",
-)
+# Tensors updated by training: the groups on the fuse_self path, in bundle order.
+TRAINABLE_TENSORS = tuple(name for name in FUSION_TENSOR_NAMES
+                          if name.split(".")[0] in ("ln1", "ln2", "attn", "mlp"))
 
 
 @dataclass

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from trajkit import cli, io
 from trajkit.classify import ClassifyConfig
+from trajkit.fusion import init_fusion_weights
 from trajkit.tracker import TrackerConfig
 
 
@@ -118,6 +119,107 @@ def test_track_missing_weights_for_fusion(tmp_path, capsys):
     assert "MissingWeightsError" in capsys.readouterr().err
 
 
+def _write_weights(path, d, d_text=None):
+    io.write_weights(init_fusion_weights(d, d_text=d_text, seed=0).to_dict(), path)
+    return path
+
+
+@pytest.mark.parametrize("fusion", ["attention", "self", "cross", "concat"])
+def test_track_names_weights_narrower_than_embeddings(tmp_path, capsys, fusion):
+    # an 8-wide bundle on 16-wide detections failed inside numpy or the
+    # concat scorer, naming no file
+    scene = _synth(tmp_path / "scene", extra=["--dim", 16])
+    weights = _write_weights(tmp_path / "w8.twb", 8)
+    capsys.readouterr()
+    rc = _run(["track", "--detections", scene / "detections.jsonl",
+               "--vocabulary", scene / "vocabulary.json", "--weights", weights,
+               "--fusion", fusion, "--out-dir", tmp_path / "run"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: DimMismatchError: {weights}: weights are 8 wide, embeddings 16\n")
+    assert not (tmp_path / "run" / "tracks.jsonl").exists()
+
+
+def test_classify_names_weights_narrower_than_embeddings(tmp_path, capsys):
+    scene = _synth(tmp_path / "scene", extra=["--dim", 16])
+    run = tmp_path / "run"
+    assert _run(["track", "--detections", scene / "detections.jsonl", "--out-dir", run]) == 0
+    weights = _write_weights(tmp_path / "w8.twb", 8)
+    capsys.readouterr()
+    rc = _run(["classify", "--tracks", run / "tracks.jsonl",
+               "--detections", scene / "detections.jsonl",
+               "--vocabulary", scene / "vocabulary.json", "--weights", weights,
+               "--fusion", "self", "--out-dir", tmp_path / "cls"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: DimMismatchError: {weights}: weights are 8 wide, embeddings 16\n")
+
+
+def test_bench_fusion_names_weights_narrower_than_dim(tmp_path, capsys):
+    weights = _write_weights(tmp_path / "w8.twb", 8)
+    rc = _run(["bench-fusion", "--identities", 4, "--frames", 8, "--categories", 2,
+               "--dim", 16, "--scenes", 1, "--weights", weights, "--out-dir", tmp_path / "b"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: DimMismatchError: {weights}: weights are 8 wide, embeddings 16\n")
+
+
+def test_track_names_weights_whose_lang_proj_misses_dim_text(tmp_path, capsys):
+    scene = _synth(tmp_path / "scene")
+    weights = _write_weights(tmp_path / "w.twb", 8, d_text=5)
+    capsys.readouterr()
+    rc = _run(["track", "--detections", scene / "detections.jsonl",
+               "--vocabulary", scene / "vocabulary.json", "--weights", weights,
+               "--fusion", "self", "--out-dir", tmp_path / "run"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: DimMismatchError: {weights}: lang_proj.w has 5 rows, "
+        f"vocabulary dim_text is 8\n")
+
+
+@pytest.mark.parametrize("drop, change, message", [
+    ("mlp.w2", {}, "MissingWeightsError: {w}: weight bundle lacks tensors: mlp.w2"),
+    (None, {"attn.wk": np.zeros((8, 5))},
+     "DimMismatchError: {w}: tensor attn.wk has shape (8, 5), expected (8, 8)"),
+], ids=["missing-tensor", "bad-shape"])
+def test_track_names_weights_file_of_bad_bundle(tmp_path, capsys, drop, change, message):
+    scene = _synth(tmp_path / "scene")
+    tensors = {**init_fusion_weights(8, seed=0).to_dict(), **change}
+    tensors.pop(drop, None)
+    weights = tmp_path / "w.twb"
+    io.write_weights(tensors, weights)
+    capsys.readouterr()
+    rc = _run(["track", "--detections", scene / "detections.jsonl",
+               "--vocabulary", scene / "vocabulary.json", "--weights", weights,
+               "--fusion", "self", "--out-dir", tmp_path / "run"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message.format(w=weights)}\n"
+
+
+@pytest.mark.parametrize("scale", ["nan", "-1", "0", "inf"])
+def test_track_rejects_bad_score_scale_flag(tmp_path, capsys, scale):
+    # a NaN or negative scale used to discard every detection and exit 0
+    scene = _synth(tmp_path / "scene")
+    capsys.readouterr()
+    rc = _run(["track", "--detections", scene / "detections.jsonl", "--score-scale", scale,
+               "--out-dir", tmp_path / "run"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: ValueError: score_scale must be finite and > 0, got ")
+
+
+def test_track_rejects_nan_score_scale_in_config(tmp_path, capsys):
+    scene = _synth(tmp_path / "scene")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"score_scale": NaN}')
+    capsys.readouterr()
+    rc = _run(["track", "--config", cfg, "--detections", scene / "detections.jsonl",
+               "--out-dir", tmp_path / "run"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: ValueError: score_scale must be finite and > 0, got nan\n")
+
+
 def test_eval_reports_perfect_on_clean_scene(tmp_path, capsys):
     scene = _synth(tmp_path / "scene")
     run = tmp_path / "run"
@@ -187,8 +289,7 @@ def test_train_writes_weights_and_curve(tmp_path):
     rc = _run(["train", "--steps", 20, "--identities", 4, "--frames", 10,
                "--dim", 8, "--pairs", 8, "--seed", 1, "--out-dir", out])
     assert rc == 0
-    bundle = io.load_weights(out / "weights.twb")
-    assert "attn.wq" in bundle.tensors
+    assert "attn.wq" in io.load_weights(out / "weights.twb")
     curve = json.loads((out / "loss_curve.json").read_text())["loss"]
     assert len(curve) == 20
     assert all(np.isfinite(curve))

@@ -293,7 +293,7 @@ def test_weights_roundtrip_through_bundle(tmp_path):
     w = init_fusion_weights(d, seed=9, zero_residual=False)
     path = tmp_path / "w.twb"
     io.write_weights(w.to_dict(), path)
-    back = FusionWeights.from_bundle(io.load_weights(path))
+    back = FusionWeights.from_dict(io.load_weights(path))
     clip = rng.normal(size=(3, d))
     # payloads persist as float32, so agreement is at single precision
     np.testing.assert_allclose(fuse_self(clip, back), fuse_self(clip, w), atol=1e-5)
@@ -314,6 +314,35 @@ def test_validate_shape_mismatch():
     tensors["attn.wk"] = np.zeros((6, 5))
     with pytest.raises(DimMismatchError):
         validate_fusion_shapes(tensors)
+
+
+@pytest.mark.parametrize("name", FUSION_TENSOR_NAMES)
+def test_validate_checks_every_tensor_shape(name):
+    tensors = init_fusion_weights(6, hidden=10, d_text=9, seed=1).to_dict()
+    tensors[name] = np.zeros(tensors[name].shape + (2,))
+    with pytest.raises(DimMismatchError, match=rf"tensor {name} has shape"):
+        validate_fusion_shapes(tensors)
+
+
+@pytest.mark.parametrize("name, shape, message", [
+    ("mlp.w1", (5, 10), "tensor mlp.w1 has shape (5, 10), expected (6, 10)"),
+    ("mlp.w1", (6,), "tensor mlp.w1 has shape (6,), expected a rank-2 tensor"),
+    ("mlp.w2", (10, 5), "tensor mlp.w2 has shape (10, 5), expected (10, 6)"),
+    ("lang_proj.w", (9, 5), "tensor lang_proj.w has shape (9, 5), expected (9, 6)"),
+    ("concat.fc_b", (2,), "tensor concat.fc_b has shape (2,), expected ()"),
+])
+def test_validate_names_the_expected_shape(name, shape, message):
+    tensors = init_fusion_weights(6, hidden=10, d_text=9, seed=1).to_dict()
+    tensors[name] = np.zeros(shape)
+    with pytest.raises(DimMismatchError) as exc:
+        validate_fusion_shapes(tensors)
+    assert str(exc.value) == message
+
+
+def test_validate_accepts_one_element_fc_b():
+    tensors = init_fusion_weights(6, seed=1).to_dict()
+    tensors["concat.fc_b"] = np.zeros(1)
+    assert validate_fusion_shapes(tensors) == 6
 
 
 def test_validate_lang_proj_rectangular_ok():

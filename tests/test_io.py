@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajkit import io
 from trajkit.errors import (
@@ -12,6 +14,7 @@ from trajkit.errors import (
     DuplicateCategoryError,
     FormatError,
     NonFiniteError,
+    TrajkitError,
     TruncatedError,
     UnknownCategoryError,
     ZeroNormError,
@@ -292,11 +295,10 @@ def test_weights_roundtrip(tmp_path):
                "scalar": np.float64(2.5)}
     path = tmp_path / "w.twb"
     io.write_weights(tensors, path)
-    bundle = io.load_weights(path)
-    assert bundle.version == 1
-    assert set(bundle.tensors) == set(tensors)
+    loaded = io.load_weights(path)
+    assert set(loaded) == set(tensors)
     for name, t in tensors.items():
-        got = bundle.tensors[name]
+        got = loaded[name]
         assert got.dtype == np.float64
         np.testing.assert_allclose(got, np.asarray(t, dtype=np.float32).astype(np.float64))
 
@@ -341,8 +343,50 @@ def test_weights_duplicate_name(tmp_path):
     record = raw[6:]
     raw.extend(record)
     path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="duplicate"):
+    with pytest.raises(FormatError, match=r"w\.twb: tensor 't' appears twice"):
         io.load_weights(path)
+
+
+def test_weights_unsupported_version(tmp_path):
+    path = tmp_path / "w.twb"
+    path.write_bytes(io.WEIGHTS_MAGIC + struct.pack("<H", 2))
+    with pytest.raises(FormatError, match=r"w\.twb: unsupported bundle version 2"):
+        io.load_weights(path)
+
+
+def _one_tensor_header(rank, dims):
+    # a v1 bundle holding the header of one tensor named "t" and no payload
+    return (io.WEIGHTS_MAGIC + struct.pack("<H", io.WEIGHTS_VERSION) + struct.pack("<H", 1) + b"t"
+            + struct.pack(f"<B{len(dims)}I", rank, *dims))
+
+
+@pytest.mark.parametrize("raw, error, message", [
+    # element counts that wrap round to 0 in int64 used to escape as a bare reshape ValueError
+    (_one_tensor_header(4, [2 ** 16] * 4), TruncatedError, "truncated payload for tensor 't'"),
+    (_one_tensor_header(2, [2 ** 32 - 1, 2 ** 31 + 1]), TruncatedError,
+     "truncated payload for tensor 't'"),
+    # more axes than numpy arrays can have
+    (_one_tensor_header(65, [0] * 65), FormatError, "tensor 't' has rank 65, more than 32"),
+], ids=["dims-2^16x4", "dims-2^32-1x2^31+1", "rank-65"])
+def test_weights_bad_tensor_header(tmp_path, raw, error, message):
+    path = tmp_path / "w.twb"
+    path.write_bytes(raw)
+    with pytest.raises(error) as exc:
+        io.load_weights(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=st.binary(max_size=64), header=st.booleans())
+def test_weights_any_bytes_raise_only_trajkit_errors(tmp_path_factory, body, header):
+    # whatever a .twb file holds, load_weights returns tensors or raises a TrajkitError
+    path = tmp_path_factory.mktemp("twb") / "w.twb"
+    path.write_bytes((io.WEIGHTS_MAGIC + struct.pack("<H", io.WEIGHTS_VERSION) if header else b"")
+                     + body)
+    try:
+        io.load_weights(path)
+    except TrajkitError:
+        pass
 
 
 def test_weights_name_not_utf8(tmp_path):
