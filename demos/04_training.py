@@ -35,7 +35,7 @@ cfg = TrainConfig(steps=500, learning_rate=0.05, batch_size=8, seed=1)
 # zeroed residual projections would zero this gradient exactly).
 w_check = init_fusion_weights(d, seed=1, zero_residual=False)
 _, grads = loss_and_gradients(pairs[0], w_check, cfg)
-w1 = w_check.to_dict()["mlp.w1"]
+w1 = w_check["mlp.w1"]
 num = numeric_gradient(lambda _t: loss_and_gradients(pairs[0], w_check, cfg)[0],
                        w1, eps=1e-5)
 gap = np.abs(num - grads["mlp.w1"]).max()

@@ -119,7 +119,7 @@ class LanguageRows:
 
 def project_vocabulary(vocab: Vocabulary, weights: FusionWeights | None = None) -> LanguageRows:
     """Language rows for every track of a run; ``weights=None`` projects by identity."""
-    lang_proj = np.eye(vocab.dim_text) if weights is None else weights.lang_proj
+    lang_proj = np.eye(vocab.dim_text) if weights is None else weights["lang_proj.w"]
     f_cate, f_attr = project_language(vocab, lang_proj)
     return LanguageRows(f_cate, f_attr, np.linalg.norm(f_cate, axis=1), np.linalg.norm(f_attr, axis=1))
 

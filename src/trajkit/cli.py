@@ -162,7 +162,7 @@ def _load_fusion_weights(path) -> FusionWeights:
     path = _need_file(path, "weights")
     tensors = io.load_weights(path)
     try:
-        return FusionWeights.from_dict(tensors)
+        return FusionWeights(tensors)
     except (MissingWeightsError, DimMismatchError) as exc:  # name the file, as io's errors do
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -174,7 +174,7 @@ def _check_weights_fit(path, weights: FusionWeights | None, width: int | None,
         return
     if width is not None and weights.d != width:
         raise DimMismatchError(f"{path}: weights are {weights.d} wide, embeddings {width}")
-    rows = weights.lang_proj.shape[0]
+    rows = weights["lang_proj.w"].shape[0]
     if dim_text is not None and rows != dim_text:
         raise DimMismatchError(f"{path}: lang_proj.w has {rows} rows, vocabulary dim_text is {dim_text}")
 
@@ -326,7 +326,7 @@ def cmd_train(args) -> int:
                        learning_rate=opts["lr"], steps=opts["steps"],
                        batch_size=opts["batch_size"], seed=opts["seed"], heads=opts["heads"])
     trained, curve = train_fusion(pairs, weights, tcfg)
-    io.write_weights(trained.to_dict(), out_dir / "weights.twb")
+    io.write_weights(trained, out_dir / "weights.twb")
     (out_dir / "loss_curve.json").write_text(
         json.dumps({"loss": curve}, indent=2) + "\n", encoding="utf-8")
     if curve:
@@ -357,6 +357,8 @@ def _bench_one_scene(scene_seed: int, opts: dict, weights: FusionWeights):
 
 def cmd_bench_fusion(args) -> int:
     opts = _resolve(args)
+    if opts["scenes"] < 1:
+        raise ValueError(f"--scenes must be at least 1, got {opts['scenes']}")
     if opts["weights"]:
         weights = _load_fusion_weights(opts["weights"])
         # a synthetic scene's embeddings and text vectors are both --dim wide

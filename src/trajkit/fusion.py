@@ -20,8 +20,11 @@ There is no positional encoding and no masking: clips are unordered sets as
 far as average/attention/self fusion are concerned. All math runs in float64.
 
 ``FUSION_TENSOR_SHAPES`` is the only statement of the ``.twb`` weight bundle:
-the bundle names, the shape check, ``FusionWeights.to_dict``/``from_dict``
-and the trainable set of :mod:`trajkit.train` are all read off it.
+the bundle names, the shape check and the trainable set of
+:mod:`trajkit.train` are all read off it. ``FusionWeights`` is the bundle's
+tensor dict itself, so the same object flows from ``io.load_weights``
+through fusion, classification and training to ``io.write_weights``; each
+layer reads its own group of names (``attn.*``, ``mlp.*``, ...).
 
 This module holds the only forward pass of the residual block. Its layer
 norm, attention and MLP forwards also return the intermediates that their
@@ -34,7 +37,6 @@ gradients of every ``ln1``, ``ln2``, ``attn`` and ``mlp`` tensor for
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -61,84 +63,25 @@ FUSION_TENSOR_SHAPES = {
 FUSION_TENSOR_NAMES = tuple(FUSION_TENSOR_SHAPES)
 
 
-@dataclass
-class LayerNormParams:
-    gamma: np.ndarray
-    beta: np.ndarray
-    eps: float = LN_EPS
+class FusionWeights(dict):
+    """Weights of every fusion mechanism and the language projection: the
+    bundle's tensors keyed by name, in bundle order (see FUSION_TENSOR_SHAPES).
 
+    ``FusionWeights(tensors)`` checks the shapes, stores each tensor as a
+    float64 array and drops any key that is not a bundle name.
+    """
 
-@dataclass
-class AttentionParams:
-    """Projection weights for one attention layer, applied as x @ w + b."""
-
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
-    bq: np.ndarray
-    bk: np.ndarray
-    bv: np.ndarray
-    bo: np.ndarray
-
-
-@dataclass
-class MlpParams:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-
-@dataclass
-class ConcatParams:
-    pool_w: np.ndarray  # projection after mean pooling
-    pool_b: np.ndarray
-    fc_w: np.ndarray  # final linear score
-    fc_b: np.ndarray
-
-
-@dataclass
-class FusionWeights:
-    """Weights of every fusion mechanism and the language projection (see FUSION_TENSOR_SHAPES)."""
-
-    ln1: LayerNormParams
-    ln2: LayerNormParams
-    attn: AttentionParams
-    mlp: MlpParams
-    cross: AttentionParams
-    concat: ConcatParams
-    lang_proj: np.ndarray  # bundle name lang_proj.w
+    def __init__(self, tensors: Mapping[str, np.ndarray]):
+        validate_fusion_shapes(tensors)
+        super().__init__((name, np.asarray(tensors[name], dtype=np.float64))
+                         for name in FUSION_TENSOR_NAMES)
 
     @property
     def d(self) -> int:
-        return self.ln1.gamma.shape[0]
-
-    def to_dict(self) -> dict[str, np.ndarray]:
-        """The weights' own arrays (not copies) keyed by bundle name, in bundle order."""
-        out = {}
-        for name in FUSION_TENSOR_NAMES:
-            group, key = name.split(".")
-            part = getattr(self, group)
-            out[name] = part if isinstance(part, np.ndarray) else getattr(part, key)
-        return out
+        return self["ln1.gamma"].shape[0]
 
     def copy(self) -> "FusionWeights":
-        return FusionWeights.from_dict({k: v.copy() for k, v in self.to_dict().items()})
-
-    @classmethod
-    def from_dict(cls, tensors: Mapping[str, np.ndarray]) -> "FusionWeights":
-        validate_fusion_shapes(tensors)
-        groups: dict[str, dict[str, np.ndarray]] = {}
-        for name in FUSION_TENSOR_NAMES:
-            group, key = name.split(".")
-            groups.setdefault(group, {})[key] = np.asarray(tensors[name], dtype=np.float64)
-        return cls(
-            ln1=LayerNormParams(**groups["ln1"]), ln2=LayerNormParams(**groups["ln2"]),
-            attn=AttentionParams(**groups["attn"]), mlp=MlpParams(**groups["mlp"]),
-            cross=AttentionParams(**groups["cross"]), concat=ConcatParams(**groups["concat"]),
-            lang_proj=groups["lang_proj"]["w"],
-        )
+        return FusionWeights({k: v.copy() for k, v in self.items()})
 
 
 def validate_fusion_shapes(tensors: Mapping[str, np.ndarray]) -> int:
@@ -203,9 +146,10 @@ def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     return x.reshape(*x.shape[:-1], heads, x.shape[-1] // heads)
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, w: AttentionParams,
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, w: FusionWeights, group: str,
             heads: int) -> tuple[np.ndarray, tuple]:
-    """Scaled dot-product attention of query rows against key/value rows.
+    """Scaled dot-product attention of query rows against key/value rows,
+    projected by the ``wq``...``bo`` tensors of ``group`` ("attn" or "cross").
 
     Rows are the second-to-last axis; any axes before it are batch axes.
     Returns the output and the cache :func:`_self_attention_backward` reads.
@@ -213,14 +157,15 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, w: AttentionParams,
     d = q.shape[-1]
     if heads < 1 or d % heads:
         raise DimMismatchError(f"width {d} is not divisible by {heads} heads")
-    qh = _split_heads(q @ w.wq + w.bq, heads)
-    kh = _split_heads(k @ w.wk + w.bk, heads)
-    vh = _split_heads(v @ w.wv + w.bv, heads)
+    g = group + "."
+    qh = _split_heads(q @ w[g + "wq"] + w[g + "bq"], heads)
+    kh = _split_heads(k @ w[g + "wk"] + w[g + "bk"], heads)
+    vh = _split_heads(v @ w[g + "wv"] + w[g + "bv"], heads)
     scale = 1.0 / np.sqrt(d // heads)
     scores = np.einsum("...nhk,...mhk->...hnm", qh, kh) * scale
     attn = softmax(scores, axis=-1)
     mixed = np.einsum("...hnm,...mhk->...nhk", attn, vh).reshape(q.shape)
-    return mixed @ w.wo + w.bo, (q, qh, kh, vh, attn, mixed, scale, w)
+    return mixed @ w[g + "wo"] + w[g + "bo"], (q, qh, kh, vh, attn, mixed, scale, w)
 
 
 def _self_attention_backward(dout, cache, grads):
@@ -229,7 +174,7 @@ def _self_attention_backward(dout, cache, grads):
     n, d = x.shape
     grads["attn.wo"] += mixed.T @ dout
     grads["attn.bo"] += dout.sum(axis=0)
-    dmixed = (dout @ w.wo.T).reshape(qh.shape)
+    dmixed = (dout @ w["attn.wo"].T).reshape(qh.shape)
     dattn = np.einsum("nhk,mhk->hnm", dmixed, vh)
     dvh = np.einsum("hnm,nhk->mhk", attn, dmixed)
     dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
@@ -239,44 +184,44 @@ def _self_attention_backward(dout, cache, grads):
     for key, g in (("q", dq), ("k", dk), ("v", dv)):
         grads[f"attn.w{key}"] += x.T @ g
         grads[f"attn.b{key}"] += g.sum(axis=0)
-    return dq @ w.wq.T + dk @ w.wk.T + dv @ w.wv.T
+    return dq @ w["attn.wq"].T + dk @ w["attn.wk"].T + dv @ w["attn.wv"].T
 
 
-def self_attention(x: np.ndarray, w: AttentionParams, heads: int = 1) -> np.ndarray:
-    """Multi-head self-attention over the rows of x, no masking."""
+def self_attention(x: np.ndarray, weights: FusionWeights, heads: int = 1) -> np.ndarray:
+    """Multi-head self-attention over the rows of x with the ``attn`` tensors, no masking."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    return _attend(x, x, x, w, heads)[0]
+    return _attend(x, x, x, weights, "attn", heads)[0]
 
 
-def cross_attention(query: np.ndarray, keyvalue: np.ndarray, w: AttentionParams,
+def cross_attention(query: np.ndarray, keyvalue: np.ndarray, weights: FusionWeights,
                     heads: int = 1) -> np.ndarray:
-    """Attention of query rows against separate key/value rows."""
+    """Attention of query rows against separate key/value rows with the ``cross`` tensors."""
     q = np.atleast_2d(np.asarray(query, dtype=np.float64))
     kv = np.atleast_2d(np.asarray(keyvalue, dtype=np.float64))
     if q.shape[1] != kv.shape[1]:
         raise DimMismatchError(f"query width {q.shape[1]} != key/value width {kv.shape[1]}")
-    return _attend(q, kv, kv, w, heads)[0]
+    return _attend(q, kv, kv, weights, "cross", heads)[0]
 
 
-def _mlp_forward(x, w: MlpParams):
-    pre = x @ w.w1 + w.b1
+def _mlp_forward(x, w: FusionWeights):
+    pre = x @ w["mlp.w1"] + w["mlp.b1"]
     act = gelu(pre)
-    return act @ w.w2 + w.b2, (x, pre, act, w)
+    return act @ w["mlp.w2"] + w["mlp.b2"], (x, pre, act, w)
 
 
 def _mlp_backward(dout, cache, grads):
     x, pre, act, w = cache
     grads["mlp.w2"] += act.T @ dout
     grads["mlp.b2"] += dout.sum(axis=0)
-    dpre = (dout @ w.w2.T) * _gelu_grad(pre)
+    dpre = (dout @ w["mlp.w2"].T) * _gelu_grad(pre)
     grads["mlp.w1"] += x.T @ dpre
     grads["mlp.b1"] += dpre.sum(axis=0)
-    return dpre @ w.w1.T
+    return dpre @ w["mlp.w1"].T
 
 
-def mlp_block(x: np.ndarray, w: MlpParams) -> np.ndarray:
-    """Two-layer GELU MLP applied per row."""
-    return _mlp_forward(np.asarray(x, dtype=np.float64), w)[0]
+def mlp_block(x: np.ndarray, weights: FusionWeights) -> np.ndarray:
+    """Two-layer GELU MLP with the ``mlp`` tensors, applied per row."""
+    return _mlp_forward(np.asarray(x, dtype=np.float64), weights)[0]
 
 
 def fuse_average(clip: np.ndarray) -> np.ndarray:
@@ -287,7 +232,7 @@ def fuse_average(clip: np.ndarray) -> np.ndarray:
 
 def fuse_attention(clip: np.ndarray, weights: FusionWeights, heads: int = 1) -> np.ndarray:
     """Column mean of one self-attention layer over the clip."""
-    return fuse_average(self_attention(clip, weights.attn, heads))
+    return fuse_average(self_attention(clip, weights, heads))
 
 
 def fuse_self(clip: np.ndarray, weights: FusionWeights, heads: int = 1,
@@ -300,7 +245,7 @@ def fuse_self(clip: np.ndarray, weights: FusionWeights, heads: int = 1,
     Avg(MLP(SA(clip))).
     """
     if not residual:
-        return fuse_average(mlp_block(self_attention(clip, weights.attn, heads), weights.mlp))
+        return fuse_average(mlp_block(self_attention(clip, weights, heads), weights))
     return fuse_self_forward(clip, weights, heads)[0]
 
 
@@ -308,12 +253,11 @@ def fuse_self_forward(clip: np.ndarray, weights: FusionWeights,
                       heads: int) -> tuple[np.ndarray, tuple]:
     """The residual ``fuse_self`` plus the cache :func:`fuse_self_backward` reads."""
     x = np.atleast_2d(np.asarray(clip, dtype=np.float64))
-    ln1, ln2 = weights.ln1, weights.ln2
-    h1, ln1_cache = _layer_norm_forward(x, ln1.gamma, ln1.beta, ln1.eps)
-    s, attn_cache = _attend(h1, h1, h1, weights.attn, heads)
+    h1, ln1_cache = _layer_norm_forward(x, weights["ln1.gamma"], weights["ln1.beta"], LN_EPS)
+    s, attn_cache = _attend(h1, h1, h1, weights, "attn", heads)
     u = x + s
-    h2, ln2_cache = _layer_norm_forward(u, ln2.gamma, ln2.beta, ln2.eps)
-    m, mlp_cache = _mlp_forward(h2, weights.mlp)
+    h2, ln2_cache = _layer_norm_forward(u, weights["ln2.gamma"], weights["ln2.beta"], LN_EPS)
+    m, mlp_cache = _mlp_forward(h2, weights)
     return fuse_average(u + m), (x.shape[0], ln1_cache, attn_cache, ln2_cache, mlp_cache)
 
 
@@ -339,7 +283,7 @@ def fuse_cross(clip: np.ndarray, weights: FusionWeights, heads: int = 1) -> np.n
     x = np.atleast_2d(np.asarray(clip, dtype=np.float64))
     fused = x[0]
     for i in range(1, x.shape[0]):
-        fused = cross_attention(fused, x[i], weights.cross, heads)[0]
+        fused = cross_attention(fused, x[i], weights, heads)[0]
     return np.asarray(fused, dtype=np.float64)
 
 
@@ -367,49 +311,39 @@ def concat_score(clip: np.ndarray, lang: np.ndarray, weights: FusionWeights,
     stacked[:, n] = rows
     # Pooled rows stay (V, 1, d), so the projections below are one 1 x d
     # product per stack and every score has the bits of a one-row call.
-    pooled = _attend(stacked, stacked, stacked, weights.attn, heads)[0].mean(axis=-2, keepdims=True)
-    projected = pooled @ weights.concat.pool_w + weights.concat.pool_b
-    raw = projected @ weights.concat.fc_w + np.asarray(weights.concat.fc_b).reshape(())
+    pooled = _attend(stacked, stacked, stacked, weights, "attn", heads)[0].mean(axis=-2, keepdims=True)
+    projected = pooled @ weights["concat.pool_w"] + weights["concat.pool_b"]
+    raw = projected @ weights["concat.fc_w"] + weights["concat.fc_b"].reshape(())
     scores = 1.0 / (1.0 + np.exp(-raw[:, 0]))
     return float(scores[0]) if lang.ndim == 1 else scores
 
 
 def init_fusion_weights(d: int, hidden: int | None = None, d_text: int | None = None,
                         seed: int = 0, zero_residual: bool = True) -> FusionWeights:
-    """Seeded symmetric-uniform initialization, scale 1/sqrt(fan_in).
+    """Seeded initialization, tensor by tensor in bundle order.
 
-    ``zero_residual=True`` zeroes the attention output and second MLP
-    projections so an untrained ``fuse_self`` is exactly ``fuse_average``;
-    the cross/concat groups keep full random projections so every mechanism
-    produces non-degenerate output out of the box.
+    Every projection matrix (``w*`` and ``*_w``) is drawn symmetric-uniform
+    with scale 1/sqrt(fan_in), fan_in being its first dimension; layer norm
+    gammas are ones and biases zeros. ``lang_proj.w`` is the identity when
+    ``d_text == d``. ``zero_residual=True`` zeroes the attention output and
+    second MLP projections so an untrained ``fuse_self`` is exactly
+    ``fuse_average``; the cross/concat groups keep full random projections so
+    every mechanism produces non-degenerate output out of the box.
     """
-    hidden = 4 * d if hidden is None else hidden
-    d_text = d if d_text is None else d_text
+    width = {"d": d, "h": 4 * d if hidden is None else hidden, "t": d if d_text is None else d_text}
+    zeroed = ("attn.wo", "mlp.w2") if zero_residual else ()
     rng = np.random.default_rng(seed)
-
-    def uni(fan_in, *shape):
-        lim = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-lim, lim, size=shape)
-
-    def attn_group(zero_wo):
-        return AttentionParams(
-            wq=uni(d, d, d), wk=uni(d, d, d), wv=uni(d, d, d),
-            wo=np.zeros((d, d)) if zero_wo else uni(d, d, d),
-            bq=np.zeros(d), bk=np.zeros(d), bv=np.zeros(d), bo=np.zeros(d),
-        )
-
-    attn = attn_group(zero_residual)
-    mlp = MlpParams(
-        w1=uni(d, d, hidden), b1=np.zeros(hidden),
-        w2=np.zeros((hidden, d)) if zero_residual else uni(hidden, hidden, d),
-        b2=np.zeros(d),
-    )
-    cross = attn_group(False)
-    concat = ConcatParams(pool_w=uni(d, d, d), pool_b=np.zeros(d),
-                          fc_w=uni(d, d), fc_b=np.zeros(()))
-    lang_proj = np.eye(d_text, d) if d_text == d else uni(d_text, d_text, d)
-    return FusionWeights(
-        ln1=LayerNormParams(np.ones(d), np.zeros(d)),
-        ln2=LayerNormParams(np.ones(d), np.zeros(d)),
-        attn=attn, mlp=mlp, cross=cross, concat=concat, lang_proj=lang_proj,
-    )
+    tensors = {}
+    for name, letters in FUSION_TENSOR_SHAPES.items():
+        shape = tuple(width[c] for c in letters)
+        key = name.split(".")[1]
+        if key == "gamma":
+            tensors[name] = np.ones(shape)
+        elif name == "lang_proj.w" and width["t"] == d:
+            tensors[name] = np.eye(d)
+        elif (key[0] == "w" or key.endswith("_w")) and name not in zeroed:
+            lim = 1.0 / np.sqrt(shape[0])
+            tensors[name] = rng.uniform(-lim, lim, size=shape)
+        else:
+            tensors[name] = np.zeros(shape)
+    return FusionWeights(tensors)

@@ -401,6 +401,7 @@ def load_vocabulary(path) -> Vocabulary:
              str(path), "vocabulary needs dim_text and an entries list")
     dim_text = obj["dim_text"]
     _require(_is_int(dim_text) and dim_text > 0, str(path), "dim_text must be a positive int")
+    _require(obj["entries"], str(path), "vocabulary needs at least one entry")
     entries = []
     for i, raw in enumerate(obj["entries"]):
         where = f"{path}: entry {i}"
@@ -451,7 +452,7 @@ def load_weights(path) -> dict[str, np.ndarray]:
 
     Validates magic, version, truncation, UTF-8 names, duplicate names and
     finiteness. Which tensors a bundle holds and their shapes are the concern
-    of :meth:`trajkit.fusion.FusionWeights.from_dict`.
+    of :class:`trajkit.fusion.FusionWeights`, which is built from this dict.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 6:

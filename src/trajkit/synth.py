@@ -20,6 +20,7 @@ given config always produces the identical scene, bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,8 +53,10 @@ class SynthConfig:
     def __post_init__(self):
         if min(self.n_identities, self.n_frames, self.n_categories, self.embed_dim) < 1:
             raise ValueError("identities, frames, categories and embed_dim must be positive")
-        if self.noise_sigma < 0 or self.fp_rate < 0:
-            raise ValueError("noise_sigma and fp_rate must be non-negative")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.noise_sigma, self.fp_rate)):
+            raise ValueError("noise_sigma and fp_rate must be finite and non-negative")
+        if self.class_spread is not None and not math.isfinite(self.class_spread):
+            raise ValueError("class_spread must be finite")
         if not 0.0 <= self.miss_rate < 1.0 or not 0.0 <= self.label_flip_prob < 1.0:
             raise ValueError("miss_rate and label_flip_prob must lie in [0, 1)")
         if self.conf_alpha <= 0 or self.conf_beta <= 0:

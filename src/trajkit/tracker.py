@@ -96,8 +96,8 @@ class TrackerConfig:
             raise ValueError("max_age must be non-negative")
         if self.sim_mode not in SIM_MODES:
             raise ValueError(f"sim_mode must be one of {SIM_MODES}, got {self.sim_mode!r}")
-        if self.softmax_temperature <= 0:
-            raise ValueError("softmax_temperature must be positive")
+        if not math.isfinite(self.softmax_temperature) or self.softmax_temperature <= 0:
+            raise ValueError("softmax_temperature must be finite and positive")
 
 
 @dataclass(eq=False)
@@ -183,8 +183,8 @@ def _unit_row(x: np.ndarray) -> np.ndarray:
 
 def bisoftmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Mean of row-wise and column-wise softmax of logits / temperature."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    if not math.isfinite(temperature) or temperature <= 0:
+        raise ValueError("temperature must be finite and positive")
     logits = np.asarray(logits, dtype=np.float64) / temperature
     if logits.ndim != 2:
         raise DimMismatchError(f"bisoftmax expects a matrix, got shape {logits.shape}")

@@ -134,8 +134,7 @@ def loss_and_gradients(pair: TrainPair, weights: FusionWeights,
         fa_n, fb_n = fa, fb
         back_a = back_b = lambda g: g
     loss, dfa_n, dfb_n = _loss_head(fa_n, fb_n, pair.label, cfg.margin, cfg.distance)
-    tensors = weights.to_dict()
-    grads = {name: np.zeros_like(tensors[name]) for name in TRAINABLE_TENSORS}
+    grads = {name: np.zeros_like(weights[name]) for name in TRAINABLE_TENSORS}
     fuse_self_backward(back_a(dfa_n), cache_a, grads)
     fuse_self_backward(back_b(dfb_n), cache_b, grads)
     return loss, grads
@@ -164,33 +163,37 @@ def train_fusion(pairs: Iterable[TrainPair], weights: FusionWeights,
     """Plain gradient descent over the fuse_self path.
 
     Pairs are shuffled once with the config seed and cycled in fixed order,
-    so the run is deterministic. Returns fresh weights (the input object is
-    untouched) and the per-step mean batch loss, recorded before each update.
-    Raises DivergedError as soon as a batch loss turns non-finite.
+    so the run is deterministic. A batch of ``batch_size`` draws from P pairs
+    visits each distinct pair of the step once, weighted by how often the
+    cycle draws it, so a step costs at most min(batch_size, P) passes.
+    Returns fresh weights (the input object is untouched) and the per-step
+    mean batch loss, recorded before each update. Raises DivergedError as soon
+    as a batch loss turns non-finite.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("train_fusion needs at least one pair")
-    weights = weights.copy()
-    tensors = weights.to_dict()  # views into the copy, updated in place
+    weights = weights.copy()  # updated in place below
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(len(pairs))
+    size, n_pairs = cfg.batch_size, len(pairs)
+    rounds, extra = divmod(size, n_pairs)
     curve: list[float] = []
     cursor = 0
     for step in range(cfg.steps):
-        batch = [pairs[order[(cursor + j) % len(pairs)]] for j in range(cfg.batch_size)]
-        cursor = (cursor + cfg.batch_size) % len(pairs)
         total = 0.0
-        acc = {name: np.zeros_like(tensors[name]) for name in TRAINABLE_TENSORS}
-        for pair in batch:
-            loss, grads = loss_and_gradients(pair, weights, cfg)
-            total += loss
+        acc = {name: np.zeros_like(weights[name]) for name in TRAINABLE_TENSORS}
+        for j in range(min(size, n_pairs)):
+            count = rounds + (j < extra)  # draws of this pair in the step
+            loss, grads = loss_and_gradients(pairs[order[(cursor + j) % n_pairs]], weights, cfg)
+            total += count * loss
             for name in TRAINABLE_TENSORS:
-                acc[name] += grads[name]
-        mean_loss = total / len(batch)
+                acc[name] += grads[name] if count == 1 else count * grads[name]
+        cursor = (cursor + size) % n_pairs
+        mean_loss = total / size
         if not np.isfinite(mean_loss):
             raise DivergedError(step)
         for name in TRAINABLE_TENSORS:
-            tensors[name] -= cfg.learning_rate * acc[name] / len(batch)
+            weights[name] -= cfg.learning_rate * acc[name] / size
         curve.append(mean_loss)
     return weights, curve

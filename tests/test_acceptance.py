@@ -16,6 +16,7 @@ import pytest
 from trajkit import cli, io
 from trajkit.classify import ClassifyConfig, classify_trajectory, to_track_record
 from trajkit.fusion import (
+    LN_EPS,
     concat_score,
     fuse_attention,
     fuse_average,
@@ -109,20 +110,20 @@ def _o_mean_rows(rows):
 
 
 def _weights_as_lists(w):
-    attn = {k: getattr(w.attn, k).tolist() for k in ("wq", "wk", "wv", "wo",
-                                                     "bq", "bk", "bv", "bo")}
-    cross = {k: getattr(w.cross, k).tolist() for k in ("wq", "wk", "wv", "wo",
-                                                       "bq", "bk", "bv", "bo")}
+    attn = {k: w[f"attn.{k}"].tolist() for k in ("wq", "wk", "wv", "wo",
+                                                 "bq", "bk", "bv", "bo")}
+    cross = {k: w[f"cross.{k}"].tolist() for k in ("wq", "wk", "wv", "wo",
+                                                   "bq", "bk", "bv", "bo")}
     return attn, cross
 
 
 def _o_fuse_self(rows, w, attn):
-    normed = _o_layer_norm(rows, w.ln1.gamma.tolist(), w.ln1.beta.tolist(), w.ln1.eps)
+    normed = _o_layer_norm(rows, w["ln1.gamma"].tolist(), w["ln1.beta"].tolist(), LN_EPS)
     att = _o_attention(normed, normed, attn, 1)
     x1 = [[a + b for a, b in zip(r, s)] for r, s in zip(rows, att)]
-    normed2 = _o_layer_norm(x1, w.ln2.gamma.tolist(), w.ln2.beta.tolist(), w.ln2.eps)
-    mlp = _o_mlp(normed2, w.mlp.w1.tolist(), w.mlp.b1.tolist(),
-                 w.mlp.w2.tolist(), w.mlp.b2.tolist())
+    normed2 = _o_layer_norm(x1, w["ln2.gamma"].tolist(), w["ln2.beta"].tolist(), LN_EPS)
+    mlp = _o_mlp(normed2, w["mlp.w1"].tolist(), w["mlp.b1"].tolist(),
+                 w["mlp.w2"].tolist(), w["mlp.b2"].tolist())
     x2 = [[a + b for a, b in zip(r, s)] for r, s in zip(x1, mlp)]
     return _o_mean_rows(x2)
 
@@ -176,11 +177,11 @@ def test_criterion_01_op_fidelity(capfd):
                   _o_layer_norm(rows, gamma.tolist(), beta.tolist(), 1e-5))
 
             heads = 2 if d % 4 == 0 and rng.random() < 0.5 else 1
-            check(self_attention(x, w.attn, heads), _o_attention(rows, rows, attn, heads))
+            check(self_attention(x, w, heads), _o_attention(rows, rows, attn, heads))
 
-            check(mlp_block(x, w.mlp),
-                  _o_mlp(rows, w.mlp.w1.tolist(), w.mlp.b1.tolist(),
-                         w.mlp.w2.tolist(), w.mlp.b2.tolist()))
+            check(mlp_block(x, w),
+                  _o_mlp(rows, w["mlp.w1"].tolist(), w["mlp.b1"].tolist(),
+                         w["mlp.w2"].tolist(), w["mlp.b2"].tolist()))
 
             check(fuse_average(x), _o_mean_rows(rows))
             check(fuse_attention(x, w), _o_mean_rows(_o_attention(rows, rows, attn, 1)))
@@ -194,10 +195,10 @@ def test_criterion_01_op_fidelity(capfd):
             lang = rng.normal(size=d)
             stacked = rows + [lang.tolist()]
             pooled = _o_mean_rows(_o_attention(stacked, stacked, attn, 1))
-            proj = [sum(pooled[a] * w.concat.pool_w[a][c] for a in range(d))
-                    + w.concat.pool_b[c] for c in range(d)]
-            raw = sum(p * float(fw) for p, fw in zip(proj, np.ravel(w.concat.fc_w)))
-            raw += float(np.ravel(w.concat.fc_b)[0])
+            proj = [sum(pooled[a] * w["concat.pool_w"][a][c] for a in range(d))
+                    + w["concat.pool_b"][c] for c in range(d)]
+            raw = sum(p * float(fw) for p, fw in zip(proj, np.ravel(w["concat.fc_w"])))
+            raw += float(np.ravel(w["concat.fc_b"])[0])
             check(concat_score(x, lang, w), 1.0 / (1.0 + math.exp(-raw)))
 
         elapsed = time.perf_counter() - t0
@@ -222,10 +223,9 @@ def test_criterion_02_gradient_check(capfd):
             cfg = TrainConfig(margin=margin, distance=distance)
             pair = TrainPair(rng.normal(size=(na, d)), rng.normal(size=(nb, d)), y)
             _, grads = loss_and_gradients(pair, w, cfg)
-            tensors = w.to_dict()
             for name in TRAINABLE_TENSORS:
                 num = numeric_gradient(lambda _t: pair_loss(pair, w, cfg),
-                                       tensors[name], eps=1e-5)
+                                       w[name], eps=1e-5)
                 ana = grads[name]
                 rel = np.abs(num - ana) / np.maximum(np.maximum(np.abs(num), np.abs(ana)), 1e-6)
                 worst = max(worst, float(rel.max()))
@@ -348,7 +348,7 @@ def test_criterion_06_fusion_degeneracy(capfd):
             d = int(rng.integers(2, 9)) * 2
             n = int(rng.integers(1, 7))
             w = init_fusion_weights(d, seed=int(rng.integers(10000)))  # W_O = W_2 = 0
-            assert np.all(w.attn.wo == 0.0) and np.all(w.mlp.w2 == 0.0)
+            assert np.all(w["attn.wo"] == 0.0) and np.all(w["mlp.w2"] == 0.0)
             clip = rng.normal(size=(n, d))
             diff = np.abs(fuse_self(clip, w) - fuse_average(clip)).max()
             worst = max(worst, float(diff))

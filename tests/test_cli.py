@@ -120,7 +120,7 @@ def test_track_missing_weights_for_fusion(tmp_path, capsys):
 
 
 def _write_weights(path, d, d_text=None):
-    io.write_weights(init_fusion_weights(d, d_text=d_text, seed=0).to_dict(), path)
+    io.write_weights(init_fusion_weights(d, d_text=d_text, seed=0), path)
     return path
 
 
@@ -184,7 +184,7 @@ def test_track_names_weights_whose_lang_proj_misses_dim_text(tmp_path, capsys):
 ], ids=["missing-tensor", "bad-shape"])
 def test_track_names_weights_file_of_bad_bundle(tmp_path, capsys, drop, change, message):
     scene = _synth(tmp_path / "scene")
-    tensors = {**init_fusion_weights(8, seed=0).to_dict(), **change}
+    tensors = {**init_fusion_weights(8, seed=0), **change}
     tensors.pop(drop, None)
     weights = tmp_path / "w.twb"
     io.write_weights(tensors, weights)
@@ -306,6 +306,40 @@ def test_bench_fusion_table(tmp_path, capsys):
         assert set(row) == {"teta", "loc_a", "ass_a", "cls_a"}
     stdout = capsys.readouterr().out
     assert "mechanism" in stdout
+
+
+def test_bench_fusion_rejects_zero_scenes(tmp_path, capsys):
+    # zero scenes used to exit 0 and write NaN means, which is not JSON
+    out = tmp_path / "bench"
+    rc = _run(["bench-fusion", "--dim", 8, "--scenes", 0, "--out-dir", out])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: ValueError: --scenes must be at least 1, got 0\n"
+    assert not out.exists()
+
+
+def test_track_rejects_nan_softmax_temperature(tmp_path, capsys):
+    scene = _synth(tmp_path / "scene")
+    capsys.readouterr()
+    rc = _run(["track", "--detections", scene / "detections.jsonl",
+               "--softmax-temperature", "nan", "--out-dir", tmp_path / "run"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: ValueError: softmax_temperature must be finite and positive\n")
+
+
+def test_classify_names_empty_vocabulary(tmp_path, capsys):
+    scene = _synth(tmp_path / "scene")
+    run = tmp_path / "run"
+    assert _run(["track", "--detections", scene / "detections.jsonl", "--out-dir", run]) == 0
+    vocab = tmp_path / "empty.json"
+    vocab.write_text(json.dumps({"dim_text": 8, "entries": []}))
+    capsys.readouterr()
+    rc = _run(["classify", "--tracks", run / "tracks.jsonl",
+               "--detections", scene / "detections.jsonl",
+               "--vocabulary", vocab, "--out-dir", tmp_path / "cls"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: FormatError: {vocab}: vocabulary needs at least one entry\n")
 
 
 def test_missing_input_exits_1(tmp_path, capsys):

@@ -66,8 +66,8 @@ def _oracle_attention(q_rows, kv_rows, w, heads):
              for b in range(d)] for i in range(len(q_rows))]
 
 
-def _attn_dict(p):
-    return {k: getattr(p, k).tolist() for k in ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")}
+def _attn_dict(w, group):
+    return {k: w[f"{group}.{k}"].tolist() for k in ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")}
 
 
 def test_layer_norm_frozen():
@@ -103,8 +103,8 @@ def test_self_attention_oracle():
             n = int(rng.integers(1, 5))
             w = init_fusion_weights(d, seed=int(rng.integers(1000)), zero_residual=False)
             x = rng.normal(size=(n, d))
-            got = self_attention(x, w.attn, heads=heads)
-            want = _oracle_attention(x.tolist(), x.tolist(), _attn_dict(w.attn), heads)
+            got = self_attention(x, w, heads=heads)
+            want = _oracle_attention(x.tolist(), x.tolist(), _attn_dict(w, "attn"), heads)
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
@@ -116,8 +116,8 @@ def test_cross_attention_oracle():
         w = init_fusion_weights(d, seed=int(rng.integers(1000)), zero_residual=False)
         q = rng.normal(size=(1, d))
         kv = rng.normal(size=(n, d))
-        got = cross_attention(q, kv, w.cross, heads=2)
-        want = _oracle_attention(q.tolist(), kv.tolist(), _attn_dict(w.cross), 2)
+        got = cross_attention(q, kv, w, heads=2)
+        want = _oracle_attention(q.tolist(), kv.tolist(), _attn_dict(w, "cross"), 2)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
@@ -127,10 +127,10 @@ def test_mlp_block_oracle():
         d = int(rng.integers(2, 9))
         w = init_fusion_weights(d, seed=int(rng.integers(1000)), zero_residual=False)
         x = rng.normal(size=(3, d))
-        got = mlp_block(x, w.mlp)
-        h = x @ w.mlp.w1 + w.mlp.b1
+        got = mlp_block(x, w)
+        h = x @ w["mlp.w1"] + w["mlp.b1"]
         act = np.array([_oracle_gelu(row) for row in h.tolist()])
-        want = act @ w.mlp.w2 + w.mlp.b2
+        want = act @ w["mlp.w2"] + w["mlp.b2"]
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
@@ -158,7 +158,7 @@ def test_fuse_self_residual_structure():
     w = init_fusion_weights(d, seed=3, zero_residual=False)
     x = rng.normal(size=(4, d))
     got = fuse_self(x, w, residual=False)
-    want = fuse_average(mlp_block(self_attention(x, w.attn), w.mlp))
+    want = fuse_average(mlp_block(self_attention(x, w), w))
     np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
@@ -167,7 +167,7 @@ def test_fuse_attention_structure():
     d = 6
     w = init_fusion_weights(d, seed=4, zero_residual=False)
     x = rng.normal(size=(3, d))
-    np.testing.assert_allclose(fuse_attention(x, w), fuse_average(self_attention(x, w.attn)),
+    np.testing.assert_allclose(fuse_attention(x, w), fuse_average(self_attention(x, w)),
                                rtol=1e-12)
 
 
@@ -179,7 +179,7 @@ def test_fuse_cross_sequential():
     x = rng.normal(size=(3, d))
     fused = x[0]
     for i in range(1, 3):
-        fused = cross_attention(fused[None, :], x[i][None, :], w.cross, heads=1)[0]
+        fused = cross_attention(fused[None, :], x[i][None, :], w, heads=1)[0]
     np.testing.assert_allclose(fuse_cross(x, w), fused, rtol=1e-12)
 
 
@@ -278,13 +278,41 @@ def test_init_weights_shapes_and_determinism():
     w1 = init_fusion_weights(d, seed=7)
     w2 = init_fusion_weights(d, seed=7)
     assert w1.d == d
-    assert w1.attn.wq.shape == (d, d)
-    assert w1.mlp.w1.shape == (d, 4 * d)
-    assert w1.concat.fc_w.shape == (d, 1) or w1.concat.fc_w.shape == (d,)
-    for name, t in w1.to_dict().items():
-        np.testing.assert_array_equal(t, w2.to_dict()[name])
+    assert w1["attn.wq"].shape == (d, d)
+    assert w1["mlp.w1"].shape == (d, 4 * d)
+    assert w1["concat.fc_w"].shape == (d, 1) or w1["concat.fc_w"].shape == (d,)
+    for name, t in w1.items():
+        np.testing.assert_array_equal(t, w2[name])
     w3 = init_fusion_weights(d, seed=8)
-    assert np.abs(w1.attn.wq - w3.attn.wq).max() > 0
+    assert np.abs(w1["attn.wq"] - w3["attn.wq"]).max() > 0
+
+
+@pytest.mark.parametrize("zero_residual, d_text, digest", [
+    (True, 6, "dd2771ca9249926dd860c421cabe7161c905fe4bb5f1f6e17778e36be1261553"),
+    (True, 9, "8a88894bc66d00eb19d7c080c3a877f9849b2196abfb68481a34c6c9dfd5a0a8"),
+    (False, 6, "3c18e7212491df3a32fa240fc49a66166a0f829acf00785f8c66dc71feb30a3c"),
+    (False, 9, "08d3daf41a56fc6e11db14cf40cf975a81f48b75c7eb3d75e2f2538f251b74dd"),
+])
+def test_init_weights_keep_their_bytes(tmp_path, zero_residual, d_text, digest):
+    # Pins the bundle bytes of a fresh initialization: the tensor order and
+    # the order of the random draws must both stay put.
+    path = tmp_path / "w.twb"
+    io.write_weights(init_fusion_weights(6, hidden=10, d_text=d_text, seed=3,
+                                         zero_residual=zero_residual), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_fusion_weights_is_the_bundle_dict():
+    w = init_fusion_weights(6, seed=1)
+    tensors = {name: w[name].astype(np.float32) for name in reversed(FUSION_TENSOR_NAMES)}
+    built = FusionWeights({**tensors, "extra.w": np.zeros(3)})
+    assert tuple(built) == FUSION_TENSOR_NAMES
+    assert all(built[name].dtype == np.float64 for name in built)
+    copied = w.copy()
+    assert type(copied) is FusionWeights
+    copied["attn.wq"] += 1.0
+    assert not np.shares_memory(copied["attn.wq"], w["attn.wq"])
+    assert np.all(copied["attn.wq"] == w["attn.wq"] + 1.0)
 
 
 def test_weights_roundtrip_through_bundle(tmp_path):
@@ -292,8 +320,8 @@ def test_weights_roundtrip_through_bundle(tmp_path):
     d = 8
     w = init_fusion_weights(d, seed=9, zero_residual=False)
     path = tmp_path / "w.twb"
-    io.write_weights(w.to_dict(), path)
-    back = FusionWeights.from_dict(io.load_weights(path))
+    io.write_weights(w, path)
+    back = FusionWeights(io.load_weights(path))
     clip = rng.normal(size=(3, d))
     # payloads persist as float32, so agreement is at single precision
     np.testing.assert_allclose(fuse_self(clip, back), fuse_self(clip, w), atol=1e-5)
@@ -302,7 +330,7 @@ def test_weights_roundtrip_through_bundle(tmp_path):
 
 def test_validate_missing_tensor():
     w = init_fusion_weights(6, seed=1)
-    tensors = w.to_dict()
+    tensors = w
     tensors.pop("mlp.w2")
     with pytest.raises(MissingWeightsError, match="mlp.w2"):
         validate_fusion_shapes(tensors)
@@ -310,7 +338,7 @@ def test_validate_missing_tensor():
 
 def test_validate_shape_mismatch():
     w = init_fusion_weights(6, seed=1)
-    tensors = dict(w.to_dict())
+    tensors = dict(w)
     tensors["attn.wk"] = np.zeros((6, 5))
     with pytest.raises(DimMismatchError):
         validate_fusion_shapes(tensors)
@@ -318,7 +346,7 @@ def test_validate_shape_mismatch():
 
 @pytest.mark.parametrize("name", FUSION_TENSOR_NAMES)
 def test_validate_checks_every_tensor_shape(name):
-    tensors = init_fusion_weights(6, hidden=10, d_text=9, seed=1).to_dict()
+    tensors = init_fusion_weights(6, hidden=10, d_text=9, seed=1)
     tensors[name] = np.zeros(tensors[name].shape + (2,))
     with pytest.raises(DimMismatchError, match=rf"tensor {name} has shape"):
         validate_fusion_shapes(tensors)
@@ -332,7 +360,7 @@ def test_validate_checks_every_tensor_shape(name):
     ("concat.fc_b", (2,), "tensor concat.fc_b has shape (2,), expected ()"),
 ])
 def test_validate_names_the_expected_shape(name, shape, message):
-    tensors = init_fusion_weights(6, hidden=10, d_text=9, seed=1).to_dict()
+    tensors = init_fusion_weights(6, hidden=10, d_text=9, seed=1)
     tensors[name] = np.zeros(shape)
     with pytest.raises(DimMismatchError) as exc:
         validate_fusion_shapes(tensors)
@@ -340,19 +368,19 @@ def test_validate_names_the_expected_shape(name, shape, message):
 
 
 def test_validate_accepts_one_element_fc_b():
-    tensors = init_fusion_weights(6, seed=1).to_dict()
+    tensors = init_fusion_weights(6, seed=1)
     tensors["concat.fc_b"] = np.zeros(1)
     assert validate_fusion_shapes(tensors) == 6
 
 
 def test_validate_lang_proj_rectangular_ok():
     w = init_fusion_weights(6, d_text=9, seed=2)
-    assert w.lang_proj.shape == (9, 6)
-    d = validate_fusion_shapes(w.to_dict())
+    assert w["lang_proj.w"].shape == (9, 6)
+    d = validate_fusion_shapes(w)
     assert d == 6
 
 
 def test_tensor_name_inventory():
     w = init_fusion_weights(4, seed=0)
-    assert tuple(w.to_dict().keys()) == FUSION_TENSOR_NAMES
+    assert tuple(w.keys()) == FUSION_TENSOR_NAMES
     assert len(FUSION_TENSOR_NAMES) == 29

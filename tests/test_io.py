@@ -281,6 +281,7 @@ _ENTRY = {"id": 0, "name": "x", "split": "base", "cate_emb": [1, 0], "attr_emb":
     (2, [_ENTRY, 7], r"v\.json: entry 1: entry must be a JSON object"),
     (2, 7, r"v\.json: vocabulary needs dim_text and an entries list"),
     (True, [_ENTRY], r"v\.json: dim_text must be a positive int"),
+    (2, [], r"v\.json: vocabulary needs at least one entry"),
 ])
 def test_vocabulary_malformed_entries(tmp_path, dim_text, entries, message):
     path = tmp_path / "v.json"

@@ -1,5 +1,7 @@
 """Scene generator guarantees: determinism, exactness at zero noise, corruptions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -228,3 +230,12 @@ def test_config_validation():
         Augmentations(erase_fraction=2.0)
     with pytest.raises(ValueError):
         Augmentations(scale_range=(2.0, 0.5))
+
+
+@pytest.mark.parametrize("field", ["noise_sigma", "fp_rate", "class_spread"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite(field, value):
+    # NaN noise used to give clean prototypes with noisy-path confidences,
+    # and a NaN class spread wrote NaN embeddings
+    with pytest.raises(ValueError, match=f"{field}.*must be finite"):
+        SynthConfig(**{field: value})

@@ -331,6 +331,16 @@ def test_config_validation():
     assert TrackerConfig(tau_new=None).tau_new == TrackerConfig().tau_high
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_softmax_temperature_must_be_finite(value):
+    # a NaN temperature used to pass the "<= 0" check and turn every
+    # bi-softmax score into NaN, so no detection ever matched
+    with pytest.raises(ValueError, match="softmax_temperature must be finite and positive"):
+        TrackerConfig(softmax_temperature=value)
+    with pytest.raises(ValueError, match="temperature must be finite and positive"):
+        bisoftmax(np.eye(2), value)
+
+
 def test_two_object_separation_property():
     # far-apart appearances never swap under moderate noise
     rng = np.random.default_rng(5)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from trajkit import train
 from trajkit.errors import DimMismatchError, DivergedError, ZeroNormError
 from trajkit.fusion import init_fusion_weights
 from trajkit.train import (
@@ -58,10 +59,9 @@ def test_gradients_match_numeric_euclidean(heads):
         pair = TrainPair(rng.normal(size=(3, d)), rng.normal(size=(2, d)) * 0.2, y)
         loss, grads = loss_and_gradients(pair, w, cfg)
         assert loss > 0
-        tensors = w.to_dict()
         for name in TRAINABLE_TENSORS:
             num = numeric_gradient(lambda _t: loss_and_gradients(pair, w, cfg)[0],
-                                   tensors[name])
+                                   w[name])
             # atol soaks up finite-difference noise on exactly-zero entries
             # (a shared key bias cancels inside the row softmax, so its
             # analytic gradient is identically zero)
@@ -76,10 +76,9 @@ def test_gradients_match_numeric_cosine():
     cfg = TrainConfig(margin=0.8, distance="cosine")
     pair = TrainPair(rng.normal(size=(2, d)), rng.normal(size=(3, d)), 1)
     _, grads = loss_and_gradients(pair, w, cfg)
-    tensors = w.to_dict()
     for name in TRAINABLE_TENSORS:
         num = numeric_gradient(lambda _t: loss_and_gradients(pair, w, cfg)[0],
-                               tensors[name])
+                               w[name])
         np.testing.assert_allclose(num, grads[name], rtol=1e-5, atol=1e-8,
                                    err_msg=name)
 
@@ -92,9 +91,8 @@ def test_analytic_gradients_inventory():
     _, grads = loss_and_gradients(TrainPair(rng.normal(size=(2, d)),
                                             rng.normal(size=(2, d)), 1), w, cfg)
     assert set(grads) == set(TRAINABLE_TENSORS)
-    tensors = w.to_dict()
     for name in TRAINABLE_TENSORS:
-        assert grads[name].shape == tensors[name].shape
+        assert grads[name].shape == w[name].shape
 
 
 def test_numeric_gradient_on_quadratic():
@@ -167,7 +165,56 @@ def test_train_reduces_loss_and_is_deterministic():
     # the input weights are untouched and a rerun reproduces the curve exactly
     trained2, curve2 = train_fusion(pairs, w0, cfg)
     assert curve == curve2
-    np.testing.assert_array_equal(trained.attn.wq, trained2.attn.wq)
+    np.testing.assert_array_equal(trained["attn.wq"], trained2["attn.wq"])
+
+
+def _pairs(n, d=4, seed=8):
+    rng = np.random.default_rng(seed)
+    return [TrainPair(rng.normal(size=(2, d)), rng.normal(size=(3, d)), k % 2) for k in range(n)]
+
+
+def _expanded_batch_training(pairs, weights, cfg):
+    # Reference loop: a batch is the list of batch_size pairs drawn by the
+    # cycling cursor, repeats included, and each draw costs one pass.
+    weights = weights.copy()
+    order = np.random.default_rng(cfg.seed).permutation(len(pairs))
+    curve, cursor = [], 0
+    for _ in range(cfg.steps):
+        batch = [pairs[order[(cursor + j) % len(pairs)]] for j in range(cfg.batch_size)]
+        cursor = (cursor + cfg.batch_size) % len(pairs)
+        results = [loss_and_gradients(pair, weights, cfg) for pair in batch]
+        curve.append(sum(loss for loss, _ in results) / len(batch))
+        for name in TRAINABLE_TENSORS:
+            weights[name] -= cfg.learning_rate * sum(g[name] for _, g in results) / len(batch)
+    return weights, curve
+
+
+def test_batch_larger_than_pair_count_visits_each_pair_once(monkeypatch):
+    pairs = _pairs(5)
+    w = init_fusion_weights(4, seed=9, zero_residual=False)
+    calls = []
+    real = train.loss_and_gradients
+    monkeypatch.setattr(train, "loss_and_gradients",
+                        lambda *args: calls.append(1) or real(*args))
+    train_fusion(pairs, w, TrainConfig(steps=1, batch_size=15, seed=2))
+    assert len(calls) == 5  # one pass per distinct pair, not one per draw
+    _, curve_big = train_fusion(pairs, w, TrainConfig(steps=4, batch_size=15, seed=2))
+    _, curve_one = train_fusion(pairs, w, TrainConfig(steps=4, batch_size=5, seed=2))
+    np.testing.assert_allclose(curve_big, curve_one, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("batch_size", [3, 7, 12])
+def test_batch_weights_each_pair_by_its_draws(batch_size):
+    # 7 and 12 draws from 5 pairs repeat some pairs within a batch; the
+    # weighted visit must train as the expanded batch does
+    pairs = _pairs(5)
+    w = init_fusion_weights(4, seed=9, zero_residual=False)
+    cfg = TrainConfig(steps=4, batch_size=batch_size, seed=2, learning_rate=0.2)
+    got_w, got_curve = train_fusion(pairs, w, cfg)
+    want_w, want_curve = _expanded_batch_training(pairs, w, cfg)
+    np.testing.assert_allclose(got_curve, want_curve, rtol=0, atol=1e-12)
+    for name in TRAINABLE_TENSORS:
+        np.testing.assert_allclose(got_w[name], want_w[name], rtol=0, atol=1e-12, err_msg=name)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
