@@ -13,11 +13,14 @@ language embeddings of the vocabulary. Three candidate labels compete:
   the winning proportion.
 
 The candidate with the highest score wins; ties prefer det, then cate,
-then attr. The ``concat`` fusion mechanism scores every vocabulary entry
-directly instead of producing a fused trajectory vector: the clip is stacked
-with each projected language row and all the stacks of a channel are
-attended in one batched pass (one ``concat_score`` call for the category
-rows, one for the attribute rows).
+then attr. Without a vocabulary only the det channel competes.
+``label_record`` is the one place a ``TrackRecord`` (``to_track_record`` of
+a live track, or a ``tracks.jsonl`` record) gets its label. The ``concat``
+fusion mechanism scores every vocabulary entry directly instead of
+producing a fused trajectory vector: the clip is stacked with each
+projected language row and all the stacks of a channel are attended in one
+batched pass (one ``concat_score`` call for the category rows, one for the
+attribute rows).
 """
 
 from __future__ import annotations
@@ -63,17 +66,19 @@ class ClipSample:
 
 @dataclass
 class TrajectoryClassification:
-    cate_id: int
-    cate_score: float
-    attr_id: int
-    attr_score: float
+    cate_id: int | None  # cate and attr are None when no vocabulary competed
+    cate_score: float | None
+    attr_id: int | None
+    attr_score: float | None
     det_id: int
     det_score: float
     final: int
     final_source: str  # "cate" | "attr" | "det"
 
     def score_dict(self) -> dict[str, float]:
-        return {"cate": self.cate_score, "attr": self.attr_score, "det": self.det_score}
+        """The score of each channel that competed."""
+        scores = {"cate": self.cate_score, "attr": self.attr_score, "det": self.det_score}
+        return {name: score for name, score in scores.items() if score is not None}
 
 
 def sample_clip(entries: Sequence[TrackEntry], embeddings: Sequence[np.ndarray],
@@ -155,7 +160,7 @@ _FUSE = {
 
 
 def classify_trajectory(entries: Sequence[TrackEntry], embeddings: Sequence[np.ndarray],
-                        vocab: Vocabulary, weights: FusionWeights | None = None,
+                        vocab: Vocabulary | None, weights: FusionWeights | None = None,
                         cfg: ClassifyConfig | None = None,
                         lang: LanguageRows | None = None) -> TrajectoryClassification:
     """Assign a trajectory-level category; ``embeddings[i]`` belongs to ``entries[i]``.
@@ -163,8 +168,12 @@ def classify_trajectory(entries: Sequence[TrackEntry], embeddings: Sequence[np.n
     ``weights=None`` is allowed for average fusion when the vocabulary lives
     in the visual space already (identity language projection). ``lang`` is
     ``project_vocabulary(vocab, weights)``; pass it when classifying many
-    tracks so the vocabulary is projected once.
+    tracks so the vocabulary is projected once. ``vocab=None`` leaves the
+    det channel alone to label the trajectory.
     """
+    det_id, det_score = majority_vote([e.category_id for e in entries])
+    if vocab is None:
+        return TrajectoryClassification(None, None, None, None, det_id, det_score, det_id, "det")
     cfg = cfg or ClassifyConfig()
     clip = sample_clip(entries, embeddings, cfg.n_clip)
     d = clip.rows.shape[1]
@@ -191,8 +200,6 @@ def classify_trajectory(entries: Sequence[TrackEntry], embeddings: Sequence[np.n
     k_cate = int(np.argmax(s_cate))
     k_attr = int(np.argmax(s_attr))
 
-    det_id, det_score = majority_vote([e.category_id for e in entries])
-
     candidates = [
         ("det", det_id, det_score),
         ("cate", ids[k_cate], float(s_cate[k_cate])),
@@ -208,11 +215,9 @@ def classify_trajectory(entries: Sequence[TrackEntry], embeddings: Sequence[np.n
     )
 
 
-def to_track_record(track: Track,
-                    classification: TrajectoryClassification | None = None) -> TrackRecord:
-    """A live track's entries (plus optional classification) for serialization."""
-    rec = TrackRecord(track.id, list(track.observations))
-    return rec if classification is None else label_record(rec, classification)
+def to_track_record(track: Track) -> TrackRecord:
+    """A live track's entries, unlabelled, for ``label_record`` and serialization."""
+    return TrackRecord(track.id, list(track.observations))
 
 
 def label_record(record: TrackRecord, classification: TrajectoryClassification) -> TrackRecord:

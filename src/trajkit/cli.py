@@ -9,6 +9,8 @@ An option ``x_y`` is the flag ``--x-y``, typed by its default (a bool gives
 ``--seed`` and ``--out-dir``; flags override config values, which override
 defaults. Each run writes its resolved options to ``<command>_manifest.json``
 in the output directory; outputs are deterministic in manifest + seed.
+``track``, ``classify`` and ``bench-fusion`` label trajectories through one
+loop, ``_label``, which calls ``classify_trajectory`` once per trajectory.
 
 Exit codes: 0 success, 1 domain error (bad file, missing weights, diverged
 training, ...), 2 usage error.
@@ -37,7 +39,7 @@ from .classify import (
 from .errors import DimMismatchError, FormatError, MissingWeightsError, TrajkitError
 from .fusion import FUSION_MECHANISMS, FusionWeights, init_fusion_weights
 from .synth import Augmentations, SynthConfig, gen_scene, make_train_pairs
-from .tracker import SIM_MODES, Tracker, TrackerConfig, majority_vote, run_sequence
+from .tracker import SIM_MODES, Tracker, TrackerConfig, run_sequence
 from .train import DISTANCES, TrainConfig, train_fusion
 
 GLOBAL_DEFAULTS = {"seed": 0, "out_dir": "."}
@@ -194,21 +196,12 @@ def _scene_config(opts: dict, seed: int) -> SynthConfig:
     )
 
 
-def _classify_tracks(tracks, vocab, weights, ccfg):
-    """Label finished tracks; falls back to detection voting without a vocabulary."""
-    lang = project_vocabulary(vocab, weights) if vocab is not None and tracks else None
-
-    def one(track):
-        if vocab is not None:
-            cls = classify_trajectory(track.observations, track.embeddings, vocab, weights, ccfg, lang)
-            return to_track_record(track, cls)
-        rec = to_track_record(track)
-        rec.label, prop = majority_vote([e.category_id for e in rec.entries])
-        rec.label_source = "det"
-        rec.scores = {"det": prop}
-        return rec
-
-    return [one(track) for track in tracks]
+def _label(trajectories, vocab, weights, ccfg) -> list[io.TrackRecord]:
+    """Label each (record, embeddings) pair; without a vocabulary only the det vote labels."""
+    lang = project_vocabulary(vocab, weights) if vocab is not None and trajectories else None
+    return [label_record(record, classify_trajectory(record.entries, embeddings, vocab,
+                                                     weights, ccfg, lang))
+            for record, embeddings in trajectories]
 
 
 def cmd_track(args) -> int:
@@ -235,7 +228,8 @@ def cmd_track(args) -> int:
                 for di in range(scores.shape[1]):
                     csv_rows.append((frame, track_id, di, f"{scores[ti, di]:.6f}"))
 
-    records = _classify_tracks(tracker.tracks, vocab, weights, ccfg)
+    records = _label([(to_track_record(t), t.embeddings) for t in tracker.tracks],
+                     vocab, weights, ccfg)
     io.write_tracks(records, out_dir / "tracks.jsonl")
     with open(out_dir / "events.jsonl", "w", encoding="utf-8") as fh:
         for ev in events:
@@ -262,18 +256,14 @@ def cmd_classify(args) -> int:
     if weights is None and opts["fusion"] != "average":
         raise MissingWeightsError(f"fusion={opts['fusion']!r} needs --weights")
     out_dir = _write_manifest("classify", opts)
-    records = io.read_tracks(tracks_path)
+    records = io.read_tracks(tracks_path, vocabulary=vocab)
     dets = io.load_detections(det_path)
     _check_weights_fit(opts["weights"], weights, _embedding_width(dets), vocab.dim_text)
-    ccfg = _config(ClassifyConfig, opts)
-    lang = project_vocabulary(vocab, weights) if records else None
-
-    def one(record):
-        embeddings = record_embeddings(record, dets)
-        return label_record(record, classify_trajectory(record.entries, embeddings, vocab,
-                                                        weights, ccfg, lang))
-
-    out = [one(record) for record in records]
+    try:
+        trajectories = [(record, record_embeddings(record, dets)) for record in records]
+    except FormatError as exc:  # name both files, as io's errors do
+        raise FormatError(f"{tracks_path}: {exc} ({det_path})") from None
+    out = _label(trajectories, vocab, weights, _config(ClassifyConfig, opts))
     io.write_tracks(out, out_dir / "tracks.jsonl")
     print(f"classified {len(out)} tracks with fusion={opts['fusion']}")
     print(f"wrote {out_dir / 'tracks.jsonl'}")
@@ -341,17 +331,13 @@ def cmd_train(args) -> int:
 def _bench_one_scene(scene_seed: int, opts: dict, weights: FusionWeights):
     scene = gen_scene(_scene_config(opts, scene_seed))
     tracks = run_sequence(scene.detections, _config(TrackerConfig, opts))
-    splits = scene.vocabulary.splits()
-    ecfg = metrics.EvalConfig(splits=splits)
-    lang = project_vocabulary(scene.vocabulary, weights)
+    ecfg = metrics.EvalConfig(splits=scene.vocabulary.splits())
+    trajectories = [(to_track_record(t), t.embeddings) for t in tracks]
     row = {}
-    for mech in BENCH_MECHANISMS:
+    for mech in BENCH_MECHANISMS:  # each mechanism relabels the same records
         ccfg = ClassifyConfig(fusion=mech, n_clip=opts["n_clip"], heads=opts["heads"])
-        records = [to_track_record(t, classify_trajectory(t.observations, t.embeddings,
-                                                          scene.vocabulary, weights, ccfg, lang))
-                   for t in tracks]
-        report = metrics.evaluate(records, scene.gt_tracks, ecfg)
-        row[mech] = report.overall
+        records = _label(trajectories, scene.vocabulary, weights, ccfg)
+        row[mech] = metrics.evaluate(records, scene.gt_tracks, ecfg).overall
     return row
 
 

@@ -581,11 +581,16 @@ def _as_scores(raw, where: str) -> dict[str, float]:
     raise FormatError(f"{where}: scores must map names to finite numbers, got {raw!r}")
 
 
-def read_tracks(path) -> list[TrackRecord]:
-    """Inverse of :func:`write_tracks` on logical content."""
+def read_tracks(path, *, vocabulary: Vocabulary | None = None) -> list[TrackRecord]:
+    """Inverse of :func:`write_tracks` on logical content.
+
+    With a ``vocabulary``, every entry's ``cat`` must be one of its ids.
+    """
     recs: dict[int, TrackRecord] = {}
     for where, obj in _jsonl(Path(path), ("track_id", "frame", "bbox", "conf", "cat", "det")):
         tid, frame, cat, det = _ints(obj, ("track_id", "frame", "cat", "det"), where)
+        if vocabulary is not None and cat not in vocabulary:
+            raise UnknownCategoryError(f"{where}: unknown category id {cat}")
         conf = _as_float(obj["conf"], where, "conf")
         if not 0.0 <= conf <= 1.0:  # also false for NaN
             raise FormatError(f"{where}: conf must lie in [0, 1], got {conf}")

@@ -92,8 +92,11 @@ class Augmentations:
     def __post_init__(self):
         if not 0.0 <= self.erase_fraction <= 1.0:
             raise ValueError("erase_fraction must lie in [0, 1]")
-        if self.scale_range is not None and self.scale_range[0] > self.scale_range[1]:
-            raise ValueError("scale_range must be (low, high) with low <= high")
+        if self.scale_range is not None:
+            low, high = self.scale_range
+            if not (0.0 < low <= high and math.isfinite(high)):  # false for NaN too
+                raise ValueError(f"scale_range must be finite (low, high) with 0 < low <= high, "
+                                 f"got ({low}, {high})")
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

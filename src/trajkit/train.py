@@ -60,6 +60,8 @@ class TrainConfig:
             raise ValueError(f"distance must be one of {DISTANCES}, got {self.distance!r}")
         if self.margin < 0 or not np.isfinite(self.margin):
             raise ValueError("margin must be finite and non-negative")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.steps < 0 or self.batch_size < 1:
             raise ValueError("steps must be >= 0 and batch_size >= 1")
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from trajkit import cli, io
-from trajkit.classify import ClassifyConfig, classify_trajectory, to_track_record
+from trajkit.classify import ClassifyConfig, classify_trajectory, label_record, to_track_record
 from trajkit.fusion import (
     LN_EPS,
     concat_score,
@@ -258,8 +258,8 @@ def test_criterion_03_zero_noise_oracle(capfd):
         assert len(seen) == 20
 
         ccfg = ClassifyConfig()
-        recs = [to_track_record(t, classify_trajectory(t.observations, t.embeddings,
-                                                       scene.vocabulary, None, ccfg))
+        recs = [label_record(to_track_record(t), classify_trajectory(
+                    t.observations, t.embeddings, scene.vocabulary, None, ccfg))
                 for t in tracks]
         rep = evaluate(recs, scene.gt_tracks, EvalConfig(splits=scene.vocabulary.splits()))
         elapsed = time.perf_counter() - t0

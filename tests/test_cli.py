@@ -1,5 +1,6 @@
 """End-to-end subcommand behavior through cli.main()."""
 
+import hashlib
 import json
 from dataclasses import fields
 
@@ -9,9 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from trajkit import cli, io
-from trajkit.classify import ClassifyConfig
+from trajkit.classify import ClassifyConfig, classify_trajectory
 from trajkit.fusion import init_fusion_weights
-from trajkit.tracker import TrackerConfig
+from trajkit.tracker import TrackerConfig, run_sequence
 
 
 def _run(args):
@@ -341,6 +342,107 @@ def test_classify_names_empty_vocabulary(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: FormatError: {vocab}: vocabulary needs at least one entry\n")
 
+
+
+def _rewrite_tracks(path, change):
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    change(lines)
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+
+
+def test_classify_rejects_track_category_outside_vocabulary(tmp_path, capsys):
+    # classify used to exit 0 and write "label": 77 with label_source "det"
+    scene = _synth(tmp_path / "scene", extra=["--sigma", "0.3"])
+    run = tmp_path / "run"
+    assert _run(["track", "--detections", scene / "detections.jsonl", "--out-dir", run]) == 0
+    tracks = run / "tracks.jsonl"
+    _rewrite_tracks(tracks, lambda lines: [obj.update(cat=77) for obj in lines])
+    capsys.readouterr()
+    out = tmp_path / "cls"
+    rc = _run(["classify", "--tracks", tracks, "--detections", scene / "detections.jsonl",
+               "--vocabulary", scene / "vocabulary.json", "--out-dir", out])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: UnknownCategoryError: {tracks}:1: unknown category id 77\n")
+    assert not (out / "tracks.jsonl").exists()
+
+
+def test_classify_names_both_files_of_a_missing_detection(tmp_path, capsys):
+    scene = _synth(tmp_path / "scene")
+    run = tmp_path / "run"
+    assert _run(["track", "--detections", scene / "detections.jsonl", "--out-dir", run]) == 0
+    tracks, dets = run / "tracks.jsonl", scene / "detections.jsonl"
+    _rewrite_tracks(tracks, lambda lines: lines[0].update(det=9))
+    first = json.loads(tracks.read_text().splitlines()[0])
+    capsys.readouterr()
+    rc = _run(["classify", "--tracks", tracks, "--detections", dets,
+               "--vocabulary", scene / "vocabulary.json", "--out-dir", tmp_path / "cls"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: FormatError: {tracks}: track {first['track_id']} references detection 9 of "
+        f"frame {first['frame']}, which the detections file does not contain ({dets})\n")
+
+
+def _labelled_runs(tmp_path):
+    """track with and without a vocabulary, classify with concat and bench-fusion."""
+    noisy = ["--sigma", "0.2", "--flip-prob", "0.3", "--miss-rate", "0.2", "--fp-rate", "1.0"]
+    scene = _synth(tmp_path / "scene", seed=6, extra=noisy)
+    dets, vocab = scene / "detections.jsonl", scene / "vocabulary.json"
+    weights = _write_weights(tmp_path / "w.twb", 8)
+    return [
+        ["track", "--detections", dets, "--out-dir", tmp_path / "plain"],
+        ["track", "--detections", dets, "--vocabulary", vocab, "--out-dir", tmp_path / "vocab"],
+        ["classify", "--tracks", tmp_path / "vocab" / "tracks.jsonl", "--detections", dets,
+         "--vocabulary", vocab, "--fusion", "concat", "--weights", weights,
+         "--out-dir", tmp_path / "cls"],
+        ["bench-fusion", "--identities", 4, "--frames", 8, "--categories", 2, "--dim", 8,
+         "--scenes", 2, "--seed", 5, *noisy, "--out-dir", tmp_path / "bench"],
+    ]
+
+
+def test_labelled_outputs_pinned_on_a_noisy_scene(tmp_path):
+    # track, classify and bench-fusion label through one loop; these digests
+    # were taken before they shared it
+    for argv in _labelled_runs(tmp_path):
+        assert _run(argv) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+               for name in ("plain/tracks.jsonl", "vocab/tracks.jsonl", "cls/tracks.jsonl",
+                            "bench/bench.json")}
+    assert digests == {
+        "plain/tracks.jsonl": "c201425381d5e2f1",
+        "vocab/tracks.jsonl": "432c67059e7da73d",
+        "cls/tracks.jsonl": "491d426432d7048a",
+        "bench/bench.json": "6cfbba4cdd11b73e",
+    }
+
+
+def test_labelling_calls_classify_trajectory_by_the_cli_name(tmp_path, monkeypatch):
+    # the benchmark's tracer wraps trajkit.cli.classify_trajectory, so every
+    # command must label each trajectory through that name
+    calls, track_counts = [], []
+
+    def counting(entries, embeddings, vocab, weights, cfg, lang):
+        calls.append(cfg.fusion)
+        return classify_trajectory(entries, embeddings, vocab, weights, cfg, lang)
+
+    def counted_run_sequence(*args):
+        tracks = run_sequence(*args)
+        track_counts.append(len(tracks))
+        return tracks
+
+    monkeypatch.setattr(cli, "classify_trajectory", counting)
+    monkeypatch.setattr(cli, "run_sequence", counted_run_sequence)
+    _, track, classify, bench = _labelled_runs(tmp_path)
+    for argv, out, fusion in ((track, "vocab", "average"), (classify, "cls", "concat")):
+        calls.clear()
+        assert _run(argv) == 0
+        n_tracks = len(io.read_tracks(tmp_path / out / "tracks.jsonl"))
+        assert n_tracks > 5 and calls == [fusion] * n_tracks
+    calls.clear()
+    assert _run(bench) == 0
+    assert len(track_counts) == 2 and min(track_counts) > 0
+    assert calls == [mech for n in track_counts for mech in cli.BENCH_MECHANISMS
+                     for _ in range(n)]
 
 def test_missing_input_exits_1(tmp_path, capsys):
     rc = _run(["track", "--detections", tmp_path / "nope.jsonl", "--out-dir", tmp_path])

@@ -232,6 +232,15 @@ def test_config_validation():
         Augmentations(scale_range=(2.0, 0.5))
 
 
+@pytest.mark.parametrize("scale_range", [(math.nan, 1.0), (0.5, math.nan), (0.0, 0.0),
+                                         (-1.0, 1.0), (0.5, math.inf)])
+def test_augmentations_reject_bad_scale_range(scale_range):
+    # a NaN bound used to fail in numpy's uniform and (0, 0) as a zero-norm
+    # fusion output, neither naming the option
+    with pytest.raises(ValueError, match=r"scale_range must be finite \(low, high\) with 0 < low"):
+        Augmentations(scale_range=scale_range)
+
+
 @pytest.mark.parametrize("field", ["noise_sigma", "fp_rate", "class_spread"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_config_rejects_non_finite(field, value):

@@ -233,6 +233,14 @@ def test_train_divergence_reports_step():
     assert exc.value.step >= 0
 
 
+@pytest.mark.parametrize("rate", [-0.5, 0.0, math.nan, math.inf])
+def test_train_config_rejects_bad_learning_rate(rate):
+    # a negative rate used to train by gradient ascent and exit 0; NaN and inf
+    # failed later as a diverged loss that named no option
+    with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
+        TrainConfig(learning_rate=rate)
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(distance="manhattan")
