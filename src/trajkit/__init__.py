@@ -35,6 +35,7 @@ from .io import (
     read_tracks,
     write_detections,
     write_embedding_sidecar,
+    write_events,
     write_groundtruth,
     write_tracks,
     write_vocabulary,
@@ -111,6 +112,6 @@ __all__ = [
     "read_embedding_sidecar", "read_tracks", "record_embeddings", "run_sequence",
     "sample_clip", "score_matrix", "self_attention", "to_track_record",
     "train_fusion", "update_memory", "validate_fusion_shapes",
-    "write_detections", "write_embedding_sidecar", "write_groundtruth",
+    "write_detections", "write_embedding_sidecar", "write_events", "write_groundtruth",
     "write_tracks", "write_vocabulary", "write_weights",
 ]

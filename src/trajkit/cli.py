@@ -231,10 +231,7 @@ def cmd_track(args) -> int:
     records = _label([(to_track_record(t), t.embeddings) for t in tracker.tracks],
                      vocab, weights, ccfg)
     io.write_tracks(records, out_dir / "tracks.jsonl")
-    with open(out_dir / "events.jsonl", "w", encoding="utf-8") as fh:
-        for ev in events:
-            fh.write(json.dumps({"frame": ev.frame, "kind": ev.kind, "track": ev.track_id,
-                                 "det": ev.det_idx, "score": ev.score}) + "\n")
+    io.write_events(events, out_dir / "events.jsonl")
     if opts["dump_csv"]:
         with open(out_dir / "scores.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -302,11 +299,11 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     opts = _resolve(args)
+    if (opts["scale_min"] is None) != (opts["scale_max"] is None):
+        raise ValueError("--scale-min and --scale-max must be given together")
     out_dir = _write_manifest("train", opts)
     scene = gen_scene(_scene_config(opts, opts["seed"]))
-    scale_range = None
-    if opts["scale_min"] is not None and opts["scale_max"] is not None:
-        scale_range = (opts["scale_min"], opts["scale_max"])
+    scale_range = None if opts["scale_min"] is None else (opts["scale_min"], opts["scale_max"])
     aug = Augmentations(rotate=opts["rotate"], erase_fraction=opts["erase_fraction"],
                         scale_range=scale_range)
     pairs = make_train_pairs(scene, n_clip=opts["n_clip"], augmentations=aug,

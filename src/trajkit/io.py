@@ -2,30 +2,32 @@
 
 File formats
 ------------
-detections.jsonl
-    One JSON object per line:
-    ``{"frame": int, "bbox": [x, y, w, h], "conf": float, "cat": int,
-    "cat_score": float, "emb": [...]}``. Instead of an inline ``emb`` a line
-    may carry ``"emb_ref": int`` indexing a row of a binary sidecar.
+detections.jsonl, tracks.jsonl, groundtruth.jsonl
+    One JSON object per line; ``DETECTION_FORMAT``, ``TRACK_FORMAT`` and
+    ``GROUNDTRUTH_FORMAT`` name each key with its kind and bounds. A
+    detection holds ``emb`` or ``emb_ref``, a row of the binary sidecar. A
+    tracks line is one (track, frame), ``det`` the index of its detection in
+    the frame; a labelled track repeats its ``label``, ``label_source`` and
+    ``scores`` on every line. No track repeats a frame.
+events.jsonl
+    ``{"frame", "kind", "track", "det", "score"}`` per association event.
 embedding sidecar (``.embin``)
     magic ``TRJK``, u16 version (=1), u32 dim, u64 count, then
     ``count * dim`` float32 values, little endian, row major.
 vocabulary.json
-    ``{"dim_text": int, "entries": [{"id", "name", "split", "description",
-    "cate_emb", "attr_emb"}, ...]}`` with ``split`` one of base/novel.
+    ``{"dim_text": int, "entries": [...]}``, entries as in ``VOCABULARY_ENTRY_FORMAT``.
 weights bundle (``.twb``)
     magic ``TRJW``, u16 version (=1), then repeated records of
     u16 name length, UTF-8 name, u8 rank (at most 32), rank u32 dims,
     float32 payload (little endian) until end of file. The fusion block's
     tensor names and shapes are ``trajkit.fusion.FUSION_TENSOR_SHAPES``.
-tracks.jsonl
-    One line per (track, frame): ``{"track_id", "frame", "bbox", "conf",
-    "cat", "det"}`` plus optional ``label`` / ``label_source`` / ``scores``
-    once a trajectory level label exists. ``det`` is the index of the source
-    detection within its frame, ``conf`` lies in [0, 1], ``label_source`` is
-    ``cate``, ``attr`` or ``det`` and ``scores`` maps names to finite numbers.
-groundtruth.jsonl
-    One line per (track, frame): ``{"track_id", "cat", "frame", "bbox"}``.
+
+A loader reads ``_CHUNK`` (256) lines at a time and checks whole columns
+against the format table. When a check refuses the file, it runs the same
+checks one line at a time from the top, which raise the error naming
+``file:line``; the tests hold the column pass to that pass by lines. Writers
+fill per-format line templates, ``_CHUNK`` lines at a time, byte for byte
+as ``json.dumps`` writes them.
 
 All multi-byte binary fields are little endian. Embedding payloads are kept
 as float32; similarity math upcasts, storage never mutates them.
@@ -37,6 +39,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -47,6 +50,7 @@ from .errors import (
     DuplicateCategoryError,
     FormatError,
     NonFiniteError,
+    TrajkitError,
     TruncatedError,
     UnknownCategoryError,
     ZeroNormError,
@@ -58,6 +62,27 @@ SIDECAR_VERSION = 1
 WEIGHTS_VERSION = 1
 _MAX_RANK = 32  # the most axes a .twb tensor may have; numpy 1.x allows no more
 SPLITS = ("base", "novel")
+LABEL_SOURCES = ("cate", "attr", "det")  # the channel a track label came from
+_CHUNK = 256  # lines a loader or writer holds at a time
+
+# Each format maps its keys, in the order a line is checked, to a kind and bounds:
+# ("int",) or ("int", 0) a JSON int (true is none), >= 0 if bounded; ("cat",) an int,
+# one of the vocabulary's ids if one is given; ("num", lo, hi) a finite JSON number
+# in [lo, hi]; ("bbox",) finite x, y, w, h with w, h > 0; ("vec",) a list of numbers,
+# finite, not all zero, flat and non-empty when it has a name for messages;
+# ("ref",) a sidecar row; ("choice", options); ("scores",) an object of finite
+# numbers; ("text",) anything, kept as its str().
+DETECTION_FORMAT = {"frame": ("int", 0), "bbox": ("bbox",), "conf": ("num", 0, math.inf), "cat": ("cat",),
+                    "cat_score": ("num", 0, 1), "emb": ("vec", "embedding"), "emb_ref": ("ref",)}
+TRACK_FORMAT = {"track_id": ("int",), "frame": ("int",), "cat": ("cat",), "det": ("int",),
+                "conf": ("num", 0, 1), "bbox": ("bbox",), "label": ("int",),
+                "label_source": ("choice", LABEL_SOURCES), "scores": ("scores",)}
+GROUNDTRUTH_FORMAT = {"track_id": ("int",), "cat": ("int",), "frame": ("int",), "bbox": ("bbox",)}
+VOCABULARY_ENTRY_FORMAT = {"id": ("int",), "name": ("text",), "split": ("choice", SPLITS),
+                           "description": ("text",), "cate_emb": ("vec",), "attr_emb": ("vec",)}
+_DETECTION_KEYS = ("frame", "bbox", "conf", "cat", "cat_score")  # keys every line holds, in check order
+_TRACK_KEYS = ("track_id", "frame", "cat", "det", "conf", "bbox")
+_LABEL_KEYS = ("label", "label_source", "scores")  # optional, on every line of a track or none
 
 BBox = tuple[float, float, float, float]
 
@@ -147,9 +172,6 @@ class TrackEntry:
     det_idx: int  # index of the source detection within its frame
 
 
-LABEL_SOURCES = ("cate", "attr", "det")  # the channel a track label came from
-
-
 @dataclass
 class TrackRecord:
     """Finalized track as serialized to tracks.jsonl."""
@@ -165,87 +187,134 @@ class TrackRecord:
         return {e.frame: e.bbox for e in self.entries}
 
 
-def _require(cond: bool, where: str, msg: str):
+def _require(cond, where: str | None, msg: str, error=FormatError) -> None:
+    """A failed check raises ``error`` naming ``where``; without ``where`` (a column pass) ValueError."""
     if not cond:
-        raise FormatError(f"{where}: {msg}")
-
-
-def _is_int(v) -> bool:
-    return type(v) is int  # JSON true/false load as bool, which is no int here
+        raise ValueError(msg) if where is None else error(f"{where}: {msg}")
 
 
 # JSON numbers load as int or float; true/false (bool) and "1.5" (str) are no numbers here.
 _NUMBER_TYPES = frozenset((int, float))
+# what refuses a file in a column pass; the pass by lines then names the fault and its line
+_REFUSED = (LookupError, TypeError, ValueError, OverflowError, TrajkitError)
 
 
-def _require_keys(obj, keys: tuple[str, ...], where: str) -> None:
-    """A JSONL line must hold an object with every one of ``keys``."""
-    if not isinstance(obj, dict):
-        raise FormatError(f"{where}: line must hold a JSON object")
-    for key in keys:
-        if key not in obj:
-            raise FormatError(f"{where}: missing key {key!r}")
+def _floats(values) -> list[float] | None:
+    """``values`` as floats, or None unless each is a JSON number that fits a float."""
+    values = list(values)
+    try:
+        return [float(v) for v in values] if _NUMBER_TYPES.issuperset(map(type, values)) else None
+    except OverflowError:  # an int too large for a float
+        return None
 
 
-def _jsonl(path: Path, keys: tuple[str, ...]) -> Iterator[tuple[str, dict]]:
-    """Yield ``(where, obj)`` for each non-blank line of a JSONL file.
-
-    ``where`` is ``path:lineno``; ``obj`` is the line's JSON object, checked
-    to hold every one of ``keys``.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{where}: malformed JSON ({exc.msg})") from None
-            _require_keys(obj, keys, where)
-            yield where, obj
-
-
-def _ints(obj: dict, keys: tuple[str, ...], where: str) -> list[int]:
-    values = [obj[key] for key in keys]
-    for key, v in zip(keys, values):
-        if not _is_int(v):
-            raise FormatError(f"{where}: {key} must be an int, got {v!r}")
+def _checked(fmt: dict, key: str, values, where: str | None = None,
+             vocabulary: Vocabulary | None = None, size: int | None = None) -> list:
+    """``key``'s values, one per line, checked against ``fmt`` and converted: a column,
+    or (with ``where``) one line's value. ``size`` is the width of a vec (None:
+    any) or the rows of the sidecar a ref indexes."""
+    kind, *bounds = fmt[key]
+    if kind in ("int", "cat"):
+        _require({*map(type, values)} <= {int} and not (bounds and min(values) < bounds[0]), where,
+                 f"{key} must be {'a non-negative int' if bounds else 'an int'}, got {values[0]!r}")
+        _require(kind == "int" or vocabulary is None or set(values) <= set(vocabulary.ids), where,
+                 f"unknown category id {values[0]}", UnknownCategoryError)
+    elif kind == "ref":
+        _require({*map(type, values)} <= {int} and 0 <= min(values) and max(values) < size, where,
+                 f"{key} {values[0]!r} outside sidecar with {size} rows")
+    elif kind == "num":
+        nums, (lo, hi) = _floats(values), bounds
+        _require(nums is not None, where, f"{key} must be a number, got {values[0]!r}")
+        need = f"be finite and >= {lo}" if hi == math.inf else f"lie in [{lo}, {hi}]"
+        _require(math.isfinite(sum(nums)) and lo <= min(nums) and max(nums) <= hi, where,
+                 f"{key} must {need}, got {nums[0]}")
+        return nums
+    elif kind == "bbox":
+        _require({*map(type, values)} <= {list} and {*map(len, values)} == {4}, where,
+                 "bbox must have 4 entries")
+        flat = _floats(chain.from_iterable(values))
+        _require(flat is not None, where, "bbox entries must be numbers")
+        boxes = np.array(flat).reshape(-1, 4)
+        _require(np.isfinite(boxes).all(), where, f"bbox entries must be finite, got {flat[:4]}")
+        _require((boxes[:, 2:] > 0).all(), where,
+                 f"bbox needs positive width/height, got w={flat[2]} h={flat[3]}")
+        return list(zip(*[iter(flat)] * 4))
+    elif kind == "vec":  # bounds may name the vector in messages; then a list of it must be flat
+        name, rows = (bounds[0] if bounds else key), isinstance(values, np.ndarray)  # rows: sidecar's
+        try:
+            arr = np.asarray(values, dtype=np.float32)
+        except (TypeError, ValueError, OverflowError):
+            arr = None
+        _require(arr is not None and (arr.ndim != 2 or rows or
+                                      _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(values)))),
+                 where, f"{key} entries must be numbers")
+        _require(rows or not bounds or arr.ndim == 2 and arr.shape[1], where,
+                 f"{key} must be a non-empty flat list")
+        _require(arr.ndim == 2 and arr.shape[1] == (size or arr.shape[1]), where,
+                 f"{name} has {arr[0].size} dims, expected {size}", DimMismatchError)
+        _require(np.isfinite(arr).all(), where, f"{name} contains non-finite entries", NonFiniteError)
+        _require(arr.any(axis=1).all(), where, f"{name} has zero norm", ZeroNormError)
+        return list(arr)
+    elif kind == "choice":
+        _require(all(v in bounds[0] for v in values), where,
+                 f"{key} must be one of {bounds[0]}, got {values[0]!r}")
+    elif kind == "scores":  # kept as loaded: a track's first line gives its float scores
+        dicts = {*map(type, values)} <= {dict}
+        nums = _floats(chain.from_iterable(map(dict.values, values))) if dicts else None
+        _require(nums is not None and math.isfinite(sum(nums)), where,
+                 f"{key} must map names to finite numbers, got {values[0]!r}")
+    elif kind == "text":
+        return list(map(str, values))
     return values
 
 
-def _as_float(raw, where: str, key: str) -> float:
-    if type(raw) in _NUMBER_TYPES:
-        try:
-            return float(raw)
-        except OverflowError:
-            pass
-    raise FormatError(f"{where}: {key} must be a number, got {raw!r}")
+_scan = json.JSONDecoder().scan_once  # (value, end) of the JSON value at an index
 
 
-def _as_vector(raw, where: str, key: str) -> np.ndarray:
+def _rows(path: Path, fmt: dict, keys, by_lines: bool, vocabulary: Vocabulary | None = None,
+          more=lambda objs, where: [None] * len(objs)) -> Iterator[tuple]:
+    """``(where, values, extra)`` per non-blank line: its ``keys`` checked by ``_checked``
+    and what ``more`` makes of its object. By columns, ``_CHUNK`` lines at a time,
+    each parsed on its own (one JSON array of a chunk would take two broken lines
+    that together make valid JSON); ``where`` is the path and a failed check refuses
+    the file. By lines, ``where`` is ``path:lineno`` and a failed check raises."""
+    with open(path, "r", encoding="utf-8") as fh:
+        if by_lines:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                where = f"{path}:{lineno}"
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise FormatError(f"{where}: malformed JSON ({exc.msg})") from None
+                _require(isinstance(obj, dict), where, "line must hold a JSON object")
+                for key in keys:
+                    _require(key in obj, where, f"missing key {key!r}")
+                yield where, [_checked(fmt, key, [obj[key]], where, vocabulary)[0] for key in keys], \
+                    more([obj], where)[0]
+            return
+        while chunk := list(islice(fh, _CHUNK)):
+            lines = [line for line in chunk if not line.isspace()]
+            try:
+                parsed = [_scan(line, 0) for line in lines]
+            except StopIteration:  # a line holds no JSON value where it starts
+                raise ValueError("not one JSON value per line") from None
+            _require(lines and [end for _, end in parsed] == [len(s) - (s[-1] == "\n") for s in lines],
+                     None, "a line holds more than one JSON value")
+            objs = [value for value, _ in parsed]
+            cols = [_checked(fmt, key, [o[key] for o in objs], vocabulary=vocabulary) for key in keys]
+            yield from zip(repeat(path), zip(*cols), more(objs, None))
+            del chunk, lines, parsed, objs, cols  # so that one chunk is held at a time
+
+
+def _load(read, path, *args):
+    """``read`` by columns; when a column check refuses the file, by lines,
+    which raises the error naming ``file:line`` or loads what the file holds."""
     try:
-        vec = np.asarray(raw, dtype=np.float32)
-        if vec.ndim != 1 or _NUMBER_TYPES.issuperset(map(type, raw)):  # the caller checks ndim
-            return vec
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise FormatError(f"{where}: {key} entries must be numbers")
-
-
-def _as_bbox(raw, where: str) -> BBox:
-    _require(isinstance(raw, (list, tuple)) and len(raw) == 4, where, "bbox must have 4 entries")
-    if not _NUMBER_TYPES.issuperset(map(type, raw)):
-        raise FormatError(f"{where}: bbox entries must be numbers")
-    try:
-        x, y, w, h = map(float, raw)
-    except OverflowError:  # an int too large for a float
-        raise FormatError(f"{where}: bbox entries must be numbers") from None
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h)):
-        raise FormatError(f"{where}: bbox entries must be finite, got {[x, y, w, h]}")
-    if not (w > 0 and h > 0):
-        raise FormatError(f"{where}: bbox needs positive width/height, got w={w} h={h}")
-    return (x, y, w, h)
+        return read(Path(path), *args, False)
+    except _REFUSED:
+        return read(Path(path), *args, True)
 
 
 def read_embedding_sidecar(path) -> np.ndarray:
@@ -277,47 +346,36 @@ def write_embedding_sidecar(embeddings: np.ndarray, path) -> None:
         fh.write(arr.tobytes())
 
 
-def _detection_from_obj(obj: dict, where: str, sidecar: np.ndarray | None,
-                        score_scale: float, vocabulary: Vocabulary | None,
-                        expect_dim: int | None) -> DetectionRecord:
-    # Runs once per detection, so each message is formatted only on failure.
-    frame = obj["frame"]
-    if not _is_int(frame) or frame < 0:
-        raise FormatError(f"{where}: frame must be a non-negative int, got {frame!r}")
-    bbox = _as_bbox(obj["bbox"], where)
-    raw_conf = _as_float(obj["conf"], where, "conf")
-    if not (math.isfinite(raw_conf) and raw_conf >= 0):
-        raise FormatError(f"{where}: conf must be finite and >= 0, got {raw_conf}")
-    conf = min(max(raw_conf * score_scale, 0.0), 1.0)
-    cat = obj["cat"]
-    if not _is_int(cat):
-        raise FormatError(f"{where}: cat must be an int, got {cat!r}")
-    if vocabulary is not None and cat not in vocabulary:
-        raise UnknownCategoryError(f"{where}: unknown category id {cat}")
-    cat_score = _as_float(obj["cat_score"], where, "cat_score")
-    if not 0.0 <= cat_score <= 1.0:
-        raise FormatError(f"{where}: cat_score must lie in [0, 1], got {cat_score}")
+def _read_detections(path: Path, side: np.ndarray | None, score_scale: float,
+                     vocabulary: Vocabulary | None, by_lines: bool) -> dict[int, list[DetectionRecord]]:
+    fmt, dim, default_side = DETECTION_FORMAT, None, path.with_suffix(".embin")
 
-    if "emb" in obj:
-        emb = _as_vector(obj["emb"], where, "emb")
-        if emb.ndim != 1 or not emb.size:
-            raise FormatError(f"{where}: emb must be a non-empty flat list")
-    elif "emb_ref" in obj:
-        if sidecar is None:
-            raise FormatError(f"{where}: emb_ref used but no embedding sidecar found")
-        ref = obj["emb_ref"]
-        if not (_is_int(ref) and 0 <= ref < len(sidecar)):
-            raise FormatError(f"{where}: emb_ref {ref!r} outside sidecar with {len(sidecar)} rows")
-        emb = sidecar[ref]
-    else:
-        raise FormatError(f"{where}: record needs either emb or emb_ref")
-    if expect_dim is not None and emb.shape[0] != expect_dim:
-        raise DimMismatchError(f"{where}: embedding has {emb.shape[0]} dims, expected {expect_dim}")
-    if not np.isfinite(emb).all():
-        raise NonFiniteError(f"{where}: embedding contains non-finite entries")
-    if not np.count_nonzero(emb):  # a fraction of np.any's per-call cost on short rows
-        raise ZeroNormError(f"{where}: embedding has zero norm")
-    return DetectionRecord(frame, bbox, conf, cat, cat_score, emb)
+    def embeddings(objs: list[dict], where: str | None) -> list[np.ndarray]:
+        nonlocal side, dim
+        inline = "emb" in objs[0]  # then on every line of a chunk, else on none
+        _require(inline or "emb_ref" in objs[0], where, "record needs either emb or emb_ref")
+        _require(where or not any(("emb_ref" if inline else "emb") in o for o in objs), None, "emb mixed")
+        if side is None and "emb_ref" in objs[0]:
+            _require(default_side.exists(), where, "emb_ref used but no embedding sidecar found")
+            side = read_embedding_sidecar(default_side)
+        if inline:
+            embs = _checked(fmt, "emb", [o["emb"] for o in objs], where, size=dim)
+        else:
+            refs = _checked(fmt, "emb_ref", [o["emb_ref"] for o in objs], where, size=len(side))
+            _checked(fmt, "emb", side[refs], where, size=dim)  # a copy of a chunk's rows
+            embs = [side[ref] for ref in refs]  # views, as records keep them
+        dim = len(embs[0])
+        return embs
+
+    rows = [(*values, emb) for _, values, emb in _rows(path, fmt, _DETECTION_KEYS, by_lines, vocabulary,
+                                                       embeddings)]
+    frames, boxes, confs, cats, scores, _ = zip(*rows) if rows else [()] * 6
+    confs = [min(max(conf * score_scale, 0.0), 1.0) for conf in confs]
+    order = np.lexsort((scores, cats, confs, *np.array(boxes).T[::-1], frames)).tolist()  # stable
+    out: dict[int, list[DetectionRecord]] = {}
+    for i in order:
+        out.setdefault(frames[i], []).append(DetectionRecord(*rows[i][:2], confs[i], *rows[i][3:]))
+    return out
 
 
 def load_detections(path, score_scale: float = 1.0, *,
@@ -336,28 +394,23 @@ def load_detections(path, score_scale: float = 1.0, *,
     """
     if not (math.isfinite(score_scale) and score_scale > 0):
         raise ValueError(f"score_scale must be finite and > 0, got {score_scale}")
-    path = Path(path)
-    side_arr = None
-    if sidecar is not None:
-        side_arr = read_embedding_sidecar(sidecar)
-    by_frame: dict[int, list[DetectionRecord]] = {}
-    expect_dim = None
-    for where, obj in _jsonl(path, ("frame", "bbox", "conf", "cat", "cat_score")):
-        if side_arr is None and "emb_ref" in obj:
-            default_side = path.with_suffix(".embin")
-            if not default_side.exists():
-                raise FormatError(f"{where}: emb_ref used but no embedding sidecar found")
-            side_arr = read_embedding_sidecar(default_side)
-        rec = _detection_from_obj(obj, where, side_arr, score_scale, vocabulary, expect_dim)
-        if expect_dim is None:
-            expect_dim = rec.embedding.shape[0]
-        by_frame.setdefault(rec.frame, []).append(rec)
-    out: dict[int, list[DetectionRecord]] = {}
-    for frame in sorted(by_frame):
-        recs = by_frame[frame]
-        recs.sort(key=lambda r: (r.bbox, r.confidence, r.category_id, r.category_score))
-        out[frame] = recs
-    return out
+    side = read_embedding_sidecar(sidecar) if sidecar is not None else None
+    return _load(_read_detections, path, side, score_scale, vocabulary)
+
+
+_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # %s spells floats, json's words
+
+
+def _write_lines(path, rows: Iterable[tuple], line) -> None:
+    """Write ``line(row)`` for each row, ``_CHUNK`` lines at a time; ``line`` fills a
+    template whose floats are %s, so a chunk holding nan or inf is filled again."""
+    rows = iter(rows)
+    with open(path, "w", encoding="utf-8") as fh:
+        while chunk := list(islice(rows, _CHUNK)):
+            text = "".join(map(line, chunk))
+            if "nan" in text or "inf" in text:
+                text = "".join(line(tuple(_JSON_WORDS.get(str(v), v) for v in row)) for row in chunk)
+            fh.write(text)
 
 
 def write_detections(dets_by_frame: dict[int, list[DetectionRecord]], path, *,
@@ -365,85 +418,57 @@ def write_detections(dets_by_frame: dict[int, list[DetectionRecord]], path, *,
     """Write detections as JSONL; with ``sidecar=True`` embeddings go to a
     binary .embin next to the file and lines carry ``emb_ref``."""
     path = Path(path)
-    frames = sorted(dets_by_frame)
+    dets = [det for frame in sorted(dets_by_frame) for det in dets_by_frame[frame]]
     if sidecar:
-        all_emb = [d.embedding for f in frames for d in dets_by_frame[f]]
-        stack = np.stack(all_emb) if all_emb else np.zeros((0, 0), dtype=np.float32)
+        stack = np.stack([d.embedding for d in dets]) if dets else np.zeros((0, 0), dtype=np.float32)
         write_embedding_sidecar(stack, path.with_suffix(".embin"))
-    ref = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for frame in frames:
-            for det in dets_by_frame[frame]:
-                obj = {
-                    "frame": det.frame,
-                    "bbox": [float(v) for v in det.bbox],
-                    "conf": float(det.confidence),
-                    "cat": int(det.category_id),
-                    "cat_score": float(det.category_score),
-                }
-                if sidecar:
-                    obj["emb_ref"] = ref
-                    ref += 1
-                else:
-                    obj["emb"] = [float(v) for v in det.embedding]
-                fh.write(json.dumps(obj) + "\n")
+    line = '{"frame": %d, "bbox": [%s, %s, %s, %s], "conf": %s, "cat": %d, "cat_score": %s, %s}\n'
+    _write_lines(path, ((d.frame, *map(float, d.bbox), float(d.confidence), int(d.category_id),
+                         float(d.category_score), f'"emb_ref": {ref}' if sidecar else
+                         '"emb": ' + json.dumps(np.asarray(d.embedding, dtype=float).tolist()))
+                        for ref, d in enumerate(dets)), line.__mod__)
+
+
+def _vocabulary_entry(raw, where: str, dim_text: int) -> VocabularyEntry:
+    """One vocabulary entry checked on its own."""
+    _require(isinstance(raw, dict), where, "entry must be a JSON object")
+    for key in ("id", "name", "split"):
+        _require(key in raw, where, f"missing key {key!r}")
+    values = []
+    for key in VOCABULARY_ENTRY_FORMAT:  # only the embeddings can still be missing
+        _require(key in raw or key == "description", where, f"missing embedding {key!r}")
+        values += _checked(VOCABULARY_ENTRY_FORMAT, key, [raw.get(key, "")], where, size=dim_text)
+    return VocabularyEntry(*values)
 
 
 def load_vocabulary(path) -> Vocabulary:
     """Load and validate a vocabulary.json file."""
-    path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: malformed JSON ({exc.msg})") from None
     _require(isinstance(obj, dict) and "dim_text" in obj and isinstance(obj.get("entries"), list),
-             str(path), "vocabulary needs dim_text and an entries list")
-    dim_text = obj["dim_text"]
-    _require(_is_int(dim_text) and dim_text > 0, str(path), "dim_text must be a positive int")
-    _require(obj["entries"], str(path), "vocabulary needs at least one entry")
-    entries = []
-    for i, raw in enumerate(obj["entries"]):
-        where = f"{path}: entry {i}"
-        _require(isinstance(raw, dict), where, "entry must be a JSON object")
-        for key in ("id", "name", "split"):
-            _require(key in raw, where, f"missing key {key!r}")
-        (category_id,) = _ints(raw, ("id",), where)
-        split = raw["split"]
-        _require(split in SPLITS, where, f"split must be one of {SPLITS}, got {split!r}")
-        embs = []
-        for key in ("cate_emb", "attr_emb"):
-            _require(key in raw, where, f"missing embedding {key!r}")
-            emb = _as_vector(raw[key], where, key)
-            if emb.ndim != 1 or emb.shape[0] != dim_text:
-                raise DimMismatchError(f"{where}: {key} has {emb.size} dims, expected {dim_text}")
-            if not np.isfinite(emb).all():
-                raise NonFiniteError(f"{where}: {key} contains non-finite entries")
-            if not np.count_nonzero(emb):
-                raise ZeroNormError(f"{where}: {key} has zero norm")
-            embs.append(emb)
-        entries.append(VocabularyEntry(category_id, str(raw["name"]), split,
-                                       str(raw.get("description", "")), embs[0], embs[1]))
+             path, "vocabulary needs dim_text and an entries list")
+    dim_text, raw = obj["dim_text"], obj["entries"]
+    _require(type(dim_text) is int and dim_text > 0, path, "dim_text must be a positive int")
+    _require(raw, path, "vocabulary needs at least one entry")
+    try:
+        entries = list(map(VocabularyEntry, *(
+            _checked(VOCABULARY_ENTRY_FORMAT, key, [e.get(key, "") if key == "description" else e[key]
+                                                    for e in raw], size=dim_text)
+            for key in VOCABULARY_ENTRY_FORMAT)))
+    except _REFUSED:
+        entries = [_vocabulary_entry(e, f"{path}: entry {i}", dim_text) for i, e in enumerate(raw)]
     return Vocabulary(entries, dim_text)
 
 
 def write_vocabulary(vocab: Vocabulary, path) -> None:
-    obj = {
-        "dim_text": vocab.dim_text,
-        "entries": [
-            {
-                "id": e.category_id,
-                "name": e.name,
-                "split": e.split,
-                "description": e.description,
-                "cate_emb": [float(v) for v in e.cate_embedding],
-                "attr_emb": [float(v) for v in e.attr_embedding],
-            }
-            for e in vocab
-        ],
-    }
+    entries = [dict(zip(VOCABULARY_ENTRY_FORMAT, (e.category_id, e.name, e.split, e.description,
+                                                   [float(v) for v in e.cate_embedding],
+                                                   [float(v) for v in e.attr_embedding]))) for e in vocab]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1)
+        json.dump({"dim_text": vocab.dim_text, "entries": entries}, fh, indent=1)
         fh.write("\n")
 
 
@@ -515,70 +540,79 @@ def write_weights(tensors: dict[str, np.ndarray], path) -> None:
             fh.write(np.ascontiguousarray(arr).tobytes())
 
 
+def _timelines(rows: Iterable[tuple], what: str) -> list[tuple]:
+    """``(track, tag, {frame: entry})`` per track, in order, from ``(where, track, frame, tag, entry)``
+    rows; FormatError at the first row that repeats its track's frame or changes its tag (``what``)."""
+    tracks: dict = {}
+    for where, tid, frame, tag, entry in rows:
+        first, entries = tracks.setdefault(tid, (tag, {}))
+        if first != tag:
+            raise FormatError(f"{where}: track {tid} switches {what} {first} -> {tag}")
+        if frame in entries:
+            raise FormatError(f"{where}: track {tid} repeats frame {frame}")
+        entries[frame] = entry
+    return [(tid, tag, {f: entries[f] for f in sorted(entries)})
+            for tid, (tag, entries) in sorted(tracks.items())]
+
+
+def _read_groundtruth(path: Path, by_lines: bool) -> list[GroundTruthTrack]:
+    rows = ((where, tid, frame, cat, bbox) for where, (tid, cat, frame, bbox), _
+            in _rows(path, GROUNDTRUTH_FORMAT, GROUNDTRUTH_FORMAT, by_lines))
+    return [GroundTruthTrack(*track) for track in _timelines(rows, "category")]
+
+
 def load_groundtruth(path) -> list[GroundTruthTrack]:
     """Load groundtruth.jsonl into per-track box timelines."""
-    tracks: dict[int, GroundTruthTrack] = {}
-    for where, obj in _jsonl(Path(path), ("track_id", "cat", "frame", "bbox")):
-        tid, cat, frame = _ints(obj, ("track_id", "cat", "frame"), where)
-        bbox = _as_bbox(obj["bbox"], where)
-        track = tracks.setdefault(tid, GroundTruthTrack(tid, cat))
-        if track.category_id != cat:
-            raise FormatError(f"{where}: track {tid} switches category {track.category_id} -> {cat}")
-        if frame in track.boxes:
-            raise FormatError(f"{where}: track {tid} repeats frame {frame}")
-        track.boxes[frame] = bbox
-    out = sorted(tracks.values(), key=lambda t: t.track_id)
-    for t in out:
-        t.boxes = {f: t.boxes[f] for f in sorted(t.boxes)}
-    return out
+    return _load(_read_groundtruth, path)
 
 
 def write_groundtruth(tracks: Iterable[GroundTruthTrack], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for track in sorted(tracks, key=lambda t: t.track_id):
-            for frame in sorted(track.boxes):
-                obj = {
-                    "track_id": track.track_id,
-                    "cat": track.category_id,
-                    "frame": frame,
-                    "bbox": [float(v) for v in track.boxes[frame]],
-                }
-                fh.write(json.dumps(obj) + "\n")
+    line = '{"track_id": %d, "cat": %d, "frame": %d, "bbox": [%s, %s, %s, %s]}\n'
+    _write_lines(path, ((t.track_id, t.category_id, frame, *map(float, t.boxes[frame]))
+                        for t in sorted(tracks, key=lambda t: t.track_id) for frame in sorted(t.boxes)),
+                 line.__mod__)
 
 
 def write_tracks(records: Sequence[TrackRecord], path) -> None:
     """Write finalized tracks as JSONL ordered by (track_id, frame)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    def rows():
         for rec in sorted(records, key=lambda r: r.track_id):
-            for entry in sorted(rec.entries, key=lambda e: e.frame):
-                obj = {
-                    "track_id": rec.track_id,
-                    "frame": entry.frame,
-                    "bbox": [float(v) for v in entry.bbox],
-                    "conf": float(entry.confidence),
-                    "cat": int(entry.category_id),
-                    "det": int(entry.det_idx),
-                }
-                if rec.label is not None:
-                    obj["label"] = int(rec.label)
-                    obj["label_source"] = rec.label_source
-                    obj["scores"] = {k: float(v) for k, v in (rec.scores or {}).items()}
-                fh.write(json.dumps(obj) + "\n")
+            label = "" if rec.label is None else ", " + json.dumps({
+                "label": int(rec.label), "label_source": rec.label_source,
+                "scores": {k: float(v) for k, v in (rec.scores or {}).items()}})[1:-1]
+            for e in sorted(rec.entries, key=lambda e: e.frame):
+                yield (rec.track_id, e.frame, *map(float, e.bbox), float(e.confidence),
+                       int(e.category_id), int(e.det_idx), label)
+
+    line = '{"track_id": %d, "frame": %d, "bbox": [%s, %s, %s, %s], "conf": %s, "cat": %d, "det": %d%s}\n'
+    _write_lines(path, rows(), line.__mod__)
 
 
-def _as_scores(raw, where: str) -> dict[str, float]:
-    """A tracks line's ``scores``: an object of finite JSON numbers."""
-    scores = {}
-    try:
-        for name, v in raw.items():
-            if type(v) not in _NUMBER_TYPES or not math.isfinite(v):
-                break
-            scores[name] = float(v)
-        else:
-            return scores
-    except (AttributeError, OverflowError):  # not an object; an int too large for a float
-        pass
-    raise FormatError(f"{where}: scores must map names to finite numbers, got {raw!r}")
+def write_events(events: Iterable, path) -> None:
+    """Write the tracker's association events as JSONL, one line each, in order."""
+    null, quoted = {None: "null"}.get, json.encoder.encode_basestring_ascii
+    line = '{"frame": %d, "kind": %s, "track": %s, "det": %s, "score": %s}\n'
+    rows = ((ev.frame, quoted(ev.kind), null(ev.track_id, ev.track_id), null(ev.det_idx, ev.det_idx),
+             null(ev.score, ev.score)) for ev in events)
+    _write_lines(path, rows, line.__mod__)
+
+
+def _label_tags(objs: list[dict], where: str | None) -> list[tuple]:
+    """Each tracks line's (label, label_source, scores); a chunk has them on every line or none."""
+    if "label" not in objs[0]:
+        _require(where or not any("label" in o for o in objs), None, "labelled and unlabelled lines")
+        return [(None, None, None)] * len(objs)
+    return list(zip(*(_checked(TRACK_FORMAT, key, [o.get(key, {} if key == "scores" else None)
+                                                   for o in objs], where) for key in _LABEL_KEYS)))
+
+
+def _read_tracks(path: Path, vocabulary: Vocabulary | None, by_lines: bool) -> list[TrackRecord]:
+    rows = ((where, tid, frame, tag, TrackEntry(frame, bbox, conf, cat, det))
+            for where, (tid, frame, cat, det, conf, bbox), tag
+            in _rows(path, TRACK_FORMAT, _TRACK_KEYS, by_lines, vocabulary, _label_tags))
+    return [TrackRecord(tid, list(entries.values()), label, source,
+                        None if scores is None else {k: float(v) for k, v in scores.items()})
+            for tid, (label, source, scores), entries in _timelines(rows, "label")]
 
 
 def read_tracks(path, *, vocabulary: Vocabulary | None = None) -> list[TrackRecord]:
@@ -586,24 +620,4 @@ def read_tracks(path, *, vocabulary: Vocabulary | None = None) -> list[TrackReco
 
     With a ``vocabulary``, every entry's ``cat`` must be one of its ids.
     """
-    recs: dict[int, TrackRecord] = {}
-    for where, obj in _jsonl(Path(path), ("track_id", "frame", "bbox", "conf", "cat", "det")):
-        tid, frame, cat, det = _ints(obj, ("track_id", "frame", "cat", "det"), where)
-        if vocabulary is not None and cat not in vocabulary:
-            raise UnknownCategoryError(f"{where}: unknown category id {cat}")
-        conf = _as_float(obj["conf"], where, "conf")
-        if not 0.0 <= conf <= 1.0:  # also false for NaN
-            raise FormatError(f"{where}: conf must lie in [0, 1], got {conf}")
-        rec = recs.setdefault(tid, TrackRecord(tid, []))
-        rec.entries.append(TrackEntry(frame, _as_bbox(obj["bbox"], where), conf, cat, det))
-        if "label" in obj:
-            (rec.label,) = _ints(obj, ("label",), where)
-            rec.label_source = obj.get("label_source")
-            if rec.label_source not in LABEL_SOURCES:
-                raise FormatError(f"{where}: label_source must be one of {LABEL_SOURCES}, "
-                                  f"got {rec.label_source!r}")
-            rec.scores = _as_scores(obj.get("scores", {}), where)
-    out = sorted(recs.values(), key=lambda r: r.track_id)
-    for rec in out:
-        rec.entries.sort(key=lambda e: e.frame)
-    return out
+    return _load(_read_tracks, path, vocabulary)

@@ -296,6 +296,17 @@ def test_train_writes_weights_and_curve(tmp_path):
     assert all(np.isfinite(curve))
 
 
+@pytest.mark.parametrize("flag", ["--scale-min", "--scale-max"])
+def test_train_rejects_one_scale_bound(tmp_path, capsys, flag):
+    # one bound alone used to be ignored: exit 0 and the bytes of a run without it
+    out = tmp_path / "tr"
+    rc = _run(["train", "--steps", 2, "--dim", 8, "--pairs", 4, flag, "0.5", "--out-dir", out])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: ValueError: --scale-min and --scale-max must be given together\n")
+    assert not out.exists()
+
+
 def test_bench_fusion_table(tmp_path, capsys):
     out = tmp_path / "bench"
     rc = _run(["bench-fusion", "--identities", 4, "--frames", 8, "--categories", 2,

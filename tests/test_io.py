@@ -446,6 +446,45 @@ def test_tracks_roundtrip(tmp_path):
     assert [e.det_idx for e in back[0].entries] == [0, 2]
 
 
+def _two_track_file(path, labelled=True):
+    label = {"label": 1, "label_source": "det", "scores": {"det": 1.0}} if labelled else {}
+    recs = [io.TrackRecord(tid, [io.TrackEntry(f, (0.0, 0.0, 2.0, 2.0), 0.5, 1, 0) for f in range(3)], **label)
+            for tid in (1, 2)]
+    io.write_tracks(recs, path)
+    return path.read_text().splitlines()
+
+
+def test_read_tracks_rejects_a_repeated_frame(tmp_path):
+    # a copied line used to load into a record whose entries outnumber its boxes
+    path = tmp_path / "t.jsonl"
+    lines = _two_track_file(path)
+    path.write_text("\n".join(lines + [lines[3]]) + "\n")
+    with pytest.raises(FormatError) as exc:
+        io.read_tracks(path)
+    assert str(exc.value) == f"{path}:7: track 2 repeats frame 0"
+
+
+@pytest.mark.parametrize("line, change, labelled", [
+    (0, {"label": 99, "label_source": "attr"}, True),  # first line disagrees: reported at line 2
+    (2, {"scores": {"det": 0.5}}, True),
+    (1, {"label": 1, "label_source": "det", "scores": {"det": 1.0}}, False),  # labelled on one line only
+    (4, None, True),  # unlabelled on one line only
+])
+def test_read_tracks_rejects_a_track_whose_lines_disagree_on_its_label(tmp_path, line, change, labelled):
+    # the record used to take its label from its last line, whatever the others said
+    path = tmp_path / "t.jsonl"
+    lines = [json.loads(s) for s in _two_track_file(path, labelled)]
+    if change is None:
+        for key in ("label", "label_source", "scores"):
+            del lines[line][key]
+    else:
+        lines[line].update(change)
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+    with pytest.raises(FormatError, match=rf"t\.jsonl:{max(line, 1) + 1}: track {lines[line]['track_id']} "
+                                         "switches label "):
+        io.read_tracks(path)
+
+
 _TRACK_LINE = {"track_id": 1, "frame": 0, "bbox": [0, 0, 1, 1], "conf": 0.5, "cat": 0, "det": 0,
                "label": 0, "label_source": "det", "scores": {"det": 1.0}}
 @pytest.mark.parametrize("changes, error, message", [
