@@ -22,7 +22,7 @@ weights bundle (``.twb``)
     float32 payload (little endian) until end of file. The fusion block's
     tensor names and shapes are ``trajkit.fusion.FUSION_TENSOR_SHAPES``.
 
-A loader reads ``_CHUNK`` (256) lines at a time and checks whole columns
+A JSONL loader reads ``_CHUNK`` (256) lines at a time and checks whole columns
 against the format table. When a check refuses the file, it runs the same
 checks one line at a time from the top, which raise the error naming
 ``file:line``; the tests hold the column pass to that pass by lines. Writers
@@ -80,9 +80,8 @@ TRACK_FORMAT = {"track_id": ("int",), "frame": ("int",), "cat": ("cat",), "det":
 GROUNDTRUTH_FORMAT = {"track_id": ("int",), "cat": ("int",), "frame": ("int",), "bbox": ("bbox",)}
 VOCABULARY_ENTRY_FORMAT = {"id": ("int",), "name": ("text",), "split": ("choice", SPLITS),
                            "description": ("text",), "cate_emb": ("vec",), "attr_emb": ("vec",)}
-_DETECTION_KEYS = ("frame", "bbox", "conf", "cat", "cat_score")  # keys every line holds, in check order
-_TRACK_KEYS = ("track_id", "frame", "cat", "det", "conf", "bbox")
-_LABEL_KEYS = ("label", "label_source", "scores")  # optional, on every line of a track or none
+_DETECTION_KEYS = tuple(DETECTION_FORMAT)[:5]  # keys every line holds; emb or emb_ref follows
+_TRACK_KEYS, _LABEL_KEYS = tuple(TRACK_FORMAT)[:6], tuple(TRACK_FORMAT)[6:]  # labels: every line of a track or none
 
 BBox = tuple[float, float, float, float]
 
@@ -217,7 +216,7 @@ def _checked(fmt: dict, key: str, values, where: str | None = None,
     if kind in ("int", "cat"):
         _require({*map(type, values)} <= {int} and not (bounds and min(values) < bounds[0]), where,
                  f"{key} must be {'a non-negative int' if bounds else 'an int'}, got {values[0]!r}")
-        _require(kind == "int" or vocabulary is None or set(values) <= set(vocabulary.ids), where,
+        _require(kind == "int" or vocabulary is None or all(v in vocabulary for v in values), where,
                  f"unknown category id {values[0]}", UnknownCategoryError)
     elif kind == "ref":
         _require({*map(type, values)} <= {int} and 0 <= min(values) and max(values) < size, where,
@@ -295,13 +294,13 @@ def _rows(path: Path, fmt: dict, keys, by_lines: bool, vocabulary: Vocabulary | 
                     more([obj], where)[0]
             return
         while chunk := list(islice(fh, _CHUNK)):
-            lines = [line for line in chunk if not line.isspace()]
+            lines = [line.strip(" \t\n\r") for line in chunk if not line.isspace()]  # json's whitespace
             try:
                 parsed = [_scan(line, 0) for line in lines]
             except StopIteration:  # a line holds no JSON value where it starts
                 raise ValueError("not one JSON value per line") from None
-            _require(lines and [end for _, end in parsed] == [len(s) - (s[-1] == "\n") for s in lines],
-                     None, "a line holds more than one JSON value")
+            _require(lines and [end for _, end in parsed] == list(map(len, lines)), None,
+                     "a line holds more than one JSON value")
             objs = [value for value, _ in parsed]
             cols = [_checked(fmt, key, [o[key] for o in objs], vocabulary=vocabulary) for key in keys]
             yield from zip(repeat(path), zip(*cols), more(objs, None))
@@ -453,20 +452,14 @@ def load_vocabulary(path) -> Vocabulary:
     dim_text, raw = obj["dim_text"], obj["entries"]
     _require(type(dim_text) is int and dim_text > 0, path, "dim_text must be a positive int")
     _require(raw, path, "vocabulary needs at least one entry")
-    try:
-        entries = list(map(VocabularyEntry, *(
-            _checked(VOCABULARY_ENTRY_FORMAT, key, [e.get(key, "") if key == "description" else e[key]
-                                                    for e in raw], size=dim_text)
-            for key in VOCABULARY_ENTRY_FORMAT)))
-    except _REFUSED:
-        entries = [_vocabulary_entry(e, f"{path}: entry {i}", dim_text) for i, e in enumerate(raw)]
-    return Vocabulary(entries, dim_text)
+    return Vocabulary([_vocabulary_entry(e, f"{path}: entry {i}", dim_text) for i, e in enumerate(raw)],
+                      dim_text)
 
 
 def write_vocabulary(vocab: Vocabulary, path) -> None:
-    entries = [dict(zip(VOCABULARY_ENTRY_FORMAT, (e.category_id, e.name, e.split, e.description,
-                                                   [float(v) for v in e.cate_embedding],
-                                                   [float(v) for v in e.attr_embedding]))) for e in vocab]
+    entries = [{"id": e.category_id, "name": e.name, "split": e.split, "description": e.description,
+                "cate_emb": [float(v) for v in e.cate_embedding],
+                "attr_emb": [float(v) for v in e.attr_embedding]} for e in vocab]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"dim_text": vocab.dim_text, "entries": entries}, fh, indent=1)
         fh.write("\n")

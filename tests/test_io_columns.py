@@ -181,22 +181,6 @@ def test_groundtruth_columns_agree_with_lines(tmp_path_factory, tracks, mutate, 
         _check_passes(path, io._read_groundtruth, lambda: io.load_groundtruth(path), valid=not mutate)
 
 
-@EXAMPLES
-@given(embs=st.lists(st.lists(numbers, min_size=2, max_size=2), min_size=2, max_size=8), mutate=st.booleans(),
-       mutation=mutations(["id", "name", "split", "description", "cate_emb", "attr_emb"]), index=st.integers(0, 7))
-def test_vocabulary_columns_agree_with_entries(tmp_path_factory, embs, mutate, mutation, index):
-    # the column pass against the entries checked one at a time
-    entries = [{"id": k, "name": f"c{k}", "split": "novel", "description": "", "cate_emb": e, "attr_emb": e[::-1]}
-               for k, e in enumerate(embs)]
-    if mutate:
-        entries = _apply(entries, index, mutation)
-    path = tmp_path_factory.mktemp("voc") / "v.json"
-    path.write_text(json.dumps({"dim_text": 2, "entries": entries}))
-    by_entries = _outcome(lambda: io.Vocabulary(
-        [io._vocabulary_entry(e, f"{path}: entry {i}", 2) for i, e in enumerate(entries)], 2).entries)
-    assert _outcome(lambda: io.load_vocabulary(path).entries) == by_entries
-
-
 _TRACK = {"track_id": 1, "frame": 0, "bbox": [0, 0, 1, 1], "conf": 0.5, "cat": 0, "det": 0}
 _LABEL = {"label": 1, "label_source": "det", "scores": {"det": 1.0}}
 _DET = {"frame": 0, "bbox": [0, 0, 1, 1], "conf": 0.5, "cat": 0, "cat_score": 0.5}
@@ -213,7 +197,8 @@ def _lines(*objs):
     ("tracks", _lines(dict(_TRACK, track_id=2), dict(_TRACK, **_LABEL)), False),  # unlabelled, then labelled
     ("tracks", _lines(dict(_TRACK, **_LABEL), dict(_TRACK, track_id=2)), False),
     ("tracks", _lines(_TRACK, dict(_TRACK, frame=1)).replace("\n", "\r\n") + "\n  \n", True),
-    ("tracks", _lines(_TRACK).replace("}\n", "}  \n"), False),  # room after the value
+    ("tracks", " \t" + _lines(_TRACK).replace("}\n", "}  \t\n"), True),  # json's whitespace round the value
+    ("tracks", _lines(_TRACK).replace("}\n", "}\x0c\n"), False),  # a form feed, which json refuses
     ("detections", _lines(dict(_DET, emb=[1.0]), dict(_DET, emb=[1.0], emb_ref=0)), False),
     ("detections", _lines(dict(_DET, emb_ref=0), dict(_DET, emb=[2.0])), False),
     ("detections", _lines(dict(_DET, emb_ref=0), dict(_DET, emb_ref=1)), False),  # row 1 is zero
