@@ -34,9 +34,9 @@ cfg = TrainConfig(steps=500, learning_rate=0.05, batch_size=8, seed=1)
 # trusting the optimizer with it (on a non-degenerate init: the default
 # zeroed residual projections would zero this gradient exactly).
 w_check = init_fusion_weights(d, seed=1, zero_residual=False)
-_, grads = loss_and_gradients(pairs[0], w_check, cfg)
+_, grads = loss_and_gradients([pairs[0]], w_check, cfg)
 w1 = w_check["mlp.w1"]
-num = numeric_gradient(lambda _t: loss_and_gradients(pairs[0], w_check, cfg)[0],
+num = numeric_gradient(lambda _t: loss_and_gradients([pairs[0]], w_check, cfg)[0],
                        w1, eps=1e-5)
 gap = np.abs(num - grads["mlp.w1"]).max()
 print(f"mlp.w1 gradient check: max |analytic - numeric| = {gap:.2e}")

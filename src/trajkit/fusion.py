@@ -28,11 +28,12 @@ layer reads its own group of names (``attn.*``, ``mlp.*``, ...).
 
 This module holds the only forward pass of the residual block. Its layer
 norm, attention and MLP forwards also return the intermediates that their
-hand-written backward functions beside them read. ``fuse_self_forward``
-returns the fused vector with the clip-level cache, and
-``fuse_self_backward`` turns the gradient at the fused vector into
-gradients of every ``ln1``, ``ln2``, ``attn`` and ``mlp`` tensor for
-:mod:`trajkit.train`.
+hand-written backward functions beside them read; both take any axes
+before a clip's (n, d) as batch axes (a lone clip has none).
+``fuse_self_backward`` turns the gradients at the fused vectors into each
+clip's gradient term of every ``ln1``, ``ln2``, ``attn`` and ``mlp`` tensor;
+a weight matrix's term is its two row factors, so ``clip_gradient`` forms
+one clip's matrix at a time and no stack of matrices is held.
 """
 
 from __future__ import annotations
@@ -116,10 +117,10 @@ def _layer_norm_forward(x, gamma, beta, eps):
     return xhat * gamma + beta, (xhat, std, gamma)
 
 
-def _layer_norm_backward(dy, cache, grads, prefix):
+def _layer_norm_backward(dy, cache, terms, prefix):
     xhat, std, gamma = cache
-    grads[f"{prefix}.gamma"] += (dy * xhat).sum(axis=0)
-    grads[f"{prefix}.beta"] += dy.sum(axis=0)
+    terms[f"{prefix}.gamma"] = (dy * xhat).sum(axis=-2)
+    terms[f"{prefix}.beta"] = dy.sum(axis=-2)
     dxhat = dy * gamma
     m1 = dxhat.mean(axis=-1, keepdims=True)
     m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
@@ -154,36 +155,40 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, w: FusionWeights, group
     Rows are the second-to-last axis; any axes before it are batch axes.
     Returns the output and the cache :func:`_self_attention_backward` reads.
     """
-    d = q.shape[-1]
+    g = group + "."
+    out, cache = _attention_core(q @ w[g + "wq"] + w[g + "bq"], k @ w[g + "wk"] + w[g + "bk"],
+                                 v @ w[g + "wv"] + w[g + "bv"], w, group, heads)
+    return out, (q, *cache)
+
+
+def _attention_core(qp, kp, vp, w: FusionWeights, group: str, heads: int):
+    """:func:`_attend` from rows already projected by ``wq``/``wk``/``wv`` and their biases."""
+    d = qp.shape[-1]
     if heads < 1 or d % heads:
         raise DimMismatchError(f"width {d} is not divisible by {heads} heads")
-    g = group + "."
-    qh = _split_heads(q @ w[g + "wq"] + w[g + "bq"], heads)
-    kh = _split_heads(k @ w[g + "wk"] + w[g + "bk"], heads)
-    vh = _split_heads(v @ w[g + "wv"] + w[g + "bv"], heads)
+    qh, kh, vh = (_split_heads(x, heads) for x in (qp, kp, vp))
     scale = 1.0 / np.sqrt(d // heads)
     scores = np.einsum("...nhk,...mhk->...hnm", qh, kh) * scale
     attn = softmax(scores, axis=-1)
-    mixed = np.einsum("...hnm,...mhk->...nhk", attn, vh).reshape(q.shape)
-    return mixed @ w[g + "wo"] + w[g + "bo"], (q, qh, kh, vh, attn, mixed, scale, w)
+    mixed = np.einsum("...hnm,...mhk->...nhk", attn, vh).reshape(qp.shape)
+    return mixed @ w[group + ".wo"] + w[group + ".bo"], (qh, kh, vh, attn, mixed, scale, w)
 
 
-def _self_attention_backward(dout, cache, grads):
-    """Backward of ``_attend(x, x, x, ...)`` into the ``attn.*`` gradients."""
+def _self_attention_backward(dout, cache, terms):
+    """Backward of ``_attend(x, x, x, ...)`` into the ``attn.*`` terms."""
     x, qh, kh, vh, attn, mixed, scale, w = cache
-    n, d = x.shape
-    grads["attn.wo"] += mixed.T @ dout
-    grads["attn.bo"] += dout.sum(axis=0)
+    terms["attn.wo"] = (mixed, dout)
+    terms["attn.bo"] = dout.sum(axis=-2)
     dmixed = (dout @ w["attn.wo"].T).reshape(qh.shape)
-    dattn = np.einsum("nhk,mhk->hnm", dmixed, vh)
-    dvh = np.einsum("hnm,nhk->mhk", attn, dmixed)
+    dattn = np.einsum("...nhk,...mhk->...hnm", dmixed, vh)
+    dvh = np.einsum("...hnm,...nhk->...mhk", attn, dmixed)
     dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-    dqh = np.einsum("hnm,mhk->nhk", dscores, kh) * scale
-    dkh = np.einsum("hnm,nhk->mhk", dscores, qh) * scale
-    dq, dk, dv = (g.reshape(n, d) for g in (dqh, dkh, dvh))
+    dqh = np.einsum("...hnm,...mhk->...nhk", dscores, kh) * scale
+    dkh = np.einsum("...hnm,...nhk->...mhk", dscores, qh) * scale
+    dq, dk, dv = (g.reshape(x.shape) for g in (dqh, dkh, dvh))
     for key, g in (("q", dq), ("k", dk), ("v", dv)):
-        grads[f"attn.w{key}"] += x.T @ g
-        grads[f"attn.b{key}"] += g.sum(axis=0)
+        terms[f"attn.w{key}"] = (x, g)
+        terms[f"attn.b{key}"] = g.sum(axis=-2)
     return dq @ w["attn.wq"].T + dk @ w["attn.wk"].T + dv @ w["attn.wv"].T
 
 
@@ -209,13 +214,13 @@ def _mlp_forward(x, w: FusionWeights):
     return act @ w["mlp.w2"] + w["mlp.b2"], (x, pre, act, w)
 
 
-def _mlp_backward(dout, cache, grads):
+def _mlp_backward(dout, cache, terms):
     x, pre, act, w = cache
-    grads["mlp.w2"] += act.T @ dout
-    grads["mlp.b2"] += dout.sum(axis=0)
+    terms["mlp.w2"] = (act, dout)
+    terms["mlp.b2"] = dout.sum(axis=-2)
     dpre = (dout @ w["mlp.w2"].T) * _gelu_grad(pre)
-    grads["mlp.w1"] += x.T @ dpre
-    grads["mlp.b1"] += dpre.sum(axis=0)
+    terms["mlp.w1"] = (x, dpre)
+    terms["mlp.b1"] = dpre.sum(axis=-2)
     return dpre @ w["mlp.w1"].T
 
 
@@ -225,9 +230,9 @@ def mlp_block(x: np.ndarray, weights: FusionWeights) -> np.ndarray:
 
 
 def fuse_average(clip: np.ndarray) -> np.ndarray:
-    """Column mean of the clip."""
+    """Column mean of the clip (of each clip, for a stack of clips)."""
     clip = np.atleast_2d(np.asarray(clip, dtype=np.float64))
-    return clip.mean(axis=0)
+    return clip.mean(axis=-2)
 
 
 def fuse_attention(clip: np.ndarray, weights: FusionWeights, heads: int = 1) -> np.ndarray:
@@ -258,19 +263,29 @@ def fuse_self_forward(clip: np.ndarray, weights: FusionWeights,
     u = x + s
     h2, ln2_cache = _layer_norm_forward(u, weights["ln2.gamma"], weights["ln2.beta"], LN_EPS)
     m, mlp_cache = _mlp_forward(h2, weights)
-    return fuse_average(u + m), (x.shape[0], ln1_cache, attn_cache, ln2_cache, mlp_cache)
+    return fuse_average(u + m), (x.shape[-2], ln1_cache, attn_cache, ln2_cache, mlp_cache)
 
 
-def fuse_self_backward(dfused: np.ndarray, cache: tuple, grads: dict[str, np.ndarray]) -> None:
-    """Reverse-mode pass of :func:`fuse_self_forward` from the gradient at its output.
+def fuse_self_backward(dfused: np.ndarray, cache: tuple) -> dict:
+    """Reverse-mode pass of :func:`fuse_self_forward` from the gradients at its outputs.
 
-    Adds the gradient of every ``ln1``, ``ln2``, ``attn`` and ``mlp`` tensor
-    into ``grads``, keyed by bundle name; the entries must already exist.
+    Returns every ``ln1``, ``ln2``, ``attn`` and ``mlp`` tensor's gradient
+    term, keyed by bundle name, for :func:`clip_gradient` to read.
     """
     n, ln1_cache, attn_cache, ln2_cache, mlp_cache = cache
-    dv = np.tile(dfused / n, (n, 1))
-    du = dv + _layer_norm_backward(_mlp_backward(dv, mlp_cache, grads), ln2_cache, grads, "ln2")
-    _layer_norm_backward(_self_attention_backward(du, attn_cache, grads), ln1_cache, grads, "ln1")
+    terms = {}
+    dv = np.repeat((dfused / n)[..., None, :], n, axis=-2)
+    du = dv + _layer_norm_backward(_mlp_backward(dv, mlp_cache, terms), ln2_cache, terms, "ln2")
+    _layer_norm_backward(_self_attention_backward(du, attn_cache, terms), ln1_cache, terms, "ln1")
+    return terms
+
+
+def clip_gradient(term, clip=()) -> np.ndarray:
+    """One clip's gradient (``clip`` indexes the batch axes) from a :func:`fuse_self_backward` term."""
+    if isinstance(term, tuple):  # a weight matrix, kept as its row factors (x, g)
+        x, g = term
+        return x[clip].T @ g[clip]
+    return term[clip]
 
 
 def fuse_cross(clip: np.ndarray, weights: FusionWeights, heads: int = 1) -> np.ndarray:
@@ -306,12 +321,13 @@ def concat_score(clip: np.ndarray, lang: np.ndarray, weights: FusionWeights,
             f"language must be one vector or a matrix of rows, got shape {lang.shape}")
     if rows.shape[1] != d:
         raise DimMismatchError(f"language width {rows.shape[1]} != clip width {d}")
-    stacked = np.empty((rows.shape[0], n + 1, d))
-    stacked[:, :n] = clip
-    stacked[:, n] = rows
+    # Project the clip and language rows once, then lay out the V stacks [clip; row].
+    both = np.concatenate([clip, rows])
+    stacks = [np.concatenate([np.broadcast_to(p[:n], (len(rows), n, d)), p[n:, None]], axis=1)
+              for p in (both @ weights[f"attn.w{k}"] + weights[f"attn.b{k}"] for k in "qkv")]
     # Pooled rows stay (V, 1, d), so the projections below are one 1 x d
     # product per stack and every score has the bits of a one-row call.
-    pooled = _attend(stacked, stacked, stacked, weights, "attn", heads)[0].mean(axis=-2, keepdims=True)
+    pooled = _attention_core(*stacks, weights, "attn", heads)[0].mean(axis=-2, keepdims=True)
     projected = pooled @ weights["concat.pool_w"] + weights["concat.pool_b"]
     raw = projected @ weights["concat.fc_w"] + weights["concat.fc_b"].reshape(())
     scores = 1.0 / (1.0 + np.exp(-raw[:, 0]))

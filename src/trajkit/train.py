@@ -13,6 +13,11 @@ The forward and backward of the ``fuse_self`` path live in
 training runs the very forward pass that classification runs; this module
 holds the loss head, output normalization and the optimizer loop.
 
+A step is one :func:`loss_and_gradients` call: its clips, stacked by row
+count, take one forward and one backward per stack; the loss head runs per
+pair. Gradients fold in pair order (``clip_a`` term plus ``clip_b`` term,
+times the pair's draws, into a zeroed sum): the bits of a pair-by-pair loop.
+
 Loss for a pair with label y (1 = same category):
 
     L = 0.5 * (y * D^2 + (1 - y) * max(0, margin - D)^2)
@@ -23,12 +28,13 @@ with D either the euclidean distance or the cosine distance (1 - cosine).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DivergedError, ZeroNormError
-from .fusion import FUSION_TENSOR_NAMES, FusionWeights, fuse_self, fuse_self_backward, fuse_self_forward
+from .errors import DimMismatchError, DivergedError, TrajkitError, ZeroNormError
+from .fusion import (FUSION_TENSOR_NAMES, FusionWeights, clip_gradient, fuse_self,
+                     fuse_self_backward, fuse_self_forward)
 
 DISTANCES = ("euclidean", "cosine")
 
@@ -69,15 +75,14 @@ class TrainConfig:
 def contrastive_loss(f_a: np.ndarray, f_b: np.ndarray, y: int,
                      margin: float = 0.5, distance: str = "euclidean") -> float:
     """Margin contrastive loss between two already-fused vectors."""
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y!r}")
-    loss, _, _ = _loss_head(np.asarray(f_a, np.float64), np.asarray(f_b, np.float64),
-                            y, margin, distance)
-    return loss
+    return _loss_head(np.asarray(f_a, np.float64), np.asarray(f_b, np.float64),
+                      y, margin, distance)[0]
 
 
 def _loss_head(fa, fb, y, margin, distance):
     """Loss plus its gradients with respect to the two input vectors."""
+    if y not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {y!r}")
     if distance == "euclidean":
         diff = fa - fb
         dist = float(np.linalg.norm(diff))
@@ -103,43 +108,61 @@ def _loss_head(fa, fb, y, margin, distance):
     return loss, dfa, dfb
 
 
-def _normalize_with_grad(f):
-    n = float(np.linalg.norm(f))
-    if n == 0.0:
+def _pair_head(fa, fb, y, cfg: TrainConfig):
+    """A pair's loss from its fused vectors, and the loss gradients at them."""
+    if not cfg.normalize_outputs:
+        return _loss_head(fa, fb, y, cfg.margin, cfg.distance)
+    na, nb = float(np.linalg.norm(fa)), float(np.linalg.norm(fb))
+    if na == 0.0 or nb == 0.0:
         raise ZeroNormError("cannot normalize zero-norm fusion output")
-    unit = f / n
-
-    def backward(dunit):
-        return (dunit - (dunit @ unit) * unit) / n
-
-    return unit, backward
+    ua, ub = fa / na, fb / nb
+    loss, dua, dub = _loss_head(ua, ub, y, cfg.margin, cfg.distance)
+    return loss, (dua - (dua @ ua) * ua) / na, (dub - (dub @ ub) * ub) / nb
 
 
 def pair_loss(pair: TrainPair, weights: FusionWeights, cfg: TrainConfig) -> float:
     """Forward pass of the training objective through the public fusion op."""
-    fa = fuse_self(pair.clip_a, weights, cfg.heads)
-    fb = fuse_self(pair.clip_b, weights, cfg.heads)
-    if cfg.normalize_outputs:
-        fa, _ = _normalize_with_grad(fa)
-        fb, _ = _normalize_with_grad(fb)
-    return contrastive_loss(fa, fb, pair.label, cfg.margin, cfg.distance)
+    fa, fb = (fuse_self(clip, weights, cfg.heads) for clip in (pair.clip_a, pair.clip_b))
+    return _pair_head(fa, fb, pair.label, cfg)[0]
 
 
-def loss_and_gradients(pair: TrainPair, weights: FusionWeights,
-                       cfg: TrainConfig) -> tuple[float, dict[str, np.ndarray]]:
-    fa, cache_a = fuse_self_forward(pair.clip_a, weights, cfg.heads)
-    fb, cache_b = fuse_self_forward(pair.clip_b, weights, cfg.heads)
-    if cfg.normalize_outputs:
-        fa_n, back_a = _normalize_with_grad(fa)
-        fb_n, back_b = _normalize_with_grad(fb)
-    else:
-        fa_n, fb_n = fa, fb
-        back_a = back_b = lambda g: g
-    loss, dfa_n, dfb_n = _loss_head(fa_n, fb_n, pair.label, cfg.margin, cfg.distance)
-    grads = {name: np.zeros_like(weights[name]) for name in TRAINABLE_TENSORS}
-    fuse_self_backward(back_a(dfa_n), cache_a, grads)
-    fuse_self_backward(back_b(dfb_n), cache_b, grads)
-    return loss, grads
+def _step_clips(pairs: Sequence[TrainPair], d: int) -> list[np.ndarray]:
+    """Every pair's clip_a and clip_b as float64 (n, d) arrays, in pair order."""
+    clips = [np.atleast_2d(np.asarray(c, dtype=np.float64)) for p in pairs for c in (p.clip_a, p.clip_b)]
+    for k, clip in enumerate(clips):
+        name = f"pair {k // 2} clip_{'ab'[k % 2]}"
+        if clip.ndim != 2 or clip.shape[1] != d:
+            raise DimMismatchError(f"{name} has shape {clip.shape}: width {clip.shape[-1]}, not {d}")
+        if not len(clip):
+            raise TrajkitError(f"{name} is an empty clip")
+    return clips
+
+
+def loss_and_gradients(pairs: Sequence[TrainPair], weights: FusionWeights, cfg: TrainConfig,
+                       counts: Sequence[int] | None = None) -> tuple[float, dict[str, np.ndarray]]:
+    """Count-weighted loss sum and gradient sums of a step's distinct pairs,
+    ``pairs[i]`` drawn ``counts[i]`` times (once each by default)."""
+    counts = [1] * len(pairs) if counts is None else counts
+    slots, stacks = [], {}  # each clip's (row count, row in its stack); each stack's clips
+    for clip in _step_clips(pairs, weights.d):
+        slots.append((len(clip), len(stacks.setdefault(len(clip), []))))
+        stacks[len(clip)].append(clip)
+    forward = {n: fuse_self_forward(np.stack(s), weights, cfg.heads) for n, s in stacks.items()}
+    dfused = {n: np.empty_like(fused) for n, (fused, _) in forward.items()}
+    total = 0.0
+    for p, (pair, count) in enumerate(zip(pairs, counts)):
+        (na, ia), (nb, ib) = slots[2 * p:2 * p + 2]
+        loss, dfused[na][ia], dfused[nb][ib] = _pair_head(
+            forward[na][0][ia], forward[nb][0][ib], pair.label, cfg)
+        total += count * loss
+    terms = {n: fuse_self_backward(dfused[n], cache) for n, (_, cache) in forward.items()}
+    grads = {}
+    for name in TRAINABLE_TENSORS:
+        acc = grads[name] = np.zeros_like(weights[name])
+        for (na, ia), (nb, ib), count in zip(slots[::2], slots[1::2], counts):
+            g = clip_gradient(terms[na][name], ia) + clip_gradient(terms[nb][name], ib)
+            acc += g if count == 1 else count * g
+    return total, grads
 
 
 def numeric_gradient(f: Callable[[np.ndarray], float], theta: np.ndarray,
@@ -167,7 +190,8 @@ def train_fusion(pairs: Iterable[TrainPair], weights: FusionWeights,
     Pairs are shuffled once with the config seed and cycled in fixed order,
     so the run is deterministic. A batch of ``batch_size`` draws from P pairs
     visits each distinct pair of the step once, weighted by how often the
-    cycle draws it, so a step costs at most min(batch_size, P) passes.
+    cycle draws it, in one :func:`loss_and_gradients` call per step. A bad
+    clip raises before the first step, naming its index in ``pairs``.
     Returns fresh weights (the input object is untouched) and the per-step
     mean batch loss, recorded before each update. Raises DivergedError as soon
     as a batch loss turns non-finite.
@@ -175,27 +199,23 @@ def train_fusion(pairs: Iterable[TrainPair], weights: FusionWeights,
     pairs = list(pairs)
     if not pairs:
         raise ValueError("train_fusion needs at least one pair")
+    _step_clips(pairs, weights.d)
     weights = weights.copy()  # updated in place below
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(len(pairs))
     size, n_pairs = cfg.batch_size, len(pairs)
     rounds, extra = divmod(size, n_pairs)
+    counts = [rounds + (j < extra) for j in range(min(size, n_pairs))]  # a step's draws of each
     curve: list[float] = []
     cursor = 0
     for step in range(cfg.steps):
-        total = 0.0
-        acc = {name: np.zeros_like(weights[name]) for name in TRAINABLE_TENSORS}
-        for j in range(min(size, n_pairs)):
-            count = rounds + (j < extra)  # draws of this pair in the step
-            loss, grads = loss_and_gradients(pairs[order[(cursor + j) % n_pairs]], weights, cfg)
-            total += count * loss
-            for name in TRAINABLE_TENSORS:
-                acc[name] += grads[name] if count == 1 else count * grads[name]
+        batch = [pairs[order[(cursor + j) % n_pairs]] for j in range(len(counts))]
+        total, grads = loss_and_gradients(batch, weights, cfg, counts)
         cursor = (cursor + size) % n_pairs
         mean_loss = total / size
         if not np.isfinite(mean_loss):
             raise DivergedError(step)
         for name in TRAINABLE_TENSORS:
-            weights[name] -= cfg.learning_rate * acc[name] / size
+            weights[name] -= cfg.learning_rate * grads[name] / size
         curve.append(mean_loss)
     return weights, curve

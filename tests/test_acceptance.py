@@ -222,7 +222,7 @@ def test_criterion_02_gradient_check(capfd):
             w = init_fusion_weights(d, seed=int(rng.integers(10000)), zero_residual=False)
             cfg = TrainConfig(margin=margin, distance=distance)
             pair = TrainPair(rng.normal(size=(na, d)), rng.normal(size=(nb, d)), y)
-            _, grads = loss_and_gradients(pair, w, cfg)
+            _, grads = loss_and_gradients([pair], w, cfg)
             for name in TRAINABLE_TENSORS:
                 num = numeric_gradient(lambda _t: pair_loss(pair, w, cfg),
                                        w[name], eps=1e-5)

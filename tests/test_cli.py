@@ -296,6 +296,38 @@ def test_train_writes_weights_and_curve(tmp_path):
     assert all(np.isfinite(curve))
 
 
+# sha256 prefixes of train's weights.twb and loss_curve.json, taken while
+# each pair still had its own forward and backward; a batched step must keep
+# every bit. The first case mixes 3-, 4- and 5-row clips in every step.
+TRAIN_DIGESTS = {
+    "mixed_lengths": (["--frames", 6, "--miss-rate", 0.4, "--pairs", 8, "--seed", 3],
+                      {3, 4, 5}, "fb9f8d091a4782c8", "ad94715feacfdc76"),
+    "heads2_cosine": (["--frames", 10, "--pairs", 8, "--seed", 4, "--heads", 2,
+                       "--distance", "cosine"], {5}, "c67ca4bda9fa8555", "a3e8b03d226cbba1"),
+    "batch_above_pairs": (["--frames", 10, "--pairs", 5, "--batch-size", 12, "--seed", 5],
+                          {5}, "6dc02f5c1262fe03", "4c6c11526a942747"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRAIN_DIGESTS))
+def test_train_bytes_are_pinned(tmp_path, monkeypatch, case):
+    args, want_lengths, want_weights, want_curve = TRAIN_DIGESTS[case]
+    lengths = set()
+    real = cli.train_fusion
+
+    def spy(pairs, weights, cfg):
+        lengths.update(len(clip) for pair in pairs for clip in (pair.clip_a, pair.clip_b))
+        return real(pairs, weights, cfg)
+
+    monkeypatch.setattr(cli, "train_fusion", spy)
+    assert _run(["train", "--identities", 4, "--dim", 8, "--steps", 20, *args,
+                 "--out-dir", tmp_path]) == 0
+    assert lengths == want_lengths
+    digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+              for name in ("weights.twb", "loss_curve.json")}
+    assert digest == {"weights.twb": want_weights, "loss_curve.json": want_curve}
+
+
 @pytest.mark.parametrize("flag", ["--scale-min", "--scale-max"])
 def test_train_rejects_one_scale_bound(tmp_path, capsys, flag):
     # one bound alone used to be ignored: exit 0 and the bytes of a run without it

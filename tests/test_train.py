@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from trajkit import train
-from trajkit.errors import DimMismatchError, DivergedError, ZeroNormError
-from trajkit.fusion import init_fusion_weights
+from trajkit.errors import DimMismatchError, DivergedError, TrajkitError, ZeroNormError
+from trajkit.fusion import clip_gradient, fuse_self_backward, fuse_self_forward, init_fusion_weights
 from trajkit.train import (
     TRAINABLE_TENSORS,
     TrainConfig,
@@ -45,6 +45,10 @@ def test_contrastive_loss_cosine_distance():
 def test_contrastive_loss_label_validation():
     with pytest.raises(ValueError):
         contrastive_loss(np.ones(2), np.ones(2), 2)
+    # the training path shares the check; a label of 2 used to train silently
+    with pytest.raises(ValueError, match="label must be 0 or 1"):
+        loss_and_gradients([TrainPair(np.ones((2, 4)), np.eye(4)[:2], 2)],
+                           init_fusion_weights(4, seed=0), TrainConfig())
 
 
 @pytest.mark.parametrize("heads", [1, 2])
@@ -57,10 +61,10 @@ def test_gradients_match_numeric_euclidean(heads):
     cfg = TrainConfig(margin=2.5, distance="euclidean", heads=heads)
     for y in (1, 0):
         pair = TrainPair(rng.normal(size=(3, d)), rng.normal(size=(2, d)) * 0.2, y)
-        loss, grads = loss_and_gradients(pair, w, cfg)
+        loss, grads = loss_and_gradients([pair], w, cfg)
         assert loss > 0
         for name in TRAINABLE_TENSORS:
-            num = numeric_gradient(lambda _t: loss_and_gradients(pair, w, cfg)[0],
+            num = numeric_gradient(lambda _t: loss_and_gradients([pair], w, cfg)[0],
                                    w[name])
             # atol soaks up finite-difference noise on exactly-zero entries
             # (a shared key bias cancels inside the row softmax, so its
@@ -75,9 +79,9 @@ def test_gradients_match_numeric_cosine():
     w = init_fusion_weights(d, seed=2, zero_residual=False)
     cfg = TrainConfig(margin=0.8, distance="cosine")
     pair = TrainPair(rng.normal(size=(2, d)), rng.normal(size=(3, d)), 1)
-    _, grads = loss_and_gradients(pair, w, cfg)
+    _, grads = loss_and_gradients([pair], w, cfg)
     for name in TRAINABLE_TENSORS:
-        num = numeric_gradient(lambda _t: loss_and_gradients(pair, w, cfg)[0],
+        num = numeric_gradient(lambda _t: loss_and_gradients([pair], w, cfg)[0],
                                w[name])
         np.testing.assert_allclose(num, grads[name], rtol=1e-5, atol=1e-8,
                                    err_msg=name)
@@ -88,8 +92,8 @@ def test_analytic_gradients_inventory():
     d = 4
     w = init_fusion_weights(d, seed=3, zero_residual=False)
     cfg = TrainConfig()
-    _, grads = loss_and_gradients(TrainPair(rng.normal(size=(2, d)),
-                                            rng.normal(size=(2, d)), 1), w, cfg)
+    _, grads = loss_and_gradients([TrainPair(rng.normal(size=(2, d)),
+                                             rng.normal(size=(2, d)), 1)], w, cfg)
     assert set(grads) == set(TRAINABLE_TENSORS)
     for name in TRAINABLE_TENSORS:
         assert grads[name].shape == w[name].shape
@@ -113,14 +117,14 @@ def test_pair_loss_matches_loss_and_gradients():
                           normalize_outputs=bool(rng.random() < 0.5))
         pair = TrainPair(rng.normal(size=(int(rng.integers(1, 5)), d)),
                          rng.normal(size=(int(rng.integers(1, 5)), d)), int(rng.integers(0, 2)))
-        assert pair_loss(pair, w, cfg) == loss_and_gradients(pair, w, cfg)[0]
+        assert pair_loss(pair, w, cfg) == loss_and_gradients([pair], w, cfg)[0]
 
 
 def test_heads_must_divide_width():
     w = init_fusion_weights(6, seed=0)
     pair = TrainPair(np.ones((2, 6)), np.ones((2, 6)), 1)
     with pytest.raises(DimMismatchError):
-        loss_and_gradients(pair, w, TrainConfig(heads=4))
+        loss_and_gradients([pair], w, TrainConfig(heads=4))
 
 
 @pytest.mark.parametrize("heads", [0, -1])
@@ -129,7 +133,7 @@ def test_heads_must_be_positive(heads):
     w = init_fusion_weights(6, seed=0)
     pair = TrainPair(np.ones((2, 6)), np.ones((2, 6)), 1)
     with pytest.raises(DimMismatchError):
-        loss_and_gradients(pair, w, TrainConfig(heads=heads))
+        loss_and_gradients([pair], w, TrainConfig(heads=heads))
 
 
 def test_pair_loss_normalization_flag():
@@ -182,7 +186,7 @@ def _expanded_batch_training(pairs, weights, cfg):
     for _ in range(cfg.steps):
         batch = [pairs[order[(cursor + j) % len(pairs)]] for j in range(cfg.batch_size)]
         cursor = (cursor + cfg.batch_size) % len(pairs)
-        results = [loss_and_gradients(pair, weights, cfg) for pair in batch]
+        results = [loss_and_gradients([pair], weights, cfg) for pair in batch]
         curve.append(sum(loss for loss, _ in results) / len(batch))
         for name in TRAINABLE_TENSORS:
             weights[name] -= cfg.learning_rate * sum(g[name] for _, g in results) / len(batch)
@@ -195,12 +199,93 @@ def test_batch_larger_than_pair_count_visits_each_pair_once(monkeypatch):
     calls = []
     real = train.loss_and_gradients
     monkeypatch.setattr(train, "loss_and_gradients",
-                        lambda *args: calls.append(1) or real(*args))
-    train_fusion(pairs, w, TrainConfig(steps=1, batch_size=15, seed=2))
-    assert len(calls) == 5  # one pass per distinct pair, not one per draw
+                        lambda batch, *args: calls.append((batch, args[-1])) or real(batch, *args))
+    train_fusion(pairs, w, TrainConfig(steps=2, batch_size=15, seed=2))
+    # one call per step, carrying the 5 distinct pairs once each with 3 draws
+    assert len(calls) == 2
+    for batch, counts in calls:
+        assert sorted(map(id, batch)) == sorted(map(id, pairs))
+        assert counts == [3] * 5
     _, curve_big = train_fusion(pairs, w, TrainConfig(steps=4, batch_size=15, seed=2))
     _, curve_one = train_fusion(pairs, w, TrainConfig(steps=4, batch_size=5, seed=2))
     np.testing.assert_allclose(curve_big, curve_one, rtol=0, atol=1e-12)
+
+
+def _pair_by_pair(pairs, weights, cfg, counts):
+    # Oracle of a batched step: each pair through its own forward and backward
+    # of lone clips, its gradients summed into zeroed arrays and folded into
+    # the step's sums pair after pair, as train_fusion did one call per pair.
+    total = 0.0
+    acc = {name: np.zeros_like(weights[name]) for name in TRAINABLE_TENSORS}
+    for pair, count in zip(pairs, counts):
+        fa, cache_a = fuse_self_forward(pair.clip_a, weights, cfg.heads)
+        fb, cache_b = fuse_self_forward(pair.clip_b, weights, cfg.heads)
+        loss, dfa, dfb = train._pair_head(fa, fb, pair.label, cfg)
+        terms_a = fuse_self_backward(dfa, cache_a)
+        terms_b = fuse_self_backward(dfb, cache_b)
+        total += count * loss
+        for name in TRAINABLE_TENSORS:
+            grad = np.zeros_like(weights[name])
+            grad += clip_gradient(terms_a[name])
+            grad += clip_gradient(terms_b[name])
+            acc[name] += grad if count == 1 else count * grad
+    return total, acc
+
+
+@pytest.mark.parametrize("batch_size", [3, 7, 12])
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("distance", ["euclidean", "cosine"])
+def test_batched_step_keeps_the_bits_of_pair_by_pair(batch_size, heads, normalize, distance):
+    # 2- and 3-row clips form two stacks; 7 and 12 draws from 5 pairs give
+    # counts above 1
+    pairs = _pairs(5)
+    w = init_fusion_weights(4, seed=9, zero_residual=False)
+    cfg = TrainConfig(steps=3, batch_size=batch_size, seed=2, learning_rate=0.2, heads=heads,
+                      normalize_outputs=normalize, distance=distance,
+                      margin=2.5 if distance == "euclidean" else 0.8)
+    got_w, got_curve = train_fusion(pairs, w, cfg)
+    want_w = w.copy()
+    order = np.random.default_rng(cfg.seed).permutation(len(pairs))
+    rounds, extra = divmod(batch_size, len(pairs))
+    counts = [rounds + (j < extra) for j in range(min(batch_size, len(pairs)))]
+    want_curve, cursor = [], 0
+    for _ in range(cfg.steps):
+        batch = [pairs[order[(cursor + j) % len(pairs)]] for j in range(len(counts))]
+        cursor = (cursor + batch_size) % len(pairs)
+        total, grads = _pair_by_pair(batch, want_w, cfg, counts)
+        got_total, got_grads = loss_and_gradients(batch, want_w, cfg, counts)
+        assert got_total == total
+        for name in TRAINABLE_TENSORS:
+            np.testing.assert_array_equal(got_grads[name], grads[name], err_msg=name)
+        want_curve.append(total / batch_size)
+        for name in TRAINABLE_TENSORS:
+            want_w[name] -= cfg.learning_rate * grads[name] / batch_size
+    np.testing.assert_array_equal(got_curve, want_curve)
+    for name in TRAINABLE_TENSORS:
+        np.testing.assert_array_equal(got_w[name], want_w[name], err_msg=name)
+
+
+@pytest.mark.parametrize("width", [3, 6])
+def test_clip_of_the_wrong_width_names_its_pair(width):
+    # used to fail inside numpy with "operands could not be broadcast"
+    pairs = _pairs(4)
+    pairs[2] = TrainPair(pairs[2].clip_a, np.ones((3, width)), 0)
+    w = init_fusion_weights(4, seed=9)
+    message = rf"clip_b has shape \(3, {width}\): width {width}, not 4"
+    with pytest.raises(DimMismatchError, match="pair 2 " + message):
+        train_fusion(pairs, w, TrainConfig(steps=1))
+    with pytest.raises(DimMismatchError, match="pair 0 " + message):
+        loss_and_gradients([pairs[2]], w, TrainConfig())
+
+
+def test_empty_clip_names_its_pair():
+    # used to fail inside numpy with "zero-size array to reduction operation"
+    pairs = _pairs(3)
+    pairs[1] = TrainPair(np.ones((0, 4)), pairs[1].clip_b, 1)
+    w = init_fusion_weights(4, seed=9)
+    with pytest.raises(TrajkitError, match="pair 1 clip_a is an empty clip"):
+        train_fusion(pairs, w, TrainConfig(steps=1))
 
 
 @pytest.mark.parametrize("batch_size", [3, 7, 12])
