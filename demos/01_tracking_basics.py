@@ -53,9 +53,10 @@ for tr in tracks:
     print(f"  track {tr.id}: identity {idents}, {len(frames)} frames, "
           f"gaps bridged: {gaps if gaps else 'none'}")
 
-# Peek at the memory vs bank machinery for one track.
-tr = tracks[0]
+# Peek at the memory vs bank machinery for one live track. The tracker keeps
+# one row per live track in its memory and query arrays, in live order.
+tr = tracker.live[0]
 bank = tr.feature_bank  # unit rows, oldest first
-print(f"\ntrack {tr.id} internals: memory dim {tr.memory.shape[0]}, "
+print(f"\ntrack {tr.id} internals: memory dim {tracker.memory.shape[1]}, "
       f"bank {bank.shape[0]} embeddings (cap {TrackerConfig().n_bank}), "
       f"category bank {list(tr.category_bank)}")

@@ -4,35 +4,36 @@ Each track records one ``io.TrackEntry`` per matched detection in
 ``observations`` (its ``category_id`` is the retained category) and the
 embedding as observed beside it in ``embeddings``. It also keeps:
 
-- ``memory``: an exponential moving average of matched embeddings,
-  ``alpha_mem * det + (1 - alpha_mem) * memory``. Its unit-normalized copy,
-  ``memory_unit``, is refreshed only when the memory changes.
 - ``feature_bank``: the last ``n_bank`` matched embeddings (FIFO), held as
-  one contiguous ``(n, d)`` float64 array of unit rows, oldest first. A row
-  is normalized once, when it is inserted. The bank similarity is the mean
-  cosine against every entry, which is considerably more noise tolerant
-  than the EMA alone. That mean equals one dot product with ``bank_mean``,
-  the mean of the bank's unit rows, recomputed from the kept rows on every
-  insert.
+  one contiguous ``(n, d)`` float64 array of unit rows, oldest first. The
+  bank similarity is the mean cosine against every entry, which is
+  considerably more noise tolerant than an EMA alone. That mean equals one
+  dot product with the mean of the bank's unit rows, summed afresh in FIFO
+  order from the kept rows on every match.
 - ``category_bank``: the last ``n_cat_bank`` retained category ids, used to
   smooth noisy per-frame classifications through majority voting.
 
 Similarity between a track and a detection blends the memory and bank
 cosines, ``alpha_sim * C_mem + (1 - alpha_sim) * C_bank``, optionally
-averaged with a bi-directional softmax of the same matrix. Matching is a
-greedy per-detection argmax in descending confidence order; there is no
-motion model and no box gating, appearance carries everything.
+averaged with a bi-directional softmax of the same matrix. The memory is an
+exponential moving average of the matched embeddings,
+``alpha_mem * det + (1 - alpha_mem) * memory``. Matching is a greedy
+per-detection argmax in descending confidence order; there is no motion
+model and no box gating, appearance carries everything.
 
-``Tracker`` keeps its live tracks (active or lost) in a list in id order and
-drops a track from it in the frame the track dies, so per-frame work grows
-with the live tracks only, never with every track ever born. Scoring a frame
-then costs one matrix product, of the live tracks' query rows
-``alpha_sim * memory_unit + (1 - alpha_sim) * bank_mean`` with the unit
-detections, and the bi-softmax. The scores of the last step and the ids of
-the tracks they rank stay on the tracker as ``last_scores`` and ``last_ids``.
+``Tracker`` keeps its live tracks (active or lost) in ``live``, in id
+order, and drops a track in the frame it dies, so per-frame work grows with
+the live tracks only, never with every track ever born. Beside ``live`` it
+keeps one row per live track in two float64 arrays: ``memory`` and the
+query row ``alpha_sim * memory / ||memory|| + (1 - alpha_sim) * mean(bank)``.
+Scoring a frame is then one product of the stored query with the unit
+detections, and the bi-softmax. A step updates the rows of the tracks it
+matched together: one EMA, one normalization and one blend over the
+matched rows. The scores of the last step and the ids of the tracks they
+rank stay on the tracker as ``last_scores`` and ``last_ids``.
 
-The embeddings and memory a track stores as observed are never mutated;
-only the bank, ``bank_mean`` and ``memory_unit`` hold normalized copies.
+The embeddings a track stores as observed are never mutated; only the bank
+and the query hold normalized copies.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.special import softmax
 
 from .errors import DimMismatchError, ZeroNormError
 from .io import DetectionRecord, TrackEntry
@@ -103,36 +103,11 @@ class TrackerConfig:
 @dataclass(eq=False)
 class Track:
     id: int
-    memory: np.ndarray  # float64 EMA of matched embeddings
     feature_bank: np.ndarray  # (n <= n_bank, d) float64 unit rows, oldest first
     category_bank: deque  # of int category ids, maxlen n_cat_bank
     state: TrackState = TrackState.ACTIVE
     observations: list[TrackEntry] = field(default_factory=list)  # category_id is the retained one
     embeddings: list[np.ndarray] = field(default_factory=list)  # as observed, one per observation
-    memory_unit: np.ndarray | None = None  # memory / ||memory||, kept by start() and absorb()
-    bank_mean: np.ndarray | None = None  # mean of the bank's rows, kept by start() and push_bank()
-
-    @classmethod
-    def start(cls, track_id: int, embedding: np.ndarray, cfg: TrackerConfig) -> Track:
-        """A track whose memory and bank hold one embedding and no categories yet."""
-        emb = np.asarray(embedding, dtype=np.float64)
-        unit = _unit_row(emb)
-        return cls(id=track_id, memory=emb.copy(), feature_bank=unit[None, :],
-                   category_bank=deque(maxlen=cfg.n_cat_bank), memory_unit=unit, bank_mean=unit)
-
-    def absorb(self, embedding: np.ndarray, cfg: TrackerConfig) -> None:
-        """Fold a matched embedding into the memory and push it into the bank."""
-        self.memory = update_memory(self.memory, embedding, cfg.alpha_mem)
-        self.memory_unit = _unit_row(self.memory)
-        self.push_bank(embedding, cfg.n_bank)
-
-    def push_bank(self, embedding: np.ndarray, n_bank: int) -> None:
-        """Append the embedding's unit row, dropping the oldest rows past n_bank."""
-        unit = _unit_row(np.asarray(embedding, dtype=np.float64))
-        keep = self.feature_bank[max(len(self.feature_bank) - n_bank + 1, 0):]
-        self.feature_bank = np.concatenate([keep, unit[None, :]])
-        # Summed afresh from the kept rows; subtracting evicted rows would build up rounding error.
-        self.bank_mean = np.add.reduce(self.feature_bank) / len(self.feature_bank)
 
 
 @dataclass
@@ -172,13 +147,10 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / norms
 
 
-def _unit_row(x: np.ndarray) -> np.ndarray:
-    # The sum of squares that np.linalg.norm reduces, so the bits match the
-    # same row normalized by _normalize_rows, at a third of its overhead.
-    norm = np.sqrt(np.add.reduce(x * x))
-    if norm == 0.0:
-        raise ZeroNormError("cannot normalize zero-norm embedding")
-    return x / norm
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    # scipy.special.softmax's four operations, so the bits are scipy's
+    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    return e / np.sum(e, axis=axis, keepdims=True)
 
 
 def bisoftmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -188,21 +160,20 @@ def bisoftmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64) / temperature
     if logits.ndim != 2:
         raise DimMismatchError(f"bisoftmax expects a matrix, got shape {logits.shape}")
-    return 0.5 * (softmax(logits, axis=1) + softmax(logits, axis=0))
+    return 0.5 * (_softmax(logits, axis=1) + _softmax(logits, axis=0))
 
 
-def score_matrix(tracks: Sequence[Track], dets: Sequence[DetectionRecord],
-                 cfg: TrackerConfig) -> np.ndarray:
-    """(T, D) association scores between live tracks and detections."""
-    T, D = len(tracks), len(dets)
+def score_matrix(query: np.ndarray, det_units: np.ndarray, cfg: TrackerConfig) -> np.ndarray:
+    """(T, D) association scores of T query rows against D unit detection rows.
+
+    A track's query row is ``alpha_sim * memory_unit + (1 - alpha_sim) *
+    bank_mean``: a bank's mean cosine is the dot product with its mean row,
+    so the blend is one product.
+    """
+    T, D = len(query), len(det_units)
     if T == 0 or D == 0:
         return np.zeros((T, D))
-    det_n = _normalize_rows(np.stack([d.embedding for d in dets]).astype(np.float64))
-    # A bank's mean cosine is the dot product with its mean row, so the blend is one
-    # product. np.array copies the rows as np.stack would, at a third of the overhead.
-    query = (cfg.alpha_sim * np.array([t.memory_unit for t in tracks])
-             + (1.0 - cfg.alpha_sim) * np.array([t.bank_mean for t in tracks]))
-    r = query @ det_n.T
+    r = query @ det_units.T
     if cfg.sim_mode == "cosine_only":
         return r
     # Embeddings are unit vectors inside this op, so the dot-product logits
@@ -280,20 +251,42 @@ def retain_category(track: Track, matched_det: DetectionRecord, cfg: TrackerConf
 class Tracker:
     """Stateful frame-by-frame association engine.
 
-    ``tracks`` holds every track ever born, in id order; only the live ones
-    (active or lost) are scored. After each ``step``, ``last_scores`` is the
-    (live, detections) score matrix that association used and ``last_ids``
-    names the track of each of its rows.
+    ``tracks`` holds every track ever born, in id order. ``live`` holds the
+    live ones (active or lost), in id order; row i of ``memory`` and
+    ``query`` belongs to ``live[i]``, and only these rows are scored. After
+    each ``step``, ``last_scores`` is the (live, detections) score matrix
+    that association used and ``last_ids`` names the track of each of its
+    rows.
     """
 
     def __init__(self, cfg: TrackerConfig | None = None):
         self.cfg = cfg or TrackerConfig()
         self.tracks: list[Track] = []
+        self.live: list[Track] = []  # a track leaves in the frame it dies
+        self.memory = np.zeros((0, 0))  # EMA of each live track's matched embeddings
+        self.query = np.zeros((0, 0))  # alpha_sim * unit memory + (1 - alpha_sim) * mean(bank)
         self.last_scores = np.zeros((0, 0))
         self.last_ids: list[int] = []
-        self._live: list[Track] = []  # in id order; a track leaves in the frame it dies
+        # The step that last matched each live track, an index into _frames:
+        # unlike a frame number it always fits an int64.
+        self._last_step = np.zeros(0, dtype=np.int64)
+        self._frames: list[int] = []  # the frame of every step so far
+        self._width: int | None = None  # fixed by the first detection
         self._next_id = 1
-        self._last_frame: int | None = None
+
+    def _rows(self, frame: int, dets: Sequence[DetectionRecord]) -> np.ndarray:
+        """The frame's embeddings as (D, d) float64 rows, all of the tracker's width."""
+        if not dets:
+            return np.zeros((0, self._width or 0))
+        want = dets[0].embedding.shape if self._width is None else (self._width,)
+        for i, det in enumerate(dets):
+            if det.embedding.shape != want:
+                raise DimMismatchError(f"frame {frame}: detection {i} embedding has shape "
+                                       f"{det.embedding.shape}, expected {want}")
+        if self._width is None:
+            self._width = want[0]
+            self.memory, self.query = np.zeros((0, self._width)), np.zeros((0, self._width))
+        return np.stack([d.embedding for d in dets]).astype(np.float64)
 
     def _record(self, track: Track, det: DetectionRecord, det_idx: int, category_id: int):
         track.observations.append(TrackEntry(det.frame, det.bbox, det.confidence, category_id, det_idx))
@@ -302,41 +295,72 @@ class Tracker:
 
     def step(self, frame: int, dets: Sequence[DetectionRecord]) -> list[AssociationEvent]:
         """Process one frame; frames must be strictly increasing."""
-        if self._last_frame is not None and frame <= self._last_frame:
-            raise ValueError(f"frames must be strictly increasing, got {frame} after {self._last_frame}")
-        self._last_frame = frame
+        frames = self._frames
+        if frames and frame <= frames[-1]:
+            raise ValueError(f"frames must be strictly increasing, got {frame} after {frames[-1]}")
         cfg = self.cfg
-        live = self._live
-        scores = score_matrix(live, dets, cfg)
+        live = self.live
+        emb = self._rows(frame, dets)
+        units = _normalize_rows(emb)
+        scores = score_matrix(self.query, units, cfg)
         events = associate_frame(live, dets, scores, cfg, next_track_id=self._next_id)
         ids = [t.id for t in live]
         self.last_scores, self.last_ids = scores, ids
-        born = []
+        now = len(frames)
+        frames.append(frame)
+
+        rows, cols, sums, sizes, born = [], [], [], [], []
         for ev in events:
-            det = dets[ev.det_idx]
-            if ev.kind == MATCHED:
-                track = live[bisect_left(ids, ev.track_id)]
-                track.absorb(det.embedding, cfg)
-            elif ev.kind == BORN:
-                track = Track.start(ev.track_id, det.embedding, cfg)
+            if ev.kind == BORN:
+                born.append(ev)
+            elif ev.kind == MATCHED:
+                i, row = ev.det_idx, bisect_left(ids, ev.track_id)
+                track = live[row]
+                kept = track.feature_bank[max(len(track.feature_bank) - cfg.n_bank + 1, 0):]
+                bank = track.feature_bank = np.concatenate([kept, units[i:i + 1]])
+                # Summed afresh from the kept rows, oldest first; subtracting
+                # evicted rows would build up rounding error.
+                sums.append(np.add.reduce(bank))
+                sizes.append(len(bank))
+                rows.append(row)
+                cols.append(i)
+                self._record(track, dets[i], i, retain_category(track, dets[i], cfg))
+        a = cfg.alpha_sim
+        last = self._last_step
+        if rows:
+            memory = update_memory(self.memory[rows], emb[cols], cfg.alpha_mem)
+            bank_mean = np.array(sums) / np.array(sizes)[:, None]
+            self.memory[rows] = memory
+            self.query[rows] = a * _normalize_rows(memory) + (1.0 - a) * bank_mean
+            last[rows] = now
+
+        for row in np.flatnonzero(last == now - 1):  # active until this step
+            live[row].state = TrackState.LOST
+        # A track dies once its last match is more than max_age frames back.
+        oldest = bisect_left(frames, frame - cfg.max_age)
+        dead = np.flatnonzero(last < oldest)
+        if len(dead):
+            for row in dead:
+                live[row].state = TrackState.DEAD
+                events.append(AssociationEvent(frame, DIED, live[row].id))
+            keep = last >= oldest
+            live = [live[row] for row in np.flatnonzero(keep)]
+            self.memory, self.query, last = self.memory[keep], self.query[keep], last[keep]
+
+        if born:
+            # Born ids exceed every live id, so the rows stay in id order.
+            cols = [ev.det_idx for ev in born]
+            block = units[cols]  # each new bank is a view of one row of it
+            for j, (ev, i) in enumerate(zip(born, cols)):
+                track = Track(ev.track_id, block[j:j + 1], deque(maxlen=cfg.n_cat_bank))
+                self._record(track, dets[i], i, retain_category(track, dets[i], cfg))
                 self.tracks.append(track)
-                born.append(track)
-                self._next_id = max(self._next_id, track.id + 1)
-            else:
-                continue
-            self._record(track, det, ev.det_idx, retain_category(track, det, cfg))
-        survivors = []
-        for track in live:
-            last = track.observations[-1].frame  # a live track has at least one
-            if last != frame:
-                track.state = TrackState.LOST
-                if frame - last > cfg.max_age:
-                    track.state = TrackState.DEAD
-                    events.append(AssociationEvent(frame, DIED, track.id))
-                    continue
-            survivors.append(track)
-        # Born ids exceed every live id, so the list stays in id order.
-        self._live = survivors + born
+            live = live + self.tracks[-len(born):]
+            self.memory = np.concatenate([self.memory, emb[cols]])
+            self.query = np.concatenate([self.query, a * block + (1.0 - a) * block])
+            last = np.concatenate([last, np.full(len(born), now)])
+            self._next_id = born[-1].track_id + 1
+        self.live, self._last_step = live, last
         return events
 
 

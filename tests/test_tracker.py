@@ -2,9 +2,15 @@
 
 import hashlib
 import math
+from bisect import bisect_left
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from scipy.special import softmax
 
 from trajkit import io
 from trajkit.errors import DimMismatchError, ZeroNormError
@@ -13,6 +19,8 @@ from trajkit.tracker import (
     DIED,
     DISCARDED,
     MATCHED,
+    SIM_MODES,
+    AssociationEvent,
     Track,
     Tracker,
     TrackerConfig,
@@ -49,6 +57,93 @@ def _oracle_softmax_rows(m):
         s = sum(ex)
         out.append([v / s for v in ex])
     return out
+
+
+def _unit_row(x):
+    # The sum of squares that np.linalg.norm reduces, so the bits match the
+    # same row normalized as one row of a stack.
+    norm = np.sqrt(np.add.reduce(x * x))
+    if norm == 0.0:
+        raise ZeroNormError("cannot normalize zero-norm embedding")
+    return x / norm
+
+
+class _OracleTrack:
+    """A track's memory and bank, folded in one match at a time."""
+
+    def __init__(self, track_id, embedding):
+        emb = np.asarray(embedding, dtype=np.float64)
+        unit = _unit_row(emb)
+        self.id, self.state, self.last = track_id, TrackState.ACTIVE, None
+        self.memory, self.memory_unit = emb.copy(), unit
+        self.feature_bank, self.bank_mean = unit[None, :], unit
+
+    def absorb(self, embedding, cfg):
+        self.memory = update_memory(self.memory, embedding, cfg.alpha_mem)
+        self.memory_unit = _unit_row(self.memory)
+        self.push_bank(embedding, cfg.n_bank)
+
+    def push_bank(self, embedding, n_bank):
+        unit = _unit_row(np.asarray(embedding, dtype=np.float64))
+        keep = self.feature_bank[max(len(self.feature_bank) - n_bank + 1, 0):]
+        self.feature_bank = np.concatenate([keep, unit[None, :]])
+        self.bank_mean = np.add.reduce(self.feature_bank) / len(self.feature_bank)
+
+
+def _oracle_query(tracks, cfg):
+    """Query rows built from a list of tracks, one frame at a time."""
+    return (cfg.alpha_sim * np.array([t.memory_unit for t in tracks])
+            + (1.0 - cfg.alpha_sim) * np.array([t.bank_mean for t in tracks]))
+
+
+def _unit_dets(dets):
+    x = np.stack([d.embedding for d in dets]).astype(np.float64)
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def _oracle_scores(tracks, dets, cfg):
+    if not tracks or not dets:
+        return np.zeros((len(tracks), len(dets)))
+    r = _oracle_query(tracks, cfg) @ _unit_dets(dets).T
+    if cfg.sim_mode == "cosine_only":
+        return r
+    logits = r / cfg.softmax_temperature
+    return 0.5 * (r + 0.5 * (softmax(logits, axis=1) + softmax(logits, axis=0)))
+
+
+def _per_match_oracle(frames, cfg):
+    """Per frame: (scores, scored ids, events, live tracks, every track) of a
+    tracker that folds each match into its track on its own."""
+    tracks, live, next_id = [], [], 1
+    for frame, dets in frames:
+        scores = _oracle_scores(live, dets, cfg)
+        events = associate_frame(live, dets, scores, cfg, next_track_id=next_id)
+        ids = [t.id for t in live]
+        born = []
+        for ev in events:
+            emb = dets[ev.det_idx].embedding
+            if ev.kind == MATCHED:
+                track = live[bisect_left(ids, ev.track_id)]
+                track.absorb(emb, cfg)
+            elif ev.kind == BORN:
+                track = _OracleTrack(ev.track_id, emb)
+                tracks.append(track)
+                born.append(track)
+                next_id = track.id + 1
+            else:
+                continue
+            track.state, track.last = TrackState.ACTIVE, frame
+        survivors = []
+        for track in live:
+            if track.last != frame:
+                track.state = TrackState.LOST
+                if frame - track.last > cfg.max_age:
+                    track.state = TrackState.DEAD
+                    events.append(AssociationEvent(frame, DIED, track.id))
+                    continue
+            survivors.append(track)
+        live = survivors + born
+        yield scores, ids, events, live, tracks
 
 
 def test_cosine_frozen():
@@ -115,9 +210,7 @@ def test_bisoftmax_temperature_sharpens():
 
 
 def _fresh_track(tid, emb, cfg, cat=0):
-    tr = Track.start(tid, emb, cfg)
-    tr.category_bank.append(cat)
-    return tr
+    return Track(tid, _unit_dets([_det(emb)]), deque([cat], maxlen=cfg.n_cat_bank))
 
 
 def test_score_matrix_oracle():
@@ -129,12 +222,12 @@ def test_score_matrix_oracle():
                             softmax_temperature=float(rng.uniform(0.5, 2.0)))
         tracks = []
         for t in range(int(rng.integers(1, 4))):
-            tr = _fresh_track(t, rng.normal(size=d), cfg)
+            tr = _OracleTrack(t, rng.normal(size=d))
             for _ in range(int(rng.integers(0, 4))):
                 tr.push_bank(rng.normal(size=d), cfg.n_bank)
             tracks.append(tr)
         dets = [_det(rng.normal(size=d)) for _ in range(int(rng.integers(1, 4)))]
-        got = score_matrix(tracks, dets, cfg)
+        got = score_matrix(_oracle_query(tracks, cfg), _unit_dets(dets), cfg)
 
         r = np.zeros((len(tracks), len(dets)))
         for i, tr in enumerate(tracks):
@@ -149,16 +242,16 @@ def test_score_matrix_oracle():
 
 def test_score_matrix_cosine_only():
     cfg = TrackerConfig(sim_mode="cosine_only", alpha_sim=0.5)
-    tr = _fresh_track(0, [1.0, 0.0], cfg)
+    query = _oracle_query([_OracleTrack(0, [1.0, 0.0])], cfg)
     dets = [_det([1.0, 0.0]), _det([0.0, 1.0])]
-    got = score_matrix([tr], dets, cfg)
+    got = score_matrix(query, _unit_dets(dets), cfg)
     np.testing.assert_allclose(got, [[1.0, 0.0]], atol=1e-12)
 
 
 def test_score_matrix_empty():
     cfg = TrackerConfig()
-    assert score_matrix([], [_det([1.0, 0.0])], cfg).shape == (0, 1)
-    assert score_matrix([_fresh_track(0, [1.0, 0.0], cfg)], [], cfg).shape == (1, 0)
+    assert score_matrix(np.zeros((0, 2)), _unit_dets([_det([1.0, 0.0])]), cfg).shape == (0, 1)
+    assert score_matrix(np.array([[1.0, 0.0]]), np.zeros((0, 2)), cfg).shape == (1, 0)
 
 
 def test_associate_greedy_trace():
@@ -290,8 +383,11 @@ def test_memory_and_bank_update_on_match():
     tk.step(0, [_det([1.0, 0.0], frame=0)])
     tk.step(1, [_det([0.0, 1.0], frame=1)])
     track = tk.tracks[0]
-    np.testing.assert_allclose(track.memory, [0.75, 0.25])
-    np.testing.assert_allclose(track.memory_unit, np.array([0.75, 0.25]) / np.hypot(0.75, 0.25))
+    np.testing.assert_allclose(tk.memory[0], [0.75, 0.25])
+    # the query row blends the unit memory with the mean of the bank's unit rows
+    memory_unit = np.array([0.75, 0.25]) / np.hypot(0.75, 0.25)
+    np.testing.assert_allclose(tk.query[0], cfg.alpha_sim * memory_unit
+                               + (1 - cfg.alpha_sim) * track.feature_bank.mean(axis=0))
     assert len(track.feature_bank) == 2
     tk.step(2, [_det([0.5, 0.5], frame=2)])
     assert len(track.feature_bank) == 2  # capped at n_bank
@@ -304,7 +400,7 @@ def test_stored_embeddings_not_renormalized():
     tk = Tracker(cfg)
     tk.step(0, [_det([3.0, 0.0], frame=0)])
     track = tk.tracks[0]
-    np.testing.assert_allclose(track.memory, [3.0, 0.0])
+    np.testing.assert_allclose(tk.memory[0], [3.0, 0.0])
     np.testing.assert_allclose(track.embeddings[0], [3.0, 0.0])
     # only the bank keeps a normalized copy
     np.testing.assert_allclose(track.feature_bank, [[1.0, 0.0]])
@@ -420,50 +516,181 @@ def test_live_store_matches_replay_oracle(sim_mode):
                for a, b in zip(tr.observations, tr.observations[1:]))
 
 
-def test_unit_row_bits_match_batch_normalization():
-    # banks and memories are normalized one row at a time; scores stay
-    # bit-identical only if that equals normalizing the stacked rows
-    from trajkit.tracker import _normalize_rows, _unit_row
-    rng = np.random.default_rng(12)
-    for d in (1, 2, 7, 8, 9, 16, 33, 128, 300):
-        rows = rng.normal(size=(6, d)) * rng.uniform(0.01, 100, size=(6, 1))
-        batch = _normalize_rows(rows)
-        for k in range(len(rows)):
-            assert _unit_row(rows[k]).tobytes() == batch[k].tobytes()
-    with pytest.raises(ZeroNormError):
-        _unit_row(np.zeros(3))
+def _one_track_tracker(cfg, rows):
+    """A tracker fed one detection per frame, each matched to the one track."""
+    tk = Tracker(cfg)
+    for frame, row in enumerate(rows):
+        tk.step(frame, [_det(row, frame=frame)])
+        assert [t.id for t in tk.live] == [1]
+        yield tk
 
 
-def test_push_bank_fifo_and_cap():
-    cfg = TrackerConfig(n_bank=5)
+def test_bank_fifo_and_cap():
+    cfg = TrackerConfig(n_bank=5, tau_match=-1.0)
     rng = np.random.default_rng(13)
-    rows = rng.normal(size=(12, 4))
-    tr = Track.start(0, rows[0], cfg)
-    for k in range(1, len(rows)):
-        tr.push_bank(rows[k], cfg.n_bank)
-        want = rows[max(0, k + 1 - cfg.n_bank):k + 1]
+    rows = rng.normal(size=(12, 4)).astype(np.float32)
+    for k, tk in enumerate(_one_track_tracker(cfg, rows)):
+        tr = tk.live[0]
+        want = rows[max(0, k + 1 - cfg.n_bank):k + 1].astype(np.float64)
         np.testing.assert_allclose(tr.feature_bank, want / np.linalg.norm(want, axis=1, keepdims=True))
         assert tr.feature_bank.flags.c_contiguous
 
 
-def test_start_sets_bank_mean_to_first_unit_row():
+def test_birth_sets_bank_to_first_unit_row():
     cfg = TrackerConfig()
-    tr = Track.start(0, np.array([3.0, 4.0]), cfg)
-    np.testing.assert_array_equal(tr.bank_mean, [0.6, 0.8])
-    assert tr.bank_mean.tobytes() == tr.feature_bank[0].tobytes()
+    tk = Tracker(cfg)
+    tk.step(0, [_det([3.0, 4.0])])
+    tr = tk.live[0]
+    np.testing.assert_array_equal(tr.feature_bank, [[0.6, 0.8]])
+    # memory_unit and bank_mean are both the first unit row
+    unit = tr.feature_bank[0]
+    assert tk.query[0].tobytes() == (cfg.alpha_sim * unit + (1 - cfg.alpha_sim) * unit).tobytes()
 
 
 def test_bank_mean_is_recomputed_not_accumulated():
     # far past n_bank every insert evicts a row; a running sum that
     # subtracted evicted rows would drift from the kept rows' mean
-    cfg = TrackerConfig(n_bank=7)
+    cfg = TrackerConfig(n_bank=7, tau_match=-1.0)
     rng = np.random.default_rng(14)
-    tr = Track.start(0, rng.normal(size=16), cfg)
-    for k in range(500):
-        tr.push_bank(rng.normal(size=16) * rng.uniform(0.01, 100), cfg.n_bank)
-        if k % 50 == 0 or k == 499:
-            assert tr.bank_mean.tobytes() == tr.feature_bank.mean(axis=0).tobytes()
+    rows = rng.normal(size=(501, 16)) * rng.uniform(0.01, 100, size=(501, 1))
+    for k, tk in enumerate(_one_track_tracker(cfg, rows)):
+        if k % 50 == 1 or k == 500:
+            tr = tk.live[0]
+            memory_unit = tk.memory[0] / np.linalg.norm(tk.memory[:1], axis=1)
+            want = cfg.alpha_sim * memory_unit + (1 - cfg.alpha_sim) * tr.feature_bank.mean(axis=0)
+            assert tk.query[0].tobytes() == want.tobytes()
     assert len(tr.feature_bank) == cfg.n_bank
+
+
+def _random_scene(rng, d, n_identities=8, n_frames=24):
+    """(frame, detections) pairs: noisy identities with misses, clutter and
+    skipped frame numbers, so tracks go lost, come back and die."""
+    protos = rng.normal(size=(n_identities, d))
+    frames, frame = [], 0
+    for _ in range(n_frames):
+        frame += int(rng.choice([1, 1, 1, 2, 4]))
+        embs = [p + 0.3 * rng.normal(size=d) for p in protos if rng.random() > 0.3]
+        embs += list(rng.normal(size=(rng.poisson(1.0), d)))
+        frames.append((frame, [_det(e, conf=float(rng.uniform(0.05, 1.0)), frame=frame,
+                                    cat=int(rng.integers(3))) for e in embs]))
+    return frames
+
+
+def _random_config(rng, k):
+    """Configs whose edges (n_bank 1 and 20, alphas 0 and 1) come round in turn."""
+    return TrackerConfig(n_bank=(1, 20, 3, int(rng.integers(1, 21)))[k % 4],
+                         alpha_mem=(0.0, 1.0, float(rng.uniform()))[k % 3],
+                         alpha_sim=(1.0, float(rng.uniform()), 0.0)[k // 3 % 3],
+                         tau_match=float(rng.uniform(0.2, 0.6)),
+                         max_age=int(rng.integers(0, 4)),
+                         sim_mode=SIM_MODES[(k + k // 4) % 2],
+                         softmax_temperature=float(rng.choice([0.05, 1.0])))
+
+
+def test_batched_update_matches_per_match_oracle_bit_for_bit():
+    rng = np.random.default_rng(16)
+    deaths = wrapped = rematched = 0
+    for k in range(16):
+        cfg = _random_config(rng, k)
+        frames = _random_scene(rng, d=(1, 8, 9, 128)[k // 4])
+        tk = Tracker(cfg)
+        for (frame, dets), (scores, ids, events, live, tracks) in zip(
+                frames, _per_match_oracle(frames, cfg)):
+            got = tk.step(frame, dets)
+            assert tk.last_scores.shape == scores.shape
+            assert tk.last_scores.tobytes() == scores.tobytes()
+            assert tk.last_ids == ids
+            assert got == events
+            assert [t.id for t in tk.live] == [t.id for t in live]
+            assert len(tk.memory) == len(tk.query) == len(live)
+            for row, want in enumerate(live):
+                assert tk.live[row].feature_bank.tobytes() == want.feature_bank.tobytes()
+                assert tk.memory[row].tobytes() == want.memory.tobytes()
+                assert tk.query[row].tobytes() == _oracle_query([want], cfg)[0].tobytes()
+            assert [t.state for t in tk.tracks] == [t.state for t in tracks]
+            deaths += sum(ev.kind == DIED for ev in got)
+        wrapped += sum(len(t.observations) > cfg.n_bank for t in tk.tracks)
+        rematched += sum(b.frame - a.frame > 1 for t in tk.tracks
+                         for a, b in zip(t.observations, t.observations[1:]))
+    # the scenes exercised deaths, wrapped banks and rematches after a gap
+    assert deaths >= 20 and wrapped >= 20 and rematched >= 20
+
+
+@pytest.mark.parametrize("frames, where", [
+    ([[[1.0, 0.0]], [[1.0, 0.0, 0.0]]], "frame 1: detection 0"),  # width changes, a track lives
+    ([[[1.0, 0.0]], [], [[1.0, 0.0, 0.0]]], "frame 2: detection 0"),  # width changes, none lives
+    ([[[1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0, 0.0]]], "frame 1: detection 1"),  # mixed, a track lives
+    ([[[1.0, 0.0], [1.0, 0.0, 0.0]]], "frame 0: detection 1"),  # mixed in the first frame
+], ids=["change-live", "change-none-live", "mixed-live", "mixed-first-frame"])
+def test_embedding_width_mismatch_names_frame_and_detection(frames, where):
+    tk = Tracker(TrackerConfig(max_age=0))
+    for frame, embs in enumerate(frames[:-1]):
+        tk.step(frame, [_det(e, frame=frame) for e in embs])
+    with pytest.raises(DimMismatchError, match=f"^{where} embedding has shape"):
+        tk.step(len(frames) - 1, [_det(e, frame=len(frames) - 1) for e in frames[-1]])
+
+
+def test_bisoftmax_bits_match_scipy():
+    rng = np.random.default_rng(17)
+    for shape in [(1, 1), (1, 9), (7, 1), (40, 129), (1405, 300)]:
+        for scale in (1e-3, 1.0, 1e3):
+            x = rng.normal(size=shape) * scale
+            for temperature in (1.0, 0.05):
+                logits = x / temperature
+                want = 0.5 * (softmax(logits, axis=1) + softmax(logits, axis=0))
+                assert bisoftmax(x, temperature).tobytes() == want.tobytes()
+
+
+class TrackerMachine(RuleBasedStateMachine):
+    """Random configs and frames; the invariants hold after every step."""
+
+    @initialize(n_bank=st.integers(1, 20), alpha_mem=st.floats(0, 1), alpha_sim=st.floats(0, 1),
+                max_age=st.integers(0, 3), sim_mode=st.sampled_from(SIM_MODES),
+                d=st.sampled_from([1, 3, 8]), seed=st.integers(0, 2 ** 16))
+    def start(self, n_bank, alpha_mem, alpha_sim, max_age, sim_mode, d, seed):
+        self.tk = Tracker(TrackerConfig(n_bank=n_bank, alpha_mem=alpha_mem, alpha_sim=alpha_sim,
+                                        max_age=max_age, sim_mode=sim_mode,
+                                        softmax_temperature=0.05))
+        self.rng = np.random.default_rng(seed)
+        self.protos = self.rng.normal(size=(5, d))
+        self.frame, self.last_born, self.dead = -1, 0, set()
+
+    @rule(gap=st.integers(1, 3), n_seen=st.integers(0, 5), n_clutter=st.integers(0, 3))
+    def step(self, gap, n_seen, n_clutter):
+        rng = self.rng
+        self.frame += gap
+        seen = self.protos[rng.permutation(len(self.protos))[:n_seen]]
+        embs = list(seen + 0.2 * rng.normal(size=seen.shape))
+        embs += list(rng.normal(size=(n_clutter, self.protos.shape[1])))
+        dets = [_det(e, conf=float(rng.uniform(0.05, 1.0)), frame=self.frame) for e in embs]
+        events = self.tk.step(self.frame, dets)
+
+        # one event per detection
+        assert sorted(ev.det_idx for ev in events if ev.kind != DIED) == list(range(len(dets)))
+        # each track matched at most once in a frame
+        matched = [ev.track_id for ev in events if ev.kind == MATCHED]
+        assert len(matched) == len(set(matched))
+        # born ids strictly increasing
+        for ev in events:
+            if ev.kind == BORN:
+                assert ev.track_id > self.last_born
+                self.last_born = ev.track_id
+        # dead tracks never return
+        assert not self.dead & {ev.track_id for ev in events}
+        self.dead |= {ev.track_id for ev in events if ev.kind == DIED}
+
+    @invariant()
+    def live_rows_line_up(self):
+        if not hasattr(self, "tk"):
+            return
+        ids = [t.id for t in self.tk.live]
+        assert ids == sorted(set(ids)) and not self.dead & set(ids)
+        assert len(self.tk.memory) == len(self.tk.query) == len(ids)
+        assert all(t.state == TrackState.DEAD for t in self.tk.tracks if t.id in self.dead)
+
+
+TestTrackerMachine = TrackerMachine.TestCase
+TestTrackerMachine.settings = settings(max_examples=25, stateful_step_count=12, deadline=None)
 
 
 def test_default_decisions_pinned_on_a_crowded_scene():
