@@ -346,6 +346,8 @@ def init_fusion_weights(d: int, hidden: int | None = None, d_text: int | None = 
     ``fuse_average``; the cross/concat groups keep full random projections so
     every mechanism produces non-degenerate output out of the box.
     """
+    if hidden is not None and hidden < 1:
+        raise ValueError("hidden must be at least 1")
     width = {"d": d, "h": 4 * d if hidden is None else hidden, "t": d if d_text is None else d_text}
     zeroed = ("attn.wo", "mlp.w2") if zero_residual else ()
     rng = np.random.default_rng(seed)

@@ -23,9 +23,9 @@ weights bundle (``.twb``)
     tensor names and shapes are ``trajkit.fusion.FUSION_TENSOR_SHAPES``.
 
 A JSONL loader reads ``_CHUNK`` (256) lines at a time and checks whole columns
-against the format table. When a check refuses the file, it runs the same
-checks one line at a time from the top, which raise the error naming
-``file:line``; the tests hold the column pass to that pass by lines. Writers
+against the format table. When a check refuses a chunk, it checks that chunk
+again one line at a time, which raises the error naming ``file:line`` or
+loads the chunk; the tests hold the column check to the line checks. Writers
 fill per-format line templates, ``_CHUNK`` lines at a time, byte for byte
 as ``json.dumps`` writes them.
 
@@ -39,7 +39,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -194,8 +194,9 @@ def _require(cond, where: str | None, msg: str, error=FormatError) -> None:
 
 # JSON numbers load as int or float; true/false (bool) and "1.5" (str) are no numbers here.
 _NUMBER_TYPES = frozenset((int, float))
-# what refuses a file in a column pass; the pass by lines then names the fault and its line
-_REFUSED = (LookupError, TypeError, ValueError, OverflowError, TrajkitError)
+# what refuses a chunk's column check (StopIteration: a line holds no JSON value where it
+# starts); the chunk's line checks then name the fault and its line
+_REFUSED = (LookupError, TypeError, ValueError, OverflowError, StopIteration, TrajkitError)
 
 
 def _floats(values) -> list[float] | None:
@@ -270,50 +271,45 @@ def _checked(fmt: dict, key: str, values, where: str | None = None,
 _scan = json.JSONDecoder().scan_once  # (value, end) of the JSON value at an index
 
 
-def _rows(path: Path, fmt: dict, keys, by_lines: bool, vocabulary: Vocabulary | None = None,
+def _rows(path, fmt: dict, keys, vocabulary: Vocabulary | None = None,
           more=lambda objs, where: [None] * len(objs)) -> Iterator[tuple]:
-    """``(where, values, extra)`` per non-blank line: its ``keys`` checked by ``_checked``
-    and what ``more`` makes of its object. By columns, ``_CHUNK`` lines at a time,
-    each parsed on its own (one JSON array of a chunk would take two broken lines
-    that together make valid JSON); ``where`` is the path and a failed check refuses
-    the file. By lines, ``where`` is ``path:lineno`` and a failed check raises."""
+    """``(lineno, values, extra)`` per non-blank line: its ``keys`` checked by ``_checked``
+    and what ``more`` makes of its object. ``_CHUNK`` lines at a time are checked by
+    columns, each line parsed on its own (one JSON array of a chunk would take two broken
+    lines that together make valid JSON). When a column check refuses a chunk, its lines
+    are checked one at a time, each just before its row is yielded, so that a failed
+    check raises naming ``path:lineno`` after the rows of the lines before it."""
+    def by_columns(numbered: list[tuple]) -> Iterable[tuple]:
+        lines = [line.strip(" \t\n\r") for _, line in numbered]  # json's whitespace
+        parsed = [_scan(line, 0) for line in lines]
+        _require(lines and [end for _, end in parsed] == list(map(len, lines)), None,
+                 "a line holds more than one JSON value")
+        objs = [value for value, _ in parsed]
+        cols = [_checked(fmt, key, [o[key] for o in objs], vocabulary=vocabulary) for key in keys]
+        return zip([n for n, _ in numbered], zip(*cols), more(objs, None))
+
+    def by_line(lineno: int, line: str) -> tuple:
+        where = f"{path}:{lineno}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{where}: malformed JSON ({exc.msg})") from None
+        _require(isinstance(obj, dict), where, "line must hold a JSON object")
+        for key in keys:
+            _require(key in obj, where, f"missing key {key!r}")
+        return lineno, [_checked(fmt, key, [obj[key]], where, vocabulary)[0] for key in keys], \
+            more([obj], where)[0]
+
     with open(path, "r", encoding="utf-8") as fh:
-        if by_lines:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                where = f"{path}:{lineno}"
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise FormatError(f"{where}: malformed JSON ({exc.msg})") from None
-                _require(isinstance(obj, dict), where, "line must hold a JSON object")
-                for key in keys:
-                    _require(key in obj, where, f"missing key {key!r}")
-                yield where, [_checked(fmt, key, [obj[key]], where, vocabulary)[0] for key in keys], \
-                    more([obj], where)[0]
-            return
-        while chunk := list(islice(fh, _CHUNK)):
-            lines = [line.strip(" \t\n\r") for line in chunk if not line.isspace()]  # json's whitespace
+        numbered = enumerate(fh, start=1)
+        while chunk := list(islice(numbered, _CHUNK)):
+            chunk = [(n, line) for n, line in chunk if not line.isspace()]
             try:
-                parsed = [_scan(line, 0) for line in lines]
-            except StopIteration:  # a line holds no JSON value where it starts
-                raise ValueError("not one JSON value per line") from None
-            _require(lines and [end for _, end in parsed] == list(map(len, lines)), None,
-                     "a line holds more than one JSON value")
-            objs = [value for value, _ in parsed]
-            cols = [_checked(fmt, key, [o[key] for o in objs], vocabulary=vocabulary) for key in keys]
-            yield from zip(repeat(path), zip(*cols), more(objs, None))
-            del chunk, lines, parsed, objs, cols  # so that one chunk is held at a time
-
-
-def _load(read, path, *args):
-    """``read`` by columns; when a column check refuses the file, by lines,
-    which raises the error naming ``file:line`` or loads what the file holds."""
-    try:
-        return read(Path(path), *args, False)
-    except _REFUSED:
-        return read(Path(path), *args, True)
+                rows = by_columns(chunk)
+            except _REFUSED:
+                rows = (by_line(n, line) for n, line in chunk)
+            yield from rows
+            del chunk, rows  # so that one chunk is held at a time
 
 
 def read_embedding_sidecar(path) -> np.ndarray:
@@ -345,9 +341,24 @@ def write_embedding_sidecar(embeddings: np.ndarray, path) -> None:
         fh.write(arr.tobytes())
 
 
-def _read_detections(path: Path, side: np.ndarray | None, score_scale: float,
-                     vocabulary: Vocabulary | None, by_lines: bool) -> dict[int, list[DetectionRecord]]:
-    fmt, dim, default_side = DETECTION_FORMAT, None, path.with_suffix(".embin")
+def load_detections(path, score_scale: float = 1.0, *,
+                    vocabulary: Vocabulary | None = None,
+                    sidecar=None) -> dict[int, list[DetectionRecord]]:
+    """Load a detections.jsonl file into a frame -> detections map.
+
+    Confidences are multiplied by ``score_scale`` and clamped to [0, 1]
+    (detectors whose raw scores exceed 1 are tamed with e.g. 0.1); a scale
+    that is not finite or not > 0 raises ValueError. Frames are returned in
+    ascending order; records within a frame are sorted by a canonical content
+    key so input line order never matters.
+
+    ``sidecar`` may name an .embin file; when omitted and a record uses
+    ``emb_ref``, a sibling file with the .embin suffix is tried.
+    """
+    if not (math.isfinite(score_scale) and score_scale > 0):
+        raise ValueError(f"score_scale must be finite and > 0, got {score_scale}")
+    side = read_embedding_sidecar(sidecar) if sidecar is not None else None
+    fmt, dim, default_side = DETECTION_FORMAT, None, Path(path).with_suffix(".embin")
 
     def embeddings(objs: list[dict], where: str | None) -> list[np.ndarray]:
         nonlocal side, dim
@@ -366,8 +377,7 @@ def _read_detections(path: Path, side: np.ndarray | None, score_scale: float,
         dim = len(embs[0])
         return embs
 
-    rows = [(*values, emb) for _, values, emb in _rows(path, fmt, _DETECTION_KEYS, by_lines, vocabulary,
-                                                       embeddings)]
+    rows = [(*values, emb) for _, values, emb in _rows(path, fmt, _DETECTION_KEYS, vocabulary, embeddings)]
     frames, boxes, confs, cats, scores, _ = zip(*rows) if rows else [()] * 6
     confs = [min(max(conf * score_scale, 0.0), 1.0) for conf in confs]
     order = np.lexsort((scores, cats, confs, *np.array(boxes).T[::-1], frames)).tolist()  # stable
@@ -375,26 +385,6 @@ def _read_detections(path: Path, side: np.ndarray | None, score_scale: float,
     for i in order:
         out.setdefault(frames[i], []).append(DetectionRecord(*rows[i][:2], confs[i], *rows[i][3:]))
     return out
-
-
-def load_detections(path, score_scale: float = 1.0, *,
-                    vocabulary: Vocabulary | None = None,
-                    sidecar=None) -> dict[int, list[DetectionRecord]]:
-    """Load a detections.jsonl file into a frame -> detections map.
-
-    Confidences are multiplied by ``score_scale`` and clamped to [0, 1]
-    (detectors whose raw scores exceed 1 are tamed with e.g. 0.1); a scale
-    that is not finite or not > 0 raises ValueError. Frames are returned in
-    ascending order; records within a frame are sorted by a canonical content
-    key so input line order never matters.
-
-    ``sidecar`` may name an .embin file; when omitted and a record uses
-    ``emb_ref``, a sibling file with the .embin suffix is tried.
-    """
-    if not (math.isfinite(score_scale) and score_scale > 0):
-        raise ValueError(f"score_scale must be finite and > 0, got {score_scale}")
-    side = read_embedding_sidecar(sidecar) if sidecar is not None else None
-    return _load(_read_detections, path, side, score_scale, vocabulary)
 
 
 _JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # %s spells floats, json's words
@@ -533,30 +523,27 @@ def write_weights(tensors: dict[str, np.ndarray], path) -> None:
             fh.write(np.ascontiguousarray(arr).tobytes())
 
 
-def _timelines(rows: Iterable[tuple], what: str) -> list[tuple]:
-    """``(track, tag, {frame: entry})`` per track, in order, from ``(where, track, frame, tag, entry)``
-    rows; FormatError at the first row that repeats its track's frame or changes its tag (``what``)."""
+def _timelines(path, rows: Iterable[tuple], what: str) -> list[tuple]:
+    """``(track, tag, {frame: entry})`` per track, in order, from ``(lineno, track, frame, tag, entry)``
+    rows; FormatError naming ``path:lineno`` at the first row that repeats its track's frame or
+    changes its tag (``what``)."""
     tracks: dict = {}
-    for where, tid, frame, tag, entry in rows:
+    for lineno, tid, frame, tag, entry in rows:
         first, entries = tracks.setdefault(tid, (tag, {}))
         if first != tag:
-            raise FormatError(f"{where}: track {tid} switches {what} {first} -> {tag}")
+            raise FormatError(f"{path}:{lineno}: track {tid} switches {what} {first} -> {tag}")
         if frame in entries:
-            raise FormatError(f"{where}: track {tid} repeats frame {frame}")
+            raise FormatError(f"{path}:{lineno}: track {tid} repeats frame {frame}")
         entries[frame] = entry
     return [(tid, tag, {f: entries[f] for f in sorted(entries)})
             for tid, (tag, entries) in sorted(tracks.items())]
 
 
-def _read_groundtruth(path: Path, by_lines: bool) -> list[GroundTruthTrack]:
-    rows = ((where, tid, frame, cat, bbox) for where, (tid, cat, frame, bbox), _
-            in _rows(path, GROUNDTRUTH_FORMAT, GROUNDTRUTH_FORMAT, by_lines))
-    return [GroundTruthTrack(*track) for track in _timelines(rows, "category")]
-
-
 def load_groundtruth(path) -> list[GroundTruthTrack]:
     """Load groundtruth.jsonl into per-track box timelines."""
-    return _load(_read_groundtruth, path)
+    rows = ((lineno, tid, frame, cat, bbox) for lineno, (tid, cat, frame, bbox), _
+            in _rows(path, GROUNDTRUTH_FORMAT, GROUNDTRUTH_FORMAT))
+    return [GroundTruthTrack(*track) for track in _timelines(path, rows, "category")]
 
 
 def write_groundtruth(tracks: Iterable[GroundTruthTrack], path) -> None:
@@ -599,18 +586,14 @@ def _label_tags(objs: list[dict], where: str | None) -> list[tuple]:
                                                    for o in objs], where) for key in _LABEL_KEYS)))
 
 
-def _read_tracks(path: Path, vocabulary: Vocabulary | None, by_lines: bool) -> list[TrackRecord]:
-    rows = ((where, tid, frame, tag, TrackEntry(frame, bbox, conf, cat, det))
-            for where, (tid, frame, cat, det, conf, bbox), tag
-            in _rows(path, TRACK_FORMAT, _TRACK_KEYS, by_lines, vocabulary, _label_tags))
-    return [TrackRecord(tid, list(entries.values()), label, source,
-                        None if scores is None else {k: float(v) for k, v in scores.items()})
-            for tid, (label, source, scores), entries in _timelines(rows, "label")]
-
-
 def read_tracks(path, *, vocabulary: Vocabulary | None = None) -> list[TrackRecord]:
     """Inverse of :func:`write_tracks` on logical content.
 
     With a ``vocabulary``, every entry's ``cat`` must be one of its ids.
     """
-    return _load(_read_tracks, path, vocabulary)
+    rows = ((lineno, tid, frame, tag, TrackEntry(frame, bbox, conf, cat, det))
+            for lineno, (tid, frame, cat, det, conf, bbox), tag
+            in _rows(path, TRACK_FORMAT, _TRACK_KEYS, vocabulary, _label_tags))
+    return [TrackRecord(tid, list(entries.values()), label, source,
+                        None if scores is None else {k: float(v) for k, v in scores.items()})
+            for tid, (label, source, scores), entries in _timelines(path, rows, "label")]

@@ -269,6 +269,8 @@ def make_train_pairs(scene: SynthScene, n_clip: int = 5,
     negatives draw trajectories of two different categories. Augmentations
     are applied per clip.
     """
+    if n_clip < 1:
+        raise ValueError("n_clip must be at least 1")
     aug = augmentations or Augmentations()
     rng = np.random.default_rng(seed)
     by_cat: dict[int, list[int]] = {}

@@ -237,14 +237,14 @@ def retain_category(track: Track, matched_det: DetectionRecord, cfg: TrackerConf
     """
     p = matched_det.confidence
     c = matched_det.category_id
-    bank = list(track.category_bank)
+    bank = track.category_bank
     if p >= cfg.tau_high:
         retained = c
     elif p >= cfg.tau_low:
-        retained, _ = majority_vote(bank + [c])
+        retained, _ = majority_vote([*bank, c])
     else:
         retained = majority_vote(bank)[0] if bank else c
-    track.category_bank.append(retained)
+    bank.append(retained)
     return retained
 
 

@@ -339,6 +339,21 @@ def test_train_rejects_one_scale_bound(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    # these used to fail in numpy ("need at least one array to stack", "negative dimensions
+    # are not allowed"), and --hidden 0 exited 0 with a zero-width MLP
+    ("--n-clip", 0, "n_clip must be at least 1"),
+    ("--n-clip", -3, "n_clip must be at least 1"),
+    ("--hidden", 0, "hidden must be at least 1"),
+    ("--hidden", -1, "hidden must be at least 1"),
+])
+def test_train_names_a_bad_clip_or_hidden_size(tmp_path, capsys, flag, value, message):
+    rc = _run(["train", "--steps", 2, "--dim", 8, "--pairs", 4, flag, value, "--out-dir", tmp_path / "tr"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+    assert not (tmp_path / "tr" / "weights.twb").exists()
+
+
 def test_bench_fusion_table(tmp_path, capsys):
     out = tmp_path / "bench"
     rc = _run(["bench-fusion", "--identities", 4, "--frames", 8, "--categories", 2,

@@ -1,11 +1,11 @@
-"""The column pass of every loader against the pass by lines, the writers'
+"""The column checks of every loader against its line checks, the writers'
 line templates against json.dumps, and write -> read round trips.
 
-A loader checks whole columns ``io._CHUNK`` lines at a time and reruns its
-checks line by line when a column check fails. The pass by lines is the
-reference: on any file the public loader must return exactly its records or
-raise exactly its error, and the column pass, when it accepts a file, must
-return the same records.
+A loader checks whole columns ``io._CHUNK`` lines at a time and checks a chunk
+again line by line when a column check refuses it. The reference is the same
+loader with every column check refused, so that every chunk is checked line by
+line: on any file the public loader must return exactly its records or raise
+exactly its error, and on a file the writer made no line check may run.
 """
 
 import contextlib
@@ -56,16 +56,29 @@ def _plain(value):
     return value
 
 
-def _check_passes(path, read, public, *args, valid=False):
-    """The public loader equals the pass by lines; the column pass agrees whenever it accepts."""
-    by_lines = _outcome(lambda: read(path, *args, True))
-    assert _outcome(public) == by_lines
-    try:
-        by_columns = "ok", repr(_plain(read(path, *args, False)))
-    except io._REFUSED:
-        assert not valid, "the column pass refused a file the writer made"
-    else:
-        assert by_columns == by_lines
+def _refuse(line, index):
+    raise StopIteration  # as io._scan does where a line holds no JSON value
+
+
+@contextlib.contextmanager
+def _counted_loads():
+    """The calls of json.loads, which only a loader's line checks make, while the block runs."""
+    calls, loads = [], json.loads
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(json, "loads", lambda *a, **k: calls.append(a) or loads(*a, **k))
+        yield calls
+
+
+def _check_passes(path, public, valid):
+    """The public loader equals its line checks of every chunk; on a file the writer made
+    (``valid``) it makes no line check. Returns the lines it checked one at a time."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io, "_scan", _refuse)
+        by_lines = _outcome(public)
+    with _counted_loads() as calls:
+        assert _outcome(public) == by_lines
+    assert not (valid and calls), "a column check refused a file the writer made"
+    return len(calls)
 
 
 numbers = st.one_of(st.floats(-1e6, 1e6, allow_nan=False), st.integers(-10 ** 6, 10 ** 6))
@@ -135,8 +148,7 @@ def test_detections_columns_agree_with_lines(tmp_path_factory, frames, boxes, co
     vocab = io.Vocabulary([io.VocabularyEntry(k, "", "base", "", np.ones(2, np.float32), np.ones(2, np.float32))
                            for k in range(3)], 2)
     with _chunk(chunk):
-        _check_passes(path, io._read_detections, lambda: io.load_detections(path, scale, vocabulary=vocab),
-                      None, scale, vocab, valid=not mutate)
+        _check_passes(path, lambda: io.load_detections(path, scale, vocabulary=vocab), valid=not mutate)
 
 
 @EXAMPLES
@@ -160,8 +172,7 @@ def test_tracks_columns_agree_with_lines(tmp_path_factory, tracks, labelled, mut
                            for k in range(2)], 2)
     with _chunk(chunk):
         for v in (None, vocab):
-            _check_passes(path, io._read_tracks, lambda: io.read_tracks(path, vocabulary=v), v,
-                          valid=not mutate)
+            _check_passes(path, lambda: io.read_tracks(path, vocabulary=v), valid=not mutate)
 
 
 @EXAMPLES
@@ -178,7 +189,7 @@ def test_groundtruth_columns_agree_with_lines(tmp_path_factory, tracks, mutate, 
         lines = _apply([json.loads(s) for s in path.read_text().splitlines()], index, mutation)
         _write(path, lines, layout, index)
     with _chunk(chunk):
-        _check_passes(path, io._read_groundtruth, lambda: io.load_groundtruth(path), valid=not mutate)
+        _check_passes(path, lambda: io.load_groundtruth(path), valid=not mutate)
 
 
 _TRACK = {"track_id": 1, "frame": 0, "bbox": [0, 0, 1, 1], "conf": 0.5, "cat": 0, "det": 0}
@@ -209,15 +220,39 @@ def test_column_pass_on_edge_files(tmp_path, read, text, valid):
     path.write_text(text)
     io.write_embedding_sidecar(np.array([[3.0], [0.0]], dtype=np.float32), path.with_suffix(".embin"))
     with _chunk(512):
-        if read == "tracks":
-            _check_passes(path, io._read_tracks, lambda: io.read_tracks(path), None, valid=valid)
-        else:
-            _check_passes(path, io._read_detections, lambda: io.load_detections(path), None, 1.0, None,
-                          valid=valid)
-    if not valid:
-        with pytest.raises(io._REFUSED):
-            (io._read_tracks(path, None, False) if read == "tracks"
-             else io._read_detections(path, None, 1.0, None, False))
+        load = io.read_tracks if read == "tracks" else io.load_detections
+        checked = _check_passes(path, lambda: load(path), valid)
+    assert valid or checked, "a file the column check should refuse took no line check"
+
+
+def _two_tracks(path, labels):
+    """Tracks 1 and 2 on frames 0-5, 12 lines, each track labelled as ``labels`` says."""
+    records = [io.TrackRecord(tid, [io.TrackEntry(f, (0.0, 0.0, 1.0, 1.0), 0.5, 0, f) for f in range(6)],
+                              *((1, "det", {"det": 1.0}) if labelled else ()))
+               for tid, labelled in zip((1, 2), labels)]
+    io.write_tracks(records, path)
+    return records
+
+
+def test_only_a_refused_chunk_is_checked_line_by_line(tmp_path):
+    # lines 5-8 of 1-12 mix unlabelled track 1 and labelled track 2; the loader used to
+    # parse the whole file again, 12 json.loads calls
+    records = _two_tracks(tmp_path / "t.jsonl", (False, True))
+    with _chunk(4), _counted_loads() as calls:
+        assert _plain(io.read_tracks(tmp_path / "t.jsonl")) == _plain(records)
+    assert len(calls) == 4
+
+
+def test_a_repeated_frame_in_the_last_chunk_names_its_line_without_line_checks(tmp_path):
+    path = tmp_path / "t.jsonl"
+    _two_tracks(path, (True, True))
+    lines = path.read_text().splitlines(keepends=True)
+    lines[10] = lines[9]  # track 2's frame 3 again on line 11
+    path.write_text("".join(lines))
+    with _chunk(4), _counted_loads() as calls, pytest.raises(io.FormatError) as err:
+        io.read_tracks(path)
+    assert str(err.value) == f"{path}:11: track 2 repeats frame 3"
+    assert calls == []
 
 
 floats = st.one_of(st.floats(), st.sampled_from([-0.0, 1e16, 5e-324, 1e-7, 123456789.125]))
