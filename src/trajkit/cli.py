@@ -8,7 +8,8 @@ An option ``x_y`` is the flag ``--x-y``, typed by its default (a bool gives
 ``--config`` (a JSON object of option values, each of its option's type),
 ``--seed`` and ``--out-dir``; flags override config values, which override
 defaults. Each run writes its resolved options to ``<command>_manifest.json``
-in the output directory; outputs are deterministic in manifest + seed.
+in the output directory, only once its options and inputs have passed every
+check; outputs are deterministic in manifest + seed.
 ``track``, ``classify`` and ``bench-fusion`` label trajectories through one
 loop, ``_label``, which calls ``classify_trajectory`` once per trajectory.
 
@@ -19,6 +20,7 @@ training, ...), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -211,32 +213,32 @@ def cmd_track(args) -> int:
     weights = _load_fusion_weights(opts["weights"]) if opts["weights"] else None
     if weights is None and vocab is not None and opts["fusion"] != "average":
         raise MissingWeightsError(f"fusion={opts['fusion']!r} needs --weights")
-    out_dir = _write_manifest("track", opts)
     dets = io.load_detections(det_path, opts["score_scale"], vocabulary=vocab)
     _check_weights_fit(opts["weights"], weights, _embedding_width(dets),
                        vocab.dim_text if vocab is not None else None)
     ccfg = _config(ClassifyConfig, opts)
-
     tracker = Tracker(_config(TrackerConfig, opts))
+    out_dir = _write_manifest("track", opts)
+
     events = []
-    csv_rows = []
-    for frame in sorted(dets):
-        events.extend(tracker.step(frame, dets[frame]))
+    with contextlib.ExitStack() as stack:
+        scores_csv = None
         if opts["dump_csv"]:
-            scores = tracker.last_scores
-            for ti, track_id in enumerate(tracker.last_ids):
-                for di in range(scores.shape[1]):
-                    csv_rows.append((frame, track_id, di, f"{scores[ti, di]:.6f}"))
+            fh = stack.enter_context(open(out_dir / "scores.csv", "w", newline="", encoding="utf-8"))
+            scores_csv = csv.writer(fh)
+            scores_csv.writerow(["frame", "track_id", "det_idx", "score"])
+        for frame in sorted(dets):
+            events.extend(tracker.step(frame, dets[frame]))
+            if scores_csv is not None:  # each frame's rows as it is tracked
+                scores_csv.writerows(
+                    (frame, track_id, di, f"{score:.6f}")
+                    for track_id, row in zip(tracker.last_ids, tracker.last_scores.tolist())
+                    for di, score in enumerate(row))
 
     records = _label([(to_track_record(t), t.embeddings) for t in tracker.tracks],
                      vocab, weights, ccfg)
     io.write_tracks(records, out_dir / "tracks.jsonl")
     io.write_events(events, out_dir / "events.jsonl")
-    if opts["dump_csv"]:
-        with open(out_dir / "scores.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["frame", "track_id", "det_idx", "score"])
-            writer.writerows(csv_rows)
     n_frames = len(dets)
     print(f"tracked {sum(len(v) for v in dets.values())} detections over {n_frames} frames "
           f"into {len(records)} tracks")
@@ -252,7 +254,6 @@ def cmd_classify(args) -> int:
     weights = _load_fusion_weights(opts["weights"]) if opts["weights"] else None
     if weights is None and opts["fusion"] != "average":
         raise MissingWeightsError(f"fusion={opts['fusion']!r} needs --weights")
-    out_dir = _write_manifest("classify", opts)
     records = io.read_tracks(tracks_path, vocabulary=vocab)
     dets = io.load_detections(det_path)
     _check_weights_fit(opts["weights"], weights, _embedding_width(dets), vocab.dim_text)
@@ -260,7 +261,9 @@ def cmd_classify(args) -> int:
         trajectories = [(record, record_embeddings(record, dets)) for record in records]
     except FormatError as exc:  # name both files, as io's errors do
         raise FormatError(f"{tracks_path}: {exc} ({det_path})") from None
-    out = _label(trajectories, vocab, weights, _config(ClassifyConfig, opts))
+    ccfg = _config(ClassifyConfig, opts)
+    out_dir = _write_manifest("classify", opts)
+    out = _label(trajectories, vocab, weights, ccfg)
     io.write_tracks(out, out_dir / "tracks.jsonl")
     print(f"classified {len(out)} tracks with fusion={opts['fusion']}")
     print(f"wrote {out_dir / 'tracks.jsonl'}")
@@ -274,8 +277,8 @@ def cmd_eval(args) -> int:
     splits = {}
     if opts["vocabulary"]:
         splits = io.load_vocabulary(_need_file(opts["vocabulary"], "vocabulary")).splits()
-    out_dir = _write_manifest("eval", opts)
     report = metrics.evaluate(preds, gts, metrics.EvalConfig(opts["iou_threshold"], splits))
+    out_dir = _write_manifest("eval", opts)
     (out_dir / "report.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
                                          encoding="utf-8")
     print(report.format_table())
@@ -285,8 +288,8 @@ def cmd_eval(args) -> int:
 
 def cmd_synth(args) -> int:
     opts = _resolve(args)
-    out_dir = _write_manifest("synth", opts)
     scene = gen_scene(_scene_config(opts, opts["seed"]))
+    out_dir = _write_manifest("synth", opts)
     io.write_detections(scene.detections, out_dir / "detections.jsonl", sidecar=opts["sidecar"])
     io.write_groundtruth(scene.gt_tracks, out_dir / "groundtruth.jsonl")
     io.write_vocabulary(scene.vocabulary, out_dir / "vocabulary.json")
@@ -301,7 +304,6 @@ def cmd_train(args) -> int:
     opts = _resolve(args)
     if (opts["scale_min"] is None) != (opts["scale_max"] is None):
         raise ValueError("--scale-min and --scale-max must be given together")
-    out_dir = _write_manifest("train", opts)
     scene = gen_scene(_scene_config(opts, opts["seed"]))
     scale_range = None if opts["scale_min"] is None else (opts["scale_min"], opts["scale_max"])
     aug = Augmentations(rotate=opts["rotate"], erase_fraction=opts["erase_fraction"],
@@ -313,6 +315,7 @@ def cmd_train(args) -> int:
                        learning_rate=opts["lr"], steps=opts["steps"],
                        batch_size=opts["batch_size"], seed=opts["seed"], heads=opts["heads"])
     trained, curve = train_fusion(pairs, weights, tcfg)
+    out_dir = _write_manifest("train", opts)
     io.write_weights(trained, out_dir / "weights.twb")
     (out_dir / "loss_curve.json").write_text(
         json.dumps({"loss": curve}, indent=2) + "\n", encoding="utf-8")
@@ -348,9 +351,9 @@ def cmd_bench_fusion(args) -> int:
         _check_weights_fit(opts["weights"], weights, opts["dim"], opts["dim"])
     else:
         weights = init_fusion_weights(opts["dim"], seed=opts["seed"], zero_residual=False)
-    out_dir = _write_manifest("bench-fusion", opts)
     seeds = [opts["seed"] + s for s in range(opts["scenes"])]
     rows = [_bench_one_scene(s, opts, weights) for s in seeds]
+    out_dir = _write_manifest("bench-fusion", opts)
 
     table = {}
     for mech in BENCH_MECHANISMS:

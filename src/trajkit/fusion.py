@@ -164,7 +164,9 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, w: FusionWeights, group
 def _attention_core(qp, kp, vp, w: FusionWeights, group: str, heads: int):
     """:func:`_attend` from rows already projected by ``wq``/``wk``/``wv`` and their biases."""
     d = qp.shape[-1]
-    if heads < 1 or d % heads:
+    if heads < 1:
+        raise DimMismatchError(f"heads must be at least 1, got {heads}")
+    if d % heads:
         raise DimMismatchError(f"width {d} is not divisible by {heads} heads")
     qh, kh, vh = (_split_heads(x, heads) for x in (qp, kp, vp))
     scale = 1.0 / np.sqrt(d // heads)

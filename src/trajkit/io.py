@@ -109,16 +109,16 @@ class VocabularyEntry:
 
 
 class Vocabulary:
-    """Validated category table with O(1) id lookup."""
+    """Validated category table with an O(1) id membership test."""
 
     def __init__(self, entries: Sequence[VocabularyEntry], dim_text: int):
         self.entries = list(entries)
         self.dim_text = int(dim_text)
-        self._by_id = {}
+        self._ids: set[int] = set()
         for e in self.entries:
-            if e.category_id in self._by_id:
+            if e.category_id in self._ids:
                 raise DuplicateCategoryError(f"duplicate category id {e.category_id}")
-            self._by_id[e.category_id] = e
+            self._ids.add(e.category_id)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -127,13 +127,7 @@ class Vocabulary:
         return iter(self.entries)
 
     def __contains__(self, category_id: int) -> bool:
-        return category_id in self._by_id
-
-    def get(self, category_id: int) -> VocabularyEntry:
-        try:
-            return self._by_id[category_id]
-        except KeyError:
-            raise UnknownCategoryError(f"unknown category id {category_id}") from None
+        return category_id in self._ids
 
     @property
     def ids(self) -> list[int]:
@@ -342,23 +336,22 @@ def write_embedding_sidecar(embeddings: np.ndarray, path) -> None:
 
 
 def load_detections(path, score_scale: float = 1.0, *,
-                    vocabulary: Vocabulary | None = None,
-                    sidecar=None) -> dict[int, list[DetectionRecord]]:
+                    vocabulary: Vocabulary | None = None) -> dict[int, list[DetectionRecord]]:
     """Load a detections.jsonl file into a frame -> detections map.
 
     Confidences are multiplied by ``score_scale`` and clamped to [0, 1]
     (detectors whose raw scores exceed 1 are tamed with e.g. 0.1); a scale
     that is not finite or not > 0 raises ValueError. Frames are returned in
     ascending order; records within a frame are sorted by a canonical content
-    key so input line order never matters.
+    key of the file's values (the raw ``conf``, not the scaled one), so
+    neither input line order nor ``score_scale`` changes a detection's index.
 
-    ``sidecar`` may name an .embin file; when omitted and a record uses
-    ``emb_ref``, a sibling file with the .embin suffix is tried.
+    Records that hold ``emb_ref`` read their rows from the sibling file with
+    the .embin suffix.
     """
     if not (math.isfinite(score_scale) and score_scale > 0):
         raise ValueError(f"score_scale must be finite and > 0, got {score_scale}")
-    side = read_embedding_sidecar(sidecar) if sidecar is not None else None
-    fmt, dim, default_side = DETECTION_FORMAT, None, Path(path).with_suffix(".embin")
+    fmt, side, dim, side_path = DETECTION_FORMAT, None, None, Path(path).with_suffix(".embin")
 
     def embeddings(objs: list[dict], where: str | None) -> list[np.ndarray]:
         nonlocal side, dim
@@ -366,8 +359,8 @@ def load_detections(path, score_scale: float = 1.0, *,
         _require(inline or "emb_ref" in objs[0], where, "record needs either emb or emb_ref")
         _require(where or not any(("emb_ref" if inline else "emb") in o for o in objs), None, "emb mixed")
         if side is None and "emb_ref" in objs[0]:
-            _require(default_side.exists(), where, "emb_ref used but no embedding sidecar found")
-            side = read_embedding_sidecar(default_side)
+            _require(side_path.exists(), where, "emb_ref used but no embedding sidecar found")
+            side = read_embedding_sidecar(side_path)
         if inline:
             embs = _checked(fmt, "emb", [o["emb"] for o in objs], where, size=dim)
         else:
@@ -379,11 +372,11 @@ def load_detections(path, score_scale: float = 1.0, *,
 
     rows = [(*values, emb) for _, values, emb in _rows(path, fmt, _DETECTION_KEYS, vocabulary, embeddings)]
     frames, boxes, confs, cats, scores, _ = zip(*rows) if rows else [()] * 6
-    confs = [min(max(conf * score_scale, 0.0), 1.0) for conf in confs]
     order = np.lexsort((scores, cats, confs, *np.array(boxes).T[::-1], frames)).tolist()  # stable
     out: dict[int, list[DetectionRecord]] = {}
     for i in order:
-        out.setdefault(frames[i], []).append(DetectionRecord(*rows[i][:2], confs[i], *rows[i][3:]))
+        conf = min(max(confs[i] * score_scale, 0.0), 1.0)
+        out.setdefault(frames[i], []).append(DetectionRecord(*rows[i][:2], conf, *rows[i][3:]))
     return out
 
 

@@ -20,7 +20,7 @@ never match anything count against the overall scores only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -52,8 +52,7 @@ class SplitScores:
     fn: int = 0
 
     def to_dict(self) -> dict:
-        return {"teta": self.teta, "loc_a": self.loc_a, "ass_a": self.ass_a,
-                "cls_a": self.cls_a, "tp": self.tp, "fp": self.fp, "fn": self.fn}
+        return asdict(self)
 
 
 @dataclass
@@ -63,8 +62,7 @@ class EvalReport:
     novel: SplitScores
 
     def to_dict(self) -> dict:
-        return {"overall": self.overall.to_dict(), "base": self.base.to_dict(),
-                "novel": self.novel.to_dict()}
+        return asdict(self)
 
     def format_table(self) -> str:
         header = f"{'scope':<9}{'TETA':>8}{'LocA':>8}{'AssA':>8}{'ClsA':>8}{'TP':>7}{'FP':>7}{'FN':>7}"
@@ -122,28 +120,6 @@ def frame_matching(pred_boxes: Sequence[BBox], gt_boxes: Sequence[BBox],
     return [(int(r), int(c)) for r, c in zip(rows, cols) if m[r, c] >= iou_threshold]
 
 
-def _pair_scores(pairs, pair_tpa, pred_present, gt_present, pred_label, gt_cat):
-    """Association and classification sums over matched instances."""
-    tp = ass = cls = 0.0
-    for (pi, gi) in pairs:
-        tpa = pair_tpa[(pi, gi)]
-        union = pred_present[pi] + gt_present[gi] - tpa
-        ass += tpa * (tpa / union)
-        cls += tpa * (1.0 if pred_label[pi] == gt_cat[gi] else 0.0)
-        tp += tpa
-    return tp, ass, cls
-
-
-def _make_scores(tp, fp, fn, ass_sum, cls_sum):
-    s = SplitScores(tp=int(tp), fp=int(fp), fn=int(fn))
-    denom = tp + fp + fn
-    s.loc_a = 100.0 * tp / denom if denom else 0.0
-    s.ass_a = 100.0 * ass_sum / tp if tp else 0.0
-    s.cls_a = 100.0 * cls_sum / tp if tp else 0.0
-    s.teta = (s.loc_a + s.ass_a + s.cls_a) / 3.0
-    return s
-
-
 def evaluate(preds, gts, cfg: EvalConfig | None = None) -> EvalReport:
     """Score predicted tracks against ground truth.
 
@@ -152,44 +128,53 @@ def evaluate(preds, gts, cfg: EvalConfig | None = None) -> EvalReport:
     name the tracks, scores are invariant under renaming.
     """
     cfg = cfg or EvalConfig()
-    pred_boxes = [dict(p.boxes) for p in preds]
-    gt_boxes = [dict(g.boxes) for g in gts]
     pred_label = [getattr(p, "label", None) for p in preds]
     gt_cat = [g.category_id for g in gts]
-    frames = sorted({f for bx in pred_boxes for f in bx} | {f for bx in gt_boxes for f in bx})
+    # frame -> (pred indices, pred boxes, gt indices, gt boxes), each in track order
+    by_frame: dict[int, tuple[list, list, list, list]] = {}
+    present: tuple[list[int], list[int]] = ([], [])  # boxes per pred track, per gt track
+    for side, tracks in enumerate((preds, gts)):
+        for i, track in enumerate(tracks):
+            boxes = track.boxes
+            present[side].append(len(boxes))
+            for frame, box in boxes.items():
+                row = by_frame.get(frame)
+                if row is None:
+                    row = by_frame[frame] = ([], [], [], [])
+                row[2 * side].append(i)
+                row[2 * side + 1].append(box)
+    pred_present, gt_present = present
 
     pair_tpa: dict[tuple[int, int], int] = {}
-    tp = fp = fn = 0
-    for frame in frames:
-        ps = [(i, bx[frame]) for i, bx in enumerate(pred_boxes) if frame in bx]
-        gs = [(j, bx[frame]) for j, bx in enumerate(gt_boxes) if frame in bx]
-        matches = frame_matching([b for _, b in ps], [b for _, b in gs], cfg.iou_threshold)
-        tp += len(matches)
-        fp += len(ps) - len(matches)
-        fn += len(gs) - len(matches)
-        for r, c in matches:
-            key = (ps[r][0], gs[c][0])
+    for frame in sorted(by_frame):
+        ps, pred_boxes, gs, gt_boxes = by_frame[frame]
+        for r, c in frame_matching(pred_boxes, gt_boxes, cfg.iou_threshold):
+            key = (ps[r], gs[c])
             pair_tpa[key] = pair_tpa.get(key, 0) + 1
-
-    pred_present = [len(bx) for bx in pred_boxes]
-    gt_present = [len(bx) for bx in gt_boxes]
     matched_pred = [0] * len(preds)
-    for (pi, gi), tpa in pair_tpa.items():
+    for (pi, _), tpa in pair_tpa.items():
         matched_pred[pi] += tpa
 
-    all_pairs = list(pair_tpa)
-    tp_all, ass_all, cls_all = _pair_scores(all_pairs, pair_tpa, pred_present,
-                                            gt_present, pred_label, gt_cat)
-    overall = _make_scores(tp_all, fp, fn, ass_all, cls_all)
+    def _scores(pairs, pred_in, gt_in) -> SplitScores:
+        """Scores of the matched ``pairs`` (in match order), the predictions
+        ``pred_in`` and the ground-truth tracks ``gt_in`` of one scope."""
+        tp, ass, cls = 0, 0.0, 0.0
+        for pi, gi in pairs:
+            tpa = pair_tpa[(pi, gi)]
+            ass += tpa * (tpa / (pred_present[pi] + gt_present[gi] - tpa))
+            cls += tpa * (1.0 if pred_label[pi] == gt_cat[gi] else 0.0)
+            tp += tpa
+        fp = sum(pred_present[pi] - matched_pred[pi] for pi in pred_in)
+        fn = sum(gt_present[gi] for gi in gt_in) - tp
+        loc_a = 100.0 * tp / (tp + fp + fn) if tp + fp + fn else 0.0
+        ass_a = 100.0 * ass / tp if tp else 0.0
+        cls_a = 100.0 * cls / tp if tp else 0.0
+        return SplitScores((loc_a + ass_a + cls_a) / 3.0, loc_a, ass_a, cls_a, tp, fp, fn)
 
     per_split = {}
     for split in ("base", "novel"):
-        gt_in = {gi for gi in range(len(gts)) if cfg.splits.get(gt_cat[gi]) == split}
-        pairs = [(pi, gi) for (pi, gi) in all_pairs if gi in gt_in]
-        tp_s, ass_s, cls_s = _pair_scores(pairs, pair_tpa, pred_present,
-                                          gt_present, pred_label, gt_cat)
-        fn_s = sum(gt_present[gi] for gi in gt_in) - tp_s
-        pred_in = {pi for (pi, gi) in pairs}
-        fp_s = sum(pred_present[pi] - matched_pred[pi] for pi in pred_in)
-        per_split[split] = _make_scores(tp_s, fp_s, fn_s, ass_s, cls_s)
-    return EvalReport(overall=overall, base=per_split["base"], novel=per_split["novel"])
+        gt_in = {gi for gi, cat in enumerate(gt_cat) if cfg.splits.get(cat) == split}
+        pairs = [pair for pair in pair_tpa if pair[1] in gt_in]
+        per_split[split] = _scores(pairs, {pi for pi, _ in pairs}, gt_in)
+    return EvalReport(overall=_scores(pair_tpa, range(len(preds)), range(len(gts))),
+                      base=per_split["base"], novel=per_split["novel"])

@@ -30,6 +30,7 @@ from .metrics import iou
 from .train import TrainPair
 
 _CONF_HIGH = 0.9  # floor for clean, correctly labeled detections
+_CONF_ALPHA, _CONF_BETA = 8.0, 2.0  # Beta parameters of the confidence model
 
 
 @dataclass
@@ -43,8 +44,6 @@ class SynthConfig:
     miss_rate: float = 0.0
     fp_rate: float = 0.0  # expected false positives per frame (Poisson)
     label_flip_prob: float = 0.0
-    conf_alpha: float = 8.0  # Beta parameters of the confidence model
-    conf_beta: float = 2.0
     class_spread: float | None = None  # scatter of identities around their category
     scene_width: float = 1920.0
     scene_height: float = 1080.0
@@ -59,8 +58,6 @@ class SynthConfig:
             raise ValueError("class_spread must be finite")
         if not 0.0 <= self.miss_rate < 1.0 or not 0.0 <= self.label_flip_prob < 1.0:
             raise ValueError("miss_rate and label_flip_prob must lie in [0, 1)")
-        if self.conf_alpha <= 0 or self.conf_beta <= 0:
-            raise ValueError("confidence Beta parameters must be positive")
         for ident, lo, hi in self.occlusion:
             if not 0 <= ident < self.n_identities:
                 raise ValueError(f"occlusion names identity {ident} outside range")
@@ -178,7 +175,7 @@ def gen_scene(cfg: SynthConfig) -> SynthScene:
             if cfg.label_flip_prob > 0 and rng.random() < cfg.label_flip_prob and cfg.n_categories > 1:
                 shift = int(rng.integers(1, cfg.n_categories))
                 label = (label + shift) % cfg.n_categories
-            base = float(rng.beta(cfg.conf_alpha, cfg.conf_beta))
+            base = float(rng.beta(_CONF_ALPHA, _CONF_BETA))
             if cfg.noise_sigma == 0 and label == cats[i]:
                 conf = _CONF_HIGH + (1.0 - _CONF_HIGH) * base
             else:

@@ -520,6 +520,57 @@ def test_missing_required_input_exits_1_before_any_output(tmp_path, capsys, comm
     assert not out.exists()
 
 
+TRAIN_SMALL = ["train", "--steps", 2, "--dim", 8, "--pairs", 4]
+BENCH_SMALL = ["bench-fusion", "--frames", 4, "--dim", 8, "--scenes", 1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    # each of these used to exit 1 and leave <command>_manifest.json alone in the out dir
+    (TRAIN_SMALL + ["--n-clip", 0], "ValueError: n_clip must be at least 1"),
+    (TRAIN_SMALL + ["--heads", 0], "DimMismatchError: heads must be at least 1, got 0"),
+    (TRAIN_SMALL + ["--heads", 3], "DimMismatchError: width 8 is not divisible by 3 heads"),
+    (["synth", "--identities", 0], "ValueError: identities, frames"),
+    (["track", "--detections", "{scene}/detections.jsonl", "--tau-low", 0.9], "ValueError: tau_low"),
+    (["track", "--detections", "{scene}/detections.jsonl", "--n-clip", 0], "ValueError: n_clip"),
+    (["classify", "--tracks", "{scene}/bad.jsonl", "--detections", "{scene}/detections.jsonl",
+      "--vocabulary", "{scene}/vocabulary.json"], "bad.jsonl:1"),
+    (["eval", "--pred", "{scene}/run/tracks.jsonl", "--gt", "{scene}/groundtruth.jsonl",
+      "--iou-threshold", 0], "ValueError: iou_threshold"),
+    (BENCH_SMALL + ["--identities", 0], "ValueError: identities, frames"),
+    (BENCH_SMALL + ["--n-clip", 0], "ValueError: n_clip"),
+    (BENCH_SMALL + ["--tau-low", 0.9], "ValueError: tau_low"),
+])
+def test_failed_run_leaves_no_output(tmp_path, capsys, argv, message):
+    scene = _synth(tmp_path / "scene")
+    assert _run(["track", "--detections", scene / "detections.jsonl", "--out-dir", scene / "run"]) == 0
+    (scene / "bad.jsonl").write_text("{not json\n")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = [str(a).format(scene=scene) for a in argv]
+    assert _run(argv + ["--out-dir", out]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_dump_csv_holds_no_more_than_a_frame_of_scores(tmp_path):
+    # every (frame, track, det, score) row used to be kept until the end of the run,
+    # more memory than the CSV file itself takes
+    import tracemalloc
+    scene = tmp_path / "scene"
+    assert _run(["synth", "--identities", 20, "--frames", 16, "--fp-rate", 3, "--sigma", 0.1,
+                 "--dim", 8, "--out-dir", scene]) == 0
+    peaks = []
+    for flags in ([], ["--dump-csv"]):
+        tracemalloc.start()
+        try:
+            assert _run(["track", "--detections", scene / "detections.jsonl", *flags,
+                         "--out-dir", tmp_path / "run"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < (tmp_path / "run" / "scores.csv").stat().st_size
+
+
 @pytest.mark.parametrize("key", ["cate_emb", "attr_emb"])
 def test_zero_norm_vocabulary_row_fails_at_load(tmp_path, capsys, key):
     scene = _synth(tmp_path / "scene")

@@ -140,6 +140,19 @@ def test_detections_score_scale_and_clamp(tmp_path):
     assert confs == pytest.approx([1.0, 1.0])  # 1.0 and 1.8 both clamp to 1
 
 
+def test_detection_order_does_not_depend_on_score_scale(tmp_path):
+    # the order used to follow the scaled, clamped confidence: at scale 2 both
+    # lines clamp to 1.0, the category broke the tie and the det indices swapped
+    path = tmp_path / "d.jsonl"
+    low = {"frame": 0, "bbox": [0, 0, 5, 5], "conf": 0.5, "cat": 1, "cat_score": 0.4, "emb": [1.0, 0.0]}
+    high = dict(low, conf=0.8, cat=0, emb=[0.0, 1.0])
+    path.write_text(json.dumps(low) + "\n" + json.dumps(high) + "\n")
+    for scale in (1.0, 2.0):
+        dets = io.load_detections(path, score_scale=scale)[0]
+        assert [d.category_id for d in dets] == [1, 0]
+        assert [d.confidence for d in dets] == [min(0.5 * scale, 1.0), min(0.8 * scale, 1.0)]
+
+
 def test_detections_error_carries_line_number(tmp_path):
     path = tmp_path / "d.jsonl"
     good = {"frame": 0, "bbox": [0, 0, 5, 5], "conf": 0.5, "cat": 1, "cat_score": 0.4,
@@ -253,7 +266,7 @@ def test_vocabulary_roundtrip(tmp_path):
     assert back.splits() == vocab.splits()
     np.testing.assert_allclose(back.cate_matrix(), vocab.cate_matrix())
     np.testing.assert_allclose(back.attr_matrix(), vocab.attr_matrix())
-    assert back.get(1).name == "thing_1"
+    assert [e.name for e in back] == [f"thing_{k}" for k in range(3)]
     assert 0 in back and 99 not in back
 
 
