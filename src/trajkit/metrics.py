@@ -132,18 +132,18 @@ def evaluate(preds, gts, cfg: EvalConfig | None = None) -> EvalReport:
     gt_cat = [g.category_id for g in gts]
     # frame -> (pred indices, pred boxes, gt indices, gt boxes), each in track order
     by_frame: dict[int, tuple[list, list, list, list]] = {}
-    present: tuple[list[int], list[int]] = ([], [])  # boxes per pred track, per gt track
-    for side, tracks in enumerate((preds, gts)):
+    pred_present: list[int] = []  # boxes per track
+    gt_present: list[int] = []
+    for col, tracks, present in ((0, preds, pred_present), (2, gts, gt_present)):
         for i, track in enumerate(tracks):
             boxes = track.boxes
-            present[side].append(len(boxes))
+            present.append(len(boxes))
             for frame, box in boxes.items():
                 row = by_frame.get(frame)
                 if row is None:
                     row = by_frame[frame] = ([], [], [], [])
-                row[2 * side].append(i)
-                row[2 * side + 1].append(box)
-    pred_present, gt_present = present
+                row[col].append(i)
+                row[col + 1].append(box)
 
     pair_tpa: dict[tuple[int, int], int] = {}
     for frame in sorted(by_frame):
@@ -171,10 +171,9 @@ def evaluate(preds, gts, cfg: EvalConfig | None = None) -> EvalReport:
         cls_a = 100.0 * cls / tp if tp else 0.0
         return SplitScores((loc_a + ass_a + cls_a) / 3.0, loc_a, ass_a, cls_a, tp, fp, fn)
 
-    per_split = {}
+    scopes = {"overall": _scores(pair_tpa, range(len(preds)), range(len(gts)))}
     for split in ("base", "novel"):
         gt_in = {gi for gi, cat in enumerate(gt_cat) if cfg.splits.get(cat) == split}
         pairs = [pair for pair in pair_tpa if pair[1] in gt_in]
-        per_split[split] = _scores(pairs, {pi for pi, _ in pairs}, gt_in)
-    return EvalReport(overall=_scores(pair_tpa, range(len(preds)), range(len(gts))),
-                      base=per_split["base"], novel=per_split["novel"])
+        scopes[split] = _scores(pairs, {pi for pi, _ in pairs}, gt_in)
+    return EvalReport(**scopes)

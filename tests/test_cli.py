@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -555,7 +556,6 @@ def test_failed_run_leaves_no_output(tmp_path, capsys, argv, message):
 def test_dump_csv_holds_no_more_than_a_frame_of_scores(tmp_path):
     # every (frame, track, det, score) row used to be kept until the end of the run,
     # more memory than the CSV file itself takes
-    import tracemalloc
     scene = tmp_path / "scene"
     assert _run(["synth", "--identities", 20, "--frames", 16, "--fp-rate", 3, "--sigma", 0.1,
                  "--dim", 8, "--out-dir", scene]) == 0
