@@ -14,6 +14,8 @@ language embeddings of the vocabulary. Three candidate labels compete:
 
 The candidate with the highest score wins; ties prefer det, then cate,
 then attr. Without a vocabulary only the det channel competes.
+``check_labelling`` decides whether a vocabulary, weights and embeddings can
+label at all; ``project_vocabulary`` runs it once per run.
 ``label_record`` is the one place a ``TrackRecord`` (``to_track_record`` of
 a live track, or a ``tracks.jsonl`` record) gets its label. The ``concat``
 fusion mechanism scores every vocabulary entry directly instead of
@@ -106,9 +108,6 @@ def project_language(vocab: Vocabulary, lang_proj: np.ndarray) -> tuple[np.ndarr
     per-category projected vectors, in vocabulary order.
     """
     lang_proj = np.asarray(lang_proj, dtype=np.float64)
-    if lang_proj.ndim != 2 or lang_proj.shape[0] != vocab.dim_text:
-        raise DimMismatchError(
-            f"lang_proj shape {lang_proj.shape} incompatible with dim_text {vocab.dim_text}")
     return vocab.cate_matrix() @ lang_proj, vocab.attr_matrix() @ lang_proj
 
 
@@ -122,8 +121,28 @@ class LanguageRows:
     attr_norms: np.ndarray
 
 
-def project_vocabulary(vocab: Vocabulary, weights: FusionWeights | None = None) -> LanguageRows:
-    """Language rows for every track of a run; ``weights=None`` projects by identity."""
+def check_labelling(dim_text: int | None, width: int | None, weights: FusionWeights | None = None,
+                    fusion: str = "average") -> None:
+    """Refuse inputs that cannot label: weights must be the embeddings' ``width`` and project the
+    vocabulary's ``dim_text`` (each None when unknown); without weights, average fusion projects
+    by identity."""
+    if weights is not None:
+        if width is not None and weights.d != width:
+            raise DimMismatchError(f"weights are {weights.d} wide, embeddings {width}")
+        rows = weights["lang_proj.w"].shape[0]
+        if dim_text is not None and rows != dim_text:
+            raise DimMismatchError(f"lang_proj.w has {rows} rows, vocabulary dim_text is {dim_text}")
+    elif dim_text is not None:
+        if fusion != "average":
+            raise MissingWeightsError(f"fusion={fusion!r} needs a weight bundle")
+        if width is not None and dim_text != width:
+            raise DimMismatchError(f"identity projection needs dim_text == d, got {dim_text} vs {width}")
+
+
+def project_vocabulary(vocab: Vocabulary, weights: FusionWeights | None = None,
+                       fusion: str = "average", width: int | None = None) -> LanguageRows:
+    """Language rows for every track of a run, once ``check_labelling`` passes."""
+    check_labelling(vocab.dim_text, width, weights, fusion)
     lang_proj = np.eye(vocab.dim_text) if weights is None else weights["lang_proj.w"]
     f_cate, f_attr = project_language(vocab, lang_proj)
     return LanguageRows(f_cate, f_attr, np.linalg.norm(f_cate, axis=1), np.linalg.norm(f_attr, axis=1))
@@ -167,24 +186,17 @@ def classify_trajectory(entries: Sequence[TrackEntry], embeddings: Sequence[np.n
 
     ``weights=None`` is allowed for average fusion when the vocabulary lives
     in the visual space already (identity language projection). ``lang`` is
-    ``project_vocabulary(vocab, weights)``; pass it when classifying many
-    tracks so the vocabulary is projected once. ``vocab=None`` leaves the
-    det channel alone to label the trajectory.
+    ``project_vocabulary(vocab, weights, cfg.fusion, width)``; pass it when
+    classifying many tracks so the inputs are checked and the vocabulary
+    projected once. ``vocab=None`` leaves the det channel alone to label.
     """
     det_id, det_score = majority_vote([e.category_id for e in entries])
     if vocab is None:
         return TrajectoryClassification(None, None, None, None, det_id, det_score, det_id, "det")
     cfg = cfg or ClassifyConfig()
     clip = sample_clip(entries, embeddings, cfg.n_clip)
-    d = clip.rows.shape[1]
-    if weights is None:
-        if cfg.fusion != "average":
-            raise MissingWeightsError(f"fusion={cfg.fusion!r} needs a weight bundle")
-        if vocab.dim_text != d:
-            raise DimMismatchError(
-                f"identity projection needs dim_text == d, got {vocab.dim_text} vs {d}")
     if lang is None:
-        lang = project_vocabulary(vocab, weights)
+        lang = project_vocabulary(vocab, weights, cfg.fusion, clip.rows.shape[1])
 
     ids = vocab.ids
     if cfg.fusion == "concat":
@@ -197,22 +209,12 @@ def classify_trajectory(entries: Sequence[TrackEntry], embeddings: Sequence[np.n
         if cfg.calibrate_scores:
             s_cate = (1.0 + s_cate) / 2.0
             s_attr = (1.0 + s_attr) / 2.0
-    k_cate = int(np.argmax(s_cate))
-    k_attr = int(np.argmax(s_attr))
-
-    candidates = [
-        ("det", det_id, det_score),
-        ("cate", ids[k_cate], float(s_cate[k_cate])),
-        ("attr", ids[k_attr], float(s_attr[k_attr])),
-    ]
+    k_cate, k_attr = int(np.argmax(s_cate)), int(np.argmax(s_attr))
+    cate, attr = (ids[k_cate], float(s_cate[k_cate])), (ids[k_attr], float(s_attr[k_attr]))
     # max keeps the first of equals, so ties prefer det, then cate, then attr
-    source, final, _ = max(candidates, key=lambda c: c[2])
-    return TrajectoryClassification(
-        cate_id=ids[k_cate], cate_score=float(s_cate[k_cate]),
-        attr_id=ids[k_attr], attr_score=float(s_attr[k_attr]),
-        det_id=det_id, det_score=det_score,
-        final=final, final_source=source,
-    )
+    source, (final, _) = max((("det", (det_id, det_score)), ("cate", cate), ("attr", attr)),
+                             key=lambda c: c[1][1])
+    return TrajectoryClassification(*cate, *attr, det_id, det_score, final, source)
 
 
 def to_track_record(track: Track) -> TrackRecord:

@@ -3,13 +3,14 @@
 ``COMMANDS`` lists the subcommands (``track``, ``classify``, ``eval``,
 ``synth``, ``train``, ``bench-fusion``) with their options and defaults.
 An option ``x_y`` is the flag ``--x-y``, typed by its default (a bool gives
-``--x-y/--no-x-y``); tracker and classify options are the fields of
-``TrackerConfig`` and ``ClassifyConfig``. Every subcommand also takes
-``--config`` (a JSON object of option values, each of its option's type),
-``--seed`` and ``--out-dir``; flags override config values, which override
-defaults. Each run writes its resolved options to ``<command>_manifest.json``
-in the output directory, only once its options and inputs have passed every
-check; outputs are deterministic in manifest + seed.
+``--x-y/--no-x-y``). An option that sets a field of a config dataclass takes
+that field's default; ``FIELD_OF`` names the field where the two differ.
+Every subcommand also takes ``--config`` (a JSON object of option values,
+each of its option's type), ``--seed`` and ``--out-dir``; flags override
+config values, which override defaults. A run writes its resolved options
+to ``<command>_manifest.json`` once its options and inputs have passed every
+check (for labelling, ``classify.check_labelling``, once, naming the file at
+fault); outputs are deterministic in manifest + seed.
 ``track``, ``classify`` and ``bench-fusion`` label trajectories through one
 loop, ``_label``, which calls ``classify_trajectory`` once per trajectory.
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import sys
 from dataclasses import fields
@@ -32,6 +32,8 @@ import numpy as np
 from . import io, metrics
 from .classify import (
     ClassifyConfig,
+    LanguageRows,
+    check_labelling,
     classify_trajectory,
     label_record,
     project_vocabulary,
@@ -45,11 +47,13 @@ from .tracker import SIM_MODES, Tracker, TrackerConfig, run_sequence
 from .train import DISTANCES, TrainConfig, train_fusion
 
 GLOBAL_DEFAULTS = {"seed": 0, "out_dir": "."}
-SCENE_DEFAULTS = {
-    "identities": 20, "frames": 100, "categories": 4, "dim": 32, "sigma": 0.0,
-    "miss_rate": 0.0, "fp_rate": 0.0, "flip_prob": 0.0, "class_spread": None,
-    "occlusion": None,
-}
+# The config field each flag sets, where the two names differ.
+FIELD_OF = {"identities": "n_identities", "frames": "n_frames", "categories": "n_categories",
+            "dim": "embed_dim", "sigma": "noise_sigma", "flip_prob": "label_flip_prob",
+            "lr": "learning_rate"}
+SCENE_FLAGS = ("identities", "frames", "categories", "dim", "sigma", "miss_rate", "fp_rate",
+               "flip_prob", "class_spread")
+TRAIN_FLAGS = ("steps", "lr", "batch_size", "margin", "distance")
 
 # What an option's default cannot tell: the type of a None default (str when
 # not listed), the allowed values and the help line.
@@ -80,13 +84,16 @@ def _need_file(path, what: str) -> Path:
     return p
 
 
-def _defaults(cls, *names: str) -> dict:
-    """Field defaults of a config dataclass: all of them, or only those named."""
-    return {f.name: f.default for f in fields(cls) if not names or f.name in names}
+def _defaults(cls, *flags: str) -> dict:
+    """Each flag's default, read off its field of a config dataclass: every field's, or the flags named."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    return {flag: defaults[FIELD_OF.get(flag, flag)] for flag in flags} if flags else defaults
 
 
-def _config(cls, opts: dict):
-    return cls(**{f.name: opts[f.name] for f in fields(cls)})
+def _config(cls, opts: dict, *flags: str, **values):
+    """A config dataclass from the options of the flags named (of all its fields if none) and ``values``."""
+    return cls(**{FIELD_OF.get(flag, flag): opts[flag] for flag in flags or [f.name for f in fields(cls)]},
+               **values)
 
 
 def _option_type(key: str, default) -> type:
@@ -127,11 +134,12 @@ def _read_config(path, options: dict) -> dict:
 def _resolve(args) -> dict:
     """Overlay built-in defaults, config file values, then explicit flags."""
     from_file = _read_config(args.config, args.options) if args.config is not None else {}
-    resolved = {}
-    for key, default in args.options.items():
-        flag_val = getattr(args, key)
-        resolved[key] = flag_val if flag_val is not None else from_file.get(key, default)
-    return resolved
+    return {key: from_file.get(key, default) if getattr(args, key) is None else getattr(args, key)
+            for key, default in args.options.items()}
+
+
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _write_manifest(command: str, resolved: dict) -> Path:
@@ -139,10 +147,8 @@ def _write_manifest(command: str, resolved: dict) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     # out_dir names the destination but never changes what gets computed, so
     # it stays out of the manifest and runs into different dirs stay comparable.
-    manifest = {"command": command,
-                "options": {k: v for k, v in sorted(resolved.items()) if k != "out_dir"}}
-    path = out_dir / f"{command}_manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(out_dir / f"{command}_manifest.json",
+                {"command": command, "options": {k: v for k, v in resolved.items() if k != "out_dir"}})
     return out_dir
 
 
@@ -171,39 +177,39 @@ def _load_fusion_weights(path) -> FusionWeights:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _check_weights_fit(path, weights: FusionWeights | None, width: int | None,
-                       dim_text: int | None) -> None:
-    """Weights must be as wide as the embeddings and project the vocabulary's text width."""
-    if weights is None:
-        return
-    if width is not None and weights.d != width:
-        raise DimMismatchError(f"{path}: weights are {weights.d} wide, embeddings {width}")
-    rows = weights["lang_proj.w"].shape[0]
-    if dim_text is not None and rows != dim_text:
-        raise DimMismatchError(f"{path}: lang_proj.w has {rows} rows, vocabulary dim_text is {dim_text}")
-
-
 def _embedding_width(dets: dict) -> int | None:
     return next(iter(dets.values()))[0].embedding.shape[0] if dets else None
 
 
-def _scene_config(opts: dict, seed: int) -> SynthConfig:
-    return SynthConfig(
-        n_identities=opts["identities"], n_frames=opts["frames"],
-        n_categories=opts["categories"], embed_dim=opts["dim"],
-        noise_sigma=opts["sigma"], occlusion=_parse_occlusion(opts["occlusion"]),
-        miss_rate=opts["miss_rate"], fp_rate=opts["fp_rate"],
-        label_flip_prob=opts["flip_prob"], class_spread=opts["class_spread"],
-        seed=seed,
-    )
+def _scene(opts: dict, seed: int):
+    occlusion = _parse_occlusion(opts["occlusion"])
+    return gen_scene(_config(SynthConfig, opts, *SCENE_FLAGS, occlusion=occlusion, seed=seed))
 
 
-def _label(trajectories, vocab, weights, ccfg) -> list[io.TrackRecord]:
-    """Label each (record, embeddings) pair; without a vocabulary only the det vote labels."""
-    lang = project_vocabulary(vocab, weights) if vocab is not None and trajectories else None
-    return [label_record(record, classify_trajectory(record.entries, embeddings, vocab,
-                                                     weights, ccfg, lang))
-            for record, embeddings in trajectories]
+def _language(opts: dict, vocab, weights, width, dim_text=None) -> LanguageRows | None:
+    """Check once per run, before any output, that the inputs can label; the projected vocabulary
+    rows, if any. A refusal names the file at fault: the weights when given, else the vocabulary."""
+    try:
+        if vocab is None:
+            return check_labelling(dim_text, width, weights)
+        return project_vocabulary(vocab, weights, opts["fusion"], width)
+    except MissingWeightsError:
+        raise MissingWeightsError(f"fusion={opts['fusion']!r} needs --weights") from None
+    except DimMismatchError as exc:
+        raise DimMismatchError(f"{opts['weights'] or opts['vocabulary']}: {exc}") from None
+
+
+def _label(trajectories, vocab, weights, ccfg, lang, source) -> list[io.TrackRecord]:
+    """Label each (record, embeddings) pair, by the det vote alone without a vocabulary;
+    a trajectory that cannot be labelled fails naming ``source`` and its track."""
+    records = []
+    for record, embeddings in trajectories:
+        try:
+            records.append(label_record(record, classify_trajectory(
+                record.entries, embeddings, vocab, weights, ccfg, lang)))
+        except TrajkitError as exc:
+            raise type(exc)(f"{source}: track {record.track_id}: {exc}") from None
+    return records
 
 
 def cmd_track(args) -> int:
@@ -211,36 +217,30 @@ def cmd_track(args) -> int:
     det_path = _need_file(opts["detections"], "detections")
     vocab = io.load_vocabulary(_need_file(opts["vocabulary"], "vocabulary")) if opts["vocabulary"] else None
     weights = _load_fusion_weights(opts["weights"]) if opts["weights"] else None
-    if weights is None and vocab is not None and opts["fusion"] != "average":
-        raise MissingWeightsError(f"fusion={opts['fusion']!r} needs --weights")
     dets = io.load_detections(det_path, opts["score_scale"], vocabulary=vocab)
-    _check_weights_fit(opts["weights"], weights, _embedding_width(dets),
-                       vocab.dim_text if vocab is not None else None)
     ccfg = _config(ClassifyConfig, opts)
+    lang = _language(opts, vocab, weights, _embedding_width(dets))
     tracker = Tracker(_config(TrackerConfig, opts))
     out_dir = _write_manifest("track", opts)
 
     events = []
-    with contextlib.ExitStack() as stack:
-        scores_csv = None
-        if opts["dump_csv"]:
-            fh = stack.enter_context(open(out_dir / "scores.csv", "w", newline="", encoding="utf-8"))
-            scores_csv = csv.writer(fh)
-            scores_csv.writerow(["frame", "track_id", "det_idx", "score"])
+    with (open(out_dir / "scores.csv", "w", newline="", encoding="utf-8") if opts["dump_csv"]
+          else contextlib.nullcontext()) as scores_csv:
+        if scores_csv is not None:
+            scores_csv.write("frame,track_id,det_idx,score\r\n")
         for frame in sorted(dets):
             events.extend(tracker.step(frame, dets[frame]))
             if scores_csv is not None:  # each frame's rows as it is tracked
-                scores_csv.writerows(
-                    (frame, track_id, di, f"{score:.6f}")
+                scores_csv.write("".join(
+                    "%d,%d,%d,%.6f\r\n" % (frame, track_id, di, score)
                     for track_id, row in zip(tracker.last_ids, tracker.last_scores.tolist())
-                    for di, score in enumerate(row))
+                    for di, score in enumerate(row)))
 
     records = _label([(to_track_record(t), t.embeddings) for t in tracker.tracks],
-                     vocab, weights, ccfg)
+                     vocab, weights, ccfg, lang, det_path)
     io.write_tracks(records, out_dir / "tracks.jsonl")
     io.write_events(events, out_dir / "events.jsonl")
-    n_frames = len(dets)
-    print(f"tracked {sum(len(v) for v in dets.values())} detections over {n_frames} frames "
+    print(f"tracked {sum(len(v) for v in dets.values())} detections over {len(dets)} frames "
           f"into {len(records)} tracks")
     print(f"wrote {out_dir / 'tracks.jsonl'} and {out_dir / 'events.jsonl'}")
     return 0
@@ -252,18 +252,16 @@ def cmd_classify(args) -> int:
     det_path = _need_file(opts["detections"], "detections")
     vocab = io.load_vocabulary(_need_file(opts["vocabulary"], "vocabulary"))
     weights = _load_fusion_weights(opts["weights"]) if opts["weights"] else None
-    if weights is None and opts["fusion"] != "average":
-        raise MissingWeightsError(f"fusion={opts['fusion']!r} needs --weights")
     records = io.read_tracks(tracks_path, vocabulary=vocab)
     dets = io.load_detections(det_path)
-    _check_weights_fit(opts["weights"], weights, _embedding_width(dets), vocab.dim_text)
+    ccfg = _config(ClassifyConfig, opts)
+    lang = _language(opts, vocab, weights, _embedding_width(dets))
     try:
         trajectories = [(record, record_embeddings(record, dets)) for record in records]
     except FormatError as exc:  # name both files, as io's errors do
         raise FormatError(f"{tracks_path}: {exc} ({det_path})") from None
-    ccfg = _config(ClassifyConfig, opts)
+    out = _label(trajectories, vocab, weights, ccfg, lang, tracks_path)
     out_dir = _write_manifest("classify", opts)
-    out = _label(trajectories, vocab, weights, ccfg)
     io.write_tracks(out, out_dir / "tracks.jsonl")
     print(f"classified {len(out)} tracks with fusion={opts['fusion']}")
     print(f"wrote {out_dir / 'tracks.jsonl'}")
@@ -274,13 +272,11 @@ def cmd_eval(args) -> int:
     opts = _resolve(args)
     preds = io.read_tracks(_need_file(opts["pred"], "pred"))
     gts = io.load_groundtruth(_need_file(opts["gt"], "gt"))
-    splits = {}
-    if opts["vocabulary"]:
-        splits = io.load_vocabulary(_need_file(opts["vocabulary"], "vocabulary")).splits()
-    report = metrics.evaluate(preds, gts, metrics.EvalConfig(opts["iou_threshold"], splits))
+    splits = (io.load_vocabulary(_need_file(opts["vocabulary"], "vocabulary")).splits()
+              if opts["vocabulary"] else {})
+    report = metrics.evaluate(preds, gts, _config(metrics.EvalConfig, opts, "iou_threshold", splits=splits))
     out_dir = _write_manifest("eval", opts)
-    (out_dir / "report.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-                                         encoding="utf-8")
+    _write_json(out_dir / "report.json", report.to_dict())
     print(report.format_table())
     print(f"wrote {out_dir / 'report.json'}")
     return 0
@@ -288,7 +284,7 @@ def cmd_eval(args) -> int:
 
 def cmd_synth(args) -> int:
     opts = _resolve(args)
-    scene = gen_scene(_scene_config(opts, opts["seed"]))
+    scene = _scene(opts, opts["seed"])
     out_dir = _write_manifest("synth", opts)
     io.write_detections(scene.detections, out_dir / "detections.jsonl", sidecar=opts["sidecar"])
     io.write_groundtruth(scene.gt_tracks, out_dir / "groundtruth.jsonl")
@@ -304,21 +300,16 @@ def cmd_train(args) -> int:
     opts = _resolve(args)
     if (opts["scale_min"] is None) != (opts["scale_max"] is None):
         raise ValueError("--scale-min and --scale-max must be given together")
-    scene = gen_scene(_scene_config(opts, opts["seed"]))
+    scene = _scene(opts, opts["seed"])
     scale_range = None if opts["scale_min"] is None else (opts["scale_min"], opts["scale_max"])
-    aug = Augmentations(rotate=opts["rotate"], erase_fraction=opts["erase_fraction"],
-                        scale_range=scale_range)
+    aug = _config(Augmentations, opts, "rotate", "erase_fraction", scale_range=scale_range)
     pairs = make_train_pairs(scene, n_clip=opts["n_clip"], augmentations=aug,
                              seed=opts["seed"], n_pairs=opts["pairs"])
     weights = init_fusion_weights(opts["dim"], hidden=opts["hidden"], seed=opts["seed"])
-    tcfg = TrainConfig(margin=opts["margin"], distance=opts["distance"],
-                       learning_rate=opts["lr"], steps=opts["steps"],
-                       batch_size=opts["batch_size"], seed=opts["seed"], heads=opts["heads"])
-    trained, curve = train_fusion(pairs, weights, tcfg)
+    trained, curve = train_fusion(pairs, weights, _config(TrainConfig, opts, *TRAIN_FLAGS, "seed", "heads"))
     out_dir = _write_manifest("train", opts)
     io.write_weights(trained, out_dir / "weights.twb")
-    (out_dir / "loss_curve.json").write_text(
-        json.dumps({"loss": curve}, indent=2) + "\n", encoding="utf-8")
+    _write_json(out_dir / "loss_curve.json", {"loss": curve})
     if curve:
         print(f"trained {opts['steps']} steps on {len(pairs)} pairs: "
               f"loss {curve[0]:.6f} -> {curve[-1]:.6f}")
@@ -329,14 +320,15 @@ def cmd_train(args) -> int:
 
 
 def _bench_one_scene(scene_seed: int, opts: dict, weights: FusionWeights):
-    scene = gen_scene(_scene_config(opts, scene_seed))
+    scene = _scene(opts, scene_seed)
     tracks = run_sequence(scene.detections, _config(TrackerConfig, opts))
     ecfg = metrics.EvalConfig(splits=scene.vocabulary.splits())
     trajectories = [(to_track_record(t), t.embeddings) for t in tracks]
+    lang = project_vocabulary(scene.vocabulary, weights)
     row = {}
     for mech in BENCH_MECHANISMS:  # each mechanism relabels the same records
         ccfg = ClassifyConfig(fusion=mech, n_clip=opts["n_clip"], heads=opts["heads"])
-        records = _label(trajectories, scene.vocabulary, weights, ccfg)
+        records = _label(trajectories, scene.vocabulary, weights, ccfg, lang, f"scene {scene_seed}")
         row[mech] = metrics.evaluate(records, scene.gt_tracks, ecfg).overall
     return row
 
@@ -345,24 +337,17 @@ def cmd_bench_fusion(args) -> int:
     opts = _resolve(args)
     if opts["scenes"] < 1:
         raise ValueError(f"--scenes must be at least 1, got {opts['scenes']}")
-    if opts["weights"]:
-        weights = _load_fusion_weights(opts["weights"])
-        # a synthetic scene's embeddings and text vectors are both --dim wide
-        _check_weights_fit(opts["weights"], weights, opts["dim"], opts["dim"])
-    else:
-        weights = init_fusion_weights(opts["dim"], seed=opts["seed"], zero_residual=False)
+    weights = (_load_fusion_weights(opts["weights"]) if opts["weights"]
+               else init_fusion_weights(opts["dim"], seed=opts["seed"], zero_residual=False))
+    # a synthetic scene's embeddings and text vectors are both --dim wide
+    _language(opts, None, weights, opts["dim"], opts["dim"])
     seeds = [opts["seed"] + s for s in range(opts["scenes"])]
     rows = [_bench_one_scene(s, opts, weights) for s in seeds]
     out_dir = _write_manifest("bench-fusion", opts)
 
-    table = {}
-    for mech in BENCH_MECHANISMS:
-        table[mech] = {
-            key: float(np.mean([getattr(row[mech], key) for row in rows]))
-            for key in ("teta", "loc_a", "ass_a", "cls_a")
-        }
-    (out_dir / "bench.json").write_text(json.dumps(table, indent=2, sort_keys=True) + "\n",
-                                        encoding="utf-8")
+    table = {mech: {key: float(np.mean([getattr(row[mech], key) for row in rows]))
+                    for key in ("teta", "loc_a", "ass_a", "cls_a")} for mech in BENCH_MECHANISMS}
+    _write_json(out_dir / "bench.json", table)
     print(f"{'mechanism':<12}{'TETA':>8}{'LocA':>8}{'AssA':>8}{'ClsA':>8}")
     for mech in BENCH_MECHANISMS:
         t = table[mech]
@@ -371,6 +356,7 @@ def cmd_bench_fusion(args) -> int:
     return 0
 
 
+SCENE_DEFAULTS = {**_defaults(SynthConfig, *SCENE_FLAGS), "occlusion": None}
 COMMANDS = (
     ("track", cmd_track, "associate detections into tracks and label them",
      {"detections": None, "vocabulary": None, "weights": None, "score_scale": 1.0,
@@ -379,16 +365,15 @@ COMMANDS = (
      {"tracks": None, "detections": None, "vocabulary": None, "weights": None,
       **_defaults(ClassifyConfig)}),
     ("eval", cmd_eval, "score predicted tracks against ground truth",
-     {"pred": None, "gt": None, "vocabulary": None, "iou_threshold": 0.5}),
+     {"pred": None, "gt": None, "vocabulary": None, **_defaults(metrics.EvalConfig, "iou_threshold")}),
     ("synth", cmd_synth, "generate a synthetic scene with ground truth",
      {**SCENE_DEFAULTS, "sidecar": False}),
-    # train clips have the classify clip length and head count
+    # train has its own scene defaults; its clips have the classify clip length and head count
     ("train", cmd_train, "train the fusion block on synthetic pairs",
      {**SCENE_DEFAULTS, "identities": 8, "frames": 40, "categories": 2, "dim": 16,
       "sigma": 0.05, "class_spread": 0.1, "pairs": 64, **_defaults(ClassifyConfig, "n_clip", "heads"),
-      "hidden": None, "rotate": False, "erase_fraction": 0.0, "scale_min": None,
-      "scale_max": None, "steps": 500, "lr": 0.05, "batch_size": 8, "margin": 0.5,
-      "distance": "euclidean"}),
+      "hidden": None, **_defaults(Augmentations, "rotate", "erase_fraction"), "scale_min": None,
+      "scale_max": None, **_defaults(TrainConfig, *TRAIN_FLAGS)}),
     ("bench-fusion", cmd_bench_fusion, "compare fusion mechanisms on seeded scenes",
      {**SCENE_DEFAULTS, "scenes": 3, "weights": None, **_defaults(ClassifyConfig, "n_clip", "heads"),
       **_defaults(TrackerConfig)}),

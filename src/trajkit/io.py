@@ -294,16 +294,31 @@ def _rows(path, fmt: dict, keys, vocabulary: Vocabulary | None = None,
         return lineno, [_checked(fmt, key, [obj[key]], where, vocabulary)[0] for key in keys], \
             more([obj], where)[0]
 
-    with open(path, "r", encoding="utf-8") as fh:
-        numbered = enumerate(fh, start=1)
-        while chunk := list(islice(numbered, _CHUNK)):
-            chunk = [(n, line) for n, line in chunk if not line.isspace()]
-            try:
-                rows = by_columns(chunk)
-            except _REFUSED:
-                rows = (by_line(n, line) for n, line in chunk)
-            yield from rows
-            del chunk, rows  # so that one chunk is held at a time
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            numbered = enumerate(fh, start=1)
+            while chunk := list(islice(numbered, _CHUNK)):
+                chunk = [(n, line) for n, line in chunk if not line.isspace()]
+                try:
+                    rows = by_columns(chunk)
+                except _REFUSED:
+                    rows = (by_line(n, line) for n, line in chunk)
+                yield from rows
+                del chunk, rows  # so that one chunk is held at a time
+    except UnicodeDecodeError:  # only a failing file is read again, to find the line
+        raise _not_utf8(path) from None
+
+
+def _not_utf8(path, numbered: bool = True) -> FormatError:
+    """The error naming ``path:line`` (or ``path``) and the byte where UTF-8 decoding fails."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:  # universal newlines, as text-mode line numbers count
+        head = raw[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        where = f"{path}:{head.count(10) + 1}" if numbered else path
+        return FormatError(f"{where}: not valid UTF-8 at byte {exc.start} ({exc.reason})")
+    return FormatError(f"{path}: not valid UTF-8")  # the file changed since it was read
 
 
 def read_embedding_sidecar(path) -> np.ndarray:
@@ -430,6 +445,8 @@ def load_vocabulary(path) -> Vocabulary:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: malformed JSON ({exc.msg})") from None
+        except UnicodeDecodeError:
+            raise _not_utf8(path, numbered=False) from None
     _require(isinstance(obj, dict) and "dim_text" in obj and isinstance(obj.get("entries"), list),
              path, "vocabulary needs dim_text and an entries list")
     dim_text, raw = obj["dim_text"], obj["entries"]

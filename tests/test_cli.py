@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from trajkit import cli, io
 from trajkit.classify import ClassifyConfig, classify_trajectory
 from trajkit.fusion import init_fusion_weights
-from trajkit.tracker import TrackerConfig, run_sequence
+from trajkit.tracker import Tracker, TrackerConfig, run_sequence
 
 
 def _run(args):
@@ -110,6 +110,15 @@ def test_track_dump_csv(tmp_path):
     lines = (run / "scores.csv").read_text().splitlines()
     assert lines[0] == "frame,track_id,det_idx,score"
     assert len(lines) > 5 * 11  # one row per live (track, det) pair per frame
+
+
+def test_dump_csv_bytes_are_pinned_on_a_noisy_scene(tmp_path):
+    # the digest was taken while csv.writer still wrote the rows
+    scene = _synth(tmp_path / "scene", seed=6, extra=["--sigma", "0.2", "--flip-prob", "0.3",
+                                                      "--miss-rate", "0.2", "--fp-rate", "1.0"])
+    run = tmp_path / "run"
+    assert _run(["track", "--detections", scene / "detections.jsonl", "--dump-csv", "--out-dir", run]) == 0
+    assert hashlib.sha256((run / "scores.csv").read_bytes()).hexdigest()[:16] == "7b44c10d4c7d447d"
 
 
 def test_track_missing_weights_for_fusion(tmp_path, capsys):
@@ -525,6 +534,20 @@ TRAIN_SMALL = ["train", "--steps", 2, "--dim", 8, "--pairs", 4]
 BENCH_SMALL = ["bench-fusion", "--frames", 4, "--dim", 8, "--scenes", 1]
 
 
+def _write_refused_inputs(scene):
+    """A vocabulary whose text width (6) is not the embeddings' (8), and a track whose
+    two detections have opposite embeddings, so that its average clip is zero."""
+    vocab = json.loads((scene / "vocabulary.json").read_text())
+    for entry in vocab["entries"]:
+        entry["cate_emb"], entry["attr_emb"] = entry["cate_emb"][:6], entry["attr_emb"][:6]
+    (scene / "vocab6.json").write_text(json.dumps({**vocab, "dim_text": 6}))
+    emb = np.eye(8, dtype=np.float32)[0]
+    io.write_detections({f: [io.DetectionRecord(f, (0.0, 0.0, 5.0, 5.0), 0.9, 0, 0.9, sign * emb)]
+                         for f, sign in ((0, 1), (1, -1))}, scene / "zero.jsonl")
+    io.write_tracks([io.TrackRecord(1, [io.TrackEntry(f, (0.0, 0.0, 5.0, 5.0), 0.9, 0, 0)
+                                        for f in (0, 1)])], scene / "zero_tracks.jsonl")
+
+
 @pytest.mark.parametrize("argv, message", [
     # each of these used to exit 1 and leave <command>_manifest.json alone in the out dir
     (TRAIN_SMALL + ["--n-clip", 0], "ValueError: n_clip must be at least 1"),
@@ -540,17 +563,50 @@ BENCH_SMALL = ["bench-fusion", "--frames", 4, "--dim", 8, "--scenes", 1]
     (BENCH_SMALL + ["--identities", 0], "ValueError: identities, frames"),
     (BENCH_SMALL + ["--n-clip", 0], "ValueError: n_clip"),
     (BENCH_SMALL + ["--tau-low", 0.9], "ValueError: tau_low"),
+    # these three failed only once labelling began, naming no file
+    (["track", "--detections", "{scene}/detections.jsonl", "--vocabulary", "{scene}/vocab6.json"],
+     "vocab6.json: identity projection needs dim_text == d, got 6 vs 8"),
+    (["classify", "--tracks", "{scene}/run/tracks.jsonl", "--detections", "{scene}/detections.jsonl",
+      "--vocabulary", "{scene}/vocab6.json"],
+     "vocab6.json: identity projection needs dim_text == d, got 6 vs 8"),
+    (["classify", "--tracks", "{scene}/zero_tracks.jsonl", "--detections", "{scene}/zero.jsonl",
+      "--vocabulary", "{scene}/vocabulary.json"],
+     "zero_tracks.jsonl: track 1: cosine undefined for zero-norm vector"),
 ])
 def test_failed_run_leaves_no_output(tmp_path, capsys, argv, message):
     scene = _synth(tmp_path / "scene")
     assert _run(["track", "--detections", scene / "detections.jsonl", "--out-dir", scene / "run"]) == 0
     (scene / "bad.jsonl").write_text("{not json\n")
+    _write_refused_inputs(scene)
     capsys.readouterr()
     out = tmp_path / "out"
     argv = [str(a).format(scene=scene) for a in argv]
     assert _run(argv + ["--out-dir", out]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_track_refuses_a_vocabulary_before_it_tracks_a_frame(tmp_path, capsys, monkeypatch):
+    scene = _synth(tmp_path / "scene")
+    _write_refused_inputs(scene)
+    frames, step = [], Tracker.step
+
+    def counting_step(self, frame, dets):
+        frames.append(frame)
+        return step(self, frame, dets)
+
+    monkeypatch.setattr(Tracker, "step", counting_step)
+    dets = scene / "detections.jsonl"
+    assert _run(["track", "--detections", dets, "--vocabulary", scene / "vocabulary.json",
+                 "--out-dir", tmp_path / "ok"]) == 0
+    assert frames  # the counting step is the one track calls
+    frames.clear()
+    capsys.readouterr()
+    assert _run(["track", "--detections", dets, "--vocabulary", scene / "vocab6.json",
+                 "--out-dir", tmp_path / "run"]) == 1
+    assert capsys.readouterr().err == (f"error: DimMismatchError: {scene / 'vocab6.json'}: "
+                                       f"identity projection needs dim_text == d, got 6 vs 8\n")
+    assert frames == [] and not (tmp_path / "run").exists()
 
 
 def test_dump_csv_holds_no_more_than_a_frame_of_scores(tmp_path):

@@ -560,3 +560,34 @@ def test_tracks_and_groundtruth_reject_bad_lines(tmp_path, loader, field, value)
     message = field or "line must hold a JSON object"
     with pytest.raises(FormatError, match=rf"t\.jsonl:2: {message}"):
         getattr(io, loader)(path)
+
+
+_DET_LINE = {"frame": 0, "bbox": [0, 0, 5, 5], "conf": 0.5, "cat": 1, "cat_score": 0.4,
+             "emb": [1.0, 0.0]}
+
+
+@pytest.mark.parametrize("loader, line", [
+    ("load_detections", _DET_LINE), ("read_tracks", _TRACK_LINE), ("load_groundtruth", _GT_LINE),
+])
+def test_jsonl_loaders_name_the_line_of_a_byte_that_is_not_utf8(tmp_path, loader, line):
+    # a 0xff byte escaped as UnicodeDecodeError, naming no file; line 250 lies
+    # past the first buffer the text decoder reads
+    path = tmp_path / "t.jsonl"
+    lines = [json.dumps(dict(line, frame=f)) + "\n" for f in range(300)]
+    start = sum(map(len, lines[:249]))
+    raw = bytearray("".join(lines).encode())
+    raw[start + 1] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=rf"t\.jsonl:250: not valid UTF-8 at byte {start + 1} "
+                                          r"\(invalid start byte\)"):
+        getattr(io, loader)(path)
+
+
+def test_vocabulary_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "v.json"
+    io.write_vocabulary(_vocab(), path)
+    raw = bytearray(path.read_bytes())
+    raw[40] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=r"v\.json: not valid UTF-8 at byte 40 \(invalid start byte\)"):
+        io.load_vocabulary(path)
