@@ -24,8 +24,9 @@ print(f"scene: {n_dets} detections over {cfg.n_frames} frames, "
       f"{len(scene.gt_tracks)} ground-truth tracks")
 
 # Drive the tracker one frame at a time and watch the event stream. Steps
-# emit born / matched / died events; a track that misses a frame flips to
-# the lost state silently, so poll states to see the occlusions happen.
+# emit born / matched / died events; a track that misses a frame turns lost
+# silently, so poll Tracker.state (read off the track's last entry) to see
+# the occlusions happen.
 tracker = Tracker(TrackerConfig())
 was_lost = set()
 for frame in sorted(scene.detections):
@@ -33,7 +34,7 @@ for frame in sorted(scene.detections):
     for ev in events:
         if ev.kind != "matched":
             print(f"  frame {ev.frame:3d}  {ev.kind:<5}  track {ev.track_id}")
-    lost_now = {t.id for t in tracker.tracks if t.state.name == "LOST"}
+    lost_now = {t.id for t in tracker.tracks if tracker.state(t).name == "LOST"}
     for tid in sorted(lost_now - was_lost):
         print(f"  frame {frame:3d}  lost   track {tid}")
     for tid in sorted(was_lost - lost_now):
@@ -54,9 +55,12 @@ for tr in tracks:
           f"gaps bridged: {gaps if gaps else 'none'}")
 
 # Peek at the memory vs bank machinery for one live track. The tracker keeps
-# one row per live track in its memory and query arrays, in live order.
+# one row per live track in its memory and query arrays, in live order. A
+# track is its observations: the category bank is the retained categories
+# of its last n_cat_bank entries.
 tr = tracker.live[0]
 bank = tr.feature_bank  # unit rows, oldest first
+n_cat_bank = tracker.cfg.n_cat_bank
 print(f"\ntrack {tr.id} internals: memory dim {tracker.memory.shape[1]}, "
-      f"bank {bank.shape[0]} embeddings (cap {TrackerConfig().n_bank}), "
-      f"category bank {list(tr.category_bank)}")
+      f"bank {bank.shape[0]} embeddings (cap {tracker.cfg.n_bank}), "
+      f"category bank {[o.category_id for o in tr.observations[-n_cat_bank:]]}")

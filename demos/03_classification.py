@@ -12,7 +12,9 @@ from trajkit import (
     TrackerConfig,
     classify_trajectory,
     gen_scene,
+    record_embeddings,
     run_sequence,
+    to_track_record,
 )
 
 cfg = SynthConfig(
@@ -39,12 +41,15 @@ print(f"per-frame detector label accuracy: {100.0 * correct / total:.1f}%")
 
 tracks = run_sequence(scene.detections, TrackerConfig())
 
-# Classify each track. With no fusion weights the vocabulary is matched in
-# the visual space directly (identity language projection).
+# Classify each track. A track's embeddings are read back from the
+# detections its entries index, as every trajkit command does. With no
+# fusion weights the vocabulary is matched in the visual space directly
+# (identity language projection).
 ccfg = ClassifyConfig(fusion="average", calibrate_scores=True)
 right = 0
 for tr in tracks:
-    result = classify_trajectory(tr.observations, tr.embeddings, scene.vocabulary, None, ccfg)
+    embeddings = record_embeddings(to_track_record(tr), scene.detections)
+    result = classify_trajectory(tr.observations, embeddings, scene.vocabulary, None, ccfg)
     ident = scene.detection_identity[tr.observations[0].frame][tr.observations[0].det_idx]
     truth = scene.identity_category[ident]
     right += result.final == truth

@@ -1,10 +1,11 @@
 """Trajectory-level open-vocabulary classification.
 
 A trajectory is a list of ``io.TrackEntry`` rows (``Track.observations`` or
-a ``tracks.jsonl`` record) and the embedding of each row (``Track.embeddings``
-or ``record_embeddings``). It is classified by fusing a sampled clip of its
-embeddings into one vector and comparing that vector against projected
-language embeddings of the vocabulary. Three candidate labels compete:
+a ``tracks.jsonl`` record) and the embedding of each row, which
+``record_embeddings`` reads from the detection the row indexes. It is
+classified by fusing a sampled clip of its embeddings into one vector and
+comparing that vector against projected language embeddings of the
+vocabulary. Three candidate labels compete:
 
 - ``cate``: best cosine against the category-name embeddings,
 - ``attr``: best cosine against the attribute-description embeddings

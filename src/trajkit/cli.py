@@ -12,7 +12,9 @@ to ``<command>_manifest.json`` once its options and inputs have passed every
 check (for labelling, ``classify.check_labelling``, once, naming the file at
 fault); outputs are deterministic in manifest + seed.
 ``track``, ``classify`` and ``bench-fusion`` label trajectories through one
-loop, ``_label``, which calls ``classify_trajectory`` once per trajectory.
+loop, ``_label``, which calls ``classify_trajectory`` once per trajectory on
+``(record, record_embeddings(record, dets))``: tracked or read back, a
+record's embeddings come from the detections its entries index.
 
 Exit codes: 0 success, 1 domain error (bad file, missing weights, diverged
 training, ...), 2 usage error.
@@ -236,7 +238,7 @@ def cmd_track(args) -> int:
                     for track_id, row in zip(tracker.last_ids, tracker.last_scores.tolist())
                     for di, score in enumerate(row)))
 
-    records = _label([(to_track_record(t), t.embeddings) for t in tracker.tracks],
+    records = _label([(r, record_embeddings(r, dets)) for r in map(to_track_record, tracker.tracks)],
                      vocab, weights, ccfg, lang, det_path)
     io.write_tracks(records, out_dir / "tracks.jsonl")
     io.write_events(events, out_dir / "events.jsonl")
@@ -323,7 +325,7 @@ def _bench_one_scene(scene_seed: int, opts: dict, weights: FusionWeights):
     scene = _scene(opts, scene_seed)
     tracks = run_sequence(scene.detections, _config(TrackerConfig, opts))
     ecfg = metrics.EvalConfig(splits=scene.vocabulary.splits())
-    trajectories = [(to_track_record(t), t.embeddings) for t in tracks]
+    trajectories = [(r, record_embeddings(r, scene.detections)) for r in map(to_track_record, tracks)]
     lang = project_vocabulary(scene.vocabulary, weights)
     row = {}
     for mech in BENCH_MECHANISMS:  # each mechanism relabels the same records

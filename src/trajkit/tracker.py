@@ -1,17 +1,17 @@
 """Appearance-only multi-object association with feature and category banks.
 
-Each track records one ``io.TrackEntry`` per matched detection in
-``observations`` (its ``category_id`` is the retained category) and the
-embedding as observed beside it in ``embeddings``. It also keeps:
-
-- ``feature_bank``: the last ``n_bank`` matched embeddings (FIFO), held as
-  one contiguous ``(n, d)`` float64 array of unit rows, oldest first. The
-  bank similarity is the mean cosine against every entry, which is
-  considerably more noise tolerant than an EMA alone. That mean equals one
-  dot product with the mean of the bank's unit rows, summed afresh in FIFO
-  order from the kept rows on every match.
-- ``category_bank``: the last ``n_cat_bank`` retained category ids, used to
-  smooth noisy per-frame classifications through majority voting.
+A track is its observations: one ``io.TrackEntry`` per matched detection in
+``observations`` (its ``category_id`` is the retained category), plus
+``feature_bank``, the last ``n_bank`` matched embeddings (FIFO) held as one
+contiguous ``(n, d)`` float64 array of unit rows, oldest first. The bank
+similarity is the mean cosine against every entry, which is considerably
+more noise tolerant than an EMA alone. That mean equals one dot product
+with the mean of the bank's unit rows, summed afresh in FIFO order from the
+kept rows on every match. The rest is read off the entries: an entry's
+embedding from the detection it indexes (``classify.record_embeddings``),
+the category bank as the retained categories of the last ``n_cat_bank``
+entries (smoothing noisy per-frame classifications by majority vote), and
+the state from the last entry's frame (``Tracker.state``).
 
 Similarity between a track and a detection blends the memory and bank
 cosines, ``alpha_sim * C_mem + (1 - alpha_sim) * C_bank``, optionally
@@ -32,15 +32,14 @@ matched together: one EMA, one normalization and one blend over the
 matched rows. The scores of the last step and the ids of the tracks they
 rank stay on the tracker as ``last_scores`` and ``last_ids``.
 
-The embeddings a track stores as observed are never mutated; only the bank
-and the query hold normalized copies.
+Detection embeddings are never mutated; only the bank and the query hold
+normalized copies.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -104,10 +103,7 @@ class TrackerConfig:
 class Track:
     id: int
     feature_bank: np.ndarray  # (n <= n_bank, d) float64 unit rows, oldest first
-    category_bank: deque  # of int category ids, maxlen n_cat_bank
-    state: TrackState = TrackState.ACTIVE
     observations: list[TrackEntry] = field(default_factory=list)  # category_id is the retained one
-    embeddings: list[np.ndarray] = field(default_factory=list)  # as observed, one per observation
 
 
 @dataclass
@@ -232,20 +228,18 @@ def retain_category(track: Track, matched_det: DetectionRecord, cfg: TrackerConf
     """Decide which category a matched detection contributes.
 
     High-confidence raw predictions pass through, mid-confidence ones are
-    smoothed by voting together with the category bank, low-confidence ones
-    defer to the bank entirely. The retained id is pushed into the bank.
+    smoothed by voting together with the category bank (the retained
+    categories of the track's last ``n_cat_bank`` entries), low-confidence
+    ones defer to the bank entirely.
     """
     p = matched_det.confidence
     c = matched_det.category_id
-    bank = track.category_bank
     if p >= cfg.tau_high:
-        retained = c
-    elif p >= cfg.tau_low:
-        retained, _ = majority_vote([*bank, c])
-    else:
-        retained = majority_vote(bank)[0] if bank else c
-    bank.append(retained)
-    return retained
+        return c
+    bank = [e.category_id for e in track.observations[-cfg.n_cat_bank:]]
+    if p >= cfg.tau_low:
+        return majority_vote([*bank, c])[0]
+    return majority_vote(bank)[0] if bank else c
 
 
 class Tracker:
@@ -255,8 +249,8 @@ class Tracker:
     live ones (active or lost), in id order; row i of ``memory`` and
     ``query`` belongs to ``live[i]``, and only these rows are scored. After
     each ``step``, ``last_scores`` is the (live, detections) score matrix
-    that association used and ``last_ids`` names the track of each of its
-    rows.
+    that association used, ``last_ids`` names the track of each of its
+    rows, and ``state(track)`` gives any track's state.
     """
 
     def __init__(self, cfg: TrackerConfig | None = None):
@@ -288,10 +282,17 @@ class Tracker:
             self.memory, self.query = np.zeros((0, self._width)), np.zeros((0, self._width))
         return np.stack([d.embedding for d in dets]).astype(np.float64)
 
-    def _record(self, track: Track, det: DetectionRecord, det_idx: int, category_id: int):
+    def state(self, track: Track) -> TrackState:
+        """ACTIVE if the last step matched the track, LOST while its last match is at most
+        ``max_age`` frames back, DEAD after that: the rule ``step`` kills a track by."""
+        last, now = track.observations[-1].frame, self._frames[-1]
+        if last == now:
+            return TrackState.ACTIVE
+        return TrackState.LOST if now - last <= self.cfg.max_age else TrackState.DEAD
+
+    def _record(self, track: Track, det: DetectionRecord, det_idx: int):
+        category_id = retain_category(track, det, self.cfg)
         track.observations.append(TrackEntry(det.frame, det.bbox, det.confidence, category_id, det_idx))
-        track.embeddings.append(det.embedding)
-        track.state = TrackState.ACTIVE
 
     def step(self, frame: int, dets: Sequence[DetectionRecord]) -> list[AssociationEvent]:
         """Process one frame; frames must be strictly increasing."""
@@ -324,7 +325,7 @@ class Tracker:
                 sizes.append(len(bank))
                 rows.append(row)
                 cols.append(i)
-                self._record(track, dets[i], i, retain_category(track, dets[i], cfg))
+                self._record(track, dets[i], i)
         a = cfg.alpha_sim
         last = self._last_step
         if rows:
@@ -334,15 +335,11 @@ class Tracker:
             self.query[rows] = a * _normalize_rows(memory) + (1.0 - a) * bank_mean
             last[rows] = now
 
-        for row in np.flatnonzero(last == now - 1):  # active until this step
-            live[row].state = TrackState.LOST
         # A track dies once its last match is more than max_age frames back.
         oldest = bisect_left(frames, frame - cfg.max_age)
         dead = np.flatnonzero(last < oldest)
         if len(dead):
-            for row in dead:
-                live[row].state = TrackState.DEAD
-                events.append(AssociationEvent(frame, DIED, live[row].id))
+            events += [AssociationEvent(frame, DIED, live[row].id) for row in dead]
             keep = last >= oldest
             live = [live[row] for row in np.flatnonzero(keep)]
             self.memory, self.query, last = self.memory[keep], self.query[keep], last[keep]
@@ -352,8 +349,8 @@ class Tracker:
             cols = [ev.det_idx for ev in born]
             block = units[cols]  # each new bank is a view of one row of it
             for j, (ev, i) in enumerate(zip(born, cols)):
-                track = Track(ev.track_id, block[j:j + 1], deque(maxlen=cfg.n_cat_bank))
-                self._record(track, dets[i], i, retain_category(track, dets[i], cfg))
+                track = Track(ev.track_id, block[j:j + 1])
+                self._record(track, dets[i], i)
                 self.tracks.append(track)
             live = live + self.tracks[-len(born):]
             self.memory = np.concatenate([self.memory, emb[cols]])

@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 
 from trajkit import cli, io
-from trajkit.classify import ClassifyConfig, classify_trajectory, label_record, to_track_record
+from trajkit.classify import (
+    ClassifyConfig,
+    classify_trajectory,
+    label_record,
+    record_embeddings,
+    to_track_record,
+)
 from trajkit.fusion import (
     LN_EPS,
     concat_score,
@@ -258,9 +264,9 @@ def test_criterion_03_zero_noise_oracle(capfd):
         assert len(seen) == 20
 
         ccfg = ClassifyConfig()
-        recs = [label_record(to_track_record(t), classify_trajectory(
-                    t.observations, t.embeddings, scene.vocabulary, None, ccfg))
-                for t in tracks]
+        recs = [label_record(r, classify_trajectory(
+                    r.entries, record_embeddings(r, scene.detections), scene.vocabulary, None, ccfg))
+                for r in map(to_track_record, tracks)]
         rep = evaluate(recs, scene.gt_tracks, EvalConfig(splits=scene.vocabulary.splits()))
         elapsed = time.perf_counter() - t0
         assert rep.overall.loc_a == pytest.approx(100.0, abs=1e-9)

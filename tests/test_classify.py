@@ -30,7 +30,7 @@ def _trajectory(dets_by_frame, cfg=None):
     for f in sorted(dets_by_frame):
         tk.step(f, dets_by_frame[f])
     assert len(tk.tracks) == 1
-    return tk.tracks[0].observations, tk.tracks[0].embeddings
+    return tk.tracks[0].observations, record_embeddings(to_track_record(tk.tracks[0]), dets_by_frame)
 
 
 def _vocab(d, protos, names=None, splits=None):
@@ -224,7 +224,7 @@ def test_track_record_roundtrip_via_join(tmp_path):
         assert rec.track_id == orig.id
         assert [e.frame for e in rec.entries] == [o.frame for o in orig.observations]
         got = np.stack(record_embeddings(rec, dets_back))
-        want = np.stack(orig.embeddings)
+        want = np.stack([dets_by_frame[o.frame][o.det_idx].embedding for o in orig.observations])
         np.testing.assert_allclose(got, want, atol=1e-6)
 
 

@@ -828,11 +828,13 @@ def test_any_config_scalars_exit_cleanly(tmp_path, values):
     assert rc in (0, 1)
 
 
-def test_bank_size_too_large_for_a_deque_exits_1(tmp_path, capsys):
-    # the category bank's deque(maxlen=...) raised OverflowError past cli.main
+def test_bank_size_past_the_frame_count_tracks_as_a_full_history(tmp_path):
+    # the category bank is a slice of a track's entries, so a bank size too
+    # large for a deque(maxlen=...) is one that holds every entry
     scene = _synth(tmp_path / "scene")
-    capsys.readouterr()
-    rc = _run(["track", "--detections", scene / "detections.jsonl", "--n-cat-bank", 10 ** 30,
-               "--out-dir", tmp_path / "run"])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error: OverflowError:")
+    det = scene / "detections.jsonl"
+    for size, out in ((10 ** 30, "huge"), (12, "frames")):  # the scene has 12 frames
+        assert _run(["track", "--detections", det, "--n-cat-bank", size,
+                     "--out-dir", tmp_path / out]) == 0
+    for name in ("tracks.jsonl", "events.jsonl"):
+        assert (tmp_path / "huge" / name).read_bytes() == (tmp_path / "frames" / name).read_bytes()

@@ -3,7 +3,6 @@
 import hashlib
 import math
 from bisect import bisect_left
-from collections import deque
 
 import numpy as np
 import pytest
@@ -209,8 +208,10 @@ def test_bisoftmax_temperature_sharpens():
         bisoftmax(logits, 0.0)
 
 
-def _fresh_track(tid, emb, cfg, cat=0):
-    return Track(tid, _unit_dets([_det(emb)]), deque([cat], maxlen=cfg.n_cat_bank))
+def _fresh_track(tid, emb, cats=(0,)):
+    """A track whose entries retained ``cats``, oldest first."""
+    entries = [io.TrackEntry(f, (0.0, 0.0, 1.0, 1.0), 0.9, cat, 0) for f, cat in enumerate(cats)]
+    return Track(tid, _unit_dets([_det(emb)]), entries)
 
 
 def test_score_matrix_oracle():
@@ -257,7 +258,7 @@ def test_score_matrix_empty():
 def test_associate_greedy_trace():
     # higher-confidence detection claims the track first even at a lower score
     cfg = TrackerConfig(tau_match=0.4, tau_new=0.3)
-    tr = _fresh_track(5, [1.0, 0.0], cfg)
+    tr = _fresh_track(5, [1.0, 0.0])
     dets = [_det([1.0, 0.1], conf=0.5), _det([1.0, 0.3], conf=0.9)]
     scores = np.array([[0.9, 0.8]])
     events = associate_frame([tr], dets, scores, cfg, next_track_id=10)
@@ -275,8 +276,8 @@ def test_associate_discard_low_confidence():
 
 def test_associate_argmax_tie_lowest_track():
     cfg = TrackerConfig(tau_match=0.1)
-    t0 = _fresh_track(3, [1.0, 0.0], cfg)
-    t1 = _fresh_track(4, [1.0, 0.0], cfg)
+    t0 = _fresh_track(3, [1.0, 0.0])
+    t1 = _fresh_track(4, [1.0, 0.0])
     scores = np.array([[0.7], [0.7]])
     events = associate_frame([t0, t1], [_det([1.0, 0.0])], scores, cfg)
     assert events[0].track_id == 3
@@ -284,7 +285,7 @@ def test_associate_argmax_tie_lowest_track():
 
 def test_associate_confidence_tie_lower_index_first():
     cfg = TrackerConfig(tau_match=0.1, tau_new=0.0)
-    tr = _fresh_track(0, [1.0, 0.0], cfg)
+    tr = _fresh_track(0, [1.0, 0.0])
     dets = [_det([1.0, 0.0], conf=0.8), _det([1.0, 0.0], conf=0.8)]
     scores = np.array([[0.5, 0.9]])
     events = associate_frame([tr], dets, scores, cfg, next_track_id=1)
@@ -305,31 +306,30 @@ def test_majority_vote_cases():
 
 def test_retain_category_gates():
     cfg = TrackerConfig(tau_high=0.3, tau_low=0.1)
-    tr = _fresh_track(0, [1.0, 0.0], cfg, cat=4)
-    tr.category_bank.extend([4, 4])  # bank now [4, 4, 4]
+    tr = _fresh_track(0, [1.0, 0.0], cats=[4, 4, 4])  # bank [4, 4, 4]
 
     assert retain_category(tr, _det([1.0, 0.0], conf=0.9, cat=8), cfg) == 8  # high: pass through
     # mid band: vote over bank + candidate; bank majority 4 wins
     assert retain_category(tr, _det([1.0, 0.0], conf=0.2, cat=9), cfg) == 4
     # low band: bank only, candidate ignored entirely
     assert retain_category(tr, _det([1.0, 0.0], conf=0.05, cat=9), cfg) == 4
-    assert list(tr.category_bank)[-3:] == [8, 4, 4]
+    # the bank is the track's entries: deciding a category adds none
+    assert [e.category_id for e in tr.observations] == [4, 4, 4]
 
 
 def test_retain_category_low_band_empty_bank():
     cfg = TrackerConfig()
-    tr = _fresh_track(0, [1.0, 0.0], cfg)
-    tr.category_bank.clear()
+    tr = _fresh_track(0, [1.0, 0.0], cats=[])
     assert retain_category(tr, _det([1.0, 0.0], conf=0.05, cat=6), cfg) == 6
 
 
 def test_category_bank_truncates():
+    # only the last n_cat_bank entries vote: 7 has most entries but 3, 4 and 5
+    # tie within the bank, and a tie goes to the most recent
     cfg = TrackerConfig(n_cat_bank=3)
-    tr = _fresh_track(0, [1.0, 0.0], cfg)
-    tr.category_bank.clear()
-    for cat in [1, 2, 3, 4, 5]:
-        retain_category(tr, _det([1.0, 0.0], conf=0.9, cat=cat), cfg)
-    assert list(tr.category_bank) == [3, 4, 5]
+    tr = _fresh_track(0, [1.0, 0.0], cats=[7, 7, 7, 3, 4, 5])
+    assert retain_category(tr, _det([1.0, 0.0], conf=0.05, cat=9), cfg) == 5
+    assert retain_category(tr, _det([1.0, 0.0], conf=0.2, cat=9), cfg) == 9
 
 
 def test_tracker_lifecycle():
@@ -338,20 +338,20 @@ def test_tracker_lifecycle():
     e0 = tk.step(0, [_det([1.0, 0.0], frame=0)])
     assert [e.kind for e in e0] == [BORN]
     track = tk.tracks[0]
-    assert track.id == 1 and track.state == TrackState.ACTIVE
+    assert track.id == 1 and tk.state(track) == TrackState.ACTIVE
 
     tk.step(1, [_det([1.0, 0.05], frame=1)])
-    assert track.state == TrackState.ACTIVE
+    assert tk.state(track) == TrackState.ACTIVE
     assert len(track.observations) == 2
 
     tk.step(2, [])
-    assert track.state == TrackState.LOST
+    assert tk.state(track) == TrackState.LOST
 
     tk.step(3, [])  # still within max_age
-    assert track.state == TrackState.LOST
+    assert tk.state(track) == TrackState.LOST
 
     events = tk.step(4, [])  # age 3 > max_age=2
-    assert track.state == TrackState.DEAD
+    assert tk.state(track) == TrackState.DEAD
     assert any(e.kind == DIED and e.track_id == 1 for e in events)
 
     # a matching detection now starts a fresh track instead of reviving the dead one
@@ -364,9 +364,9 @@ def test_tracker_lost_track_can_rematch():
     tk = Tracker(cfg)
     tk.step(0, [_det([1.0, 0.0], frame=0)])
     tk.step(1, [])
-    assert tk.tracks[0].state == TrackState.LOST
+    assert tk.state(tk.tracks[0]) == TrackState.LOST
     tk.step(2, [_det([1.0, 0.0], frame=2)])
-    assert tk.tracks[0].state == TrackState.ACTIVE
+    assert tk.state(tk.tracks[0]) == TrackState.ACTIVE
     assert len(tk.tracks) == 1
 
 
@@ -398,10 +398,11 @@ def test_memory_and_bank_update_on_match():
 def test_stored_embeddings_not_renormalized():
     cfg = TrackerConfig(tau_new=0.0)
     tk = Tracker(cfg)
-    tk.step(0, [_det([3.0, 0.0], frame=0)])
+    dets = [_det([3.0, 0.0], frame=0)]
+    tk.step(0, dets)
     track = tk.tracks[0]
     np.testing.assert_allclose(tk.memory[0], [3.0, 0.0])
-    np.testing.assert_allclose(track.embeddings[0], [3.0, 0.0])
+    np.testing.assert_allclose(dets[track.observations[0].det_idx].embedding, [3.0, 0.0])
     # only the bank keeps a normalized copy
     np.testing.assert_allclose(track.feature_bank, [[1.0, 0.0]])
 
@@ -491,7 +492,8 @@ def test_live_store_matches_replay_oracle(sim_mode):
             last = tr.observations[-1].frame
             if tr.id not in dead and prev is not None and prev - last <= cfg.max_age:
                 live.append(tr)
-        histories = [tr.embeddings[:] for tr in live]
+        histories = [[scene.detections[e.frame][e.det_idx].embedding for e in tr.observations]
+                     for tr in live]
         events = tk.step(frame, dets)
 
         assert tk.last_ids == [tr.id for tr in live]
@@ -505,7 +507,7 @@ def test_live_store_matches_replay_oracle(sim_mode):
             if ev.kind == DIED:
                 dead.add(ev.track_id)
         for tr in tk.tracks:
-            assert (tr.state == TrackState.DEAD) == (tr.id in dead)
+            assert (tk.state(tr) == TrackState.DEAD) == (tr.id in dead)
             assert len(tr.feature_bank) == min(len(tr.observations), cfg.n_bank)
         prev = frame
 
@@ -607,7 +609,7 @@ def test_batched_update_matches_per_match_oracle_bit_for_bit():
                 assert tk.live[row].feature_bank.tobytes() == want.feature_bank.tobytes()
                 assert tk.memory[row].tobytes() == want.memory.tobytes()
                 assert tk.query[row].tobytes() == _oracle_query([want], cfg)[0].tobytes()
-            assert [t.state for t in tk.tracks] == [t.state for t in tracks]
+            assert [tk.state(t) for t in tk.tracks] == [t.state for t in tracks]
             deaths += sum(ev.kind == DIED for ev in got)
         wrapped += sum(len(t.observations) > cfg.n_bank for t in tk.tracks)
         rematched += sum(b.frame - a.frame > 1 for t in tk.tracks
@@ -686,7 +688,7 @@ class TrackerMachine(RuleBasedStateMachine):
         ids = [t.id for t in self.tk.live]
         assert ids == sorted(set(ids)) and not self.dead & set(ids)
         assert len(self.tk.memory) == len(self.tk.query) == len(ids)
-        assert all(t.state == TrackState.DEAD for t in self.tk.tracks if t.id in self.dead)
+        assert all(self.tk.state(t) == TrackState.DEAD for t in self.tk.tracks if t.id in self.dead)
 
 
 TestTrackerMachine = TrackerMachine.TestCase
