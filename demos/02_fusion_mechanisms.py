@@ -44,7 +44,8 @@ gap = np.abs(fuse_self(clip, w0) - fuse_average(clip)).max()
 print(f"\nfuse_self(w0) vs fuse_average, zeroed residuals: max gap {gap:.1e}")
 
 # Average, attention and self fusion ignore clip order; cross fusion folds
-# rows sequentially from the first one, so order changes the answer.
+# rows from the first one, each step attending a single key, so the last
+# row alone decides the answer and order changes it.
 perm = rng.permutation(len(clip))
 for name, fn in [("average", fuse_average),
                  ("attention", lambda c: fuse_attention(c, w)),

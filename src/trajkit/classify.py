@@ -142,11 +142,17 @@ def check_labelling(dim_text: int | None, width: int | None, weights: FusionWeig
 
 def project_vocabulary(vocab: Vocabulary, weights: FusionWeights | None = None,
                        fusion: str = "average", width: int | None = None) -> LanguageRows:
-    """Language rows for every track of a run, once ``check_labelling`` passes."""
+    """Language rows for every track of a run, once ``check_labelling`` passes; a row that
+    projects to zero has no cosine, so it is refused here rather than per trajectory."""
     check_labelling(vocab.dim_text, width, weights, fusion)
     lang_proj = np.eye(vocab.dim_text) if weights is None else weights["lang_proj.w"]
     f_cate, f_attr = project_language(vocab, lang_proj)
-    return LanguageRows(f_cate, f_attr, np.linalg.norm(f_cate, axis=1), np.linalg.norm(f_attr, axis=1))
+    lang = LanguageRows(f_cate, f_attr, np.linalg.norm(f_cate, axis=1), np.linalg.norm(f_attr, axis=1))
+    for key, norms in (("cate_emb", lang.cate_norms), ("attr_emb", lang.attr_norms)):
+        if not norms.all():  # argmin: the first zero
+            raise ZeroNormError(f"lang_proj.w projects the {key} of vocabulary entry "
+                                f"{norms.argmin()} to zero")
+    return lang
 
 
 def affinity(f_traj: np.ndarray, lang_rows: np.ndarray,

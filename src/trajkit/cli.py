@@ -11,10 +11,9 @@ config values, which override defaults. A run writes its resolved options
 to ``<command>_manifest.json`` once its options and inputs have passed every
 check (for labelling, ``classify.check_labelling``, once, naming the file at
 fault); outputs are deterministic in manifest + seed.
-``track``, ``classify`` and ``bench-fusion`` label trajectories through one
-loop, ``_label``, which calls ``classify_trajectory`` once per trajectory on
-``(record, record_embeddings(record, dets))``: tracked or read back, a
-record's embeddings come from the detections its entries index.
+``track``, ``classify`` and ``bench-fusion`` label each trajectory, tracked or
+read back, as ``(record, record_embeddings(record, dets))`` through one loop,
+``_label``, which calls ``classify_trajectory`` once per trajectory.
 
 Exit codes: 0 success, 1 domain error (bad file, missing weights, diverged
 training, ...), 2 usage error.
@@ -42,7 +41,7 @@ from .classify import (
     record_embeddings,
     to_track_record,
 )
-from .errors import DimMismatchError, FormatError, MissingWeightsError, TrajkitError
+from .errors import DimMismatchError, FormatError, MissingWeightsError, TrajkitError, ZeroNormError
 from .fusion import FUSION_MECHANISMS, FusionWeights, init_fusion_weights
 from .synth import Augmentations, SynthConfig, gen_scene, make_train_pairs
 from .tracker import SIM_MODES, Tracker, TrackerConfig, run_sequence
@@ -197,8 +196,8 @@ def _language(opts: dict, vocab, weights, width, dim_text=None) -> LanguageRows 
         return project_vocabulary(vocab, weights, opts["fusion"], width)
     except MissingWeightsError:
         raise MissingWeightsError(f"fusion={opts['fusion']!r} needs --weights") from None
-    except DimMismatchError as exc:
-        raise DimMismatchError(f"{opts['weights'] or opts['vocabulary']}: {exc}") from None
+    except (DimMismatchError, ZeroNormError) as exc:
+        raise type(exc)(f"{opts['weights'] or opts['vocabulary']}: {exc}") from None
 
 
 def _label(trajectories, vocab, weights, ccfg, lang, source) -> list[io.TrackRecord]:

@@ -10,8 +10,8 @@ of language vectors):
 - ``fuse_self``: pre-norm residual block, X + SA(LN(X)) then + MLP(LN(.)),
   followed by the column mean. ``residual=False`` gives the bare
   Avg(MLP(SA(X))) form instead.
-- ``fuse_cross``: sequential cross-attention, the running fused vector is
-  the query and the next row the key/value; order sensitive by design.
+- ``fuse_cross``: cross-attention folded over the rows; a softmax over one
+  key is 1, so the last row alone decides the result (see ``fuse_cross``).
 - ``concat_score``: stack the clip with a language vector, self-attend,
   mean-pool, project, and squash a linear score through a logistic. Given V
   language rows it attends all V stacks in one batched pass.
@@ -291,11 +291,11 @@ def clip_gradient(term, clip=()) -> np.ndarray:
 
 
 def fuse_cross(clip: np.ndarray, weights: FusionWeights, heads: int = 1) -> np.ndarray:
-    """Sequential cross-attention over the clip rows.
+    """Cross-attention folded over the clip rows, each further row the only key/value of a step.
 
-    The first row seeds the running fused vector; every further row is
-    attended as key/value with the running vector as query. The result
-    depends on row order.
+    So every softmax weight is exactly 1: n >= 2 rows fuse, bit for bit, to
+    ``(x[-1] @ cross.wv + cross.bv) @ cross.wo + cross.bo``, and the other
+    rows and ``cross.wq/wk/bq/bk`` never reach the output.
     """
     x = np.atleast_2d(np.asarray(clip, dtype=np.float64))
     fused = x[0]

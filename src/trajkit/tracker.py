@@ -29,8 +29,7 @@ query row ``alpha_sim * memory / ||memory|| + (1 - alpha_sim) * mean(bank)``.
 Scoring a frame is then one product of the stored query with the unit
 detections, and the bi-softmax. A step updates the rows of the tracks it
 matched together: one EMA, one normalization and one blend over the
-matched rows. The scores of the last step and the ids of the tracks they
-rank stay on the tracker as ``last_scores`` and ``last_ids``.
+matched rows.
 
 Detection embeddings are never mutated; only the bank and the query hold
 normalized copies.
@@ -75,15 +74,14 @@ class TrackerConfig:
     n_cat_bank: int = 5
     max_age: int = 30  # frames without a match before a track dies
     sim_mode: str = "cosine_plus_bisoftmax"
-    softmax_temperature: float = 1.0
+    softmax_temperature: float = 0.05  # cosines span [-1, 1]: at 1.0 the bi-softmax is flat
 
     def __post_init__(self):
         if self.tau_new is None:
             self.tau_new = self.tau_high
-        if not 0.0 <= self.alpha_mem <= 1.0:
-            raise ValueError(f"alpha_mem must lie in [0, 1], got {self.alpha_mem}")
-        if not 0.0 <= self.alpha_sim <= 1.0:
-            raise ValueError(f"alpha_sim must lie in [0, 1], got {self.alpha_sim}")
+        for name in ("alpha_mem", "alpha_sim"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         for name in ("tau_match", "tau_new", "tau_high", "tau_low"):
             if not math.isfinite(getattr(self, name)):  # also takes a big Python int
                 raise ValueError(f"{name} must be finite")
@@ -232,8 +230,7 @@ def retain_category(track: Track, matched_det: DetectionRecord, cfg: TrackerConf
     categories of the track's last ``n_cat_bank`` entries), low-confidence
     ones defer to the bank entirely.
     """
-    p = matched_det.confidence
-    c = matched_det.category_id
+    p, c = matched_det.confidence, matched_det.category_id
     if p >= cfg.tau_high:
         return c
     bank = [e.category_id for e in track.observations[-cfg.n_cat_bank:]]
@@ -285,10 +282,8 @@ class Tracker:
     def state(self, track: Track) -> TrackState:
         """ACTIVE if the last step matched the track, LOST while its last match is at most
         ``max_age`` frames back, DEAD after that: the rule ``step`` kills a track by."""
-        last, now = track.observations[-1].frame, self._frames[-1]
-        if last == now:
-            return TrackState.ACTIVE
-        return TrackState.LOST if now - last <= self.cfg.max_age else TrackState.DEAD
+        age = self._frames[-1] - track.observations[-1].frame
+        return TrackState.DEAD if age > self.cfg.max_age else TrackState.LOST if age else TrackState.ACTIVE
 
     def _record(self, track: Track, det: DetectionRecord, det_idx: int):
         category_id = retain_category(track, det, self.cfg)
@@ -310,7 +305,7 @@ class Tracker:
         now = len(frames)
         frames.append(frame)
 
-        rows, cols, sums, sizes, born = [], [], [], [], []
+        rows, cols, means, born = [], [], [], []
         for ev in events:
             if ev.kind == BORN:
                 born.append(ev)
@@ -321,8 +316,7 @@ class Tracker:
                 bank = track.feature_bank = np.concatenate([kept, units[i:i + 1]])
                 # Summed afresh from the kept rows, oldest first; subtracting
                 # evicted rows would build up rounding error.
-                sums.append(np.add.reduce(bank))
-                sizes.append(len(bank))
+                means.append(np.add.reduce(bank) / len(bank))
                 rows.append(row)
                 cols.append(i)
                 self._record(track, dets[i], i)
@@ -330,9 +324,8 @@ class Tracker:
         last = self._last_step
         if rows:
             memory = update_memory(self.memory[rows], emb[cols], cfg.alpha_mem)
-            bank_mean = np.array(sums) / np.array(sizes)[:, None]
             self.memory[rows] = memory
-            self.query[rows] = a * _normalize_rows(memory) + (1.0 - a) * bank_mean
+            self.query[rows] = a * _normalize_rows(memory) + (1.0 - a) * np.array(means)
             last[rows] = now
 
         # A track dies once its last match is more than max_age frames back.

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from trajkit import cli, io
 from trajkit.classify import ClassifyConfig, classify_trajectory
-from trajkit.fusion import init_fusion_weights
+from trajkit.fusion import FUSION_MECHANISMS, init_fusion_weights
 from trajkit.tracker import Tracker, TrackerConfig, run_sequence
 
 
@@ -113,12 +113,13 @@ def test_track_dump_csv(tmp_path):
 
 
 def test_dump_csv_bytes_are_pinned_on_a_noisy_scene(tmp_path):
-    # the digest was taken while csv.writer still wrote the rows
+    # the digest was taken while csv.writer still wrote the rows, and re-taken
+    # when the default softmax_temperature went from 1.0 to 0.05
     scene = _synth(tmp_path / "scene", seed=6, extra=["--sigma", "0.2", "--flip-prob", "0.3",
                                                       "--miss-rate", "0.2", "--fp-rate", "1.0"])
     run = tmp_path / "run"
     assert _run(["track", "--detections", scene / "detections.jsonl", "--dump-csv", "--out-dir", run]) == 0
-    assert hashlib.sha256((run / "scores.csv").read_bytes()).hexdigest()[:16] == "7b44c10d4c7d447d"
+    assert hashlib.sha256((run / "scores.csv").read_bytes()).hexdigest()[:16] == "c7bb74c858effc21"
 
 
 def test_track_missing_weights_for_fusion(tmp_path, capsys):
@@ -263,12 +264,18 @@ def test_classify_rewrites_labels(tmp_path):
     assert all(t.scores and "cate" in t.scores for t in after)
 
 
-def test_classify_reproduces_track_output(tmp_path):
+@pytest.mark.parametrize("fusion", FUSION_MECHANISMS)
+def test_classify_reproduces_track_output(tmp_path, fusion):
     # track --vocabulary and classify on that run's own tracks.jsonl label
-    # through the same classify_trajectory, so their files must agree byte for byte
+    # the same (record, record_embeddings(record, dets)) pairs through the
+    # same classify_trajectory, so their files must agree byte for byte
     scene = _synth(tmp_path / "scene", seed=6, extra=["--sigma", "0.2", "--flip-prob", "0.3",
-                                                     "--miss-rate", "0.2", "--fp-rate", "1.0"])
-    common = ["--detections", scene / "detections.jsonl", "--vocabulary", scene / "vocabulary.json"]
+                                                     "--miss-rate", "0.2", "--fp-rate", "1.0",
+                                                     "--sidecar"])
+    weights = tmp_path / "w.twb"
+    io.write_weights(init_fusion_weights(8, zero_residual=False), weights)
+    common = ["--detections", scene / "detections.jsonl", "--vocabulary", scene / "vocabulary.json",
+              "--fusion", fusion, "--weights", weights, "--heads", 2]
     run, cls_dir = tmp_path / "run", tmp_path / "cls"
     assert _run(["track", *common, "--out-dir", run]) == 0
     assert _run(["classify", "--tracks", run / "tracks.jsonl", *common, "--out-dir", cls_dir]) == 0
@@ -470,17 +477,18 @@ def _labelled_runs(tmp_path):
 
 def test_labelled_outputs_pinned_on_a_noisy_scene(tmp_path):
     # track, classify and bench-fusion label through one loop; these digests
-    # were taken before they shared it
+    # were taken before they shared it, and re-taken when the default
+    # softmax_temperature went from 1.0 to 0.05
     for argv in _labelled_runs(tmp_path):
         assert _run(argv) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
                for name in ("plain/tracks.jsonl", "vocab/tracks.jsonl", "cls/tracks.jsonl",
                             "bench/bench.json")}
     assert digests == {
-        "plain/tracks.jsonl": "c201425381d5e2f1",
-        "vocab/tracks.jsonl": "432c67059e7da73d",
-        "cls/tracks.jsonl": "491d426432d7048a",
-        "bench/bench.json": "6cfbba4cdd11b73e",
+        "plain/tracks.jsonl": "8f9ba054c493e953",
+        "vocab/tracks.jsonl": "ffea863f59ec144b",
+        "cls/tracks.jsonl": "ba0a09c78b8b2f69",
+        "bench/bench.json": "6d4f4321af01795c",
     }
 
 
@@ -535,8 +543,12 @@ BENCH_SMALL = ["bench-fusion", "--frames", 4, "--dim", 8, "--scenes", 1]
 
 
 def _write_refused_inputs(scene):
-    """A vocabulary whose text width (6) is not the embeddings' (8), and a track whose
-    two detections have opposite embeddings, so that its average clip is zero."""
+    """A vocabulary whose text width (6) is not the embeddings' (8), a track whose two
+    detections have opposite embeddings, so that its average clip is zero, and weights
+    whose lang_proj.w projects every vocabulary row to zero."""
+    weights = init_fusion_weights(8, seed=0)
+    weights["lang_proj.w"] = np.zeros_like(weights["lang_proj.w"])
+    io.write_weights(weights, scene / "zero_proj.twb")
     vocab = json.loads((scene / "vocabulary.json").read_text())
     for entry in vocab["entries"]:
         entry["cate_emb"], entry["attr_emb"] = entry["cate_emb"][:6], entry["attr_emb"][:6]
@@ -572,6 +584,13 @@ def _write_refused_inputs(scene):
     (["classify", "--tracks", "{scene}/zero_tracks.jsonl", "--detections", "{scene}/zero.jsonl",
       "--vocabulary", "{scene}/vocabulary.json"],
      "zero_tracks.jsonl: track 1: cosine undefined for zero-norm vector"),
+    # these two tracked every frame or labelled up to the first track, then named the wrong file
+    (["track", "--detections", "{scene}/detections.jsonl", "--vocabulary", "{scene}/vocabulary.json",
+      "--weights", "{scene}/zero_proj.twb"],
+     "ZeroNormError: {scene}/zero_proj.twb: lang_proj.w projects the cate_emb of vocabulary entry 0"),
+    (["classify", "--tracks", "{scene}/run/tracks.jsonl", "--detections", "{scene}/detections.jsonl",
+      "--vocabulary", "{scene}/vocabulary.json", "--weights", "{scene}/zero_proj.twb"],
+     "ZeroNormError: {scene}/zero_proj.twb: lang_proj.w projects the cate_emb of vocabulary entry 0"),
 ])
 def test_failed_run_leaves_no_output(tmp_path, capsys, argv, message):
     scene = _synth(tmp_path / "scene")
@@ -582,7 +601,7 @@ def test_failed_run_leaves_no_output(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     argv = [str(a).format(scene=scene) for a in argv]
     assert _run(argv + ["--out-dir", out]) == 1
-    assert message in capsys.readouterr().err
+    assert message.format(scene=scene) in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -705,7 +724,7 @@ def test_config_accepts_each_type_and_null_where_default_is_none(tmp_path):
 
 _TRACKER_OPTIONS = {
     "alpha_mem": 0.25, "alpha_sim": 0.25, "max_age": 30, "n_bank": 15, "n_cat_bank": 5,
-    "sim_mode": "cosine_plus_bisoftmax", "softmax_temperature": 1.0, "tau_high": 0.3,
+    "sim_mode": "cosine_plus_bisoftmax", "softmax_temperature": 0.05, "tau_high": 0.3,
     "tau_low": 0.1, "tau_match": 0.4, "tau_new": None,
 }
 _CLASSIFY_OPTIONS = {"calibrate_scores": False, "fusion": "average", "heads": 1, "n_clip": 5}
