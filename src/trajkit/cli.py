@@ -187,15 +187,27 @@ def _scene(opts: dict, seed: int):
     return gen_scene(_config(SynthConfig, opts, *SCENE_FLAGS, occlusion=occlusion, seed=seed))
 
 
-def _language(opts: dict, vocab, weights, width, dim_text=None) -> LanguageRows | None:
-    """Check once per run, before any output, that the inputs can label; the projected vocabulary
-    rows, if any. A refusal names the file at fault: the weights when given, else the vocabulary."""
+def _check_heads(heads: int, width: int | None) -> None:
+    """Refuse a head count that attention cannot split ``width``-wide embeddings into."""
+    if heads < 1:
+        raise ValueError(f"--heads must be at least 1, got {heads}")
+    if width is not None and width % heads:
+        raise DimMismatchError(f"--heads {heads} does not divide the embedding width {width}")
+
+
+def _language(opts: dict, vocab, weights, width, fusion: str, dim_text=None) -> LanguageRows | None:
+    """Check once per run, before any output, that the inputs can label with ``fusion``; the
+    projected vocabulary rows, if any. A refusal names the flag or file at fault: ``--heads``
+    when a vocabulary's labels would be fused by attention (every mechanism but average attends),
+    else the weights when given, else the vocabulary."""
+    if vocab is not None and fusion != "average":
+        _check_heads(opts["heads"], width)
     try:
         if vocab is None:
             return check_labelling(dim_text, width, weights)
-        return project_vocabulary(vocab, weights, opts["fusion"], width)
+        return project_vocabulary(vocab, weights, fusion, width)
     except MissingWeightsError:
-        raise MissingWeightsError(f"fusion={opts['fusion']!r} needs --weights") from None
+        raise MissingWeightsError(f"fusion={fusion!r} needs --weights") from None
     except (DimMismatchError, ZeroNormError) as exc:
         raise type(exc)(f"{opts['weights'] or opts['vocabulary']}: {exc}") from None
 
@@ -220,7 +232,7 @@ def cmd_track(args) -> int:
     weights = _load_fusion_weights(opts["weights"]) if opts["weights"] else None
     dets = io.load_detections(det_path, opts["score_scale"], vocabulary=vocab)
     ccfg = _config(ClassifyConfig, opts)
-    lang = _language(opts, vocab, weights, _embedding_width(dets))
+    lang = _language(opts, vocab, weights, _embedding_width(dets), opts["fusion"])
     tracker = Tracker(_config(TrackerConfig, opts))
     out_dir = _write_manifest("track", opts)
 
@@ -256,7 +268,7 @@ def cmd_classify(args) -> int:
     records = io.read_tracks(tracks_path, vocabulary=vocab)
     dets = io.load_detections(det_path)
     ccfg = _config(ClassifyConfig, opts)
-    lang = _language(opts, vocab, weights, _embedding_width(dets))
+    lang = _language(opts, vocab, weights, _embedding_width(dets), opts["fusion"])
     try:
         trajectories = [(record, record_embeddings(record, dets)) for record in records]
     except FormatError as exc:  # name both files, as io's errors do
@@ -325,7 +337,9 @@ def _bench_one_scene(scene_seed: int, opts: dict, weights: FusionWeights):
     tracks = run_sequence(scene.detections, _config(TrackerConfig, opts))
     ecfg = metrics.EvalConfig(splits=scene.vocabulary.splits())
     trajectories = [(r, record_embeddings(r, scene.detections)) for r in map(to_track_record, tracks)]
-    lang = project_vocabulary(scene.vocabulary, weights)
+    # cmd_bench_fusion has checked --heads; a synthetic vocabulary's rows are unit vectors
+    # --dim wide, so only a --weights file can be refused here
+    lang = _language(opts, scene.vocabulary, weights, opts["dim"], "average")
     row = {}
     for mech in BENCH_MECHANISMS:  # each mechanism relabels the same records
         ccfg = ClassifyConfig(fusion=mech, n_clip=opts["n_clip"], heads=opts["heads"])
@@ -341,7 +355,8 @@ def cmd_bench_fusion(args) -> int:
     weights = (_load_fusion_weights(opts["weights"]) if opts["weights"]
                else init_fusion_weights(opts["dim"], seed=opts["seed"], zero_residual=False))
     # a synthetic scene's embeddings and text vectors are both --dim wide
-    _language(opts, None, weights, opts["dim"], opts["dim"])
+    _check_heads(opts["heads"], opts["dim"])
+    _language(opts, None, weights, opts["dim"], "average", opts["dim"])
     seeds = [opts["seed"] + s for s in range(opts["scenes"])]
     rows = [_bench_one_scene(s, opts, weights) for s in seeds]
     out_dir = _write_manifest("bench-fusion", opts)

@@ -30,10 +30,9 @@ This module holds the only forward pass of the residual block. Its layer
 norm, attention and MLP forwards also return the intermediates that their
 hand-written backward functions beside them read; both take any axes
 before a clip's (n, d) as batch axes (a lone clip has none).
-``fuse_self_backward`` turns the gradients at the fused vectors into each
-clip's gradient term of every ``ln1``, ``ln2``, ``attn`` and ``mlp`` tensor;
-a weight matrix's term is its two row factors, so ``clip_gradient`` forms
-one clip's matrix at a time and no stack of matrices is held.
+``fuse_self_backward`` turns the gradients at the fused vectors into the
+gradient of every ``ln1``, ``ln2``, ``attn`` and ``mlp`` tensor, summed over
+every clip of the stack.
 """
 
 from __future__ import annotations
@@ -117,10 +116,15 @@ def _layer_norm_forward(x, gamma, beta, eps):
     return xhat * gamma + beta, (xhat, std, gamma)
 
 
-def _layer_norm_backward(dy, cache, terms, prefix):
+def _rows(a):
+    """Every row of every clip of ``a`` as one (rows, width) matrix."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _layer_norm_backward(dy, cache, grads, prefix):
     xhat, std, gamma = cache
-    terms[f"{prefix}.gamma"] = (dy * xhat).sum(axis=-2)
-    terms[f"{prefix}.beta"] = dy.sum(axis=-2)
+    grads[f"{prefix}.gamma"] = _rows(dy * xhat).sum(axis=0)
+    grads[f"{prefix}.beta"] = _rows(dy).sum(axis=0)
     dxhat = dy * gamma
     m1 = dxhat.mean(axis=-1, keepdims=True)
     m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
@@ -176,11 +180,11 @@ def _attention_core(qp, kp, vp, w: FusionWeights, group: str, heads: int):
     return mixed @ w[group + ".wo"] + w[group + ".bo"], (qh, kh, vh, attn, mixed, scale, w)
 
 
-def _self_attention_backward(dout, cache, terms):
-    """Backward of ``_attend(x, x, x, ...)`` into the ``attn.*`` terms."""
+def _self_attention_backward(dout, cache, grads):
+    """Backward of ``_attend(x, x, x, ...)`` into the ``attn.*`` gradients."""
     x, qh, kh, vh, attn, mixed, scale, w = cache
-    terms["attn.wo"] = (mixed, dout)
-    terms["attn.bo"] = dout.sum(axis=-2)
+    grads["attn.wo"] = _rows(mixed).T @ _rows(dout)
+    grads["attn.bo"] = _rows(dout).sum(axis=0)
     dmixed = (dout @ w["attn.wo"].T).reshape(qh.shape)
     dattn = np.einsum("...nhk,...mhk->...hnm", dmixed, vh)
     dvh = np.einsum("...hnm,...nhk->...mhk", attn, dmixed)
@@ -189,8 +193,8 @@ def _self_attention_backward(dout, cache, terms):
     dkh = np.einsum("...hnm,...nhk->...mhk", dscores, qh) * scale
     dq, dk, dv = (g.reshape(x.shape) for g in (dqh, dkh, dvh))
     for key, g in (("q", dq), ("k", dk), ("v", dv)):
-        terms[f"attn.w{key}"] = (x, g)
-        terms[f"attn.b{key}"] = g.sum(axis=-2)
+        grads[f"attn.w{key}"] = _rows(x).T @ _rows(g)
+        grads[f"attn.b{key}"] = _rows(g).sum(axis=0)
     return dq @ w["attn.wq"].T + dk @ w["attn.wk"].T + dv @ w["attn.wv"].T
 
 
@@ -216,13 +220,13 @@ def _mlp_forward(x, w: FusionWeights):
     return act @ w["mlp.w2"] + w["mlp.b2"], (x, pre, act, w)
 
 
-def _mlp_backward(dout, cache, terms):
+def _mlp_backward(dout, cache, grads):
     x, pre, act, w = cache
-    terms["mlp.w2"] = (act, dout)
-    terms["mlp.b2"] = dout.sum(axis=-2)
+    grads["mlp.w2"] = _rows(act).T @ _rows(dout)
+    grads["mlp.b2"] = _rows(dout).sum(axis=0)
     dpre = (dout @ w["mlp.w2"].T) * _gelu_grad(pre)
-    terms["mlp.w1"] = (x, dpre)
-    terms["mlp.b1"] = dpre.sum(axis=-2)
+    grads["mlp.w1"] = _rows(x).T @ _rows(dpre)
+    grads["mlp.b1"] = _rows(dpre).sum(axis=0)
     return dpre @ w["mlp.w1"].T
 
 
@@ -271,23 +275,15 @@ def fuse_self_forward(clip: np.ndarray, weights: FusionWeights,
 def fuse_self_backward(dfused: np.ndarray, cache: tuple) -> dict:
     """Reverse-mode pass of :func:`fuse_self_forward` from the gradients at its outputs.
 
-    Returns every ``ln1``, ``ln2``, ``attn`` and ``mlp`` tensor's gradient
-    term, keyed by bundle name, for :func:`clip_gradient` to read.
+    Returns the gradient of every ``ln1``, ``ln2``, ``attn`` and ``mlp``
+    tensor, keyed by bundle name, summed over every clip of the stack.
     """
     n, ln1_cache, attn_cache, ln2_cache, mlp_cache = cache
-    terms = {}
+    grads = {}
     dv = np.repeat((dfused / n)[..., None, :], n, axis=-2)
-    du = dv + _layer_norm_backward(_mlp_backward(dv, mlp_cache, terms), ln2_cache, terms, "ln2")
-    _layer_norm_backward(_self_attention_backward(du, attn_cache, terms), ln1_cache, terms, "ln1")
-    return terms
-
-
-def clip_gradient(term, clip=()) -> np.ndarray:
-    """One clip's gradient (``clip`` indexes the batch axes) from a :func:`fuse_self_backward` term."""
-    if isinstance(term, tuple):  # a weight matrix, kept as its row factors (x, g)
-        x, g = term
-        return x[clip].T @ g[clip]
-    return term[clip]
+    du = dv + _layer_norm_backward(_mlp_backward(dv, mlp_cache, grads), ln2_cache, grads, "ln2")
+    _layer_norm_backward(_self_attention_backward(du, attn_cache, grads), ln1_cache, grads, "ln1")
+    return grads
 
 
 def fuse_cross(clip: np.ndarray, weights: FusionWeights, heads: int = 1) -> np.ndarray:

@@ -15,8 +15,9 @@ holds the loss head, output normalization and the optimizer loop.
 
 A step is one :func:`loss_and_gradients` call: its clips, stacked by row
 count, take one forward and one backward per stack; the loss head runs per
-pair. Gradients fold in pair order (``clip_a`` term plus ``clip_b`` term,
-times the pair's draws, into a zeroed sum): the bits of a pair-by-pair loop.
+pair. Each pair's gradients at its fused vectors are scaled by the pair's
+draws, so one backward returns a stack's gradients summed over its clips,
+and the step adds up the stacks' sums.
 
 Loss for a pair with label y (1 = same category):
 
@@ -33,8 +34,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DimMismatchError, DivergedError, TrajkitError, ZeroNormError
-from .fusion import (FUSION_TENSOR_NAMES, FusionWeights, clip_gradient, fuse_self,
-                     fuse_self_backward, fuse_self_forward)
+from .fusion import (FUSION_TENSOR_NAMES, FusionWeights, fuse_self, fuse_self_backward,
+                     fuse_self_forward)
 
 DISTANCES = ("euclidean", "cosine")
 
@@ -143,25 +144,23 @@ def loss_and_gradients(pairs: Sequence[TrainPair], weights: FusionWeights, cfg: 
     """Count-weighted loss sum and gradient sums of a step's distinct pairs,
     ``pairs[i]`` drawn ``counts[i]`` times (once each by default)."""
     counts = [1] * len(pairs) if counts is None else counts
-    slots, stacks = [], {}  # each clip's (row count, row in its stack); each stack's clips
-    for clip in _step_clips(pairs, weights.d):
-        slots.append((len(clip), len(stacks.setdefault(len(clip), []))))
-        stacks[len(clip)].append(clip)
-    forward = {n: fuse_self_forward(np.stack(s), weights, cfg.heads) for n, s in stacks.items()}
-    dfused = {n: np.empty_like(fused) for n, (fused, _) in forward.items()}
+    clips = _step_clips(pairs, weights.d)  # pair p's clips are clips[2p] and clips[2p + 1]
+    stacks = {}  # row count -> the indices of its clips
+    for k, clip in enumerate(clips):
+        stacks.setdefault(len(clip), []).append(k)
+    fused, caches = np.empty((len(clips), weights.d)), {}
+    for n, ks in stacks.items():
+        fused[ks], caches[n] = fuse_self_forward(np.stack([clips[k] for k in ks]), weights, cfg.heads)
+    dfused = np.empty_like(fused)
     total = 0.0
     for p, (pair, count) in enumerate(zip(pairs, counts)):
-        (na, ia), (nb, ib) = slots[2 * p:2 * p + 2]
-        loss, dfused[na][ia], dfused[nb][ib] = _pair_head(
-            forward[na][0][ia], forward[nb][0][ib], pair.label, cfg)
+        loss, dfa, dfb = _pair_head(fused[2 * p], fused[2 * p + 1], pair.label, cfg)
+        dfused[2 * p], dfused[2 * p + 1] = count * dfa, count * dfb
         total += count * loss
-    terms = {n: fuse_self_backward(dfused[n], cache) for n, (_, cache) in forward.items()}
-    grads = {}
-    for name in TRAINABLE_TENSORS:
-        acc = grads[name] = np.zeros_like(weights[name])
-        for (na, ia), (nb, ib), count in zip(slots[::2], slots[1::2], counts):
-            g = clip_gradient(terms[na][name], ia) + clip_gradient(terms[nb][name], ib)
-            acc += g if count == 1 else count * g
+    grads = {name: np.zeros_like(weights[name]) for name in TRAINABLE_TENSORS}
+    for n, ks in stacks.items():
+        for name, g in fuse_self_backward(dfused[ks], caches[n]).items():
+            grads[name] += g
     return total, grads
 
 

@@ -313,16 +313,16 @@ def test_train_writes_weights_and_curve(tmp_path):
     assert all(np.isfinite(curve))
 
 
-# sha256 prefixes of train's weights.twb and loss_curve.json, taken while
-# each pair still had its own forward and backward; a batched step must keep
-# every bit. The first case mixes 3-, 4- and 5-row clips in every step.
+# sha256 prefixes of train's weights.twb and loss_curve.json, taken once each
+# stack's backward summed its clips' gradients; a run must keep every bit.
+# The first case mixes 3-, 4- and 5-row clips in every step.
 TRAIN_DIGESTS = {
     "mixed_lengths": (["--frames", 6, "--miss-rate", 0.4, "--pairs", 8, "--seed", 3],
-                      {3, 4, 5}, "fb9f8d091a4782c8", "ad94715feacfdc76"),
+                      {3, 4, 5}, "56d1c06d9c8d8fc9", "cf47f4208b086a57"),
     "heads2_cosine": (["--frames", 10, "--pairs", 8, "--seed", 4, "--heads", 2,
-                       "--distance", "cosine"], {5}, "c67ca4bda9fa8555", "a3e8b03d226cbba1"),
+                       "--distance", "cosine"], {5}, "2b12a09f36389aa8", "e298dace4d5b876b"),
     "batch_above_pairs": (["--frames", 10, "--pairs", 5, "--batch-size", 12, "--seed", 5],
-                          {5}, "6dc02f5c1262fe03", "4c6c11526a942747"),
+                          {5}, "e7e4c9ecd0c8924d", "896cc2ec733380f9"),
 }
 
 
@@ -544,9 +544,10 @@ BENCH_SMALL = ["bench-fusion", "--frames", 4, "--dim", 8, "--scenes", 1]
 
 def _write_refused_inputs(scene):
     """A vocabulary whose text width (6) is not the embeddings' (8), a track whose two
-    detections have opposite embeddings, so that its average clip is zero, and weights
-    whose lang_proj.w projects every vocabulary row to zero."""
+    detections have opposite embeddings, so that its average clip is zero, weights
+    whose lang_proj.w projects every vocabulary row to zero, and valid 8-wide weights."""
     weights = init_fusion_weights(8, seed=0)
+    io.write_weights(weights, scene / "weights.twb")
     weights["lang_proj.w"] = np.zeros_like(weights["lang_proj.w"])
     io.write_weights(weights, scene / "zero_proj.twb")
     vocab = json.loads((scene / "vocabulary.json").read_text())
@@ -591,6 +592,21 @@ def _write_refused_inputs(scene):
     (["classify", "--tracks", "{scene}/run/tracks.jsonl", "--detections", "{scene}/detections.jsonl",
       "--vocabulary", "{scene}/vocabulary.json", "--weights", "{scene}/zero_proj.twb"],
      "ZeroNormError: {scene}/zero_proj.twb: lang_proj.w projects the cate_emb of vocabulary entry 0"),
+    # these tracked every frame, labelled up to the first track or ran a whole scene, then
+    # blamed a data file or a scene, or named none
+    (["track", "--detections", "{scene}/detections.jsonl", "--vocabulary", "{scene}/vocabulary.json",
+      "--weights", "{scene}/weights.twb", "--fusion", "self", "--heads", 3],
+     "DimMismatchError: --heads 3 does not divide the embedding width 8"),
+    (["track", "--detections", "{scene}/detections.jsonl", "--vocabulary", "{scene}/vocabulary.json",
+      "--weights", "{scene}/weights.twb", "--fusion", "self", "--heads", 0],
+     "ValueError: --heads must be at least 1, got 0"),
+    (["classify", "--tracks", "{scene}/run/tracks.jsonl", "--detections", "{scene}/detections.jsonl",
+      "--vocabulary", "{scene}/vocabulary.json", "--weights", "{scene}/weights.twb",
+      "--fusion", "concat", "--heads", 3],
+     "DimMismatchError: --heads 3 does not divide the embedding width 8"),
+    (BENCH_SMALL + ["--heads", 3], "DimMismatchError: --heads 3 does not divide the embedding width 8"),
+    (BENCH_SMALL + ["--weights", "{scene}/zero_proj.twb"],
+     "ZeroNormError: {scene}/zero_proj.twb: lang_proj.w projects the cate_emb of vocabulary entry 0"),
 ])
 def test_failed_run_leaves_no_output(tmp_path, capsys, argv, message):
     scene = _synth(tmp_path / "scene")
@@ -603,6 +619,21 @@ def test_failed_run_leaves_no_output(tmp_path, capsys, argv, message):
     assert _run(argv + ["--out-dir", out]) == 1
     assert message.format(scene=scene) in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["track", "--detections", "{scene}/detections.jsonl", "--vocabulary", "{scene}/vocabulary.json"],
+    ["classify", "--tracks", "{scene}/run/tracks.jsonl", "--detections", "{scene}/detections.jsonl",
+     "--vocabulary", "{scene}/vocabulary.json"],
+    # without a vocabulary a track is labelled by its det vote alone, so nothing attends
+    ["track", "--detections", "{scene}/detections.jsonl", "--fusion", "self"],
+])
+@pytest.mark.parametrize("heads", [0, 3])
+def test_heads_bind_only_fusion_that_attends(tmp_path, argv, heads):
+    scene = _synth(tmp_path / "scene")
+    assert _run(["track", "--detections", scene / "detections.jsonl", "--out-dir", scene / "run"]) == 0
+    argv = [str(a).format(scene=scene) for a in argv]
+    assert _run(argv + ["--heads", heads, "--out-dir", tmp_path / "out"]) == 0
 
 
 def test_track_refuses_a_vocabulary_before_it_tracks_a_frame(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from trajkit import train
 from trajkit.errors import DimMismatchError, DivergedError, TrajkitError, ZeroNormError
-from trajkit.fusion import clip_gradient, fuse_self_backward, fuse_self_forward, init_fusion_weights
+from trajkit.fusion import fuse_self_backward, fuse_self_forward, init_fusion_weights
 from trajkit.train import (
     TRAINABLE_TENSORS,
     TrainConfig,
@@ -85,6 +85,25 @@ def test_gradients_match_numeric_cosine():
                                w[name])
         np.testing.assert_allclose(num, grads[name], rtol=1e-5, atol=1e-8,
                                    err_msg=name)
+
+
+@pytest.mark.parametrize("distance, margin", [("euclidean", 2.5), ("cosine", 0.8)])
+def test_gradients_of_a_whole_step_match_numeric(distance, margin):
+    # 2- and 3-row clips, so each stack holds several clips, and pairs drawn
+    # more than once: the backward's sums over each stack, with every pair's
+    # draws, against finite differences of the count-weighted loss sum
+    rng = np.random.default_rng(3)
+    d = 4
+    w = init_fusion_weights(d, seed=4, zero_residual=False)
+    cfg = TrainConfig(margin=margin, distance=distance, heads=2)
+    pairs = [TrainPair(rng.normal(size=(na, d)), rng.normal(size=(nb, d)), y)
+             for na, nb, y in ((2, 3, 1), (3, 2, 0), (2, 2, 1), (3, 3, 0))]
+    counts = [1, 2, 1, 3]
+    _, grads = loss_and_gradients(pairs, w, cfg, counts)
+    for name in TRAINABLE_TENSORS:
+        num = numeric_gradient(
+            lambda _t: sum(c * pair_loss(p, w, cfg) for p, c in zip(pairs, counts)), w[name])
+        np.testing.assert_allclose(num, grads[name], rtol=1e-4, atol=1e-8, err_msg=name)
 
 
 def test_analytic_gradients_inventory():
@@ -221,13 +240,13 @@ def _pair_by_pair(pairs, weights, cfg, counts):
         fa, cache_a = fuse_self_forward(pair.clip_a, weights, cfg.heads)
         fb, cache_b = fuse_self_forward(pair.clip_b, weights, cfg.heads)
         loss, dfa, dfb = train._pair_head(fa, fb, pair.label, cfg)
-        terms_a = fuse_self_backward(dfa, cache_a)
-        terms_b = fuse_self_backward(dfb, cache_b)
+        grads_a = fuse_self_backward(dfa, cache_a)
+        grads_b = fuse_self_backward(dfb, cache_b)
         total += count * loss
         for name in TRAINABLE_TENSORS:
             grad = np.zeros_like(weights[name])
-            grad += clip_gradient(terms_a[name])
-            grad += clip_gradient(terms_b[name])
+            grad += grads_a[name]
+            grad += grads_b[name]
             acc[name] += grad if count == 1 else count * grad
     return total, acc
 
@@ -238,7 +257,9 @@ def _pair_by_pair(pairs, weights, cfg, counts):
 @pytest.mark.parametrize("distance", ["euclidean", "cosine"])
 def test_batched_step_keeps_the_bits_of_pair_by_pair(batch_size, heads, normalize, distance):
     # 2- and 3-row clips form two stacks; 7 and 12 draws from 5 pairs give
-    # counts above 1
+    # counts above 1. A step's loss keeps the oracle's bits; its gradients sum
+    # over each stack in one contraction, not pair by pair, so they, the
+    # weights and the curve agree to 1e-12.
     pairs = _pairs(5)
     w = init_fusion_weights(4, seed=9, zero_residual=False)
     cfg = TrainConfig(steps=3, batch_size=batch_size, seed=2, learning_rate=0.2, heads=heads,
@@ -257,13 +278,13 @@ def test_batched_step_keeps_the_bits_of_pair_by_pair(batch_size, heads, normaliz
         got_total, got_grads = loss_and_gradients(batch, want_w, cfg, counts)
         assert got_total == total
         for name in TRAINABLE_TENSORS:
-            np.testing.assert_array_equal(got_grads[name], grads[name], err_msg=name)
+            np.testing.assert_allclose(got_grads[name], grads[name], rtol=0, atol=1e-12, err_msg=name)
         want_curve.append(total / batch_size)
         for name in TRAINABLE_TENSORS:
             want_w[name] -= cfg.learning_rate * grads[name] / batch_size
-    np.testing.assert_array_equal(got_curve, want_curve)
+    np.testing.assert_allclose(got_curve, want_curve, rtol=0, atol=1e-12)
     for name in TRAINABLE_TENSORS:
-        np.testing.assert_array_equal(got_w[name], want_w[name], err_msg=name)
+        np.testing.assert_allclose(got_w[name], want_w[name], rtol=0, atol=1e-12, err_msg=name)
 
 
 @pytest.mark.parametrize("width", [3, 6])
