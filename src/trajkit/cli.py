@@ -9,8 +9,8 @@ Every subcommand also takes ``--config`` (a JSON object of option values,
 each of its option's type), ``--seed`` and ``--out-dir``; flags override
 config values, which override defaults. A run writes its resolved options
 to ``<command>_manifest.json`` once its options and inputs have passed every
-check (for labelling, ``classify.check_labelling``, once, naming the file at
-fault); outputs are deterministic in manifest + seed.
+check (for labelling, ``classify.check_labelling`` and ``--heads``, once,
+naming the file or flag at fault); outputs are deterministic in manifest + seed.
 ``track``, ``classify`` and ``bench-fusion`` label each trajectory, tracked or
 read back, as ``(record, record_embeddings(record, dets))`` through one loop,
 ``_label``, which calls ``classify_trajectory`` once per trajectory.
