@@ -20,9 +20,9 @@ label at all; ``project_vocabulary`` runs it once per run.
 ``label_record`` is the one place a ``TrackRecord`` (``to_track_record`` of
 a live track, or a ``tracks.jsonl`` record) gets its label. The ``concat``
 fusion mechanism scores every vocabulary entry directly instead of
-producing a fused trajectory vector: the clip is stacked with each
-projected language row and all the stacks of a channel are attended in one
-batched pass (one ``concat_score`` call for the category rows, one for the
+producing a fused trajectory vector: the clip is scored as stacked with
+each projected language row, every row of a channel at once and in closed
+form (one ``concat_score`` call for the category rows, one for the
 attribute rows).
 """
 

@@ -13,8 +13,10 @@ of language vectors):
 - ``fuse_cross``: cross-attention folded over the rows; a softmax over one
   key is 1, so the last row alone decides the result (see ``fuse_cross``).
 - ``concat_score``: stack the clip with a language vector, self-attend,
-  mean-pool, project, and squash a linear score through a logistic. Given V
-  language rows it attends all V stacks in one batched pass.
+  mean-pool, project, and squash a linear score through a logistic. All
+  after the softmax is linear, so it is scored in closed form: one vector
+  ``u`` and one scalar ``c`` stand for ``wo``, ``pool_w`` and ``fc_w``, and
+  no stack is ever formed. Given V language rows it scores them all at once.
 
 There is no positional encoding and no masking: clips are unordered sets as
 far as average/attention/self fusion are concerned. All math runs in float64.
@@ -151,6 +153,15 @@ def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     return x.reshape(*x.shape[:-1], heads, x.shape[-1] // heads)
 
 
+def _head_scale(d: int, heads: int) -> float:
+    """The 1/sqrt(d/heads) score scale, once ``heads`` is checked to split width ``d``."""
+    if heads < 1:
+        raise DimMismatchError(f"heads must be at least 1, got {heads}")
+    if d % heads:
+        raise DimMismatchError(f"width {d} is not divisible by {heads} heads")
+    return 1.0 / np.sqrt(d // heads)
+
+
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, w: FusionWeights, group: str,
             heads: int) -> tuple[np.ndarray, tuple]:
     """Scaled dot-product attention of query rows against key/value rows,
@@ -160,24 +171,13 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, w: FusionWeights, group
     Returns the output and the cache :func:`_self_attention_backward` reads.
     """
     g = group + "."
-    out, cache = _attention_core(q @ w[g + "wq"] + w[g + "bq"], k @ w[g + "wk"] + w[g + "bk"],
-                                 v @ w[g + "wv"] + w[g + "bv"], w, group, heads)
-    return out, (q, *cache)
-
-
-def _attention_core(qp, kp, vp, w: FusionWeights, group: str, heads: int):
-    """:func:`_attend` from rows already projected by ``wq``/``wk``/``wv`` and their biases."""
-    d = qp.shape[-1]
-    if heads < 1:
-        raise DimMismatchError(f"heads must be at least 1, got {heads}")
-    if d % heads:
-        raise DimMismatchError(f"width {d} is not divisible by {heads} heads")
-    qh, kh, vh = (_split_heads(x, heads) for x in (qp, kp, vp))
-    scale = 1.0 / np.sqrt(d // heads)
+    scale = _head_scale(q.shape[-1], heads)
+    qh, kh, vh = (_split_heads(x @ w[f"{g}w{key}"] + w[f"{g}b{key}"], heads)
+                  for x, key in ((q, "q"), (k, "k"), (v, "v")))
     scores = np.einsum("...nhk,...mhk->...hnm", qh, kh) * scale
     attn = softmax(scores, axis=-1)
-    mixed = np.einsum("...hnm,...mhk->...nhk", attn, vh).reshape(qp.shape)
-    return mixed @ w[group + ".wo"] + w[group + ".bo"], (qh, kh, vh, attn, mixed, scale, w)
+    mixed = np.einsum("...hnm,...mhk->...nhk", attn, vh).reshape(q.shape)
+    return mixed @ w[g + "wo"] + w[g + "bo"], (q, qh, kh, vh, attn, mixed, scale, w)
 
 
 def _self_attention_backward(dout, cache, grads):
@@ -300,6 +300,22 @@ def fuse_cross(clip: np.ndarray, weights: FusionWeights, heads: int = 1) -> np.n
     return np.asarray(fused, dtype=np.float64)
 
 
+def _clip_keys(scores, tc):
+    """Per query row, the clip keys' largest score and their exp(score - largest)
+    sums, plain and weighted by the clip rows' value scalars ``tc`` (h, n)."""
+    top = scores.max(axis=-1, initial=-np.inf)
+    e = np.exp(scores - top[..., None])
+    return top, (e @ tc[..., None])[..., 0], e.sum(axis=-1)
+
+
+def _plus_one_key(top, weighted, total, extra, t_extra):
+    """The softmax-weighted value scalar over the keys :func:`_clip_keys` summed
+    and one more key, which scores ``extra`` and carries ``t_extra``."""
+    peak = np.maximum(top, extra)
+    shrink, e = np.exp(top - peak), np.exp(extra - peak)
+    return (shrink * weighted + e * t_extra) / (shrink * total + e)
+
+
 def concat_score(clip: np.ndarray, lang: np.ndarray, weights: FusionWeights,
                  heads: int = 1) -> float | np.ndarray:
     """Affinity of a clip against language vectors via concatenation.
@@ -307,8 +323,13 @@ def concat_score(clip: np.ndarray, lang: np.ndarray, weights: FusionWeights,
     Stacks the clip with a language row, self-attends, mean-pools, applies
     the pooling projection and a final linear layer, then squashes through a
     logistic so the result is comparable with the other channels. A (d,)
-    ``lang`` gives a float; a (V, d) ``lang`` gives the (V,) scores of its
-    rows, with all V stacks attended in one batched pass.
+    ``lang`` gives a float; a (V, d) ``lang`` gives the (V,) scores of its rows.
+
+    Everything after the softmax is linear, so no stack is formed:
+      u = wo @ pool_w @ fc_w, c = (bo @ pool_w + pool_b) @ fc_w + fc_b, t[m,h] = v[m,h]·u[h];
+      raw = mean_i(mixed_i) @ wo @ pool_w @ fc_w + c = Σ_h Σ_m w̄[h,m]·t[m,h] + c,
+      with w̄[h,m] the softmax weight of key row m in head h averaged over the n+1 query rows.
+    The clip query rows score the clip keys once for every language row.
     """
     clip = np.atleast_2d(np.asarray(clip, dtype=np.float64))
     lang = np.asarray(lang, dtype=np.float64)
@@ -319,16 +340,27 @@ def concat_score(clip: np.ndarray, lang: np.ndarray, weights: FusionWeights,
             f"language must be one vector or a matrix of rows, got shape {lang.shape}")
     if rows.shape[1] != d:
         raise DimMismatchError(f"language width {rows.shape[1]} != clip width {d}")
-    # Project the clip and language rows once, then lay out the V stacks [clip; row].
+    scale = _head_scale(d, heads)
+    w = weights
+    u = _split_heads(w["attn.wo"] @ (w["concat.pool_w"] @ w["concat.fc_w"]), heads)
+    c = (w["attn.bo"] @ w["concat.pool_w"] + w["concat.pool_b"]) @ w["concat.fc_w"] \
+        + w["concat.fc_b"].reshape(())
+    # Project the clip and language rows once, heads first: q and k (h, n + V, d/h),
+    # and the value scalars t (h, n + V) through wv and u folded into one (d, h) matrix.
     both = np.concatenate([clip, rows])
-    stacks = [np.concatenate([np.broadcast_to(p[:n], (len(rows), n, d)), p[n:, None]], axis=1)
-              for p in (both @ weights[f"attn.w{k}"] + weights[f"attn.b{k}"] for k in "qkv")]
-    # Pooled rows stay (V, 1, d), so the projections below are one 1 x d
-    # product per stack and every score has the bits of a one-row call.
-    pooled = _attention_core(*stacks, weights, "attn", heads)[0].mean(axis=-2, keepdims=True)
-    projected = pooled @ weights["concat.pool_w"] + weights["concat.pool_b"]
-    raw = projected @ weights["concat.fc_w"] + weights["concat.fc_b"].reshape(())
-    scores = 1.0 / (1.0 + np.exp(-raw[:, 0]))
+    q, k = (_split_heads(both @ w[f"attn.w{x}"] + w[f"attn.b{x}"], heads).transpose(1, 0, 2)
+            for x in "qk")
+    wt, bt = ((_split_heads(w[f"attn.{x}"], heads) * u).sum(axis=-1) for x in ("wv", "bv"))
+    t = (both @ wt + bt).T
+    # Clip query rows (h, V, n): the clip keys, scored once, then each language key.
+    clip_keys = _clip_keys(q[:, :n] @ k[:, :n].transpose(0, 2, 1) * scale, t[:, :n])
+    clip_rows = _plus_one_key(*(x[:, None] for x in clip_keys),
+                              k[:, n:] @ q[:, :n].transpose(0, 2, 1) * scale, t[:, n:, None])
+    # Each language query row (h, V): the clip keys, then its own key.
+    lang_row = _plus_one_key(*_clip_keys(q[:, n:] @ k[:, :n].transpose(0, 2, 1) * scale, t[:, :n]),
+                             (q[:, n:] * k[:, n:]).sum(axis=-1) * scale, t[:, n:])
+    raw = (clip_rows.sum(axis=-1) + lang_row).sum(axis=0) / (n + 1) + c
+    scores = 1.0 / (1.0 + np.exp(-raw))
     return float(scores[0]) if lang.ndim == 1 else scores
 
 

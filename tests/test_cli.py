@@ -564,8 +564,8 @@ def _write_refused_inputs(scene):
 @pytest.mark.parametrize("argv, message", [
     # each of these used to exit 1 and leave <command>_manifest.json alone in the out dir
     (TRAIN_SMALL + ["--n-clip", 0], "ValueError: n_clip must be at least 1"),
-    (TRAIN_SMALL + ["--heads", 0], "DimMismatchError: heads must be at least 1, got 0"),
-    (TRAIN_SMALL + ["--heads", 3], "DimMismatchError: width 8 is not divisible by 3 heads"),
+    (TRAIN_SMALL + ["--heads", 0], "ValueError: --heads must be at least 1, got 0"),
+    (TRAIN_SMALL + ["--heads", 3], "DimMismatchError: --heads 3 does not divide the embedding width 8"),
     (["synth", "--identities", 0], "ValueError: identities, frames"),
     (["track", "--detections", "{scene}/detections.jsonl", "--tau-low", 0.9], "ValueError: tau_low"),
     (["track", "--detections", "{scene}/detections.jsonl", "--n-clip", 0], "ValueError: n_clip"),

@@ -231,6 +231,52 @@ def test_concat_score_batch_matches_rowwise(d, heads, n):
                                rtol=0, atol=1e-15)
 
 
+def _stacked_concat_score(clip, rows, w, heads):
+    """The concat scorer written out: every [clip; row] stack self-attended, mean-pooled,
+    projected by pool_w and fc_w and squashed."""
+    stacks = np.concatenate([np.broadcast_to(clip, (len(rows), *clip.shape)), rows[:, None]], axis=1)
+    pooled = self_attention(stacks, w, heads).mean(axis=-2)
+    raw = (pooled @ w["concat.pool_w"] + w["concat.pool_b"]) @ w["concat.fc_w"] + w["concat.fc_b"]
+    return 1.0 / (1.0 + np.exp(-raw))
+
+
+@pytest.mark.parametrize("d, heads", [(d, h) for d in (4, 8, 64) for h in (1, 2, 4) if d % h == 0])
+@pytest.mark.parametrize("n", [1, 2, 5, 7])
+def test_concat_score_matches_stacked_attention(d, heads, n):
+    rng = np.random.default_rng(1000 * d + 10 * heads + n)
+    w = init_fusion_weights(d, seed=d + n, zero_residual=False)
+    mute = w.copy()
+    mute["attn.wo"][:] = 0.0
+    clip = rng.normal(size=(n, d))
+    for v in (1, 3, 200):
+        rows = rng.normal(size=(v, d))
+        for weights in (w, mute):
+            want = _stacked_concat_score(clip, rows, weights, heads)
+            got = concat_score(clip, rows, weights, heads)
+            assert got.shape == (v,)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            assert got.argmax() == want.argmax()
+        # with a zero attn.wo no row reaches the score, so every row scores the same
+        assert np.all(got == got[0])
+
+
+@pytest.mark.parametrize("heads, message", [
+    (0, "heads must be at least 1, got 0"),
+    (3, "width 8 is not divisible by 3 heads"),
+])
+def test_concat_score_refuses_heads_that_do_not_split_the_width(heads, message):
+    rng = np.random.default_rng(16)
+    w = init_fusion_weights(8, seed=6, zero_residual=False)
+    with pytest.raises(DimMismatchError, match=message):
+        concat_score(rng.normal(size=(3, 8)), rng.normal(size=(4, 8)), w, heads)
+
+
+def test_concat_score_of_no_language_rows_is_empty():
+    rng = np.random.default_rng(17)
+    w = init_fusion_weights(8, seed=6, zero_residual=False)
+    assert concat_score(rng.normal(size=(3, 8)), np.zeros((0, 8)), w, 2).shape == (0,)
+
+
 def test_concat_score_vector_gives_float():
     rng = np.random.default_rng(14)
     w = init_fusion_weights(8, seed=6, zero_residual=False)
