@@ -58,7 +58,6 @@ from .fusion import (
     FUSION_MECHANISMS,
     FusionWeights,
     concat_score,
-    cross_attention,
     fuse_attention,
     fuse_average,
     fuse_cross,
@@ -72,7 +71,6 @@ from .fusion import (
 )
 from .classify import (
     ClassifyConfig,
-    ClipSample,
     TrajectoryClassification,
     classify_trajectory,
     project_language,
@@ -94,7 +92,7 @@ from .synth import Augmentations, SynthConfig, SynthScene, gen_scene, make_train
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssociationEvent", "Augmentations", "ClassifyConfig", "ClipSample",
+    "AssociationEvent", "Augmentations", "ClassifyConfig",
     "DetectionRecord", "DimMismatchError", "DivergedError",
     "DuplicateCategoryError", "EvalConfig", "EvalReport", "FUSION_MECHANISMS",
     "FormatError", "FusionWeights", "GroundTruthTrack", "MissingWeightsError",
@@ -104,7 +102,7 @@ __all__ = [
     "TruncatedError", "UnknownCategoryError", "Vocabulary", "VocabularyEntry",
     "ZeroNormError", "bisoftmax",
     "classify_trajectory", "concat_score", "contrastive_loss", "cosine",
-    "cross_attention", "evaluate", "fuse_attention", "fuse_average",
+    "evaluate", "fuse_attention", "fuse_average",
     "fuse_cross", "fuse_self", "gelu", "gen_scene", "init_fusion_weights",
     "iou", "iou_matrix", "layer_norm", "load_detections", "load_groundtruth",
     "load_vocabulary", "load_weights", "loss_and_gradients", "majority_vote",

@@ -62,12 +62,6 @@ class ClassifyConfig:
 
 
 @dataclass
-class ClipSample:
-    rows: np.ndarray  # (n, d) float64, chronological
-    frames: list[int]
-
-
-@dataclass
 class TrajectoryClassification:
     cate_id: int | None  # cate and attr are None when no vocabulary competed
     cate_score: float | None
@@ -85,8 +79,8 @@ class TrajectoryClassification:
 
 
 def sample_clip(entries: Sequence[TrackEntry], embeddings: Sequence[np.ndarray],
-                n_clip: int = 5) -> ClipSample:
-    """Pick the clip fed to fusion: top n_clip entries by confidence.
+                n_clip: int = 5) -> np.ndarray:
+    """The (n, d) float64 clip fed to fusion: the rows of the top n_clip entries by confidence.
 
     ``embeddings[i]`` belongs to ``entries[i]``. Short trajectories are taken
     whole. Confidence ties prefer the earlier frame. Rows come back in
@@ -98,8 +92,7 @@ def sample_clip(entries: Sequence[TrackEntry], embeddings: Sequence[np.ndarray],
     if len(picked) > n_clip:
         picked = sorted(picked, key=lambda p: (-p[0].confidence, p[0].frame))[:n_clip]
         picked.sort(key=lambda p: p[0].frame)
-    rows = np.stack([emb for _, emb in picked]).astype(np.float64)
-    return ClipSample(rows, [e.frame for e, _ in picked])
+    return np.stack([emb for _, emb in picked]).astype(np.float64)
 
 
 def project_language(vocab: Vocabulary, lang_proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,14 +196,14 @@ def classify_trajectory(entries: Sequence[TrackEntry], embeddings: Sequence[np.n
     cfg = cfg or ClassifyConfig()
     clip = sample_clip(entries, embeddings, cfg.n_clip)
     if lang is None:
-        lang = project_vocabulary(vocab, weights, cfg.fusion, clip.rows.shape[1])
+        lang = project_vocabulary(vocab, weights, cfg.fusion, clip.shape[1])
 
     ids = vocab.ids
     if cfg.fusion == "concat":
-        s_cate = concat_score(clip.rows, lang.cate, weights, cfg.heads)
-        s_attr = concat_score(clip.rows, lang.attr, weights, cfg.heads)
+        s_cate = concat_score(clip, lang.cate, weights, cfg.heads)
+        s_attr = concat_score(clip, lang.attr, weights, cfg.heads)
     else:
-        f_traj = _FUSE[cfg.fusion](clip.rows, weights, cfg.heads)
+        f_traj = _FUSE[cfg.fusion](clip, weights, cfg.heads)
         s_cate = affinity(f_traj, lang.cate, lang.cate_norms)
         s_attr = affinity(f_traj, lang.attr, lang.attr_norms)
         if cfg.calibrate_scores:

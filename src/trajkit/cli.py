@@ -9,9 +9,10 @@ Every subcommand also takes ``--config`` (a JSON object of option values,
 each of its option's type), ``--seed`` and ``--out-dir``; flags override
 config values, which override defaults. A run writes its resolved options
 to ``<command>_manifest.json`` once its options and inputs have passed every
-check (``--heads`` for ``train`` and for labelling, with
-``classify.check_labelling``, once, naming the file or flag at fault);
-outputs are deterministic in manifest + seed.
+check (a non-negative ``--seed`` for every subcommand, ``--heads`` for
+``train`` and for labelling, with ``classify.check_labelling``, once,
+naming the file or flag at fault); outputs are deterministic in
+manifest + seed.
 ``track``, ``classify`` and ``bench-fusion`` label each trajectory, tracked or
 read back, as ``(record, record_embeddings(record, dets))`` through one loop,
 ``_label``, which calls ``classify_trajectory`` once per trajectory.
@@ -63,7 +64,7 @@ NONE_TYPES = {"tau_new": float, "class_spread": float, "hidden": int,
               "scale_min": float, "scale_max": float}
 CHOICES = {"sim_mode": SIM_MODES, "fusion": FUSION_MECHANISMS, "distance": DISTANCES}
 HELP = {
-    "seed": "random seed (default 0)",
+    "seed": "random seed, at least 0 (default 0)",
     "out_dir": "output directory (default .)",
     "dump_csv": "write per-frame association scores to scores.csv",
     "occlusion": "windows as ident:first-last[,ident:first-last...]",
@@ -134,10 +135,13 @@ def _read_config(path, options: dict) -> dict:
 
 
 def _resolve(args) -> dict:
-    """Overlay built-in defaults, config file values, then explicit flags."""
+    """Overlay built-in defaults, config file values, then explicit flags; refuse a negative seed."""
     from_file = _read_config(args.config, args.options) if args.config is not None else {}
-    return {key: from_file.get(key, default) if getattr(args, key) is None else getattr(args, key)
+    opts = {key: from_file.get(key, default) if getattr(args, key) is None else getattr(args, key)
             for key, default in args.options.items()}
+    if opts["seed"] < 0:  # numpy's generators would refuse it naming no flag
+        raise ValueError(f"--seed must be non-negative, got {opts['seed']}")
+    return opts
 
 
 def _write_json(path: Path, obj) -> None:

@@ -10,8 +10,9 @@ of language vectors):
 - ``fuse_self``: pre-norm residual block, X + SA(LN(X)) then + MLP(LN(.)),
   followed by the column mean. ``residual=False`` gives the bare
   Avg(MLP(SA(X))) form instead.
-- ``fuse_cross``: cross-attention folded over the rows; a softmax over one
-  key is 1, so the last row alone decides the result (see ``fuse_cross``).
+- ``fuse_cross``: cross-attention folded over the rows. A softmax over one
+  key is 1, so it is computed as what the fold reduces to: the last row's
+  ``cross`` value and output projections (a one-row clip comes back as is).
 - ``concat_score``: stack the clip with a language vector, self-attend,
   mean-pool, project, and squash a linear score through a logistic. All
   after the softmax is linear, so it is scored in closed form: one vector
@@ -162,26 +163,22 @@ def _head_scale(d: int, heads: int) -> float:
     return 1.0 / np.sqrt(d // heads)
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, w: FusionWeights, group: str,
-            heads: int) -> tuple[np.ndarray, tuple]:
-    """Scaled dot-product attention of query rows against key/value rows,
-    projected by the ``wq``...``bo`` tensors of ``group`` ("attn" or "cross").
+def _attend(x: np.ndarray, w: FusionWeights, heads: int) -> tuple[np.ndarray, tuple]:
+    """Scaled dot-product self-attention over the rows of x with the ``attn`` tensors.
 
     Rows are the second-to-last axis; any axes before it are batch axes.
     Returns the output and the cache :func:`_self_attention_backward` reads.
     """
-    g = group + "."
-    scale = _head_scale(q.shape[-1], heads)
-    qh, kh, vh = (_split_heads(x @ w[f"{g}w{key}"] + w[f"{g}b{key}"], heads)
-                  for x, key in ((q, "q"), (k, "k"), (v, "v")))
+    scale = _head_scale(x.shape[-1], heads)
+    qh, kh, vh = (_split_heads(x @ w[f"attn.w{key}"] + w[f"attn.b{key}"], heads) for key in "qkv")
     scores = np.einsum("...nhk,...mhk->...hnm", qh, kh) * scale
     attn = softmax(scores, axis=-1)
-    mixed = np.einsum("...hnm,...mhk->...nhk", attn, vh).reshape(q.shape)
-    return mixed @ w[g + "wo"] + w[g + "bo"], (q, qh, kh, vh, attn, mixed, scale, w)
+    mixed = np.einsum("...hnm,...mhk->...nhk", attn, vh).reshape(x.shape)
+    return mixed @ w["attn.wo"] + w["attn.bo"], (x, qh, kh, vh, attn, mixed, scale, w)
 
 
 def _self_attention_backward(dout, cache, grads):
-    """Backward of ``_attend(x, x, x, ...)`` into the ``attn.*`` gradients."""
+    """Backward of :func:`_attend` into the ``attn.*`` gradients."""
     x, qh, kh, vh, attn, mixed, scale, w = cache
     grads["attn.wo"] = _rows(mixed).T @ _rows(dout)
     grads["attn.bo"] = _rows(dout).sum(axis=0)
@@ -201,17 +198,7 @@ def _self_attention_backward(dout, cache, grads):
 def self_attention(x: np.ndarray, weights: FusionWeights, heads: int = 1) -> np.ndarray:
     """Multi-head self-attention over the rows of x with the ``attn`` tensors, no masking."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    return _attend(x, x, x, weights, "attn", heads)[0]
-
-
-def cross_attention(query: np.ndarray, keyvalue: np.ndarray, weights: FusionWeights,
-                    heads: int = 1) -> np.ndarray:
-    """Attention of query rows against separate key/value rows with the ``cross`` tensors."""
-    q = np.atleast_2d(np.asarray(query, dtype=np.float64))
-    kv = np.atleast_2d(np.asarray(keyvalue, dtype=np.float64))
-    if q.shape[1] != kv.shape[1]:
-        raise DimMismatchError(f"query width {q.shape[1]} != key/value width {kv.shape[1]}")
-    return _attend(q, kv, kv, weights, "cross", heads)[0]
+    return _attend(x, weights, heads)[0]
 
 
 def _mlp_forward(x, w: FusionWeights):
@@ -265,7 +252,7 @@ def fuse_self_forward(clip: np.ndarray, weights: FusionWeights,
     """The residual ``fuse_self`` plus the cache :func:`fuse_self_backward` reads."""
     x = np.atleast_2d(np.asarray(clip, dtype=np.float64))
     h1, ln1_cache = _layer_norm_forward(x, weights["ln1.gamma"], weights["ln1.beta"], LN_EPS)
-    s, attn_cache = _attend(h1, h1, h1, weights, "attn", heads)
+    s, attn_cache = _attend(h1, weights, heads)
     u = x + s
     h2, ln2_cache = _layer_norm_forward(u, weights["ln2.gamma"], weights["ln2.beta"], LN_EPS)
     m, mlp_cache = _mlp_forward(h2, weights)
@@ -287,17 +274,19 @@ def fuse_self_backward(dfused: np.ndarray, cache: tuple) -> dict:
 
 
 def fuse_cross(clip: np.ndarray, weights: FusionWeights, heads: int = 1) -> np.ndarray:
-    """Cross-attention folded over the clip rows, each further row the only key/value of a step.
+    """Cross-attention folded over the clip rows, as the one projection it reduces to.
 
-    So every softmax weight is exactly 1: n >= 2 rows fuse, bit for bit, to
+    Each fold step's only key/value is one further row, so every softmax
+    weight is exactly 1: n >= 2 rows fuse, bit for bit, to
     ``(x[-1] @ cross.wv + cross.bv) @ cross.wo + cross.bo``, and the other
-    rows and ``cross.wq/wk/bq/bk`` never reach the output.
+    rows and ``cross.wq/wk/bq/bk`` never reach the output. One row comes back as is.
     """
     x = np.atleast_2d(np.asarray(clip, dtype=np.float64))
-    fused = x[0]
-    for i in range(1, x.shape[0]):
-        fused = cross_attention(fused, x[i], weights, heads)[0]
-    return np.asarray(fused, dtype=np.float64)
+    if x.shape[0] == 1:
+        return x[0]
+    _head_scale(x.shape[1], heads)  # the fold's check: heads must split the width
+    w = weights
+    return ((x[-1:] @ w["cross.wv"] + w["cross.bv"]) @ w["cross.wo"] + w["cross.bo"])[0]
 
 
 def _clip_keys(scores, tc):

@@ -62,6 +62,14 @@ class TrackState(str, Enum):
     DEAD = "dead"
 
 
+def _check_temperature(value: float, name: str) -> None:
+    """Refuse a temperature that makes every bi-softmax score NaN, subnormals included."""
+    if not math.isfinite(value) or value <= 0:
+        raise ValueError(f"{name} must be finite and positive")
+    if not math.isfinite(1.0 / float(value)):
+        raise ValueError(f"{name} must be finite and positive with a finite reciprocal, got {value}")
+
+
 @dataclass
 class TrackerConfig:
     alpha_mem: float = 0.25  # EMA weight of the incoming embedding
@@ -93,8 +101,7 @@ class TrackerConfig:
             raise ValueError("max_age must be non-negative")
         if self.sim_mode not in SIM_MODES:
             raise ValueError(f"sim_mode must be one of {SIM_MODES}, got {self.sim_mode!r}")
-        if not math.isfinite(self.softmax_temperature) or self.softmax_temperature <= 0:
-            raise ValueError("softmax_temperature must be finite and positive")
+        _check_temperature(self.softmax_temperature, "softmax_temperature")
 
 
 @dataclass(eq=False)
@@ -149,8 +156,7 @@ def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
 
 def bisoftmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Mean of row-wise and column-wise softmax of logits / temperature."""
-    if not math.isfinite(temperature) or temperature <= 0:
-        raise ValueError("temperature must be finite and positive")
+    _check_temperature(temperature, "temperature")
     logits = np.asarray(logits, dtype=np.float64) / temperature
     if logits.ndim != 2:
         raise DimMismatchError(f"bisoftmax expects a matrix, got shape {logits.shape}")

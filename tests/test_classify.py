@@ -44,11 +44,12 @@ def _vocab(d, protos, names=None, splits=None):
 
 
 def test_sample_clip_keeps_all_when_short():
-    dets = {f: [_det([1.0, 0.0], conf=0.5 + 0.1 * f, frame=f)] for f in range(3)}
+    # each row is [1, frame], so the picked frames read off the rows
+    dets = {f: [_det([1.0, float(f)], conf=0.5 + 0.1 * f, frame=f)] for f in range(3)}
     traj = _trajectory(dets)
     clip = sample_clip(*traj, n_clip=5)
-    assert clip.rows.shape == (3, 2)
-    assert clip.frames == [0, 1, 2]
+    assert clip.dtype == np.float64
+    assert clip.tolist() == [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]
 
 
 def test_sample_clip_top_confidence_chronological():
@@ -57,15 +58,14 @@ def test_sample_clip_top_confidence_chronological():
     traj = _trajectory(dets)
     clip = sample_clip(*traj, n_clip=3)
     # picks frames 3, 1, 5 by confidence, then reorders chronologically
-    assert clip.frames == [1, 3, 5]
-    np.testing.assert_allclose(clip.rows[:, 1], [1.0, 3.0, 5.0])
+    assert clip.tolist() == [[1.0, 1.0], [1.0, 3.0], [1.0, 5.0]]
 
 
 def test_sample_clip_confidence_tie_prefers_earlier_frame():
     dets = {f: [_det([1.0, float(f)], conf=0.7, frame=f)] for f in range(4)}
     traj = _trajectory(dets)
     clip = sample_clip(*traj, n_clip=2)
-    assert clip.frames == [0, 1]
+    assert clip.tolist() == [[1.0, 0.0], [1.0, 1.0]]
 
 
 def test_project_language_identity_and_matrix():

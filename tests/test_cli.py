@@ -545,7 +545,9 @@ BENCH_SMALL = ["bench-fusion", "--frames", 4, "--dim", 8, "--scenes", 1]
 def _write_refused_inputs(scene):
     """A vocabulary whose text width (6) is not the embeddings' (8), a track whose two
     detections have opposite embeddings, so that its average clip is zero, weights
-    whose lang_proj.w projects every vocabulary row to zero, and valid 8-wide weights."""
+    whose lang_proj.w projects every vocabulary row to zero, valid 8-wide weights and
+    a config with a negative seed."""
+    (scene / "negative_seed.json").write_text(json.dumps({"seed": -1}))
     weights = init_fusion_weights(8, seed=0)
     io.write_weights(weights, scene / "weights.twb")
     weights["lang_proj.w"] = np.zeros_like(weights["lang_proj.w"])
@@ -607,6 +609,15 @@ def _write_refused_inputs(scene):
     (BENCH_SMALL + ["--heads", 3], "DimMismatchError: --heads 3 does not divide the embedding width 8"),
     (BENCH_SMALL + ["--weights", "{scene}/zero_proj.twb"],
      "ZeroNormError: {scene}/zero_proj.twb: lang_proj.w projects the cate_emb of vocabulary entry 0"),
+    # 1e-320 is finite and positive, but its reciprocal is not: every bi-softmax
+    # score was NaN, so each detection started a track, and the run exited 0
+    (["track", "--detections", "{scene}/detections.jsonl", "--softmax-temperature", 1e-320],
+     "ValueError: softmax_temperature must be finite and positive with a finite reciprocal, got 1e-320"),
+    # these exited 1 with numpy's "expected non-negative integer", naming no flag
+    (["synth", "--seed", -1], "ValueError: --seed must be non-negative, got -1"),
+    (TRAIN_SMALL + ["--seed", -1], "ValueError: --seed must be non-negative, got -1"),
+    (BENCH_SMALL + ["--seed", -1], "ValueError: --seed must be non-negative, got -1"),
+    (["synth", "--config", "{scene}/negative_seed.json"], "ValueError: --seed must be non-negative, got -1"),
 ])
 def test_failed_run_leaves_no_output(tmp_path, capsys, argv, message):
     scene = _synth(tmp_path / "scene")

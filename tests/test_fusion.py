@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import softmax
 
 from trajkit import io
 from trajkit.errors import DimMismatchError, MissingWeightsError
@@ -12,7 +13,6 @@ from trajkit.fusion import (
     FUSION_TENSOR_NAMES,
     FusionWeights,
     concat_score,
-    cross_attention,
     fuse_attention,
     fuse_average,
     fuse_cross,
@@ -108,19 +108,6 @@ def test_self_attention_oracle():
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
-def test_cross_attention_oracle():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        d = int(rng.integers(1, 9)) * 2
-        n = int(rng.integers(1, 4))
-        w = init_fusion_weights(d, seed=int(rng.integers(1000)), zero_residual=False)
-        q = rng.normal(size=(1, d))
-        kv = rng.normal(size=(n, d))
-        got = cross_attention(q, kv, w, heads=2)
-        want = _oracle_attention(q.tolist(), kv.tolist(), _attn_dict(w, "cross"), 2)
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
-
-
 def test_mlp_block_oracle():
     rng = np.random.default_rng(4)
     for _ in range(10):
@@ -171,16 +158,49 @@ def test_fuse_attention_structure():
                                rtol=1e-12)
 
 
-def test_fuse_cross_sequential():
-    # folding rows one at a time, starting from the first row
-    rng = np.random.default_rng(9)
-    d = 6
-    w = init_fusion_weights(d, seed=5, zero_residual=False)
-    x = rng.normal(size=(3, d))
+def _folded_cross(clip, w, heads):
+    """Cross-attention folded over the rows in numpy, one full attention pass a step:
+    the running vector is the query, the next row the only key and value."""
+    x = np.atleast_2d(clip)
+    g = {k: w[f"cross.{k}"] for k in ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")}
+    d = x.shape[1]
     fused = x[0]
-    for i in range(1, 3):
-        fused = cross_attention(fused[None, :], x[i][None, :], w, heads=1)[0]
-    np.testing.assert_allclose(fuse_cross(x, w), fused, rtol=1e-12)
+    for row in x[1:]:
+        q, kv = fused[None, :], row[None, :]
+        qh, kh, vh = ((a @ g[f"w{key}"] + g[f"b{key}"]).reshape(1, heads, d // heads)
+                      for a, key in ((q, "q"), (kv, "k"), (kv, "v")))
+        scores = np.einsum("nhk,mhk->hnm", qh, kh) / np.sqrt(d // heads)
+        mixed = np.einsum("hnm,mhk->nhk", softmax(scores, axis=-1), vh).reshape(1, d)
+        fused = (mixed @ g["wo"] + g["bo"])[0]
+    return fused
+
+
+def test_fuse_cross_sequential():
+    # the closed form keeps every bit of the fold, one attention pass per further row
+    rng = np.random.default_rng(9)
+    for d in (2, 8, 64):
+        for heads in (h for h in range(1, d + 1) if d % h == 0):
+            w = init_fusion_weights(d, seed=d + heads, zero_residual=False)
+            for n in range(1, 8):
+                x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+                got = fuse_cross(x, w, heads)
+                assert got.shape == (d,)
+                assert got.tobytes() == _folded_cross(x, w, heads).tobytes(), (d, heads, n)
+
+
+@pytest.mark.parametrize("heads, message", [
+    (0, "heads must be at least 1, got 0"),
+    (3, "width 8 is not divisible by 3 heads"),
+])
+def test_fuse_cross_refuses_heads_that_do_not_split_the_width(heads, message):
+    rng = np.random.default_rng(18)
+    w = init_fusion_weights(8, seed=6, zero_residual=False)
+    for n in (2, 5):
+        with pytest.raises(DimMismatchError, match=message):
+            fuse_cross(rng.normal(size=(n, 8)), w, heads)
+    # a one-row clip is returned before any projection, so heads are never checked
+    row = rng.normal(size=(1, 8))
+    assert fuse_cross(row, w, heads).tobytes() == row[0].tobytes()
 
 
 def test_permutation_invariance():

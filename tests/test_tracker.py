@@ -428,10 +428,11 @@ def test_config_validation():
     assert TrackerConfig(tau_new=None).tau_new == TrackerConfig().tau_high
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 1e-320])
 def test_softmax_temperature_must_be_finite(value):
     # a NaN temperature used to pass the "<= 0" check and turn every
-    # bi-softmax score into NaN, so no detection ever matched
+    # bi-softmax score into NaN, so no detection ever matched; a subnormal
+    # one passes it too, but a cosine divided by it overflows to inf
     with pytest.raises(ValueError, match="softmax_temperature must be finite and positive"):
         TrackerConfig(softmax_temperature=value)
     with pytest.raises(ValueError, match="temperature must be finite and positive"):
