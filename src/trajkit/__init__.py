@@ -29,6 +29,7 @@ from .io import (
     VocabularyEntry,
     load_detections,
     load_groundtruth,
+    load_splits,
     load_vocabulary,
     load_weights,
     read_embedding_sidecar,
@@ -105,7 +106,7 @@ __all__ = [
     "evaluate", "fuse_attention", "fuse_average",
     "fuse_cross", "fuse_self", "gelu", "gen_scene", "init_fusion_weights",
     "iou", "iou_matrix", "layer_norm", "load_detections", "load_groundtruth",
-    "load_vocabulary", "load_weights", "loss_and_gradients", "majority_vote",
+    "load_splits", "load_vocabulary", "load_weights", "loss_and_gradients", "majority_vote",
     "make_train_pairs", "mlp_block", "numeric_gradient", "project_language",
     "read_embedding_sidecar", "read_tracks", "record_embeddings", "run_sequence",
     "sample_clip", "score_matrix", "self_attention", "to_track_record",

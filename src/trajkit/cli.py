@@ -118,7 +118,7 @@ def _read_config(path, options: dict) -> dict:
     try:
         with open(cfg_path, "r", encoding="utf-8") as fh:
             values = json.load(fh)
-    except ValueError as exc:  # malformed JSON or bad UTF-8
+    except (ValueError, RecursionError) as exc:  # malformed JSON, bad UTF-8 or nested too deeply
         raise FormatError(f"config {cfg_path} is not valid JSON: {exc}") from None
     if not isinstance(values, dict):
         raise FormatError(f"config {cfg_path} must hold a JSON object of option values")
@@ -290,8 +290,7 @@ def cmd_eval(args) -> int:
     opts = _resolve(args)
     preds = io.read_tracks(_need_file(opts["pred"], "pred"))
     gts = io.load_groundtruth(_need_file(opts["gt"], "gt"))
-    splits = (io.load_vocabulary(_need_file(opts["vocabulary"], "vocabulary")).splits()
-              if opts["vocabulary"] else {})
+    splits = io.load_splits(_need_file(opts["vocabulary"], "vocabulary")) if opts["vocabulary"] else {}
     report = metrics.evaluate(preds, gts, _config(metrics.EvalConfig, opts, "iou_threshold", splits=splits))
     out_dir = _write_manifest("eval", opts)
     _write_json(out_dir / "report.json", report.to_dict())

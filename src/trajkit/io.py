@@ -114,11 +114,7 @@ class Vocabulary:
     def __init__(self, entries: Sequence[VocabularyEntry], dim_text: int):
         self.entries = list(entries)
         self.dim_text = int(dim_text)
-        self._ids: set[int] = set()
-        for e in self.entries:
-            if e.category_id in self._ids:
-                raise DuplicateCategoryError(f"duplicate category id {e.category_id}")
-            self._ids.add(e.category_id)
+        self._ids = _unique_ids(self.ids)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -190,7 +186,7 @@ def _require(cond, where: str | None, msg: str, error=FormatError) -> None:
 _NUMBER_TYPES = frozenset((int, float))
 # what refuses a chunk's column check (StopIteration: a line holds no JSON value where it
 # starts); the chunk's line checks then name the fault and its line
-_REFUSED = (LookupError, TypeError, ValueError, OverflowError, StopIteration, TrajkitError)
+_REFUSED = (LookupError, TypeError, ValueError, OverflowError, StopIteration, RecursionError, TrajkitError)
 
 
 def _floats(values) -> list[float] | None:
@@ -286,13 +282,15 @@ def _rows(path, fmt: dict, keys, vocabulary: Vocabulary | None = None,
         where = f"{path}:{lineno}"
         try:
             obj = json.loads(line)
+            _require(isinstance(obj, dict), where, "line must hold a JSON object")
+            for key in keys:
+                _require(key in obj, where, f"missing key {key!r}")
+            return lineno, [_checked(fmt, key, [obj[key]], where, vocabulary)[0] for key in keys], \
+                more([obj], where)[0]
         except json.JSONDecodeError as exc:
             raise FormatError(f"{where}: malformed JSON ({exc.msg})") from None
-        _require(isinstance(obj, dict), where, "line must hold a JSON object")
-        for key in keys:
-            _require(key in obj, where, f"missing key {key!r}")
-        return lineno, [_checked(fmt, key, [obj[key]], where, vocabulary)[0] for key in keys], \
-            more([obj], where)[0]
+        except RecursionError:  # past the interpreter's depth, in the parse or in a message's repr
+            raise FormatError(f"{where}: JSON nested too deeply") from None
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -426,6 +424,38 @@ def write_detections(dets_by_frame: dict[int, list[DetectionRecord]], path, *,
                         for ref, d in enumerate(dets)), line.__mod__)
 
 
+def _unique_ids(ids: Sequence[int], path=None) -> set[int]:
+    """The set of ``ids``; DuplicateCategoryError at the first id an earlier one repeats,
+    naming ``path`` and the entry when the ids are a file's."""
+    seen: set[int] = set()
+    for i, category_id in enumerate(ids):
+        if category_id in seen:
+            where = "" if path is None else f"{path}: entry {i}: "
+            raise DuplicateCategoryError(f"{where}duplicate category id {category_id}")
+        seen.add(category_id)
+    return seen
+
+
+def _vocabulary_file(path, parse_float, entry) -> tuple[int, list]:
+    """``dim_text`` and ``entry(raw, where, dim_text)`` of each entry of a vocabulary.json
+    file, whose JSON numbers with a fraction or exponent ``parse_float`` reads."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh, parse_float=parse_float)
+        _require(isinstance(obj, dict) and "dim_text" in obj and isinstance(obj.get("entries"), list),
+                 path, "vocabulary needs dim_text and an entries list")
+        dim_text, raw = obj["dim_text"], obj["entries"]
+        _require(type(dim_text) is int and dim_text > 0, path, "dim_text must be a positive int")
+        _require(raw, path, "vocabulary needs at least one entry")
+        return dim_text, [entry(e, f"{path}: entry {i}", dim_text) for i, e in enumerate(raw)]
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: malformed JSON ({exc.msg})") from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path, numbered=False) from None
+    except RecursionError:  # past the interpreter's depth, in the parse or in a message's repr
+        raise FormatError(f"{path}: JSON nested too deeply") from None
+
+
 def _vocabulary_entry(raw, where: str, dim_text: int) -> VocabularyEntry:
     """One vocabulary entry checked on its own."""
     _require(isinstance(raw, dict), where, "entry must be a JSON object")
@@ -440,20 +470,52 @@ def _vocabulary_entry(raw, where: str, dim_text: int) -> VocabularyEntry:
 
 def load_vocabulary(path) -> Vocabulary:
     """Load and validate a vocabulary.json file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: malformed JSON ({exc.msg})") from None
-        except UnicodeDecodeError:
-            raise _not_utf8(path, numbered=False) from None
-    _require(isinstance(obj, dict) and "dim_text" in obj and isinstance(obj.get("entries"), list),
-             path, "vocabulary needs dim_text and an entries list")
-    dim_text, raw = obj["dim_text"], obj["entries"]
-    _require(type(dim_text) is int and dim_text > 0, path, "dim_text must be a positive int")
-    _require(raw, path, "vocabulary needs at least one entry")
-    return Vocabulary([_vocabulary_entry(e, f"{path}: entry {i}", dim_text) for i, e in enumerate(raw)],
-                      dim_text)
+    dim_text, entries = _vocabulary_file(path, float, _vocabulary_entry)
+    _unique_ids([e.category_id for e in entries], path)
+    return Vocabulary(entries, dim_text)
+
+
+# load_splits loads a JSON number with a fraction or exponent as its text in bytes (str.encode),
+# a type no other JSON value has, and reads it (_read) only for a check that names its value.
+_UNREAD_NUMBERS = frozenset((int, bytes))
+
+
+def _read(value):
+    """``value`` as ``load_vocabulary`` loads it, each unread number in it read."""
+    if type(value) is list:
+        return list(map(_read, value))
+    if type(value) is dict:
+        return {key: _read(v) for key, v in value.items()}
+    return float(value) if type(value) is bytes else value
+
+
+def _split_entry(raw, where: str, dim_text: int) -> tuple[int, str]:
+    """One vocabulary entry's (id, split), checked as ``_vocabulary_entry`` checks it, with the
+    same errors, but for the embeddings' values: each embedding must be a flat list of
+    ``dim_text`` JSON numbers, none NaN or infinite, and may be all zero or too large for a float32."""
+    _require(isinstance(raw, dict), where, "entry must be a JSON object")
+    for key in ("id", "name", "split"):
+        _require(key in raw, where, f"missing key {key!r}")
+    # each value is accepted at a glance; one that is not, _checked refuses as load_vocabulary does
+    fmt, category_id, split = VOCABULARY_ENTRY_FORMAT, raw["id"], raw["split"]
+    if type(category_id) is not int or split not in SPLITS:
+        _checked(fmt, "id", [_read(category_id)], where)
+        _checked(fmt, "split", [_read(split)], where)
+    for key in ("cate_emb", "attr_emb"):
+        _require(key in raw, where, f"missing embedding {key!r}")
+        emb = raw[key]
+        if not (type(emb) is list and len(emb) == dim_text and _UNREAD_NUMBERS.issuperset(map(type, emb))):
+            _checked(fmt, key, [_read(emb)], where, size=dim_text)
+    return category_id, split
+
+
+def load_splits(path) -> dict[int, str]:
+    """Each category id's split from a vocabulary.json file, without reading an embedding's
+    values: every check of ``load_vocabulary`` with the same error, except that an embedding
+    may be all zero or hold a number too large for a float32."""
+    _, splits = _vocabulary_file(path, str.encode, _split_entry)
+    _unique_ids([category_id for category_id, _ in splits], path)
+    return dict(splits)
 
 
 def write_vocabulary(vocab: Vocabulary, path) -> None:

@@ -545,9 +545,14 @@ BENCH_SMALL = ["bench-fusion", "--frames", 4, "--dim", 8, "--scenes", 1]
 def _write_refused_inputs(scene):
     """A vocabulary whose text width (6) is not the embeddings' (8), a track whose two
     detections have opposite embeddings, so that its average clip is zero, weights
-    whose lang_proj.w projects every vocabulary row to zero, valid 8-wide weights and
-    a config with a negative seed."""
+    whose lang_proj.w projects every vocabulary row to zero, valid 8-wide weights,
+    a config with a negative seed, a vocabulary whose second entry repeats the first's
+    id and a vocabulary, tracks and config that each hold a value nested too deeply."""
     (scene / "negative_seed.json").write_text(json.dumps({"seed": -1}))
+    deep = "[" * 100_000 + "]" * 100_000
+    (scene / "deep_config.json").write_text('{"seed": %s}' % deep)
+    (scene / "deep_tracks.jsonl").write_text('{"track_id": 1, "frame": 0, "bbox": [0, 0, 5, 5], "conf": 0.9, '
+                                             '"cat": 0, "det": 0}\n{"track_id": %s}\n' % deep)
     weights = init_fusion_weights(8, seed=0)
     io.write_weights(weights, scene / "weights.twb")
     weights["lang_proj.w"] = np.zeros_like(weights["lang_proj.w"])
@@ -556,6 +561,10 @@ def _write_refused_inputs(scene):
     for entry in vocab["entries"]:
         entry["cate_emb"], entry["attr_emb"] = entry["cate_emb"][:6], entry["attr_emb"][:6]
     (scene / "vocab6.json").write_text(json.dumps({**vocab, "dim_text": 6}))
+    vocab = json.loads((scene / "vocabulary.json").read_text())
+    vocab["entries"][1]["id"] = vocab["entries"][0]["id"]
+    (scene / "dup_vocab.json").write_text(json.dumps(vocab))
+    (scene / "deep_vocab.json").write_text(json.dumps({**vocab, "entries": "@"}).replace('"@"', deep))
     emb = np.eye(8, dtype=np.float32)[0]
     io.write_detections({f: [io.DetectionRecord(f, (0.0, 0.0, 5.0, 5.0), 0.9, 0, 0.9, sign * emb)]
                          for f, sign in ((0, 1), (1, -1))}, scene / "zero.jsonl")
@@ -618,6 +627,23 @@ def _write_refused_inputs(scene):
     (TRAIN_SMALL + ["--seed", -1], "ValueError: --seed must be non-negative, got -1"),
     (BENCH_SMALL + ["--seed", -1], "ValueError: --seed must be non-negative, got -1"),
     (["synth", "--config", "{scene}/negative_seed.json"], "ValueError: --seed must be non-negative, got -1"),
+    # these named neither the file nor the entry
+    (["track", "--detections", "{scene}/detections.jsonl", "--vocabulary", "{scene}/dup_vocab.json"],
+     "DuplicateCategoryError: {scene}/dup_vocab.json: entry 1: duplicate category id 0"),
+    (["classify", "--tracks", "{scene}/run/tracks.jsonl", "--detections", "{scene}/detections.jsonl",
+      "--vocabulary", "{scene}/dup_vocab.json"],
+     "DuplicateCategoryError: {scene}/dup_vocab.json: entry 1: duplicate category id 0"),
+    (["eval", "--pred", "{scene}/run/tracks.jsonl", "--gt", "{scene}/groundtruth.jsonl",
+      "--vocabulary", "{scene}/dup_vocab.json"],
+     "DuplicateCategoryError: {scene}/dup_vocab.json: entry 1: duplicate category id 0"),
+    # these escaped cli.main as RecursionError
+    (["eval", "--pred", "{scene}/run/tracks.jsonl", "--gt", "{scene}/groundtruth.jsonl",
+      "--vocabulary", "{scene}/deep_vocab.json"],
+     "FormatError: {scene}/deep_vocab.json: JSON nested too deeply"),
+    (["eval", "--pred", "{scene}/deep_tracks.jsonl", "--gt", "{scene}/groundtruth.jsonl"],
+     "FormatError: {scene}/deep_tracks.jsonl:2: JSON nested too deeply"),
+    (["eval", "--config", "{scene}/deep_config.json"],
+     "FormatError: config {scene}/deep_config.json is not valid JSON: maximum recursion depth exceeded"),
 ])
 def test_failed_run_leaves_no_output(tmp_path, capsys, argv, message):
     scene = _synth(tmp_path / "scene")
@@ -699,6 +725,32 @@ def test_zero_norm_vocabulary_row_fails_at_load(tmp_path, capsys, key):
                "--vocabulary", vocab_path, "--out-dir", tmp_path / "run"])
     assert rc == 1
     assert f"{vocab_path}: entry 1: {key} has zero norm" in capsys.readouterr().err
+
+
+def test_eval_reads_only_the_splits_of_a_vocabulary_that_classify_refuses(tmp_path, capsys, monkeypatch):
+    scene = _synth(tmp_path / "scene")
+    assert _run(["track", "--detections", scene / "detections.jsonl", "--out-dir", scene / "run"]) == 0
+    doc = json.loads((scene / "vocabulary.json").read_text())
+    doc["entries"][1]["cate_emb"] = [0.0] * doc["dim_text"]
+    zero = scene / "zero_vocab.json"
+    zero.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert _run(["classify", "--tracks", scene / "run" / "tracks.jsonl", "--detections",
+                 scene / "detections.jsonl", "--vocabulary", zero, "--out-dir", tmp_path / "cls"]) == 1
+    assert f"{zero}: entry 1: cate_emb has zero norm" in capsys.readouterr().err
+
+    def refuse(path):
+        raise AssertionError(f"eval loaded the whole vocabulary {path}")
+
+    monkeypatch.setattr(io, "load_vocabulary", refuse)
+    reports = []
+    for vocab in (scene / "vocabulary.json", zero):
+        out = tmp_path / vocab.stem
+        assert _run(["eval", "--pred", scene / "run" / "tracks.jsonl", "--gt", scene / "groundtruth.jsonl",
+                     "--vocabulary", vocab, "--out-dir", out]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["novel"]["tp"] > 0
 
 
 def test_usage_error_exits_2():

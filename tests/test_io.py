@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajkit import io
+from trajkit.synth import SynthConfig, gen_scene
 from trajkit.errors import (
     DimMismatchError,
     DuplicateCategoryError,
@@ -591,3 +592,141 @@ def test_vocabulary_names_a_file_that_is_not_utf8(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match=r"v\.json: not valid UTF-8 at byte 40 \(invalid start byte\)"):
         io.load_vocabulary(path)
+
+
+@pytest.mark.parametrize("categories, dim, seed", [(1, 2, 0), (2, 8, 3), (12, 64, 7)])
+def test_splits_of_a_synthetic_vocabulary_are_the_vocabulary_splits(tmp_path, categories, dim, seed):
+    scene = gen_scene(SynthConfig(n_identities=2, n_frames=2, n_categories=categories,
+                                  embed_dim=dim, seed=seed))
+    path = tmp_path / "v.json"
+    io.write_vocabulary(scene.vocabulary, path)
+    splits = io.load_splits(path)
+    assert splits == io.load_vocabulary(path).splits() == scene.vocabulary.splits()
+    assert list(splits) == scene.vocabulary.ids
+
+
+def test_splits_read_every_number_form_as_the_vocabulary_does(tmp_path):
+    # ints, exponents, a negative zero and whitespace around and inside the lists
+    path = tmp_path / "v.json"
+    path.write_text('\n {"dim_text" : 3, "entries": [\n'
+                    '  {"id": 7, "name": "a", "split": "novel", "cate_emb": [1, 0, -0.0],\n'
+                    '   "attr_emb": [ 2.5e-3 ,\t-1E+2, 0.0 ]},\n'
+                    '  {"id": -2, "name": "b", "split": "base", "description": "d",\n'
+                    '   "cate_emb": [1e-320, 3, 3.4e38], "attr_emb": [0, 0, 5e0]}\n'
+                    ']}\r\n')
+    assert io.load_splits(path) == io.load_vocabulary(path).splits() == {7: "novel", -2: "base"}
+
+
+_VALID = {"dim_text": 2, "entries": [_ENTRY, dict(_ENTRY, id=1, split="novel")]}
+
+
+def _with_entry(**changes):
+    """``_VALID`` as JSON text, its second entry changed (a None value drops the key)."""
+    entry = {k: v for k, v in {**_VALID["entries"][1], **changes}.items() if v is not None}
+    return json.dumps({**_VALID, "entries": [_ENTRY, entry]})
+
+
+_FAULTS = {  # a short name: the text of a vocabulary.json that both loaders refuse
+    "top-list": "[1, 2]", "top-number": "1.5", "no-entries": '{"dim_text": 2}',
+    "entries-object": '{"dim_text": 2, "entries": {}}', "dim-bool": json.dumps({**_VALID, "dim_text": True}),
+    "dim-float": json.dumps({**_VALID, "dim_text": 2.0}), "dim-1e999": '{"dim_text": 1e999, "entries": [1]}',
+    "dim-0": json.dumps({**_VALID, "dim_text": 0}), "entries-empty": json.dumps({**_VALID, "entries": []}),
+    "entry-number": json.dumps({**_VALID, "entries": [_ENTRY, 7.5]}),
+    "no-id": _with_entry(id=None), "no-name": _with_entry(name=None), "no-split": _with_entry(split=None),
+    "no-cate": _with_entry(cate_emb=None), "no-attr": _with_entry(attr_emb=None),
+    "no-id-or-split": _with_entry(id=None, split=None),
+    "id-str": _with_entry(id="x"), "id-bool": _with_entry(id=True), "id-float": _with_entry(id=1.5),
+    "id-whole-float": _with_entry(id=100.0), "id-list": _with_entry(id=[1.5, 2]),
+    "id-object": _with_entry(id={"a": [0.25]}), "id-inf": _with_entry(id=float("inf")),
+    "split-str": _with_entry(split="weird"), "split-float": _with_entry(split=0.5),
+    "split-list": _with_entry(split=[0.25]), "id-float-no-split": _with_entry(split=None, id=2.5),
+    "id-twice": _with_entry(id=0),
+    "emb-str": _with_entry(cate_emb=["a", 0]), "emb-object": _with_entry(attr_emb=[0, {"a": 1.5}]),
+    "emb-bool": _with_entry(cate_emb=[True, 0.5]), "emb-digits": _with_entry(cate_emb=["1", 0]),
+    "emb-null": _with_entry(cate_emb=[None, 1]),
+    "no-cate-short-attr": _with_entry(cate_emb=None, attr_emb=[1.5]),
+    "emb-number": _with_entry(cate_emb=1.5), "emb-text": _with_entry(cate_emb="ab"),
+    "emb-map": _with_entry(cate_emb={"a": 1}), "emb-empty": _with_entry(attr_emb=[]),
+    "emb-short": _with_entry(cate_emb=[0.5]), "emb-long": _with_entry(cate_emb=[0.5, 1.5, 2.5]),
+    "emb-nested": _with_entry(cate_emb=[[0.5, 1.5]]), "emb-columns": _with_entry(cate_emb=[[0.5], [1.5]]),
+    "emb-ragged": _with_entry(cate_emb=[0.5, [1.5]]),
+    "emb-long-1e999": _with_entry(cate_emb="@").replace('"@"', "[1e999, 0.5, 2]"),
+    "emb-1e39-str": _with_entry(cate_emb="@").replace('"@"', '[1e39, "a"]'),
+    "emb-huge-int-str": _with_entry(cate_emb=[10 ** 400, "a"]),
+    "emb-nan": _with_entry(cate_emb=[float("nan"), 0.5]),
+    "emb-infinities": _with_entry(attr_emb=[1e999, float("-inf")]),
+    "emb-zero-inf": _with_entry(cate_emb=[0.0, float("inf")]),
+    "emb-nan-str": _with_entry(cate_emb=[float("nan"), "x"]),
+    "truncated": '{"dim_text": 2, "entries": [', "bad-number": '{"dim_text": 2, "entries": [0.5.5]}',
+    "nested": "[" * 100_000 + "]" * 100_000,
+    "not-utf8": json.dumps(_VALID).encode().replace(b'"x"', b'"\xff"', 1),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize("text", _FAULTS.values(), ids=_FAULTS)
+def test_splits_refuse_what_the_vocabulary_refuses_with_its_error(tmp_path, text):
+    path = tmp_path / "v.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    errors = []
+    for loader in (io.load_vocabulary, io.load_splits):
+        with pytest.raises(TrajkitError) as exc:
+            loader(path)
+        errors.append((type(exc.value), str(exc.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][1].startswith(f"{path}: ")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize("key, emb, error", [
+    ("cate_emb", "[0.0, 0.0]", ZeroNormError),
+    ("attr_emb", "[0, -0.0]", ZeroNormError),
+    ("cate_emb", "[1e999, 0.5]", NonFiniteError),
+    ("attr_emb", "[1e39, 0.5]", NonFiniteError),
+    ("cate_emb", f"[{10 ** 39}, 1]", NonFiniteError),
+    ("cate_emb", f"[{10 ** 400}, 1]", FormatError),
+])
+def test_splits_leave_out_the_checks_of_embedding_values(tmp_path, key, emb, error):
+    # eval reads only the splits: an all-zero embedding, or one too large for a
+    # float32, is refused by load_vocabulary but not by load_splits
+    path = tmp_path / "v.json"
+    path.write_text(_with_entry(**{key: "@"}).replace('"@"', emb))
+    with pytest.raises(error, match=rf"v\.json: entry 1: {key} "):
+        io.load_vocabulary(path)
+    assert io.load_splits(path) == {0: "base", 1: "novel"}
+
+
+@pytest.mark.parametrize("loader", [io.load_vocabulary, io.load_splits])
+def test_vocabulary_names_the_file_and_entry_of_a_duplicate_id(tmp_path, loader):
+    # the error named neither the file nor the entry
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({**_VALID, "entries": [_ENTRY, dict(_ENTRY, id=3), dict(_ENTRY, id=3)]}))
+    with pytest.raises(DuplicateCategoryError) as exc:
+        loader(path)
+    assert str(exc.value) == f"{path}: entry 2: duplicate category id 3"
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000  # nested past the interpreter's depth
+
+
+@pytest.mark.parametrize("loader, line, key", [
+    ("load_detections", _DET_LINE, "emb"), ("read_tracks", _TRACK_LINE, "bbox"),
+    ("load_groundtruth", _GT_LINE, "track_id"),
+])
+def test_jsonl_loaders_name_the_line_of_a_value_nested_too_deeply(tmp_path, loader, line, key):
+    # RecursionError escaped, naming no file
+    path = tmp_path / "t.jsonl"
+    deep = json.dumps(dict(line, **{key: "@"})).replace('"@"', _DEEP)
+    path.write_text(json.dumps(line) + "\n" + deep + "\n")
+    with pytest.raises(FormatError) as exc:
+        getattr(io, loader)(path)
+    assert str(exc.value) == f"{path}:2: JSON nested too deeply"
+
+
+@pytest.mark.parametrize("loader", [io.load_vocabulary, io.load_splits])
+def test_vocabulary_names_a_value_nested_too_deeply(tmp_path, loader):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({**_VALID, "entries": [_ENTRY, "@"]}).replace('"@"', _DEEP))
+    with pytest.raises(FormatError) as exc:
+        loader(path)
+    assert str(exc.value) == f"{path}: JSON nested too deeply"
