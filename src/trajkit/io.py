@@ -22,11 +22,12 @@ weights bundle (``.twb``)
     float32 payload (little endian) until end of file. The fusion block's
     tensor names and shapes are ``trajkit.fusion.FUSION_TENSOR_SHAPES``.
 
-A JSONL loader reads ``_CHUNK`` (256) lines at a time and checks whole columns
-against the format table. When a check refuses a chunk, it checks that chunk
-again one line at a time, which raises the error naming ``file:line`` or
-loads the chunk; the tests hold the column check to the line checks. Writers
-fill per-format line templates, ``_CHUNK`` lines at a time, byte for byte
+A JSONL loader reads ``_CHUNK`` (256) lines at a time, parses each line with
+``orjson`` and checks whole columns against the format table. When the parse or a
+check refuses a chunk, it checks that chunk again one line at a time with ``json``,
+which raises the error naming ``file:line`` or loads the chunk. The line checks are
+the reference and write every message; the tests hold the column pass to them.
+Writers fill per-format line templates, ``_CHUNK`` lines at a time, byte for byte
 as ``json.dumps`` writes them.
 
 All multi-byte binary fields are little endian. Embedding payloads are kept
@@ -41,9 +42,10 @@ import struct
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
+import orjson
 
 from .errors import (
     DimMismatchError,
@@ -176,17 +178,23 @@ class TrackRecord:
         return {e.frame: e.bbox for e in self.entries}
 
 
+def _fail(where: str | None, msg: str, error=FormatError) -> NoReturn:
+    """Raise ``error`` naming ``where``; without ``where`` (a column pass) ValueError."""
+    raise ValueError(msg) if where is None else error(f"{where}: {msg}")
+
+
 def _require(cond, where: str | None, msg: str, error=FormatError) -> None:
-    """A failed check raises ``error`` naming ``where``; without ``where`` (a column pass) ValueError."""
+    """``_fail`` with ``msg`` unless ``cond`` holds. A message that formats a value is made
+    instead in an ``if`` that calls ``_fail``, so only once its check has failed."""
     if not cond:
-        raise ValueError(msg) if where is None else error(f"{where}: {msg}")
+        _fail(where, msg, error)
 
 
 # JSON numbers load as int or float; true/false (bool) and "1.5" (str) are no numbers here.
 _NUMBER_TYPES = frozenset((int, float))
-# what refuses a chunk's column check (StopIteration: a line holds no JSON value where it
-# starts); the chunk's line checks then name the fault and its line
-_REFUSED = (LookupError, TypeError, ValueError, OverflowError, StopIteration, RecursionError, TrajkitError)
+# what refuses a chunk's column check; the chunk's line checks then name the fault and its line
+_REFUSED = (orjson.JSONDecodeError, LookupError, TypeError, ValueError, OverflowError, RecursionError,
+            TrajkitError)
 
 
 def _floats(values) -> list[float] | None:
@@ -205,19 +213,20 @@ def _checked(fmt: dict, key: str, values, where: str | None = None,
     any) or the rows of the sidecar a ref indexes."""
     kind, *bounds = fmt[key]
     if kind in ("int", "cat"):
-        _require({*map(type, values)} <= {int} and not (bounds and min(values) < bounds[0]), where,
-                 f"{key} must be {'a non-negative int' if bounds else 'an int'}, got {values[0]!r}")
-        _require(kind == "int" or vocabulary is None or all(v in vocabulary for v in values), where,
-                 f"unknown category id {values[0]}", UnknownCategoryError)
+        if not ({*map(type, values)} <= {int} and not (bounds and min(values) < bounds[0])):
+            _fail(where, f"{key} must be {'a non-negative int' if bounds else 'an int'}, got {values[0]!r}")
+        if not (kind == "int" or vocabulary is None or all(v in vocabulary for v in values)):
+            _fail(where, f"unknown category id {values[0]}", UnknownCategoryError)
     elif kind == "ref":
-        _require({*map(type, values)} <= {int} and 0 <= min(values) and max(values) < size, where,
-                 f"{key} {values[0]!r} outside sidecar with {size} rows")
+        if not ({*map(type, values)} <= {int} and 0 <= min(values) and max(values) < size):
+            _fail(where, f"{key} {values[0]!r} outside sidecar with {size} rows")
     elif kind == "num":
         nums, (lo, hi) = _floats(values), bounds
-        _require(nums is not None, where, f"{key} must be a number, got {values[0]!r}")
-        need = f"be finite and >= {lo}" if hi == math.inf else f"lie in [{lo}, {hi}]"
-        _require(math.isfinite(sum(nums)) and lo <= min(nums) and max(nums) <= hi, where,
-                 f"{key} must {need}, got {nums[0]}")
+        if nums is None:
+            _fail(where, f"{key} must be a number, got {values[0]!r}")
+        if not (math.isfinite(sum(nums)) and lo <= min(nums) and max(nums) <= hi):
+            need = f"be finite and >= {lo}" if hi == math.inf else f"lie in [{lo}, {hi}]"
+            _fail(where, f"{key} must {need}, got {nums[0]}")
         return nums
     elif kind == "bbox":
         _require({*map(type, values)} <= {list} and {*map(len, values)} == {4}, where,
@@ -225,9 +234,10 @@ def _checked(fmt: dict, key: str, values, where: str | None = None,
         flat = _floats(chain.from_iterable(values))
         _require(flat is not None, where, "bbox entries must be numbers")
         boxes = np.array(flat).reshape(-1, 4)
-        _require(np.isfinite(boxes).all(), where, f"bbox entries must be finite, got {flat[:4]}")
-        _require((boxes[:, 2:] > 0).all(), where,
-                 f"bbox needs positive width/height, got w={flat[2]} h={flat[3]}")
+        if not np.isfinite(boxes).all():
+            _fail(where, f"bbox entries must be finite, got {flat[:4]}")
+        if not (boxes[:, 2:] > 0).all():
+            _fail(where, f"bbox needs positive width/height, got w={flat[2]} h={flat[3]}")
         return list(zip(*[iter(flat)] * 4))
     elif kind == "vec":  # bounds may name the vector in messages; then a list of it must be flat
         name, rows = (bounds[0] if bounds else key), isinstance(values, np.ndarray)  # rows: sidecar's
@@ -235,30 +245,36 @@ def _checked(fmt: dict, key: str, values, where: str | None = None,
             arr = np.asarray(values, dtype=np.float32)
         except (TypeError, ValueError, OverflowError):
             arr = None
-        _require(arr is not None and (arr.ndim != 2 or rows or
-                                      _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(values)))),
-                 where, f"{key} entries must be numbers")
-        _require(rows or not bounds or arr.ndim == 2 and arr.shape[1], where,
-                 f"{key} must be a non-empty flat list")
-        _require(arr.ndim == 2 and arr.shape[1] == (size or arr.shape[1]), where,
-                 f"{name} has {arr[0].size} dims, expected {size}", DimMismatchError)
-        _require(np.isfinite(arr).all(), where, f"{name} contains non-finite entries", NonFiniteError)
-        _require(arr.any(axis=1).all(), where, f"{name} has zero norm", ZeroNormError)
+        if not (arr is not None and (arr.ndim != 2 or rows or
+                                     _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(values))))):
+            _fail(where, f"{key} entries must be numbers")
+        if not (rows or not bounds or arr.ndim == 2 and arr.shape[1]):
+            _fail(where, f"{key} must be a non-empty flat list")
+        if not (arr.ndim == 2 and arr.shape[1] == (size or arr.shape[1])):
+            _fail(where, f"{name} has {arr[0].size} dims, expected {size}", DimMismatchError)
+        if not np.isfinite(arr).all():
+            _fail(where, f"{name} contains non-finite entries", NonFiniteError)
+        if not arr.any(axis=1).all():
+            _fail(where, f"{name} has zero norm", ZeroNormError)
         return list(arr)
     elif kind == "choice":
-        _require(all(v in bounds[0] for v in values), where,
-                 f"{key} must be one of {bounds[0]}, got {values[0]!r}")
+        if not all(v in bounds[0] for v in values):
+            _fail(where, f"{key} must be one of {bounds[0]}, got {values[0]!r}")
     elif kind == "scores":  # kept as loaded: a track's first line gives its float scores
         dicts = {*map(type, values)} <= {dict}
         nums = _floats(chain.from_iterable(map(dict.values, values))) if dicts else None
-        _require(nums is not None and math.isfinite(sum(nums)), where,
-                 f"{key} must map names to finite numbers, got {values[0]!r}")
+        if not (nums is not None and math.isfinite(sum(nums))):
+            _fail(where, f"{key} must map names to finite numbers, got {values[0]!r}")
+        # the column pass's parser loads an int past 64 bits as a float, which json keeps an int
+        _require(where or max(map(abs, nums), default=0) < 2 ** 63, None, "a score past 64-bit ints")
     elif kind == "text":
         return list(map(str, values))
     return values
 
 
-_scan = json.JSONDecoder().scan_once  # (value, end) of the JSON value at an index
+# the column pass's parser: it refuses every line json refuses, and also NaN, Infinity and a
+# lone surrogate, which json loads; it loads an int outside [-2**63, 2**64) as a float
+_parse_line = orjson.loads
 
 
 def _rows(path, fmt: dict, keys, vocabulary: Vocabulary | None = None,
@@ -266,15 +282,11 @@ def _rows(path, fmt: dict, keys, vocabulary: Vocabulary | None = None,
     """``(lineno, values, extra)`` per non-blank line: its ``keys`` checked by ``_checked``
     and what ``more`` makes of its object. ``_CHUNK`` lines at a time are checked by
     columns, each line parsed on its own (one JSON array of a chunk would take two broken
-    lines that together make valid JSON). When a column check refuses a chunk, its lines
-    are checked one at a time, each just before its row is yielded, so that a failed
-    check raises naming ``path:lineno`` after the rows of the lines before it."""
+    lines that together make valid JSON). When the parse or a column check refuses a
+    chunk, its lines are checked one at a time, each just before its row is yielded, so
+    that a failed check raises naming ``path:lineno`` after the rows of the lines before it."""
     def by_columns(numbered: list[tuple]) -> Iterable[tuple]:
-        lines = [line.strip(" \t\n\r") for _, line in numbered]  # json's whitespace
-        parsed = [_scan(line, 0) for line in lines]
-        _require(lines and [end for _, end in parsed] == list(map(len, lines)), None,
-                 "a line holds more than one JSON value")
-        objs = [value for value, _ in parsed]
+        objs = [_parse_line(line) for _, line in numbered]
         cols = [_checked(fmt, key, [o[key] for o in objs], vocabulary=vocabulary) for key in keys]
         return zip([n for n, _ in numbered], zip(*cols), more(objs, None))
 
@@ -296,7 +308,8 @@ def _rows(path, fmt: dict, keys, vocabulary: Vocabulary | None = None,
         with open(path, "r", encoding="utf-8") as fh:
             numbered = enumerate(fh, start=1)
             while chunk := list(islice(numbered, _CHUNK)):
-                chunk = [(n, line) for n, line in chunk if not line.isspace()]
+                if not (chunk := [(n, line) for n, line in chunk if not line.isspace()]):
+                    continue
                 try:
                     rows = by_columns(chunk)
                 except _REFUSED:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ZeroNormError
 from .io import DetectionRecord, GroundTruthTrack, Vocabulary, VocabularyEntry
 from .metrics import iou
 from .train import TrainPair
@@ -120,7 +121,11 @@ def gen_scene(cfg: SynthConfig) -> SynthScene:
         cat_protos64 = {}
         for k in range(cfg.n_categories):
             members = [protos64[i] for i in range(cfg.n_identities) if cats[i] == k]
-            cat_protos64[k] = _unit(np.mean(members, axis=0)) if members else _unit(rng.normal(size=d))
+            mean = np.mean(members, axis=0) if members else rng.normal(size=d)
+            if not mean.any():  # e.g. at embed_dim 1, one prototype +1 and one -1
+                raise ZeroNormError(f"category {k}: its identities' prototypes average to zero, "
+                                    "so it has no vocabulary row")
+            cat_protos64[k] = _unit(mean)
     else:
         cat_protos64 = {k: _unit(rng.normal(size=d)) for k in range(cfg.n_categories)}
         protos64 = {i: _unit(cat_protos64[cats[i]] + cfg.class_spread * rng.normal(size=d))

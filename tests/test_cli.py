@@ -37,6 +37,14 @@ def test_synth_writes_scene(tmp_path, capsys):
     assert len(dets) == 12
 
 
+def test_synth_of_a_category_whose_prototypes_cancel_exits_1_and_writes_nothing(tmp_path, capsys):
+    # it used to exit 0 and write NaN into vocabulary.json
+    assert _run(["synth", "--categories", 1, "--dim", 1, "--identities", 2, "--frames", 3,
+                 "--out-dir", tmp_path / "scene"]) == 1
+    assert "ZeroNormError: category 0: " in capsys.readouterr().err
+    assert not (tmp_path / "scene").exists()
+
+
 def test_synth_sidecar_flag(tmp_path):
     out = _synth(tmp_path / "scene", extra=["--sidecar"])
     assert (out / "detections.embin").exists()

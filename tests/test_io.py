@@ -499,6 +499,19 @@ def test_read_tracks_rejects_a_track_whose_lines_disagree_on_its_label(tmp_path,
         io.read_tracks(path)
 
 
+def test_read_tracks_compares_a_score_past_64_bit_ints_as_json_loads_it(tmp_path):
+    # json loads the first score as an int, which is not equal to the float 1e30, while
+    # a parser that reads an int past 64 bits as a float makes both lines agree
+    path = tmp_path / "t.jsonl"
+    line = ('{"track_id": 1, "frame": %d, "bbox": [0, 0, 1, 1], "conf": 0.5, "cat": 0, "det": 0, '
+            '"label": 0, "label_source": "det", "scores": {"cate": %s}}\n')
+    path.write_text(line % (0, 10 ** 30) + line % (1, "1e30"))
+    with pytest.raises(FormatError) as exc:
+        io.read_tracks(path)
+    assert str(exc.value) == (f"{path}:2: track 1 switches label (0, 'det', {{'cate': {10 ** 30}}}) "
+                              "-> (0, 'det', {'cate': 1e+30})")
+
+
 _TRACK_LINE = {"track_id": 1, "frame": 0, "bbox": [0, 0, 1, 1], "conf": 0.5, "cat": 0, "det": 0,
                "label": 0, "label_source": "det", "scores": {"det": 1.0}}
 @pytest.mark.parametrize("changes, error, message", [

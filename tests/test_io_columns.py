@@ -13,6 +13,7 @@ import json
 import math
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,9 @@ EXAMPLES = settings(max_examples=25, deadline=None)
 
 # values a mutation may put where a key's value was
 BAD_VALUES = [True, False, None, "1.5", "x", -1, -0.5, float("nan"), float("inf"), 10 ** 400,
-              2 ** 70, [], {}, [1, 2], [0.0, 0.0, 0.0], [[1.0, 0.0, 0.5]], ["1", 0.0, 0.0], 7.5]
+              2 ** 70, [], {}, [1, 2], [0.0, 0.0, 0.0], [[1.0, 0.0, 0.5]], ["1", 0.0, 0.0], 7.5,
+              # orjson loads an int outside [-2**63, 2**64) as a float and refuses a lone surrogate
+              2 ** 64, -(2 ** 63) - 1, "\ud800", {"cate": 10 ** 30}]
 
 
 @contextlib.contextmanager
@@ -56,8 +59,8 @@ def _plain(value):
     return value
 
 
-def _refuse(line, index):
-    raise StopIteration  # as io._scan does where a line holds no JSON value
+def _refuse(line):
+    raise orjson.JSONDecodeError("refused", line, 0)  # as io._parse_line does on a line it cannot parse
 
 
 @contextlib.contextmanager
@@ -73,7 +76,7 @@ def _check_passes(path, public, valid):
     """The public loader equals its line checks of every chunk; on a file the writer made
     (``valid``) it makes no line check. Returns the lines it checked one at a time."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(io, "_scan", _refuse)
+        patch.setattr(io, "_parse_line", _refuse)
         by_lines = _outcome(public)
     with _counted_loads() as calls:
         assert _outcome(public) == by_lines
@@ -210,6 +213,10 @@ def _lines(*objs):
     ("tracks", _lines(_TRACK, dict(_TRACK, frame=1)).replace("\n", "\r\n") + "\n  \n", True),
     ("tracks", " \t" + _lines(_TRACK).replace("}\n", "}  \t\n"), True),  # json's whitespace round the value
     ("tracks", _lines(_TRACK).replace("}\n", "}\x0c\n"), False),  # a form feed, which json refuses
+    # bare NaN and Infinity, which json loads and orjson refuses; the line checks refuse them too
+    ("tracks", _lines(_TRACK, dict(_TRACK, frame=1, conf=math.nan)), False),
+    ("detections", _lines(dict(_DET, emb=[1.0]), dict(_DET, bbox=[0, 0, math.inf, 1], emb=[1.0])), False),
+    ("tracks", _lines(dict(_TRACK, x=-math.inf)), False),  # a key no format reads: json loads the line
     ("detections", _lines(dict(_DET, emb=[1.0]), dict(_DET, emb=[1.0], emb_ref=0)), False),
     ("detections", _lines(dict(_DET, emb_ref=0), dict(_DET, emb=[2.0])), False),
     ("detections", _lines(dict(_DET, emb_ref=0), dict(_DET, emb_ref=1)), False),  # row 1 is zero

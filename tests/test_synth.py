@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from trajkit.errors import ZeroNormError
 from trajkit.synth import (
     Augmentations,
     SynthConfig,
@@ -156,6 +157,13 @@ def test_vocabulary_matches_categories():
     assert splits == {"base", "novel"}
     for e in scene.vocabulary:
         assert np.linalg.norm(e.cate_embedding) == pytest.approx(1.0, rel=1e-5)
+
+
+def test_a_category_whose_prototypes_cancel_names_the_category():
+    # at embed_dim 1 the two prototypes of category 0 are +1 and -1; the scene used to
+    # hold a NaN vocabulary row
+    with pytest.raises(ZeroNormError, match="^category 0: its identities' prototypes average to zero"):
+        gen_scene(SynthConfig(n_identities=2, n_frames=3, n_categories=1, embed_dim=1))
 
 
 def test_class_spread_tightens_within_category():
