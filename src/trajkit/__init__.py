@@ -49,7 +49,6 @@ from .tracker import (
     Tracker,
     TrackerConfig,
     bisoftmax,
-    cosine,
     majority_vote,
     run_sequence,
     score_matrix,
@@ -65,8 +64,6 @@ from .fusion import (
     fuse_self,
     gelu,
     init_fusion_weights,
-    layer_norm,
-    mlp_block,
     self_attention,
     validate_fusion_shapes,
 )
@@ -102,12 +99,12 @@ __all__ = [
     "TrainConfig", "TrainPair", "TrajectoryClassification", "TrajkitError",
     "TruncatedError", "UnknownCategoryError", "Vocabulary", "VocabularyEntry",
     "ZeroNormError", "bisoftmax",
-    "classify_trajectory", "concat_score", "contrastive_loss", "cosine",
+    "classify_trajectory", "concat_score", "contrastive_loss",
     "evaluate", "fuse_attention", "fuse_average",
     "fuse_cross", "fuse_self", "gelu", "gen_scene", "init_fusion_weights",
-    "iou", "iou_matrix", "layer_norm", "load_detections", "load_groundtruth",
+    "iou", "iou_matrix", "load_detections", "load_groundtruth",
     "load_splits", "load_vocabulary", "load_weights", "loss_and_gradients", "majority_vote",
-    "make_train_pairs", "mlp_block", "numeric_gradient", "project_language",
+    "make_train_pairs", "numeric_gradient", "project_language",
     "read_embedding_sidecar", "read_tracks", "record_embeddings", "run_sequence",
     "sample_clip", "score_matrix", "self_attention", "to_track_record",
     "train_fusion", "update_memory", "validate_fusion_shapes",

@@ -173,7 +173,6 @@ _FUSE = {
     "average": lambda rows, weights, heads: fuse_average(rows),
     "attention": lambda rows, weights, heads: fuse_attention(rows, weights, heads),
     "self": lambda rows, weights, heads: fuse_self(rows, weights, heads),
-    "self_noresidual": lambda rows, weights, heads: fuse_self(rows, weights, heads, residual=False),
     "cross": lambda rows, weights, heads: fuse_cross(rows, weights, heads),
 }
 

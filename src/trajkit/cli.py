@@ -75,8 +75,6 @@ HELP = {
 CONFIG_KINDS = {int: ("an int", (int,)), float: ("a number", (int, float)),
                 bool: ("true or false", (bool,)), str: ("a string", (str,))}
 
-BENCH_MECHANISMS = ("average", "attention", "self", "cross", "concat")
-
 
 def _need_file(path, what: str) -> Path:
     if path is None:
@@ -113,7 +111,7 @@ def _fits(key: str, default, value) -> bool:
 
 
 def _read_config(path, options: dict) -> dict:
-    """A --config file's values, each checked against its option's type."""
+    """A --config file's values, each checked against its option's type and choices."""
     cfg_path = _need_file(path, "config")
     try:
         with open(cfg_path, "r", encoding="utf-8") as fh:
@@ -131,6 +129,8 @@ def _read_config(path, options: dict) -> dict:
             kind += " or a list of windows" if key == "occlusion" else ""
             raise FormatError(f"config {cfg_path}: {key} must be {kind}"
                               f"{' or null' if options[key] is None else ''}, got {value!r}")
+        if key in CHOICES and value not in CHOICES[key]:
+            raise FormatError(f"config {cfg_path}: {key} must be one of {CHOICES[key]}, got {value!r}")
     return values
 
 
@@ -316,6 +316,8 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     opts = _resolve(args)
     _check_heads(opts["heads"], opts["dim"])
+    if opts["pairs"] < 1:
+        raise ValueError(f"--pairs must be at least 1, got {opts['pairs']}")
     if (opts["scale_min"] is None) != (opts["scale_max"] is None):
         raise ValueError("--scale-min and --scale-max must be given together")
     scene = _scene(opts, opts["seed"])
@@ -346,7 +348,7 @@ def _bench_one_scene(scene_seed: int, opts: dict, weights: FusionWeights):
     # --dim wide, so only a --weights file can be refused here
     lang = _language(opts, scene.vocabulary, weights, opts["dim"], "average")
     row = {}
-    for mech in BENCH_MECHANISMS:  # each mechanism relabels the same records
+    for mech in FUSION_MECHANISMS:  # each mechanism relabels the same records
         ccfg = ClassifyConfig(fusion=mech, n_clip=opts["n_clip"], heads=opts["heads"])
         records = _label(trajectories, scene.vocabulary, weights, ccfg, lang, f"scene {scene_seed}")
         row[mech] = metrics.evaluate(records, scene.gt_tracks, ecfg).overall
@@ -367,10 +369,10 @@ def cmd_bench_fusion(args) -> int:
     out_dir = _write_manifest("bench-fusion", opts)
 
     table = {mech: {key: float(np.mean([getattr(row[mech], key) for row in rows]))
-                    for key in ("teta", "loc_a", "ass_a", "cls_a")} for mech in BENCH_MECHANISMS}
+                    for key in ("teta", "loc_a", "ass_a", "cls_a")} for mech in FUSION_MECHANISMS}
     _write_json(out_dir / "bench.json", table)
     print(f"{'mechanism':<12}{'TETA':>8}{'LocA':>8}{'AssA':>8}{'ClsA':>8}")
-    for mech in BENCH_MECHANISMS:
+    for mech in FUSION_MECHANISMS:
         t = table[mech]
         print(f"{mech:<12}{t['teta']:>8.2f}{t['loc_a']:>8.2f}{t['ass_a']:>8.2f}{t['cls_a']:>8.2f}")
     print(f"wrote {out_dir / 'bench.json'}")

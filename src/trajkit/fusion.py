@@ -8,8 +8,7 @@ of language vectors):
 - ``fuse_average``: column mean.
 - ``fuse_attention``: column mean of one self-attention layer.
 - ``fuse_self``: pre-norm residual block, X + SA(LN(X)) then + MLP(LN(.)),
-  followed by the column mean. ``residual=False`` gives the bare
-  Avg(MLP(SA(X))) form instead.
+  followed by the column mean.
 - ``fuse_cross``: cross-attention folded over the rows. A softmax over one
   key is 1, so it is computed as what the fold reduces to: the last row's
   ``cross`` value and output projections (a one-row clip comes back as is).
@@ -49,7 +48,7 @@ from .errors import DimMismatchError, MissingWeightsError
 
 LN_EPS = 1e-5  # layer norm default epsilon
 
-FUSION_MECHANISMS = ("average", "attention", "self", "self_noresidual", "cross", "concat")
+FUSION_MECHANISMS = ("average", "attention", "self", "cross", "concat")
 
 # The .twb weight bundle: every tensor, in bundle order, with its shape in the
 # letters d (embedding width), h (MLP width) and t (text width); "" is a scalar.
@@ -134,11 +133,6 @@ def _layer_norm_backward(dy, cache, grads, prefix):
     return (dxhat - m1 - xhat * m2) / std
 
 
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = LN_EPS) -> np.ndarray:
-    """Per-row layer normalization with population (1/d) variance."""
-    return _layer_norm_forward(np.asarray(x, dtype=np.float64), gamma, beta, eps)[0]
-
-
 def gelu(x: np.ndarray) -> np.ndarray:
     """Exact (erf based) GELU."""
     x = np.asarray(x, dtype=np.float64)
@@ -217,11 +211,6 @@ def _mlp_backward(dout, cache, grads):
     return dpre @ w["mlp.w1"].T
 
 
-def mlp_block(x: np.ndarray, weights: FusionWeights) -> np.ndarray:
-    """Two-layer GELU MLP with the ``mlp`` tensors, applied per row."""
-    return _mlp_forward(np.asarray(x, dtype=np.float64), weights)[0]
-
-
 def fuse_average(clip: np.ndarray) -> np.ndarray:
     """Column mean of the clip (of each clip, for a stack of clips)."""
     clip = np.atleast_2d(np.asarray(clip, dtype=np.float64))
@@ -233,23 +222,18 @@ def fuse_attention(clip: np.ndarray, weights: FusionWeights, heads: int = 1) -> 
     return fuse_average(self_attention(clip, weights, heads))
 
 
-def fuse_self(clip: np.ndarray, weights: FusionWeights, heads: int = 1,
-              residual: bool = True) -> np.ndarray:
+def fuse_self(clip: np.ndarray, weights: FusionWeights, heads: int = 1) -> np.ndarray:
     """Pre-norm residual transformer block followed by the column mean.
 
     With zero attention output and MLP output projections the block is the
-    identity, so the result degenerates to ``fuse_average``. The
-    ``residual=False`` variant drops the norms and skips entirely:
-    Avg(MLP(SA(clip))).
+    identity, so the result degenerates to ``fuse_average``.
     """
-    if not residual:
-        return fuse_average(mlp_block(self_attention(clip, weights, heads), weights))
     return fuse_self_forward(clip, weights, heads)[0]
 
 
 def fuse_self_forward(clip: np.ndarray, weights: FusionWeights,
                       heads: int) -> tuple[np.ndarray, tuple]:
-    """The residual ``fuse_self`` plus the cache :func:`fuse_self_backward` reads."""
+    """``fuse_self`` plus the cache :func:`fuse_self_backward` reads."""
     x = np.atleast_2d(np.asarray(clip, dtype=np.float64))
     h1, ln1_cache = _layer_norm_forward(x, weights["ln1.gamma"], weights["ln1.beta"], LN_EPS)
     s, attn_cache = _attend(h1, weights, heads)

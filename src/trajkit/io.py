@@ -277,6 +277,16 @@ def _checked(fmt: dict, key: str, values, where: str | None = None,
 _parse_line = orjson.loads
 
 
+def _load_json(text: str, where: str, parse_float=None):
+    """``text`` loaded by json, the reference parser, which refuses naming ``where``."""
+    try:
+        return json.loads(text, parse_float=parse_float)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{where}: malformed JSON ({exc.msg})") from None
+    except ValueError as exc:  # an int literal of more digits than the interpreter converts
+        raise FormatError(f"{where}: {exc}") from None
+
+
 def _rows(path, fmt: dict, keys, vocabulary: Vocabulary | None = None,
           more=lambda objs, where: [None] * len(objs)) -> Iterator[tuple]:
     """``(lineno, values, extra)`` per non-blank line: its ``keys`` checked by ``_checked``
@@ -293,14 +303,12 @@ def _rows(path, fmt: dict, keys, vocabulary: Vocabulary | None = None,
     def by_line(lineno: int, line: str) -> tuple:
         where = f"{path}:{lineno}"
         try:
-            obj = json.loads(line)
+            obj = _load_json(line, where)
             _require(isinstance(obj, dict), where, "line must hold a JSON object")
             for key in keys:
                 _require(key in obj, where, f"missing key {key!r}")
             return lineno, [_checked(fmt, key, [obj[key]], where, vocabulary)[0] for key in keys], \
                 more([obj], where)[0]
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{where}: malformed JSON ({exc.msg})") from None
         except RecursionError:  # past the interpreter's depth, in the parse or in a message's repr
             raise FormatError(f"{where}: JSON nested too deeply") from None
 
@@ -454,15 +462,13 @@ def _vocabulary_file(path, parse_float, entry) -> tuple[int, list]:
     file, whose JSON numbers with a fraction or exponent ``parse_float`` reads."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh, parse_float=parse_float)
+            obj = _load_json(fh.read(), path, parse_float)
         _require(isinstance(obj, dict) and "dim_text" in obj and isinstance(obj.get("entries"), list),
                  path, "vocabulary needs dim_text and an entries list")
         dim_text, raw = obj["dim_text"], obj["entries"]
         _require(type(dim_text) is int and dim_text > 0, path, "dim_text must be a positive int")
         _require(raw, path, "vocabulary needs at least one entry")
         return dim_text, [entry(e, f"{path}: entry {i}", dim_text) for i, e in enumerate(raw)]
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: malformed JSON ({exc.msg})") from None
     except UnicodeDecodeError:
         raise _not_utf8(path, numbered=False) from None
     except RecursionError:  # past the interpreter's depth, in the parse or in a message's repr

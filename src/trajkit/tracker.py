@@ -129,18 +129,6 @@ def update_memory(memory: np.ndarray, det_emb: np.ndarray, alpha_mem: float) -> 
     return alpha_mem * det + (1.0 - alpha_mem) * memory
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity; raises ZeroNormError on a zero vector."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimMismatchError(f"vectors disagree in shape: {a.shape} vs {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ZeroNormError("cosine undefined for zero-norm vector")
-    return float(a @ b / (na * nb))
-
-
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     if np.any(norms == 0.0):

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from trajkit import cli, io
+from trajkit import cli, fusion, io
 from trajkit.classify import (
     ClassifyConfig,
     classify_trajectory,
@@ -29,8 +29,6 @@ from trajkit.fusion import (
     fuse_cross,
     fuse_self,
     init_fusion_weights,
-    layer_norm,
-    mlp_block,
     self_attention,
 )
 from trajkit.metrics import EvalConfig, evaluate
@@ -179,13 +177,13 @@ def test_criterion_01_op_fidelity(capfd):
                       _o_contrastive(fa.tolist(), fb.tolist(), y, margin))
 
             gamma, beta = rng.normal(size=d), rng.normal(size=d)
-            check(layer_norm(x, gamma, beta),
+            check(fusion._layer_norm_forward(x, gamma, beta, 1e-5)[0],
                   _o_layer_norm(rows, gamma.tolist(), beta.tolist(), 1e-5))
 
             heads = 2 if d % 4 == 0 and rng.random() < 0.5 else 1
             check(self_attention(x, w, heads), _o_attention(rows, rows, attn, heads))
 
-            check(mlp_block(x, w),
+            check(fusion._mlp_forward(x, w)[0],
                   _o_mlp(rows, w["mlp.w1"].tolist(), w["mlp.b1"].tolist(),
                          w["mlp.w2"].tolist(), w["mlp.b2"].tolist()))
 

@@ -1,5 +1,7 @@
 """Clip sampling, language matching and the three-way label decision."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,8 @@ from trajkit.classify import (
     to_track_record,
 )
 from trajkit.errors import DimMismatchError, FormatError, MissingWeightsError
-from trajkit.fusion import init_fusion_weights
-from trajkit.tracker import Tracker, TrackerConfig, cosine
+from trajkit.fusion import FUSION_MECHANISMS, init_fusion_weights
+from trajkit.tracker import Tracker, TrackerConfig
 
 
 def _det(emb, conf=0.9, cat=0, frame=0, bbox=None):
@@ -80,6 +82,11 @@ def test_project_language_identity_and_matrix():
     np.testing.assert_allclose(f_cate2, [[1, 0], [0, 2]])
 
 
+def _oracle_cosine(a, b):
+    num = sum(x * y for x, y in zip(a, b))
+    return num / (math.sqrt(sum(x * x for x in a)) * math.sqrt(sum(x * x for x in b)))
+
+
 def test_affinity_is_rowwise_cosine():
     f = np.array([1.0, 1.0])
     rows = np.array([[2.0, 2.0], [1.0, 0.0], [-1.0, -1.0]])
@@ -88,7 +95,8 @@ def test_affinity_is_rowwise_cosine():
     # one matrix-vector product against the row-by-row cosine it replaced
     rng = np.random.default_rng(3)
     f, rows = rng.normal(size=64), rng.normal(size=(200, 64))
-    np.testing.assert_allclose(affinity(f, rows), [cosine(f, row) for row in rows],
+    np.testing.assert_allclose(affinity(f, rows),
+                               [_oracle_cosine(f.tolist(), row) for row in rows.tolist()],
                                rtol=0, atol=1e-15)
 
 
@@ -170,16 +178,16 @@ def test_classify_all_fusions_run():
     w = init_fusion_weights(d, seed=2, zero_residual=False)
     traj = _trajectory({f: [_det(rng.normal(size=d), cat=0, conf=0.8, frame=f)]
                               for f in range(6)})
-    for mech in ("average", "attention", "self", "self_noresidual", "cross", "concat"):
+    # every mechanism but concat fuses through _FUSE, so none can be left without a dispatch
+    assert set(classify._FUSE) | {"concat"} == set(FUSION_MECHANISMS)
+    for mech in FUSION_MECHANISMS:
         cls = classify_trajectory(*traj, vocab, w, ClassifyConfig(fusion=mech))
         assert cls.final in (0, 1)
         assert cls.final_source in ("det", "cate", "attr")
 
 
 @pytest.mark.parametrize("mech, name", [
-    ("average", "fuse_average"), ("attention", "fuse_attention"), ("self", "fuse_self"),
-    ("self_noresidual", "fuse_self"), ("cross", "fuse_cross"), ("concat", "concat_score"),
-])
+    (mech, "concat_score" if mech == "concat" else f"fuse_{mech}") for mech in FUSION_MECHANISMS])
 def test_classify_calls_fusion_through_module_names(monkeypatch, mech, name):
     # per-layer tracing wraps these names in trajkit.classify; a dispatch that
     # bound the functions at import would bypass the wrapper

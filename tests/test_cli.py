@@ -525,7 +525,7 @@ def test_labelling_calls_classify_trajectory_by_the_cli_name(tmp_path, monkeypat
     calls.clear()
     assert _run(bench) == 0
     assert len(track_counts) == 2 and min(track_counts) > 0
-    assert calls == [mech for n in track_counts for mech in cli.BENCH_MECHANISMS
+    assert calls == [mech for n in track_counts for mech in FUSION_MECHANISMS
                      for _ in range(n)]
 
 def test_missing_input_exits_1(tmp_path, capsys):
@@ -555,8 +555,13 @@ def _write_refused_inputs(scene):
     detections have opposite embeddings, so that its average clip is zero, weights
     whose lang_proj.w projects every vocabulary row to zero, valid 8-wide weights,
     a config with a negative seed, a vocabulary whose second entry repeats the first's
-    id and a vocabulary, tracks and config that each hold a value nested too deeply."""
+    id, a vocabulary, tracks and config that each hold a value nested too deeply, configs
+    that name no choice of fusion, sim_mode and distance, and tracks whose first
+    track_id has 5,000 digits."""
     (scene / "negative_seed.json").write_text(json.dumps({"seed": -1}))
+    for key, value in (("fusion", "self_noresidual"), ("sim_mode", "bogus"), ("distance", "bogus")):
+        (scene / f"{key}_config.json").write_text(json.dumps({key: value}))
+    (scene / "long_tracks.jsonl").write_text('{"track_id": %s}\n' % ("9" * 5000))
     deep = "[" * 100_000 + "]" * 100_000
     (scene / "deep_config.json").write_text('{"seed": %s}' % deep)
     (scene / "deep_tracks.jsonl").write_text('{"track_id": 1, "frame": 0, "bbox": [0, 0, 5, 5], "conf": 0.9, '
@@ -652,6 +657,22 @@ def _write_refused_inputs(scene):
      "FormatError: {scene}/deep_tracks.jsonl:2: JSON nested too deeply"),
     (["eval", "--config", "{scene}/deep_config.json"],
      "FormatError: config {scene}/deep_config.json is not valid JSON: maximum recursion depth exceeded"),
+    # these named no file: a config value outside its option's choices, and an int too long
+    # to read; a config naming self_noresidual, a fusion mechanism no longer offered, ran
+    (["track", "--detections", "{scene}/detections.jsonl", "--config", "{scene}/fusion_config.json"],
+     "FormatError: config {scene}/fusion_config.json: fusion must be one of "
+     "('average', 'attention', 'self', 'cross', 'concat'), got 'self_noresidual'"),
+    (["track", "--detections", "{scene}/detections.jsonl", "--config", "{scene}/sim_mode_config.json"],
+     "FormatError: config {scene}/sim_mode_config.json: sim_mode must be one of "
+     "('cosine_only', 'cosine_plus_bisoftmax'), got 'bogus'"),
+    (TRAIN_SMALL + ["--config", "{scene}/distance_config.json"],
+     "FormatError: config {scene}/distance_config.json: distance must be one of "
+     "('euclidean', 'cosine'), got 'bogus'"),
+    (["eval", "--pred", "{scene}/long_tracks.jsonl", "--gt", "{scene}/groundtruth.jsonl"],
+     "FormatError: {scene}/long_tracks.jsonl:1: Exceeds the limit"),
+    # these built a scene, then named no flag
+    (TRAIN_SMALL + ["--pairs", 0], "ValueError: --pairs must be at least 1, got 0"),
+    (TRAIN_SMALL + ["--pairs", -3], "ValueError: --pairs must be at least 1, got -3"),
 ])
 def test_failed_run_leaves_no_output(tmp_path, capsys, argv, message):
     scene = _synth(tmp_path / "scene")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import softmax
 
-from trajkit import io
+from trajkit import fusion, io
 from trajkit.errors import DimMismatchError, MissingWeightsError
 from trajkit.fusion import (
     FUSION_TENSOR_NAMES,
@@ -19,8 +19,6 @@ from trajkit.fusion import (
     fuse_self,
     gelu,
     init_fusion_weights,
-    layer_norm,
-    mlp_block,
     self_attention,
     validate_fusion_shapes,
 )
@@ -71,7 +69,7 @@ def _attn_dict(w, group):
 
 
 def test_layer_norm_frozen():
-    out = layer_norm(np.array([[1.0, 3.0]]), np.ones(2), np.zeros(2), eps=0.0)
+    out = fusion._layer_norm_forward(np.array([[1.0, 3.0]]), np.ones(2), np.zeros(2), 0.0)[0]
     np.testing.assert_allclose(out, [[-1.0, 1.0]], atol=1e-12)
 
 
@@ -82,7 +80,7 @@ def test_layer_norm_oracle():
         x = rng.normal(size=(n, d))
         gamma = rng.normal(size=d)
         beta = rng.normal(size=d)
-        got = layer_norm(x, gamma, beta)
+        got = fusion._layer_norm_forward(x, gamma, beta, 1e-5)[0]
         want = _oracle_layer_norm(x.tolist(), gamma.tolist(), beta.tolist(), 1e-5)
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
@@ -114,7 +112,7 @@ def test_mlp_block_oracle():
         d = int(rng.integers(2, 9))
         w = init_fusion_weights(d, seed=int(rng.integers(1000)), zero_residual=False)
         x = rng.normal(size=(3, d))
-        got = mlp_block(x, w)
+        got = fusion._mlp_forward(x, w)[0]
         h = x @ w["mlp.w1"] + w["mlp.b1"]
         act = np.array([_oracle_gelu(row) for row in h.tolist()])
         want = act @ w["mlp.w2"] + w["mlp.b2"]
@@ -136,17 +134,6 @@ def test_fuse_self_zero_residual_equals_average():
         w = init_fusion_weights(d, seed=seed)  # zero_residual=True zeroes W_O and W_2
         clip = rng.normal(size=(int(rng.integers(1, 6)), d))
         np.testing.assert_allclose(fuse_self(clip, w), fuse_average(clip), atol=1e-12)
-
-
-def test_fuse_self_residual_structure():
-    # with residual disabled the block reduces to Avg(MLP(SA(x)))
-    rng = np.random.default_rng(7)
-    d = 8
-    w = init_fusion_weights(d, seed=3, zero_residual=False)
-    x = rng.normal(size=(4, d))
-    got = fuse_self(x, w, residual=False)
-    want = fuse_average(mlp_block(self_attention(x, w), w))
-    np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
 def test_fuse_attention_structure():
@@ -324,7 +311,6 @@ def test_fusion_outputs_keep_their_bits():
     outs = {
         "attention": fuse_attention(clip, w, 2),
         "self": fuse_self(clip, w, 2),
-        "self_noresidual": fuse_self(clip, w, 2, residual=False),
         "cross": fuse_cross(clip, w, 2),
         "concat": concat_score(clip, lang, w, 2),
     }
@@ -333,7 +319,6 @@ def test_fusion_outputs_keep_their_bits():
     assert hashes == {
         "attention": "56f9bc011f29203c",
         "self": "612f1d8cbb7fac9a",
-        "self_noresidual": "8be761db879232c1",
         "cross": "43b81e2e5e2179c7",
         "concat": "eb2c8686fa194a94",
     }

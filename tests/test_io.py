@@ -743,3 +743,29 @@ def test_vocabulary_names_a_value_nested_too_deeply(tmp_path, loader):
     with pytest.raises(FormatError) as exc:
         loader(path)
     assert str(exc.value) == f"{path}: JSON nested too deeply"
+
+
+_LONG_INT = "9" * 5000  # more digits than the interpreter converts to an int (4,300 by default)
+
+
+@pytest.mark.parametrize("loader, line, key", [
+    ("load_detections", _DET_LINE, "frame"), ("read_tracks", _TRACK_LINE, "track_id"),
+    ("load_groundtruth", _GT_LINE, "track_id"),
+])
+def test_jsonl_loaders_name_the_line_of_an_int_too_long_to_read(tmp_path, loader, line, key):
+    # json's ValueError "Exceeds the limit (4300 digits) ..." escaped, naming no file
+    path = tmp_path / "t.jsonl"
+    long = json.dumps(dict(line, **{key: "@"})).replace('"@"', _LONG_INT)
+    path.write_text(json.dumps(line) + "\n" + long + "\n")
+    with pytest.raises(FormatError) as exc:
+        getattr(io, loader)(path)
+    assert str(exc.value).startswith(f"{path}:2: Exceeds the limit")
+
+
+@pytest.mark.parametrize("loader", [io.load_vocabulary, io.load_splits])
+def test_vocabulary_names_an_int_too_long_to_read(tmp_path, loader):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({**_VALID, "entries": [_ENTRY, dict(_ENTRY, id="@")]}).replace('"@"', _LONG_INT))
+    with pytest.raises(FormatError) as exc:
+        loader(path)
+    assert str(exc.value).startswith(f"{path}: Exceeds the limit")

@@ -20,7 +20,7 @@ tracing = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(tracing)
 
 FUSE_SPANS = {"average": "fuse_average", "attention": "fuse_attention", "self": "fuse_self",
-              "self_noresidual": "fuse_self", "cross": "fuse_cross", "concat": "concat_score"}
+              "cross": "fuse_cross", "concat": "concat_score"}
 
 
 @pytest.fixture(scope="module")

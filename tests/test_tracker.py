@@ -26,7 +26,6 @@ from trajkit.tracker import (
     TrackState,
     associate_frame,
     bisoftmax,
-    cosine,
     majority_vote,
     retain_category,
     run_sequence,
@@ -143,22 +142,6 @@ def _per_match_oracle(frames, cfg):
             survivors.append(track)
         live = survivors + born
         yield scores, ids, events, live, tracks
-
-
-def test_cosine_frozen():
-    assert cosine([1.0, 1.0], [1.0, 0.0]) == pytest.approx(0.7071067811865475, rel=1e-12)
-    assert cosine([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
-    assert cosine([2.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_cosine_zero_norm():
-    with pytest.raises(ZeroNormError):
-        cosine([0.0, 0.0], [1.0, 0.0])
-
-
-def test_cosine_shape_mismatch():
-    with pytest.raises(DimMismatchError):
-        cosine([1.0, 0.0], [1.0, 0.0, 0.0])
 
 
 def test_update_memory_frozen():
