@@ -318,9 +318,16 @@ def cmd_train(args) -> int:
     _check_heads(opts["heads"], opts["dim"])
     if opts["pairs"] < 1:
         raise ValueError(f"--pairs must be at least 1, got {opts['pairs']}")
+    for flag in ("identities", "categories"):  # identity i is of category i % --categories
+        if opts[flag] < 2:
+            raise ValueError(f"--{flag} must be at least 2 for pairs of two categories, got {opts[flag]}")
     if (opts["scale_min"] is None) != (opts["scale_max"] is None):
         raise ValueError("--scale-min and --scale-max must be given together")
     scene = _scene(opts, opts["seed"])
+    observed = {scene.identity_category[i] for i, obs in scene.identity_observations.items() if obs}
+    if len(observed) < 2:  # every identity of all categories but one went unobserved
+        raise ValueError(f"--identities {opts['identities']} and --categories {opts['categories']} "
+                         f"left {len(observed)} categories with observations, and pairs need two")
     scale_range = None if opts["scale_min"] is None else (opts["scale_min"], opts["scale_max"])
     aug = _config(Augmentations, opts, "rotate", "erase_fraction", scale_range=scale_range)
     pairs = make_train_pairs(scene, n_clip=opts["n_clip"], augmentations=aug,

@@ -25,8 +25,11 @@ weights bundle (``.twb``)
 A JSONL loader reads ``_CHUNK`` (256) lines at a time, parses each line with
 ``orjson`` and checks whole columns against the format table. When the parse or a
 check refuses a chunk, it checks that chunk again one line at a time with ``json``,
-which raises the error naming ``file:line`` or loads the chunk. The line checks are
-the reference and write every message; the tests hold the column pass to them.
+which raises the error naming ``file:line`` or loads the chunk. ``load_vocabulary``
+parses its file once with ``orjson`` and checks each key as a column of every entry;
+when that refuses, ``json`` loads the file and its entries are checked one at a time.
+The line and entry checks are the reference and write every message; the tests hold
+the column passes to them.
 Writers fill per-format line templates, ``_CHUNK`` lines at a time, byte for byte
 as ``json.dumps`` writes them.
 
@@ -272,8 +275,9 @@ def _checked(fmt: dict, key: str, values, where: str | None = None,
     return values
 
 
-# the column pass's parser: it refuses every line json refuses, and also NaN, Infinity and a
-# lone surrogate, which json loads; it loads an int outside [-2**63, 2**64) as a float
+# the column passes' parser: it refuses what json refuses, but for a value nested past the
+# interpreter's depth, and also NaN, Infinity and a lone surrogate, which json loads; it loads
+# an int outside [-2**63, 2**64) as a float
 _parse_line = orjson.loads
 
 
@@ -487,8 +491,35 @@ def _vocabulary_entry(raw, where: str, dim_text: int) -> VocabularyEntry:
     return VocabularyEntry(*values)
 
 
+def _vocabulary_columns(path) -> Vocabulary:
+    """A vocabulary.json file parsed once, each key of ``VOCABULARY_ENTRY_FORMAT`` checked as
+    a column of every entry. Raises one of ``_REFUSED`` on a file the entry checks may refuse
+    or load otherwise."""
+    with open(path, "rb") as fh:
+        obj = _parse_line(fh.read())
+    dim_text, raw = obj["dim_text"], obj["entries"]
+    # no key but those read, whose checks bound their depth: json refuses a value nested past
+    # the interpreter's depth, which the parser loads
+    _require(type(dim_text) is int and dim_text > 0 and type(raw) is list and raw
+             and obj.keys() == {"dim_text", "entries"}
+             and all(type(e) is dict and e.keys() <= VOCABULARY_ENTRY_FORMAT.keys() for e in raw), None,
+             "not a vocabulary the columns load")
+    cols = []
+    for key, (kind, *_) in VOCABULARY_ENTRY_FORMAT.items():
+        col = [e.get(key, "") if key == "description" else e[key] for e in raw]
+        # json keeps a text's number as its str(), which the parser may load otherwise (1e+30)
+        _require(kind != "text" or {*map(type, col)} <= {str}, None, f"{key} that is no str")
+        cols.append(_checked(VOCABULARY_ENTRY_FORMAT, key, col, size=dim_text))
+    return Vocabulary(list(map(VocabularyEntry, *cols)), dim_text)  # a repeated id is refused here
+
+
 def load_vocabulary(path) -> Vocabulary:
-    """Load and validate a vocabulary.json file."""
+    """Load and validate a vocabulary.json file: by columns (``_vocabulary_columns``) or,
+    when they refuse, entry by entry, which raises the error naming the file and entry."""
+    try:
+        return _vocabulary_columns(path)
+    except _REFUSED:
+        pass
     dim_text, entries = _vocabulary_file(path, float, _vocabulary_entry)
     _unique_ids([e.category_id for e in entries], path)
     return Vocabulary(entries, dim_text)

@@ -673,6 +673,9 @@ def _write_refused_inputs(scene):
     # these built a scene, then named no flag
     (TRAIN_SMALL + ["--pairs", 0], "ValueError: --pairs must be at least 1, got 0"),
     (TRAIN_SMALL + ["--pairs", -3], "ValueError: --pairs must be at least 1, got -3"),
+    # every identity of one category missed: pair construction refused, naming no flag
+    (TRAIN_SMALL + ["--identities", 2, "--categories", 2, "--frames", 1, "--miss-rate", 0.99],
+     "ValueError: --identities 2 and --categories 2 left 0 categories with observations, and pairs need two"),
 ])
 def test_failed_run_leaves_no_output(tmp_path, capsys, argv, message):
     scene = _synth(tmp_path / "scene")
@@ -685,6 +688,18 @@ def test_failed_run_leaves_no_output(tmp_path, capsys, argv, message):
     assert _run(argv + ["--out-dir", out]) == 1
     assert message.format(scene=scene) in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["identities", "categories"])
+def test_train_refuses_a_single_category_before_it_builds_a_scene(tmp_path, capsys, monkeypatch, flag):
+    # identity i is of category i % --categories, so one identity or one category makes one
+    # category; the refusal came from pair construction, after the scene, naming no flag
+    monkeypatch.setattr(cli, "gen_scene", lambda cfg: pytest.fail("built a scene"))
+    for value in (1, 0):
+        assert _run(TRAIN_SMALL + [f"--{flag}", value, "--out-dir", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == (f"error: ValueError: --{flag} must be at least 2 for pairs of "
+                                           f"two categories, got {value}\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,7 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_io import _FAULTS
 from trajkit import io
+from trajkit.synth import SynthConfig, gen_scene
 from trajkit.tracker import AssociationEvent
 
 EXAMPLES = settings(max_examples=25, deadline=None)
@@ -59,8 +61,8 @@ def _plain(value):
     return value
 
 
-def _refuse(line):
-    raise orjson.JSONDecodeError("refused", line, 0)  # as io._parse_line does on a line it cannot parse
+def _refuse(text):
+    raise orjson.JSONDecodeError("refused", "", 0)  # as io._parse_line does on text it cannot parse
 
 
 @contextlib.contextmanager
@@ -389,3 +391,186 @@ def test_non_finite_floats_are_written_as_json_spells_them(tmp_path):
     io.write_tracks([rec], tmp_path / "t.jsonl")
     assert (tmp_path / "t.jsonl").read_text() == (
         '{"track_id": 1, "frame": 0, "bbox": [NaN, Infinity, -Infinity, 1.0], "conf": NaN, "cat": 0, "det": 0}\n')
+
+
+# The vocabulary: one parse and one column check per key of VOCABULARY_ENTRY_FORMAT, with the
+# entry checks (a json parse, then io._vocabulary_entry per entry) as the reference.
+
+def _vocabulary_passes(path, valid):
+    """``load_vocabulary`` equals its entry checks; on a ``valid`` file it parses with json
+    no more. Returns the json parses it made."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io, "_parse_line", _refuse)
+        by_entries = _outcome(lambda: io.load_vocabulary(path))
+    with _counted_loads() as calls:
+        assert _outcome(lambda: io.load_vocabulary(path)) == by_entries
+    assert not (valid and calls), "the column pass refused a valid vocabulary"
+    return len(calls)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize("text", _FAULTS.values(), ids=_FAULTS)
+def test_vocabulary_columns_raise_the_error_of_the_entry_checks(tmp_path, text):
+    path = tmp_path / "v.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    _vocabulary_passes(path, valid=False)
+
+
+_VOCAB_ENTRY = {"id": 0, "name": "x", "split": "base", "description": "d", "cate_emb": [1, 0],
+                "attr_emb": [0.5, -1]}
+
+
+def _vocabulary_text(*entries, top=""):
+    """A vocabulary.json text of 2-wide ``entries``: dicts, or text spliced in as it is."""
+    return '{"dim_text": 2, %s"entries": [%s]}' % (top, ", ".join(
+        e if isinstance(e, str) else json.dumps(e) for e in entries))
+
+
+def _changed(**changes):
+    """``_VOCAB_ENTRY`` with ``changes``; a value of None drops the key."""
+    return {k: v for k, v in {**_VOCAB_ENTRY, **changes}.items() if v is not None}
+
+
+_SECOND = dict(_VOCAB_ENTRY, id=1)
+_DEEP_VALUE = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("text, valid", [
+    # orjson loads a 30-digit int as 1e+30; json keeps it an int, and a text as its str()
+    (_vocabulary_text(_VOCAB_ENTRY, _changed(id=10 ** 30)), False),
+    (_vocabulary_text(_VOCAB_ENTRY, _changed(id=1, name=10 ** 30)), False),
+    (_vocabulary_text(_VOCAB_ENTRY, _changed(id=1, description=10 ** 30)), False),
+    (_vocabulary_text(_VOCAB_ENTRY, _changed(id=1, cate_emb=[10 ** 30, 0])), True),  # the same float32
+    (_vocabulary_text(_VOCAB_ENTRY, _changed(id=1, attr_emb=[2 ** 64, -(2 ** 63) - 1])), True),
+    # json loads 1e999 as inf, NaN and a lone surrogate; orjson refuses them
+    (_vocabulary_text(_VOCAB_ENTRY, _changed(id=1, cate_emb="@")).replace('"@"', "[1e999, 0]"), False),
+    (_vocabulary_text(_VOCAB_ENTRY, _changed(id=1, attr_emb=[float("nan"), 1])), False),
+    (_vocabulary_text(_VOCAB_ENTRY, _changed(id=1, name="\ud800")), False),
+    (_vocabulary_text(_VOCAB_ENTRY, _changed(id=1, description="\udfff")), False),
+    # a text that is no str: json's loader keeps its str(), "5", "None" and "[1]"
+    (_vocabulary_text(_VOCAB_ENTRY, _changed(id=1, name=5)), False),
+    (_vocabulary_text(_VOCAB_ENTRY, _changed(id=1, name="@")).replace('"@"', "null"), False),
+    (_vocabulary_text(_VOCAB_ENTRY, _changed(id=1, description=[1])), False),
+    # a key repeated inside an entry: both parsers keep its last value
+    (_vocabulary_text(_VOCAB_ENTRY, json.dumps(_SECOND)[:-1] + ', "id": 0}'), False),
+    (_vocabulary_text(_VOCAB_ENTRY, '{"name": 7, ' + json.dumps(_SECOND)[1:]), True),
+    (_vocabulary_text(_VOCAB_ENTRY, json.dumps(_SECOND)[:-1] + ', "cate_emb": [0, 0]}'), False),
+    (_vocabulary_text(_VOCAB_ENTRY, _SECOND).replace('"dim_text": 2', '"dim_text": 3, "dim_text": 2'), True),
+    # -0.0 and the smallest subnormal, which a float32 rounds to zero
+    (_vocabulary_text(_VOCAB_ENTRY, _changed(id=1, cate_emb=[-0.0, 5e-324], attr_emb=[1, -0.0])), False),
+    (_vocabulary_text(_VOCAB_ENTRY, _changed(id=1, cate_emb=[-0.0, 1.5], attr_emb=[5e-324, 1])), True),
+    (_vocabulary_text(_changed(description=None), _changed(id=1, description=None)), True),
+    (_vocabulary_text(_VOCAB_ENTRY, _changed(id=1, split=None)), False),
+    (_vocabulary_text(_VOCAB_ENTRY, dict(_VOCAB_ENTRY)), False),  # a repeated id
+    (_vocabulary_text(_VOCAB_ENTRY, _SECOND).replace("\n", "\r\n") + "\r\n \t", True),
+    (_vocabulary_text(_VOCAB_ENTRY, _SECOND) + "\x0c", False),  # a form feed, no JSON whitespace
+    # a key no format reads: json refuses a value of it nested past the interpreter's depth
+    (_vocabulary_text(_VOCAB_ENTRY, _changed(id=1, extra="@")).replace('"@"', _DEEP_VALUE), False),
+    (_vocabulary_text(_VOCAB_ENTRY, _SECOND, top='"extra": %s, ' % _DEEP_VALUE), False),
+    (_vocabulary_text(_VOCAB_ENTRY, _changed(id=1, extra=[[0]])), False),
+])
+def test_vocabulary_column_pass_on_edge_files(tmp_path, text, valid):
+    path = tmp_path / "v.json"
+    path.write_text(text, newline="")
+    checked = _vocabulary_passes(path, valid)
+    assert valid or checked, "a file the column pass should refuse took no entry check"
+
+
+# what a mutation may put in place of a vocabulary value: "@1e999@" stands for the bare literal
+VOCAB_BAD_VALUES = [10 ** 30, "@1e999@", float("nan"), float("-inf"), "\ud800", 5, None, [1], -0.0, 5e-324,
+                    2 ** 64, -(2 ** 63) - 1, True, "1", "novel", 1.5, [], {}, [0.5, "1"], [1e39, 1]]
+components = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-1e6, 1e6, width=32),
+                       st.integers(-2 ** 70, 2 ** 70), st.sampled_from([-0.0, 5e-324, 10 ** 30, 1e-45]))
+
+
+@st.composite
+def vocabulary_entries(draw, dim):
+    entry = {"name": draw(st.text(max_size=4)), "split": draw(st.sampled_from(io.SPLITS)),
+             "description": draw(st.text(max_size=4)),
+             "cate_emb": draw(st.lists(components, min_size=dim, max_size=dim)),
+             "attr_emb": draw(st.lists(components, min_size=dim, max_size=dim))}
+    if draw(st.booleans()):
+        del entry["description"]
+    return entry
+
+
+@st.composite
+def vocabulary_mutations(draw):
+    """Drop a key, give it a bad value, give one embedding component a bad value, repeat a
+    key inside the entry (before or after its first value), or change nothing."""
+    kind = draw(st.sampled_from(["drop", "value", "component", "repeat-first", "repeat-last", "none"]))
+    return kind, draw(st.sampled_from(list(io.VOCABULARY_ENTRY_FORMAT))), draw(st.sampled_from(VOCAB_BAD_VALUES))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), n=st.integers(1, 4), mutation=vocabulary_mutations(),
+       index=st.integers(0, 3), indent=st.sampled_from([None, 1, 4]), crlf=st.booleans(), ascii=st.booleans())
+def test_vocabulary_columns_agree_with_entries(tmp_path_factory, data, dim, n, mutation, index, indent, crlf,
+                                               ascii):
+    ids = data.draw(st.lists(st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70)), min_size=n,
+                             max_size=n, unique=True))
+    entries = [{"id": i, **data.draw(vocabulary_entries(dim))} for i in ids]
+    kind, key, value = mutation
+    entry = entries[index % n]
+    if kind == "drop":
+        entry.pop(key, None)
+    elif kind == "value":
+        entry[key] = value
+    elif kind == "component":
+        entry["cate_emb" if index % 2 else "attr_emb"][0] = value
+    texts = [json.dumps(e, indent=indent, ensure_ascii=ascii) for e in entries]
+    if kind.startswith("repeat"):
+        text, repeat = texts[index % n], f"{json.dumps(key)}: {json.dumps(value)}"
+        texts[index % n] = text[:-1] + f", {repeat}}}" if kind == "repeat-last" else "{" + repeat + ", " + text[1:]
+    text = '{"dim_text": %d, "entries": [%s]}\n' % (dim, ",\n".join(texts))
+    text = text.replace('"@1e999@"', "1e999")
+    path = tmp_path_factory.mktemp("voc") / "v.json"
+    text = text.replace("\n", "\r\n") if crlf else text
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))  # a lone surrogate as bytes no UTF-8 allows
+    _vocabulary_passes(path, valid=False)
+
+
+def _vocabulary_doc(names=("a", "b", "c"), description=True):
+    entries = [{"id": k * 7 - 5, "name": name, "split": io.SPLITS[k % 2], "cate_emb": [1.5, -0.0, k],
+                "attr_emb": [0.1, 1e-40, -3]} for k, name in enumerate(names)]
+    for k, entry in enumerate(entries):
+        entry.update({"description": f"the {k}th"} if description else {})
+    return {"dim_text": 3, "entries": entries}
+
+
+def _synthetic_vocabulary(categories, dim):
+    def write(path):
+        scene = gen_scene(SynthConfig(n_identities=4, n_frames=2, n_categories=categories, embed_dim=dim, seed=5))
+        io.write_vocabulary(scene.vocabulary, path)
+    return write
+
+
+_VALID_VOCABULARIES = {
+    "synth-8": _synthetic_vocabulary(8, 16),
+    "synth-200": _synthetic_vocabulary(200, 64),
+    "written": lambda path: io.write_vocabulary(io.Vocabulary([io.VocabularyEntry(
+        i, name, "novel", "", np.array([-0.0, 1e-45, 3.4e38], np.float32), np.array([1, 0, 0], np.float32))
+        for i, name in ((2 ** 64 - 1, "näme"), (-2 ** 63, "\U0001f600"), (0, ""))], 3), path),
+    "indented": lambda path: path.write_text(json.dumps(_vocabulary_doc(), indent=4)),
+    "crlf": lambda path: path.write_text(json.dumps(_vocabulary_doc(), indent=2) + "\n", newline="\r\n"),
+    "non-ascii": lambda path: path.write_text(
+        json.dumps(_vocabulary_doc(("café", "猫", "\U0001f600 x")), ensure_ascii=False), encoding="utf-8"),
+    "no-description": lambda path: path.write_text(json.dumps(_vocabulary_doc(description=False))),
+}
+
+
+@pytest.mark.parametrize("write", _VALID_VOCABULARIES.values(), ids=_VALID_VOCABULARIES)
+def test_a_valid_vocabulary_takes_no_entry_check(tmp_path, monkeypatch, write):
+    # the column pass must load every file the writer or a hand makes, so that no edit of it
+    # sends valid files down the entry checks unnoticed
+    path = tmp_path / "v.json"
+    write(path)
+    calls, entry = [], io._vocabulary_entry
+    monkeypatch.setattr(io, "_vocabulary_entry", lambda *a: calls.append(a) or entry(*a))
+    vocab = io.load_vocabulary(path)
+    assert calls == []
+    assert all(e.cate_embedding.dtype == e.attr_embedding.dtype == np.float32 for e in vocab)
+    monkeypatch.setattr(io, "_parse_line", _refuse)
+    assert _outcome(lambda: vocab) == _outcome(lambda: io.load_vocabulary(path))
+    assert len(calls) == len(vocab)
