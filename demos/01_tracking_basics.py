@@ -55,11 +55,12 @@ for tr in tracks:
           f"gaps bridged: {gaps if gaps else 'none'}")
 
 # Peek at the memory vs bank machinery for one live track. The tracker keeps
-# one row per live track in its memory and query arrays, in live order. A
-# track is its observations: the category bank is the retained categories
-# of its last n_cat_bank entries.
+# one row per live track in its memory and query arrays, in live order, and
+# every live feature bank in one store that Tracker.bank reads. A track is
+# its observations: the category bank is the retained categories of its
+# last n_cat_bank entries.
 tr = tracker.live[0]
-bank = tr.feature_bank  # unit rows, oldest first
+bank = tracker.bank(tr)  # unit rows, oldest first
 n_cat_bank = tracker.cfg.n_cat_bank
 print(f"\ntrack {tr.id} internals: memory dim {tracker.memory.shape[1]}, "
       f"bank {bank.shape[0]} embeddings (cap {tracker.cfg.n_bank}), "

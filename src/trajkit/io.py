@@ -24,9 +24,10 @@ weights bundle (``.twb``)
 
 A JSONL loader reads ``_CHUNK`` (256) lines at a time, parses each line with
 ``orjson`` and checks whole columns against the format table. When the parse or a
-check refuses a chunk, it checks that chunk again one line at a time with ``json``,
-which raises the error naming ``file:line`` or loads the chunk. ``load_vocabulary``
-parses its file once with ``orjson`` and checks each key as a column of every entry;
+check refuses a chunk, or a line holds a key the table does not name, it checks that
+chunk again one line at a time with ``json``, which raises the error naming
+``file:line`` or loads the chunk. ``load_vocabulary`` and ``load_splits`` parse their
+file once with ``orjson`` and check each key they read as a column of every entry;
 when that refuses, ``json`` loads the file and its entries are checked one at a time.
 The line and entry checks are the reference and write every message; the tests hold
 the column passes to them.
@@ -301,6 +302,9 @@ def _rows(path, fmt: dict, keys, vocabulary: Vocabulary | None = None,
     that a failed check raises naming ``path:lineno`` after the rows of the lines before it."""
     def by_columns(numbered: list[tuple]) -> Iterable[tuple]:
         objs = [_parse_line(line) for _, line in numbered]
+        # no key but the format's, whose checks bound their depth: json refuses a value nested
+        # past the interpreter's depth, which the parser loads
+        _require(set().union(*objs) <= fmt.keys(), None, "a key no format reads")
         cols = [_checked(fmt, key, [o[key] for o in objs], vocabulary=vocabulary) for key in keys]
         return zip([n for n, _ in numbered], zip(*cols), more(objs, None))
 
@@ -491,10 +495,9 @@ def _vocabulary_entry(raw, where: str, dim_text: int) -> VocabularyEntry:
     return VocabularyEntry(*values)
 
 
-def _vocabulary_columns(path) -> Vocabulary:
-    """A vocabulary.json file parsed once, each key of ``VOCABULARY_ENTRY_FORMAT`` checked as
-    a column of every entry. Raises one of ``_REFUSED`` on a file the entry checks may refuse
-    or load otherwise."""
+def _column_entries(path) -> tuple[int, list[dict]]:
+    """A vocabulary.json file parsed once: ``dim_text`` and the entries, each a dict of no key
+    but those of ``VOCABULARY_ENTRY_FORMAT``. Raises one of ``_REFUSED`` otherwise."""
     with open(path, "rb") as fh:
         obj = _parse_line(fh.read())
     dim_text, raw = obj["dim_text"], obj["entries"]
@@ -504,12 +507,24 @@ def _vocabulary_columns(path) -> Vocabulary:
              and obj.keys() == {"dim_text", "entries"}
              and all(type(e) is dict and e.keys() <= VOCABULARY_ENTRY_FORMAT.keys() for e in raw), None,
              "not a vocabulary the columns load")
-    cols = []
-    for key, (kind, *_) in VOCABULARY_ENTRY_FORMAT.items():
-        col = [e.get(key, "") if key == "description" else e[key] for e in raw]
-        # json keeps a text's number as its str(), which the parser may load otherwise (1e+30)
-        _require(kind != "text" or {*map(type, col)} <= {str}, None, f"{key} that is no str")
-        cols.append(_checked(VOCABULARY_ENTRY_FORMAT, key, col, size=dim_text))
+    return dim_text, raw
+
+
+def _text_column(raw: list[dict], key: str) -> list[str]:
+    col = [e.get(key, "") if key == "description" else e[key] for e in raw]
+    # json keeps a text's number as its str(), which the parser may load otherwise (1e+30)
+    _require({*map(type, col)} <= {str}, None, f"{key} that is no str")
+    return col
+
+
+def _vocabulary_columns(path) -> Vocabulary:
+    """A vocabulary.json file parsed once, each key of ``VOCABULARY_ENTRY_FORMAT`` checked as
+    a column of every entry. Raises one of ``_REFUSED`` on a file the entry checks may refuse
+    or load otherwise."""
+    dim_text, raw = _column_entries(path)
+    cols = [_text_column(raw, key) if kind == "text" else
+            _checked(VOCABULARY_ENTRY_FORMAT, key, [e[key] for e in raw], size=dim_text)
+            for key, (kind, *_) in VOCABULARY_ENTRY_FORMAT.items()]
     return Vocabulary(list(map(VocabularyEntry, *cols)), dim_text)  # a repeated id is refused here
 
 
@@ -559,10 +574,34 @@ def _split_entry(raw, where: str, dim_text: int) -> tuple[int, str]:
     return category_id, split
 
 
+def _splits_columns(path) -> dict[int, str]:
+    """Each category id's split from a vocabulary.json file parsed once, each key checked as a
+    column of every entry as ``_split_entry`` checks it. Raises one of ``_REFUSED`` on a file
+    the entry checks may refuse or load otherwise."""
+    dim_text, raw = _column_entries(path)
+    fmt = VOCABULARY_ENTRY_FORMAT
+    ids, splits = (_checked(fmt, key, [e[key] for e in raw]) for key in ("id", "split"))
+    for key in ("name", "description"):
+        _text_column(raw, key)
+    for key in ("cate_emb", "attr_emb"):
+        col = [e[key] for e in raw]
+        # the parser loads no NaN and no infinity, so every number it loads is finite
+        _require({*map(type, col)} <= {list} and {*map(len, col)} == {dim_text}
+                 and _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(col))), None,
+                 f"{key} that is no list of dim_text numbers")
+    _require(len(set(ids)) == len(ids), None, "a repeated id")
+    return dict(zip(ids, splits))
+
+
 def load_splits(path) -> dict[int, str]:
     """Each category id's split from a vocabulary.json file, without reading an embedding's
     values: every check of ``load_vocabulary`` with the same error, except that an embedding
-    may be all zero or hold a number too large for a float32."""
+    may be all zero or hold a number too large for a float32. By columns (``_splits_columns``)
+    or, when they refuse, entry by entry, which raises the error naming the file and entry."""
+    try:
+        return _splits_columns(path)
+    except _REFUSED:
+        pass
     _, splits = _vocabulary_file(path, str.encode, _split_entry)
     _unique_ids([category_id for category_id, _ in splits], path)
     return dict(splits)

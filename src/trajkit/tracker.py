@@ -1,37 +1,46 @@
 """Appearance-only multi-object association with feature and category banks.
 
-A track is its observations: one ``io.TrackEntry`` per matched detection in
-``observations`` (its ``category_id`` is the retained category), plus
-``feature_bank``, the last ``n_bank`` matched embeddings (FIFO) held as one
-contiguous ``(n, d)`` float64 array of unit rows, oldest first. The bank
-similarity is the mean cosine against every entry, which is considerably
-more noise tolerant than an EMA alone. That mean equals one dot product
-with the mean of the bank's unit rows, summed afresh in FIFO order from the
-kept rows on every match. The rest is read off the entries: an entry's
-embedding from the detection it indexes (``classify.record_embeddings``),
-the category bank as the retained categories of the last ``n_cat_bank``
-entries (smoothing noisy per-frame classifications by majority vote), and
-the state from the last entry's frame (``Tracker.state``).
+A ``Track`` is an ``id`` and its ``observations``: one ``io.TrackEntry`` per
+matched detection (its ``category_id`` is the retained category). The rest
+is read off the entries or kept by the ``Tracker``: an entry's embedding
+from the detection it indexes (``classify.record_embeddings``), the category
+bank as the retained categories of the last ``n_cat_bank`` entries
+(smoothing noisy per-frame classifications by majority vote), the state from
+the last entry's frame (``Tracker.state``), and the feature bank, the last
+``n_bank`` matched embeddings (FIFO) as float64 unit rows
+(``Tracker.bank``). The bank similarity is the mean cosine against every
+entry, which is considerably more noise tolerant than an EMA alone. That
+mean equals one dot product with the mean of the bank's unit rows, summed
+afresh in FIFO order from the kept rows on every match.
 
 Similarity between a track and a detection blends the memory and bank
 cosines, ``alpha_sim * C_mem + (1 - alpha_sim) * C_bank``, optionally
 averaged with a bi-directional softmax of the same matrix. The memory is an
 exponential moving average of the matched embeddings,
-``alpha_mem * det + (1 - alpha_mem) * memory``. Matching is a greedy
-per-detection argmax in descending confidence order; there is no motion
-model and no box gating, appearance carries everything.
+``alpha_mem * det + (1 - alpha_mem) * memory``. Matching is greedy per
+detection in descending confidence order, each taking its best open track;
+there is no motion model and no box gating, appearance carries everything.
+``associate_frame`` makes that greedy's decisions in array passes: every
+detection's best track at once, accepted for the longest prefix of the
+visit order in which no detection wants a track claimed earlier in it,
+then again for the displaced rest, and after ``_GREEDY_ROUNDS`` rounds
+one detection at a time.
 
 ``Tracker`` keeps its live tracks (active or lost) in ``live``, in id
 order, and drops a track in the frame it dies, so per-frame work grows with
 the live tracks only, never with every track ever born. Beside ``live`` it
 keeps one row per live track in two float64 arrays: ``memory`` and the
 query row ``alpha_sim * memory / ||memory|| + (1 - alpha_sim) * mean(bank)``.
-Scoring a frame is then one product of the stored query with the unit
-detections, and the bi-softmax. A step updates the rows of the tracks it
-matched together: one EMA, one normalization and one blend over the
-matched rows.
+Every live bank is a row of one ``(slots, n_bank, d)`` float64 store, used
+as a ring: a track's k-th banked row sits in slot ``k % n_bank``, and its
+count of banked rows gives the fill. A dying track's bank is copied out and
+its store row taken by the next birth, so the store is never rebuilt when
+tracks are born or die. Scoring a frame is one product of the stored query
+with the unit detections, and the bi-softmax. A step updates the rows of
+the tracks it matched together: one bank write, one mean per fill count,
+one EMA, one normalization and one blend over the matched rows.
 
-Detection embeddings are never mutated; only the bank and the query hold
+Detection embeddings are never mutated; only the banks and the query hold
 normalized copies.
 """
 
@@ -107,7 +116,6 @@ class TrackerConfig:
 @dataclass(eq=False)
 class Track:
     id: int
-    feature_bank: np.ndarray  # (n <= n_bank, d) float64 unit rows, oldest first
     observations: list[TrackEntry] = field(default_factory=list)  # category_id is the retained one
 
 
@@ -169,6 +177,23 @@ def score_matrix(query: np.ndarray, det_units: np.ndarray, cfg: TrackerConfig) -
     return 0.5 * (r + bisoftmax(r, cfg.softmax_temperature))
 
 
+# prefix rounds of the batched greedy before the displaced rest is matched one at a time
+_GREEDY_ROUNDS = 8
+
+
+def _greedy_loop(open_rows: np.ndarray, tau_match: float) -> tuple[np.ndarray, np.ndarray]:
+    """The greedy one detection at a time over (detections, tracks) rows in visit order,
+    a matched track's column masked with -inf, which tau_match (finite) never accepts:
+    each row's track (-1 for none) and score."""
+    picked, picked_scores = np.full(len(open_rows), -1), np.zeros(len(open_rows))
+    for j, row in enumerate(open_rows):
+        k = int(np.argmax(row))  # ties resolve to the lowest track index
+        if row[k] >= tau_match:
+            picked[j], picked_scores[j] = k, row[k]
+            open_rows[:, k] = -np.inf
+    return picked, picked_scores
+
+
 def associate_frame(tracks: Sequence[Track], dets: Sequence[DetectionRecord],
                     scores: np.ndarray, cfg: TrackerConfig,
                     next_track_id: int = 0) -> list[AssociationEvent]:
@@ -179,22 +204,57 @@ def associate_frame(tracks: Sequence[Track], dets: Sequence[DetectionRecord],
     tau_match; otherwise it is born as a new track when its confidence
     reaches tau_new, or discarded. Born events receive consecutive ids
     starting at ``next_track_id``.
+
+    The decisions are made in rounds. Every undecided detection takes its
+    best track with the claimed ones masked; the longest prefix of the
+    visit order in which no detection wants a track claimed earlier in the
+    prefix is decided, since masking claims after it changes none of those
+    argmaxes. A best score below tau_match stays below once tracks close,
+    so such a detection wants no track. The displaced rest goes to the
+    next round, and after ``_GREEDY_ROUNDS`` rounds to the loop.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (len(tracks), len(dets)):
-        raise DimMismatchError(f"scores shape {scores.shape} != ({len(tracks)}, {len(dets)})")
+    T, D = len(tracks), len(dets)
+    if scores.shape != (T, D):
+        raise DimMismatchError(f"scores shape {scores.shape} != ({T}, {D})")
+    tau = cfg.tau_match
+    # stable: equal confidences keep the lower index first
+    order = np.lexsort((-np.array([det.confidence for det in dets], dtype=np.float64),))
+    track_of, score_of = np.full(D, -1), np.zeros(D)
+    rest, claimed = order, np.zeros(T, dtype=bool)
+    for round_ in range(_GREEDY_ROUNDS if T else 0):
+        if not len(rest):
+            break
+        if round_:  # a copy of the rest's columns only, claimed tracks masked
+            cols = scores[:, rest]
+            cols[claimed] = -np.inf
+            best = cols.argmax(axis=0)
+            best_score = cols[best, np.arange(len(rest))]
+        else:  # the whole matrix, read in place
+            best = scores.argmax(axis=0)[rest]
+            best_score = scores[best, rest]
+        at = np.flatnonzero(best_score >= tau)
+        first = np.full(T, len(rest))  # the first position that claims each track
+        np.minimum.at(first, best[at], at)
+        # a NaN best score is no hit, but with its track masked the argmax moves and may
+        # find one: like a hit, it wants its track
+        clash = ~(best_score < tau) & (first[best] < np.arange(len(rest)))
+        n = int(clash.argmax()) if clash.any() else len(rest)
+        won = at[at < n]
+        track_of[rest[won]], score_of[rest[won]] = best[won], best_score[won]
+        claimed[best[won]] = True
+        rest = rest[n:]
+    if T and len(rest):
+        open_rows = scores[:, rest].T.copy()
+        open_rows[:, claimed] = -np.inf
+        track_of[rest], score_of[rest] = _greedy_loop(open_rows, tau)
+
     events: list[AssociationEvent] = []
-    # One row per detection; a matched track's column is masked with -inf,
-    # which tau_match (finite) never accepts.
-    open_scores = scores.T.copy()
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
-    for i in order:
-        det = dets[i]
-        row = open_scores[i]
-        k = int(np.argmax(row)) if len(row) else -1  # ties resolve to the lowest track index
-        if k >= 0 and row[k] >= cfg.tau_match:
-            events.append(AssociationEvent(det.frame, MATCHED, tracks[k].id, i, float(row[k])))
-            open_scores[:, k] = -np.inf
+    picked, picked_scores = track_of.tolist(), score_of.tolist()
+    for i in order.tolist():
+        det, k = dets[i], picked[i]
+        if k >= 0:
+            events.append(AssociationEvent(det.frame, MATCHED, tracks[k].id, i, picked_scores[i]))
         elif det.confidence >= cfg.tau_new:
             events.append(AssociationEvent(det.frame, BORN, next_track_id, i))
             next_track_id += 1
@@ -241,7 +301,8 @@ class Tracker:
     ``query`` belongs to ``live[i]``, and only these rows are scored. After
     each ``step``, ``last_scores`` is the (live, detections) score matrix
     that association used, ``last_ids`` names the track of each of its
-    rows, and ``state(track)`` gives any track's state.
+    rows, ``state(track)`` gives any track's state and ``bank(track)`` its
+    feature bank.
     """
 
     def __init__(self, cfg: TrackerConfig | None = None):
@@ -258,6 +319,13 @@ class Tracker:
         self._frames: list[int] = []  # the frame of every step so far
         self._width: int | None = None  # fixed by the first detection
         self._next_id = 1
+        # Every live bank, a ring of unit rows: live[i]'s k-th banked row is in
+        # _banks[_slot[i], k % n_bank], and _banked[i] rows have been banked.
+        self._banks = np.zeros((0, self.cfg.n_bank, 0))
+        self._slot = np.zeros(0, dtype=np.int64)
+        self._banked = np.zeros(0, dtype=np.int64)
+        self._free: list[int] = []  # rows of _banks no live track holds
+        self._dead_banks: dict[int, np.ndarray] = {}  # id -> the bank as the track died
 
     def _rows(self, frame: int, dets: Sequence[DetectionRecord]) -> np.ndarray:
         """The frame's embeddings as (D, d) float64 rows, all of the tracker's width."""
@@ -271,6 +339,7 @@ class Tracker:
         if self._width is None:
             self._width = want[0]
             self.memory, self.query = np.zeros((0, self._width)), np.zeros((0, self._width))
+            self._banks = np.zeros((0, self.cfg.n_bank, self._width))
         return np.stack([d.embedding for d in dets]).astype(np.float64)
 
     def state(self, track: Track) -> TrackState:
@@ -279,9 +348,52 @@ class Tracker:
         age = self._frames[-1] - track.observations[-1].frame
         return TrackState.DEAD if age > self.cfg.max_age else TrackState.LOST if age else TrackState.ACTIVE
 
-    def _record(self, track: Track, det: DetectionRecord, det_idx: int):
-        category_id = retain_category(track, det, self.cfg)
-        track.observations.append(TrackEntry(det.frame, det.bbox, det.confidence, category_id, det_idx))
+    def _ring(self, rows: np.ndarray, fill: int) -> np.ndarray:
+        """The banks of live ``rows`` that each hold ``fill`` rows, as (rows, fill, d), oldest first."""
+        n = self.cfg.n_bank
+        slots = (self._banked[rows, None] - fill + np.arange(fill)) % n
+        return self._banks[self._slot[rows, None], slots]
+
+    def bank(self, track: Track) -> np.ndarray:
+        """The track's last ``n_bank`` matched embeddings as (n, d) float64 unit rows, oldest
+        first; a dead track's as they were in the frame it died."""
+        if track.id in self._dead_banks:
+            return self._dead_banks[track.id]
+        return self._bank_of(self.live.index(track))
+
+    def _bank_of(self, row: int) -> np.ndarray:
+        return self._ring(np.array([row]), min(int(self._banked[row]), self.cfg.n_bank))[0]
+
+    def _push(self, rows: np.ndarray, units: np.ndarray) -> np.ndarray:
+        """Bank ``units[j]`` in live row ``rows[j]``'s bank; the mean of each bank after."""
+        n = self.cfg.n_bank
+        self._banks[self._slot[rows], self._banked[rows] % n] = units
+        self._banked[rows] += 1
+        fill = np.minimum(self._banked[rows], n)
+        means = np.empty_like(units)
+        for f in set(fill.tolist()):
+            # Summed afresh from the kept rows, oldest first, as np.add.reduce sums one
+            # bank: subtracting evicted rows would build up rounding error, and adding
+            # an empty slot's zero would turn a -0.0 sum into 0.0.
+            group = fill == f
+            means[group] = np.add.reduce(self._ring(rows[group], f), axis=1) / f
+        return means
+
+    def _take_slots(self, count: int) -> list[int]:
+        """``count`` free rows of the bank store, which doubles when they run out. The new
+        rows are allocated zeroed, so their memory becomes resident only once rows are
+        banked in them."""
+        free = self._free
+        if len(free) < count:
+            size = len(self._banks)
+            grow = max(2 * (count - len(free)), size)
+            banks = np.zeros((size + grow, *self._banks.shape[1:]))
+            banks[:size] = self._banks
+            self._banks = banks
+            free.extend(range(size, size + grow))
+        taken = free[-count:]
+        del free[-count:]
+        return taken
 
     def step(self, frame: int, dets: Sequence[DetectionRecord]) -> list[AssociationEvent]:
         """Process one frame; frames must be strictly increasing."""
@@ -299,50 +411,54 @@ class Tracker:
         now = len(frames)
         frames.append(frame)
 
-        rows, cols, means, born = [], [], [], []
-        for ev in events:
-            if ev.kind == BORN:
-                born.append(ev)
-            elif ev.kind == MATCHED:
-                i, row = ev.det_idx, bisect_left(ids, ev.track_id)
-                track = live[row]
-                kept = track.feature_bank[max(len(track.feature_bank) - cfg.n_bank + 1, 0):]
-                bank = track.feature_bank = np.concatenate([kept, units[i:i + 1]])
-                # Summed afresh from the kept rows, oldest first; subtracting
-                # evicted rows would build up rounding error.
-                means.append(np.add.reduce(bank) / len(bank))
-                rows.append(row)
-                cols.append(i)
-                self._record(track, dets[i], i)
+        matched = [(ev.track_id, ev.det_idx) for ev in events if ev.kind == MATCHED]
+        born = [ev for ev in events if ev.kind == BORN]
         a = cfg.alpha_sim
         last = self._last_step
-        if rows:
+        if matched:
+            track_ids, cols = map(list, zip(*matched))
+            rows = np.searchsorted(ids, track_ids)
+            means = self._push(rows, units[cols])
             memory = update_memory(self.memory[rows], emb[cols], cfg.alpha_mem)
             self.memory[rows] = memory
-            self.query[rows] = a * _normalize_rows(memory) + (1.0 - a) * np.array(means)
+            self.query[rows] = a * _normalize_rows(memory) + (1.0 - a) * means
             last[rows] = now
+            for row, i in zip(rows.tolist(), cols):
+                track, det = live[row], dets[i]
+                category_id = det.category_id if det.confidence >= cfg.tau_high else \
+                    retain_category(track, det, cfg)
+                track.observations.append(TrackEntry(det.frame, det.bbox, det.confidence, category_id, i))
 
         # A track dies once its last match is more than max_age frames back.
         oldest = bisect_left(frames, frame - cfg.max_age)
         dead = np.flatnonzero(last < oldest)
         if len(dead):
-            events += [AssociationEvent(frame, DIED, live[row].id) for row in dead]
+            for row in dead.tolist():
+                self._dead_banks[live[row].id] = self._bank_of(row)
+                events.append(AssociationEvent(frame, DIED, live[row].id))
+            self._free += self._slot[dead].tolist()
             keep = last >= oldest
             live = [live[row] for row in np.flatnonzero(keep)]
             self.memory, self.query, last = self.memory[keep], self.query[keep], last[keep]
+            self._slot, self._banked = self._slot[keep], self._banked[keep]
 
         if born:
-            # Born ids exceed every live id, so the rows stay in id order.
+            # Born ids exceed every live id, so the rows stay in id order. A new
+            # track's first entry keeps its detection's category: it has no bank to vote.
             cols = [ev.det_idx for ev in born]
-            block = units[cols]  # each new bank is a view of one row of it
-            for j, (ev, i) in enumerate(zip(born, cols)):
-                track = Track(ev.track_id, block[j:j + 1])
-                self._record(track, dets[i], i)
-                self.tracks.append(track)
+            slots = self._take_slots(len(born))
+            block = units[cols]
+            self._banks[slots, 0] = block
+            for ev, i in zip(born, cols):
+                det = dets[i]
+                self.tracks.append(Track(ev.track_id, [TrackEntry(det.frame, det.bbox, det.confidence,
+                                                                  det.category_id, i)]))
             live = live + self.tracks[-len(born):]
             self.memory = np.concatenate([self.memory, emb[cols]])
             self.query = np.concatenate([self.query, a * block + (1.0 - a) * block])
             last = np.concatenate([last, np.full(len(born), now)])
+            self._slot = np.concatenate([self._slot, slots])
+            self._banked = np.concatenate([self._banked, np.ones(len(born), dtype=np.int64)])
             self._next_id = born[-1].track_id + 1
         self.live, self._last_step = live, last
         return events

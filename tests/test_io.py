@@ -4,6 +4,7 @@ import json
 import struct
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -639,6 +640,10 @@ def _with_entry(**changes):
     return json.dumps({**_VALID, "entries": [_ENTRY, entry]})
 
 
+def _refuse_columns(text):
+    raise orjson.JSONDecodeError("refused", "", 0)  # as io._parse_line does on text it cannot parse
+
+
 _FAULTS = {  # a short name: the text of a vocabulary.json that both loaders refuse
     "top-list": "[1, 2]", "top-number": "1.5", "no-entries": '{"dim_text": 2}',
     "entries-object": '{"dim_text": 2, "entries": {}}', "dim-bool": json.dumps({**_VALID, "dim_text": True}),
@@ -672,21 +677,27 @@ _FAULTS = {  # a short name: the text of a vocabulary.json that both loaders ref
     "emb-nan-str": _with_entry(cate_emb=[float("nan"), "x"]),
     "truncated": '{"dim_text": 2, "entries": [', "bad-number": '{"dim_text": 2, "entries": [0.5.5]}',
     "nested": "[" * 100_000 + "]" * 100_000,
+    "unread-key-nested": _with_entry(x="@").replace('"@"', "[" * 5000 + "]" * 5000),
+    "name-nested": _with_entry(name="@").replace('"@"', "[" * 5000 + "]" * 5000),
     "not-utf8": json.dumps(_VALID).encode().replace(b'"x"', b'"\xff"', 1),
 }
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
 @pytest.mark.parametrize("text", _FAULTS.values(), ids=_FAULTS)
-def test_splits_refuse_what_the_vocabulary_refuses_with_its_error(tmp_path, text):
+def test_splits_refuse_what_the_vocabulary_refuses_with_its_error(tmp_path, monkeypatch, text):
+    # each loader by its column pass, then with the column pass refused, by its entry checks
     path = tmp_path / "v.json"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
     errors = []
-    for loader in (io.load_vocabulary, io.load_splits):
-        with pytest.raises(TrajkitError) as exc:
-            loader(path)
-        errors.append((type(exc.value), str(exc.value)))
-    assert errors[0] == errors[1]
+    for columns in (True, False):
+        if not columns:
+            monkeypatch.setattr(io, "_parse_line", _refuse_columns)
+        for loader in (io.load_vocabulary, io.load_splits):
+            with pytest.raises(TrajkitError) as exc:
+                loader(path)
+            errors.append((type(exc.value), str(exc.value)))
+    assert errors[1:] == errors[:1] * 3
     assert errors[0][1].startswith(f"{path}: ")
 
 
@@ -734,6 +745,30 @@ def test_jsonl_loaders_name_the_line_of_a_value_nested_too_deeply(tmp_path, load
     with pytest.raises(FormatError) as exc:
         getattr(io, loader)(path)
     assert str(exc.value) == f"{path}:2: JSON nested too deeply"
+
+
+@pytest.mark.parametrize("loader, line", [
+    ("load_detections", _DET_LINE), ("read_tracks", _TRACK_LINE), ("load_groundtruth", _GT_LINE),
+])
+def test_jsonl_loaders_refuse_a_key_no_format_reads_nested_too_deeply(tmp_path, loader, line):
+    # the column pass's parser loads what json refuses, and no check read the key:
+    # the file loaded one record
+    path = tmp_path / "t.jsonl"
+    path.write_text(json.dumps(dict(line, x="@")).replace('"@"', "[" * 5000 + "]" * 5000) + "\n")
+    with pytest.raises(FormatError) as exc:
+        getattr(io, loader)(path)
+    assert str(exc.value) == f"{path}:1: JSON nested too deeply"
+
+
+@pytest.mark.parametrize("loader, line", [
+    ("load_detections", _DET_LINE), ("read_tracks", _TRACK_LINE), ("load_groundtruth", _GT_LINE),
+])
+def test_jsonl_loaders_keep_a_shallow_key_no_format_reads(tmp_path, loader, line):
+    plain, extra = tmp_path / "plain.jsonl", tmp_path / "extra.jsonl"
+    plain.write_text(json.dumps(line) + "\n")
+    extra.write_text(json.dumps(dict(line, x=[1, {"y": [2.5]}])) + "\n")
+    load = getattr(io, loader)
+    assert repr(load(extra)) == repr(load(plain))
 
 
 @pytest.mark.parametrize("loader", [io.load_vocabulary, io.load_splits])

@@ -574,3 +574,17 @@ def test_a_valid_vocabulary_takes_no_entry_check(tmp_path, monkeypatch, write):
     monkeypatch.setattr(io, "_parse_line", _refuse)
     assert _outcome(lambda: vocab) == _outcome(lambda: io.load_vocabulary(path))
     assert len(calls) == len(vocab)
+
+
+@pytest.mark.parametrize("write", _VALID_VOCABULARIES.values(), ids=_VALID_VOCABULARIES)
+def test_a_valid_vocabulary_takes_no_split_entry_check(tmp_path, monkeypatch, write):
+    path = tmp_path / "v.json"
+    write(path)
+    calls, entry = [], io._split_entry
+    monkeypatch.setattr(io, "_split_entry", lambda *a: calls.append(a) or entry(*a))
+    splits = io.load_splits(path)
+    assert calls == []
+    assert splits == io.load_vocabulary(path).splits()
+    monkeypatch.setattr(io, "_parse_line", _refuse)
+    assert list(io.load_splits(path).items()) == list(splits.items())
+    assert len(calls) == len(splits)

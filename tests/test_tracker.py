@@ -109,13 +109,35 @@ def _oracle_scores(tracks, dets, cfg):
     return 0.5 * (r + 0.5 * (softmax(logits, axis=1) + softmax(logits, axis=0)))
 
 
+def _oracle_associate(tracks, dets, scores, cfg, next_track_id=0):
+    """The greedy one detection at a time: each takes its best open track."""
+    events = []
+    # One row per detection; a matched track's column is masked with -inf,
+    # which tau_match (finite) never accepts.
+    open_scores = np.asarray(scores, dtype=np.float64).T.copy()
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
+    for i in order:
+        det = dets[i]
+        row = open_scores[i]
+        k = int(np.argmax(row)) if len(row) else -1  # ties resolve to the lowest track index
+        if k >= 0 and row[k] >= cfg.tau_match:
+            events.append(AssociationEvent(det.frame, MATCHED, tracks[k].id, i, float(row[k])))
+            open_scores[:, k] = -np.inf
+        elif det.confidence >= cfg.tau_new:
+            events.append(AssociationEvent(det.frame, BORN, next_track_id, i))
+            next_track_id += 1
+        else:
+            events.append(AssociationEvent(det.frame, DISCARDED, None, i))
+    return events
+
+
 def _per_match_oracle(frames, cfg):
     """Per frame: (scores, scored ids, events, live tracks, every track) of a
     tracker that folds each match into its track on its own."""
     tracks, live, next_id = [], [], 1
     for frame, dets in frames:
         scores = _oracle_scores(live, dets, cfg)
-        events = associate_frame(live, dets, scores, cfg, next_track_id=next_id)
+        events = _oracle_associate(live, dets, scores, cfg, next_track_id=next_id)
         ids = [t.id for t in live]
         born = []
         for ev in events:
@@ -194,7 +216,7 @@ def test_bisoftmax_temperature_sharpens():
 def _fresh_track(tid, emb, cats=(0,)):
     """A track whose entries retained ``cats``, oldest first."""
     entries = [io.TrackEntry(f, (0.0, 0.0, 1.0, 1.0), 0.9, cat, 0) for f, cat in enumerate(cats)]
-    return Track(tid, _unit_dets([_det(emb)]), entries)
+    return Track(tid, entries)
 
 
 def test_score_matrix_oracle():
@@ -275,6 +297,65 @@ def test_associate_confidence_tie_lower_index_first():
     by_det = {e.det_idx: e for e in events}
     assert by_det[0].kind == MATCHED  # index 0 visited first on equal confidence
     assert by_det[1].kind == BORN
+
+
+def _random_association(rng, n_tracks, n_dets):
+    """Tracks, detections and a score matrix with ties in score and confidence, -inf and
+    NaN entries, -inf columns and rows entirely below tau_match (0.4)."""
+    tracks = [Track(int(t)) for t in np.sort(rng.choice(10 * n_tracks + 1, n_tracks, replace=False))]
+    confs = rng.choice([0.05, 0.2, 0.3, 0.3, 0.7, 0.9, 0.9, float(rng.uniform())], n_dets)
+    dets = [_det([1.0], conf=float(c), frame=3) for c in confs]
+    scores = rng.choice([0.1, 0.39, 0.4, 0.4, 0.6, 0.8, 0.8, float(rng.uniform())], (n_tracks, n_dets))
+    scores[rng.random(scores.shape) < 0.05] = -np.inf
+    scores[rng.random(scores.shape) < 0.02] = np.nan
+    scores[:, rng.random(n_dets) < 0.1] = -np.inf
+    scores[rng.random(n_tracks) < 0.2] = rng.uniform(-1.0, 0.39, n_dets)
+    return tracks, dets, scores
+
+
+def test_batched_greedy_matches_the_loop_event_for_event():
+    cfg = TrackerConfig(tau_match=0.4, tau_new=0.3)
+    rng = np.random.default_rng(31)
+    shapes = [(t, d) for t in (0, 1, 2) for d in (0, 1, 2, 7)] + [(7, 1), (1, 7)]
+    shapes += [tuple(rng.integers(0, 40, 2)) for _ in range(600)]
+    for n_tracks, n_dets in shapes:
+        tracks, dets, scores = _random_association(rng, int(n_tracks), int(n_dets))
+        want = _oracle_associate(tracks, dets, scores, cfg, next_track_id=500)
+        assert associate_frame(tracks, dets, scores, cfg, next_track_id=500) == want
+
+
+def test_batched_greedy_falls_back_to_the_loop(monkeypatch):
+    # every detection ranks the tracks alike, so each round decides one detection:
+    # more rounds than the cap, and the loop decides the rest
+    import trajkit.tracker as tracker_module
+    calls = []
+    loop = tracker_module._greedy_loop
+    monkeypatch.setattr(tracker_module, "_greedy_loop", lambda *args: calls.append(1) or loop(*args))
+    cfg = TrackerConfig(tau_match=0.4, tau_new=0.3)
+    n = 3 * tracker_module._GREEDY_ROUNDS
+    tracks = [Track(t) for t in range(n)]
+    dets = [_det([1.0], conf=0.9 - 0.01 * i) for i in range(n + 2)]
+    scores = np.repeat(np.linspace(0.9, 0.41, n)[:, None], n + 2, axis=1)
+    events = associate_frame(tracks, dets, scores, cfg, next_track_id=n)
+    assert calls == [1]
+    assert events == _oracle_associate(tracks, dets, scores, cfg, next_track_id=n)
+    assert [ev.track_id for ev in events] == list(range(n + 2))
+
+
+def test_batched_greedy_on_a_crowded_frame():
+    # the second frame of a 1,000-identity scene, scored by a tracker that saw the first
+    from trajkit.synth import SynthConfig, gen_scene
+    d = 128
+    sigma = math.sqrt((1 / 0.87 ** 2 - 1) / d)
+    scene = gen_scene(SynthConfig(n_identities=1000, n_frames=2, embed_dim=d, noise_sigma=sigma,
+                                  miss_rate=0.05, fp_rate=2.0, seed=1))
+    tk = Tracker(TrackerConfig())
+    tk.step(0, scene.detections[0])
+    dets = scene.detections[1]
+    scores = score_matrix(tk.query, _unit_dets(dets), tk.cfg)
+    want = _oracle_associate(tk.live, dets, scores, tk.cfg, next_track_id=tk.tracks[-1].id + 1)
+    assert len(tk.live) > 900 and sum(ev.kind == MATCHED for ev in want) > 900
+    assert tk.step(1, dets) == want
 
 
 def test_majority_vote_cases():
@@ -370,12 +451,12 @@ def test_memory_and_bank_update_on_match():
     # the query row blends the unit memory with the mean of the bank's unit rows
     memory_unit = np.array([0.75, 0.25]) / np.hypot(0.75, 0.25)
     np.testing.assert_allclose(tk.query[0], cfg.alpha_sim * memory_unit
-                               + (1 - cfg.alpha_sim) * track.feature_bank.mean(axis=0))
-    assert len(track.feature_bank) == 2
+                               + (1 - cfg.alpha_sim) * tk.bank(track).mean(axis=0))
+    assert len(tk.bank(track)) == 2
     tk.step(2, [_det([0.5, 0.5], frame=2)])
-    assert len(track.feature_bank) == 2  # capped at n_bank
+    assert len(tk.bank(track)) == 2  # capped at n_bank
     # the bank holds unit rows, oldest first: frame 1's [0, 1], then frame 2's [0.5, 0.5]
-    np.testing.assert_allclose(track.feature_bank, [[0.0, 1.0], [0.5 ** 0.5, 0.5 ** 0.5]])
+    np.testing.assert_allclose(tk.bank(track), [[0.0, 1.0], [0.5 ** 0.5, 0.5 ** 0.5]])
 
 
 def test_stored_embeddings_not_renormalized():
@@ -387,7 +468,7 @@ def test_stored_embeddings_not_renormalized():
     np.testing.assert_allclose(tk.memory[0], [3.0, 0.0])
     np.testing.assert_allclose(dets[track.observations[0].det_idx].embedding, [3.0, 0.0])
     # only the bank keeps a normalized copy
-    np.testing.assert_allclose(track.feature_bank, [[1.0, 0.0]])
+    np.testing.assert_allclose(tk.bank(track), [[1.0, 0.0]])
 
 
 def test_run_sequence_bridges_gap():
@@ -492,7 +573,7 @@ def test_live_store_matches_replay_oracle(sim_mode):
                 dead.add(ev.track_id)
         for tr in tk.tracks:
             assert (tk.state(tr) == TrackState.DEAD) == (tr.id in dead)
-            assert len(tr.feature_bank) == min(len(tr.observations), cfg.n_bank)
+            assert len(tk.bank(tr)) == min(len(tr.observations), cfg.n_bank)
         prev = frame
 
     # the scene really exercised the store: deaths, wrapped banks, rematches after a gap
@@ -518,8 +599,8 @@ def test_bank_fifo_and_cap():
     for k, tk in enumerate(_one_track_tracker(cfg, rows)):
         tr = tk.live[0]
         want = rows[max(0, k + 1 - cfg.n_bank):k + 1].astype(np.float64)
-        np.testing.assert_allclose(tr.feature_bank, want / np.linalg.norm(want, axis=1, keepdims=True))
-        assert tr.feature_bank.flags.c_contiguous
+        np.testing.assert_allclose(tk.bank(tr), want / np.linalg.norm(want, axis=1, keepdims=True))
+        assert tk.bank(tr).flags.c_contiguous
 
 
 def test_birth_sets_bank_to_first_unit_row():
@@ -527,9 +608,9 @@ def test_birth_sets_bank_to_first_unit_row():
     tk = Tracker(cfg)
     tk.step(0, [_det([3.0, 4.0])])
     tr = tk.live[0]
-    np.testing.assert_array_equal(tr.feature_bank, [[0.6, 0.8]])
+    np.testing.assert_array_equal(tk.bank(tr), [[0.6, 0.8]])
     # memory_unit and bank_mean are both the first unit row
-    unit = tr.feature_bank[0]
+    unit = tk.bank(tr)[0]
     assert tk.query[0].tobytes() == (cfg.alpha_sim * unit + (1 - cfg.alpha_sim) * unit).tobytes()
 
 
@@ -543,9 +624,9 @@ def test_bank_mean_is_recomputed_not_accumulated():
         if k % 50 == 1 or k == 500:
             tr = tk.live[0]
             memory_unit = tk.memory[0] / np.linalg.norm(tk.memory[:1], axis=1)
-            want = cfg.alpha_sim * memory_unit + (1 - cfg.alpha_sim) * tr.feature_bank.mean(axis=0)
+            want = cfg.alpha_sim * memory_unit + (1 - cfg.alpha_sim) * tk.bank(tr).mean(axis=0)
             assert tk.query[0].tobytes() == want.tobytes()
-    assert len(tr.feature_bank) == cfg.n_bank
+    assert len(tk.bank(tr)) == cfg.n_bank
 
 
 def _random_scene(rng, d, n_identities=8, n_frames=24):
@@ -590,10 +671,12 @@ def test_batched_update_matches_per_match_oracle_bit_for_bit():
             assert [t.id for t in tk.live] == [t.id for t in live]
             assert len(tk.memory) == len(tk.query) == len(live)
             for row, want in enumerate(live):
-                assert tk.live[row].feature_bank.tobytes() == want.feature_bank.tobytes()
+                assert tk.bank(tk.live[row]).tobytes() == want.feature_bank.tobytes()
                 assert tk.memory[row].tobytes() == want.memory.tobytes()
                 assert tk.query[row].tobytes() == _oracle_query([want], cfg)[0].tobytes()
             assert [tk.state(t) for t in tk.tracks] == [t.state for t in tracks]
+            # a dead track's bank is the one it died with
+            assert [tk.bank(t).tobytes() for t in tk.tracks] == [t.feature_bank.tobytes() for t in tracks]
             deaths += sum(ev.kind == DIED for ev in got)
         wrapped += sum(len(t.observations) > cfg.n_bank for t in tk.tracks)
         rematched += sum(b.frame - a.frame > 1 for t in tk.tracks
