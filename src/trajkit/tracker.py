@@ -177,8 +177,13 @@ def score_matrix(query: np.ndarray, det_units: np.ndarray, cfg: TrackerConfig) -
     return 0.5 * (r + bisoftmax(r, cfg.softmax_temperature))
 
 
-# prefix rounds of the batched greedy before the displaced rest is matched one at a time
-_GREEDY_ROUNDS = 8
+# Prefix rounds of the batched greedy before the displaced rest is matched one at a
+# time. No frame of perfbench's longrun and crowd scenes (seeds 1-3) or bench/scale.py's
+# scenes of 100 to 1,000 identities takes more than 3. Rounds copy the rest's columns, so
+# a frame in which every detection ranks the tracks alike, one round per detection, costs
+# O(T * D**2) uncapped: at T = D = 1,000 on one core of a 2-core Xeon, 1.2 s, against
+# 32 ms with 4 rounds, about 3 ms more per further round, and 22 ms with 1.
+_GREEDY_ROUNDS = 4
 
 
 def _greedy_loop(open_rows: np.ndarray, tau_match: float) -> tuple[np.ndarray, np.ndarray]:
@@ -425,9 +430,8 @@ class Tracker:
             last[rows] = now
             for row, i in zip(rows.tolist(), cols):
                 track, det = live[row], dets[i]
-                category_id = det.category_id if det.confidence >= cfg.tau_high else \
-                    retain_category(track, det, cfg)
-                track.observations.append(TrackEntry(det.frame, det.bbox, det.confidence, category_id, i))
+                track.observations.append(TrackEntry(det.frame, det.bbox, det.confidence,
+                                                     retain_category(track, det, cfg), i))
 
         # A track dies once its last match is more than max_age frames back.
         oldest = bisect_left(frames, frame - cfg.max_age)
@@ -443,16 +447,16 @@ class Tracker:
             self._slot, self._banked = self._slot[keep], self._banked[keep]
 
         if born:
-            # Born ids exceed every live id, so the rows stay in id order. A new
-            # track's first entry keeps its detection's category: it has no bank to vote.
+            # Born ids exceed every live id, so the rows stay in id order.
             cols = [ev.det_idx for ev in born]
             slots = self._take_slots(len(born))
             block = units[cols]
             self._banks[slots, 0] = block
             for ev, i in zip(born, cols):
-                det = dets[i]
-                self.tracks.append(Track(ev.track_id, [TrackEntry(det.frame, det.bbox, det.confidence,
-                                                                  det.category_id, i)]))
+                track, det = Track(ev.track_id), dets[i]
+                track.observations.append(TrackEntry(det.frame, det.bbox, det.confidence,
+                                                     retain_category(track, det, cfg), i))
+                self.tracks.append(track)
             live = live + self.tracks[-len(born):]
             self.memory = np.concatenate([self.memory, emb[cols]])
             self.query = np.concatenate([self.query, a * block + (1.0 - a) * block])
