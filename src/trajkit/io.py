@@ -26,11 +26,12 @@ A JSONL loader reads ``_CHUNK`` (256) lines at a time, parses each line with
 ``orjson`` and checks whole columns against the format table. When the parse or a
 check refuses a chunk, or a line holds a key the table does not name, it checks that
 chunk again one line at a time with ``json``, which raises the error naming
-``file:line`` or loads the chunk. ``load_vocabulary`` and ``load_splits`` parse their
-file once with ``orjson`` and check each key they read as a column of every entry;
-when that refuses, ``json`` loads the file and its entries are checked one at a time.
-The line and entry checks are the reference and write every message; the tests hold
-the column passes to them.
+``file:line`` or loads the chunk. ``load_vocabulary`` parses its file once with
+``orjson`` and checks each key as a column of every entry; when that refuses, ``json``
+loads the file and its entries are checked one at a time. ``load_splits`` makes the same
+column pass but for the embeddings' values, and hands a file it refuses to
+``load_vocabulary``. The line and entry checks are the reference and write every
+message; the tests hold the column passes to them.
 Writers fill per-format line templates, ``_CHUNK`` lines at a time, byte for byte
 as ``json.dumps`` writes them.
 
@@ -282,10 +283,10 @@ def _checked(fmt: dict, key: str, values, where: str | None = None,
 _parse_line = orjson.loads
 
 
-def _load_json(text: str, where: str, parse_float=None):
+def _load_json(text: str, where: str):
     """``text`` loaded by json, the reference parser, which refuses naming ``where``."""
     try:
-        return json.loads(text, parse_float=parse_float)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{where}: malformed JSON ({exc.msg})") from None
     except ValueError as exc:  # an int literal of more digits than the interpreter converts
@@ -465,24 +466,6 @@ def _unique_ids(ids: Sequence[int], path=None) -> set[int]:
     return seen
 
 
-def _vocabulary_file(path, parse_float, entry) -> tuple[int, list]:
-    """``dim_text`` and ``entry(raw, where, dim_text)`` of each entry of a vocabulary.json
-    file, whose JSON numbers with a fraction or exponent ``parse_float`` reads."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = _load_json(fh.read(), path, parse_float)
-        _require(isinstance(obj, dict) and "dim_text" in obj and isinstance(obj.get("entries"), list),
-                 path, "vocabulary needs dim_text and an entries list")
-        dim_text, raw = obj["dim_text"], obj["entries"]
-        _require(type(dim_text) is int and dim_text > 0, path, "dim_text must be a positive int")
-        _require(raw, path, "vocabulary needs at least one entry")
-        return dim_text, [entry(e, f"{path}: entry {i}", dim_text) for i, e in enumerate(raw)]
-    except UnicodeDecodeError:
-        raise _not_utf8(path, numbered=False) from None
-    except RecursionError:  # past the interpreter's depth, in the parse or in a message's repr
-        raise FormatError(f"{path}: JSON nested too deeply") from None
-
-
 def _vocabulary_entry(raw, where: str, dim_text: int) -> VocabularyEntry:
     """One vocabulary entry checked on its own."""
     _require(isinstance(raw, dict), where, "entry must be a JSON object")
@@ -530,54 +513,33 @@ def _vocabulary_columns(path) -> Vocabulary:
 
 def load_vocabulary(path) -> Vocabulary:
     """Load and validate a vocabulary.json file: by columns (``_vocabulary_columns``) or,
-    when they refuse, entry by entry, which raises the error naming the file and entry."""
+    when they refuse, entry by entry (``_vocabulary_entry``), which raises the error naming
+    the file and entry."""
     try:
         return _vocabulary_columns(path)
     except _REFUSED:
         pass
-    dim_text, entries = _vocabulary_file(path, float, _vocabulary_entry)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = _load_json(fh.read(), path)
+        _require(isinstance(obj, dict) and "dim_text" in obj and isinstance(obj.get("entries"), list),
+                 path, "vocabulary needs dim_text and an entries list")
+        dim_text, raw = obj["dim_text"], obj["entries"]
+        _require(type(dim_text) is int and dim_text > 0, path, "dim_text must be a positive int")
+        _require(raw, path, "vocabulary needs at least one entry")
+        entries = [_vocabulary_entry(e, f"{path}: entry {i}", dim_text) for i, e in enumerate(raw)]
+    except UnicodeDecodeError:
+        raise _not_utf8(path, numbered=False) from None
+    except RecursionError:  # past the interpreter's depth, in the parse or in a message's repr
+        raise FormatError(f"{path}: JSON nested too deeply") from None
     _unique_ids([e.category_id for e in entries], path)
     return Vocabulary(entries, dim_text)
 
 
-# load_splits loads a JSON number with a fraction or exponent as its text in bytes (str.encode),
-# a type no other JSON value has, and reads it (_read) only for a check that names its value.
-_UNREAD_NUMBERS = frozenset((int, bytes))
-
-
-def _read(value):
-    """``value`` as ``load_vocabulary`` loads it, each unread number in it read."""
-    if type(value) is list:
-        return list(map(_read, value))
-    if type(value) is dict:
-        return {key: _read(v) for key, v in value.items()}
-    return float(value) if type(value) is bytes else value
-
-
-def _split_entry(raw, where: str, dim_text: int) -> tuple[int, str]:
-    """One vocabulary entry's (id, split), checked as ``_vocabulary_entry`` checks it, with the
-    same errors, but for the embeddings' values: each embedding must be a flat list of
-    ``dim_text`` JSON numbers, none NaN or infinite, and may be all zero or too large for a float32."""
-    _require(isinstance(raw, dict), where, "entry must be a JSON object")
-    for key in ("id", "name", "split"):
-        _require(key in raw, where, f"missing key {key!r}")
-    # each value is accepted at a glance; one that is not, _checked refuses as load_vocabulary does
-    fmt, category_id, split = VOCABULARY_ENTRY_FORMAT, raw["id"], raw["split"]
-    if type(category_id) is not int or split not in SPLITS:
-        _checked(fmt, "id", [_read(category_id)], where)
-        _checked(fmt, "split", [_read(split)], where)
-    for key in ("cate_emb", "attr_emb"):
-        _require(key in raw, where, f"missing embedding {key!r}")
-        emb = raw[key]
-        if not (type(emb) is list and len(emb) == dim_text and _UNREAD_NUMBERS.issuperset(map(type, emb))):
-            _checked(fmt, key, [_read(emb)], where, size=dim_text)
-    return category_id, split
-
-
 def _splits_columns(path) -> dict[int, str]:
     """Each category id's split from a vocabulary.json file parsed once, each key checked as a
-    column of every entry as ``_split_entry`` checks it. Raises one of ``_REFUSED`` on a file
-    the entry checks may refuse or load otherwise."""
+    column of every entry as ``_vocabulary_entry`` checks it, but for an embedding's values.
+    Raises one of ``_REFUSED`` on a file the entry checks may refuse or load otherwise."""
     dim_text, raw = _column_entries(path)
     fmt = VOCABULARY_ENTRY_FORMAT
     ids, splits = (_checked(fmt, key, [e[key] for e in raw]) for key in ("id", "split"))
@@ -594,17 +556,15 @@ def _splits_columns(path) -> dict[int, str]:
 
 
 def load_splits(path) -> dict[int, str]:
-    """Each category id's split from a vocabulary.json file, without reading an embedding's
-    values: every check of ``load_vocabulary`` with the same error, except that an embedding
-    may be all zero or hold a number too large for a float32. By columns (``_splits_columns``)
-    or, when they refuse, entry by entry, which raises the error naming the file and entry."""
+    """Each category id's split from a vocabulary.json file. A file that ``_splits_columns``
+    loads takes every check of ``load_vocabulary`` but those of an embedding's values, which
+    may be all zero or too large for a float32; any other file is loaded by ``load_vocabulary``,
+    which raises the error naming the file and entry."""
     try:
         return _splits_columns(path)
     except _REFUSED:
         pass
-    _, splits = _vocabulary_file(path, str.encode, _split_entry)
-    _unique_ids([category_id for category_id, _ in splits], path)
-    return dict(splits)
+    return load_vocabulary(path).splits()
 
 
 def write_vocabulary(vocab: Vocabulary, path) -> None:

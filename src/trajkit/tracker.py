@@ -33,12 +33,13 @@ keeps one row per live track in two float64 arrays: ``memory`` and the
 query row ``alpha_sim * memory / ||memory|| + (1 - alpha_sim) * mean(bank)``.
 Every live bank is a row of one ``(slots, n_bank, d)`` float64 store, used
 as a ring: a track's k-th banked row sits in slot ``k % n_bank``, and its
-count of banked rows gives the fill. A dying track's bank is copied out and
-its store row taken by the next birth, so the store is never rebuilt when
-tracks are born or die. Scoring a frame is one product of the stored query
-with the unit detections, and the bi-softmax. A step updates the rows of
-the tracks it matched together: one bank write, one mean per fill count,
-one EMA, one normalization and one blend over the matched rows.
+count of banked rows gives the fill. Only a live track has a bank: a
+dying track's store row is taken by the next birth, so the store is never
+rebuilt when tracks are born or die. Scoring a frame is one product of
+the stored query with the unit detections, and the bi-softmax. A step
+updates the rows of the tracks it matched together: one bank write, one
+mean per fill count, one EMA, one normalization and one blend over the
+matched rows.
 
 Detection embeddings are never mutated; only the banks and the query hold
 normalized copies.
@@ -54,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimMismatchError, ZeroNormError
+from .errors import DimMismatchError, NonFiniteError, ZeroNormError
 from .io import DetectionRecord, TrackEntry
 
 SIM_MODES = ("cosine_only", "cosine_plus_bisoftmax")
@@ -306,8 +307,8 @@ class Tracker:
     ``query`` belongs to ``live[i]``, and only these rows are scored. After
     each ``step``, ``last_scores`` is the (live, detections) score matrix
     that association used, ``last_ids`` names the track of each of its
-    rows, ``state(track)`` gives any track's state and ``bank(track)`` its
-    feature bank.
+    rows, ``state(track)`` gives any track's state and ``bank(track)`` a live
+    track's feature bank.
     """
 
     def __init__(self, cfg: TrackerConfig | None = None):
@@ -330,10 +331,11 @@ class Tracker:
         self._slot = np.zeros(0, dtype=np.int64)
         self._banked = np.zeros(0, dtype=np.int64)
         self._free: list[int] = []  # rows of _banks no live track holds
-        self._dead_banks: dict[int, np.ndarray] = {}  # id -> the bank as the track died
 
     def _rows(self, frame: int, dets: Sequence[DetectionRecord]) -> np.ndarray:
-        """The frame's embeddings as (D, d) float64 rows, all of the tracker's width."""
+        """The frame's embeddings as (D, d) float64 rows, all of the tracker's width. A
+        non-finite embedding or confidence raises NonFiniteError before any state changes:
+        its NaN scores would spread through the bi-softmax to every track."""
         if not dets:
             return np.zeros((0, self._width or 0))
         want = dets[0].embedding.shape if self._width is None else (self._width,)
@@ -341,11 +343,17 @@ class Tracker:
             if det.embedding.shape != want:
                 raise DimMismatchError(f"frame {frame}: detection {i} embedding has shape "
                                        f"{det.embedding.shape}, expected {want}")
+        rows = np.stack([d.embedding for d in dets]).astype(np.float64)
+        finite = np.isfinite(rows).all(axis=1) & np.isfinite([d.confidence for d in dets])
+        if not finite.all():
+            i = int(finite.argmin())
+            what = "embedding" if not np.isfinite(rows[i]).all() else "confidence"
+            raise NonFiniteError(f"frame {frame}: detection {i} has a non-finite {what}")
         if self._width is None:
             self._width = want[0]
             self.memory, self.query = np.zeros((0, self._width)), np.zeros((0, self._width))
             self._banks = np.zeros((0, self.cfg.n_bank, self._width))
-        return np.stack([d.embedding for d in dets]).astype(np.float64)
+        return rows
 
     def state(self, track: Track) -> TrackState:
         """ACTIVE if the last step matched the track, LOST while its last match is at most
@@ -360,13 +368,11 @@ class Tracker:
         return self._banks[self._slot[rows, None], slots]
 
     def bank(self, track: Track) -> np.ndarray:
-        """The track's last ``n_bank`` matched embeddings as (n, d) float64 unit rows, oldest
-        first; a dead track's as they were in the frame it died."""
-        if track.id in self._dead_banks:
-            return self._dead_banks[track.id]
-        return self._bank_of(self.live.index(track))
-
-    def _bank_of(self, row: int) -> np.ndarray:
+        """A live track's last ``n_bank`` matched embeddings as (n, d) float64 unit rows,
+        oldest first; ValueError naming any other track."""
+        if track not in self.live:
+            raise ValueError(f"track {track.id} is not live, and only a live track has a bank")
+        row = self.live.index(track)
         return self._ring(np.array([row]), min(int(self._banked[row]), self.cfg.n_bank))[0]
 
     def _push(self, rows: np.ndarray, units: np.ndarray) -> np.ndarray:
@@ -438,7 +444,6 @@ class Tracker:
         dead = np.flatnonzero(last < oldest)
         if len(dead):
             for row in dead.tolist():
-                self._dead_banks[live[row].id] = self._bank_of(row)
                 events.append(AssociationEvent(frame, DIED, live[row].id))
             self._free += self._slot[dead].tolist()
             keep = last >= oldest

@@ -2,8 +2,8 @@
 
 The trainable path is ``fuse_self``: clip -> LN -> self-attention -> residual
 -> LN -> MLP -> residual -> column mean. Two clips are fused with shared
-weights, the outputs (L2-normalized by default) feed a margin contrastive
-loss, and plain gradient descent updates the sixteen tensors on that path
+weights, the L2-normalized outputs feed a margin contrastive loss, and
+plain gradient descent updates the sixteen tensors on that path
 (``TRAINABLE_TENSORS``: the ``ln1``, ``ln2``, ``attn`` and ``mlp`` groups of
 :data:`trajkit.fusion.FUSION_TENSOR_SHAPES`, in bundle order).
 Gradients are exact reverse-mode derivatives written out by hand; they are
@@ -60,7 +60,6 @@ class TrainConfig:
     batch_size: int = 8
     seed: int = 0
     heads: int = 1
-    normalize_outputs: bool = True  # L2-normalize fused vectors before the loss
 
     def __post_init__(self):
         if self.distance not in DISTANCES:
@@ -110,9 +109,8 @@ def _loss_head(fa, fb, y, margin, distance):
 
 
 def _pair_head(fa, fb, y, cfg: TrainConfig):
-    """A pair's loss from its fused vectors, and the loss gradients at them."""
-    if not cfg.normalize_outputs:
-        return _loss_head(fa, fb, y, cfg.margin, cfg.distance)
+    """A pair's loss from its L2-normalized fused vectors, and the loss gradients at the
+    fused vectors."""
     na, nb = float(np.linalg.norm(fa)), float(np.linalg.norm(fb))
     if na == 0.0 or nb == 0.0:
         raise ZeroNormError("cannot normalize zero-norm fusion output")

@@ -702,22 +702,48 @@ def test_splits_refuse_what_the_vocabulary_refuses_with_its_error(tmp_path, monk
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
-@pytest.mark.parametrize("key, emb, error", [
-    ("cate_emb", "[0.0, 0.0]", ZeroNormError),
-    ("attr_emb", "[0, -0.0]", ZeroNormError),
-    ("cate_emb", "[1e999, 0.5]", NonFiniteError),
-    ("attr_emb", "[1e39, 0.5]", NonFiniteError),
-    ("cate_emb", f"[{10 ** 39}, 1]", NonFiniteError),
-    ("cate_emb", f"[{10 ** 400}, 1]", FormatError),
+@pytest.mark.parametrize("key, emb, error, columns", [
+    ("cate_emb", "[0.0, 0.0]", ZeroNormError, True),
+    ("attr_emb", "[0, -0.0]", ZeroNormError, True),
+    ("cate_emb", "[1e999, 0.5]", NonFiniteError, False),
+    ("attr_emb", "[1e39, 0.5]", NonFiniteError, True),
+    ("cate_emb", f"[{10 ** 39}, 1]", NonFiniteError, True),
+    ("cate_emb", f"[{10 ** 400}, 1]", FormatError, False),
 ])
-def test_splits_leave_out_the_checks_of_embedding_values(tmp_path, key, emb, error):
-    # eval reads only the splits: an all-zero embedding, or one too large for a
-    # float32, is refused by load_vocabulary but not by load_splits
+def test_splits_leave_out_the_checks_of_embedding_values(tmp_path, key, emb, error, columns):
+    # eval reads only the splits: an all-zero embedding, or one too large for a float32, is
+    # refused by load_vocabulary but not by load_splits's column pass. A file the column
+    # pass refuses (orjson loads no 1e999 and no int past 64 bits as a finite number) is
+    # loaded by load_vocabulary, and refused with its error.
     path = tmp_path / "v.json"
     path.write_text(_with_entry(**{key: "@"}).replace('"@"', emb))
-    with pytest.raises(error, match=rf"v\.json: entry 1: {key} "):
+    with pytest.raises(error, match=rf"v\.json: entry 1: {key} ") as exc:
         io.load_vocabulary(path)
-    assert io.load_splits(path) == {0: "base", 1: "novel"}
+    if columns:
+        assert io.load_splits(path) == {0: "base", 1: "novel"}
+    else:
+        with pytest.raises(error) as again:
+            io.load_splits(path)
+        assert str(again.value) == str(exc.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize("text, error", [
+    (_with_entry(note="kept"), None),
+    (_with_entry(name="\ud800"), None),  # a lone surrogate, which json loads and orjson refuses
+    (_with_entry(note="kept", cate_emb=[0, 0]), ZeroNormError),
+    (_with_entry(name="\ud800", attr_emb=[1e39, 0]), NonFiniteError),
+], ids=["unread-key", "lone-surrogate", "unread-key-zero-emb", "lone-surrogate-1e39"])
+def test_splits_of_a_file_the_columns_refuse_are_the_vocabulary_splits(tmp_path, text, error):
+    # such a file is read as load_vocabulary reads it, so an embedding value the column pass
+    # leaves unchecked is refused there
+    path = tmp_path / "v.json"
+    path.write_text(text)
+    if error is None:
+        assert io.load_splits(path) == io.load_vocabulary(path).splits() == {0: "base", 1: "novel"}
+    else:
+        with pytest.raises(error, match=r"v\.json: entry 1: "):
+            io.load_splits(path)
 
 
 @pytest.mark.parametrize("loader", [io.load_vocabulary, io.load_splits])

@@ -580,8 +580,8 @@ def test_a_valid_vocabulary_takes_no_entry_check(tmp_path, monkeypatch, write):
 def test_a_valid_vocabulary_takes_no_split_entry_check(tmp_path, monkeypatch, write):
     path = tmp_path / "v.json"
     write(path)
-    calls, entry = [], io._split_entry
-    monkeypatch.setattr(io, "_split_entry", lambda *a: calls.append(a) or entry(*a))
+    calls, entry = [], io._vocabulary_entry
+    monkeypatch.setattr(io, "_vocabulary_entry", lambda *a: calls.append(a) or entry(*a))
     splits = io.load_splits(path)
     assert calls == []
     assert splits == io.load_vocabulary(path).splits()

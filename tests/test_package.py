@@ -47,3 +47,30 @@ def test_every_third_party_import_is_a_declared_dependency():
 def test_an_undeclared_import_is_caught():
     source = "from __future__ import annotations\nimport json\nimport orjson\nfrom .io import x\n"
     assert _third_party_imports(source) - (_declared() - {"orjson"}) == {"orjson"}
+
+
+def _unused_private_defs(sources: list[str]) -> set[str]:
+    """The module-level private functions of ``sources`` that no code in them names outside
+    the function's own body."""
+    defs, used = set(), set()
+    for source in sources:
+        for top in ast.parse(source).body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            if own and own.startswith("_") and not own.startswith("__"):
+                defs.add(own)
+            # a Name's id or an Attribute's attr
+            used |= {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(top)} - {own}
+    return defs - used
+
+
+def test_every_private_function_has_a_caller():
+    # a helper that only its own recursion or the tests call is code no run reads
+    sources = [path.read_text() for path in (ROOT / "src" / "trajkit").glob("*.py")]
+    assert _unused_private_defs(sources) == set()
+    assert len(re.findall(r"^def _", "".join(sources), re.M)) > 20  # the walk sees the helpers it checks
+
+
+def test_an_uncalled_private_function_is_caught():
+    source = ("def public():\n    return _kept\n\n\ndef _kept(x):\n    return x\n\n\n"
+              "def _dead(x):\n    return _dead(x) if x else _kept(x)\n")
+    assert _unused_private_defs([source, "import m\nm._other()\n"]) == {"_dead"}

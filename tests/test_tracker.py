@@ -12,7 +12,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from scipy.special import softmax
 
 from trajkit import io
-from trajkit.errors import DimMismatchError, ZeroNormError
+from trajkit.errors import DimMismatchError, NonFiniteError, ZeroNormError
 from trajkit.tracker import (
     BORN,
     DIED,
@@ -573,6 +573,7 @@ def test_live_store_matches_replay_oracle(sim_mode):
                 dead.add(ev.track_id)
         for tr in tk.tracks:
             assert (tk.state(tr) == TrackState.DEAD) == (tr.id in dead)
+        for tr in tk.live:
             assert len(tk.bank(tr)) == min(len(tr.observations), cfg.n_bank)
         prev = frame
 
@@ -675,8 +676,6 @@ def test_batched_update_matches_per_match_oracle_bit_for_bit():
                 assert tk.memory[row].tobytes() == want.memory.tobytes()
                 assert tk.query[row].tobytes() == _oracle_query([want], cfg)[0].tobytes()
             assert [tk.state(t) for t in tk.tracks] == [t.state for t in tracks]
-            # a dead track's bank is the one it died with
-            assert [tk.bank(t).tobytes() for t in tk.tracks] == [t.feature_bank.tobytes() for t in tracks]
             deaths += sum(ev.kind == DIED for ev in got)
         wrapped += sum(len(t.observations) > cfg.n_bank for t in tk.tracks)
         rematched += sum(b.frame - a.frame > 1 for t in tk.tracks
@@ -697,6 +696,51 @@ def test_embedding_width_mismatch_names_frame_and_detection(frames, where):
         tk.step(frame, [_det(e, frame=frame) for e in embs])
     with pytest.raises(DimMismatchError, match=f"^{where} embedding has shape"):
         tk.step(len(frames) - 1, [_det(e, frame=len(frames) - 1) for e in frames[-1]])
+
+
+def _two_identities(frame):
+    return [_det([1.0, 0.0, 0.0], frame=frame), _det([0.0, 1.0, 0.0], frame=frame)]
+
+
+@pytest.mark.parametrize("embs, confs, where", [
+    ([[math.inf, 0.0, 0.0]], [0.9], "detection 0 has a non-finite embedding"),
+    ([[0.0, 0.0, 1.0], [math.nan, 0.0, 0.0]], [0.9, 0.9], "detection 1 has a non-finite embedding"),
+    ([[0.0, 0.0, 1.0]], [math.nan], "detection 0 has a non-finite confidence"),
+    ([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]], [0.9, math.inf], "detection 1 has a non-finite confidence"),
+], ids=["inf-embedding", "nan-embedding", "nan-confidence", "inf-confidence"])
+def test_non_finite_detection_is_refused_and_changes_nothing(embs, confs, where):
+    # an [inf, 0, 0] row scores NaN, and the bi-softmax's normalizations spread the NaN over
+    # every track: unrefused, frame 4's two identities are born as tracks 4 and 5
+    tk = Tracker(TrackerConfig())
+    for frame in range(3):
+        tk.step(frame, _two_identities(frame))
+    before = tk.memory.tobytes(), tk.query.tobytes(), tk.last_scores.tobytes()
+    with pytest.raises(NonFiniteError, match=f"^frame 3: {where}$"):
+        tk.step(3, [_det(e, conf=c, frame=3) for e, c in zip(embs, confs)])
+    assert (tk.memory.tobytes(), tk.query.tobytes(), tk.last_scores.tobytes()) == before
+    assert [len(t.observations) for t in tk.tracks] == [3, 3]
+    events = tk.step(4, _two_identities(4))
+    assert [(ev.kind, ev.track_id, ev.det_idx) for ev in events] == [(MATCHED, 1, 0), (MATCHED, 2, 1)]
+
+
+def test_a_refused_first_frame_fixes_no_width():
+    tk = Tracker(TrackerConfig())
+    with pytest.raises(NonFiniteError, match="^frame 0: detection 0 "):
+        tk.step(0, [_det([math.nan, 0.0])])
+    tk.step(0, [_det([1.0, 0.0, 0.0])])
+    assert tk.memory.shape == (1, 3)
+
+
+@pytest.mark.parametrize("max_age", [0, 5])
+def test_bank_of_a_track_that_is_not_live_names_it(max_age):
+    # a dying track's store row goes to the next birth, and no copy of its bank is kept
+    tk = Tracker(TrackerConfig(max_age=max_age))
+    for frame in range(max_age + 2):
+        tk.step(frame, [_det([1.0, 0.0], frame=frame)] if frame == 0 else [])
+    assert tk.live == [] and tk.state(tk.tracks[0]) == TrackState.DEAD
+    for track, name in ((tk.tracks[0], "track 1"), (Track(7), "track 7")):
+        with pytest.raises(ValueError, match=f"^{name} is not live"):
+            tk.bank(track)
 
 
 def test_bisoftmax_bits_match_scipy():

@@ -7,7 +7,7 @@ import pytest
 
 from trajkit import train
 from trajkit.errors import DimMismatchError, DivergedError, TrajkitError, ZeroNormError
-from trajkit.fusion import fuse_self_backward, fuse_self_forward, init_fusion_weights
+from trajkit.fusion import fuse_self, fuse_self_backward, fuse_self_forward, init_fusion_weights
 from trajkit.train import (
     TRAINABLE_TENSORS,
     TrainConfig,
@@ -132,8 +132,7 @@ def test_pair_loss_matches_loss_and_gradients():
         d = int(rng.integers(2, 4)) * 2
         w = init_fusion_weights(d, seed=int(rng.integers(10000)), zero_residual=False)
         cfg = TrainConfig(margin=float(rng.uniform(0.2, 2.5)),
-                          distance="euclidean" if rng.random() < 0.5 else "cosine",
-                          normalize_outputs=bool(rng.random() < 0.5))
+                          distance="euclidean" if rng.random() < 0.5 else "cosine")
         pair = TrainPair(rng.normal(size=(int(rng.integers(1, 5)), d)),
                          rng.normal(size=(int(rng.integers(1, 5)), d)), int(rng.integers(0, 2)))
         assert pair_loss(pair, w, cfg) == loss_and_gradients([pair], w, cfg)[0]
@@ -155,16 +154,16 @@ def test_heads_must_be_positive(heads):
         loss_and_gradients([pair], w, TrainConfig(heads=heads))
 
 
-def test_pair_loss_normalization_flag():
+def test_pair_loss_is_the_loss_of_the_normalized_outputs():
     rng = np.random.default_rng(3)
     d = 4
     w = init_fusion_weights(d, seed=4, zero_residual=False)
     pair = TrainPair(rng.normal(size=(2, d)) * 5, rng.normal(size=(2, d)) * 5, 1)
-    with_norm = pair_loss(pair, w, TrainConfig(normalize_outputs=True))
-    without = pair_loss(pair, w, TrainConfig(normalize_outputs=False))
+    fa, fb = (fuse_self(clip, w) for clip in (pair.clip_a, pair.clip_b))
+    loss = pair_loss(pair, w, TrainConfig())
     # normalized outputs live on the unit sphere, so the distance is bounded by 2
-    assert with_norm <= 0.5 * 4 + 1e-12
-    assert without != pytest.approx(with_norm)
+    assert loss <= 0.5 * 4 + 1e-12
+    assert loss == contrastive_loss(fa / np.linalg.norm(fa), fb / np.linalg.norm(fb), pair.label)
 
 
 def test_train_reduces_loss_and_is_deterministic():
@@ -253,9 +252,8 @@ def _pair_by_pair(pairs, weights, cfg, counts):
 
 @pytest.mark.parametrize("batch_size", [3, 7, 12])
 @pytest.mark.parametrize("heads", [1, 2])
-@pytest.mark.parametrize("normalize", [True, False])
 @pytest.mark.parametrize("distance", ["euclidean", "cosine"])
-def test_batched_step_keeps_the_bits_of_pair_by_pair(batch_size, heads, normalize, distance):
+def test_batched_step_keeps_the_bits_of_pair_by_pair(batch_size, heads, distance):
     # 2- and 3-row clips form two stacks; 7 and 12 draws from 5 pairs give
     # counts above 1. A step's loss keeps the oracle's bits; its gradients sum
     # over each stack in one contraction, not pair by pair, so they, the
@@ -263,8 +261,7 @@ def test_batched_step_keeps_the_bits_of_pair_by_pair(batch_size, heads, normaliz
     pairs = _pairs(5)
     w = init_fusion_weights(4, seed=9, zero_residual=False)
     cfg = TrainConfig(steps=3, batch_size=batch_size, seed=2, learning_rate=0.2, heads=heads,
-                      normalize_outputs=normalize, distance=distance,
-                      margin=2.5 if distance == "euclidean" else 0.8)
+                      distance=distance, margin=2.5 if distance == "euclidean" else 0.8)
     got_w, got_curve = train_fusion(pairs, w, cfg)
     want_w = w.copy()
     order = np.random.default_rng(cfg.seed).permutation(len(pairs))
@@ -331,12 +328,11 @@ def test_train_divergence_reports_step():
     pairs = [TrainPair(rng.normal(size=(2, d)), rng.normal(size=(2, d)), 1)
              for k in range(6)]
     w = init_fusion_weights(d, seed=7, zero_residual=False)
-    # unnormalized outputs let the distance blow up under a huge step size
-    cfg = TrainConfig(steps=200, learning_rate=1e9, batch_size=2, seed=0,
-                      normalize_outputs=False)
+    # normalized outputs bound the loss, so only a step size past any sense overflows the weights
+    cfg = TrainConfig(steps=200, learning_rate=1e150, batch_size=2, seed=0)
     with pytest.raises(DivergedError) as exc:
         train_fusion(pairs, w, cfg)
-    assert exc.value.step >= 0
+    assert exc.value.step == 1  # step 0 scores the untouched weights
 
 
 @pytest.mark.parametrize("rate", [-0.5, 0.0, math.nan, math.inf])
