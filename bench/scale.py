@@ -9,7 +9,10 @@ reports milliseconds per frame for:
   wrappers put in place of the module globals ``Tracker.step`` calls;
 - ``update``: the rest of ``step``, that is the bank and memory update of
   the matched tracks, their entries, deaths and births;
-- ``step``: the whole step.
+- ``step``: the whole step;
+- ``write``: ``io.write_tracks`` of every track the run made, unlabelled,
+  plus ``io.write_events`` of every association event of its steps, as the
+  ``track`` command writes them, into a temporary directory.
 
 Each number is the median over ``--runs`` runs of the whole sequence. BLAS
 is pinned to one thread before numpy loads. Run from the root of a source
@@ -26,6 +29,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -37,9 +41,10 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from trajkit import synth, tracker  # noqa: E402
+from trajkit import io, synth, tracker  # noqa: E402
+from trajkit.classify import to_track_record  # noqa: E402
 
-STAGES = ("score_matrix", "associate_frame", "update", "step")
+STAGES = ("score_matrix", "associate_frame", "update", "step", "write")
 DIM, COSINE, FP_RATE, MISS_RATE, SEED = 128, 0.87, 2.0, 0.05, 1
 IDENTITIES = (100, 300, 1000)  # 40 frames each, or 20 at 1,000 identities
 
@@ -61,28 +66,36 @@ def _timed(spent: dict, name: str, fn):
     return wrapper
 
 
-def _run(scene: synth.SynthScene) -> tuple[dict, tracker.Tracker, list[int]]:
-    """Seconds per stage over one run of the scene, the tracker and the live tracks per frame."""
+def _run(scene: synth.SynthScene, out: Path) -> tuple[dict, tracker.Tracker, list[int]]:
+    """Seconds per stage over one run of the scene, writing into ``out``, the tracker and the
+    live tracks per frame."""
     spent = dict.fromkeys(STAGES, 0.0)
     originals = tracker.score_matrix, tracker.associate_frame
     tracker.score_matrix = _timed(spent, "score_matrix", tracker.score_matrix)
     tracker.associate_frame = _timed(spent, "associate_frame", tracker.associate_frame)
     try:
-        tk, live = tracker.Tracker(), []
+        tk, live, events = tracker.Tracker(), [], []
         for frame in sorted(scene.detections):
             live.append(len(tk.live))
             start = time.perf_counter()
-            tk.step(frame, scene.detections[frame])
+            stepped = tk.step(frame, scene.detections[frame])
             spent["step"] += time.perf_counter() - start
+            events += stepped
     finally:
         tracker.score_matrix, tracker.associate_frame = originals
     spent["update"] = spent["step"] - spent["score_matrix"] - spent["associate_frame"]
+    records = list(map(to_track_record, tk.tracks))
+    start = time.perf_counter()
+    io.write_tracks(records, out / "tracks.jsonl")
+    io.write_events(events, out / "events.jsonl")
+    spent["write"] = time.perf_counter() - start
     return spent, tk, live
 
 
 def cell(identities: int, frames: int, runs: int) -> dict:
     scene = _scene(identities, frames)
-    results = [_run(scene) for _ in range(runs)]
+    with tempfile.TemporaryDirectory() as out:
+        results = [_run(scene, Path(out)) for _ in range(runs)]
     _, tk, live = results[0]
     return {
         "identities": identities,

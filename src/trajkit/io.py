@@ -30,10 +30,14 @@ chunk again one line at a time with ``json``, which raises the error naming
 ``orjson`` and checks each key as a column of every entry; when that refuses, ``json``
 loads the file and its entries are checked one at a time. ``load_splits`` makes the same
 column pass but for the embeddings' values, and hands a file it refuses to
-``load_vocabulary``. The line and entry checks are the reference and write every
-message; the tests hold the column passes to them.
+``load_vocabulary``'s entry checks. The line and entry checks are the reference and
+write every message; the tests hold the column passes to them.
 Writers fill per-format line templates, ``_CHUNK`` lines at a time, byte for byte
-as ``json.dumps`` writes them.
+as ``json.dumps`` writes them. ``_json_floats`` spells a chunk's floats in one
+``orjson.dumps`` pass: orjson spells a float as ``repr`` does when ``1e-4 <= |x| < 1e16``
+or x is zero, and ``json.dumps`` spells any other float, NaN and the infinities among
+them. ``write_vocabulary`` spells its embeddings the same way. The tests pin that
+agreement for the installed orjson on the edges of that range and on random floats.
 
 All multi-byte binary fields are little endian. Embedding payloads are kept
 as float32; similarity math upcasts, storage never mutates them.
@@ -423,19 +427,40 @@ def load_detections(path, score_scale: float = 1.0, *,
     return out
 
 
-_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # %s spells floats, json's words
+def _json_floats(values: Sequence) -> list[str]:
+    """The text ``json.dumps`` gives each of ``values``, floats or None, spelled by one ``orjson``
+    pass. orjson spells a float as repr does when ``1e-4 <= |x| < 1e16`` or x is zero; outside
+    that it writes another exponent (``0.00001`` for ``1e-05``, ``1e16`` for ``1e+16``) and null
+    for NaN and the infinities, so json spells those values."""
+    col = np.array(values, dtype=np.float64)  # None is NaN here
+    words = orjson.dumps(col, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",") if col.size else []
+    mag = np.abs(col)
+    for i in np.flatnonzero((mag < 1e-4) & (col != 0) | ~(mag < 1e16)).tolist():
+        words[i] = json.dumps(None if values[i] is None else float(values[i]))
+    return words
 
 
-def _write_lines(path, rows: Iterable[tuple], line) -> None:
-    """Write ``line(row)`` for each row, ``_CHUNK`` lines at a time; ``line`` fills a
-    template whose floats are %s, so a chunk holding nan or inf is filled again."""
+def _json_rows(arrays: Sequence[np.ndarray]) -> list[list[str]]:
+    """``_json_floats`` of each 1-d array of ``arrays``, spelled in one pass over them all."""
+    sizes = [len(a) for a in arrays]
+    words = _json_floats(np.concatenate(arrays) if arrays else [])
+    return [words[end - size:end] for size, end in zip(sizes, np.cumsum(sizes).tolist())]
+
+
+def _write_lines(path, rows: Iterable[tuple], line: str, floats: Sequence[int], lists: Sequence[int] = ()) -> None:
+    """Write ``line % row`` for each row, ``_CHUNK`` rows at a time. A chunk's values at the
+    positions ``floats`` of a row (floats or None) are spelled by one ``_json_floats`` pass, and
+    its 1-d arrays at the positions ``lists`` by one ``_json_rows`` pass, as JSON lists."""
     rows = iter(rows)
     with open(path, "w", encoding="utf-8") as fh:
         while chunk := list(islice(rows, _CHUNK)):
-            text = "".join(map(line, chunk))
-            if "nan" in text or "inf" in text:
-                text = "".join(line(tuple(_JSON_WORDS.get(str(v), v) for v in row)) for row in chunk)
-            fh.write(text)
+            cols, n = list(zip(*chunk)), len(chunk)
+            words = _json_floats([v for i in floats for v in cols[i]])
+            for k, i in enumerate(floats):
+                cols[i] = words[k * n:(k + 1) * n]
+            for i in lists:
+                cols[i] = ["[" + ", ".join(row) + "]" for row in _json_rows(cols[i])]
+            fh.write("".join(map(line.__mod__, zip(*cols))))
 
 
 def write_detections(dets_by_frame: dict[int, list[DetectionRecord]], path, *,
@@ -447,11 +472,11 @@ def write_detections(dets_by_frame: dict[int, list[DetectionRecord]], path, *,
     if sidecar:
         stack = np.stack([d.embedding for d in dets]) if dets else np.zeros((0, 0), dtype=np.float32)
         write_embedding_sidecar(stack, path.with_suffix(".embin"))
-    line = '{"frame": %d, "bbox": [%s, %s, %s, %s], "conf": %s, "cat": %d, "cat_score": %s, %s}\n'
-    _write_lines(path, ((d.frame, *map(float, d.bbox), float(d.confidence), int(d.category_id),
-                         float(d.category_score), f'"emb_ref": {ref}' if sidecar else
-                         '"emb": ' + json.dumps(np.asarray(d.embedding, dtype=float).tolist()))
-                        for ref, d in enumerate(dets)), line.__mod__)
+    line = '{"frame": %d, "bbox": [%s, %s, %s, %s], "conf": %s, "cat": %d, "cat_score": %s, '
+    line += '"emb_ref": %d}\n' if sidecar else '"emb": %s}\n'
+    _write_lines(path, ((d.frame, *d.bbox, d.confidence, int(d.category_id), d.category_score,
+                         ref if sidecar else d.embedding) for ref, d in enumerate(dets)),
+                 line, (1, 2, 3, 4, 5, 7), () if sidecar else (8,))
 
 
 def _unique_ids(ids: Sequence[int], path=None) -> set[int]:
@@ -518,7 +543,12 @@ def load_vocabulary(path) -> Vocabulary:
     try:
         return _vocabulary_columns(path)
     except _REFUSED:
-        pass
+        return _vocabulary_entries(path)
+
+
+def _vocabulary_entries(path) -> Vocabulary:
+    """A vocabulary.json file loaded by json and checked entry by entry (``_vocabulary_entry``),
+    which raises the error naming the file and entry."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = _load_json(fh.read(), path)
@@ -558,22 +588,31 @@ def _splits_columns(path) -> dict[int, str]:
 def load_splits(path) -> dict[int, str]:
     """Each category id's split from a vocabulary.json file. A file that ``_splits_columns``
     loads takes every check of ``load_vocabulary`` but those of an embedding's values, which
-    may be all zero or too large for a float32; any other file is loaded by ``load_vocabulary``,
-    which raises the error naming the file and entry."""
+    may be all zero or too large for a float32. Any other file is loaded by ``load_vocabulary``'s
+    entry checks, which raise the error naming the file and entry: its column pass refuses
+    whatever ``_splits_columns`` refuses, so the file is parsed once more, not twice."""
     try:
         return _splits_columns(path)
     except _REFUSED:
-        pass
-    return load_vocabulary(path).splits()
+        return _vocabulary_entries(path).splits()
 
 
 def write_vocabulary(vocab: Vocabulary, path) -> None:
-    entries = [{"id": e.category_id, "name": e.name, "split": e.split, "description": e.description,
-                "cate_emb": [float(v) for v in e.cate_embedding],
-                "attr_emb": [float(v) for v in e.attr_embedding]} for e in vocab]
+    """Write ``vocab`` byte for byte as ``json.dump(..., indent=1)`` writes its dict, and a
+    newline; the embeddings of ``_CHUNK`` entries at a time are spelled by one ``_json_rows`` pass."""
+    quoted, entries = json.encoder.encode_basestring_ascii, iter(vocab)
+    entry = ('{\n   "id": %d,\n   "name": %s,\n   "split": %s,\n   "description": %s,\n'
+             '   "cate_emb": %s,\n   "attr_emb": %s\n  }')
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"dim_text": vocab.dim_text, "entries": entries}, fh, indent=1)
-        fh.write("\n")
+        fh.write('{\n "dim_text": %d,\n "entries": [' % vocab.dim_text)
+        sep = "\n  "
+        while chunk := list(islice(entries, _CHUNK)):
+            rows = _json_rows([v for e in chunk for v in (e.cate_embedding, e.attr_embedding)])
+            embs = iter(["[\n    " + ",\n    ".join(row) + "\n   ]" if row else "[]" for row in rows])
+            fh.write(sep + ",\n  ".join(entry % (e.category_id, quoted(e.name), quoted(e.split),
+                                                 quoted(e.description), next(embs), next(embs)) for e in chunk))
+            sep = ",\n  "
+        fh.write("\n ]\n}\n" if vocab.entries else "]\n}\n")
 
 
 def load_weights(path) -> dict[str, np.ndarray]:
@@ -669,9 +708,9 @@ def load_groundtruth(path) -> list[GroundTruthTrack]:
 
 def write_groundtruth(tracks: Iterable[GroundTruthTrack], path) -> None:
     line = '{"track_id": %d, "cat": %d, "frame": %d, "bbox": [%s, %s, %s, %s]}\n'
-    _write_lines(path, ((t.track_id, t.category_id, frame, *map(float, t.boxes[frame]))
+    _write_lines(path, ((t.track_id, t.category_id, frame, *t.boxes[frame])
                         for t in sorted(tracks, key=lambda t: t.track_id) for frame in sorted(t.boxes)),
-                 line.__mod__)
+                 line, (3, 4, 5, 6))
 
 
 def write_tracks(records: Sequence[TrackRecord], path) -> None:
@@ -682,20 +721,19 @@ def write_tracks(records: Sequence[TrackRecord], path) -> None:
                 "label": int(rec.label), "label_source": rec.label_source,
                 "scores": {k: float(v) for k, v in (rec.scores or {}).items()}})[1:-1]
             for e in sorted(rec.entries, key=lambda e: e.frame):
-                yield (rec.track_id, e.frame, *map(float, e.bbox), float(e.confidence),
-                       int(e.category_id), int(e.det_idx), label)
+                yield rec.track_id, e.frame, *e.bbox, e.confidence, int(e.category_id), int(e.det_idx), label
 
     line = '{"track_id": %d, "frame": %d, "bbox": [%s, %s, %s, %s], "conf": %s, "cat": %d, "det": %d%s}\n'
-    _write_lines(path, rows(), line.__mod__)
+    _write_lines(path, rows(), line, (2, 3, 4, 5, 6))
 
 
 def write_events(events: Iterable, path) -> None:
     """Write the tracker's association events as JSONL, one line each, in order."""
     null, quoted = {None: "null"}.get, json.encoder.encode_basestring_ascii
     line = '{"frame": %d, "kind": %s, "track": %s, "det": %s, "score": %s}\n'
-    rows = ((ev.frame, quoted(ev.kind), null(ev.track_id, ev.track_id), null(ev.det_idx, ev.det_idx),
-             null(ev.score, ev.score)) for ev in events)
-    _write_lines(path, rows, line.__mod__)
+    rows = ((ev.frame, quoted(ev.kind), null(ev.track_id, ev.track_id), null(ev.det_idx, ev.det_idx), ev.score)
+            for ev in events)
+    _write_lines(path, rows, line, (4,))
 
 
 def _label_tags(objs: list[dict], where: str | None) -> list[tuple]:

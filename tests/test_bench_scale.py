@@ -21,4 +21,4 @@ def test_scale_writes_one_cell(tmp_path):
     (cell,) = record["cells"]
     assert (cell["identities"], cell["frames"]) == (10, 3)
     assert set(cell) == {"identities", "frames", "detections", "live_per_frame", "tracks", "ms_per_frame"}
-    assert set(cell["ms_per_frame"]) == {"score_matrix", "associate_frame", "update", "step"}
+    assert set(cell["ms_per_frame"]) == {"score_matrix", "associate_frame", "update", "step", "write"}

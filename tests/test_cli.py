@@ -466,10 +466,12 @@ def test_classify_names_both_files_of_a_missing_detection(tmp_path, capsys):
         f"frame {first['frame']}, which the detections file does not contain ({dets})\n")
 
 
+NOISY = ["--sigma", "0.2", "--flip-prob", "0.3", "--miss-rate", "0.2", "--fp-rate", "1.0"]
+
+
 def _labelled_runs(tmp_path):
     """track with and without a vocabulary, classify with concat and bench-fusion."""
-    noisy = ["--sigma", "0.2", "--flip-prob", "0.3", "--miss-rate", "0.2", "--fp-rate", "1.0"]
-    scene = _synth(tmp_path / "scene", seed=6, extra=noisy)
+    scene = _synth(tmp_path / "scene", seed=6, extra=NOISY)
     dets, vocab = scene / "detections.jsonl", scene / "vocabulary.json"
     weights = _write_weights(tmp_path / "w.twb", 8)
     return [
@@ -479,24 +481,32 @@ def _labelled_runs(tmp_path):
          "--vocabulary", vocab, "--fusion", "concat", "--weights", weights,
          "--out-dir", tmp_path / "cls"],
         ["bench-fusion", "--identities", 4, "--frames", 8, "--categories", 2, "--dim", 8,
-         "--scenes", 2, "--seed", 5, *noisy, "--out-dir", tmp_path / "bench"],
+         "--scenes", 2, "--seed", 5, *NOISY, "--out-dir", tmp_path / "bench"],
     ]
 
 
 def test_labelled_outputs_pinned_on_a_noisy_scene(tmp_path):
     # track, classify and bench-fusion label through one loop; these digests
     # were taken before they shared it, and re-taken when the default
-    # softmax_temperature went from 1.0 to 0.05
+    # softmax_temperature went from 1.0 to 0.05. The events and synth digests were taken while
+    # the writers spelled every float with %s and json.dumps
     for argv in _labelled_runs(tmp_path):
         assert _run(argv) == 0
+    _synth(tmp_path / "sidecar", seed=6, extra=[*NOISY, "--sidecar"])
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
                for name in ("plain/tracks.jsonl", "vocab/tracks.jsonl", "cls/tracks.jsonl",
-                            "bench/bench.json")}
+                            "bench/bench.json", "plain/events.jsonl", "scene/detections.jsonl",
+                            "sidecar/detections.jsonl", "scene/groundtruth.jsonl", "scene/vocabulary.json")}
     assert digests == {
         "plain/tracks.jsonl": "8f9ba054c493e953",
         "vocab/tracks.jsonl": "ffea863f59ec144b",
         "cls/tracks.jsonl": "ba0a09c78b8b2f69",
         "bench/bench.json": "6d4f4321af01795c",
+        "plain/events.jsonl": "a78cb9b1f8e70283",
+        "scene/detections.jsonl": "876d71e1071b26f5",
+        "sidecar/detections.jsonl": "f68805c3f077afb1",
+        "scene/groundtruth.jsonl": "7a21f9163e4da4ab",
+        "scene/vocabulary.json": "d92f1c9ebd48cd60",
     }
 
 

@@ -393,6 +393,67 @@ def test_non_finite_floats_are_written_as_json_spells_them(tmp_path):
         '{"track_id": 1, "frame": 0, "bbox": [NaN, Infinity, -Infinity, 1.0], "conf": NaN, "cat": 0, "det": 0}\n')
 
 
+# The writers spell floats with io._json_floats: orjson, and json outside the range where the
+# two agree. The property tests above draw few floats; these compare the helper with json.dumps
+# on the edges of that range and on many floats of every magnitude.
+
+_EDGE_FLOATS = [0.0, 5e-324, float(np.nextafter(1e-4, 0)), 1e-4, float(np.nextafter(1e16, 0)), 1e16,
+                2.0 ** 53 + 1.0, 1e308, math.inf]
+_EDGE_FLOATS += [-v for v in _EDGE_FLOATS] + [math.nan]
+
+
+def test_json_floats_equal_json_dumps_on_the_edges():
+    assert io._json_floats(_EDGE_FLOATS) == [json.dumps(v) for v in _EDGE_FLOATS]
+    assert io._json_floats([None, 0.5, None]) == ["null", "0.5", "null"]
+    assert io._json_floats([]) == []
+
+
+def test_json_floats_equal_json_dumps_on_random_bits():
+    # every float64 bit pattern is as likely, so every binary exponent is (NaN payloads too), and
+    # float32 values upcast, as the writers spell embeddings
+    rng = np.random.default_rng(27)
+    with np.errstate(invalid="ignore"):  # a signalling NaN's upcast
+        values = np.concatenate([rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64).view(np.float64),
+                                 rng.integers(0, 2 ** 32, 50_000, dtype=np.uint32).view(np.float32)])
+    assert io._json_floats(values) == [json.dumps(v) for v in values.tolist()]
+    rows = io._json_rows([values[:3], values[3:3], values[3:10]])
+    assert rows == [[json.dumps(v) for v in row.tolist()] for row in (values[:3], values[3:3], values[3:10])]
+
+
+@pytest.mark.parametrize("score", [np.float64(0.5), np.float64(1e-5), np.float64(math.nan), 0.5, None])
+def test_events_write_a_numpy_score_as_its_float(tmp_path, score):
+    # orjson refuses a numpy scalar, which the writer used to spell with %s
+    io.write_events([AssociationEvent(0, "matched", 1, 0, score)], tmp_path / "events.jsonl")
+    assert (tmp_path / "events.jsonl").read_text() == (
+        '{"frame": 0, "kind": "matched", "track": 1, "det": 0, "score": %s}\n' % json.dumps(score))
+
+
+def _vocabulary_dict(vocab):
+    """What json.dump is given to write ``vocab``, the reference of io.write_vocabulary."""
+    return {"dim_text": vocab.dim_text, "entries": [
+        {"id": e.category_id, "name": e.name, "split": e.split, "description": e.description,
+         "cate_emb": [float(v) for v in e.cate_embedding], "attr_emb": [float(v) for v in e.attr_embedding]}
+        for e in vocab]}
+
+
+_EDGE_EMBEDDING = np.array([0.0, -0.0, 1e-45, 1e-5, 9.9999e-5, 1e-4, -7.5, 1e16, 3.4e38], dtype=np.float32)
+
+
+@pytest.mark.parametrize("entries, dim", [
+    ([(0, "näme", "quote \" back\\ new\nline", _EDGE_EMBEDDING), (2 ** 64 - 1, "\U0001f600", "", -_EDGE_EMBEDDING),
+      (-5, "", "d", _EDGE_EMBEDDING[::-1]), (7, "猫", "\x00", np.float32([1, 2, 3, 4, 5, 6, 7, 8, 9])),
+      (8, "x", "y", np.full(9, 0.1, dtype=np.float32))], 9),
+    ([(1, "a", "b", np.zeros(0, dtype=np.float32))], 0),
+    ([], 4),
+])
+def test_vocabulary_writer_equals_json_dump(tmp_path, entries, dim):
+    vocab = io.Vocabulary([io.VocabularyEntry(k, name, io.SPLITS[k % 2], text, emb, -emb)
+                           for k, name, text, emb in entries], dim)
+    with _chunk(2):  # the first case in three chunks
+        io.write_vocabulary(vocab, tmp_path / "v.json")
+    assert (tmp_path / "v.json").read_bytes() == (json.dumps(_vocabulary_dict(vocab), indent=1) + "\n").encode()
+
+
 # The vocabulary: one parse and one column check per key of VOCABULARY_ENTRY_FORMAT, with the
 # entry checks (a json parse, then io._vocabulary_entry per entry) as the reference.
 
@@ -529,6 +590,17 @@ def test_vocabulary_columns_agree_with_entries(tmp_path_factory, data, dim, n, m
     text = text.replace("\n", "\r\n") if crlf else text
     path.write_bytes(text.encode("utf-8", "surrogatepass"))  # a lone surrogate as bytes no UTF-8 allows
     _vocabulary_passes(path, valid=False)
+
+
+def test_a_vocabulary_the_split_columns_refuse_is_parsed_once_more(tmp_path, monkeypatch):
+    # load_splits used to hand such a file to load_vocabulary, whose column pass parsed it again
+    path = tmp_path / "v.json"
+    path.write_text(_vocabulary_text(_changed(extra=[[0]])))
+    calls, parse = [], io._parse_line
+    monkeypatch.setattr(io, "_parse_line", lambda text: calls.append(text) or parse(text))
+    with _counted_loads() as loads:
+        assert io.load_splits(path) == {0: "base"}
+    assert (len(calls), len(loads)) == (1, 1)
 
 
 def _vocabulary_doc(names=("a", "b", "c"), description=True):
