@@ -1,10 +1,14 @@
 """Tracking cost per frame as the scene grows: writes ``BENCH_scale.json``.
 
-Each cell tracks one seeded scene (d=128, target cosine 0.87 between an
-observation and its identity, ``fp_rate`` 2, ``miss_rate`` 0.05, default
-``TrackerConfig``) with ``trajkit.tracker.Tracker`` in this process, and
+Each cell writes one seeded scene (d=128, target cosine 0.87 between an
+observation and its identity, ``fp_rate`` 2, ``miss_rate`` 0.05) once with
+``io.write_detections(..., sidecar=True)`` into a temporary directory. Each
+run loads it and tracks it with ``trajkit.tracker.Tracker`` (default
+``TrackerConfig``) in this process, as the ``track`` command does, and
 reports milliseconds per frame for:
 
+- ``load``: ``io.load_detections`` of the scene's file, whose blocks the
+  steps then track;
 - ``score_matrix`` and ``associate_frame``, timed by ``perf_counter``
   wrappers put in place of the module globals ``Tracker.step`` calls;
 - ``update``: the rest of ``step``, that is the bank and memory update of
@@ -14,11 +18,12 @@ reports milliseconds per frame for:
   plus ``io.write_events`` of every association event of its steps, as the
   ``track`` command writes them, into a temporary directory.
 
-Each number is the median over ``--runs`` runs of the whole sequence. BLAS
-is pinned to one thread before numpy loads. Run from the root of a source
-checkout::
+Each number is the median over ``--runs`` runs of the whole sequence.
+``live_per_frame`` is the mean count of live tracks scored per frame (frame 0
+scores none) and ``live_last_frame`` the last frame's count. BLAS is pinned to
+one thread before numpy loads. Run from the root of a source checkout::
 
-    python3 bench/scale.py                       # 100, 300 and 1,000 identities
+    python3 bench/scale.py                       # 100, 300, 1,000 and 3,000 identities
     python3 bench/scale.py --identities 100 --frames 40 --runs 5 --out BENCH_scale.json
 """
 
@@ -44,9 +49,14 @@ import numpy as np  # noqa: E402
 from trajkit import io, synth, tracker  # noqa: E402
 from trajkit.classify import to_track_record  # noqa: E402
 
-STAGES = ("score_matrix", "associate_frame", "update", "step", "write")
+STAGES = ("load", "score_matrix", "associate_frame", "update", "step", "write")
 DIM, COSINE, FP_RATE, MISS_RATE, SEED = 128, 0.87, 2.0, 0.05, 1
-IDENTITIES = (100, 300, 1000)  # 40 frames each, or 20 at 1,000 identities
+IDENTITIES = (100, 300, 1000, 3000)
+
+
+def _frames(identities: int) -> int:
+    """A cell's default frame count: 40, or 20 from 1,000 identities and 10 from 3,000."""
+    return 40 if identities < 1000 else 20 if identities < 3000 else 10
 
 
 def _scene(identities: int, frames: int) -> synth.SynthScene:
@@ -66,19 +76,22 @@ def _timed(spent: dict, name: str, fn):
     return wrapper
 
 
-def _run(scene: synth.SynthScene, out: Path) -> tuple[dict, tracker.Tracker, list[int]]:
-    """Seconds per stage over one run of the scene, writing into ``out``, the tracker and the
-    live tracks per frame."""
+def _run(out: Path) -> tuple[dict, tracker.Tracker, list[int]]:
+    """Seconds per stage over one run of the scene written in ``out``, writing into ``out``,
+    the tracker and the live tracks per frame."""
     spent = dict.fromkeys(STAGES, 0.0)
+    start = time.perf_counter()
+    dets = io.load_detections(out / "detections.jsonl")
+    spent["load"] = time.perf_counter() - start
     originals = tracker.score_matrix, tracker.associate_frame
     tracker.score_matrix = _timed(spent, "score_matrix", tracker.score_matrix)
     tracker.associate_frame = _timed(spent, "associate_frame", tracker.associate_frame)
     try:
         tk, live, events = tracker.Tracker(), [], []
-        for frame in sorted(scene.detections):
+        for frame in sorted(dets):
             live.append(len(tk.live))
             start = time.perf_counter()
-            stepped = tk.step(frame, scene.detections[frame])
+            stepped = tk.step(frame, dets[frame])
             spent["step"] += time.perf_counter() - start
             events += stepped
     finally:
@@ -95,13 +108,15 @@ def _run(scene: synth.SynthScene, out: Path) -> tuple[dict, tracker.Tracker, lis
 def cell(identities: int, frames: int, runs: int) -> dict:
     scene = _scene(identities, frames)
     with tempfile.TemporaryDirectory() as out:
-        results = [_run(scene, Path(out)) for _ in range(runs)]
+        io.write_detections(scene.detections, Path(out) / "detections.jsonl", sidecar=True)
+        results = [_run(Path(out)) for _ in range(runs)]
     _, tk, live = results[0]
     return {
         "identities": identities,
         "frames": frames,
         "detections": sum(map(len, scene.detections.values())),
         "live_per_frame": round(float(np.mean(live)), 1),
+        "live_last_frame": live[-1],
         "tracks": len(tk.tracks),
         "ms_per_frame": {stage: round(1000 * float(np.median([r[0][stage] for r in results])) / frames, 3)
                          for stage in STAGES},
@@ -110,14 +125,14 @@ def cell(identities: int, frames: int, runs: int) -> dict:
 
 def main(argv=None) -> dict:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--identities", type=int, nargs="*", help="one cell per value (default 100 300 1000)")
-    parser.add_argument("--frames", type=int, help="frames of every cell (default 40, or 20 at 1,000)")
+    parser.add_argument("--identities", type=int, nargs="*", help="one cell per value (default 100 300 1000 3000)")
+    parser.add_argument("--frames", type=int, help="frames of every cell (default 40, 20 at 1,000, 10 at 3,000)")
     parser.add_argument("--runs", type=int, default=5, help="runs per cell; each number is their median")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_scale.json")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
-    cells = [(n, args.frames or (20 if n >= 1000 else 40)) for n in args.identities or IDENTITIES]
+    cells = [(n, args.frames or _frames(n)) for n in args.identities or IDENTITIES]
     record = {
         "scene": {"dim": DIM, "cosine": COSINE, "fp_rate": FP_RATE, "miss_rate": MISS_RATE, "seed": SEED},
         "runs": args.runs,

@@ -21,6 +21,7 @@ from .errors import (
     ZeroNormError,
 )
 from .io import (
+    DetectionFrame,
     DetectionRecord,
     GroundTruthTrack,
     TrackEntry,
@@ -91,7 +92,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssociationEvent", "Augmentations", "ClassifyConfig",
-    "DetectionRecord", "DimMismatchError", "DivergedError",
+    "DetectionFrame", "DetectionRecord", "DimMismatchError", "DivergedError",
     "DuplicateCategoryError", "EvalConfig", "EvalReport", "FUSION_MECHANISMS",
     "FormatError", "FusionWeights", "GroundTruthTrack", "MissingWeightsError",
     "NonFiniteError", "SplitScores", "SynthConfig", "SynthScene", "Track",

@@ -43,7 +43,7 @@ from .fusion import (
     fuse_cross,
     fuse_self,
 )
-from .io import DetectionRecord, TrackEntry, TrackRecord, Vocabulary
+from .io import DetectionFrame, DetectionRecord, TrackEntry, TrackRecord, Vocabulary
 from .tracker import Track, majority_vote
 
 
@@ -230,8 +230,9 @@ def label_record(record: TrackRecord, classification: TrajectoryClassification) 
 
 
 def record_embeddings(record: TrackRecord,
-                      dets_by_frame: dict[int, list[DetectionRecord]]) -> list[np.ndarray]:
-    """The embedding of each of a tracks.jsonl record's entries, from its detections."""
+                      dets_by_frame: dict[int, DetectionFrame | Sequence[DetectionRecord]]) -> list[np.ndarray]:
+    """The embedding of each of a tracks.jsonl record's entries, from its detections: a row of
+    the frame's ``embedding`` column, or of a frame's list of records the record's embedding."""
     embeddings = []
     for e in record.entries:
         frame_dets = dets_by_frame.get(e.frame)
@@ -239,5 +240,6 @@ def record_embeddings(record: TrackRecord,
             raise FormatError(
                 f"track {record.track_id} references detection {e.det_idx} of frame {e.frame}, "
                 f"which the detections file does not contain")
-        embeddings.append(frame_dets[e.det_idx].embedding)
+        embeddings.append(frame_dets.embedding[e.det_idx] if isinstance(frame_dets, DetectionFrame)
+                          else frame_dets[e.det_idx].embedding)
     return embeddings

@@ -184,7 +184,7 @@ def _load_fusion_weights(path) -> FusionWeights:
 
 
 def _embedding_width(dets: dict) -> int | None:
-    return next(iter(dets.values()))[0].embedding.shape[0] if dets else None
+    return next(iter(dets.values())).embedding.shape[1] if dets else None
 
 
 def _scene(opts: dict, seed: int):

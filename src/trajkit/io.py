@@ -32,6 +32,9 @@ loads the file and its entries are checked one at a time. ``load_splits`` makes 
 column pass but for the embeddings' values, and hands a file it refuses to
 ``load_vocabulary``'s entry checks. The line and entry checks are the reference and
 write every message; the tests hold the column passes to them.
+``load_detections`` keeps the checked chunks as whole columns, sorts them with one
+``lexsort`` and gathers them once: each frame's ``DetectionFrame`` is a slice of the
+file's sorted columns, and no per-detection object is built while loading.
 Writers fill per-format line templates, ``_CHUNK`` lines at a time, byte for byte
 as ``json.dumps`` writes them. ``_json_floats`` spells a chunk's floats in one
 ``orjson.dumps`` pass: orjson spells a float as ``repr`` does when ``1e-4 <= |x| < 1e16``
@@ -48,10 +51,11 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import NoReturn
 
 import numpy as np
 import orjson
@@ -107,6 +111,67 @@ class DetectionRecord:
     category_id: int
     category_score: float  # classifier score for category_id, in [0, 1]
     embedding: np.ndarray  # float32, shape (d,)
+
+
+def _int_column(values: Sequence[int]) -> np.ndarray:
+    """``values`` as an int64 column, or an object column of the ints when one falls outside
+    int64 (a frame or category id past 2**63 keeps every digit)."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+@dataclass(eq=False)
+class DetectionFrame(Sequence):
+    """One frame's detections as columns, row i its detection i. It is also the read-only
+    sequence of the frame's ``DetectionRecord``s, which indexing and iteration build from
+    ``.tolist()`` of the columns: Python ints and floats, and a view row of ``embedding``."""
+
+    frame: int | None  # None in an empty block made of no records
+    bbox: np.ndarray  # (D, 4) float64
+    confidence: np.ndarray  # (D,) float64
+    category_id: np.ndarray  # (D,) int64, or object when an id falls outside int64
+    category_score: np.ndarray  # (D,) float64
+    embedding: np.ndarray  # (D, d), float32 as loaded
+
+    @classmethod
+    def of(cls, dets: DetectionFrame | Sequence[DetectionRecord], width: int | None = None) -> DetectionFrame:
+        """``dets`` as a block: a block as it is, one frame's records stacked. DimMismatchError
+        names the first detection whose embedding is not ``(width,)`` or, without a width, not of
+        the first's shape; ValueError refuses records of two frames."""
+        if isinstance(dets, cls):
+            shapes = [dets.embedding.shape[1:]] if len(dets) else []  # every row's
+        else:
+            shapes = [rec.embedding.shape for rec in dets]
+        want = (width,) if width is not None else shapes[0] if shapes else None
+        for i, shape in enumerate(shapes):
+            if shape != want:
+                raise DimMismatchError(f"detection {i} embedding has shape {shape}, expected {want}")
+        if isinstance(dets, cls):
+            return dets
+        frames = {rec.frame for rec in dets}
+        if len(frames) > 1:
+            raise ValueError(f"one block holds one frame, got detections of frames {sorted(frames)}")
+        floats = (lambda key: np.array([getattr(rec, key) for rec in dets], dtype=np.float64))
+        return cls(frames.pop() if frames else None, floats("bbox").reshape(-1, 4), floats("confidence"),
+                   _int_column([rec.category_id for rec in dets]), floats("category_score"),
+                   np.stack([rec.embedding for rec in dets]) if dets else np.zeros((0, width or 0), np.float32))
+
+    def __len__(self) -> int:
+        return len(self.confidence)
+
+    def __iter__(self) -> Iterator[DetectionRecord]:
+        return self._records(slice(None))
+
+    def __getitem__(self, i: int) -> DetectionRecord:
+        i = range(len(self))[i]  # an IndexError past either end, as a list's
+        return next(self._records(slice(i, i + 1)))
+
+    def _records(self, rows: slice) -> Iterator[DetectionRecord]:
+        return map(DetectionRecord, repeat(self.frame), map(tuple, self.bbox[rows].tolist()),
+                   self.confidence[rows].tolist(), self.category_id[rows].tolist(),
+                   self.category_score[rows].tolist(), self.embedding[rows])
 
 
 @dataclass(eq=False)
@@ -218,8 +283,8 @@ def _floats(values) -> list[float] | None:
 def _checked(fmt: dict, key: str, values, where: str | None = None,
              vocabulary: Vocabulary | None = None, size: int | None = None) -> list:
     """``key``'s values, one per line, checked against ``fmt`` and converted: a column,
-    or (with ``where``) one line's value. ``size`` is the width of a vec (None:
-    any) or the rows of the sidecar a ref indexes."""
+    or (with ``where``) one line's value, boxes and vecs as one 2-d array of rows. ``size``
+    is the width of a vec (None: any) or the rows of the sidecar a ref indexes."""
     kind, *bounds = fmt[key]
     if kind in ("int", "cat"):
         if not ({*map(type, values)} <= {int} and not (bounds and min(values) < bounds[0])):
@@ -247,7 +312,7 @@ def _checked(fmt: dict, key: str, values, where: str | None = None,
             _fail(where, f"bbox entries must be finite, got {flat[:4]}")
         if not (boxes[:, 2:] > 0).all():
             _fail(where, f"bbox needs positive width/height, got w={flat[2]} h={flat[3]}")
-        return list(zip(*[iter(flat)] * 4))
+        return boxes
     elif kind == "vec":  # bounds may name the vector in messages; then a list of it must be flat
         name, rows = (bounds[0] if bounds else key), isinstance(values, np.ndarray)  # rows: sidecar's
         try:
@@ -265,7 +330,7 @@ def _checked(fmt: dict, key: str, values, where: str | None = None,
             _fail(where, f"{name} contains non-finite entries", NonFiniteError)
         if not arr.any(axis=1).all():
             _fail(where, f"{name} has zero norm", ZeroNormError)
-        return list(arr)
+        return arr
     elif kind == "choice":
         if not all(v in bounds[0] for v in values):
             _fail(where, f"{key} must be one of {bounds[0]}, got {values[0]!r}")
@@ -297,21 +362,21 @@ def _load_json(text: str, where: str):
         raise FormatError(f"{where}: {exc}") from None
 
 
-def _rows(path, fmt: dict, keys, vocabulary: Vocabulary | None = None,
-          more=lambda objs, where: [None] * len(objs)) -> Iterator[tuple]:
-    """``(lineno, values, extra)`` per non-blank line: its ``keys`` checked by ``_checked``
-    and what ``more`` makes of its object. ``_CHUNK`` lines at a time are checked by
-    columns, each line parsed on its own (one JSON array of a chunk would take two broken
-    lines that together make valid JSON). When the parse or a column check refuses a
-    chunk, its lines are checked one at a time, each just before its row is yielded, so
-    that a failed check raises naming ``path:lineno`` after the rows of the lines before it."""
-    def by_columns(numbered: list[tuple]) -> Iterable[tuple]:
+def _chunks(path, fmt: dict, keys, vocabulary: Vocabulary | None = None,
+            more=lambda objs, where: [None] * len(objs)) -> Iterator[tuple]:
+    """``(linenos, columns, extra)`` per chunk of non-blank lines: the ``keys``' columns checked
+    by ``_checked`` and what ``more`` makes of the lines' objects. ``_CHUNK`` lines at a time are
+    checked by columns, each line parsed on its own (one JSON array of a chunk would take two
+    broken lines that together make valid JSON). When the parse or a column check refuses a
+    chunk, its lines are checked one at a time, each a chunk of its own checked just before it
+    is yielded, so that a failed check raises naming ``path:lineno`` after the lines before it."""
+    def by_columns(numbered: list[tuple]) -> list[tuple]:
         objs = [_parse_line(line) for _, line in numbered]
         # no key but the format's, whose checks bound their depth: json refuses a value nested
         # past the interpreter's depth, which the parser loads
         _require(set().union(*objs) <= fmt.keys(), None, "a key no format reads")
         cols = [_checked(fmt, key, [o[key] for o in objs], vocabulary=vocabulary) for key in keys]
-        return zip([n for n, _ in numbered], zip(*cols), more(objs, None))
+        return [([n for n, _ in numbered], cols, more(objs, None))]
 
     def by_line(lineno: int, line: str) -> tuple:
         where = f"{path}:{lineno}"
@@ -320,8 +385,7 @@ def _rows(path, fmt: dict, keys, vocabulary: Vocabulary | None = None,
             _require(isinstance(obj, dict), where, "line must hold a JSON object")
             for key in keys:
                 _require(key in obj, where, f"missing key {key!r}")
-            return lineno, [_checked(fmt, key, [obj[key]], where, vocabulary)[0] for key in keys], \
-                more([obj], where)[0]
+            return [lineno], [_checked(fmt, key, [obj[key]], where, vocabulary) for key in keys], more([obj], where)
         except RecursionError:  # past the interpreter's depth, in the parse or in a message's repr
             raise FormatError(f"{where}: JSON nested too deeply") from None
 
@@ -332,13 +396,22 @@ def _rows(path, fmt: dict, keys, vocabulary: Vocabulary | None = None,
                 if not (chunk := [(n, line) for n, line in chunk if not line.isspace()]):
                     continue
                 try:
-                    rows = by_columns(chunk)
+                    chunks = by_columns(chunk)
                 except _REFUSED:
-                    rows = (by_line(n, line) for n, line in chunk)
-                yield from rows
-                del chunk, rows  # so that one chunk is held at a time
+                    chunks = (by_line(n, line) for n, line in chunk)
+                yield from chunks
+                del chunk, chunks  # so that one chunk is held at a time
     except UnicodeDecodeError:  # only a failing file is read again, to find the line
         raise _not_utf8(path) from None
+
+
+def _rows(path, fmt: dict, keys, vocabulary: Vocabulary | None = None,
+          more=lambda objs, where: [None] * len(objs)) -> Iterator[tuple]:
+    """``(lineno, values, extra)`` per non-blank line of ``_chunks``, a box as a tuple of floats."""
+    for linenos, cols, extra in _chunks(path, fmt, keys, vocabulary, more):
+        cols = [zip(*[iter(col.ravel().tolist())] * 4) if fmt[key][0] == "bbox" else col
+                for key, col in zip(keys, cols)]
+        yield from zip(linenos, zip(*cols), extra)
 
 
 def _not_utf8(path, numbered: bool = True) -> FormatError:
@@ -383,15 +456,17 @@ def write_embedding_sidecar(embeddings: np.ndarray, path) -> None:
 
 
 def load_detections(path, score_scale: float = 1.0, *,
-                    vocabulary: Vocabulary | None = None) -> dict[int, list[DetectionRecord]]:
-    """Load a detections.jsonl file into a frame -> detections map.
+                    vocabulary: Vocabulary | None = None) -> dict[int, DetectionFrame]:
+    """Load a detections.jsonl file into a frame -> ``DetectionFrame`` map.
 
     Confidences are multiplied by ``score_scale`` and clamped to [0, 1]
     (detectors whose raw scores exceed 1 are tamed with e.g. 0.1); a scale
     that is not finite or not > 0 raises ValueError. Frames are returned in
-    ascending order; records within a frame are sorted by a canonical content
+    ascending order; detections within a frame are sorted by a canonical content
     key of the file's values (the raw ``conf``, not the scaled one), so
     neither input line order nor ``score_scale`` changes a detection's index.
+    Each frame's block is a slice of the whole file's columns, sorted by one
+    ``lexsort`` and gathered once.
 
     Records that hold ``emb_ref`` read their rows from the sibling file with
     the .embin suffix.
@@ -400,7 +475,7 @@ def load_detections(path, score_scale: float = 1.0, *,
         raise ValueError(f"score_scale must be finite and > 0, got {score_scale}")
     fmt, side, dim, side_path = DETECTION_FORMAT, None, None, Path(path).with_suffix(".embin")
 
-    def embeddings(objs: list[dict], where: str | None) -> list[np.ndarray]:
+    def embeddings(objs: list[dict], where: str | None) -> np.ndarray:
         nonlocal side, dim
         inline = "emb" in objs[0]  # then on every line of a chunk, else on none
         _require(inline or "emb_ref" in objs[0], where, "record needs either emb or emb_ref")
@@ -412,19 +487,41 @@ def load_detections(path, score_scale: float = 1.0, *,
             embs = _checked(fmt, "emb", [o["emb"] for o in objs], where, size=dim)
         else:
             refs = _checked(fmt, "emb_ref", [o["emb_ref"] for o in objs], where, size=len(side))
-            _checked(fmt, "emb", side[refs], where, size=dim)  # a copy of a chunk's rows
-            embs = [side[ref] for ref in refs]  # views, as records keep them
-        dim = len(embs[0])
+            embs = _checked(fmt, "emb", side[refs], where, size=dim)  # a copy of a chunk's rows
+        dim = embs.shape[1]
         return embs
 
-    rows = [(*values, emb) for _, values, emb in _rows(path, fmt, _DETECTION_KEYS, vocabulary, embeddings)]
-    frames, boxes, confs, cats, scores, _ = zip(*rows) if rows else [()] * 6
-    order = np.lexsort((scores, cats, confs, *np.array(boxes).T[::-1], frames)).tolist()  # stable
-    out: dict[int, list[DetectionRecord]] = {}
-    for i in order:
-        conf = min(max(confs[i] * score_scale, 0.0), 1.0)
-        out.setdefault(frames[i], []).append(DetectionRecord(*rows[i][:2], conf, *rows[i][3:]))
-    return out
+    frames, boxes, confs, cats, scores, embs = [], [], [], [], [], []
+    for _, (frame, box, conf, cat, score), emb in _chunks(path, fmt, _DETECTION_KEYS, vocabulary, embeddings):
+        frames += frame
+        boxes.append(box)
+        confs += conf
+        cats += cat
+        scores += score
+        embs.append(emb)
+    if not embs:
+        return {}
+    boxes, confs, scores = np.concatenate(boxes), np.array(confs), np.array(scores)
+    # stable; each key as lexsort converts it, so ints past int64 mixed with smaller ones
+    # may sort as float64
+    order = np.lexsort((scores, cats, confs, *boxes.T[::-1], frames))
+    frames, cats = _int_column(frames), _int_column(cats)
+    if (frames[order[1:]] < frames[order[:-1]]).any():  # float64 keys tied distinct frames
+        first = {}  # each frame's rows go to its first place in the order
+        order = order[np.argsort([first.setdefault(f, len(first)) for f in frames[order].tolist()], kind="stable")]
+    # two copies of the rows at most: the sidecar goes before the chunks are joined, the
+    # chunks once they are, and the joined rows once they are sorted
+    side = None
+    embedding, embs = np.concatenate(embs), None
+    embedding = embedding[order]
+    # no floor at 0.0: a confidence is >= 0.0 or -0.0, whose sign is kept (np.maximum(-0.0, 0.0)
+    # is 0.0)
+    with np.errstate(over="ignore"):  # a product past the float range clamps to 1
+        confidence = np.minimum(confs[order] * score_scale, 1.0)
+    frames, columns = frames[order], (boxes[order], confidence, cats[order], scores[order], embedding)
+    bounds = [0, *(np.flatnonzero(frames[1:] != frames[:-1]) + 1).tolist(), len(order)]
+    return {frame: DetectionFrame(frame, *(col[lo:hi] for col in columns))
+            for frame, lo, hi in zip(frames[bounds[:-1]].tolist(), bounds[:-1], bounds[1:])}
 
 
 def _json_floats(values: Sequence) -> list[str]:
@@ -499,7 +596,7 @@ def _vocabulary_entry(raw, where: str, dim_text: int) -> VocabularyEntry:
     values = []
     for key in VOCABULARY_ENTRY_FORMAT:  # only the embeddings can still be missing
         _require(key in raw or key == "description", where, f"missing embedding {key!r}")
-        values += _checked(VOCABULARY_ENTRY_FORMAT, key, [raw.get(key, "")], where, size=dim_text)
+        values.extend(_checked(VOCABULARY_ENTRY_FORMAT, key, [raw.get(key, "")], where, size=dim_text))
     return VocabularyEntry(*values)
 
 

@@ -41,6 +41,12 @@ updates the rows of the tracks it matched together: one bank write, one
 mean per fill count, one EMA, one normalization and one blend over the
 matched rows.
 
+A frame comes in as an ``io.DetectionFrame``, the per-frame block of
+columns ``io.load_detections`` returns; a list of ``DetectionRecord`` goes
+through ``DetectionFrame.of``. The step's (D, d) rows are one float64 copy
+of the block's ``embedding`` column, and a new entry takes its box,
+confidence and category from the block's columns as Python lists.
+
 Detection embeddings are never mutated; only the banks and the query hold
 normalized copies.
 """
@@ -56,7 +62,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimMismatchError, NonFiniteError, ZeroNormError
-from .io import DetectionRecord, TrackEntry
+from .io import DetectionFrame, DetectionRecord, TrackEntry
 
 SIM_MODES = ("cosine_only", "cosine_plus_bisoftmax")
 
@@ -200,7 +206,7 @@ def _greedy_loop(open_rows: np.ndarray, tau_match: float) -> tuple[np.ndarray, n
     return picked, picked_scores
 
 
-def associate_frame(tracks: Sequence[Track], dets: Sequence[DetectionRecord],
+def associate_frame(tracks: Sequence[Track], dets: DetectionFrame | Sequence[DetectionRecord],
                     scores: np.ndarray, cfg: TrackerConfig,
                     next_track_id: int = 0) -> list[AssociationEvent]:
     """Greedy assignment of detections to tracks in confidence order.
@@ -218,14 +224,17 @@ def associate_frame(tracks: Sequence[Track], dets: Sequence[DetectionRecord],
     argmaxes. A best score below tau_match stays below once tracks close,
     so such a detection wants no track. The displaced rest goes to the
     next round, and after ``_GREEDY_ROUNDS`` rounds to the loop.
+
+    ``dets`` is a ``DetectionFrame`` or a list of its records.
     """
+    dets = DetectionFrame.of(dets)
     scores = np.asarray(scores, dtype=np.float64)
     T, D = len(tracks), len(dets)
     if scores.shape != (T, D):
         raise DimMismatchError(f"scores shape {scores.shape} != ({T}, {D})")
     tau = cfg.tau_match
     # stable: equal confidences keep the lower index first
-    order = np.lexsort((-np.array([det.confidence for det in dets], dtype=np.float64),))
+    order = np.lexsort((-dets.confidence,))
     track_of, score_of = np.full(D, -1), np.zeros(D)
     rest, claimed = order, np.zeros(T, dtype=bool)
     for round_ in range(_GREEDY_ROUNDS if T else 0):
@@ -256,16 +265,17 @@ def associate_frame(tracks: Sequence[Track], dets: Sequence[DetectionRecord],
         track_of[rest], score_of[rest] = _greedy_loop(open_rows, tau)
 
     events: list[AssociationEvent] = []
+    frame, confs = dets.frame, dets.confidence.tolist()
     picked, picked_scores = track_of.tolist(), score_of.tolist()
     for i in order.tolist():
-        det, k = dets[i], picked[i]
+        k = picked[i]
         if k >= 0:
-            events.append(AssociationEvent(det.frame, MATCHED, tracks[k].id, i, picked_scores[i]))
-        elif det.confidence >= cfg.tau_new:
-            events.append(AssociationEvent(det.frame, BORN, next_track_id, i))
+            events.append(AssociationEvent(frame, MATCHED, tracks[k].id, i, picked_scores[i]))
+        elif confs[i] >= cfg.tau_new:
+            events.append(AssociationEvent(frame, BORN, next_track_id, i))
             next_track_id += 1
         else:
-            events.append(AssociationEvent(det.frame, DISCARDED, None, i))
+            events.append(AssociationEvent(frame, DISCARDED, None, i))
     return events
 
 
@@ -282,7 +292,7 @@ def majority_vote(items: Sequence[int]) -> tuple[int, float]:
     return winner, counts[winner] / len(items)
 
 
-def retain_category(track: Track, matched_det: DetectionRecord, cfg: TrackerConfig) -> int:
+def retain_category(track: Track, confidence: float, category_id: int, cfg: TrackerConfig) -> int:
     """Decide which category a matched detection contributes.
 
     High-confidence raw predictions pass through, mid-confidence ones are
@@ -290,13 +300,12 @@ def retain_category(track: Track, matched_det: DetectionRecord, cfg: TrackerConf
     categories of the track's last ``n_cat_bank`` entries), low-confidence
     ones defer to the bank entirely.
     """
-    p, c = matched_det.confidence, matched_det.category_id
-    if p >= cfg.tau_high:
-        return c
+    if confidence >= cfg.tau_high:
+        return category_id
     bank = [e.category_id for e in track.observations[-cfg.n_cat_bank:]]
-    if p >= cfg.tau_low:
-        return majority_vote([*bank, c])[0]
-    return majority_vote(bank)[0] if bank else c
+    if confidence >= cfg.tau_low:
+        return majority_vote([*bank, category_id])[0]
+    return majority_vote(bank)[0] if bank else category_id
 
 
 class Tracker:
@@ -332,28 +341,30 @@ class Tracker:
         self._banked = np.zeros(0, dtype=np.int64)
         self._free: list[int] = []  # rows of _banks no live track holds
 
-    def _rows(self, frame: int, dets: Sequence[DetectionRecord]) -> np.ndarray:
-        """The frame's embeddings as (D, d) float64 rows, all of the tracker's width. A
-        non-finite embedding or confidence raises NonFiniteError before any state changes:
-        its NaN scores would spread through the bi-softmax to every track."""
-        if not dets:
-            return np.zeros((0, self._width or 0))
-        want = dets[0].embedding.shape if self._width is None else (self._width,)
-        for i, det in enumerate(dets):
-            if det.embedding.shape != want:
-                raise DimMismatchError(f"frame {frame}: detection {i} embedding has shape "
-                                       f"{det.embedding.shape}, expected {want}")
-        rows = np.stack([d.embedding for d in dets]).astype(np.float64)
-        finite = np.isfinite(rows).all(axis=1) & np.isfinite([d.confidence for d in dets])
+    def _rows(self, frame: int, dets: DetectionFrame | Sequence[DetectionRecord]) -> tuple[DetectionFrame, np.ndarray]:
+        """The frame as a block (``DetectionFrame.of``) and its
+        embeddings as (D, d) float64 rows, all of the tracker's width. A detection of another
+        width raises DimMismatchError, and a non-finite embedding or confidence NonFiniteError,
+        before any state changes: its NaN scores would spread through the bi-softmax to every
+        track."""
+        width = self._width
+        try:
+            dets = DetectionFrame.of(dets, width)
+        except DimMismatchError as exc:
+            raise DimMismatchError(f"frame {frame}: {exc}") from None
+        if not len(dets):
+            return dets, np.zeros((0, width or 0))
+        rows = dets.embedding.astype(np.float64)
+        finite = np.isfinite(rows).all(axis=1) & np.isfinite(dets.confidence)
         if not finite.all():
             i = int(finite.argmin())
             what = "embedding" if not np.isfinite(rows[i]).all() else "confidence"
             raise NonFiniteError(f"frame {frame}: detection {i} has a non-finite {what}")
-        if self._width is None:
-            self._width = want[0]
+        if width is None:
+            self._width = rows.shape[1]
             self.memory, self.query = np.zeros((0, self._width)), np.zeros((0, self._width))
             self._banks = np.zeros((0, self.cfg.n_bank, self._width))
-        return rows
+        return dets, rows
 
     def state(self, track: Track) -> TrackState:
         """ACTIVE if the last step matched the track, LOST while its last match is at most
@@ -406,14 +417,15 @@ class Tracker:
         del free[-count:]
         return taken
 
-    def step(self, frame: int, dets: Sequence[DetectionRecord]) -> list[AssociationEvent]:
-        """Process one frame; frames must be strictly increasing."""
+    def step(self, frame: int, dets: DetectionFrame | Sequence[DetectionRecord]) -> list[AssociationEvent]:
+        """Process one frame, a ``DetectionFrame`` or a list of its records; frames must be
+        strictly increasing."""
         frames = self._frames
         if frames and frame <= frames[-1]:
             raise ValueError(f"frames must be strictly increasing, got {frame} after {frames[-1]}")
         cfg = self.cfg
         live = self.live
-        emb = self._rows(frame, dets)
+        dets, emb = self._rows(frame, dets)
         units = _normalize_rows(emb)
         scores = score_matrix(self.query, units, cfg)
         events = associate_frame(live, dets, scores, cfg, next_track_id=self._next_id)
@@ -424,6 +436,8 @@ class Tracker:
 
         matched = [(ev.track_id, ev.det_idx) for ev in events if ev.kind == MATCHED]
         born = [ev for ev in events if ev.kind == BORN]
+        # the new entries' values, as Python ints and floats
+        boxes, confs, cats = dets.bbox.tolist(), dets.confidence.tolist(), dets.category_id.tolist()
         a = cfg.alpha_sim
         last = self._last_step
         if matched:
@@ -435,9 +449,9 @@ class Tracker:
             self.query[rows] = a * _normalize_rows(memory) + (1.0 - a) * means
             last[rows] = now
             for row, i in zip(rows.tolist(), cols):
-                track, det = live[row], dets[i]
-                track.observations.append(TrackEntry(det.frame, det.bbox, det.confidence,
-                                                     retain_category(track, det, cfg), i))
+                track = live[row]
+                track.observations.append(TrackEntry(dets.frame, tuple(boxes[i]), confs[i],
+                                                     retain_category(track, confs[i], cats[i], cfg), i))
 
         # A track dies once its last match is more than max_age frames back.
         oldest = bisect_left(frames, frame - cfg.max_age)
@@ -458,9 +472,9 @@ class Tracker:
             block = units[cols]
             self._banks[slots, 0] = block
             for ev, i in zip(born, cols):
-                track, det = Track(ev.track_id), dets[i]
-                track.observations.append(TrackEntry(det.frame, det.bbox, det.confidence,
-                                                     retain_category(track, det, cfg), i))
+                track = Track(ev.track_id)
+                track.observations.append(TrackEntry(dets.frame, tuple(boxes[i]), confs[i],
+                                                     retain_category(track, confs[i], cats[i], cfg), i))
                 self.tracks.append(track)
             live = live + self.tracks[-len(born):]
             self.memory = np.concatenate([self.memory, emb[cols]])
@@ -473,7 +487,7 @@ class Tracker:
         return events
 
 
-def run_sequence(dets_by_frame: dict[int, Sequence[DetectionRecord]],
+def run_sequence(dets_by_frame: dict[int, DetectionFrame | Sequence[DetectionRecord]],
                  cfg: TrackerConfig | None = None) -> list[Track]:
     """Track a whole sequence; returns every track ever born, in id order."""
     tracker = Tracker(cfg)

@@ -20,5 +20,6 @@ def test_scale_writes_one_cell(tmp_path):
     assert record["runs"] == 1 and record["blas_threads"] == 1
     (cell,) = record["cells"]
     assert (cell["identities"], cell["frames"]) == (10, 3)
-    assert set(cell) == {"identities", "frames", "detections", "live_per_frame", "tracks", "ms_per_frame"}
-    assert set(cell["ms_per_frame"]) == {"score_matrix", "associate_frame", "update", "step", "write"}
+    assert set(cell) == {"identities", "frames", "detections", "live_per_frame", "live_last_frame", "tracks",
+                         "ms_per_frame"}
+    assert set(cell["ms_per_frame"]) == {"load", "score_matrix", "associate_frame", "update", "step", "write"}

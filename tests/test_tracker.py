@@ -372,11 +372,11 @@ def test_retain_category_gates():
     cfg = TrackerConfig(tau_high=0.3, tau_low=0.1)
     tr = _fresh_track(0, [1.0, 0.0], cats=[4, 4, 4])  # bank [4, 4, 4]
 
-    assert retain_category(tr, _det([1.0, 0.0], conf=0.9, cat=8), cfg) == 8  # high: pass through
+    assert retain_category(tr, 0.9, 8, cfg) == 8  # high: pass through
     # mid band: vote over bank + candidate; bank majority 4 wins
-    assert retain_category(tr, _det([1.0, 0.0], conf=0.2, cat=9), cfg) == 4
+    assert retain_category(tr, 0.2, 9, cfg) == 4
     # low band: bank only, candidate ignored entirely
-    assert retain_category(tr, _det([1.0, 0.0], conf=0.05, cat=9), cfg) == 4
+    assert retain_category(tr, 0.05, 9, cfg) == 4
     # the bank is the track's entries: deciding a category adds none
     assert [e.category_id for e in tr.observations] == [4, 4, 4]
 
@@ -384,7 +384,7 @@ def test_retain_category_gates():
 def test_retain_category_low_band_empty_bank():
     cfg = TrackerConfig()
     tr = _fresh_track(0, [1.0, 0.0], cats=[])
-    assert retain_category(tr, _det([1.0, 0.0], conf=0.05, cat=6), cfg) == 6
+    assert retain_category(tr, 0.05, 6, cfg) == 6
 
 
 def test_category_bank_truncates():
@@ -392,8 +392,8 @@ def test_category_bank_truncates():
     # tie within the bank, and a tie goes to the most recent
     cfg = TrackerConfig(n_cat_bank=3)
     tr = _fresh_track(0, [1.0, 0.0], cats=[7, 7, 7, 3, 4, 5])
-    assert retain_category(tr, _det([1.0, 0.0], conf=0.05, cat=9), cfg) == 5
-    assert retain_category(tr, _det([1.0, 0.0], conf=0.2, cat=9), cfg) == 9
+    assert retain_category(tr, 0.05, 9, cfg) == 5
+    assert retain_category(tr, 0.2, 9, cfg) == 9
 
 
 def test_tracker_lifecycle():
@@ -684,18 +684,26 @@ def test_batched_update_matches_per_match_oracle_bit_for_bit():
     assert deaths >= 20 and wrapped >= 20 and rematched >= 20
 
 
-@pytest.mark.parametrize("frames, where", [
-    ([[[1.0, 0.0]], [[1.0, 0.0, 0.0]]], "frame 1: detection 0"),  # width changes, a track lives
-    ([[[1.0, 0.0]], [], [[1.0, 0.0, 0.0]]], "frame 2: detection 0"),  # width changes, none lives
-    ([[[1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0, 0.0]]], "frame 1: detection 1"),  # mixed, a track lives
-    ([[[1.0, 0.0], [1.0, 0.0, 0.0]]], "frame 0: detection 1"),  # mixed in the first frame
-], ids=["change-live", "change-none-live", "mixed-live", "mixed-first-frame"])
-def test_embedding_width_mismatch_names_frame_and_detection(frames, where):
+# A refused frame given as a list of records or as one block, which holds one width only.
+AS_LIST, AS_BLOCK = list, io.DetectionFrame.of
+
+
+@pytest.mark.parametrize("frames, where, kind", [
+    ([[[1.0, 0.0]], [[1.0, 0.0, 0.0]]], "frame 1: detection 0", AS_LIST),  # width changes, a track lives
+    ([[[1.0, 0.0]], [[1.0, 0.0, 0.0]]], "frame 1: detection 0", AS_BLOCK),
+    ([[[1.0, 0.0]], [], [[1.0, 0.0, 0.0]]], "frame 2: detection 0", AS_LIST),  # width changes, none lives
+    ([[[1.0, 0.0]], [], [[1.0, 0.0, 0.0]]], "frame 2: detection 0", AS_BLOCK),
+    ([[[1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0, 0.0]]], "frame 1: detection 1", AS_LIST),  # mixed, a track lives
+    ([[[1.0, 0.0]], [[1.0, 0.0, 0.0], [1.0, 0.0]]], "frame 1: detection 0", AS_LIST),  # the first row differs
+    ([[[1.0, 0.0], [1.0, 0.0, 0.0]]], "frame 0: detection 1", AS_LIST),  # mixed in the first frame
+], ids=["change-live", "change-live-block", "change-none-live", "change-none-live-block", "mixed-live",
+        "mixed-first-row-live", "mixed-first-frame"])
+def test_embedding_width_mismatch_names_frame_and_detection(frames, where, kind):
     tk = Tracker(TrackerConfig(max_age=0))
     for frame, embs in enumerate(frames[:-1]):
         tk.step(frame, [_det(e, frame=frame) for e in embs])
-    with pytest.raises(DimMismatchError, match=f"^{where} embedding has shape"):
-        tk.step(len(frames) - 1, [_det(e, frame=len(frames) - 1) for e in frames[-1]])
+    with pytest.raises(DimMismatchError, match=f"^{where} embedding has shape \\(3,\\), expected \\(2,\\)$"):
+        tk.step(len(frames) - 1, kind([_det(e, frame=len(frames) - 1) for e in frames[-1]]))
 
 
 def _two_identities(frame):
@@ -708,7 +716,8 @@ def _two_identities(frame):
     ([[0.0, 0.0, 1.0]], [math.nan], "detection 0 has a non-finite confidence"),
     ([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]], [0.9, math.inf], "detection 1 has a non-finite confidence"),
 ], ids=["inf-embedding", "nan-embedding", "nan-confidence", "inf-confidence"])
-def test_non_finite_detection_is_refused_and_changes_nothing(embs, confs, where):
+@pytest.mark.parametrize("kind", [AS_LIST, AS_BLOCK], ids=["list", "block"])
+def test_non_finite_detection_is_refused_and_changes_nothing(embs, confs, where, kind):
     # an [inf, 0, 0] row scores NaN, and the bi-softmax's normalizations spread the NaN over
     # every track: unrefused, frame 4's two identities are born as tracks 4 and 5
     tk = Tracker(TrackerConfig())
@@ -716,7 +725,7 @@ def test_non_finite_detection_is_refused_and_changes_nothing(embs, confs, where)
         tk.step(frame, _two_identities(frame))
     before = tk.memory.tobytes(), tk.query.tobytes(), tk.last_scores.tobytes()
     with pytest.raises(NonFiniteError, match=f"^frame 3: {where}$"):
-        tk.step(3, [_det(e, conf=c, frame=3) for e, c in zip(embs, confs)])
+        tk.step(3, kind([_det(e, conf=c, frame=3) for e, c in zip(embs, confs)]))
     assert (tk.memory.tobytes(), tk.query.tobytes(), tk.last_scores.tobytes()) == before
     assert [len(t.observations) for t in tk.tracks] == [3, 3]
     events = tk.step(4, _two_identities(4))
