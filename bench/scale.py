@@ -18,7 +18,10 @@ reports milliseconds per frame for:
   plus ``io.write_events`` of every association event of its steps, as the
   ``track`` command writes them, into a temporary directory.
 
-Each number is the median over ``--runs`` runs of the whole sequence.
+Each number in ``ms_per_frame`` is the median over ``--runs`` runs of the whole
+sequence, and ``ms_per_frame_q1`` and ``ms_per_frame_q3`` hold the first and
+third quartiles of the same runs (numpy's linear interpolation), so the spread
+between runs of unchanged code shows beside each median.
 ``live_per_frame`` is the mean count of live tracks scored per frame (frame 0
 scores none) and ``live_last_frame`` the last frame's count. BLAS is pinned to
 one thread before numpy loads. Run from the root of a source checkout::
@@ -118,8 +121,9 @@ def cell(identities: int, frames: int, runs: int) -> dict:
         "live_per_frame": round(float(np.mean(live)), 1),
         "live_last_frame": live[-1],
         "tracks": len(tk.tracks),
-        "ms_per_frame": {stage: round(1000 * float(np.median([r[0][stage] for r in results])) / frames, 3)
-                         for stage in STAGES},
+        **{key: {stage: round(1000 * float(np.percentile([r[0][stage] for r in results], q)) / frames, 3)
+                 for stage in STAGES}
+           for key, q in (("ms_per_frame", 50), ("ms_per_frame_q1", 25), ("ms_per_frame_q3", 75))},
     }
 
 

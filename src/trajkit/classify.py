@@ -2,7 +2,8 @@
 
 A trajectory is a list of ``io.TrackEntry`` rows (``Track.observations`` or
 a ``tracks.jsonl`` record) and the embedding of each row, which
-``record_embeddings`` reads from the detection the row indexes. It is
+``record_embeddings`` reads from the ``embedding`` column of the row's
+``io.DetectionFrame``, at the detection the row indexes. It is
 classified by fusing a sampled clip of its embeddings into one vector and
 comparing that vector against projected language embeddings of the
 vocabulary. Three candidate labels compete:
@@ -43,7 +44,7 @@ from .fusion import (
     fuse_cross,
     fuse_self,
 )
-from .io import DetectionFrame, DetectionRecord, TrackEntry, TrackRecord, Vocabulary
+from .io import DetectionFrame, TrackEntry, TrackRecord, Vocabulary
 from .tracker import Track, majority_vote
 
 
@@ -229,10 +230,9 @@ def label_record(record: TrackRecord, classification: TrajectoryClassification) 
     return record
 
 
-def record_embeddings(record: TrackRecord,
-                      dets_by_frame: dict[int, DetectionFrame | Sequence[DetectionRecord]]) -> list[np.ndarray]:
-    """The embedding of each of a tracks.jsonl record's entries, from its detections: a row of
-    the frame's ``embedding`` column, or of a frame's list of records the record's embedding."""
+def record_embeddings(record: TrackRecord, dets_by_frame: dict[int, DetectionFrame]) -> list[np.ndarray]:
+    """The embedding of each of a tracks.jsonl record's entries: a row of its frame's
+    ``embedding`` column."""
     embeddings = []
     for e in record.entries:
         frame_dets = dets_by_frame.get(e.frame)
@@ -240,6 +240,5 @@ def record_embeddings(record: TrackRecord,
             raise FormatError(
                 f"track {record.track_id} references detection {e.det_idx} of frame {e.frame}, "
                 f"which the detections file does not contain")
-        embeddings.append(frame_dets.embedding[e.det_idx] if isinstance(frame_dets, DetectionFrame)
-                          else frame_dets[e.det_idx].embedding)
+        embeddings.append(frame_dets.embedding[e.det_idx])
     return embeddings

@@ -35,6 +35,7 @@ write every message; the tests hold the column passes to them.
 ``load_detections`` keeps the checked chunks as whole columns, sorts them with one
 ``lexsort`` and gathers them once: each frame's ``DetectionFrame`` is a slice of the
 file's sorted columns, and no per-detection object is built while loading.
+``write_detections`` writes a frame -> block map from the blocks' columns, block by block.
 Writers fill per-format line templates, ``_CHUNK`` lines at a time, byte for byte
 as ``json.dumps`` writes them. ``_json_floats`` spells a chunk's floats in one
 ``orjson.dumps`` pass: orjson spells a float as ``repr`` does when ``1e-4 <= |x| < 1e16``
@@ -128,35 +129,12 @@ class DetectionFrame(Sequence):
     sequence of the frame's ``DetectionRecord``s, which indexing and iteration build from
     ``.tolist()`` of the columns: Python ints and floats, and a view row of ``embedding``."""
 
-    frame: int | None  # None in an empty block made of no records
+    frame: int
     bbox: np.ndarray  # (D, 4) float64
     confidence: np.ndarray  # (D,) float64
     category_id: np.ndarray  # (D,) int64, or object when an id falls outside int64
     category_score: np.ndarray  # (D,) float64
-    embedding: np.ndarray  # (D, d), float32 as loaded
-
-    @classmethod
-    def of(cls, dets: DetectionFrame | Sequence[DetectionRecord], width: int | None = None) -> DetectionFrame:
-        """``dets`` as a block: a block as it is, one frame's records stacked. DimMismatchError
-        names the first detection whose embedding is not ``(width,)`` or, without a width, not of
-        the first's shape; ValueError refuses records of two frames."""
-        if isinstance(dets, cls):
-            shapes = [dets.embedding.shape[1:]] if len(dets) else []  # every row's
-        else:
-            shapes = [rec.embedding.shape for rec in dets]
-        want = (width,) if width is not None else shapes[0] if shapes else None
-        for i, shape in enumerate(shapes):
-            if shape != want:
-                raise DimMismatchError(f"detection {i} embedding has shape {shape}, expected {want}")
-        if isinstance(dets, cls):
-            return dets
-        frames = {rec.frame for rec in dets}
-        if len(frames) > 1:
-            raise ValueError(f"one block holds one frame, got detections of frames {sorted(frames)}")
-        floats = (lambda key: np.array([getattr(rec, key) for rec in dets], dtype=np.float64))
-        return cls(frames.pop() if frames else None, floats("bbox").reshape(-1, 4), floats("confidence"),
-                   _int_column([rec.category_id for rec in dets]), floats("category_score"),
-                   np.stack([rec.embedding for rec in dets]) if dets else np.zeros((0, width or 0), np.float32))
+    embedding: np.ndarray  # (D, d) float32
 
     def __len__(self) -> int:
         return len(self.confidence)
@@ -560,20 +538,24 @@ def _write_lines(path, rows: Iterable[tuple], line: str, floats: Sequence[int], 
             fh.write("".join(map(line.__mod__, zip(*cols))))
 
 
-def write_detections(dets_by_frame: dict[int, list[DetectionRecord]], path, *,
+def write_detections(dets_by_frame: dict[int, DetectionFrame], path, *,
                      sidecar: bool = False) -> None:
-    """Write detections as JSONL; with ``sidecar=True`` embeddings go to a
-    binary .embin next to the file and lines carry ``emb_ref``."""
+    """Write detections as JSONL from each frame's columns, frames in ascending order; with
+    ``sidecar=True`` embeddings go to a binary .embin next to the file and lines carry
+    ``emb_ref``."""
     path = Path(path)
-    dets = [det for frame in sorted(dets_by_frame) for det in dets_by_frame[frame]]
-    if sidecar:
-        stack = np.stack([d.embedding for d in dets]) if dets else np.zeros((0, 0), dtype=np.float32)
-        write_embedding_sidecar(stack, path.with_suffix(".embin"))
+    blocks = [block for frame in sorted(dets_by_frame) if len(block := dets_by_frame[frame])]
+    if sidecar:  # no detections make a 0-wide sidecar
+        embedding = np.concatenate([b.embedding for b in blocks]) if blocks else np.zeros((0, 0), np.float32)
+        write_embedding_sidecar(embedding, path.with_suffix(".embin"))
     line = '{"frame": %d, "bbox": [%s, %s, %s, %s], "conf": %s, "cat": %d, "cat_score": %s, '
     line += '"emb_ref": %d}\n' if sidecar else '"emb": %s}\n'
-    _write_lines(path, ((d.frame, *d.bbox, d.confidence, int(d.category_id), d.category_score,
-                         ref if sidecar else d.embedding) for ref, d in enumerate(dets)),
-                 line, (1, 2, 3, 4, 5, 7), () if sidecar else (8,))
+    starts = np.cumsum([0, *map(len, blocks)]).tolist()
+    # Python objects of one block's values at a time, not of the whole scene's
+    rows = (row for b, start in zip(blocks, starts)
+            for row in zip(repeat(b.frame), *b.bbox.T.tolist(), b.confidence.tolist(), b.category_id.tolist(),
+                           b.category_score.tolist(), range(start, start + len(b)) if sidecar else b.embedding))
+    _write_lines(path, rows, line, (1, 2, 3, 4, 5, 7), () if sidecar else (8,))
 
 
 def _unique_ids(ids: Sequence[int], path=None) -> set[int]:

@@ -14,6 +14,9 @@ prototypes are drawn first and identities scatter around them, which makes
 same-category identities genuinely similar (useful for contrastive training
 and for stress-testing association).
 
+Every frame, an empty one too, is an ``io.DetectionFrame`` sliced from the
+scene's columns, each built once, as ``io.load_detections`` slices a file's.
+
 Everything is driven by one seeded generator in a fixed draw order, so a
 given config always produces the identical scene, bit for bit.
 """
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ZeroNormError
-from .io import DetectionRecord, GroundTruthTrack, Vocabulary, VocabularyEntry
+from .io import DetectionFrame, GroundTruthTrack, Vocabulary, VocabularyEntry
 from .metrics import iou
 from .train import TrainPair
 
@@ -69,7 +72,7 @@ class SynthConfig:
 @dataclass(eq=False)
 class SynthScene:
     config: SynthConfig
-    detections: dict[int, list[DetectionRecord]]  # every frame, possibly empty
+    detections: dict[int, DetectionFrame]  # every frame, possibly empty
     gt_tracks: list[GroundTruthTrack]
     prototypes: dict[int, np.ndarray]  # identity -> unit float32 embedding
     category_prototypes: dict[int, np.ndarray]
@@ -157,12 +160,11 @@ def gen_scene(cfg: SynthConfig) -> SynthScene:
         return (x, y, w, h)
 
     gt = [GroundTruthTrack(i, cats[i]) for i in range(cfg.n_identities)]
-    detections: dict[int, list[DetectionRecord]] = {}
+    rows, counts = [], []  # the scene's (bbox, conf, label, emb) in frame order; each frame's count
     det_identity: dict[int, list[int | None]] = {}
     ident_obs: dict[int, list[tuple[int, np.ndarray]]] = {i: [] for i in range(cfg.n_identities)}
 
     for f in range(cfg.n_frames):
-        frame_dets: list[DetectionRecord] = []
         frame_ident: list[int | None] = []
         real_boxes: list[tuple[float, float, float, float]] = []
         for i in range(cfg.n_identities):
@@ -185,7 +187,7 @@ def gen_scene(cfg: SynthConfig) -> SynthScene:
                 conf = _CONF_HIGH + (1.0 - _CONF_HIGH) * base
             else:
                 conf = base
-            frame_dets.append(DetectionRecord(f, bbox, conf, label, conf, emb))
+            rows.append((bbox, conf, label, emb))
             frame_ident.append(i)
             real_boxes.append(bbox)
             ident_obs[i].append((f, emb))
@@ -206,10 +208,19 @@ def gen_scene(cfg: SynthConfig) -> SynthScene:
                         break
                 label = int(rng.integers(cfg.n_categories))
                 conf = float(rng.beta(2.0, 5.0))
-                frame_dets.append(DetectionRecord(f, best[1], conf, label, conf, emb))
+                rows.append((best[1], conf, label, emb))
                 frame_ident.append(None)
-        detections[f] = frame_dets
+        counts.append(len(frame_ident))
         det_identity[f] = frame_ident
+
+    # each column built once; a frame's block is a slice of them
+    boxes, confs, labels, embs = zip(*rows) if rows else ((),) * 4
+    confidence = np.array(confs, dtype=np.float64)
+    columns = (np.array(boxes, dtype=np.float64).reshape(-1, 4), confidence, np.array(labels, dtype=np.int64),
+               confidence.copy(), np.array(embs, dtype=np.float32).reshape(-1, d))
+    ends = np.cumsum(counts).tolist()
+    detections = {f: DetectionFrame(f, *(col[lo:hi] for col in columns))
+                  for f, lo, hi in zip(range(cfg.n_frames), [0, *ends], ends)}
 
     entries = [
         VocabularyEntry(

@@ -42,10 +42,10 @@ mean per fill count, one EMA, one normalization and one blend over the
 matched rows.
 
 A frame comes in as an ``io.DetectionFrame``, the per-frame block of
-columns ``io.load_detections`` returns; a list of ``DetectionRecord`` goes
-through ``DetectionFrame.of``. The step's (D, d) rows are one float64 copy
-of the block's ``embedding`` column, and a new entry takes its box,
-confidence and category from the block's columns as Python lists.
+columns that ``io.load_detections`` and ``synth.gen_scene`` return. The
+step's (D, d) rows are one float64 copy of the block's ``embedding`` column,
+and a new entry, a match's or a birth's, is built in one place from the
+block's columns as Python lists.
 
 Detection embeddings are never mutated; only the banks and the query hold
 normalized copies.
@@ -62,7 +62,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimMismatchError, NonFiniteError, ZeroNormError
-from .io import DetectionFrame, DetectionRecord, TrackEntry
+from .io import DetectionFrame, TrackEntry
 
 SIM_MODES = ("cosine_only", "cosine_plus_bisoftmax")
 
@@ -206,8 +206,7 @@ def _greedy_loop(open_rows: np.ndarray, tau_match: float) -> tuple[np.ndarray, n
     return picked, picked_scores
 
 
-def associate_frame(tracks: Sequence[Track], dets: DetectionFrame | Sequence[DetectionRecord],
-                    scores: np.ndarray, cfg: TrackerConfig,
+def associate_frame(tracks: Sequence[Track], dets: DetectionFrame, scores: np.ndarray, cfg: TrackerConfig,
                     next_track_id: int = 0) -> list[AssociationEvent]:
     """Greedy assignment of detections to tracks in confidence order.
 
@@ -224,10 +223,7 @@ def associate_frame(tracks: Sequence[Track], dets: DetectionFrame | Sequence[Det
     argmaxes. A best score below tau_match stays below once tracks close,
     so such a detection wants no track. The displaced rest goes to the
     next round, and after ``_GREEDY_ROUNDS`` rounds to the loop.
-
-    ``dets`` is a ``DetectionFrame`` or a list of its records.
     """
-    dets = DetectionFrame.of(dets)
     scores = np.asarray(scores, dtype=np.float64)
     T, D = len(tracks), len(dets)
     if scores.shape != (T, D):
@@ -341,19 +337,16 @@ class Tracker:
         self._banked = np.zeros(0, dtype=np.int64)
         self._free: list[int] = []  # rows of _banks no live track holds
 
-    def _rows(self, frame: int, dets: DetectionFrame | Sequence[DetectionRecord]) -> tuple[DetectionFrame, np.ndarray]:
-        """The frame as a block (``DetectionFrame.of``) and its
-        embeddings as (D, d) float64 rows, all of the tracker's width. A detection of another
-        width raises DimMismatchError, and a non-finite embedding or confidence NonFiniteError,
-        before any state changes: its NaN scores would spread through the bi-softmax to every
-        track."""
+    def _rows(self, frame: int, dets: DetectionFrame) -> np.ndarray:
+        """The block's embeddings as (D, d) float64 rows, of the tracker's width, which the first
+        non-empty block fixes. A block of another width raises DimMismatchError, and a non-finite
+        embedding or confidence NonFiniteError, before any state changes: its NaN scores would
+        spread through the bi-softmax to every track."""
         width = self._width
-        try:
-            dets = DetectionFrame.of(dets, width)
-        except DimMismatchError as exc:
-            raise DimMismatchError(f"frame {frame}: {exc}") from None
         if not len(dets):
-            return dets, np.zeros((0, width or 0))
+            return np.zeros((0, width or 0))
+        if width is not None and (shape := dets.embedding.shape[1:]) != (width,):
+            raise DimMismatchError(f"frame {frame}: detection 0 embedding has shape {shape}, expected {(width,)}")
         rows = dets.embedding.astype(np.float64)
         finite = np.isfinite(rows).all(axis=1) & np.isfinite(dets.confidence)
         if not finite.all():
@@ -364,7 +357,7 @@ class Tracker:
             self._width = rows.shape[1]
             self.memory, self.query = np.zeros((0, self._width)), np.zeros((0, self._width))
             self._banks = np.zeros((0, self.cfg.n_bank, self._width))
-        return dets, rows
+        return rows
 
     def state(self, track: Track) -> TrackState:
         """ACTIVE if the last step matched the track, LOST while its last match is at most
@@ -417,15 +410,14 @@ class Tracker:
         del free[-count:]
         return taken
 
-    def step(self, frame: int, dets: DetectionFrame | Sequence[DetectionRecord]) -> list[AssociationEvent]:
-        """Process one frame, a ``DetectionFrame`` or a list of its records; frames must be
-        strictly increasing."""
+    def step(self, frame: int, dets: DetectionFrame) -> list[AssociationEvent]:
+        """Process one frame's block; frames must be strictly increasing."""
         frames = self._frames
         if frames and frame <= frames[-1]:
             raise ValueError(f"frames must be strictly increasing, got {frame} after {frames[-1]}")
         cfg = self.cfg
         live = self.live
-        dets, emb = self._rows(frame, dets)
+        emb = self._rows(frame, dets)
         units = _normalize_rows(emb)
         scores = score_matrix(self.query, units, cfg)
         events = associate_frame(live, dets, scores, cfg, next_track_id=self._next_id)
@@ -440,6 +432,7 @@ class Tracker:
         boxes, confs, cats = dets.bbox.tolist(), dets.confidence.tolist(), dets.category_id.tolist()
         a = cfg.alpha_sim
         last = self._last_step
+        new = []  # (track, detection) of each new entry
         if matched:
             track_ids, cols = map(list, zip(*matched))
             rows = np.searchsorted(ids, track_ids)
@@ -448,10 +441,7 @@ class Tracker:
             self.memory[rows] = memory
             self.query[rows] = a * _normalize_rows(memory) + (1.0 - a) * means
             last[rows] = now
-            for row, i in zip(rows.tolist(), cols):
-                track = live[row]
-                track.observations.append(TrackEntry(dets.frame, tuple(boxes[i]), confs[i],
-                                                     retain_category(track, confs[i], cats[i], cfg), i))
+            new += zip([live[row] for row in rows.tolist()], cols)
 
         # A track dies once its last match is more than max_age frames back.
         oldest = bisect_left(frames, frame - cfg.max_age)
@@ -471,12 +461,9 @@ class Tracker:
             slots = self._take_slots(len(born))
             block = units[cols]
             self._banks[slots, 0] = block
-            for ev, i in zip(born, cols):
-                track = Track(ev.track_id)
-                track.observations.append(TrackEntry(dets.frame, tuple(boxes[i]), confs[i],
-                                                     retain_category(track, confs[i], cats[i], cfg), i))
-                self.tracks.append(track)
+            self.tracks += [Track(ev.track_id) for ev in born]
             live = live + self.tracks[-len(born):]
+            new += zip(live[-len(born):], cols)
             self.memory = np.concatenate([self.memory, emb[cols]])
             self.query = np.concatenate([self.query, a * block + (1.0 - a) * block])
             last = np.concatenate([last, np.full(len(born), now)])
@@ -484,11 +471,14 @@ class Tracker:
             self._banked = np.concatenate([self._banked, np.ones(len(born), dtype=np.int64)])
             self._next_id = born[-1].track_id + 1
         self.live, self._last_step = live, last
+        for track, i in new:
+            # a newborn track's category bank is empty, so retain_category would keep the raw one
+            cat = retain_category(track, confs[i], cats[i], cfg) if track.observations else cats[i]
+            track.observations.append(TrackEntry(dets.frame, tuple(boxes[i]), confs[i], cat, i))
         return events
 
 
-def run_sequence(dets_by_frame: dict[int, DetectionFrame | Sequence[DetectionRecord]],
-                 cfg: TrackerConfig | None = None) -> list[Track]:
+def run_sequence(dets_by_frame: dict[int, DetectionFrame], cfg: TrackerConfig | None = None) -> list[Track]:
     """Track a whole sequence; returns every track ever born, in id order."""
     tracker = Tracker(cfg)
     for frame in sorted(dets_by_frame):

@@ -21,5 +21,8 @@ def test_scale_writes_one_cell(tmp_path):
     (cell,) = record["cells"]
     assert (cell["identities"], cell["frames"]) == (10, 3)
     assert set(cell) == {"identities", "frames", "detections", "live_per_frame", "live_last_frame", "tracks",
-                         "ms_per_frame"}
-    assert set(cell["ms_per_frame"]) == {"load", "score_matrix", "associate_frame", "update", "step", "write"}
+                         "ms_per_frame", "ms_per_frame_q1", "ms_per_frame_q3"}
+    for key in ("ms_per_frame", "ms_per_frame_q1", "ms_per_frame_q3"):
+        assert set(cell[key]) == {"load", "score_matrix", "associate_frame", "update", "step", "write"}
+    # one run: its quartiles are its median
+    assert cell["ms_per_frame_q1"] == cell["ms_per_frame"] == cell["ms_per_frame_q3"]

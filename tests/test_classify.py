@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from blocks import block
 from trajkit import classify, io
 from trajkit.classify import (
     ClassifyConfig,
@@ -27,7 +28,8 @@ def _det(emb, conf=0.9, cat=0, frame=0, bbox=None):
 
 
 def _trajectory(dets_by_frame, cfg=None):
-    """The entries and embeddings of the one track the detections form."""
+    """The entries and embeddings of the one track the detections, lists of records, form."""
+    dets_by_frame = {f: block(dets) for f, dets in dets_by_frame.items()}
     tk = Tracker(cfg or TrackerConfig(tau_new=0.0, tau_match=0.1))
     for f in sorted(dets_by_frame):
         tk.step(f, dets_by_frame[f])
@@ -213,9 +215,9 @@ def test_track_record_roundtrip_via_join(tmp_path):
     d = 4
     dets_by_frame = {}
     for f in range(5):
-        dets_by_frame[f] = [_det(rng.normal(size=d), conf=0.9, cat=1, frame=f,
-                                 bbox=(float(f), float(j), 2.0, 2.0))
-                            for j in range(2)]
+        dets_by_frame[f] = block([_det(rng.normal(size=d), conf=0.9, cat=1, frame=f,
+                                       bbox=(float(f), float(j), 2.0, 2.0))
+                                  for j in range(2)])
     tk = Tracker(TrackerConfig(tau_new=0.0, tau_match=-1.0))
     for f in sorted(dets_by_frame):
         tk.step(f, dets_by_frame[f])
@@ -239,7 +241,7 @@ def test_track_record_roundtrip_via_join(tmp_path):
 def test_record_embeddings_missing_det():
     rec = io.TrackRecord(1, [io.TrackEntry(0, (0.0, 0.0, 1.0, 1.0), 0.5, 0, 3)])
     with pytest.raises(FormatError):
-        record_embeddings(rec, {0: [_det([1.0, 0.0])]})
+        record_embeddings(rec, {0: block([_det([1.0, 0.0])])})
 
 
 def test_config_validation():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from blocks import block
 from trajkit import cli, io
 from trajkit.classify import ClassifyConfig, classify_trajectory
 from trajkit.fusion import FUSION_MECHANISMS, init_fusion_weights
@@ -589,7 +590,7 @@ def _write_refused_inputs(scene):
     (scene / "dup_vocab.json").write_text(json.dumps(vocab))
     (scene / "deep_vocab.json").write_text(json.dumps({**vocab, "entries": "@"}).replace('"@"', deep))
     emb = np.eye(8, dtype=np.float32)[0]
-    io.write_detections({f: [io.DetectionRecord(f, (0.0, 0.0, 5.0, 5.0), 0.9, 0, 0.9, sign * emb)]
+    io.write_detections({f: block([io.DetectionRecord(f, (0.0, 0.0, 5.0, 5.0), 0.9, 0, 0.9, sign * emb)])
                          for f, sign in ((0, 1), (1, -1))}, scene / "zero.jsonl")
     io.write_tracks([io.TrackRecord(1, [io.TrackEntry(f, (0.0, 0.0, 5.0, 5.0), 0.9, 0, 0)
                                         for f in (0, 1)])], scene / "zero_tracks.jsonl")

@@ -1,25 +1,26 @@
 """Detections as per-frame column blocks (``io.DetectionFrame``).
 
-``io.load_detections`` is held to a per-line ``json`` reference loader, the
-tracker to its own run on the same frames given as lists of records, and the
-``track`` command's bytes are pinned on inputs at the edges of the columns'
+``io.load_detections`` is held to a per-line ``json`` reference loader, and
+the ``track`` command's bytes are pinned on inputs at the edges of the columns'
 types: a -0.0 confidence, a scaled confidence past the float range, and frame
-numbers and category ids past 64 bits.
+numbers and category ids past 64 bits. A synthetic scene's empty frames are
+pinned too, by their ``synth`` and ``track`` bytes and by the width a tracker
+takes from the first frame that has detections.
 """
 
 import hashlib
 import json
-import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from blocks import block
 from test_io_columns import EXAMPLES, _chunk, _plain, boxes, embeddings
 from trajkit import cli, io
+from trajkit.errors import DimMismatchError
 from trajkit.synth import SynthConfig, gen_scene
 from trajkit.tracker import Tracker, TrackerConfig
 
@@ -80,36 +81,47 @@ def test_blocks_iterate_as_the_reference_records(tmp_path_factory, lines, sideca
 def test_a_block_is_a_read_only_sequence_of_records():
     records = [io.DetectionRecord(7, (1.0, 2.0, 3.0, 4.0), 0.5, 2 ** 70, 0.25, np.array([1.0, 0.0], np.float32)),
                io.DetectionRecord(7, (5.0, 6.0, 7.0, 8.0), -0.0, 3, 1.0, np.array([0.0, 2.0], np.float32))]
-    block = io.DetectionFrame.of(records)
-    assert len(block) == 2 and block.frame == 7 and block.embedding.dtype == np.float32
-    assert block.category_id.dtype == object and block[0].category_id == 2 ** 70
-    assert _plain(list(block)) == _plain(records) == _plain([block[0], block[-1]])
+    frame = block(records)
+    assert len(frame) == 2 and frame.frame == 7 and frame.embedding.dtype == np.float32
+    assert frame.category_id.dtype == object and frame[0].category_id == 2 ** 70
+    assert _plain(list(frame)) == _plain(records) == _plain([frame[0], frame[-1]])
     with pytest.raises(IndexError):
-        block[2]
+        frame[2]
     with pytest.raises(TypeError):
-        block[0] = records[0]
-    assert len(io.DetectionFrame.of([])) == 0
-    with pytest.raises(ValueError, match="frames \\[7, 8\\]"):
-        io.DetectionFrame.of([records[0], replace(records[1], frame=8)])
+        frame[0] = records[0]
 
 
-def _state(tk):
-    return (tk.last_scores.tobytes(), tk.last_scores.shape, tk.last_ids, tk.memory.tobytes(), tk.query.tobytes(),
-            [tk.bank(t).tobytes() for t in tk.live], _plain([t.observations for t in tk.tracks]))
+# Every identity is hidden in frames 0-3 and 7-8, so those frames have no detection. sha256
+# prefixes of the synth and track outputs, taken while a scene's frames were lists of records.
+HIDDEN = ",".join(f"{i}:{lo}-{hi}" for i in range(4) for lo, hi in ((0, 3), (7, 8)))
+EMPTY_FRAMES_PINNED = {
+    "inline": {"detections.jsonl": "b56bd0bd5c9ff706", "tracks.jsonl": "3964e799d20c3cb5",
+               "events.jsonl": "4d635a26de377486"},
+    "sidecar": {"detections.jsonl": "4e0bd3936ee209ba", "detections.embin": "e69ac5269c3d0c89",
+                "tracks.jsonl": "3964e799d20c3cb5", "events.jsonl": "4d635a26de377486"},
+}
 
 
-def test_a_block_and_its_records_track_alike(tmp_path):
-    # a crowd-like scene, loaded: each frame stepped as its block and as a list of its records
-    sigma = math.sqrt((1 / 0.87 ** 2 - 1) / 32)
-    scene = gen_scene(SynthConfig(n_identities=30, n_frames=12, embed_dim=32, noise_sigma=sigma,
-                                  miss_rate=0.05, fp_rate=2.0, seed=4))
-    io.write_detections(scene.detections, tmp_path / "d.jsonl", sidecar=True)
-    loaded = io.load_detections(tmp_path / "d.jsonl")
-    by_block, by_list = Tracker(TrackerConfig()), Tracker(TrackerConfig())
-    for frame, block in loaded.items():
-        assert by_block.step(frame, block) == by_list.step(frame, list(block))
-        assert _state(by_block) == _state(by_list)
-    assert sum(len(t.observations) > 1 for t in by_block.tracks) >= 25
+@pytest.mark.parametrize("layout", list(EMPTY_FRAMES_PINNED))
+def test_empty_frames_keep_their_bytes(tmp_path, layout):
+    flags = ["--sidecar"] if layout == "sidecar" else []
+    assert cli.main(["synth", "--identities", "4", "--frames", "12", "--categories", "2", "--dim", "8",
+                     "--sigma", "0.1", "--occlusion", HIDDEN, "--seed", "2", "--out-dir", str(tmp_path), *flags]) == 0
+    assert cli.main(["track", "--detections", str(tmp_path / "detections.jsonl"), "--out-dir", str(tmp_path)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+               for name in EMPTY_FRAMES_PINNED[layout]}
+    assert digests == EMPTY_FRAMES_PINNED[layout]
+
+
+def test_empty_first_frames_leave_the_width_to_the_first_detections():
+    scene = gen_scene(SynthConfig(n_identities=3, n_frames=6, embed_dim=8, occlusion=[(i, 0, 2) for i in range(3)]))
+    tk = Tracker(TrackerConfig())
+    for frame in range(3):
+        assert len(scene.detections[frame]) == 0 and tk.step(frame, scene.detections[frame]) == []
+    narrow = gen_scene(SynthConfig(n_identities=3, n_frames=4, embed_dim=5)).detections[3]
+    assert [ev.kind for ev in tk.step(3, narrow)] == ["born"] * 3 and tk.memory.shape == (3, 5)
+    with pytest.raises(DimMismatchError, match="^frame 4: detection 0 embedding has shape \\(8,\\), expected \\(5,\\)$"):
+        tk.step(4, scene.detections[4])
 
 
 # sha256 prefixes of tracks.jsonl and events.jsonl, the same before detections became blocks

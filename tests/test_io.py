@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blocks import block
 from trajkit import io
 from trajkit.synth import SynthConfig, gen_scene
 from trajkit.errors import (
@@ -38,7 +39,7 @@ def _random_dets(rng, n_frames=4, per_frame=3, d=6):
             emb = rng.normal(size=d)
             dets.append(_det(f, (x, y, w, h), float(rng.uniform(0.1, 1.0)),
                              int(rng.integers(0, 3)), float(rng.uniform(0, 1)), emb))
-        out[f] = dets
+        out[f] = block(dets)
     return out
 
 

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blocks import block
 from test_io import _FAULTS
 from trajkit import io
 from trajkit.synth import SynthConfig, gen_scene
@@ -316,7 +317,7 @@ def test_detection_and_groundtruth_templates_equal_json_dumps(tmp_path_factory, 
     by_frame = {}
     for rec in records:
         by_frame.setdefault(rec.frame, []).append(rec)
-    io.write_detections(by_frame, out / "d.jsonl", sidecar=sidecar)
+    io.write_detections({f: block(recs) for f, recs in by_frame.items()}, out / "d.jsonl", sidecar=sidecar)
     expected = []
     for ref, d in enumerate(d for frame in sorted(by_frame) for d in by_frame[frame]):
         obj = {"frame": d.frame, "bbox": [float(v) for v in d.bbox], "conf": float(d.confidence),
@@ -346,9 +347,35 @@ def test_detections_round_trip(tmp_path_factory, dets, sidecar):
     for f, b, c, k, s, e in dets:
         by_frame.setdefault(f, []).append(io.DetectionRecord(f, tuple(map(float, b)), float(c), k, float(s),
                                                              np.asarray(e, dtype=np.float32)))
-    io.write_detections(by_frame, path, sidecar=sidecar)
+    io.write_detections({f: block(recs) for f, recs in by_frame.items()}, path, sidecar=sidecar)
     key = (lambda r: (r.bbox, r.confidence, r.category_id, r.category_score))
     assert _plain(io.load_detections(path)) == _plain({f: sorted(by_frame[f], key=key) for f in sorted(by_frame)})
+
+
+@pytest.mark.parametrize("sidecar", [False, True], ids=["inline", "sidecar"])
+def test_detections_are_written_from_column_values_not_their_layout(tmp_path, sidecar):
+    # a block's columns may be strided views, as a synthetic scene's slices or a caller's
+    # transposes are: the writer's bytes are those of the same values held contiguously
+    rng = np.random.default_rng(3)
+    wide, scores = rng.normal(size=(5, 12)).astype(np.float32), rng.uniform(size=(5, 4))
+    strided = {0: io.DetectionFrame(0, rng.uniform(0, 50, size=(4, 5)).T, scores[:, 0], np.arange(10, 0, -2),
+                                    scores[:, 1], wide[:, ::3]),
+               1: io.DetectionFrame(1, np.zeros((0, 4)), np.zeros(0), np.zeros(0, np.int64), np.zeros(0),
+                                    np.zeros((0, 4), np.float32)),
+               2: io.DetectionFrame(2, np.ones((6, 4))[::2], scores[:3, 2], np.arange(3), scores[:3, 3],
+                                    wide[:3, 1::3])}
+    assert not strided[0].bbox.flags.c_contiguous and not strided[0].embedding.flags.c_contiguous
+    contiguous = {f: io.DetectionFrame(f, *(np.ascontiguousarray(getattr(b, key)) for key in
+                                          ("bbox", "confidence", "category_id", "category_score", "embedding")))
+                  for f, b in strided.items()}
+    io.write_detections(strided, tmp_path / "strided.jsonl", sidecar=sidecar)
+    io.write_detections(contiguous, tmp_path / "contiguous.jsonl", sidecar=sidecar)
+    for suffix in (".jsonl", ".embin") if sidecar else (".jsonl",):
+        got = (tmp_path / "strided").with_suffix(suffix).read_bytes()
+        assert got == (tmp_path / "contiguous").with_suffix(suffix).read_bytes()
+    assert _plain(io.load_detections(tmp_path / "strided.jsonl")) == _plain(io.load_detections(
+        tmp_path / "contiguous.jsonl"))
+    assert len((tmp_path / "strided.jsonl").read_text().splitlines()) == 8
 
 
 @EXAMPLES

@@ -50,16 +50,21 @@ def test_an_undeclared_import_is_caught():
 
 
 def _unused_private_defs(sources: list[str]) -> set[str]:
-    """The module-level private functions of ``sources`` that no code in them names outside
-    the function's own body."""
+    """The private functions of ``sources``, at module level or methods in a class body, that no
+    code in them names outside the function's own body."""
     defs, used = set(), set()
     for source in sources:
         for top in ast.parse(source).body:
-            own = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
-            if own and own.startswith("_") and not own.startswith("__"):
-                defs.add(own)
-            # a Name's id or an Attribute's attr
-            used |= {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(top)} - {own}
+            if isinstance(top, ast.ClassDef):  # each method apart; the rest of the class as one node
+                nodes = [*top.decorator_list, *top.bases, *top.keywords, *top.body]
+            else:
+                nodes = [top]
+            for node in nodes:
+                own = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+                if own and own.startswith("_") and not own.startswith("__"):
+                    defs.add(own)
+                # a Name's id or an Attribute's attr
+                used |= {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)} - {own}
     return defs - used
 
 
@@ -67,10 +72,19 @@ def test_every_private_function_has_a_caller():
     # a helper that only its own recursion or the tests call is code no run reads
     sources = [path.read_text() for path in (ROOT / "src" / "trajkit").glob("*.py")]
     assert _unused_private_defs(sources) == set()
-    assert len(re.findall(r"^def _", "".join(sources), re.M)) > 20  # the walk sees the helpers it checks
+    # the walk sees the helpers and the private methods it checks
+    assert len(re.findall(r"^def _", "".join(sources), re.M)) > 20
+    assert len(re.findall(r"^    def _(?!_)", "".join(sources), re.M)) >= 5
 
 
 def test_an_uncalled_private_function_is_caught():
     source = ("def public():\n    return _kept\n\n\ndef _kept(x):\n    return x\n\n\n"
               "def _dead(x):\n    return _dead(x) if x else _kept(x)\n")
     assert _unused_private_defs([source, "import m\nm._other()\n"]) == {"_dead"}
+
+
+def test_an_uncalled_private_method_is_caught():
+    source = ("class Store:\n    def get(self):\n        return self._kept()\n\n"
+              "    def _kept(self):\n        return 1\n\n"
+              "    def _dead(self, x):\n        return self._dead(x - 1) if x else self._kept()\n")
+    assert _unused_private_defs([source]) == {"_dead"}

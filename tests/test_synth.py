@@ -66,6 +66,37 @@ def test_every_frame_key_present():
     assert sorted(scene.detections) == list(range(12))
 
 
+def test_scene_blocks_hold_their_frames_columns():
+    # each block is a slice of the scene-wide columns: its own frame's rows, as the columns'
+    # dtypes hold them, and the confidence again as the category score
+    scene = gen_scene(SynthConfig(n_identities=5, n_frames=10, n_categories=3, embed_dim=6, noise_sigma=0.2,
+                                  miss_rate=0.3, fp_rate=1.5, label_flip_prob=0.3, seed=8))
+    assert {len(dets) for dets in scene.detections.values()} != {5}  # misses and clutter moved the counts
+    for f, dets in scene.detections.items():
+        n = len(scene.detection_identity[f])
+        assert type(dets.frame) is int and dets.frame == f and len(dets) == n
+        for column, shape, dtype in ((dets.bbox, (n, 4), np.float64), (dets.confidence, (n,), np.float64),
+                                     (dets.category_id, (n,), np.int64), (dets.category_score, (n,), np.float64),
+                                     (dets.embedding, (n, 6), np.float32)):
+            assert column.shape == shape and column.dtype == dtype
+        np.testing.assert_array_equal(dets.category_score, dets.confidence)
+        for k, det in enumerate(dets):
+            assert det.frame == f and det.bbox == tuple(dets.bbox[k].tolist())
+            np.testing.assert_array_equal(det.embedding, dets.embedding[k])
+
+
+@pytest.mark.parametrize("windows", [[(0, 2, 4), (1, 2, 4)], [(0, 0, 5), (1, 0, 5)]],
+                         ids=["some-empty", "all-empty"])
+def test_empty_frames_are_blocks_of_the_scene_width(windows):
+    scene = gen_scene(SynthConfig(n_identities=2, n_frames=6, n_categories=2, embed_dim=7, occlusion=windows))
+    empty = {f for f, dets in scene.detections.items() if not len(dets)}
+    assert empty == set(range(windows[0][1], windows[0][2] + 1))
+    for f in empty:
+        dets = scene.detections[f]
+        assert dets.frame == f and dets.bbox.shape == (0, 4) and dets.category_id.shape == (0,)
+        assert dets.embedding.shape == (0, 7) and dets.embedding.dtype == np.float32
+
+
 def test_prototypes_unit_norm():
     scene = gen_scene(SynthConfig(n_identities=7, n_frames=2, n_categories=3,
                                   embed_dim=12, seed=3))
@@ -119,10 +150,10 @@ def test_label_flips_change_category_only():
     flipped = gen_scene(SynthConfig(label_flip_prob=0.4, **cfg))
     n_flipped = 0
     for f in clean.detections:
-        for a, b in zip(clean.detections[f], flipped.detections[f]):
+        for k, (a, b) in enumerate(zip(clean.detections[f], flipped.detections[f])):
             np.testing.assert_array_equal(a.embedding, b.embedding)
             assert a.bbox == b.bbox
-            ident = clean.detection_identity[f][clean.detections[f].index(a)]
+            ident = clean.detection_identity[f][k]
             true_cat = clean.identity_category[ident]
             assert a.category_id == true_cat
             if b.category_id != true_cat:

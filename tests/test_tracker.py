@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 from scipy.special import softmax
 
+from blocks import block
 from trajkit import io
 from trajkit.errors import DimMismatchError, NonFiniteError, ZeroNormError
+from trajkit.synth import SynthConfig, gen_scene
 from trajkit.tracker import (
     BORN,
     DIED,
@@ -266,7 +268,7 @@ def test_associate_greedy_trace():
     tr = _fresh_track(5, [1.0, 0.0])
     dets = [_det([1.0, 0.1], conf=0.5), _det([1.0, 0.3], conf=0.9)]
     scores = np.array([[0.9, 0.8]])
-    events = associate_frame([tr], dets, scores, cfg, next_track_id=10)
+    events = associate_frame([tr], block(dets), scores, cfg, next_track_id=10)
     by_det = {e.det_idx: e for e in events}
     assert by_det[1].kind == MATCHED and by_det[1].track_id == 5
     assert by_det[1].score == pytest.approx(0.8)
@@ -275,7 +277,7 @@ def test_associate_greedy_trace():
 
 def test_associate_discard_low_confidence():
     cfg = TrackerConfig(tau_match=0.4, tau_new=0.3)
-    events = associate_frame([], [_det([1.0, 0.0], conf=0.2)], np.zeros((0, 1)), cfg)
+    events = associate_frame([], block([_det([1.0, 0.0], conf=0.2)]), np.zeros((0, 1)), cfg)
     assert events[0].kind == DISCARDED and events[0].track_id is None
 
 
@@ -284,7 +286,7 @@ def test_associate_argmax_tie_lowest_track():
     t0 = _fresh_track(3, [1.0, 0.0])
     t1 = _fresh_track(4, [1.0, 0.0])
     scores = np.array([[0.7], [0.7]])
-    events = associate_frame([t0, t1], [_det([1.0, 0.0])], scores, cfg)
+    events = associate_frame([t0, t1], block([_det([1.0, 0.0])]), scores, cfg)
     assert events[0].track_id == 3
 
 
@@ -293,7 +295,7 @@ def test_associate_confidence_tie_lower_index_first():
     tr = _fresh_track(0, [1.0, 0.0])
     dets = [_det([1.0, 0.0], conf=0.8), _det([1.0, 0.0], conf=0.8)]
     scores = np.array([[0.5, 0.9]])
-    events = associate_frame([tr], dets, scores, cfg, next_track_id=1)
+    events = associate_frame([tr], block(dets), scores, cfg, next_track_id=1)
     by_det = {e.det_idx: e for e in events}
     assert by_det[0].kind == MATCHED  # index 0 visited first on equal confidence
     assert by_det[1].kind == BORN
@@ -321,7 +323,7 @@ def test_batched_greedy_matches_the_loop_event_for_event():
     for n_tracks, n_dets in shapes:
         tracks, dets, scores = _random_association(rng, int(n_tracks), int(n_dets))
         want = _oracle_associate(tracks, dets, scores, cfg, next_track_id=500)
-        assert associate_frame(tracks, dets, scores, cfg, next_track_id=500) == want
+        assert associate_frame(tracks, block(dets, frame=3), scores, cfg, next_track_id=500) == want
 
 
 def test_batched_greedy_falls_back_to_the_loop(monkeypatch):
@@ -336,7 +338,7 @@ def test_batched_greedy_falls_back_to_the_loop(monkeypatch):
     tracks = [Track(t) for t in range(n)]
     dets = [_det([1.0], conf=0.9 - 0.01 * i) for i in range(n + 2)]
     scores = np.repeat(np.linspace(0.9, 0.41, n)[:, None], n + 2, axis=1)
-    events = associate_frame(tracks, dets, scores, cfg, next_track_id=n)
+    events = associate_frame(tracks, block(dets), scores, cfg, next_track_id=n)
     assert calls == [1]
     assert events == _oracle_associate(tracks, dets, scores, cfg, next_track_id=n)
     assert [ev.track_id for ev in events] == list(range(n + 2))
@@ -396,56 +398,90 @@ def test_category_bank_truncates():
     assert retain_category(tr, 0.2, 9, cfg) == 9
 
 
+def test_a_birth_takes_its_category_without_retain_category(monkeypatch):
+    # a newborn track's bank is empty, so only a match asks retain_category, and a low-band
+    # birth keeps its detection's own category
+    calls = []
+    monkeypatch.setattr("trajkit.tracker.retain_category",
+                        lambda track, conf, cat, cfg: calls.append(track.id) or retain_category(track, conf, cat, cfg))
+    tk = Tracker(TrackerConfig(tau_new=0.0))
+    born = tk.step(0, block([_det([1.0, 0.0], conf=0.05, cat=3), _det([0.0, 1.0], conf=0.9, cat=8)]))
+    assert [ev.kind for ev in born] == [BORN, BORN] and calls == []
+    # the more confident detection is born first, as track 1
+    assert [(t.id, t.observations[0].category_id) for t in tk.tracks] == [(1, 8), (2, 3)]
+    matched = tk.step(1, block([_det([1.0, 0.0], conf=0.05, cat=5, frame=1)]))
+    assert [(ev.kind, ev.track_id) for ev in matched] == [(MATCHED, 2)] and calls == [2]
+    assert tk.tracks[1].observations[1].category_id == 3  # low band: the bank's category
+
+
+def test_tracking_a_scene_leaves_its_columns_as_they_were():
+    # a scene's blocks are views of scene-wide columns, so a write into one would reach its neighbours
+    scene = gen_scene(SynthConfig(n_identities=6, n_frames=10, n_categories=2, embed_dim=8, noise_sigma=0.2,
+                                  miss_rate=0.2, fp_rate=1.0, seed=5))
+    copies = {f: io.DetectionFrame(f, *(np.array(getattr(dets, key)) for key in COLUMNS))
+              for f, dets in scene.detections.items()}
+    by_view, by_copy = Tracker(TrackerConfig()), Tracker(TrackerConfig())
+    for f, dets in scene.detections.items():
+        assert by_view.step(f, dets) == by_copy.step(f, copies[f])
+    for f, dets in scene.detections.items():
+        for key in COLUMNS:
+            assert getattr(dets, key).tobytes() == getattr(copies[f], key).tobytes()
+    assert [t.observations for t in by_view.tracks] == [t.observations for t in by_copy.tracks]
+
+
+COLUMNS = ("bbox", "confidence", "category_id", "category_score", "embedding")
+
+
 def test_tracker_lifecycle():
     cfg = TrackerConfig(max_age=2, tau_match=0.4, tau_new=0.0)
     tk = Tracker(cfg)
-    e0 = tk.step(0, [_det([1.0, 0.0], frame=0)])
+    e0 = tk.step(0, block([_det([1.0, 0.0], frame=0)]))
     assert [e.kind for e in e0] == [BORN]
     track = tk.tracks[0]
     assert track.id == 1 and tk.state(track) == TrackState.ACTIVE
 
-    tk.step(1, [_det([1.0, 0.05], frame=1)])
+    tk.step(1, block([_det([1.0, 0.05], frame=1)]))
     assert tk.state(track) == TrackState.ACTIVE
     assert len(track.observations) == 2
 
-    tk.step(2, [])
+    tk.step(2, block([]))
     assert tk.state(track) == TrackState.LOST
 
-    tk.step(3, [])  # still within max_age
+    tk.step(3, block([]))  # still within max_age
     assert tk.state(track) == TrackState.LOST
 
-    events = tk.step(4, [])  # age 3 > max_age=2
+    events = tk.step(4, block([]))  # age 3 > max_age=2
     assert tk.state(track) == TrackState.DEAD
     assert any(e.kind == DIED and e.track_id == 1 for e in events)
 
     # a matching detection now starts a fresh track instead of reviving the dead one
-    tk.step(5, [_det([1.0, 0.0], frame=5)])
+    tk.step(5, block([_det([1.0, 0.0], frame=5)]))
     assert [t.id for t in tk.tracks] == [1, 2]
 
 
 def test_tracker_lost_track_can_rematch():
     cfg = TrackerConfig(max_age=10, tau_new=0.0)
     tk = Tracker(cfg)
-    tk.step(0, [_det([1.0, 0.0], frame=0)])
-    tk.step(1, [])
+    tk.step(0, block([_det([1.0, 0.0], frame=0)]))
+    tk.step(1, block([]))
     assert tk.state(tk.tracks[0]) == TrackState.LOST
-    tk.step(2, [_det([1.0, 0.0], frame=2)])
+    tk.step(2, block([_det([1.0, 0.0], frame=2)]))
     assert tk.state(tk.tracks[0]) == TrackState.ACTIVE
     assert len(tk.tracks) == 1
 
 
 def test_tracker_rejects_nonincreasing_frames():
     tk = Tracker(TrackerConfig())
-    tk.step(3, [])
+    tk.step(3, block([]))
     with pytest.raises(ValueError):
-        tk.step(3, [])
+        tk.step(3, block([]))
 
 
 def test_memory_and_bank_update_on_match():
     cfg = TrackerConfig(alpha_mem=0.25, n_bank=2, tau_new=0.0, tau_match=0.1)
     tk = Tracker(cfg)
-    tk.step(0, [_det([1.0, 0.0], frame=0)])
-    tk.step(1, [_det([0.0, 1.0], frame=1)])
+    tk.step(0, block([_det([1.0, 0.0], frame=0)]))
+    tk.step(1, block([_det([0.0, 1.0], frame=1)]))
     track = tk.tracks[0]
     np.testing.assert_allclose(tk.memory[0], [0.75, 0.25])
     # the query row blends the unit memory with the mean of the bank's unit rows
@@ -453,7 +489,7 @@ def test_memory_and_bank_update_on_match():
     np.testing.assert_allclose(tk.query[0], cfg.alpha_sim * memory_unit
                                + (1 - cfg.alpha_sim) * tk.bank(track).mean(axis=0))
     assert len(tk.bank(track)) == 2
-    tk.step(2, [_det([0.5, 0.5], frame=2)])
+    tk.step(2, block([_det([0.5, 0.5], frame=2)]))
     assert len(tk.bank(track)) == 2  # capped at n_bank
     # the bank holds unit rows, oldest first: frame 1's [0, 1], then frame 2's [0.5, 0.5]
     np.testing.assert_allclose(tk.bank(track), [[0.0, 1.0], [0.5 ** 0.5, 0.5 ** 0.5]])
@@ -462,7 +498,7 @@ def test_memory_and_bank_update_on_match():
 def test_stored_embeddings_not_renormalized():
     cfg = TrackerConfig(tau_new=0.0)
     tk = Tracker(cfg)
-    dets = [_det([3.0, 0.0], frame=0)]
+    dets = block([_det([3.0, 0.0], frame=0)])
     tk.step(0, dets)
     track = tk.tracks[0]
     np.testing.assert_allclose(tk.memory[0], [3.0, 0.0])
@@ -474,7 +510,7 @@ def test_stored_embeddings_not_renormalized():
 def test_run_sequence_bridges_gap():
     # one object, a 3-frame hole, same appearance: one track end to end
     emb = [0.6, 0.8]
-    dets = {f: [_det(emb, frame=f)] for f in [0, 1, 2, 6, 7]}
+    dets = {f: block([_det(emb, frame=f)]) for f in [0, 1, 2, 6, 7]}
     tracks = run_sequence(dets, TrackerConfig(max_age=10))
     assert len(tracks) == 1
     assert [o.frame for o in tracks[0].observations] == [0, 1, 2, 6, 7]
@@ -513,7 +549,7 @@ def test_two_object_separation_property():
         for f in range(15):
             n1 = e1 + 0.05 * rng.normal(size=4)
             n2 = e2 + 0.05 * rng.normal(size=4)
-            dets[f] = [_det(n1, frame=f, cat=0), _det(n2, frame=f, cat=1)]
+            dets[f] = block([_det(n1, frame=f, cat=0), _det(n2, frame=f, cat=1)])
         tracks = run_sequence(dets, TrackerConfig())
         assert len(tracks) == 2
         for tr in tracks:
@@ -588,7 +624,7 @@ def _one_track_tracker(cfg, rows):
     """A tracker fed one detection per frame, each matched to the one track."""
     tk = Tracker(cfg)
     for frame, row in enumerate(rows):
-        tk.step(frame, [_det(row, frame=frame)])
+        tk.step(frame, block([_det(row, frame=frame)]))
         assert [t.id for t in tk.live] == [1]
         yield tk
 
@@ -607,7 +643,7 @@ def test_bank_fifo_and_cap():
 def test_birth_sets_bank_to_first_unit_row():
     cfg = TrackerConfig()
     tk = Tracker(cfg)
-    tk.step(0, [_det([3.0, 4.0])])
+    tk.step(0, block([_det([3.0, 4.0])]))
     tr = tk.live[0]
     np.testing.assert_array_equal(tk.bank(tr), [[0.6, 0.8]])
     # memory_unit and bank_mean are both the first unit row
@@ -664,7 +700,7 @@ def test_batched_update_matches_per_match_oracle_bit_for_bit():
         tk = Tracker(cfg)
         for (frame, dets), (scores, ids, events, live, tracks) in zip(
                 frames, _per_match_oracle(frames, cfg)):
-            got = tk.step(frame, dets)
+            got = tk.step(frame, block(dets))
             assert tk.last_scores.shape == scores.shape
             assert tk.last_scores.tobytes() == scores.tobytes()
             assert tk.last_ids == ids
@@ -684,30 +720,21 @@ def test_batched_update_matches_per_match_oracle_bit_for_bit():
     assert deaths >= 20 and wrapped >= 20 and rematched >= 20
 
 
-# A refused frame given as a list of records or as one block, which holds one width only.
-AS_LIST, AS_BLOCK = list, io.DetectionFrame.of
-
-
-@pytest.mark.parametrize("frames, where, kind", [
-    ([[[1.0, 0.0]], [[1.0, 0.0, 0.0]]], "frame 1: detection 0", AS_LIST),  # width changes, a track lives
-    ([[[1.0, 0.0]], [[1.0, 0.0, 0.0]]], "frame 1: detection 0", AS_BLOCK),
-    ([[[1.0, 0.0]], [], [[1.0, 0.0, 0.0]]], "frame 2: detection 0", AS_LIST),  # width changes, none lives
-    ([[[1.0, 0.0]], [], [[1.0, 0.0, 0.0]]], "frame 2: detection 0", AS_BLOCK),
-    ([[[1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0, 0.0]]], "frame 1: detection 1", AS_LIST),  # mixed, a track lives
-    ([[[1.0, 0.0]], [[1.0, 0.0, 0.0], [1.0, 0.0]]], "frame 1: detection 0", AS_LIST),  # the first row differs
-    ([[[1.0, 0.0], [1.0, 0.0, 0.0]]], "frame 0: detection 1", AS_LIST),  # mixed in the first frame
-], ids=["change-live", "change-live-block", "change-none-live", "change-none-live-block", "mixed-live",
-        "mixed-first-row-live", "mixed-first-frame"])
-def test_embedding_width_mismatch_names_frame_and_detection(frames, where, kind):
+# A block holds one width, so its first detection names a refused width.
+@pytest.mark.parametrize("frames, where", [
+    ([[[1.0, 0.0]], [[1.0, 0.0, 0.0]]], "frame 1: detection 0"),  # width changes, a track lives
+    ([[[1.0, 0.0]], [], [[1.0, 0.0, 0.0]]], "frame 2: detection 0"),  # width changes, none lives
+], ids=["change-live", "change-none-live"])
+def test_embedding_width_mismatch_names_frame_and_detection(frames, where):
     tk = Tracker(TrackerConfig(max_age=0))
     for frame, embs in enumerate(frames[:-1]):
-        tk.step(frame, [_det(e, frame=frame) for e in embs])
+        tk.step(frame, block([_det(e, frame=frame) for e in embs]))
     with pytest.raises(DimMismatchError, match=f"^{where} embedding has shape \\(3,\\), expected \\(2,\\)$"):
-        tk.step(len(frames) - 1, kind([_det(e, frame=len(frames) - 1) for e in frames[-1]]))
+        tk.step(len(frames) - 1, block([_det(e, frame=len(frames) - 1) for e in frames[-1]]))
 
 
 def _two_identities(frame):
-    return [_det([1.0, 0.0, 0.0], frame=frame), _det([0.0, 1.0, 0.0], frame=frame)]
+    return block([_det([1.0, 0.0, 0.0], frame=frame), _det([0.0, 1.0, 0.0], frame=frame)])
 
 
 @pytest.mark.parametrize("embs, confs, where", [
@@ -716,8 +743,7 @@ def _two_identities(frame):
     ([[0.0, 0.0, 1.0]], [math.nan], "detection 0 has a non-finite confidence"),
     ([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]], [0.9, math.inf], "detection 1 has a non-finite confidence"),
 ], ids=["inf-embedding", "nan-embedding", "nan-confidence", "inf-confidence"])
-@pytest.mark.parametrize("kind", [AS_LIST, AS_BLOCK], ids=["list", "block"])
-def test_non_finite_detection_is_refused_and_changes_nothing(embs, confs, where, kind):
+def test_non_finite_detection_is_refused_and_changes_nothing(embs, confs, where):
     # an [inf, 0, 0] row scores NaN, and the bi-softmax's normalizations spread the NaN over
     # every track: unrefused, frame 4's two identities are born as tracks 4 and 5
     tk = Tracker(TrackerConfig())
@@ -725,7 +751,7 @@ def test_non_finite_detection_is_refused_and_changes_nothing(embs, confs, where,
         tk.step(frame, _two_identities(frame))
     before = tk.memory.tobytes(), tk.query.tobytes(), tk.last_scores.tobytes()
     with pytest.raises(NonFiniteError, match=f"^frame 3: {where}$"):
-        tk.step(3, kind([_det(e, conf=c, frame=3) for e, c in zip(embs, confs)]))
+        tk.step(3, block([_det(e, conf=c, frame=3) for e, c in zip(embs, confs)]))
     assert (tk.memory.tobytes(), tk.query.tobytes(), tk.last_scores.tobytes()) == before
     assert [len(t.observations) for t in tk.tracks] == [3, 3]
     events = tk.step(4, _two_identities(4))
@@ -735,8 +761,8 @@ def test_non_finite_detection_is_refused_and_changes_nothing(embs, confs, where,
 def test_a_refused_first_frame_fixes_no_width():
     tk = Tracker(TrackerConfig())
     with pytest.raises(NonFiniteError, match="^frame 0: detection 0 "):
-        tk.step(0, [_det([math.nan, 0.0])])
-    tk.step(0, [_det([1.0, 0.0, 0.0])])
+        tk.step(0, block([_det([math.nan, 0.0])]))
+    tk.step(0, block([_det([1.0, 0.0, 0.0])]))
     assert tk.memory.shape == (1, 3)
 
 
@@ -745,7 +771,7 @@ def test_bank_of_a_track_that_is_not_live_names_it(max_age):
     # a dying track's store row goes to the next birth, and no copy of its bank is kept
     tk = Tracker(TrackerConfig(max_age=max_age))
     for frame in range(max_age + 2):
-        tk.step(frame, [_det([1.0, 0.0], frame=frame)] if frame == 0 else [])
+        tk.step(frame, block([_det([1.0, 0.0], frame=frame)] if frame == 0 else []))
     assert tk.live == [] and tk.state(tk.tracks[0]) == TrackState.DEAD
     for track, name in ((tk.tracks[0], "track 1"), (Track(7), "track 7")):
         with pytest.raises(ValueError, match=f"^{name} is not live"):
@@ -785,7 +811,7 @@ class TrackerMachine(RuleBasedStateMachine):
         embs = list(seen + 0.2 * rng.normal(size=seen.shape))
         embs += list(rng.normal(size=(n_clutter, self.protos.shape[1])))
         dets = [_det(e, conf=float(rng.uniform(0.05, 1.0)), frame=self.frame) for e in embs]
-        events = self.tk.step(self.frame, dets)
+        events = self.tk.step(self.frame, block(dets))
 
         # one event per detection
         assert sorted(ev.det_idx for ev in events if ev.kind != DIED) == list(range(len(dets)))
