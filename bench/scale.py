@@ -16,7 +16,12 @@ reports milliseconds per frame for:
 - ``step``: the whole step;
 - ``write``: ``io.write_tracks`` of every track the run made, unlabelled,
   plus ``io.write_events`` of every association event of its steps, as the
-  ``track`` command writes them, into a temporary directory.
+  ``track`` command writes them, into a temporary directory;
+- ``evaluate``: ``io.read_tracks`` of those tracks, ``io.load_groundtruth``
+  of the scene's ground truth (written once with the scene) and
+  ``metrics.evaluate`` of the two, as the ``eval`` command runs them;
+- ``frame_matching``: the part of ``evaluate`` spent in
+  ``metrics.frame_matching``, timed by a wrapper as above.
 
 Each number in ``ms_per_frame`` is the median over ``--runs`` runs of the whole
 sequence, and ``ms_per_frame_q1`` and ``ms_per_frame_q3`` hold the first and
@@ -49,10 +54,10 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from trajkit import io, synth, tracker  # noqa: E402
+from trajkit import io, metrics, synth, tracker  # noqa: E402
 from trajkit.classify import to_track_record  # noqa: E402
 
-STAGES = ("load", "score_matrix", "associate_frame", "update", "step", "write")
+STAGES = ("load", "score_matrix", "associate_frame", "update", "step", "write", "evaluate", "frame_matching")
 DIM, COSINE, FP_RATE, MISS_RATE, SEED = 128, 0.87, 2.0, 0.05, 1
 IDENTITIES = (100, 300, 1000, 3000)
 
@@ -80,8 +85,8 @@ def _timed(spent: dict, name: str, fn):
 
 
 def _run(out: Path) -> tuple[dict, tracker.Tracker, list[int]]:
-    """Seconds per stage over one run of the scene written in ``out``, writing into ``out``,
-    the tracker and the live tracks per frame."""
+    """Seconds per stage over one run of the scene written in ``out``, writing into ``out`` and
+    evaluating what it wrote, the tracker and the live tracks per frame."""
     spent = dict.fromkeys(STAGES, 0.0)
     start = time.perf_counter()
     dets = io.load_detections(out / "detections.jsonl")
@@ -105,6 +110,13 @@ def _run(out: Path) -> tuple[dict, tracker.Tracker, list[int]]:
     io.write_tracks(records, out / "tracks.jsonl")
     io.write_events(events, out / "events.jsonl")
     spent["write"] = time.perf_counter() - start
+    matching, metrics.frame_matching = metrics.frame_matching, _timed(spent, "frame_matching", metrics.frame_matching)
+    try:
+        start = time.perf_counter()
+        metrics.evaluate(io.read_tracks(out / "tracks.jsonl"), io.load_groundtruth(out / "groundtruth.jsonl"))
+        spent["evaluate"] = time.perf_counter() - start
+    finally:
+        metrics.frame_matching = matching
     return spent, tk, live
 
 
@@ -112,6 +124,7 @@ def cell(identities: int, frames: int, runs: int) -> dict:
     scene = _scene(identities, frames)
     with tempfile.TemporaryDirectory() as out:
         io.write_detections(scene.detections, Path(out) / "detections.jsonl", sidecar=True)
+        io.write_groundtruth(scene.gt_tracks, Path(out) / "groundtruth.jsonl")
         results = [_run(Path(out)) for _ in range(runs)]
     _, tk, live = results[0]
     return {

@@ -23,9 +23,11 @@ from .errors import (
 from .io import (
     DetectionFrame,
     DetectionRecord,
+    GroundTruthTable,
     GroundTruthTrack,
     TrackEntry,
     TrackRecord,
+    TrackTable,
     Vocabulary,
     VocabularyEntry,
     load_detections,
@@ -94,9 +96,9 @@ __all__ = [
     "AssociationEvent", "Augmentations", "ClassifyConfig",
     "DetectionFrame", "DetectionRecord", "DimMismatchError", "DivergedError",
     "DuplicateCategoryError", "EvalConfig", "EvalReport", "FUSION_MECHANISMS",
-    "FormatError", "FusionWeights", "GroundTruthTrack", "MissingWeightsError",
+    "FormatError", "FusionWeights", "GroundTruthTable", "GroundTruthTrack", "MissingWeightsError",
     "NonFiniteError", "SplitScores", "SynthConfig", "SynthScene", "Track",
-    "TrackEntry", "TrackRecord", "TrackState", "Tracker", "TrackerConfig",
+    "TrackEntry", "TrackRecord", "TrackState", "TrackTable", "Tracker", "TrackerConfig",
     "TrainConfig", "TrainPair", "TrajectoryClassification", "TrajkitError",
     "TruncatedError", "UnknownCategoryError", "Vocabulary", "VocabularyEntry",
     "ZeroNormError", "bisoftmax",

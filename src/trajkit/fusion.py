@@ -133,15 +133,20 @@ def _layer_norm_backward(dy, cache, grads, prefix):
     return (dxhat - m1 - xhat * m2) / std
 
 
+def _gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU of float64 x, and the ``1 + erf(x / sqrt(2))`` that its gradient reuses."""
+    one_plus_erf = 1.0 + erf(x / np.sqrt(2.0))
+    return 0.5 * x * one_plus_erf, one_plus_erf
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
     """Exact (erf based) GELU."""
-    x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    return _gelu_forward(np.asarray(x, dtype=np.float64))[0]
 
 
-def _gelu_grad(x):
+def _gelu_grad(x, one_plus_erf):
     phi = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    return 0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * phi
+    return 0.5 * one_plus_erf + x * phi
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -197,15 +202,15 @@ def self_attention(x: np.ndarray, weights: FusionWeights, heads: int = 1) -> np.
 
 def _mlp_forward(x, w: FusionWeights):
     pre = x @ w["mlp.w1"] + w["mlp.b1"]
-    act = gelu(pre)
-    return act @ w["mlp.w2"] + w["mlp.b2"], (x, pre, act, w)
+    act, one_plus_erf = _gelu_forward(pre)
+    return act @ w["mlp.w2"] + w["mlp.b2"], (x, pre, act, one_plus_erf, w)
 
 
 def _mlp_backward(dout, cache, grads):
-    x, pre, act, w = cache
+    x, pre, act, one_plus_erf, w = cache
     grads["mlp.w2"] = _rows(act).T @ _rows(dout)
     grads["mlp.b2"] = _rows(dout).sum(axis=0)
-    dpre = (dout @ w["mlp.w2"].T) * _gelu_grad(pre)
+    dpre = (dout @ w["mlp.w2"].T) * _gelu_grad(pre, one_plus_erf)
     grads["mlp.w1"] = _rows(x).T @ _rows(dpre)
     grads["mlp.b1"] = _rows(dpre).sum(axis=0)
     return dpre @ w["mlp.w1"].T

@@ -36,6 +36,11 @@ write every message; the tests hold the column passes to them.
 ``lexsort`` and gathers them once: each frame's ``DetectionFrame`` is a slice of the
 file's sorted columns, and no per-detection object is built while loading.
 ``write_detections`` writes a frame -> block map from the blocks' columns, block by block.
+``read_tracks`` and ``load_groundtruth`` keep their checked chunks as whole columns too and
+sort them by (track, frame) with one ``lexsort``: a ``TrackTable`` or ``GroundTruthTable`` holds
+the rows and each track's tags, and builds its records only when they are accessed. Array
+passes over the sorted rows find a track that repeats a frame or changes its tag; the loop
+``_first_repeat_or_switch`` over the lines before any line's own fault then names the first.
 Writers fill per-format line templates, ``_CHUNK`` lines at a time, byte for byte
 as ``json.dumps`` writes them. ``_json_floats`` spells a chunk's floats in one
 ``orjson.dumps`` pass: orjson spells a float as ``repr`` does when ``1e-4 <= |x| < 1e16``
@@ -55,6 +60,7 @@ import struct
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
+from operator import ne
 from pathlib import Path
 from typing import NoReturn
 
@@ -230,6 +236,67 @@ class TrackRecord:
         return {e.frame: e.bbox for e in self.entries}
 
 
+@dataclass(eq=False)
+class BoxTable(Sequence):
+    """A tracks or ground-truth file's boxes as columns, rows sorted by (track, frame): track
+    i's rows are ``bounds[i]:bounds[i + 1]``. It is also the read-only sequence of the file's
+    tracks, which indexing and iteration build (``_records`` of a subclass) from ``.tolist()`` of
+    the columns, anew on each access: keep the built records to change them."""
+
+    track_id: np.ndarray  # (N,) int64, or object when an id falls outside int64
+    frame: np.ndarray  # (N,) likewise
+    bbox: np.ndarray  # (N, 4) float64
+    bounds: np.ndarray  # (T + 1,) int64
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __iter__(self) -> Iterator:
+        return self._records(0, len(self))
+
+    def __getitem__(self, i: int):
+        i = range(len(self))[i]  # an IndexError past either end, as a list's
+        return next(self._records(i, i + 1))
+
+    def _tracks(self, start: int, stop: int, *columns: np.ndarray) -> Iterator[tuple]:
+        """``(track id, boxes, rows of each of columns)`` per track start..stop-1, as lists."""
+        bounds = self.bounds[start:stop + 1].tolist()
+        rows = slice(bounds[0], bounds[-1])
+        lists = [list(map(tuple, self.bbox[rows].tolist())), *(col[rows].tolist() for col in columns)]
+        for tid, lo, hi in zip(self.track_id[bounds[:-1]].tolist(), bounds, bounds[1:]):
+            yield tid, *(values[lo - rows.start:hi - rows.start] for values in lists)
+
+
+@dataclass(eq=False)
+class TrackTable(BoxTable):
+    """A tracks.jsonl file as columns (see ``BoxTable``), a sequence of ``TrackRecord``s."""
+
+    conf: np.ndarray  # (N,) float64
+    cat: np.ndarray  # (N,) int64, or object
+    det: np.ndarray  # (N,) int64, or object
+    label: list  # per track, None when unlabelled
+    label_source: list
+    scores: list
+
+    def _records(self, start: int, stop: int) -> Iterator[TrackRecord]:
+        for (tid, boxes, frames, confs, cats, dets), label, source, scores in zip(
+                self._tracks(start, stop, self.frame, self.conf, self.cat, self.det), self.label[start:stop],
+                self.label_source[start:stop], self.scores[start:stop]):
+            yield TrackRecord(tid, list(map(TrackEntry, frames, boxes, confs, cats, dets)), label, source,
+                              None if scores is None else dict(scores))
+
+
+@dataclass(eq=False)
+class GroundTruthTable(BoxTable):
+    """A groundtruth.jsonl file as columns (see ``BoxTable``), a sequence of ``GroundTruthTrack``s."""
+
+    category_id: list  # per track
+
+    def _records(self, start: int, stop: int) -> Iterator[GroundTruthTrack]:
+        for (tid, boxes, frames), cat in zip(self._tracks(start, stop, self.frame), self.category_id[start:stop]):
+            yield GroundTruthTrack(tid, cat, dict(zip(frames, boxes)))
+
+
 def _fail(where: str | None, msg: str, error=FormatError) -> NoReturn:
     """Raise ``error`` naming ``where``; without ``where`` (a column pass) ValueError."""
     raise ValueError(msg) if where is None else error(f"{where}: {msg}")
@@ -383,15 +450,6 @@ def _chunks(path, fmt: dict, keys, vocabulary: Vocabulary | None = None,
         raise _not_utf8(path) from None
 
 
-def _rows(path, fmt: dict, keys, vocabulary: Vocabulary | None = None,
-          more=lambda objs, where: [None] * len(objs)) -> Iterator[tuple]:
-    """``(lineno, values, extra)`` per non-blank line of ``_chunks``, a box as a tuple of floats."""
-    for linenos, cols, extra in _chunks(path, fmt, keys, vocabulary, more):
-        cols = [zip(*[iter(col.ravel().tolist())] * 4) if fmt[key][0] == "bbox" else col
-                for key, col in zip(keys, cols)]
-        yield from zip(linenos, zip(*cols), extra)
-
-
 def _not_utf8(path, numbered: bool = True) -> FormatError:
     """The error naming ``path:line`` (or ``path``) and the byte where UTF-8 decoding fails."""
     raw = Path(path).read_bytes()
@@ -497,7 +555,7 @@ def load_detections(path, score_scale: float = 1.0, *,
     with np.errstate(over="ignore"):  # a product past the float range clamps to 1
         confidence = np.minimum(confs[order] * score_scale, 1.0)
     frames, columns = frames[order], (boxes[order], confidence, cats[order], scores[order], embedding)
-    bounds = [0, *(np.flatnonzero(frames[1:] != frames[:-1]) + 1).tolist(), len(order)]
+    bounds = _runs(frames).tolist()
     return {frame: DetectionFrame(frame, *(col[lo:hi] for col in columns))
             for frame, lo, hi in zip(frames[bounds[:-1]].tolist(), bounds[:-1], bounds[1:])}
 
@@ -762,27 +820,78 @@ def write_weights(tensors: dict[str, np.ndarray], path) -> None:
             fh.write(np.ascontiguousarray(arr).tobytes())
 
 
-def _timelines(path, rows: Iterable[tuple], what: str) -> list[tuple]:
-    """``(track, tag, {frame: entry})`` per track, in order, from ``(lineno, track, frame, tag, entry)``
-    rows; FormatError naming ``path:lineno`` at the first row that repeats its track's frame or
-    changes its tag (``what``)."""
+def _box_tracks(path, fmt: dict, keys, what: str, tags,
+                vocabulary: Vocabulary | None = None) -> tuple[dict, np.ndarray, list]:
+    """A tracks or ground-truth file as ``(columns, bounds, track_tags)``: each of the ``keys``'
+    columns joined over the chunks of ``_chunks`` (ints by ``_int_column``, numbers as float64),
+    its rows sorted by (track, frame) with one ``lexsort``, track i's rows ``bounds[i]:bounds[i + 1]``,
+    and each track's tag, what ``tags`` makes of its first line in the file. The first fault in
+    file order is raised: a line's own, from ``_chunks``, or a line that repeats its track's frame
+    or changes its tag (``what``), which array passes over the lines ``_chunks`` yielded before
+    its fault find and ``_first_repeat_or_switch`` names."""
+    chunks, fault = [], None
+    try:
+        for chunk in _chunks(path, fmt, keys, vocabulary, tags):
+            chunks.append(chunk)
+    except TrajkitError as exc:  # the lines before it may hold a fault that comes first
+        fault = exc
+    line_tags = [tag for _, _, extra in chunks for tag in extra]
+    columns = {}
+    for k, key in enumerate(keys):
+        parts = [cols[k] for _, cols, _ in chunks]
+        kind = fmt[key][0]
+        if kind == "bbox":
+            columns[key] = np.concatenate(parts) if parts else np.zeros((0, 4))
+        else:
+            values = list(chain.from_iterable(parts))
+            columns[key] = np.array(values, dtype=np.float64) if kind == "num" else _int_column(values)
+    tracks, frames = _ranks(columns["track_id"]), _ranks(columns["frame"])
+    order = np.lexsort((frames, tracks))  # stable: a repeated frame's lines stay in file order
+    tracks, frames = tracks[order], frames[order]
+    bounds = _runs(tracks)
+    firsts = np.minimum.reduceat(order, bounds[:-1])  # each track's first line in the file
+    tag_of = line_tags.__getitem__
+    if ((tracks[1:] == tracks[:-1]) & (frames[1:] == frames[:-1])).any() or any(map(
+            ne, map(tag_of, order.tolist()), map(tag_of, np.repeat(firsts, np.diff(bounds)).tolist()))):
+        linenos = [n for numbers, _, _ in chunks for n in numbers]
+        _first_repeat_or_switch(path, zip(linenos, columns["track_id"].tolist(), columns["frame"].tolist(),
+                                          line_tags), what)
+    if fault is not None:
+        raise fault
+    return {key: col[order] for key, col in columns.items()}, bounds, list(map(tag_of, firsts.tolist()))
+
+
+def _ranks(col: np.ndarray) -> np.ndarray:
+    """An int column as int64: itself, or its dense ranks when it holds ints past int64."""
+    return col if col.dtype != object else np.unique(col, return_inverse=True)[1]
+
+
+def _runs(keys: np.ndarray) -> np.ndarray:
+    """The bounds of the runs of equal values in sorted ``keys``: run i is ``bounds[i]:bounds[i + 1]``."""
+    edges = np.ones(len(keys) + 1, dtype=bool)
+    edges[1:-1] = keys[1:] != keys[:-1]
+    return np.flatnonzero(edges)
+
+
+def _first_repeat_or_switch(path, rows: Iterable[tuple], what: str) -> None:
+    """FormatError naming ``path:lineno`` at the first ``(lineno, track, frame, tag)`` row that
+    repeats its track's frame or changes its tag (``what``) from the track's first row."""
     tracks: dict = {}
-    for lineno, tid, frame, tag, entry in rows:
-        first, entries = tracks.setdefault(tid, (tag, {}))
+    for lineno, tid, frame, tag in rows:
+        first, frames = tracks.setdefault(tid, (tag, set()))
         if first != tag:
             raise FormatError(f"{path}:{lineno}: track {tid} switches {what} {first} -> {tag}")
-        if frame in entries:
+        if frame in frames:
             raise FormatError(f"{path}:{lineno}: track {tid} repeats frame {frame}")
-        entries[frame] = entry
-    return [(tid, tag, {f: entries[f] for f in sorted(entries)})
-            for tid, (tag, entries) in sorted(tracks.items())]
+        frames.add(frame)
 
 
-def load_groundtruth(path) -> list[GroundTruthTrack]:
-    """Load groundtruth.jsonl into per-track box timelines."""
-    rows = ((lineno, tid, frame, cat, bbox) for lineno, (tid, cat, frame, bbox), _
-            in _rows(path, GROUNDTRUTH_FORMAT, GROUNDTRUTH_FORMAT))
-    return [GroundTruthTrack(*track) for track in _timelines(path, rows, "category")]
+def load_groundtruth(path) -> GroundTruthTable:
+    """Load groundtruth.jsonl into a ``GroundTruthTable``: its boxes as columns sorted by
+    (track, frame), and the read-only sequence of its ``GroundTruthTrack``s."""
+    columns, bounds, cats = _box_tracks(path, GROUNDTRUTH_FORMAT, GROUNDTRUTH_FORMAT, "category",
+                                        lambda objs, where: [o["cat"] for o in objs])  # checked by then
+    return GroundTruthTable(columns["track_id"], columns["frame"], columns["bbox"], bounds, cats)
 
 
 def write_groundtruth(tracks: Iterable[GroundTruthTrack], path) -> None:
@@ -824,14 +933,14 @@ def _label_tags(objs: list[dict], where: str | None) -> list[tuple]:
                                                    for o in objs], where) for key in _LABEL_KEYS)))
 
 
-def read_tracks(path, *, vocabulary: Vocabulary | None = None) -> list[TrackRecord]:
-    """Inverse of :func:`write_tracks` on logical content.
+def read_tracks(path, *, vocabulary: Vocabulary | None = None) -> TrackTable:
+    """Inverse of :func:`write_tracks` on logical content: a ``TrackTable``, the file's entries
+    as columns sorted by (track, frame), and the read-only sequence of its ``TrackRecord``s.
 
     With a ``vocabulary``, every entry's ``cat`` must be one of its ids.
     """
-    rows = ((lineno, tid, frame, tag, TrackEntry(frame, bbox, conf, cat, det))
-            for lineno, (tid, frame, cat, det, conf, bbox), tag
-            in _rows(path, TRACK_FORMAT, _TRACK_KEYS, vocabulary, _label_tags))
-    return [TrackRecord(tid, list(entries.values()), label, source,
-                        None if scores is None else {k: float(v) for k, v in scores.items()})
-            for tid, (label, source, scores), entries in _timelines(path, rows, "label")]
+    columns, bounds, tags = _box_tracks(path, TRACK_FORMAT, _TRACK_KEYS, "label", _label_tags, vocabulary)
+    labels, sources, scores = (list(tag) for tag in zip(*tags)) if tags else ([], [], [])
+    return TrackTable(columns["track_id"], columns["frame"], columns["bbox"], bounds, columns["conf"],
+                      columns["cat"], columns["det"], labels, sources,
+                      [None if s is None else {k: float(v) for k, v in s.items()} for s in scores])

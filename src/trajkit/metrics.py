@@ -2,7 +2,12 @@
 
 Per frame, predicted and ground-truth boxes are matched one-to-one by
 Hungarian assignment on IoU, restricted to pairs with IoU at or above the
-threshold (maximum match count first, maximum total IoU among those).
+threshold (maximum match count first, maximum total IoU among those). A
+frame whose admissible pairs already form a one-to-one matching skips the
+solver, which would return exactly those pairs. ``evaluate`` reads the
+boxes as columns (a ``TrackTable`` or ``GroundTruthTable`` as it is, other
+tracks gathered once), groups them by frame with one stable sort and
+matches each frame on its (n, 4) slices, frames in ascending order.
 From the per-frame matches:
 
 - LocA = 100 * TP / (TP + FP + FN) over all frames,
@@ -26,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .io import BBox
+from .io import BBox, BoxTable, GroundTruthTable, TrackTable, _int_column, _runs
 
 _INADMISSIBLE = 1e9  # assignment cost for pairs below the IoU threshold
 
@@ -110,48 +115,67 @@ def frame_matching(pred_boxes: Sequence[BBox], gt_boxes: Sequence[BBox],
 
     Only pairs with IoU >= iou_threshold are admissible. Among admissible
     matchings the result maximizes the number of pairs, then the total IoU;
-    greedy per-box choices are not optimal in general.
+    greedy per-box choices are not optimal in general. Pairs come in
+    ascending row order.
+
+    When no row and no column has two admissible pairs, those pairs are the
+    answer, and ``linear_sum_assignment`` is not called: leaving one out costs
+    ``_INADMISSIBLE`` more, while taking it costs less than 1, so the solver
+    returns each of them (and only inadmissible pairs besides), rows sorted.
     """
     m = iou_matrix(pred_boxes, gt_boxes)
     if m.size == 0:
         return []
-    cost = np.where(m >= iou_threshold, 1.0 - m, _INADMISSIBLE)
-    rows, cols = linear_sum_assignment(cost)
-    return [(int(r), int(c)) for r, c in zip(rows, cols) if m[r, c] >= iou_threshold]
+    admissible = m >= iou_threshold
+    if admissible.sum(axis=0).max() <= 1 and admissible.sum(axis=1).max() <= 1:
+        rows, cols = np.nonzero(admissible)
+        return list(zip(rows.tolist(), cols.tolist()))
+    rows, cols = linear_sum_assignment(np.where(admissible, 1.0 - m, _INADMISSIBLE))
+    return [(r, c) for r, c in zip(rows.tolist(), cols.tolist()) if admissible[r, c]]
+
+
+def _box_columns(tracks) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(track, frame, bbox, present)``: each box's track index, frame and (x, y, w, h) row,
+    in track order, and each track's box count. A ``BoxTable``'s columns are read as they are;
+    other tracks' ``boxes`` (frame -> bbox) are gathered once."""
+    if isinstance(tracks, BoxTable):
+        frames, bbox, present = tracks.frame, tracks.bbox, np.diff(tracks.bounds)
+    else:
+        timelines = [track.boxes for track in tracks]
+        frames = _int_column([frame for boxes in timelines for frame in boxes])
+        bbox = np.array([box for boxes in timelines for box in boxes.values()], dtype=np.float64).reshape(-1, 4)
+        present = np.array(list(map(len, timelines)), dtype=np.int64)
+    return np.repeat(np.arange(len(present)), present), frames, bbox, present
 
 
 def evaluate(preds, gts, cfg: EvalConfig | None = None) -> EvalReport:
     """Score predicted tracks against ground truth.
 
     ``preds`` need ``track_id``, ``boxes`` (frame -> bbox) and ``label``;
-    ``gts`` need ``track_id``, ``boxes`` and ``category_id``. Track ids only
-    name the tracks, scores are invariant under renaming.
+    ``gts`` need ``track_id``, ``boxes`` and ``category_id``. A ``TrackTable``
+    and a ``GroundTruthTable`` are read by columns. Track ids only name the
+    tracks, scores are invariant under renaming.
     """
     cfg = cfg or EvalConfig()
-    pred_label = [getattr(p, "label", None) for p in preds]
-    gt_cat = [g.category_id for g in gts]
-    # frame -> (pred indices, pred boxes, gt indices, gt boxes), each in track order
-    by_frame: dict[int, tuple[list, list, list, list]] = {}
-    pred_present: list[int] = []  # boxes per track
-    gt_present: list[int] = []
-    for col, tracks, present in ((0, preds, pred_present), (2, gts, gt_present)):
-        for i, track in enumerate(tracks):
-            boxes = track.boxes
-            present.append(len(boxes))
-            for frame, box in boxes.items():
-                row = by_frame.get(frame)
-                if row is None:
-                    row = by_frame[frame] = ([], [], [], [])
-                row[col].append(i)
-                row[col + 1].append(box)
+    pred_label = preds.label if isinstance(preds, TrackTable) else [getattr(p, "label", None) for p in preds]
+    gt_cat = gts.category_id if isinstance(gts, GroundTruthTable) else [g.category_id for g in gts]
+    (p_track, p_frame, p_box, pred_present), (g_track, g_frame, g_box, gt_present) = map(_box_columns, (preds, gts))
+    # every box by frame with one stable sort: a frame's rows are its predictions, then from
+    # splits[i] on its ground truth, each in track order
+    frames = np.concatenate([p_frame, g_frame])
+    order = np.argsort(frames, kind="stable")
+    bounds = _runs(frames[order])
+    splits = (bounds[:-1] + np.add.reduceat(order < len(p_track), bounds[:-1])).tolist()
+    track = np.concatenate([p_track, g_track])[order].tolist()
+    boxes = np.concatenate([p_box, g_box])[order]
 
     pair_tpa: dict[tuple[int, int], int] = {}
-    for frame in sorted(by_frame):
-        ps, pred_boxes, gs, gt_boxes = by_frame[frame]
-        for r, c in frame_matching(pred_boxes, gt_boxes, cfg.iou_threshold):
-            key = (ps[r], gs[c])
+    for lo, mid, hi in zip(bounds.tolist(), splits, bounds[1:].tolist()):
+        for r, c in frame_matching(boxes[lo:mid], boxes[mid:hi], cfg.iou_threshold):
+            key = (track[lo + r], track[mid + c])
             pair_tpa[key] = pair_tpa.get(key, 0) + 1
-    matched_pred = [0] * len(preds)
+    pred_present, gt_present = pred_present.tolist(), gt_present.tolist()
+    matched_pred = [0] * len(pred_present)
     for (pi, _), tpa in pair_tpa.items():
         matched_pred[pi] += tpa
 
@@ -171,7 +195,7 @@ def evaluate(preds, gts, cfg: EvalConfig | None = None) -> EvalReport:
         cls_a = 100.0 * cls / tp if tp else 0.0
         return SplitScores((loc_a + ass_a + cls_a) / 3.0, loc_a, ass_a, cls_a, tp, fp, fn)
 
-    scopes = {"overall": _scores(pair_tpa, range(len(preds)), range(len(gts)))}
+    scopes = {"overall": _scores(pair_tpa, range(len(pred_present)), range(len(gt_present)))}
     for split in ("base", "novel"):
         gt_in = {gi for gi, cat in enumerate(gt_cat) if cfg.splits.get(cat) == split}
         pairs = [pair for pair in pair_tpa if pair[1] in gt_in]

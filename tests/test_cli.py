@@ -813,6 +813,17 @@ def test_usage_error_exits_2():
     assert _run(["not-a-command"]) == 2
 
 
+def test_one_parser_serves_every_command_of_a_process(tmp_path):
+    cli._parser.cache_clear()
+    scene = _synth(tmp_path / "s")
+    assert _run(["track", "--detections", scene / "detections.jsonl", "--out-dir", scene / "run"]) == 0
+    assert _run(["eval", "--pred", scene / "run" / "tracks.jsonl", "--gt", scene / "groundtruth.jsonl",
+                 "--out-dir", tmp_path / "e", "--iou-threshold", "nope"]) == 2
+    assert not (tmp_path / "e").exists()
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
 def test_seed_changes_output(tmp_path):
     a = _synth(tmp_path / "a", seed=1)
     b = _synth(tmp_path / "b", seed=2)

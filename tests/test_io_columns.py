@@ -55,7 +55,7 @@ def _plain(value):
         return value.dtype.str, value.shape, value.tobytes()
     if isinstance(value, dict):
         return [(_plain(k), _plain(v)) for k, v in value.items()]
-    if isinstance(value, (list, tuple, io.DetectionFrame)):  # a frame's block as its records
+    if isinstance(value, (list, tuple, io.DetectionFrame, io.BoxTable)):  # a block or table as its records
         return [_plain(v) for v in value]
     if hasattr(value, "__dict__"):
         return type(value).__name__, _plain(vars(value))

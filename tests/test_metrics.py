@@ -4,9 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from trajkit import io, metrics
+from trajkit.classify import to_track_record
 from trajkit.io import GroundTruthTrack, TrackEntry, TrackRecord
 from trajkit.metrics import EvalConfig, evaluate, frame_matching, iou, iou_matrix
+from trajkit.synth import SynthConfig, gen_scene
+from trajkit.tracker import run_sequence
 
 
 def _rec(track_id, boxes, label=None, cat=0):
@@ -86,6 +91,73 @@ def test_frame_matching_against_bruteforce():
         assert len(got) == w_count
         got_sum = sum(_oracle_iou(preds[p], gts[g]) for p, g in got)
         assert got_sum == pytest.approx(w_sum, abs=1e-9)
+
+
+def _lsa_matching(preds, gts, thr):
+    """The matching as the solver alone gives it, for every frame."""
+    m = iou_matrix(preds, gts)
+    if m.size == 0:
+        return []
+    rows, cols = linear_sum_assignment(np.where(m >= thr, 1.0 - m, metrics._INADMISSIBLE))
+    return [(int(r), int(c)) for r, c in zip(rows, cols) if m[r, c] >= thr]
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The calls ``frame_matching`` makes of the solver."""
+    calls = []
+    monkeypatch.setattr(metrics, "linear_sum_assignment", lambda cost: calls.append(cost) or linear_sum_assignment(cost))
+    return calls
+
+
+def _boxes(rng, n, spread):
+    return np.column_stack([rng.uniform(0, spread, (n, 2)), rng.uniform(1, 4, (n, 2))])
+
+
+def test_a_one_to_one_frame_skips_the_solver_and_keeps_its_pairs(solves):
+    rng = np.random.default_rng(3)
+    fast = 0
+    for trial in range(400):
+        n_p, n_g = (int(n) for n in rng.integers(0, 7, 2))  # P > G, P < G and empty sides
+        spread = (2.0, 8.0, 30.0)[trial % 3]  # crowded to sparse
+        preds, gts = _boxes(rng, n_p, spread), _boxes(rng, n_g, spread)
+        before = len(solves)
+        got = frame_matching(preds, gts, 0.3)
+        assert got == _lsa_matching(preds, gts, 0.3)
+        assert all(type(v) is int for pair in got for v in pair)
+        fast += n_p > 0 and n_g > 0 and len(solves) == before
+    assert 50 < fast < 400 - 50  # both paths ran
+
+
+@pytest.mark.parametrize("preds, gts, pairs, solved", [
+    ([(0, 0, 2, 2)], [(0, 0, 2, 1)], [(0, 0)], False),  # IoU exactly 0.5 is admissible
+    ([(0, 0, 2, 2), (0, 0, 2, 1)], [(0, 0, 2, 1)], [(1, 0)], True),  # 0.5 and 1.0 on one column
+    ([(9, 9, 1, 1), (0, 0, 2, 1), (5, 0, 2, 2)], [(5, 0, 2, 2), (0, 0, 2, 2)], [(1, 1), (2, 0)], False),
+    ([(0, 0, 2, 2)], [(0, 0, 2, 1), (0, 0, 2, 2)], [(0, 1)], True),  # P < G, two on one row
+    ([(0, 0, 2, 2)], [(0, 0, 4, 1)], [], False),  # IoU 2/8: nothing admissible
+])
+def test_frame_matching_at_the_threshold(solves, preds, gts, pairs, solved):
+    assert frame_matching(np.array(preds, float), np.array(gts, float), 0.5) == pairs == _lsa_matching(preds, gts, 0.5)
+    assert bool(solves) == solved
+
+
+def test_evaluate_reads_tables_as_it_reads_their_records(tmp_path, solves):
+    # a cluttered crowd: false positives and crossing identities leave frames that are not
+    # one-to-one (3 of 8 here), so the solver and the frames that skip it both count
+    scene = gen_scene(SynthConfig(n_identities=60, n_frames=8, embed_dim=32, noise_sigma=0.1, fp_rate=3.0,
+                                  miss_rate=0.05, n_categories=3, seed=1))
+    records = [to_track_record(t) for t in run_sequence(scene.detections)]
+    for i, rec in enumerate(records):
+        rec.label, rec.label_source, rec.scores = i % 3, "det", {"det": 1.0}
+    io.write_tracks(records, tmp_path / "tracks.jsonl")
+    io.write_groundtruth(scene.gt_tracks, tmp_path / "gt.jsonl")
+    preds, gts = io.read_tracks(tmp_path / "tracks.jsonl"), io.load_groundtruth(tmp_path / "gt.jsonl")
+    cfg = EvalConfig(splits={0: "base", 1: "novel"})
+    frames = len({f for g in scene.gt_tracks for f in g.boxes} | {e.frame for r in records for e in r.entries})
+    want = evaluate(list(preds), list(gts), cfg).to_dict()
+    assert 0 < len(solves) < frames
+    assert evaluate(preds, gts, cfg).to_dict() == want == evaluate(records, scene.gt_tracks, cfg).to_dict()
+    assert want["overall"]["tp"] > 0
 
 
 def test_evaluate_perfect_tracking():
