@@ -14,9 +14,12 @@ reports milliseconds per frame for:
 - ``update``: the rest of ``step``, that is the bank and memory update of
   the matched tracks, their entries, deaths and births;
 - ``step``: the whole step;
-- ``write``: ``io.write_tracks`` of every track the run made, unlabelled,
-  plus ``io.write_events`` of every association event of its steps, as the
-  ``track`` command writes them, into a temporary directory;
+- ``label``: ``Tracker.table`` of the run, then ``classify.clip_embeddings``
+  and ``cli._label`` of its tracks with average fusion and the scene's
+  vocabulary (projected once per cell), as the ``track`` command labels them;
+- ``write``: ``io.write_tracks`` of that labelled table plus
+  ``io.write_events`` of every step's event block, as the ``track`` command
+  writes them, into a temporary directory;
 - ``evaluate``: ``io.read_tracks`` of those tracks, ``io.load_groundtruth``
   of the scene's ground truth (written once with the scene) and
   ``metrics.evaluate`` of the two, as the ``eval`` command runs them;
@@ -54,10 +57,11 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from trajkit import io, metrics, synth, tracker  # noqa: E402
-from trajkit.classify import to_track_record  # noqa: E402
+from trajkit import cli, io, metrics, synth, tracker  # noqa: E402
+from trajkit.classify import ClassifyConfig, clip_embeddings, project_vocabulary  # noqa: E402
 
-STAGES = ("load", "score_matrix", "associate_frame", "update", "step", "write", "evaluate", "frame_matching")
+STAGES = ("load", "score_matrix", "associate_frame", "update", "step", "label", "write", "evaluate",
+          "frame_matching")
 DIM, COSINE, FP_RATE, MISS_RATE, SEED = 128, 0.87, 2.0, 0.05, 1
 IDENTITIES = (100, 300, 1000, 3000)
 
@@ -84,9 +88,10 @@ def _timed(spent: dict, name: str, fn):
     return wrapper
 
 
-def _run(out: Path) -> tuple[dict, tracker.Tracker, list[int]]:
-    """Seconds per stage over one run of the scene written in ``out``, writing into ``out`` and
-    evaluating what it wrote, the tracker and the live tracks per frame."""
+def _run(out: Path, vocab: io.Vocabulary) -> tuple[dict, io.TrackTable, list[int]]:
+    """Seconds per stage over one run of the scene written in ``out``, labelling its tracks with
+    ``vocab``, writing into ``out`` and evaluating what it wrote; the table and the live tracks
+    per frame."""
     spent = dict.fromkeys(STAGES, 0.0)
     start = time.perf_counter()
     dets = io.load_detections(out / "detections.jsonl")
@@ -101,13 +106,17 @@ def _run(out: Path) -> tuple[dict, tracker.Tracker, list[int]]:
             start = time.perf_counter()
             stepped = tk.step(frame, dets[frame])
             spent["step"] += time.perf_counter() - start
-            events += stepped
+            events.append(stepped)
     finally:
         tracker.score_matrix, tracker.associate_frame = originals
     spent["update"] = spent["step"] - spent["score_matrix"] - spent["associate_frame"]
-    records = list(map(to_track_record, tk.tracks))
+    ccfg, lang = ClassifyConfig(), project_vocabulary(vocab, width=DIM)
     start = time.perf_counter()
-    io.write_tracks(records, out / "tracks.jsonl")
+    table = tk.table()
+    cli._label(table, clip_embeddings(table, dets, ccfg.n_clip), vocab, None, ccfg, lang, "scene")
+    spent["label"] = time.perf_counter() - start
+    start = time.perf_counter()
+    io.write_tracks(table, out / "tracks.jsonl")
     io.write_events(events, out / "events.jsonl")
     spent["write"] = time.perf_counter() - start
     matching, metrics.frame_matching = metrics.frame_matching, _timed(spent, "frame_matching", metrics.frame_matching)
@@ -117,7 +126,7 @@ def _run(out: Path) -> tuple[dict, tracker.Tracker, list[int]]:
         spent["evaluate"] = time.perf_counter() - start
     finally:
         metrics.frame_matching = matching
-    return spent, tk, live
+    return spent, table, live
 
 
 def cell(identities: int, frames: int, runs: int) -> dict:
@@ -125,15 +134,15 @@ def cell(identities: int, frames: int, runs: int) -> dict:
     with tempfile.TemporaryDirectory() as out:
         io.write_detections(scene.detections, Path(out) / "detections.jsonl", sidecar=True)
         io.write_groundtruth(scene.gt_tracks, Path(out) / "groundtruth.jsonl")
-        results = [_run(Path(out)) for _ in range(runs)]
-    _, tk, live = results[0]
+        results = [_run(Path(out), scene.vocabulary) for _ in range(runs)]
+    _, table, live = results[0]
     return {
         "identities": identities,
         "frames": frames,
         "detections": sum(map(len, scene.detections.values())),
         "live_per_frame": round(float(np.mean(live)), 1),
         "live_last_frame": live[-1],
-        "tracks": len(tk.tracks),
+        "tracks": len(table),
         **{key: {stage: round(1000 * float(np.percentile([r[0][stage] for r in results], q)) / frames, 3)
                  for stage in STAGES}
            for key, q in (("ms_per_frame", 50), ("ms_per_frame_q1", 25), ("ms_per_frame_q3", 75))},

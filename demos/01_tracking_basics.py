@@ -23,10 +23,12 @@ n_dets = sum(len(v) for v in scene.detections.values())
 print(f"scene: {n_dets} detections over {cfg.n_frames} frames, "
       f"{len(scene.gt_tracks)} ground-truth tracks")
 
-# Drive the tracker one frame at a time and watch the event stream. Steps
-# emit born / matched / died events; a track that misses a frame turns lost
-# silently, so poll Tracker.state (read off the track's last entry) to see
-# the occlusions happen.
+# Drive the tracker one frame at a time and watch the event stream. A step
+# returns the frame's events as one block of columns (kind codes, track,
+# detection, score) that iterates as AssociationEvent records: born /
+# matched / discarded, then died. A track that misses a frame turns lost
+# silently, so poll Tracker.state (read off the track's last match) for the
+# live track ids to see the occlusions happen.
 tracker = Tracker(TrackerConfig())
 was_lost = set()
 for frame in sorted(scene.detections):
@@ -34,34 +36,36 @@ for frame in sorted(scene.detections):
     for ev in events:
         if ev.kind != "matched":
             print(f"  frame {ev.frame:3d}  {ev.kind:<5}  track {ev.track_id}")
-    lost_now = {t.id for t in tracker.tracks if tracker.state(t).name == "LOST"}
+    lost_now = {tid for tid in tracker.live.tolist() if tracker.state(tid).name == "LOST"}
     for tid in sorted(lost_now - was_lost):
         print(f"  frame {frame:3d}  lost   track {tid}")
     for tid in sorted(was_lost - lost_now):
         print(f"  frame {frame:3d}  back   track {tid}")
     was_lost = lost_now
 
-tracks = tracker.tracks
-print(f"\n{len(tracks)} tracks for {cfg.n_identities} identities")
+# The run is one table of (track, frame, detection) rows, sorted by track
+# and frame: track i's rows are bounds[i]:bounds[i + 1] of its columns.
+table = tracker.table()
+print(f"\n{len(table)} tracks for {cfg.n_identities} identities")
 
 # The occluded identities should come back as the same track, not a new
 # one: check that each track covers a single true identity end to end.
-for tr in tracks:
-    idents = {scene.detection_identity[o.frame][o.det_idx]
-              for o in tr.observations}
-    frames = [o.frame for o in tr.observations]
+bounds = table.bounds.tolist()
+for lo, hi in zip(bounds, bounds[1:]):
+    frames, dets = table.frame[lo:hi].tolist(), table.det[lo:hi].tolist()
+    idents = {scene.detection_identity[f][d] for f, d in zip(frames, dets)}
     gaps = [b - a for a, b in zip(frames, frames[1:]) if b - a > 1]
-    print(f"  track {tr.id}: identity {idents}, {len(frames)} frames, "
+    print(f"  track {table.track_id[lo]}: identity {idents}, {len(frames)} frames, "
           f"gaps bridged: {gaps if gaps else 'none'}")
 
 # Peek at the memory vs bank machinery for one live track. The tracker keeps
 # one row per live track in its memory and query arrays, in live order, and
-# every live feature bank in one store that Tracker.bank reads. A track is
-# its observations: the category bank is the retained categories of its
-# last n_cat_bank entries.
-tr = tracker.live[0]
-bank = tracker.bank(tr)  # unit rows, oldest first
+# every live feature bank in one store that Tracker.bank reads. The category
+# bank is the retained categories of the track's last n_cat_bank rows.
+tid = int(tracker.live[0])
+bank = tracker.bank(tid)  # unit rows, oldest first
 n_cat_bank = tracker.cfg.n_cat_bank
-print(f"\ntrack {tr.id} internals: memory dim {tracker.memory.shape[1]}, "
+rows = table.track_id == tid
+print(f"\ntrack {tid} internals: memory dim {tracker.memory.shape[1]}, "
       f"bank {bank.shape[0]} embeddings (cap {tracker.cfg.n_bank}), "
-      f"category bank {[o.category_id for o in tr.observations[-n_cat_bank:]]}")
+      f"category bank {table.cat[rows][-n_cat_bank:].tolist()}")

@@ -11,10 +11,9 @@ from trajkit import (
     SynthConfig,
     TrackerConfig,
     classify_trajectory,
+    clip_embeddings,
     gen_scene,
-    record_embeddings,
     run_sequence,
-    to_track_record,
 )
 
 cfg = SynthConfig(
@@ -39,24 +38,27 @@ for frame, dets in scene.detections.items():
             correct += det.category_id == scene.identity_category[ident]
 print(f"per-frame detector label accuracy: {100.0 * correct / total:.1f}%")
 
-tracks = run_sequence(scene.detections, TrackerConfig())
+table = run_sequence(scene.detections, TrackerConfig())
 
-# Classify each track. A track's embeddings are read back from the
-# detections its entries index, as every trajkit command does. With no
-# fusion weights the vocabulary is matched in the visual space directly
-# (identity language projection).
+# Classify each track from its clip and its rows' retained categories. Every
+# track's clip rows (its most confident n_clip) are picked in one pass over
+# the table, and their embeddings are read back from the detections the rows
+# index, as every trajkit command does. With no fusion weights the vocabulary
+# is matched in the visual space directly (identity language projection).
 ccfg = ClassifyConfig(fusion="average", calibrate_scores=True)
+clips, clip_bounds = clip_embeddings(table, scene.detections, ccfg.n_clip)
+bounds, cats = table.bounds.tolist(), table.cat.tolist()
 right = 0
-for tr in tracks:
-    embeddings = record_embeddings(to_track_record(tr), scene.detections)
-    result = classify_trajectory(tr.observations, embeddings, scene.vocabulary, None, ccfg)
-    ident = scene.detection_identity[tr.observations[0].frame][tr.observations[0].det_idx]
+for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+    clip = clips[clip_bounds[i]:clip_bounds[i + 1]]
+    result = classify_trajectory(clip, cats[lo:hi], scene.vocabulary, None, ccfg)
+    ident = scene.detection_identity[int(table.frame[lo])][int(table.det[lo])]
     truth = scene.identity_category[ident]
     right += result.final == truth
-    print(f"  track {tr.id}: truth {truth}  final {result.final} "
+    print(f"  track {table.track_id[lo]}: truth {truth}  final {result.final} "
           f"via {result.final_source:<4}  "
           f"scores cate {result.cate_score:.3f} attr {result.attr_score:.3f} "
           f"det {result.det_score:.3f}")
 
-print(f"\ntrajectory-level accuracy: {100.0 * right / len(tracks):.1f}% "
+print(f"\ntrajectory-level accuracy: {100.0 * right / len(table):.1f}% "
       f"(vs {100.0 * correct / total:.1f}% per frame)")

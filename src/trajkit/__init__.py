@@ -21,8 +21,10 @@ from .errors import (
     ZeroNormError,
 )
 from .io import (
+    AssociationEvent,
     DetectionFrame,
     DetectionRecord,
+    EventBlock,
     GroundTruthTable,
     GroundTruthTrack,
     TrackEntry,
@@ -46,8 +48,6 @@ from .io import (
     write_weights,
 )
 from .tracker import (
-    AssociationEvent,
-    Track,
     TrackState,
     Tracker,
     TrackerConfig,
@@ -74,10 +74,9 @@ from .classify import (
     ClassifyConfig,
     TrajectoryClassification,
     classify_trajectory,
+    clip_embeddings,
     project_language,
-    record_embeddings,
     sample_clip,
-    to_track_record,
 )
 from .train import (
     TrainConfig,
@@ -95,21 +94,21 @@ __version__ = "0.1.0"
 __all__ = [
     "AssociationEvent", "Augmentations", "ClassifyConfig",
     "DetectionFrame", "DetectionRecord", "DimMismatchError", "DivergedError",
-    "DuplicateCategoryError", "EvalConfig", "EvalReport", "FUSION_MECHANISMS",
+    "DuplicateCategoryError", "EvalConfig", "EventBlock", "EvalReport", "FUSION_MECHANISMS",
     "FormatError", "FusionWeights", "GroundTruthTable", "GroundTruthTrack", "MissingWeightsError",
-    "NonFiniteError", "SplitScores", "SynthConfig", "SynthScene", "Track",
+    "NonFiniteError", "SplitScores", "SynthConfig", "SynthScene",
     "TrackEntry", "TrackRecord", "TrackState", "TrackTable", "Tracker", "TrackerConfig",
     "TrainConfig", "TrainPair", "TrajectoryClassification", "TrajkitError",
     "TruncatedError", "UnknownCategoryError", "Vocabulary", "VocabularyEntry",
     "ZeroNormError", "bisoftmax",
-    "classify_trajectory", "concat_score", "contrastive_loss",
+    "classify_trajectory", "clip_embeddings", "concat_score", "contrastive_loss",
     "evaluate", "fuse_attention", "fuse_average",
     "fuse_cross", "fuse_self", "gelu", "gen_scene", "init_fusion_weights",
     "iou", "iou_matrix", "load_detections", "load_groundtruth",
     "load_splits", "load_vocabulary", "load_weights", "loss_and_gradients", "majority_vote",
     "make_train_pairs", "numeric_gradient", "project_language",
-    "read_embedding_sidecar", "read_tracks", "record_embeddings", "run_sequence",
-    "sample_clip", "score_matrix", "self_attention", "to_track_record",
+    "read_embedding_sidecar", "read_tracks", "run_sequence",
+    "sample_clip", "score_matrix", "self_attention",
     "train_fusion", "update_memory", "validate_fusion_shapes",
     "write_detections", "write_embedding_sidecar", "write_events", "write_groundtruth",
     "write_tracks", "write_vocabulary", "write_weights",

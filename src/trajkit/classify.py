@@ -1,30 +1,25 @@
 """Trajectory-level open-vocabulary classification.
 
-A trajectory is a list of ``io.TrackEntry`` rows (``Track.observations`` or
-a ``tracks.jsonl`` record) and the embedding of each row, which
-``record_embeddings`` reads from the ``embedding`` column of the row's
-``io.DetectionFrame``, at the detection the row indexes. It is
-classified by fusing a sampled clip of its embeddings into one vector and
-comparing that vector against projected language embeddings of the
-vocabulary. Three candidate labels compete:
+A trajectory is a track of an ``io.TrackTable``: its rows' retained
+categories, and a clip of its rows' embeddings, read from the ``embedding``
+column of each row's ``io.DetectionFrame`` at the detection the row indexes
+(``clip_embeddings``, every track's at once). It is classified by fusing its
+clip into one vector and comparing that vector against projected language
+embeddings of the vocabulary. Three candidate labels compete:
 
 - ``cate``: best cosine against the category-name embeddings,
 - ``attr``: best cosine against the attribute-description embeddings
   (texts of the ``"name: description"`` shape),
-- ``det``: majority vote over the entries' retained categories, scored by
+- ``det``: majority vote over the rows' retained categories, scored by
   the winning proportion.
 
 The candidate with the highest score wins; ties prefer det, then cate,
 then attr. Without a vocabulary only the det channel competes.
 ``check_labelling`` decides whether a vocabulary, weights and embeddings can
-label at all; ``project_vocabulary`` runs it once per run.
-``label_record`` is the one place a ``TrackRecord`` (``to_track_record`` of
-a live track, or a ``tracks.jsonl`` record) gets its label. The ``concat``
-fusion mechanism scores every vocabulary entry directly instead of
-producing a fused trajectory vector: the clip is scored as stacked with
-each projected language row, every row of a channel at once and in closed
-form (one ``concat_score`` call for the category rows, one for the
-attribute rows).
+label at all; ``project_vocabulary`` runs it once per run. The ``concat``
+mechanism scores the clip stacked with each projected language row instead
+of fusing it, every row of a channel at once in closed form (one
+``concat_score`` call for the category rows, one for the attribute rows).
 """
 
 from __future__ import annotations
@@ -44,14 +39,14 @@ from .fusion import (
     fuse_cross,
     fuse_self,
 )
-from .io import DetectionFrame, TrackEntry, TrackRecord, Vocabulary
-from .tracker import Track, majority_vote
+from .io import DetectionFrame, TrackTable, Vocabulary, _runs
+from .tracker import majority_vote
 
 
 @dataclass
 class ClassifyConfig:
     fusion: str = "average"
-    n_clip: int = 5  # observations kept per clip
+    n_clip: int = 5  # rows kept per clip
     heads: int = 1
     calibrate_scores: bool = False  # map cosines through (1 + cos) / 2
 
@@ -79,29 +74,38 @@ class TrajectoryClassification:
         return {name: score for name, score in scores.items() if score is not None}
 
 
-def sample_clip(entries: Sequence[TrackEntry], embeddings: Sequence[np.ndarray],
-                n_clip: int = 5) -> np.ndarray:
-    """The (n, d) float64 clip fed to fusion: the rows of the top n_clip entries by confidence.
+def sample_clip(table: TrackTable, n_clip: int = 5) -> np.ndarray:
+    """The rows of every track's clip, picked in one pass: its top ``n_clip`` rows by confidence,
+    ties preferring the earlier frame, in table order (so chronological, track by track)."""
+    track = np.repeat(np.arange(len(table)), np.diff(table.bounds))
+    # stable, and a track's rows are in frame order: equal confidences keep the earlier frame first
+    order = np.lexsort((-table.conf, track))
+    return np.sort(order[np.arange(len(order)) - table.bounds[track] < n_clip])
 
-    ``embeddings[i]`` belongs to ``entries[i]``. Short trajectories are taken
-    whole. Confidence ties prefer the earlier frame. Rows come back in
-    chronological order regardless of how they were picked.
-    """
-    if not entries:
-        raise ValueError("a trajectory needs at least one entry to sample")
-    picked = sorted(zip(entries, embeddings), key=lambda p: p[0].frame)
-    if len(picked) > n_clip:
-        picked = sorted(picked, key=lambda p: (-p[0].confidence, p[0].frame))[:n_clip]
-        picked.sort(key=lambda p: p[0].frame)
-    return np.stack([emb for _, emb in picked]).astype(np.float64)
+
+def clip_embeddings(table: TrackTable, dets_by_frame: dict[int, DetectionFrame],
+                    n_clip: int = 5) -> tuple[np.ndarray, list[int]]:
+    """Every track's clip (``sample_clip``) as float64 rows gathered one frame block at a time,
+    and the clips' bounds: track i's is rows ``bounds[i]:bounds[i + 1]``. FormatError names the
+    first row of the table that indexes no detection of its frame."""
+    frames, where = np.unique(table.frame, return_inverse=True)
+    blocks = [dets_by_frame.get(frame, ()) for frame in frames.tolist()]
+    if not (found := (table.det >= 0) & (table.det < np.array([len(b) for b in blocks], np.int64)[where])).all():
+        i = int(found.argmin())
+        raise FormatError(f"track {table.track_id[i]} references detection {table.det[i]} of frame "
+                          f"{table.frame[i]}, which the detections file does not contain")
+    rows = sample_clip(table, n_clip)
+    by_frame = np.argsort(where[rows], kind="stable")
+    frame_of, det, runs = where[rows], table.det[rows].astype(np.int64), _runs(where[rows][by_frame]).tolist()
+    clips = np.empty((len(rows), blocks[frame_of[by_frame[0]]].embedding.shape[1] if len(rows) else 0))
+    for lo, hi in zip(runs, runs[1:]):
+        clips[by_frame[lo:hi]] = blocks[frame_of[by_frame[lo]]].embedding[det[by_frame[lo:hi]]]
+    return clips, np.cumsum([0, *np.minimum(np.diff(table.bounds), n_clip).tolist()]).tolist()
 
 
 def project_language(vocab: Vocabulary, lang_proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Project category and attribute embeddings into the visual space.
-
-    ``lang_proj`` has shape (dim_text, d); rows of the returned matrices are
-    per-category projected vectors, in vocabulary order.
-    """
+    """Category and attribute embeddings projected into the visual space by ``lang_proj``, of
+    shape (dim_text, d): one row per category, in vocabulary order."""
     lang_proj = np.asarray(lang_proj, dtype=np.float64)
     return vocab.cate_matrix() @ lang_proj, vocab.attr_matrix() @ lang_proj
 
@@ -151,10 +155,8 @@ def project_vocabulary(vocab: Vocabulary, weights: FusionWeights | None = None,
 
 def affinity(f_traj: np.ndarray, lang_rows: np.ndarray,
              row_norms: np.ndarray | None = None) -> np.ndarray:
-    """Cosine of the fused trajectory vector against each language row.
-
-    ``row_norms`` are the rows' L2 norms, when the caller already has them.
-    """
+    """Cosine of the fused trajectory vector against each language row; ``row_norms`` are the
+    rows' L2 norms, when the caller already has them."""
     f = np.asarray(f_traj, dtype=np.float64)
     lang_rows = np.atleast_2d(np.asarray(lang_rows, dtype=np.float64))
     if lang_rows.shape[1:] != f.shape:
@@ -178,23 +180,20 @@ _FUSE = {
 }
 
 
-def classify_trajectory(entries: Sequence[TrackEntry], embeddings: Sequence[np.ndarray],
+def classify_trajectory(clip: np.ndarray | None, categories: Sequence[int],
                         vocab: Vocabulary | None, weights: FusionWeights | None = None,
                         cfg: ClassifyConfig | None = None,
                         lang: LanguageRows | None = None) -> TrajectoryClassification:
-    """Assign a trajectory-level category; ``embeddings[i]`` belongs to ``entries[i]``.
-
-    ``weights=None`` is allowed for average fusion when the vocabulary lives
-    in the visual space already (identity language projection). ``lang`` is
-    ``project_vocabulary(vocab, weights, cfg.fusion, width)``; pass it when
-    classifying many tracks so the inputs are checked and the vocabulary
-    projected once. ``vocab=None`` leaves the det channel alone to label.
-    """
-    det_id, det_score = majority_vote([e.category_id for e in entries])
+    """Assign a trajectory-level category from its clip (``clip_embeddings``) and its rows'
+    retained ``categories``, both in chronological order. ``weights=None`` is allowed for
+    average fusion when the vocabulary lives in the visual space already (identity language
+    projection). ``lang`` is ``project_vocabulary(vocab, weights, cfg.fusion, width)``; pass it
+    when classifying many tracks so the inputs are checked and the vocabulary projected once.
+    ``vocab=None`` leaves the det channel alone to label, and needs no clip."""
+    det_id, det_score = majority_vote(categories)
     if vocab is None:
         return TrajectoryClassification(None, None, None, None, det_id, det_score, det_id, "det")
     cfg = cfg or ClassifyConfig()
-    clip = sample_clip(entries, embeddings, cfg.n_clip)
     if lang is None:
         lang = project_vocabulary(vocab, weights, cfg.fusion, clip.shape[1])
 
@@ -215,30 +214,3 @@ def classify_trajectory(entries: Sequence[TrackEntry], embeddings: Sequence[np.n
     source, (final, _) = max((("det", (det_id, det_score)), ("cate", cate), ("attr", attr)),
                              key=lambda c: c[1][1])
     return TrajectoryClassification(*cate, *attr, det_id, det_score, final, source)
-
-
-def to_track_record(track: Track) -> TrackRecord:
-    """A live track's entries, unlabelled, for ``label_record`` and serialization."""
-    return TrackRecord(track.id, list(track.observations))
-
-
-def label_record(record: TrackRecord, classification: TrajectoryClassification) -> TrackRecord:
-    """Set the record's trajectory label, its source and the channel scores."""
-    record.label = classification.final
-    record.label_source = classification.final_source
-    record.scores = classification.score_dict()
-    return record
-
-
-def record_embeddings(record: TrackRecord, dets_by_frame: dict[int, DetectionFrame]) -> list[np.ndarray]:
-    """The embedding of each of a tracks.jsonl record's entries: a row of its frame's
-    ``embedding`` column."""
-    embeddings = []
-    for e in record.entries:
-        frame_dets = dets_by_frame.get(e.frame)
-        if frame_dets is None or not 0 <= e.det_idx < len(frame_dets):
-            raise FormatError(
-                f"track {record.track_id} references detection {e.det_idx} of frame {e.frame}, "
-                f"which the detections file does not contain")
-        embeddings.append(frame_dets.embedding[e.det_idx])
-    return embeddings

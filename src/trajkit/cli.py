@@ -12,10 +12,9 @@ to ``<command>_manifest.json`` once its options and inputs have passed every
 check (a non-negative ``--seed`` for every subcommand, ``--heads`` for
 ``train`` and for labelling, with ``classify.check_labelling``, once,
 naming the file or flag at fault); outputs are deterministic in
-manifest + seed.
-``track``, ``classify`` and ``bench-fusion`` label each trajectory, tracked or
-read back, as ``(record, record_embeddings(record, dets))`` through one loop,
-``_label``, which calls ``classify_trajectory`` once per trajectory.
+manifest + seed. ``track``, ``classify`` and ``bench-fusion`` label an
+``io.TrackTable`` in place through one loop, ``_label``, which calls
+``classify_trajectory`` once per track with its clip and retained categories.
 
 Exit codes: 0 success, 1 domain error (bad file, missing weights, diverged
 training, ...), 2 usage error.
@@ -39,10 +38,8 @@ from .classify import (
     LanguageRows,
     check_labelling,
     classify_trajectory,
-    label_record,
+    clip_embeddings,
     project_vocabulary,
-    record_embeddings,
-    to_track_record,
 )
 from .errors import DimMismatchError, FormatError, MissingWeightsError, TrajkitError, ZeroNormError
 from .fusion import FUSION_MECHANISMS, FusionWeights, init_fusion_weights
@@ -203,9 +200,8 @@ def _check_heads(heads: int, width: int | None) -> None:
 
 def _language(opts: dict, vocab, weights, width, fusion: str, dim_text=None) -> LanguageRows | None:
     """Check once per run, before any output, that the inputs can label with ``fusion``; the
-    projected vocabulary rows, if any. A refusal names the flag or file at fault: ``--heads``
-    when a vocabulary's labels would be fused by attention (every mechanism but average attends),
-    else the weights when given, else the vocabulary."""
+    projected vocabulary rows, if any. A refusal names the flag or file at fault: ``--heads`` when
+    attention fuses a vocabulary's labels (all but average), else the weights, else the vocabulary."""
     if vocab is not None and fusion != "average":
         _check_heads(opts["heads"], width)
     try:
@@ -218,17 +214,19 @@ def _language(opts: dict, vocab, weights, width, fusion: str, dim_text=None) -> 
         raise type(exc)(f"{opts['weights'] or opts['vocabulary']}: {exc}") from None
 
 
-def _label(trajectories, vocab, weights, ccfg, lang, source) -> list[io.TrackRecord]:
-    """Label each (record, embeddings) pair, by the det vote alone without a vocabulary;
-    a trajectory that cannot be labelled fails naming ``source`` and its track."""
-    records = []
-    for record, embeddings in trajectories:
+def _label(table: io.TrackTable, clips, vocab, weights, ccfg, lang, source) -> None:
+    """Set every track's label, label source and scores from its retained categories and its clip
+    (``clips``, ``clip_embeddings`` of ``table``), by the det vote alone without a vocabulary and
+    clips; a trajectory that cannot be labelled fails naming ``source`` and its track."""
+    bounds, cats = table.bounds.tolist(), table.cat.tolist()
+    rows, clip_bounds = clips or (None, bounds)
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        clip = None if rows is None else rows[clip_bounds[i]:clip_bounds[i + 1]]
         try:
-            records.append(label_record(record, classify_trajectory(
-                record.entries, embeddings, vocab, weights, ccfg, lang)))
+            c = classify_trajectory(clip, cats[lo:hi], vocab, weights, ccfg, lang)
         except TrajkitError as exc:
-            raise type(exc)(f"{source}: track {record.track_id}: {exc}") from None
-    return records
+            raise type(exc)(f"{source}: track {table.track_id[lo]}: {exc}") from None
+        table.label[i], table.label_source[i], table.scores[i] = c.final, c.final_source, c.score_dict()
 
 
 def cmd_track(args) -> int:
@@ -248,19 +246,20 @@ def cmd_track(args) -> int:
         if scores_csv is not None:
             scores_csv.write("frame,track_id,det_idx,score\r\n")
         for frame in sorted(dets):
-            events.extend(tracker.step(frame, dets[frame]))
+            events.append(tracker.step(frame, dets[frame]))
             if scores_csv is not None:  # each frame's rows as it is tracked
                 scores_csv.write("".join(
                     "%d,%d,%d,%.6f\r\n" % (frame, track_id, di, score)
                     for track_id, row in zip(tracker.last_ids, tracker.last_scores.tolist())
                     for di, score in enumerate(row)))
 
-    records = _label([(r, record_embeddings(r, dets)) for r in map(to_track_record, tracker.tracks)],
-                     vocab, weights, ccfg, lang, det_path)
-    io.write_tracks(records, out_dir / "tracks.jsonl")
+    table = tracker.table()
+    _label(table, clip_embeddings(table, dets, ccfg.n_clip) if vocab is not None else None, vocab, weights, ccfg,
+           lang, det_path)
+    io.write_tracks(table, out_dir / "tracks.jsonl")
     io.write_events(events, out_dir / "events.jsonl")
     print(f"tracked {sum(len(v) for v in dets.values())} detections over {len(dets)} frames "
-          f"into {len(records)} tracks")
+          f"into {len(table)} tracks")
     print(f"wrote {out_dir / 'tracks.jsonl'} and {out_dir / 'events.jsonl'}")
     return 0
 
@@ -271,18 +270,18 @@ def cmd_classify(args) -> int:
     det_path = _need_file(opts["detections"], "detections")
     vocab = io.load_vocabulary(_need_file(opts["vocabulary"], "vocabulary"))
     weights = _load_fusion_weights(opts["weights"]) if opts["weights"] else None
-    records = io.read_tracks(tracks_path, vocabulary=vocab)
+    table = io.read_tracks(tracks_path, vocabulary=vocab)
     dets = io.load_detections(det_path)
     ccfg = _config(ClassifyConfig, opts)
     lang = _language(opts, vocab, weights, _embedding_width(dets), opts["fusion"])
     try:
-        trajectories = [(record, record_embeddings(record, dets)) for record in records]
+        clips = clip_embeddings(table, dets, ccfg.n_clip)
     except FormatError as exc:  # name both files, as io's errors do
         raise FormatError(f"{tracks_path}: {exc} ({det_path})") from None
-    out = _label(trajectories, vocab, weights, ccfg, lang, tracks_path)
+    _label(table, clips, vocab, weights, ccfg, lang, tracks_path)
     out_dir = _write_manifest("classify", opts)
-    io.write_tracks(out, out_dir / "tracks.jsonl")
-    print(f"classified {len(out)} tracks with fusion={opts['fusion']}")
+    io.write_tracks(table, out_dir / "tracks.jsonl")
+    print(f"classified {len(table)} tracks with fusion={opts['fusion']}")
     print(f"wrote {out_dir / 'tracks.jsonl'}")
     return 0
 
@@ -349,17 +348,17 @@ def cmd_train(args) -> int:
 
 def _bench_one_scene(scene_seed: int, opts: dict, weights: FusionWeights):
     scene = _scene(opts, scene_seed)
-    tracks = run_sequence(scene.detections, _config(TrackerConfig, opts))
+    table = run_sequence(scene.detections, _config(TrackerConfig, opts))
     ecfg = metrics.EvalConfig(splits=scene.vocabulary.splits())
-    trajectories = [(r, record_embeddings(r, scene.detections)) for r in map(to_track_record, tracks)]
+    clips = clip_embeddings(table, scene.detections, opts["n_clip"])
     # cmd_bench_fusion has checked --heads; a synthetic vocabulary's rows are unit vectors
     # --dim wide, so only a --weights file can be refused here
     lang = _language(opts, scene.vocabulary, weights, opts["dim"], "average")
     row = {}
-    for mech in FUSION_MECHANISMS:  # each mechanism relabels the same records
+    for mech in FUSION_MECHANISMS:  # each mechanism relabels the same table
         ccfg = ClassifyConfig(fusion=mech, n_clip=opts["n_clip"], heads=opts["heads"])
-        records = _label(trajectories, scene.vocabulary, weights, ccfg, lang, f"scene {scene_seed}")
-        row[mech] = metrics.evaluate(records, scene.gt_tracks, ecfg).overall
+        _label(table, clips, scene.vocabulary, weights, ccfg, lang, f"scene {scene_seed}")
+        row[mech] = metrics.evaluate(table, scene.gt_tracks, ecfg).overall
     return row
 
 

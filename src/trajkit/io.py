@@ -10,7 +10,7 @@ detections.jsonl, tracks.jsonl, groundtruth.jsonl
     the frame; a labelled track repeats its ``label``, ``label_source`` and
     ``scores`` on every line. No track repeats a frame.
 events.jsonl
-    ``{"frame", "kind", "track", "det", "score"}`` per association event.
+    ``{"frame", "kind", "track", "det", "score"}`` per row of each frame's ``EventBlock``.
 embedding sidecar (``.embin``)
     magic ``TRJK``, u16 version (=1), u32 dim, u64 count, then
     ``count * dim`` float32 values, little endian, row major.
@@ -22,31 +22,26 @@ weights bundle (``.twb``)
     float32 payload (little endian) until end of file. The fusion block's
     tensor names and shapes are ``trajkit.fusion.FUSION_TENSOR_SHAPES``.
 
-A JSONL loader reads ``_CHUNK`` (256) lines at a time, parses each line with
-``orjson`` and checks whole columns against the format table. When the parse or a
-check refuses a chunk, or a line holds a key the table does not name, it checks that
-chunk again one line at a time with ``json``, which raises the error naming
-``file:line`` or loads the chunk. ``load_vocabulary`` parses its file once with
-``orjson`` and checks each key as a column of every entry; when that refuses, ``json``
-loads the file and its entries are checked one at a time. ``load_splits`` makes the same
-column pass but for the embeddings' values, and hands a file it refuses to
-``load_vocabulary``'s entry checks. The line and entry checks are the reference and
-write every message; the tests hold the column passes to them.
-``load_detections`` keeps the checked chunks as whole columns, sorts them with one
-``lexsort`` and gathers them once: each frame's ``DetectionFrame`` is a slice of the
-file's sorted columns, and no per-detection object is built while loading.
-``write_detections`` writes a frame -> block map from the blocks' columns, block by block.
-``read_tracks`` and ``load_groundtruth`` keep their checked chunks as whole columns too and
-sort them by (track, frame) with one ``lexsort``: a ``TrackTable`` or ``GroundTruthTable`` holds
-the rows and each track's tags, and builds its records only when they are accessed. Array
-passes over the sorted rows find a track that repeats a frame or changes its tag; the loop
+A JSONL loader reads ``_CHUNK`` (256) lines at a time, parses each line with ``orjson``
+and checks whole columns against the format table. When the parse or a check refuses a
+chunk, or a line holds a key the table does not name, it checks that chunk again one line
+at a time with ``json``, which raises the error naming ``file:line`` or loads the chunk.
+``load_vocabulary`` and ``load_splits`` check an entry's keys as columns of every entry the
+same way, and the entries one at a time when that refuses. The line and entry checks are
+the reference and write every message; the tests hold the column passes to them.
+``load_detections``, ``read_tracks`` and ``load_groundtruth`` keep the checked chunks as
+whole columns and sort them with one ``lexsort``, so no per-line object is built: each
+frame's ``DetectionFrame`` is a slice of the sorted columns, and a ``TrackTable`` or
+``GroundTruthTable`` holds the rows by (track, frame) and each track's tags. Array passes
+over its rows find a track that repeats a frame or changes its tag; the loop
 ``_first_repeat_or_switch`` over the lines before any line's own fault then names the first.
-Writers fill per-format line templates, ``_CHUNK`` lines at a time, byte for byte
-as ``json.dumps`` writes them. ``_json_floats`` spells a chunk's floats in one
-``orjson.dumps`` pass: orjson spells a float as ``repr`` does when ``1e-4 <= |x| < 1e16``
-or x is zero, and ``json.dumps`` spells any other float, NaN and the infinities among
-them. ``write_vocabulary`` spells its embeddings the same way. The tests pin that
-agreement for the installed orjson on the edges of that range and on random floats.
+Writers fill per-format line templates from columns (a ``TrackTable``, a ``TrackRecord`` list
+gathered into one, each frame's block), ``_CHUNK`` lines at a time, byte for byte as
+``json.dumps`` writes them. ``_json_floats`` spells a chunk's floats in one ``orjson.dumps``
+pass: orjson spells a float as ``repr`` does when ``1e-4 <= |x| < 1e16`` or x is zero, and
+``json.dumps`` spells any other float, NaN and the infinities among them. ``write_vocabulary``
+spells its embeddings the same way. The tests pin that agreement for the installed orjson on
+the edges of that range and on random floats.
 
 All multi-byte binary fields are little endian. Embedding payloads are kept
 as float32; similarity math upcasts, storage never mutates them.
@@ -60,7 +55,7 @@ import struct
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
-from operator import ne
+from operator import itemgetter, ne
 from pathlib import Path
 from typing import NoReturn
 
@@ -85,6 +80,7 @@ WEIGHTS_VERSION = 1
 _MAX_RANK = 32  # the most axes a .twb tensor may have; numpy 1.x allows no more
 SPLITS = ("base", "novel")
 LABEL_SOURCES = ("cate", "attr", "det")  # the channel a track label came from
+EVENT_KINDS = ("matched", "born", "discarded", "died")  # what an EventBlock's kind codes index
 _CHUNK = 256  # lines a loader or writer holds at a time
 
 # Each format maps its keys, in the order a line is checked, to a kind and bounds:
@@ -104,6 +100,7 @@ VOCABULARY_ENTRY_FORMAT = {"id": ("int",), "name": ("text",), "split": ("choice"
                            "description": ("text",), "cate_emb": ("vec",), "attr_emb": ("vec",)}
 _DETECTION_KEYS = tuple(DETECTION_FORMAT)[:5]  # keys every line holds; emb or emb_ref follows
 _TRACK_KEYS, _LABEL_KEYS = tuple(TRACK_FORMAT)[:6], tuple(TRACK_FORMAT)[6:]  # labels: every line of a track or none
+_line_tags = itemgetter(*_LABEL_KEYS)
 
 BBox = tuple[float, float, float, float]
 
@@ -129,11 +126,22 @@ def _int_column(values: Sequence[int]) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
+class _Records(Sequence):
+    """A read-only sequence of records that ``_records(start, stop)`` builds from ``.tolist()`` of
+    columns, anew on each access: keep the built records to change them."""
+
+    def __iter__(self) -> Iterator:
+        return self._records(0, len(self))
+
+    def __getitem__(self, i: int):
+        i = range(len(self))[i]  # an IndexError past either end, as a list's
+        return next(self._records(i, i + 1))
+
+
 @dataclass(eq=False)
-class DetectionFrame(Sequence):
-    """One frame's detections as columns, row i its detection i. It is also the read-only
-    sequence of the frame's ``DetectionRecord``s, which indexing and iteration build from
-    ``.tolist()`` of the columns: Python ints and floats, and a view row of ``embedding``."""
+class DetectionFrame(_Records):
+    """One frame's detections as columns, row i its detection i, and the read-only sequence of
+    their ``DetectionRecord``s: Python ints and floats, and a view row of ``embedding``."""
 
     frame: int
     bbox: np.ndarray  # (D, 4) float64
@@ -145,17 +153,41 @@ class DetectionFrame(Sequence):
     def __len__(self) -> int:
         return len(self.confidence)
 
-    def __iter__(self) -> Iterator[DetectionRecord]:
-        return self._records(slice(None))
-
-    def __getitem__(self, i: int) -> DetectionRecord:
-        i = range(len(self))[i]  # an IndexError past either end, as a list's
-        return next(self._records(slice(i, i + 1)))
-
-    def _records(self, rows: slice) -> Iterator[DetectionRecord]:
+    def _records(self, start: int, stop: int) -> Iterator[DetectionRecord]:
+        rows = slice(start, stop)
         return map(DetectionRecord, repeat(self.frame), map(tuple, self.bbox[rows].tolist()),
                    self.confidence[rows].tolist(), self.category_id[rows].tolist(),
                    self.category_score[rows].tolist(), self.embedding[rows])
+
+
+@dataclass
+class AssociationEvent:
+    frame: int
+    kind: str  # one of EVENT_KINDS
+    track_id: int | None = None
+    det_idx: int | None = None
+    score: float | None = None
+
+
+@dataclass(eq=False)
+class EventBlock(_Records):
+    """One frame's association events as columns, row i its event i. It is also the read-only
+    sequence of the frame's ``AssociationEvent``s, a -1 or NaN read as None."""
+
+    frame: int
+    kind: np.ndarray  # (E,) int8, an index into EVENT_KINDS
+    track: np.ndarray  # (E,) int64, -1 for none
+    det: np.ndarray  # (E,) int64, -1 for none
+    score: np.ndarray  # (E,) float64, NaN for none
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def _records(self, start: int, stop: int) -> Iterator[AssociationEvent]:
+        columns = (col[start:stop].tolist() for col in (self.kind, self.track, self.det, self.score))
+        for kind, track, det, score in zip(*columns):
+            yield AssociationEvent(self.frame, EVENT_KINDS[kind], None if track < 0 else track,
+                                   None if det < 0 else det, None if math.isnan(score) else score)
 
 
 @dataclass(eq=False)
@@ -237,11 +269,9 @@ class TrackRecord:
 
 
 @dataclass(eq=False)
-class BoxTable(Sequence):
-    """A tracks or ground-truth file's boxes as columns, rows sorted by (track, frame): track
-    i's rows are ``bounds[i]:bounds[i + 1]``. It is also the read-only sequence of the file's
-    tracks, which indexing and iteration build (``_records`` of a subclass) from ``.tolist()`` of
-    the columns, anew on each access: keep the built records to change them."""
+class BoxTable(_Records):
+    """Tracks' boxes as columns, rows sorted by (track, frame), track i's ``bounds[i]:bounds[i + 1]``,
+    and the read-only sequence of the tracks (``_records`` of a subclass)."""
 
     track_id: np.ndarray  # (N,) int64, or object when an id falls outside int64
     frame: np.ndarray  # (N,) likewise
@@ -250,13 +280,6 @@ class BoxTable(Sequence):
 
     def __len__(self) -> int:
         return len(self.bounds) - 1
-
-    def __iter__(self) -> Iterator:
-        return self._records(0, len(self))
-
-    def __getitem__(self, i: int):
-        i = range(len(self))[i]  # an IndexError past either end, as a list's
-        return next(self._records(i, i + 1))
 
     def _tracks(self, start: int, stop: int, *columns: np.ndarray) -> Iterator[tuple]:
         """``(track id, boxes, rows of each of columns)`` per track start..stop-1, as lists."""
@@ -269,7 +292,8 @@ class BoxTable(Sequence):
 
 @dataclass(eq=False)
 class TrackTable(BoxTable):
-    """A tracks.jsonl file as columns (see ``BoxTable``), a sequence of ``TrackRecord``s."""
+    """A tracks.jsonl file, or a tracker's run (``Tracker.table``), as columns (see ``BoxTable``),
+    a sequence of ``TrackRecord``s. A track's tags are set by labelling."""
 
     conf: np.ndarray  # (N,) float64
     cat: np.ndarray  # (N,) int64, or object
@@ -411,10 +435,9 @@ def _chunks(path, fmt: dict, keys, vocabulary: Vocabulary | None = None,
             more=lambda objs, where: [None] * len(objs)) -> Iterator[tuple]:
     """``(linenos, columns, extra)`` per chunk of non-blank lines: the ``keys``' columns checked
     by ``_checked`` and what ``more`` makes of the lines' objects. ``_CHUNK`` lines at a time are
-    checked by columns, each line parsed on its own (one JSON array of a chunk would take two
-    broken lines that together make valid JSON). When the parse or a column check refuses a
-    chunk, its lines are checked one at a time, each a chunk of its own checked just before it
-    is yielded, so that a failed check raises naming ``path:lineno`` after the lines before it."""
+    checked by columns, each line parsed on its own (two broken lines may make valid JSON). A
+    refused chunk's lines are each checked as a chunk of its own just before it is yielded, so
+    that a failed check raises naming ``path:lineno`` after the lines before it."""
     def by_columns(numbered: list[tuple]) -> list[tuple]:
         objs = [_parse_line(line) for _, line in numbered]
         # no key but the format's, whose checks bound their depth: json refuses a value nested
@@ -493,20 +516,13 @@ def write_embedding_sidecar(embeddings: np.ndarray, path) -> None:
 
 def load_detections(path, score_scale: float = 1.0, *,
                     vocabulary: Vocabulary | None = None) -> dict[int, DetectionFrame]:
-    """Load a detections.jsonl file into a frame -> ``DetectionFrame`` map.
+    """Load a detections.jsonl file into a frame -> ``DetectionFrame`` map, frames ascending.
 
-    Confidences are multiplied by ``score_scale`` and clamped to [0, 1]
-    (detectors whose raw scores exceed 1 are tamed with e.g. 0.1); a scale
-    that is not finite or not > 0 raises ValueError. Frames are returned in
-    ascending order; detections within a frame are sorted by a canonical content
-    key of the file's values (the raw ``conf``, not the scaled one), so
-    neither input line order nor ``score_scale`` changes a detection's index.
-    Each frame's block is a slice of the whole file's columns, sorted by one
-    ``lexsort`` and gathered once.
-
-    Records that hold ``emb_ref`` read their rows from the sibling file with
-    the .embin suffix.
-    """
+    Confidences are multiplied by ``score_scale`` (finite and > 0, else ValueError) and clamped
+    to [0, 1]: detectors whose raw scores exceed 1 are tamed with e.g. 0.1. Detections within
+    a frame are sorted by a canonical content key of the file's values (the raw ``conf``), so
+    neither line order nor ``score_scale`` changes an index. Records that hold ``emb_ref`` read
+    their rows from the sibling file with the .embin suffix."""
     if not (math.isfinite(score_scale) and score_scale > 0):
         raise ValueError(f"score_scale must be finite and > 0, got {score_scale}")
     fmt, side, dim, side_path = DETECTION_FORMAT, None, None, Path(path).with_suffix(".embin")
@@ -560,40 +576,44 @@ def load_detections(path, score_scale: float = 1.0, *,
             for frame, lo, hi in zip(frames[bounds[:-1]].tolist(), bounds[:-1], bounds[1:])}
 
 
-def _json_floats(values: Sequence) -> list[str]:
+def _json_floats(values) -> list[str]:
     """The text ``json.dumps`` gives each of ``values``, floats or None, spelled by one ``orjson``
     pass. orjson spells a float as repr does when ``1e-4 <= |x| < 1e16`` or x is zero; outside
     that it writes another exponent (``0.00001`` for ``1e-05``, ``1e16`` for ``1e+16``) and null
     for NaN and the infinities, so json spells those values."""
-    col = np.array(values, dtype=np.float64)  # None is NaN here
+    col = np.asarray(values, dtype=np.float64)  # None is NaN here
     words = orjson.dumps(col, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",") if col.size else []
     mag = np.abs(col)
     for i in np.flatnonzero((mag < 1e-4) & (col != 0) | ~(mag < 1e16)).tolist():
-        words[i] = json.dumps(None if values[i] is None else float(values[i]))
+        words[i] = "null" if values[i] is None else json.dumps(float(col[i]))
     return words
 
 
-def _json_rows(arrays: Sequence[np.ndarray]) -> list[list[str]]:
-    """``_json_floats`` of each 1-d array of ``arrays``, spelled in one pass over them all."""
-    sizes = [len(a) for a in arrays]
-    words = _json_floats(np.concatenate(arrays) if arrays else [])
+def _json_rows(arrays) -> list[list[str]]:
+    """``_json_floats`` of each row of ``arrays`` (1-d arrays, or one 2-d array), spelled in one
+    pass over them all."""
+    sizes = [arrays.shape[1]] * len(arrays) if isinstance(arrays, np.ndarray) else [len(a) for a in arrays]
+    words = _json_floats(np.concatenate(arrays) if len(arrays) else [])
     return [words[end - size:end] for size, end in zip(sizes, np.cumsum(sizes).tolist())]
 
 
-def _write_lines(path, rows: Iterable[tuple], line: str, floats: Sequence[int], lists: Sequence[int] = ()) -> None:
-    """Write ``line % row`` for each row, ``_CHUNK`` rows at a time. A chunk's values at the
-    positions ``floats`` of a row (floats or None) are spelled by one ``_json_floats`` pass, and
-    its 1-d arrays at the positions ``lists`` by one ``_json_rows`` pass, as JSON lists."""
-    rows = iter(rows)
+def _write_lines(path, blocks: Iterable[Sequence], line: str, floats: Sequence[int] = (),
+                 lists: Sequence[int] = ()) -> None:
+    """Write ``line % row`` for each row of each block of equal-length columns, ``_CHUNK`` rows at
+    a time: a chunk's float columns at ``floats`` are spelled by one ``_json_floats`` pass, its
+    (n, d) arrays at ``lists`` by one ``_json_rows`` pass, the rest as ``.tolist()`` gives them."""
     with open(path, "w", encoding="utf-8") as fh:
-        while chunk := list(islice(rows, _CHUNK)):
-            cols, n = list(zip(*chunk)), len(chunk)
-            words = _json_floats([v for i in floats for v in cols[i]])
-            for k, i in enumerate(floats):
-                cols[i] = words[k * n:(k + 1) * n]
-            for i in lists:
-                cols[i] = ["[" + ", ".join(row) + "]" for row in _json_rows(cols[i])]
-            fh.write("".join(map(line.__mod__, zip(*cols))))
+        for block in blocks:
+            for start in range(0, len(block[0]), _CHUNK):
+                cols = [col[start:start + _CHUNK] for col in block]
+                n = len(cols[0])
+                words = _json_floats(np.concatenate([cols[i] for i in floats])) if floats else []
+                for k, i in enumerate(floats):
+                    cols[i] = words[k * n:(k + 1) * n]
+                for i in lists:
+                    cols[i] = ["[" + ", ".join(row) + "]" for row in _json_rows(cols[i])]
+                cols = [col.tolist() if isinstance(col, np.ndarray) else col for col in cols]
+                fh.write("".join(map(line.__mod__, zip(*cols))))
 
 
 def write_detections(dets_by_frame: dict[int, DetectionFrame], path, *,
@@ -602,18 +622,17 @@ def write_detections(dets_by_frame: dict[int, DetectionFrame], path, *,
     ``sidecar=True`` embeddings go to a binary .embin next to the file and lines carry
     ``emb_ref``."""
     path = Path(path)
-    blocks = [block for frame in sorted(dets_by_frame) if len(block := dets_by_frame[frame])]
-    if sidecar:  # no detections make a 0-wide sidecar
-        embedding = np.concatenate([b.embedding for b in blocks]) if blocks else np.zeros((0, 0), np.float32)
+    blocks = [block for frame in sorted(dets_by_frame) if len(block := dets_by_frame[frame])] or [
+        DetectionFrame(0, np.zeros((0, 4)), *np.zeros((3, 0)), np.zeros((0, 0), np.float32))]  # a 0-wide sidecar
+    keys = ("bbox", "confidence", "category_id", "category_score", "embedding")
+    bbox, conf, cat, score, embedding = (np.concatenate([getattr(b, key) for b in blocks]) for key in keys)
+    if sidecar:
         write_embedding_sidecar(embedding, path.with_suffix(".embin"))
     line = '{"frame": %d, "bbox": [%s, %s, %s, %s], "conf": %s, "cat": %d, "cat_score": %s, '
     line += '"emb_ref": %d}\n' if sidecar else '"emb": %s}\n'
-    starts = np.cumsum([0, *map(len, blocks)]).tolist()
-    # Python objects of one block's values at a time, not of the whole scene's
-    rows = (row for b, start in zip(blocks, starts)
-            for row in zip(repeat(b.frame), *b.bbox.T.tolist(), b.confidence.tolist(), b.category_id.tolist(),
-                           b.category_score.tolist(), range(start, start + len(b)) if sidecar else b.embedding))
-    _write_lines(path, rows, line, (1, 2, 3, 4, 5, 7), () if sidecar else (8,))
+    _write_lines(path, [[np.repeat(_int_column([b.frame for b in blocks]), list(map(len, blocks))), *bbox.T, conf, cat,
+                         score, np.arange(len(conf)) if sidecar else embedding]], line, (1, 2, 3, 4, 5, 7),
+                 () if sidecar else (8,))
 
 
 def _unique_ids(ids: Sequence[int], path=None) -> set[int]:
@@ -724,10 +743,9 @@ def _splits_columns(path) -> dict[int, str]:
 
 def load_splits(path) -> dict[int, str]:
     """Each category id's split from a vocabulary.json file. A file that ``_splits_columns``
-    loads takes every check of ``load_vocabulary`` but those of an embedding's values, which
-    may be all zero or too large for a float32. Any other file is loaded by ``load_vocabulary``'s
-    entry checks, which raise the error naming the file and entry: its column pass refuses
-    whatever ``_splits_columns`` refuses, so the file is parsed once more, not twice."""
+    loads takes every check of ``load_vocabulary`` but those of an embedding's values (all zero
+    or too large for a float32). ``load_vocabulary``'s entry checks load any other file, or
+    raise naming the file and entry: its column pass would refuse it, so it is skipped."""
     try:
         return _splits_columns(path)
     except _REFUSED:
@@ -753,12 +771,9 @@ def write_vocabulary(vocab: Vocabulary, path) -> None:
 
 
 def load_weights(path) -> dict[str, np.ndarray]:
-    """Read a .twb weights bundle into its float64 tensors, keyed by name.
-
-    Validates magic, version, truncation, UTF-8 names, duplicate names and
-    finiteness. Which tensors a bundle holds and their shapes are the concern
-    of :class:`trajkit.fusion.FusionWeights`, which is built from this dict.
-    """
+    """Read a .twb weights bundle into its float64 tensors, keyed by name, checking magic,
+    version, truncation, UTF-8 names, duplicate names and finiteness. Which tensors a bundle
+    holds and their shapes are the concern of :class:`trajkit.fusion.FusionWeights`."""
     raw = Path(path).read_bytes()
     if len(raw) < 6:
         raise TruncatedError(f"{path}: bundle header needs 6 bytes, file has {len(raw)}")
@@ -822,13 +837,11 @@ def write_weights(tensors: dict[str, np.ndarray], path) -> None:
 
 def _box_tracks(path, fmt: dict, keys, what: str, tags,
                 vocabulary: Vocabulary | None = None) -> tuple[dict, np.ndarray, list]:
-    """A tracks or ground-truth file as ``(columns, bounds, track_tags)``: each of the ``keys``'
-    columns joined over the chunks of ``_chunks`` (ints by ``_int_column``, numbers as float64),
-    its rows sorted by (track, frame) with one ``lexsort``, track i's rows ``bounds[i]:bounds[i + 1]``,
-    and each track's tag, what ``tags`` makes of its first line in the file. The first fault in
-    file order is raised: a line's own, from ``_chunks``, or a line that repeats its track's frame
-    or changes its tag (``what``), which array passes over the lines ``_chunks`` yielded before
-    its fault find and ``_first_repeat_or_switch`` names."""
+    """A tracks or ground-truth file as ``(columns, bounds, track_tags)``: the ``keys``' columns of
+    ``_chunks`` joined, rows sorted by (track, frame) with one ``lexsort``, track i's rows
+    ``bounds[i]:bounds[i + 1]``, and what ``tags`` makes of each track's first line. The first
+    fault in file order is raised: a line's own, or one that repeats its track's frame or
+    changes its tag (``what``) before it, which ``_first_repeat_or_switch`` names."""
     chunks, fault = [], None
     try:
         for chunk in _chunks(path, fmt, keys, vocabulary, tags):
@@ -896,49 +909,77 @@ def load_groundtruth(path) -> GroundTruthTable:
 
 def write_groundtruth(tracks: Iterable[GroundTruthTrack], path) -> None:
     line = '{"track_id": %d, "cat": %d, "frame": %d, "bbox": [%s, %s, %s, %s]}\n'
-    _write_lines(path, ((t.track_id, t.category_id, frame, *t.boxes[frame])
-                        for t in sorted(tracks, key=lambda t: t.track_id) for frame in sorted(t.boxes)),
-                 line, (3, 4, 5, 6))
+    tracks = sorted(tracks, key=lambda t: t.track_id)
+    frames, sizes = [sorted(t.boxes) for t in tracks], [len(t.boxes) for t in tracks]
+    ids, cats = (np.repeat(_int_column([getattr(t, k) for t in tracks]), sizes) for k in ("track_id", "category_id"))
+    boxes = np.array([t.boxes[f] for t, fs in zip(tracks, frames) for f in fs], dtype=np.float64).reshape(-1, 4)
+    _write_lines(path, [[ids, cats, _int_column([f for fs in frames for f in fs]), *boxes.T]], line, (3, 4, 5, 6))
 
 
-def write_tracks(records: Sequence[TrackRecord], path) -> None:
-    """Write finalized tracks as JSONL ordered by (track_id, frame)."""
-    def rows():
-        for rec in sorted(records, key=lambda r: r.track_id):
-            label = "" if rec.label is None else ", " + json.dumps({
-                "label": int(rec.label), "label_source": rec.label_source,
-                "scores": {k: float(v) for k, v in (rec.scores or {}).items()}})[1:-1]
-            for e in sorted(rec.entries, key=lambda e: e.frame):
-                yield rec.track_id, e.frame, *e.bbox, e.confidence, int(e.category_id), int(e.det_idx), label
+def _records_table(records: Sequence[TrackRecord]) -> TrackTable:
+    """``records`` gathered into a ``TrackTable`` once, a track per record with entries: by track
+    id (records of one id in list order), then by frame."""
+    entries = [e for r in records for e in r.entries]
+    rec = np.repeat(np.arange(len(records)), [len(r.entries) for r in records])
+    track_id = _int_column([r.track_id for r in records])[rec]
+    frame, cat, det = (_int_column([getattr(e, key) for e in entries]) for key in ("frame", "category_id", "det_idx"))
+    order = np.lexsort((_ranks(frame), rec, _ranks(track_id)))
+    bounds = _runs(rec[order])
+    kept = [records[k] for k in rec[order][bounds[:-1]].tolist()]
+    bbox, conf = (np.array([getattr(e, key) for e in entries], np.float64) for key in ("bbox", "confidence"))
+    return TrackTable(track_id[order], frame[order], bbox.reshape(-1, 4)[order], bounds, conf[order], cat[order],
+                      det[order], *([getattr(r, key) for r in kept] for key in ("label", "label_source", "scores")))
 
+
+def write_tracks(tracks: TrackTable | Sequence[TrackRecord], path) -> None:
+    """Write tracks as JSONL from a table's columns, in row order, or from a list of records."""
+    table = tracks if isinstance(tracks, TrackTable) else _records_table(tracks)
+    tags = np.array(["" if label is None else ", " + json.dumps({
+        "label": int(label), "label_source": source,
+        "scores": {k: float(v) for k, v in (scores or {}).items()}})[1:-1]
+        for label, source, scores in zip(table.label, table.label_source, table.scores)], dtype=object)
     line = '{"track_id": %d, "frame": %d, "bbox": [%s, %s, %s, %s], "conf": %s, "cat": %d, "det": %d%s}\n'
-    _write_lines(path, rows(), line, (2, 3, 4, 5, 6))
+    _write_lines(path, [[table.track_id, table.frame, *table.bbox.T, table.conf, table.cat, table.det,
+                         np.repeat(tags, np.diff(table.bounds))]], line, (2, 3, 4, 5, 6))
 
 
-def write_events(events: Iterable, path) -> None:
-    """Write the tracker's association events as JSONL, one line each, in order."""
-    null, quoted = {None: "null"}.get, json.encoder.encode_basestring_ascii
+def write_events(blocks: Iterable[EventBlock], path) -> None:
+    """Write the tracker's association events as JSONL, one line per row of each frame's
+    ``EventBlock``, in order: a -1 track or det and a NaN score are null."""
+    blocks = [b for b in blocks if len(b)] or [EventBlock(0, *np.zeros((4, 0), np.int8))]
+    kind, track, det, score = (np.concatenate([getattr(b, key) for b in blocks])
+                               for key in ("kind", "track", "det", "score"))
+    kinds = np.array([json.encoder.encode_basestring_ascii(k) for k in EVENT_KINDS], dtype=object)
     line = '{"frame": %d, "kind": %s, "track": %s, "det": %s, "score": %s}\n'
-    rows = ((ev.frame, quoted(ev.kind), null(ev.track_id, ev.track_id), null(ev.det_idx, ev.det_idx), ev.score)
-            for ev in events)
-    _write_lines(path, rows, line, (4,))
+    _write_lines(path, [[np.repeat(_int_column([b.frame for b in blocks]), list(map(len, blocks))), kinds[kind],
+                         *(np.where(col < 0, "null", col.astype(object)) for col in (track, det)),
+                         np.where(np.isnan(score), None, score)]], line, (4,))
 
 
 def _label_tags(objs: list[dict], where: str | None) -> list[tuple]:
-    """Each tracks line's (label, label_source, scores); a chunk has them on every line or none."""
+    """Each tracks line's (label, label_source, scores), on every line of a chunk or none. A column
+    pass checks every line's types, but the values once per run of equal tags (1 equals true)."""
     if "label" not in objs[0]:
         _require(where or not any("label" in o for o in objs), None, "labelled and unlabelled lines")
         return [(None, None, None)] * len(objs)
-    return list(zip(*(_checked(TRACK_FORMAT, key, [o.get(key, {} if key == "scores" else None)
-                                                   for o in objs], where) for key in _LABEL_KEYS)))
+    try:
+        tags = list(map(_line_tags, objs))
+    except KeyError:  # the checks refuse a line without label or label_source
+        tags = [(o.get("label"), o.get("label_source"), o.get("scores", {})) for o in objs]
+    runs = tags
+    if where is None:
+        labels, _, scores = zip(*tags)
+        _require({*map(type, labels)} <= {int} and {*map(type, scores)} <= {dict} and _NUMBER_TYPES.issuperset(
+            map(type, chain.from_iterable(map(dict.values, scores)))), None, "a tag of another type")
+        runs = [tag for tag, before in zip(tags, [None, *tags]) if tag != before]
+    for key, values in zip(_LABEL_KEYS, zip(*runs)):
+        _checked(TRACK_FORMAT, key, list(values), where)
+    return tags
 
 
 def read_tracks(path, *, vocabulary: Vocabulary | None = None) -> TrackTable:
-    """Inverse of :func:`write_tracks` on logical content: a ``TrackTable``, the file's entries
-    as columns sorted by (track, frame), and the read-only sequence of its ``TrackRecord``s.
-
-    With a ``vocabulary``, every entry's ``cat`` must be one of its ids.
-    """
+    """Inverse of :func:`write_tracks` on logical content: a ``TrackTable`` of the file's
+    entries. With a ``vocabulary``, every entry's ``cat`` must be one of its ids."""
     columns, bounds, tags = _box_tracks(path, TRACK_FORMAT, _TRACK_KEYS, "label", _label_tags, vocabulary)
     labels, sources, scores = (list(tag) for tag in zip(*tags)) if tags else ([], [], [])
     return TrackTable(columns["track_id"], columns["frame"], columns["bbox"], bounds, columns["conf"],

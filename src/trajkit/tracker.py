@@ -1,75 +1,50 @@
 """Appearance-only multi-object association with feature and category banks.
 
-A ``Track`` is an ``id`` and its ``observations``: one ``io.TrackEntry`` per
-matched detection (its ``category_id`` is the retained category). The rest
-is read off the entries or kept by the ``Tracker``: an entry's embedding
-from the detection it indexes (``classify.record_embeddings``), the category
-bank as the retained categories of the last ``n_cat_bank`` entries
-(smoothing noisy per-frame classifications by majority vote), the state from
-the last entry's frame (``Tracker.state``), and the feature bank, the last
-``n_bank`` matched embeddings (FIFO) as float64 unit rows
-(``Tracker.bank``). The bank similarity is the mean cosine against every
-entry, which is considerably more noise tolerant than an EMA alone. That
-mean equals one dot product with the mean of the bank's unit rows, summed
-afresh in FIFO order from the kept rows on every match.
-
 Similarity between a track and a detection blends the memory and bank
 cosines, ``alpha_sim * C_mem + (1 - alpha_sim) * C_bank``, optionally
 averaged with a bi-directional softmax of the same matrix. The memory is an
-exponential moving average of the matched embeddings,
-``alpha_mem * det + (1 - alpha_mem) * memory``. Matching is greedy per
+EMA of the matched embeddings, ``alpha_mem * det + (1 - alpha_mem) * memory``;
+the feature bank holds the last ``n_bank`` as unit rows, and its mean cosine
+(more noise tolerant than an EMA alone) is one dot product with the mean of
+its rows, summed afresh in FIFO order on every match. The category bank holds
+the retained categories of the last ``n_cat_bank`` entries, with which a
+match's category is voted (``retain_category``). Matching is greedy per
 detection in descending confidence order, each taking its best open track;
-there is no motion model and no box gating, appearance carries everything.
-``associate_frame`` makes that greedy's decisions in array passes: every
-detection's best track at once, accepted for the longest prefix of the
-visit order in which no detection wants a track claimed earlier in it,
-then again for the displaced rest, and after ``_GREEDY_ROUNDS`` rounds
-one detection at a time.
+appearance carries everything. ``associate_frame`` makes the greedy's
+decisions in array passes and returns them as one ``io.EventBlock``.
 
-``Tracker`` keeps its live tracks (active or lost) in ``live``, in id
-order, and drops a track in the frame it dies, so per-frame work grows with
-the live tracks only, never with every track ever born. Beside ``live`` it
-keeps one row per live track in two float64 arrays: ``memory`` and the
-query row ``alpha_sim * memory / ||memory|| + (1 - alpha_sim) * mean(bank)``.
-Every live bank is a row of one ``(slots, n_bank, d)`` float64 store, used
-as a ring: a track's k-th banked row sits in slot ``k % n_bank``, and its
-count of banked rows gives the fill. Only a live track has a bank: a
-dying track's store row is taken by the next birth, so the store is never
-rebuilt when tracks are born or die. Scoring a frame is one product of
-the stored query with the unit detections, and the bi-softmax. A step
-updates the rows of the tracks it matched together: one bank write, one
-mean per fill count, one EMA, one normalization and one blend over the
-matched rows.
-
-A frame comes in as an ``io.DetectionFrame``, the per-frame block of
-columns that ``io.load_detections`` and ``synth.gen_scene`` return. The
-step's (D, d) rows are one float64 copy of the block's ``embedding`` column,
-and a new entry, a match's or a birth's, is built in one place from the
-block's columns as Python lists.
-
-Detection embeddings are never mutated; only the banks and the query hold
-normalized copies.
+``Tracker`` keeps the live tracks' ids in ``live`` (id order) and drops a
+track in the frame it dies, so per-frame work grows with the live tracks
+only. Row i of ``memory`` and of the query ``alpha_sim * unit memory +
+(1 - alpha_sim) * mean(bank)`` belongs to ``live[i]``, and both its banks are
+rings in one row of a store, which the next birth takes once it dies: its
+k-th entry's unit row in slot ``k % n_bank`` of the feature store, its
+retained category in slot ``k % w`` of the category store. A step updates
+the tracks it matched together: one category vote (``retain_categories``),
+one bank write, one mean per fill count, one EMA, one normalization and one
+blend. It appends its matches' and births' (track, detection, retained
+category, box, confidence) columns, which ``Tracker.table`` sorts by track
+into one ``io.TrackTable`` with one stable sort. Detection embeddings are
+never mutated.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimMismatchError, NonFiniteError, ZeroNormError
-from .io import DetectionFrame, TrackEntry
+from .io import EVENT_KINDS, DetectionFrame, EventBlock, TrackTable, _int_column, _runs
 
 SIM_MODES = ("cosine_only", "cosine_plus_bisoftmax")
 
-MATCHED = "matched"
-BORN = "born"
-DISCARDED = "discarded"
-DIED = "died"
+MATCHED, BORN, DISCARDED, DIED = EVENT_KINDS
+_MATCHED, _BORN, _DISCARDED, _DIED = range(len(EVENT_KINDS))  # their codes in an EventBlock
 
 
 class TrackState(str, Enum):
@@ -120,21 +95,6 @@ class TrackerConfig:
         _check_temperature(self.softmax_temperature, "softmax_temperature")
 
 
-@dataclass(eq=False)
-class Track:
-    id: int
-    observations: list[TrackEntry] = field(default_factory=list)  # category_id is the retained one
-
-
-@dataclass
-class AssociationEvent:
-    frame: int
-    kind: str  # matched | born | discarded | died
-    track_id: int | None = None
-    det_idx: int | None = None
-    score: float | None = None
-
-
 def update_memory(memory: np.ndarray, det_emb: np.ndarray, alpha_mem: float) -> np.ndarray:
     """EMA update: alpha_mem * det + (1 - alpha_mem) * memory."""
     memory = np.asarray(memory, dtype=np.float64)
@@ -167,12 +127,8 @@ def bisoftmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
 
 
 def score_matrix(query: np.ndarray, det_units: np.ndarray, cfg: TrackerConfig) -> np.ndarray:
-    """(T, D) association scores of T query rows against D unit detection rows.
-
-    A track's query row is ``alpha_sim * memory_unit + (1 - alpha_sim) *
-    bank_mean``: a bank's mean cosine is the dot product with its mean row,
-    so the blend is one product.
-    """
+    """(T, D) association scores of T query rows against D unit detection rows: a bank's mean
+    cosine is the dot product with its mean row, so the memory and bank blend is one product."""
     T, D = len(query), len(det_units)
     if T == 0 or D == 0:
         return np.zeros((T, D))
@@ -184,12 +140,11 @@ def score_matrix(query: np.ndarray, det_units: np.ndarray, cfg: TrackerConfig) -
     return 0.5 * (r + bisoftmax(r, cfg.softmax_temperature))
 
 
-# Prefix rounds of the batched greedy before the displaced rest is matched one at a
-# time. No frame of perfbench's longrun and crowd scenes (seeds 1-3) or bench/scale.py's
-# scenes of 100 to 1,000 identities takes more than 3. Rounds copy the rest's columns, so
-# a frame in which every detection ranks the tracks alike, one round per detection, costs
-# O(T * D**2) uncapped: at T = D = 1,000 on one core of a 2-core Xeon, 1.2 s, against
-# 32 ms with 4 rounds, about 3 ms more per further round, and 22 ms with 1.
+# Prefix rounds of the batched greedy before the displaced rest is matched one at a time; no
+# frame of perfbench's longrun and crowd scenes (seeds 1-3) or bench/scale.py's scenes of 100 to
+# 1,000 identities takes more than 3. Uncapped, a frame in which every detection ranks the tracks
+# alike takes one round per detection, O(T * D**2): at T = D = 1,000 on one core of a 2-core
+# Xeon, 1.2 s, against 32 ms with 4 rounds, about 3 ms more per further round, and 22 ms with 1.
 _GREEDY_ROUNDS = 4
 
 
@@ -206,26 +161,22 @@ def _greedy_loop(open_rows: np.ndarray, tau_match: float) -> tuple[np.ndarray, n
     return picked, picked_scores
 
 
-def associate_frame(tracks: Sequence[Track], dets: DetectionFrame, scores: np.ndarray, cfg: TrackerConfig,
-                    next_track_id: int = 0) -> list[AssociationEvent]:
-    """Greedy assignment of detections to tracks in confidence order.
+def associate_frame(track_ids: Sequence[int], dets: DetectionFrame, scores: np.ndarray, cfg: TrackerConfig,
+                    next_track_id: int = 0) -> EventBlock:
+    """Greedy assignment of detections to the tracks ``track_ids`` (row i of ``scores`` is
+    track ``track_ids[i]``'s): one event per detection, in visit order.
 
-    Detections are visited by descending confidence (ties by lower index).
-    Each takes the best still-unmatched track if that score reaches
-    tau_match; otherwise it is born as a new track when its confidence
-    reaches tau_new, or discarded. Born events receive consecutive ids
-    starting at ``next_track_id``.
-
-    The decisions are made in rounds. Every undecided detection takes its
-    best track with the claimed ones masked; the longest prefix of the
-    visit order in which no detection wants a track claimed earlier in the
-    prefix is decided, since masking claims after it changes none of those
-    argmaxes. A best score below tau_match stays below once tracks close,
-    so such a detection wants no track. The displaced rest goes to the
-    next round, and after ``_GREEDY_ROUNDS`` rounds to the loop.
+    Detections are visited by descending confidence (ties by lower index). Each takes the best
+    still-unmatched track if that score reaches tau_match; otherwise it is born as a new track
+    (ids from ``next_track_id`` on) when its confidence reaches tau_new, or discarded. The
+    decisions are made in rounds: every undecided detection takes its best track with the
+    claimed ones masked, and the longest prefix of the visit order in which no detection wants a
+    track claimed earlier in it is decided, since later claims change none of those argmaxes (a
+    best score below tau_match stays below). The rest goes to the next round, and after
+    ``_GREEDY_ROUNDS`` rounds to the loop.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    T, D = len(tracks), len(dets)
+    T, D = len(track_ids), len(dets)
     if scores.shape != (T, D):
         raise DimMismatchError(f"scores shape {scores.shape} != ({T}, {D})")
     tau = cfg.tau_match
@@ -260,19 +211,14 @@ def associate_frame(tracks: Sequence[Track], dets: DetectionFrame, scores: np.nd
         open_rows[:, claimed] = -np.inf
         track_of[rest], score_of[rest] = _greedy_loop(open_rows, tau)
 
-    events: list[AssociationEvent] = []
-    frame, confs = dets.frame, dets.confidence.tolist()
-    picked, picked_scores = track_of.tolist(), score_of.tolist()
-    for i in order.tolist():
-        k = picked[i]
-        if k >= 0:
-            events.append(AssociationEvent(frame, MATCHED, tracks[k].id, i, picked_scores[i]))
-        elif confs[i] >= cfg.tau_new:
-            events.append(AssociationEvent(frame, BORN, next_track_id, i))
-            next_track_id += 1
-        else:
-            events.append(AssociationEvent(frame, DISCARDED, None, i))
-    return events
+    track_of, score_of = track_of[order], score_of[order]
+    matched = track_of >= 0
+    born = ~matched & (dets.confidence[order] >= cfg.tau_new)
+    track = np.full(D, -1, dtype=np.int64)
+    track[matched] = np.asarray(track_ids, dtype=np.int64)[track_of[matched]]
+    track[born] = next_track_id + np.arange(np.count_nonzero(born))
+    kind = np.where(matched, _MATCHED, np.where(born, _BORN, _DISCARDED)).astype(np.int8)
+    return EventBlock(dets.frame, kind, track, order, np.where(matched, score_of, np.nan))
 
 
 def majority_vote(items: Sequence[int]) -> tuple[int, float]:
@@ -288,60 +234,61 @@ def majority_vote(items: Sequence[int]) -> tuple[int, float]:
     return winner, counts[winner] / len(items)
 
 
-def retain_category(track: Track, confidence: float, category_id: int, cfg: TrackerConfig) -> int:
-    """Decide which category a matched detection contributes.
-
-    High-confidence raw predictions pass through, mid-confidence ones are
-    smoothed by voting together with the category bank (the retained
-    categories of the track's last ``n_cat_bank`` entries), low-confidence
-    ones defer to the bank entirely.
-    """
+def retain_category(retained: Sequence[int], confidence: float, category_id: int, cfg: TrackerConfig) -> int:
+    """The category a detection matched to a track contributes, ``retained`` the retained
+    categories of the track's entries, oldest first: a high-confidence one passes through, a
+    mid-confidence one is voted with the category bank (the last ``n_cat_bank`` of them), a
+    low-confidence one defers to the bank. The reference of ``retain_categories``."""
     if confidence >= cfg.tau_high:
         return category_id
-    bank = [e.category_id for e in track.observations[-cfg.n_cat_bank:]]
+    bank = list(retained[-cfg.n_cat_bank:])
     if confidence >= cfg.tau_low:
         return majority_vote([*bank, category_id])[0]
     return majority_vote(bank)[0] if bank else category_id
 
 
-class Tracker:
-    """Stateful frame-by-frame association engine.
+def retain_categories(banks: np.ndarray, known: np.ndarray, confidence: np.ndarray, category_id: np.ndarray,
+                      cfg: TrackerConfig) -> np.ndarray:
+    """``retain_category`` of M matches at once, row m of the (M, n) ``banks`` match m's category
+    bank, oldest first, of which the entries where ``known`` holds count."""
+    votes = np.concatenate([banks, category_id[:, None]], axis=1)
+    valid = np.concatenate([known, (confidence >= cfg.tau_low)[:, None]], axis=1)
+    k = votes.shape[1]
+    same = (votes[:, :, None] == votes[:, None, :]) & valid[:, None, :]  # vote l is for vote j's category
+    key = np.where(valid, same.sum(axis=2) * k + np.where(same, np.arange(k), -1).max(axis=2), -1)
+    winner = votes[np.arange(len(votes)), key.argmax(axis=1)]
+    return np.where((confidence >= cfg.tau_high) | ~valid.any(axis=1), category_id, winner)
 
-    ``tracks`` holds every track ever born, in id order. ``live`` holds the
-    live ones (active or lost), in id order; row i of ``memory`` and
-    ``query`` belongs to ``live[i]``, and only these rows are scored. After
-    each ``step``, ``last_scores`` is the (live, detections) score matrix
-    that association used, ``last_ids`` names the track of each of its
-    rows, ``state(track)`` gives any track's state and ``bank(track)`` a live
-    track's feature bank.
-    """
+
+class Tracker:
+    """Stateful frame-by-frame association engine. After each ``step``, ``last_scores`` is the
+    (live, detections) score matrix association used, its rows the tracks ``last_ids``."""
 
     def __init__(self, cfg: TrackerConfig | None = None):
         self.cfg = cfg or TrackerConfig()
-        self.tracks: list[Track] = []
-        self.live: list[Track] = []  # a track leaves in the frame it dies
+        self.live = np.zeros(0, dtype=np.int64)  # a track leaves in the frame it dies
         self.memory = np.zeros((0, 0))  # EMA of each live track's matched embeddings
         self.query = np.zeros((0, 0))  # alpha_sim * unit memory + (1 - alpha_sim) * mean(bank)
         self.last_scores = np.zeros((0, 0))
         self.last_ids: list[int] = []
-        # The step that last matched each live track, an index into _frames:
-        # unlike a frame number it always fits an int64.
+        # The step (an index into _frames, always an int64) that last matched each live track
         self._last_step = np.zeros(0, dtype=np.int64)
         self._frames: list[int] = []  # the frame of every step so far
         self._width: int | None = None  # fixed by the first detection
         self._next_id = 1
-        # Every live bank, a ring of unit rows: live[i]'s k-th banked row is in
-        # _banks[_slot[i], k % n_bank], and _banked[i] rows have been banked.
+        # live[i] has _entries[i] entries, and its banks are rows _slot[i] of the stores; the category
+        # store is at least min(n_cat_bank, a live track's entries) wide (``_widen``)
         self._banks = np.zeros((0, self.cfg.n_bank, 0))
+        self._cats = np.zeros((0, min(self.cfg.n_cat_bank, 8)), dtype=np.int64)
         self._slot = np.zeros(0, dtype=np.int64)
-        self._banked = np.zeros(0, dtype=np.int64)
-        self._free: list[int] = []  # rows of _banks no live track holds
+        self._entries = np.zeros(0, dtype=np.int64)
+        self._free: list[int] = []  # rows of the stores no live track holds
+        self._new: list[tuple] = []  # (step, track, det, cat, bbox, conf) of each step's matches and births
 
     def _rows(self, frame: int, dets: DetectionFrame) -> np.ndarray:
-        """The block's embeddings as (D, d) float64 rows, of the tracker's width, which the first
-        non-empty block fixes. A block of another width raises DimMismatchError, and a non-finite
-        embedding or confidence NonFiniteError, before any state changes: its NaN scores would
-        spread through the bi-softmax to every track."""
+        """The block's embeddings as (D, d) float64 rows, of the width the first non-empty block
+        fixes. Before any state changes, DimMismatchError refuses another width and NonFiniteError
+        a non-finite embedding or confidence, whose NaN scores would spread to every track."""
         width = self._width
         if not len(dets):
             return np.zeros((0, width or 0))
@@ -357,130 +304,163 @@ class Tracker:
             self._width = rows.shape[1]
             self.memory, self.query = np.zeros((0, self._width)), np.zeros((0, self._width))
             self._banks = np.zeros((0, self.cfg.n_bank, self._width))
+        if dets.category_id.dtype == object:  # an id outside int64: the bank keeps Python ints
+            self._cats = self._cats.astype(object)
         return rows
 
-    def state(self, track: Track) -> TrackState:
-        """ACTIVE if the last step matched the track, LOST while its last match is at most
-        ``max_age`` frames back, DEAD after that: the rule ``step`` kills a track by."""
-        age = self._frames[-1] - track.observations[-1].frame
-        return TrackState.DEAD if age > self.cfg.max_age else TrackState.LOST if age else TrackState.ACTIVE
+    def _row(self, track_id: int) -> int | None:
+        """The live row of ``track_id``, or None when it is not live."""
+        row = int(np.searchsorted(self.live, track_id))
+        return row if row < len(self.live) and self.live[row] == track_id else None
+
+    def state(self, track_id: int) -> TrackState:
+        """ACTIVE if the last step matched the track, LOST while it is live, DEAD once ``step``
+        dropped it (its last match more than ``max_age`` frames back); ValueError if never born."""
+        if not 1 <= track_id < self._next_id:
+            raise ValueError(f"track {track_id} was never born")
+        row = self._row(track_id)
+        return (TrackState.DEAD if row is None else TrackState.ACTIVE
+                if self._last_step[row] == len(self._frames) - 1 else TrackState.LOST)
 
     def _ring(self, rows: np.ndarray, fill: int) -> np.ndarray:
         """The banks of live ``rows`` that each hold ``fill`` rows, as (rows, fill, d), oldest first."""
         n = self.cfg.n_bank
-        slots = (self._banked[rows, None] - fill + np.arange(fill)) % n
+        slots = (self._entries[rows, None] - fill + np.arange(fill)) % n
         return self._banks[self._slot[rows, None], slots]
 
-    def bank(self, track: Track) -> np.ndarray:
+    def bank(self, track_id: int) -> np.ndarray:
         """A live track's last ``n_bank`` matched embeddings as (n, d) float64 unit rows,
         oldest first; ValueError naming any other track."""
-        if track not in self.live:
-            raise ValueError(f"track {track.id} is not live, and only a live track has a bank")
-        row = self.live.index(track)
-        return self._ring(np.array([row]), min(int(self._banked[row]), self.cfg.n_bank))[0]
+        row = self._row(track_id)
+        if row is None:
+            raise ValueError(f"track {track_id} is not live, and only a live track has a bank")
+        return self._ring(np.array([row]), min(int(self._entries[row]), self.cfg.n_bank))[0]
+
+    def _retain(self, rows: np.ndarray, confidence: np.ndarray, category_id: np.ndarray) -> np.ndarray:
+        """The retained category (``retain_categories``) of live row ``rows[j]`` matched to a
+        detection of ``confidence[j]`` and ``category_id[j]``, kept in the category banks."""
+        if (n := self._cats.shape[1]) < self.cfg.n_cat_bank and n <= (count := int(self._entries[rows].max())):
+            n = self._widen(min(self.cfg.n_cat_bank, max(count + 1, 2 * n)))
+        kept, low = category_id.astype(self._cats.dtype), np.flatnonzero(confidence < self.cfg.tau_high)
+        if len(low):
+            at = self._entries[rows[low], None] - n + np.arange(n)  # the last n entries, oldest first
+            kept[low] = retain_categories(self._cats[self._slot[rows[low], None], at % n], at >= 0,
+                                          confidence[low], category_id[low], self.cfg)
+        self._cats[self._slot[rows], self._entries[rows] % n] = kept
+        return kept
+
+    def _widen(self, width: int) -> int:
+        """Lay the category store out ``width`` wide, every live bank's entries kept; ``width``."""
+        old, slots = self._cats, self._slot[:, None]
+        at = self._entries[:, None] - old.shape[1] + np.arange(old.shape[1])
+        self._cats = np.zeros((len(old), width), old.dtype)
+        self._cats[slots, at % width] = old[slots, at % old.shape[1]]  # an unknown entry lands where none is kept
+        return width
 
     def _push(self, rows: np.ndarray, units: np.ndarray) -> np.ndarray:
         """Bank ``units[j]`` in live row ``rows[j]``'s bank; the mean of each bank after."""
         n = self.cfg.n_bank
-        self._banks[self._slot[rows], self._banked[rows] % n] = units
-        self._banked[rows] += 1
-        fill = np.minimum(self._banked[rows], n)
+        self._banks[self._slot[rows], self._entries[rows] % n] = units
+        self._entries[rows] += 1
+        fill = np.minimum(self._entries[rows], n)
         means = np.empty_like(units)
         for f in set(fill.tolist()):
-            # Summed afresh from the kept rows, oldest first, as np.add.reduce sums one
-            # bank: subtracting evicted rows would build up rounding error, and adding
-            # an empty slot's zero would turn a -0.0 sum into 0.0.
+            # Summed afresh from the kept rows, oldest first, as np.add.reduce sums one bank: subtracting
+            # evicted rows would build up rounding error, and an empty slot's zero turn -0.0 into 0.0.
             group = fill == f
             means[group] = np.add.reduce(self._ring(rows[group], f), axis=1) / f
         return means
 
     def _take_slots(self, count: int) -> list[int]:
-        """``count`` free rows of the bank store, which doubles when they run out. The new
-        rows are allocated zeroed, so their memory becomes resident only once rows are
-        banked in them."""
+        """``count`` free rows of the bank stores, which double when they run out, zeroed: their
+        memory becomes resident only once rows are banked in them."""
         free = self._free
         if len(free) < count:
             size = len(self._banks)
             grow = max(2 * (count - len(free)), size)
-            banks = np.zeros((size + grow, *self._banks.shape[1:]))
-            banks[:size] = self._banks
-            self._banks = banks
+            self._banks, self._cats = (np.concatenate([store, np.zeros((grow, *store.shape[1:]), store.dtype)])
+                                       for store in (self._banks, self._cats))
             free.extend(range(size, size + grow))
         taken = free[-count:]
         del free[-count:]
         return taken
 
-    def step(self, frame: int, dets: DetectionFrame) -> list[AssociationEvent]:
-        """Process one frame's block; frames must be strictly increasing."""
+    def step(self, frame: int, dets: DetectionFrame) -> EventBlock:
+        """Process one frame's block; frames must be strictly increasing. The frame's events:
+        one per detection in visit order, then one per track that died."""
         frames = self._frames
         if frames and frame <= frames[-1]:
             raise ValueError(f"frames must be strictly increasing, got {frame} after {frames[-1]}")
         cfg = self.cfg
-        live = self.live
+        ids = self.live
         emb = self._rows(frame, dets)
         units = _normalize_rows(emb)
         scores = score_matrix(self.query, units, cfg)
-        events = associate_frame(live, dets, scores, cfg, next_track_id=self._next_id)
-        ids = [t.id for t in live]
-        self.last_scores, self.last_ids = scores, ids
+        events = associate_frame(ids, dets, scores, cfg, next_track_id=self._next_id)
+        self.last_scores, self.last_ids = scores, ids.tolist()
         now = len(frames)
         frames.append(frame)
 
-        matched = [(ev.track_id, ev.det_idx) for ev in events if ev.kind == MATCHED]
-        born = [ev for ev in events if ev.kind == BORN]
-        # the new entries' values, as Python ints and floats
-        boxes, confs, cats = dets.bbox.tolist(), dets.confidence.tolist(), dets.category_id.tolist()
-        a = cfg.alpha_sim
-        last = self._last_step
-        new = []  # (track, detection) of each new entry
-        if matched:
-            track_ids, cols = map(list, zip(*matched))
-            rows = np.searchsorted(ids, track_ids)
+        kind, track, det = events.kind, events.track, events.det
+        a, last = cfg.alpha_sim, self._last_step
+        if (hit := kind == _MATCHED).any():
+            cols, conf = det[hit], dets.confidence[det[hit]]
+            rows = np.searchsorted(ids, track[hit])
+            cats = self._retain(rows, conf, dets.category_id[cols])
+            self._new.append((now, track[hit], cols, cats, dets.bbox[cols], conf))
             means = self._push(rows, units[cols])
             memory = update_memory(self.memory[rows], emb[cols], cfg.alpha_mem)
             self.memory[rows] = memory
             self.query[rows] = a * _normalize_rows(memory) + (1.0 - a) * means
             last[rows] = now
-            new += zip([live[row] for row in rows.tolist()], cols)
 
         # A track dies once its last match is more than max_age frames back.
         oldest = bisect_left(frames, frame - cfg.max_age)
         dead = np.flatnonzero(last < oldest)
         if len(dead):
-            for row in dead.tolist():
-                events.append(AssociationEvent(frame, DIED, live[row].id))
+            n = len(dead)
+            events = EventBlock(frame, *map(np.concatenate, zip((kind, track, det, events.score), (
+                np.full(n, _DIED, np.int8), ids[dead], np.full(n, -1), np.full(n, np.nan)))))
             self._free += self._slot[dead].tolist()
             keep = last >= oldest
-            live = [live[row] for row in np.flatnonzero(keep)]
-            self.memory, self.query, last = self.memory[keep], self.query[keep], last[keep]
-            self._slot, self._banked = self._slot[keep], self._banked[keep]
+            ids, last = ids[keep], last[keep]
+            self.memory, self.query = self.memory[keep], self.query[keep]
+            self._slot, self._entries = self._slot[keep], self._entries[keep]
 
-        if born:
+        if (born := kind == _BORN).any():
             # Born ids exceed every live id, so the rows stay in id order.
-            cols = [ev.det_idx for ev in born]
-            slots = self._take_slots(len(born))
+            cols, new_ids = det[born], track[born]
+            slots = self._take_slots(len(cols))
             block = units[cols]
             self._banks[slots, 0] = block
-            self.tracks += [Track(ev.track_id) for ev in born]
-            live = live + self.tracks[-len(born):]
-            new += zip(live[-len(born):], cols)
+            self._cats[slots, 0] = cats = dets.category_id[cols]
+            self._new.append((now, new_ids, cols, cats, dets.bbox[cols], dets.confidence[cols]))
+            ids = np.concatenate([ids, new_ids])
             self.memory = np.concatenate([self.memory, emb[cols]])
             self.query = np.concatenate([self.query, a * block + (1.0 - a) * block])
-            last = np.concatenate([last, np.full(len(born), now)])
+            last = np.concatenate([last, np.full(len(cols), now)])
             self._slot = np.concatenate([self._slot, slots])
-            self._banked = np.concatenate([self._banked, np.ones(len(born), dtype=np.int64)])
-            self._next_id = born[-1].track_id + 1
-        self.live, self._last_step = live, last
-        for track, i in new:
-            # a newborn track's category bank is empty, so retain_category would keep the raw one
-            cat = retain_category(track, confs[i], cats[i], cfg) if track.observations else cats[i]
-            track.observations.append(TrackEntry(dets.frame, tuple(boxes[i]), confs[i], cat, i))
+            self._entries = np.concatenate([self._entries, np.ones(len(cols), dtype=np.int64)])
+            self._next_id = int(new_ids[-1]) + 1
+        self.live, self._last_step = ids, last
         return events
 
+    def table(self) -> TrackTable:
+        """Every track's entries so far as one unlabelled ``io.TrackTable``, the steps' columns
+        sorted by track with one stable sort; an entry's frame is its step's."""
+        none = np.zeros(0, dtype=np.int64)
+        new = self._new or [(0, none, none, none, np.zeros((0, 4)), np.zeros(0))]
+        step = np.repeat([part[0] for part in new], [len(part[1]) for part in new])
+        track, det, cat, bbox, conf = (np.concatenate([part[k] for part in new]) for k in range(1, 6))
+        order = np.argsort(track, kind="stable")
+        tags = [None] * (len(bounds := _runs(track[order])) - 1)
+        return TrackTable(track[order], _int_column(self._frames)[step[order]], bbox[order], bounds, conf[order],
+                          cat[order], det[order], tags, list(tags), list(tags))
 
-def run_sequence(dets_by_frame: dict[int, DetectionFrame], cfg: TrackerConfig | None = None) -> list[Track]:
-    """Track a whole sequence; returns every track ever born, in id order."""
+
+def run_sequence(dets_by_frame: dict[int, DetectionFrame], cfg: TrackerConfig | None = None) -> TrackTable:
+    """Track a whole sequence; returns every track's entries as one ``io.TrackTable``."""
     tracker = Tracker(cfg)
     for frame in sorted(dets_by_frame):
         tracker.step(frame, dets_by_frame[frame])
-    return tracker.tracks
+    return tracker.table()

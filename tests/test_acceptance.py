@@ -14,13 +14,7 @@ import numpy as np
 import pytest
 
 from trajkit import cli, fusion, io
-from trajkit.classify import (
-    ClassifyConfig,
-    classify_trajectory,
-    label_record,
-    record_embeddings,
-    to_track_record,
-)
+from trajkit.classify import ClassifyConfig, clip_embeddings
 from trajkit.fusion import (
     LN_EPS,
     concat_score,
@@ -246,26 +240,25 @@ def test_criterion_03_zero_noise_oracle(capfd):
         scene = gen_scene(SynthConfig(n_identities=20, n_frames=100, n_categories=4,
                                       embed_dim=32, noise_sigma=0.0, seed=303))
         t0 = time.perf_counter()
-        tracks = run_sequence(scene.detections, TrackerConfig())
-        assert len(tracks) == 20
+        table = run_sequence(scene.detections, TrackerConfig())
+        assert len(table) == 20
 
         # zero switches: the detections inside each track belong to one identity
         # and no identity is split across tracks
         seen = {}
-        for tr in tracks:
-            idents = {scene.detection_identity[o.frame][o.det_idx] for o in tr.observations}
+        for rec in table:
+            idents = {scene.detection_identity[e.frame][e.det_idx] for e in rec.entries}
             assert len(idents) == 1
             ident = idents.pop()
             assert ident not in seen
-            seen[ident] = tr.id
-            assert len(tr.observations) == 100
+            seen[ident] = rec.track_id
+            assert len(rec.entries) == 100
         assert len(seen) == 20
 
         ccfg = ClassifyConfig()
-        recs = [label_record(r, classify_trajectory(
-                    r.entries, record_embeddings(r, scene.detections), scene.vocabulary, None, ccfg))
-                for r in map(to_track_record, tracks)]
-        rep = evaluate(recs, scene.gt_tracks, EvalConfig(splits=scene.vocabulary.splits()))
+        cli._label(table, clip_embeddings(table, scene.detections, ccfg.n_clip), scene.vocabulary, None, ccfg,
+                   None, "scene")
+        rep = evaluate(table, scene.gt_tracks, EvalConfig(splits=scene.vocabulary.splits()))
         elapsed = time.perf_counter() - t0
         assert rep.overall.loc_a == pytest.approx(100.0, abs=1e-9)
         assert rep.overall.ass_a == pytest.approx(100.0, abs=1e-9)
@@ -286,9 +279,8 @@ def _occlusion_ass_a(seed, n_bank):
         occ.append((i, start, start + length - 1))
     scene = gen_scene(SynthConfig(n_identities=n_id, n_frames=n_fr, n_categories=3,
                                   embed_dim=8, noise_sigma=0.2, occlusion=occ, seed=seed))
-    tracks = run_sequence(scene.detections, TrackerConfig(n_bank=n_bank))
-    recs = [to_track_record(t) for t in tracks]
-    return evaluate(recs, scene.gt_tracks, EvalConfig()).overall.ass_a
+    table = run_sequence(scene.detections, TrackerConfig(n_bank=n_bank))
+    return evaluate(table, scene.gt_tracks, EvalConfig()).overall.ass_a
 
 
 def test_criterion_04_bank_beats_memory_only_under_occlusion(capfd):
@@ -327,14 +319,10 @@ def test_criterion_05_voting_beats_per_frame_labels(capfd):
                     correct += det.category_id == scene.identity_category[ident]
             per_frame = 100.0 * correct / total
 
-            tracks = run_sequence(scene.detections, TrackerConfig())
-            recs = []
-            for t in tracks:
-                rec = to_track_record(t)
-                rec.label, _ = majority_vote([e.category_id for e in t.observations])
-                rec.label_source = "det"
-                recs.append(rec)
-            cls_a = evaluate(recs, scene.gt_tracks, EvalConfig()).overall.cls_a
+            table = run_sequence(scene.detections, TrackerConfig())
+            cats, bounds = table.cat.tolist(), table.bounds.tolist()
+            table.label[:] = [majority_vote(cats[lo:hi])[0] for lo, hi in zip(bounds, bounds[1:])]
+            cls_a = evaluate(table, scene.gt_tracks, EvalConfig()).overall.cls_a
             assert cls_a > per_frame  # strict on every seed
             margins.append(cls_a - per_frame)
         mean_margin = float(np.mean(margins))

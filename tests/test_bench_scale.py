@@ -23,8 +23,9 @@ def test_scale_writes_one_cell(tmp_path):
     assert set(cell) == {"identities", "frames", "detections", "live_per_frame", "live_last_frame", "tracks",
                          "ms_per_frame", "ms_per_frame_q1", "ms_per_frame_q3"}
     for key in ("ms_per_frame", "ms_per_frame_q1", "ms_per_frame_q3"):
-        assert set(cell[key]) == {"load", "score_matrix", "associate_frame", "update", "step", "write", "evaluate",
-                                  "frame_matching"}
+        assert set(cell[key]) == {"load", "score_matrix", "associate_frame", "update", "step", "label", "write",
+                                  "evaluate", "frame_matching"}
     assert 0 < cell["ms_per_frame"]["frame_matching"] < cell["ms_per_frame"]["evaluate"]
+    assert cell["ms_per_frame"]["label"] > 0
     # one run: its quartiles are its median
     assert cell["ms_per_frame_q1"] == cell["ms_per_frame"] == cell["ms_per_frame_q3"]

@@ -11,10 +11,9 @@ from trajkit.classify import (
     ClassifyConfig,
     affinity,
     classify_trajectory,
+    clip_embeddings,
     project_language,
-    record_embeddings,
     sample_clip,
-    to_track_record,
 )
 from trajkit.errors import DimMismatchError, FormatError, MissingWeightsError
 from trajkit.fusion import FUSION_MECHANISMS, init_fusion_weights
@@ -27,14 +26,22 @@ def _det(emb, conf=0.9, cat=0, frame=0, bbox=None):
                               np.asarray(emb, dtype=np.float32))
 
 
-def _trajectory(dets_by_frame, cfg=None):
-    """The entries and embeddings of the one track the detections, lists of records, form."""
+def _tracked(dets_by_frame, cfg=None):
+    """The table of the tracks the detections, lists of records, form, and their blocks."""
     dets_by_frame = {f: block(dets) for f, dets in dets_by_frame.items()}
     tk = Tracker(cfg or TrackerConfig(tau_new=0.0, tau_match=0.1))
     for f in sorted(dets_by_frame):
         tk.step(f, dets_by_frame[f])
-    assert len(tk.tracks) == 1
-    return tk.tracks[0].observations, record_embeddings(to_track_record(tk.tracks[0]), dets_by_frame)
+    return tk.table(), dets_by_frame
+
+
+def _trajectory(dets_by_frame, cfg=None, n_clip=5):
+    """The clip and retained categories of the one track the detections form."""
+    table, blocks = _tracked(dets_by_frame, cfg)
+    assert len(table) == 1
+    clip, bounds = clip_embeddings(table, blocks, n_clip)
+    assert bounds == [0, len(clip)]
+    return clip, table.cat.tolist()
 
 
 def _vocab(d, protos, names=None, splits=None):
@@ -50,8 +57,7 @@ def _vocab(d, protos, names=None, splits=None):
 def test_sample_clip_keeps_all_when_short():
     # each row is [1, frame], so the picked frames read off the rows
     dets = {f: [_det([1.0, float(f)], conf=0.5 + 0.1 * f, frame=f)] for f in range(3)}
-    traj = _trajectory(dets)
-    clip = sample_clip(*traj, n_clip=5)
+    clip, _ = _trajectory(dets, n_clip=5)
     assert clip.dtype == np.float64
     assert clip.tolist() == [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]
 
@@ -59,17 +65,41 @@ def test_sample_clip_keeps_all_when_short():
 def test_sample_clip_top_confidence_chronological():
     confs = {0: 0.2, 1: 0.9, 2: 0.5, 3: 0.95, 4: 0.1, 5: 0.8}
     dets = {f: [_det([1.0, float(f)], conf=c, frame=f)] for f, c in confs.items()}
-    traj = _trajectory(dets)
-    clip = sample_clip(*traj, n_clip=3)
+    clip, _ = _trajectory(dets, n_clip=3)
     # picks frames 3, 1, 5 by confidence, then reorders chronologically
     assert clip.tolist() == [[1.0, 1.0], [1.0, 3.0], [1.0, 5.0]]
+    assert sample_clip(_tracked(dets)[0], 3).tolist() == [1, 3, 5]
 
 
 def test_sample_clip_confidence_tie_prefers_earlier_frame():
     dets = {f: [_det([1.0, float(f)], conf=0.7, frame=f)] for f in range(4)}
-    traj = _trajectory(dets)
-    clip = sample_clip(*traj, n_clip=2)
+    clip, _ = _trajectory(dets, n_clip=2)
     assert clip.tolist() == [[1.0, 0.0], [1.0, 1.0]]
+
+
+def _reference_clip(rows, n_clip):
+    """One track's clip rows as (frame, confidence, row) triples picked one track at a time: all
+    when short, else the top n_clip by confidence with ties to the earlier frame, by frame."""
+    picked = sorted(rows)
+    if len(picked) > n_clip:
+        picked = sorted(sorted(picked, key=lambda r: (-r[1], r[0]))[:n_clip])
+    return [row for _, _, row in picked]
+
+
+@pytest.mark.parametrize("n_clip", [1, 2, 5, 9])
+def test_sample_clip_picks_every_track_as_one_track_at_a_time(n_clip):
+    # many tracks of 1 to 12 rows in one pass, confidences with ties and -0.0
+    rng = np.random.default_rng(n_clip)
+    for _ in range(30):
+        sizes = rng.integers(1, 13, rng.integers(0, 8))
+        conf = rng.choice([0.0, -0.0, 0.3, 0.3, 0.5, 0.9, 1.0], int(sizes.sum()))
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        frame = np.concatenate([np.zeros(0), *(np.sort(rng.choice(50, k, replace=False)) for k in sizes)]).astype(np.int64)
+        table = io.TrackTable(np.repeat(np.arange(len(sizes)), sizes), frame, np.zeros((len(conf), 4)), bounds,
+                              conf, frame, frame, [None] * len(sizes), [None] * len(sizes), [None] * len(sizes))
+        want = [row for lo, hi in zip(bounds, bounds[1:])
+                for row in _reference_clip([(frame[r], conf[r], r) for r in range(lo, hi)], n_clip)]
+        assert sample_clip(table, n_clip).tolist() == want
 
 
 def test_project_language_identity_and_matrix():
@@ -221,27 +251,30 @@ def test_track_record_roundtrip_via_join(tmp_path):
     tk = Tracker(TrackerConfig(tau_new=0.0, tau_match=-1.0))
     for f in sorted(dets_by_frame):
         tk.step(f, dets_by_frame[f])
-    records = [to_track_record(t) for t in tk.tracks]
+    table = tk.table()
 
     det_path = tmp_path / "d.jsonl"
     trk_path = tmp_path / "t.jsonl"
     io.write_detections(dets_by_frame, det_path, sidecar=True)
-    io.write_tracks(records, trk_path)
+    io.write_tracks(table, trk_path)
     dets_back = io.load_detections(det_path)
-    recs_back = io.read_tracks(trk_path)
+    back = io.read_tracks(trk_path)
 
-    for rec, orig in zip(recs_back, tk.tracks):
-        assert rec.track_id == orig.id
-        assert [e.frame for e in rec.entries] == [o.frame for o in orig.observations]
-        got = np.stack(record_embeddings(rec, dets_back))
-        want = np.stack([dets_by_frame[o.frame][o.det_idx].embedding for o in orig.observations])
-        np.testing.assert_allclose(got, want, atol=1e-6)
+    assert list(back) == list(table) and len(table) == 2
+    for rec in back:
+        want = np.stack([dets_by_frame[e.frame][e.det_idx].embedding for e in rec.entries])
+        got = clip_embeddings(io.read_tracks(trk_path), dets_back, n_clip=5)[0]
+        np.testing.assert_allclose(got[5 * (rec.track_id - 1):5 * rec.track_id], want, atol=1e-6)
 
 
-def test_record_embeddings_missing_det():
-    rec = io.TrackRecord(1, [io.TrackEntry(0, (0.0, 0.0, 1.0, 1.0), 0.5, 0, 3)])
-    with pytest.raises(FormatError):
-        record_embeddings(rec, {0: block([_det([1.0, 0.0])])})
+@pytest.mark.parametrize("frame, det", [(0, 3), (0, -1), (1, 0)])
+def test_clip_embeddings_names_the_first_row_without_a_detection(frame, det):
+    rows = [io.TrackEntry(0, (0.0, 0.0, 1.0, 1.0), 0.5, 0, 0), io.TrackEntry(frame + 2, (0.0, 0.0, 1.0, 1.0), 0.5, 0, 0)]
+    table = io._records_table([io.TrackRecord(1, rows), io.TrackRecord(4, [io.TrackEntry(frame, (0.0, 0.0, 1.0, 1.0), 0.5, 0, det)])])
+    blocks = {f: block([_det([1.0, 0.0], frame=f)]) for f in (0, 2, 3)}
+    with pytest.raises(FormatError, match=f"^track 4 references detection {det} of frame {frame}, which the "
+                                          "detections file does not contain$"):
+        clip_embeddings(table, blocks)
 
 
 def test_config_validation():

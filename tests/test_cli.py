@@ -276,8 +276,8 @@ def test_classify_rewrites_labels(tmp_path):
 @pytest.mark.parametrize("fusion", FUSION_MECHANISMS)
 def test_classify_reproduces_track_output(tmp_path, fusion):
     # track --vocabulary and classify on that run's own tracks.jsonl label
-    # the same (record, record_embeddings(record, dets)) pairs through the
-    # same classify_trajectory, so their files must agree byte for byte
+    # the same tracks, clips and retained categories through the same
+    # classify_trajectory, so their files must agree byte for byte
     scene = _synth(tmp_path / "scene", seed=6, extra=["--sigma", "0.2", "--flip-prob", "0.3",
                                                      "--miss-rate", "0.2", "--fp-rate", "1.0",
                                                      "--sidecar"])
@@ -516,9 +516,9 @@ def test_labelling_calls_classify_trajectory_by_the_cli_name(tmp_path, monkeypat
     # command must label each trajectory through that name
     calls, track_counts = [], []
 
-    def counting(entries, embeddings, vocab, weights, cfg, lang):
+    def counting(clip, categories, vocab, weights, cfg, lang):
         calls.append(cfg.fusion)
-        return classify_trajectory(entries, embeddings, vocab, weights, cfg, lang)
+        return classify_trajectory(clip, categories, vocab, weights, cfg, lang)
 
     def counted_run_sequence(*args):
         tracks = run_sequence(*args)

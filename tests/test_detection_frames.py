@@ -117,7 +117,7 @@ def test_empty_first_frames_leave_the_width_to_the_first_detections():
     scene = gen_scene(SynthConfig(n_identities=3, n_frames=6, embed_dim=8, occlusion=[(i, 0, 2) for i in range(3)]))
     tk = Tracker(TrackerConfig())
     for frame in range(3):
-        assert len(scene.detections[frame]) == 0 and tk.step(frame, scene.detections[frame]) == []
+        assert len(scene.detections[frame]) == 0 and list(tk.step(frame, scene.detections[frame])) == []
     narrow = gen_scene(SynthConfig(n_identities=3, n_frames=4, embed_dim=5)).detections[3]
     assert [ev.kind for ev in tk.step(3, narrow)] == ["born"] * 3 and tk.memory.shape == (3, 5)
     with pytest.raises(DimMismatchError, match="^frame 4: detection 0 embedding has shape \\(8,\\), expected \\(5,\\)$"):

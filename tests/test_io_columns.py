@@ -22,7 +22,6 @@ from blocks import block
 from test_io import _FAULTS
 from trajkit import io
 from trajkit.synth import SynthConfig, gen_scene
-from trajkit.tracker import AssociationEvent
 
 EXAMPLES = settings(max_examples=25, deadline=None)
 
@@ -294,13 +293,26 @@ def test_track_template_equals_json_dumps(tmp_path_factory, rows, label):
     assert path.read_text() == "".join(expected)
 
 
+def _event_blocks(events, rows=1):
+    """``io.EventBlock``s of ``rows`` (frame, kind, track, det, score) events each, a block's frame
+    its first event's: None is -1 in the int columns and NaN in the score's."""
+    groups = [events[k:k + rows] for k in range(0, len(events), rows)]
+    return [io.EventBlock(group[0][0], np.array([io.EVENT_KINDS.index(k) for _, k, _, _, _ in group], np.int8),
+                          *(np.array([-1 if v is None else v for v in col], np.int64) for col in list(zip(*group))[2:4]),
+                          np.array([math.nan if s is None else s for *_, s in group], np.float64)) for group in groups]
+
+
 @EXAMPLES
-@given(events=st.lists(st.tuples(ints, st.sampled_from(["matched", "born", "discarded", "died"]),
-                                 st.one_of(st.none(), ints), st.one_of(st.none(), ints),
-                                 st.one_of(st.none(), floats)), max_size=8))
-def test_event_template_equals_json_dumps(tmp_path_factory, events):
+@given(events=st.lists(st.tuples(ints, st.sampled_from(io.EVENT_KINDS),
+                                 st.one_of(st.none(), st.integers(0, 2 ** 63 - 1)),
+                                 st.one_of(st.none(), st.integers(0, 2 ** 63 - 1)),
+                                 st.one_of(st.none(), floats.filter(lambda v: not math.isnan(v)))), max_size=8),
+       rows=st.integers(1, 3))
+def test_event_template_equals_json_dumps(tmp_path_factory, events, rows):
+    # a block's frame is each of its rows', so a block of several rows repeats its first frame
+    events = [(events[k - k % rows][0], *ev[1:]) for k, ev in enumerate(events)]
     path = tmp_path_factory.mktemp("ew") / "events.jsonl"
-    io.write_events([AssociationEvent(*ev) for ev in events], path)
+    io.write_events(_event_blocks(events, rows), path)
     assert path.read_text() == "".join(
         json.dumps({"frame": f, "kind": k, "track": t, "det": d, "score": s}) + "\n" for f, k, t, d, s in events)
 
@@ -404,9 +416,10 @@ def test_tracks_and_groundtruth_round_trip(tmp_path_factory, tracks, label):
        embs=st.lists(embeddings, min_size=1, max_size=4))
 def test_events_and_vocabulary_round_trip(tmp_path_factory, events, embs):
     out = tmp_path_factory.mktemp("ert")
-    io.write_events([AssociationEvent(*ev) for ev in events], out / "events.jsonl")
+    io.write_events(_event_blocks(events), out / "events.jsonl")
     back = [tuple(json.loads(line).values()) for line in (out / "events.jsonl").read_text().splitlines()]
     assert back == [tuple(ev) for ev in events]
+    assert [tuple(vars(ev).values()) for block in _event_blocks(events) for ev in block] == back
     vocab = io.Vocabulary([io.VocabularyEntry(k, f"c{k}", io.SPLITS[k % 2], "d", np.asarray(e, np.float32),
                                               -np.asarray(e, np.float32)) for k, e in enumerate(embs)], 3)
     io.write_vocabulary(vocab, out / "v.json")
@@ -447,10 +460,10 @@ def test_json_floats_equal_json_dumps_on_random_bits():
     assert rows == [[json.dumps(v) for v in row.tolist()] for row in (values[:3], values[3:3], values[3:10])]
 
 
-@pytest.mark.parametrize("score", [np.float64(0.5), np.float64(1e-5), np.float64(math.nan), 0.5, None])
-def test_events_write_a_numpy_score_as_its_float(tmp_path, score):
-    # orjson refuses a numpy scalar, which the writer used to spell with %s
-    io.write_events([AssociationEvent(0, "matched", 1, 0, score)], tmp_path / "events.jsonl")
+@pytest.mark.parametrize("score", [0.5, 1e-5, 1e300, math.inf, None])
+def test_events_write_a_score_column_as_json_spells_its_floats(tmp_path, score):
+    # the writer spells the score column, a NaN (no score) as null, by io._json_floats
+    io.write_events(_event_blocks([(0, "matched", 1, 0, score)]), tmp_path / "events.jsonl")
     assert (tmp_path / "events.jsonl").read_text() == (
         '{"frame": 0, "kind": "matched", "track": 1, "det": 0, "score": %s}\n' % json.dumps(score))
 

@@ -7,7 +7,6 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from trajkit import io, metrics
-from trajkit.classify import to_track_record
 from trajkit.io import GroundTruthTrack, TrackEntry, TrackRecord
 from trajkit.metrics import EvalConfig, evaluate, frame_matching, iou, iou_matrix
 from trajkit.synth import SynthConfig, gen_scene
@@ -146,10 +145,11 @@ def test_evaluate_reads_tables_as_it_reads_their_records(tmp_path, solves):
     # one-to-one (3 of 8 here), so the solver and the frames that skip it both count
     scene = gen_scene(SynthConfig(n_identities=60, n_frames=8, embed_dim=32, noise_sigma=0.1, fp_rate=3.0,
                                   miss_rate=0.05, n_categories=3, seed=1))
-    records = [to_track_record(t) for t in run_sequence(scene.detections)]
-    for i, rec in enumerate(records):
-        rec.label, rec.label_source, rec.scores = i % 3, "det", {"det": 1.0}
-    io.write_tracks(records, tmp_path / "tracks.jsonl")
+    table = run_sequence(scene.detections)
+    table.label[:], table.label_source[:] = [i % 3 for i in range(len(table))], ["det"] * len(table)
+    table.scores[:] = [{"det": 1.0}] * len(table)
+    records = list(table)
+    io.write_tracks(table, tmp_path / "tracks.jsonl")
     io.write_groundtruth(scene.gt_tracks, tmp_path / "gt.jsonl")
     preds, gts = io.read_tracks(tmp_path / "tracks.jsonl"), io.load_groundtruth(tmp_path / "gt.jsonl")
     cfg = EvalConfig(splits={0: "base", 1: "novel"})
@@ -157,6 +157,7 @@ def test_evaluate_reads_tables_as_it_reads_their_records(tmp_path, solves):
     want = evaluate(list(preds), list(gts), cfg).to_dict()
     assert 0 < len(solves) < frames
     assert evaluate(preds, gts, cfg).to_dict() == want == evaluate(records, scene.gt_tracks, cfg).to_dict()
+    assert evaluate(table, scene.gt_tracks, cfg).to_dict() == want
     assert want["overall"]["tp"] > 0
 
 

@@ -14,6 +14,7 @@ from scipy.special import softmax
 from blocks import block
 from trajkit import io
 from trajkit.errors import DimMismatchError, NonFiniteError, ZeroNormError
+from trajkit.io import AssociationEvent
 from trajkit.synth import SynthConfig, gen_scene
 from trajkit.tracker import (
     BORN,
@@ -21,14 +22,13 @@ from trajkit.tracker import (
     DISCARDED,
     MATCHED,
     SIM_MODES,
-    AssociationEvent,
-    Track,
     Tracker,
     TrackerConfig,
     TrackState,
     associate_frame,
     bisoftmax,
     majority_vote,
+    retain_categories,
     retain_category,
     run_sequence,
     score_matrix,
@@ -111,7 +111,7 @@ def _oracle_scores(tracks, dets, cfg):
     return 0.5 * (r + 0.5 * (softmax(logits, axis=1) + softmax(logits, axis=0)))
 
 
-def _oracle_associate(tracks, dets, scores, cfg, next_track_id=0):
+def _oracle_associate(track_ids, dets, scores, cfg, next_track_id=0):
     """The greedy one detection at a time: each takes its best open track."""
     events = []
     # One row per detection; a matched track's column is masked with -inf,
@@ -123,7 +123,7 @@ def _oracle_associate(tracks, dets, scores, cfg, next_track_id=0):
         row = open_scores[i]
         k = int(np.argmax(row)) if len(row) else -1  # ties resolve to the lowest track index
         if k >= 0 and row[k] >= cfg.tau_match:
-            events.append(AssociationEvent(det.frame, MATCHED, tracks[k].id, i, float(row[k])))
+            events.append(AssociationEvent(det.frame, MATCHED, track_ids[k], i, float(row[k])))
             open_scores[:, k] = -np.inf
         elif det.confidence >= cfg.tau_new:
             events.append(AssociationEvent(det.frame, BORN, next_track_id, i))
@@ -139,8 +139,8 @@ def _per_match_oracle(frames, cfg):
     tracks, live, next_id = [], [], 1
     for frame, dets in frames:
         scores = _oracle_scores(live, dets, cfg)
-        events = _oracle_associate(live, dets, scores, cfg, next_track_id=next_id)
         ids = [t.id for t in live]
+        events = _oracle_associate(ids, dets, scores, cfg, next_track_id=next_id)
         born = []
         for ev in events:
             emb = dets[ev.det_idx].embedding
@@ -215,12 +215,6 @@ def test_bisoftmax_temperature_sharpens():
         bisoftmax(logits, 0.0)
 
 
-def _fresh_track(tid, emb, cats=(0,)):
-    """A track whose entries retained ``cats``, oldest first."""
-    entries = [io.TrackEntry(f, (0.0, 0.0, 1.0, 1.0), 0.9, cat, 0) for f, cat in enumerate(cats)]
-    return Track(tid, entries)
-
-
 def test_score_matrix_oracle():
     # brute-force recomputation of the blended score, including the bank mean
     rng = np.random.default_rng(2)
@@ -265,10 +259,9 @@ def test_score_matrix_empty():
 def test_associate_greedy_trace():
     # higher-confidence detection claims the track first even at a lower score
     cfg = TrackerConfig(tau_match=0.4, tau_new=0.3)
-    tr = _fresh_track(5, [1.0, 0.0])
     dets = [_det([1.0, 0.1], conf=0.5), _det([1.0, 0.3], conf=0.9)]
     scores = np.array([[0.9, 0.8]])
-    events = associate_frame([tr], block(dets), scores, cfg, next_track_id=10)
+    events = associate_frame([5], block(dets), scores, cfg, next_track_id=10)
     by_det = {e.det_idx: e for e in events}
     assert by_det[1].kind == MATCHED and by_det[1].track_id == 5
     assert by_det[1].score == pytest.approx(0.8)
@@ -283,19 +276,16 @@ def test_associate_discard_low_confidence():
 
 def test_associate_argmax_tie_lowest_track():
     cfg = TrackerConfig(tau_match=0.1)
-    t0 = _fresh_track(3, [1.0, 0.0])
-    t1 = _fresh_track(4, [1.0, 0.0])
     scores = np.array([[0.7], [0.7]])
-    events = associate_frame([t0, t1], block([_det([1.0, 0.0])]), scores, cfg)
+    events = associate_frame([3, 4], block([_det([1.0, 0.0])]), scores, cfg)
     assert events[0].track_id == 3
 
 
 def test_associate_confidence_tie_lower_index_first():
     cfg = TrackerConfig(tau_match=0.1, tau_new=0.0)
-    tr = _fresh_track(0, [1.0, 0.0])
     dets = [_det([1.0, 0.0], conf=0.8), _det([1.0, 0.0], conf=0.8)]
     scores = np.array([[0.5, 0.9]])
-    events = associate_frame([tr], block(dets), scores, cfg, next_track_id=1)
+    events = associate_frame([0], block(dets), scores, cfg, next_track_id=1)
     by_det = {e.det_idx: e for e in events}
     assert by_det[0].kind == MATCHED  # index 0 visited first on equal confidence
     assert by_det[1].kind == BORN
@@ -304,7 +294,7 @@ def test_associate_confidence_tie_lower_index_first():
 def _random_association(rng, n_tracks, n_dets):
     """Tracks, detections and a score matrix with ties in score and confidence, -inf and
     NaN entries, -inf columns and rows entirely below tau_match (0.4)."""
-    tracks = [Track(int(t)) for t in np.sort(rng.choice(10 * n_tracks + 1, n_tracks, replace=False))]
+    tracks = np.sort(rng.choice(10 * n_tracks + 1, n_tracks, replace=False)).tolist()
     confs = rng.choice([0.05, 0.2, 0.3, 0.3, 0.7, 0.9, 0.9, float(rng.uniform())], n_dets)
     dets = [_det([1.0], conf=float(c), frame=3) for c in confs]
     scores = rng.choice([0.1, 0.39, 0.4, 0.4, 0.6, 0.8, 0.8, float(rng.uniform())], (n_tracks, n_dets))
@@ -323,7 +313,7 @@ def test_batched_greedy_matches_the_loop_event_for_event():
     for n_tracks, n_dets in shapes:
         tracks, dets, scores = _random_association(rng, int(n_tracks), int(n_dets))
         want = _oracle_associate(tracks, dets, scores, cfg, next_track_id=500)
-        assert associate_frame(tracks, block(dets, frame=3), scores, cfg, next_track_id=500) == want
+        assert list(associate_frame(tracks, block(dets, frame=3), scores, cfg, next_track_id=500)) == want
 
 
 def test_batched_greedy_falls_back_to_the_loop(monkeypatch):
@@ -335,12 +325,12 @@ def test_batched_greedy_falls_back_to_the_loop(monkeypatch):
     monkeypatch.setattr(tracker_module, "_greedy_loop", lambda *args: calls.append(1) or loop(*args))
     cfg = TrackerConfig(tau_match=0.4, tau_new=0.3)
     n = 3 * tracker_module._GREEDY_ROUNDS
-    tracks = [Track(t) for t in range(n)]
+    tracks = list(range(n))
     dets = [_det([1.0], conf=0.9 - 0.01 * i) for i in range(n + 2)]
     scores = np.repeat(np.linspace(0.9, 0.41, n)[:, None], n + 2, axis=1)
     events = associate_frame(tracks, block(dets), scores, cfg, next_track_id=n)
     assert calls == [1]
-    assert events == _oracle_associate(tracks, dets, scores, cfg, next_track_id=n)
+    assert list(events) == _oracle_associate(tracks, dets, scores, cfg, next_track_id=n)
     assert [ev.track_id for ev in events] == list(range(n + 2))
 
 
@@ -355,9 +345,9 @@ def test_batched_greedy_on_a_crowded_frame():
     tk.step(0, scene.detections[0])
     dets = scene.detections[1]
     scores = score_matrix(tk.query, _unit_dets(dets), tk.cfg)
-    want = _oracle_associate(tk.live, dets, scores, tk.cfg, next_track_id=tk.tracks[-1].id + 1)
+    want = _oracle_associate(tk.live.tolist(), dets, scores, tk.cfg, next_track_id=int(tk.live[-1]) + 1)
     assert len(tk.live) > 900 and sum(ev.kind == MATCHED for ev in want) > 900
-    assert tk.step(1, dets) == want
+    assert list(tk.step(1, dets)) == want
 
 
 def test_majority_vote_cases():
@@ -372,46 +362,101 @@ def test_majority_vote_cases():
 
 def test_retain_category_gates():
     cfg = TrackerConfig(tau_high=0.3, tau_low=0.1)
-    tr = _fresh_track(0, [1.0, 0.0], cats=[4, 4, 4])  # bank [4, 4, 4]
+    bank = [4, 4, 4]
 
-    assert retain_category(tr, 0.9, 8, cfg) == 8  # high: pass through
+    assert retain_category(bank, 0.9, 8, cfg) == 8  # high: pass through
     # mid band: vote over bank + candidate; bank majority 4 wins
-    assert retain_category(tr, 0.2, 9, cfg) == 4
+    assert retain_category(bank, 0.2, 9, cfg) == 4
     # low band: bank only, candidate ignored entirely
-    assert retain_category(tr, 0.05, 9, cfg) == 4
-    # the bank is the track's entries: deciding a category adds none
-    assert [e.category_id for e in tr.observations] == [4, 4, 4]
+    assert retain_category(bank, 0.05, 9, cfg) == 4
+    # deciding a category adds none to the bank
+    assert bank == [4, 4, 4]
 
 
 def test_retain_category_low_band_empty_bank():
     cfg = TrackerConfig()
-    tr = _fresh_track(0, [1.0, 0.0], cats=[])
-    assert retain_category(tr, 0.05, 6, cfg) == 6
+    assert retain_category([], 0.05, 6, cfg) == 6
 
 
 def test_category_bank_truncates():
     # only the last n_cat_bank entries vote: 7 has most entries but 3, 4 and 5
     # tie within the bank, and a tie goes to the most recent
     cfg = TrackerConfig(n_cat_bank=3)
-    tr = _fresh_track(0, [1.0, 0.0], cats=[7, 7, 7, 3, 4, 5])
-    assert retain_category(tr, 0.05, 9, cfg) == 5
-    assert retain_category(tr, 0.2, 9, cfg) == 9
+    assert retain_category([7, 7, 7, 3, 4, 5], 0.05, 9, cfg) == 5
+    assert retain_category([7, 7, 7, 3, 4, 5], 0.2, 9, cfg) == 9
 
 
-def test_a_birth_takes_its_category_without_retain_category(monkeypatch):
-    # a newborn track's bank is empty, so only a match asks retain_category, and a low-band
-    # birth keeps its detection's own category
-    calls = []
-    monkeypatch.setattr("trajkit.tracker.retain_category",
-                        lambda track, conf, cat, cfg: calls.append(track.id) or retain_category(track, conf, cat, cfg))
+def test_a_birth_keeps_its_category_and_a_match_votes():
+    # a newborn track's bank is empty, so a low-band birth keeps its detection's own category
     tk = Tracker(TrackerConfig(tau_new=0.0))
     born = tk.step(0, block([_det([1.0, 0.0], conf=0.05, cat=3), _det([0.0, 1.0], conf=0.9, cat=8)]))
-    assert [ev.kind for ev in born] == [BORN, BORN] and calls == []
+    assert [ev.kind for ev in born] == [BORN, BORN]
     # the more confident detection is born first, as track 1
-    assert [(t.id, t.observations[0].category_id) for t in tk.tracks] == [(1, 8), (2, 3)]
+    assert [(r.track_id, r.entries[0].category_id) for r in tk.table()] == [(1, 8), (2, 3)]
     matched = tk.step(1, block([_det([1.0, 0.0], conf=0.05, cat=5, frame=1)]))
-    assert [(ev.kind, ev.track_id) for ev in matched] == [(MATCHED, 2)] and calls == [2]
-    assert tk.tracks[1].observations[1].category_id == 3  # low band: the bank's category
+    assert [(ev.kind, ev.track_id) for ev in matched] == [(MATCHED, 2)]
+    assert tk.table()[1].entries[1].category_id == 3  # low band: the bank's category
+
+
+def test_a_category_past_int64_stays_in_the_bank_of_later_int64_blocks():
+    # a block's category column is object only when it holds an id past int64: the bank keeps
+    # such an id when later blocks' columns are int64, and votes it back in the low band
+    tk = Tracker(TrackerConfig(tau_new=0.0))
+    tk.step(0, block([_det([1.0, 0.0], conf=0.9, cat=2 ** 64)]))
+    for frame in (1, 2):
+        tk.step(frame, block([_det([1.0, 0.0], conf=0.05, cat=3, frame=frame)]))
+    assert [e.category_id for e in tk.table()[0].entries] == [2 ** 64] * 3
+
+
+def _random_votes(rng, n, size, big):
+    """``size`` matches' category banks of width ``n`` (some entries unknown, empty banks
+    included), confidences in every band and on its edges, and categories from a few ids, so
+    votes tie often; past int64 when ``big``."""
+    ids = np.array([2 ** 63 + k if big else k for k in (0, 1, 2, 3, 7)], dtype=object if big else np.int64)
+    banks = ids[rng.integers(0, 3, (size, n))]
+    known = np.arange(n) >= rng.integers(0, n + 1, size)[:, None]  # the last few entries are known
+    confidence = rng.choice([0.0, 0.05, 0.1, 0.2, 0.3, 0.9, float(rng.uniform())], size)
+    return banks, known, confidence, ids[rng.integers(0, 5, size)]
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["int64", "past-int64"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_retain_categories_vote_as_retain_category(n, big):
+    cfg = TrackerConfig(n_cat_bank=n, tau_high=0.3, tau_low=0.1)
+    rng = np.random.default_rng(n)
+    banks, known, confidence, cats = _random_votes(rng, n, 2000, big)
+    got = retain_categories(banks, known, confidence, cats, cfg)
+    want = [retain_category(list(bank[k]), c, cat, cfg) for bank, k, c, cat in zip(banks, known, confidence, cats)]
+    assert got.tolist() == want
+    # every band, empty banks and ties in the vote were drawn
+    assert {0.0, 0.05, 0.2, 0.9} <= set(confidence.tolist()) and not known.any(axis=1).all()
+    if n > 1:
+        assert any(majority_vote(list(bank[k]))[1] == 0.5 for bank, k in zip(banks, known) if k.sum() == 2)
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["int64", "past-int64"])
+def test_category_ring_retains_as_retain_category_per_match(big):
+    # a tracker's retained categories against a replay that asks retain_category of every match
+    # in turn, with n_cat_bank from 1 to 6 and past the store's first width (and the scene's
+    # length), confidences in every band and few categories
+    rng = np.random.default_rng(40 + big)
+    ids = [2 ** 63 + k if big else k for k in range(3)]
+    for n in (*range(1, 7), 20, 10 ** 30):
+        cfg = TrackerConfig(n_cat_bank=n, tau_new=0.0, max_age=2)
+        frames = _random_scene(rng, d=4, n_frames=30)
+        blocks = {frame: block([io.DetectionRecord(frame, d.bbox, d.confidence, ids[d.category_id], 0.5, d.embedding)
+                                for d in dets], frame=frame) for frame, dets in frames}
+        table = run_sequence(blocks, cfg)
+        assert table.cat.dtype == (object if big else np.int64)
+        matches = 0
+        for record in table:
+            retained = []
+            for e in record.entries:
+                raw = blocks[e.frame].category_id[e.det_idx]
+                retained.append(retain_category(retained, e.confidence, raw, cfg) if retained else raw)
+                matches += len(retained) > 1
+            assert [e.category_id for e in record.entries] == retained
+        assert matches > 100
 
 
 def test_tracking_a_scene_leaves_its_columns_as_they_were():
@@ -422,11 +467,11 @@ def test_tracking_a_scene_leaves_its_columns_as_they_were():
               for f, dets in scene.detections.items()}
     by_view, by_copy = Tracker(TrackerConfig()), Tracker(TrackerConfig())
     for f, dets in scene.detections.items():
-        assert by_view.step(f, dets) == by_copy.step(f, copies[f])
+        assert list(by_view.step(f, dets)) == list(by_copy.step(f, copies[f]))
     for f, dets in scene.detections.items():
         for key in COLUMNS:
             assert getattr(dets, key).tobytes() == getattr(copies[f], key).tobytes()
-    assert [t.observations for t in by_view.tracks] == [t.observations for t in by_copy.tracks]
+    assert list(by_view.table()) == list(by_copy.table())
 
 
 COLUMNS = ("bbox", "confidence", "category_id", "category_score", "embedding")
@@ -437,26 +482,27 @@ def test_tracker_lifecycle():
     tk = Tracker(cfg)
     e0 = tk.step(0, block([_det([1.0, 0.0], frame=0)]))
     assert [e.kind for e in e0] == [BORN]
-    track = tk.tracks[0]
-    assert track.id == 1 and tk.state(track) == TrackState.ACTIVE
+    assert tk.live.tolist() == [1] and tk.state(1) == TrackState.ACTIVE
 
     tk.step(1, block([_det([1.0, 0.05], frame=1)]))
-    assert tk.state(track) == TrackState.ACTIVE
-    assert len(track.observations) == 2
+    assert tk.state(1) == TrackState.ACTIVE
+    assert len(tk.table()[0].entries) == 2
 
     tk.step(2, block([]))
-    assert tk.state(track) == TrackState.LOST
+    assert tk.state(1) == TrackState.LOST
 
     tk.step(3, block([]))  # still within max_age
-    assert tk.state(track) == TrackState.LOST
+    assert tk.state(1) == TrackState.LOST
 
     events = tk.step(4, block([]))  # age 3 > max_age=2
-    assert tk.state(track) == TrackState.DEAD
-    assert any(e.kind == DIED and e.track_id == 1 for e in events)
+    assert tk.state(1) == TrackState.DEAD
+    assert [(e.frame, e.kind, e.track_id) for e in events] == [(4, DIED, 1)]
 
     # a matching detection now starts a fresh track instead of reviving the dead one
     tk.step(5, block([_det([1.0, 0.0], frame=5)]))
-    assert [t.id for t in tk.tracks] == [1, 2]
+    assert [r.track_id for r in tk.table()] == [1, 2]
+    with pytest.raises(ValueError, match="^track 3 was never born$"):
+        tk.state(3)
 
 
 def test_tracker_lost_track_can_rematch():
@@ -464,10 +510,10 @@ def test_tracker_lost_track_can_rematch():
     tk = Tracker(cfg)
     tk.step(0, block([_det([1.0, 0.0], frame=0)]))
     tk.step(1, block([]))
-    assert tk.state(tk.tracks[0]) == TrackState.LOST
+    assert tk.state(1) == TrackState.LOST
     tk.step(2, block([_det([1.0, 0.0], frame=2)]))
-    assert tk.state(tk.tracks[0]) == TrackState.ACTIVE
-    assert len(tk.tracks) == 1
+    assert tk.state(1) == TrackState.ACTIVE
+    assert len(tk.table()) == 1
 
 
 def test_tracker_rejects_nonincreasing_frames():
@@ -482,7 +528,7 @@ def test_memory_and_bank_update_on_match():
     tk = Tracker(cfg)
     tk.step(0, block([_det([1.0, 0.0], frame=0)]))
     tk.step(1, block([_det([0.0, 1.0], frame=1)]))
-    track = tk.tracks[0]
+    track = 1
     np.testing.assert_allclose(tk.memory[0], [0.75, 0.25])
     # the query row blends the unit memory with the mean of the bank's unit rows
     memory_unit = np.array([0.75, 0.25]) / np.hypot(0.75, 0.25)
@@ -500,20 +546,19 @@ def test_stored_embeddings_not_renormalized():
     tk = Tracker(cfg)
     dets = block([_det([3.0, 0.0], frame=0)])
     tk.step(0, dets)
-    track = tk.tracks[0]
     np.testing.assert_allclose(tk.memory[0], [3.0, 0.0])
-    np.testing.assert_allclose(dets[track.observations[0].det_idx].embedding, [3.0, 0.0])
+    np.testing.assert_allclose(dets[tk.table().det[0]].embedding, [3.0, 0.0])
     # only the bank keeps a normalized copy
-    np.testing.assert_allclose(tk.bank(track), [[1.0, 0.0]])
+    np.testing.assert_allclose(tk.bank(1), [[1.0, 0.0]])
 
 
 def test_run_sequence_bridges_gap():
     # one object, a 3-frame hole, same appearance: one track end to end
     emb = [0.6, 0.8]
     dets = {f: block([_det(emb, frame=f)]) for f in [0, 1, 2, 6, 7]}
-    tracks = run_sequence(dets, TrackerConfig(max_age=10))
-    assert len(tracks) == 1
-    assert [o.frame for o in tracks[0].observations] == [0, 1, 2, 6, 7]
+    table = run_sequence(dets, TrackerConfig(max_age=10))
+    assert len(table) == 1
+    assert table.frame.tolist() == [0, 1, 2, 6, 7]
 
 
 def test_config_validation():
@@ -550,10 +595,10 @@ def test_two_object_separation_property():
             n1 = e1 + 0.05 * rng.normal(size=4)
             n2 = e2 + 0.05 * rng.normal(size=4)
             dets[f] = block([_det(n1, frame=f, cat=0), _det(n2, frame=f, cat=1)])
-        tracks = run_sequence(dets, TrackerConfig())
-        assert len(tracks) == 2
-        for tr in tracks:
-            cats = {e.category_id for e in tr.observations}
+        table = run_sequence(dets, TrackerConfig())
+        assert len(table) == 2
+        for rec in table:
+            cats = {e.category_id for e in rec.entries}
             assert len(cats) == 1
 
 
@@ -589,15 +634,15 @@ def test_live_store_matches_replay_oracle(sim_mode):
     for frame in sorted(scene.detections):
         dets = scene.detections[frame]
         live = []
-        for tr in tk.tracks:
-            last = tr.observations[-1].frame
-            if tr.id not in dead and prev is not None and prev - last <= cfg.max_age:
-                live.append(tr)
-        histories = [[scene.detections[e.frame][e.det_idx].embedding for e in tr.observations]
-                     for tr in live]
+        for rec in tk.table():
+            last = rec.entries[-1].frame
+            if rec.track_id not in dead and prev is not None and prev - last <= cfg.max_age:
+                live.append(rec)
+        histories = [[scene.detections[e.frame][e.det_idx].embedding for e in rec.entries]
+                     for rec in live]
         events = tk.step(frame, dets)
 
-        assert tk.last_ids == [tr.id for tr in live]
+        assert tk.last_ids == [rec.track_id for rec in live]
         np.testing.assert_allclose(tk.last_scores, _replayed_scores(histories, dets, cfg),
                                    rtol=0, atol=1e-12)
         assert not dead & set(tk.last_ids)
@@ -607,17 +652,18 @@ def test_live_store_matches_replay_oracle(sim_mode):
                 assert ev.track_id in tk.last_ids
             if ev.kind == DIED:
                 dead.add(ev.track_id)
-        for tr in tk.tracks:
-            assert (tk.state(tr) == TrackState.DEAD) == (tr.id in dead)
-        for tr in tk.live:
-            assert len(tk.bank(tr)) == min(len(tr.observations), cfg.n_bank)
+        table = tk.table()
+        for rec in table:
+            assert (tk.state(rec.track_id) == TrackState.DEAD) == (rec.track_id in dead)
+            if rec.track_id in tk.live:
+                assert len(tk.bank(rec.track_id)) == min(len(rec.entries), cfg.n_bank)
         prev = frame
 
     # the scene really exercised the store: deaths, wrapped banks, rematches after a gap
     assert len(dead) >= 5
-    assert sum(len(tr.observations) > cfg.n_bank for tr in tk.tracks) >= 5
-    assert any(b.frame - a.frame > 1 for tr in tk.tracks
-               for a, b in zip(tr.observations, tr.observations[1:]))
+    assert sum(len(rec.entries) > cfg.n_bank for rec in table) >= 5
+    assert any(b.frame - a.frame > 1 for rec in table
+               for a, b in zip(rec.entries, rec.entries[1:]))
 
 
 def _one_track_tracker(cfg, rows):
@@ -625,7 +671,7 @@ def _one_track_tracker(cfg, rows):
     tk = Tracker(cfg)
     for frame, row in enumerate(rows):
         tk.step(frame, block([_det(row, frame=frame)]))
-        assert [t.id for t in tk.live] == [1]
+        assert tk.live.tolist() == [1]
         yield tk
 
 
@@ -634,20 +680,18 @@ def test_bank_fifo_and_cap():
     rng = np.random.default_rng(13)
     rows = rng.normal(size=(12, 4)).astype(np.float32)
     for k, tk in enumerate(_one_track_tracker(cfg, rows)):
-        tr = tk.live[0]
         want = rows[max(0, k + 1 - cfg.n_bank):k + 1].astype(np.float64)
-        np.testing.assert_allclose(tk.bank(tr), want / np.linalg.norm(want, axis=1, keepdims=True))
-        assert tk.bank(tr).flags.c_contiguous
+        np.testing.assert_allclose(tk.bank(1), want / np.linalg.norm(want, axis=1, keepdims=True))
+        assert tk.bank(1).flags.c_contiguous
 
 
 def test_birth_sets_bank_to_first_unit_row():
     cfg = TrackerConfig()
     tk = Tracker(cfg)
     tk.step(0, block([_det([3.0, 4.0])]))
-    tr = tk.live[0]
-    np.testing.assert_array_equal(tk.bank(tr), [[0.6, 0.8]])
+    np.testing.assert_array_equal(tk.bank(1), [[0.6, 0.8]])
     # memory_unit and bank_mean are both the first unit row
-    unit = tk.bank(tr)[0]
+    unit = tk.bank(1)[0]
     assert tk.query[0].tobytes() == (cfg.alpha_sim * unit + (1 - cfg.alpha_sim) * unit).tobytes()
 
 
@@ -659,11 +703,10 @@ def test_bank_mean_is_recomputed_not_accumulated():
     rows = rng.normal(size=(501, 16)) * rng.uniform(0.01, 100, size=(501, 1))
     for k, tk in enumerate(_one_track_tracker(cfg, rows)):
         if k % 50 == 1 or k == 500:
-            tr = tk.live[0]
             memory_unit = tk.memory[0] / np.linalg.norm(tk.memory[:1], axis=1)
-            want = cfg.alpha_sim * memory_unit + (1 - cfg.alpha_sim) * tk.bank(tr).mean(axis=0)
+            want = cfg.alpha_sim * memory_unit + (1 - cfg.alpha_sim) * tk.bank(1).mean(axis=0)
             assert tk.query[0].tobytes() == want.tobytes()
-    assert len(tk.bank(tr)) == cfg.n_bank
+    assert len(tk.bank(1)) == cfg.n_bank
 
 
 def _random_scene(rng, d, n_identities=8, n_frames=24):
@@ -704,18 +747,19 @@ def test_batched_update_matches_per_match_oracle_bit_for_bit():
             assert tk.last_scores.shape == scores.shape
             assert tk.last_scores.tobytes() == scores.tobytes()
             assert tk.last_ids == ids
-            assert got == events
-            assert [t.id for t in tk.live] == [t.id for t in live]
+            assert list(got) == events
+            assert tk.live.tolist() == [t.id for t in live]
             assert len(tk.memory) == len(tk.query) == len(live)
             for row, want in enumerate(live):
-                assert tk.bank(tk.live[row]).tobytes() == want.feature_bank.tobytes()
+                assert tk.bank(want.id).tobytes() == want.feature_bank.tobytes()
                 assert tk.memory[row].tobytes() == want.memory.tobytes()
                 assert tk.query[row].tobytes() == _oracle_query([want], cfg)[0].tobytes()
-            assert [tk.state(t) for t in tk.tracks] == [t.state for t in tracks]
+            assert [tk.state(t.id) for t in tracks] == [t.state for t in tracks]
             deaths += sum(ev.kind == DIED for ev in got)
-        wrapped += sum(len(t.observations) > cfg.n_bank for t in tk.tracks)
-        rematched += sum(b.frame - a.frame > 1 for t in tk.tracks
-                         for a, b in zip(t.observations, t.observations[1:]))
+        table = tk.table()
+        assert [r.track_id for r in table] == [t.id for t in tracks]
+        wrapped += sum(len(r.entries) > cfg.n_bank for r in table)
+        rematched += sum(b.frame - a.frame > 1 for r in table for a, b in zip(r.entries, r.entries[1:]))
     # the scenes exercised deaths, wrapped banks and rematches after a gap
     assert deaths >= 20 and wrapped >= 20 and rematched >= 20
 
@@ -753,7 +797,7 @@ def test_non_finite_detection_is_refused_and_changes_nothing(embs, confs, where)
     with pytest.raises(NonFiniteError, match=f"^frame 3: {where}$"):
         tk.step(3, block([_det(e, conf=c, frame=3) for e, c in zip(embs, confs)]))
     assert (tk.memory.tobytes(), tk.query.tobytes(), tk.last_scores.tobytes()) == before
-    assert [len(t.observations) for t in tk.tracks] == [3, 3]
+    assert [len(r.entries) for r in tk.table()] == [3, 3]
     events = tk.step(4, _two_identities(4))
     assert [(ev.kind, ev.track_id, ev.det_idx) for ev in events] == [(MATCHED, 1, 0), (MATCHED, 2, 1)]
 
@@ -772,9 +816,9 @@ def test_bank_of_a_track_that_is_not_live_names_it(max_age):
     tk = Tracker(TrackerConfig(max_age=max_age))
     for frame in range(max_age + 2):
         tk.step(frame, block([_det([1.0, 0.0], frame=frame)] if frame == 0 else []))
-    assert tk.live == [] and tk.state(tk.tracks[0]) == TrackState.DEAD
-    for track, name in ((tk.tracks[0], "track 1"), (Track(7), "track 7")):
-        with pytest.raises(ValueError, match=f"^{name} is not live"):
+    assert len(tk.live) == 0 and tk.state(1) == TrackState.DEAD
+    for track in (1, 7):
+        with pytest.raises(ValueError, match=f"^track {track} is not live"):
             tk.bank(track)
 
 
@@ -831,10 +875,10 @@ class TrackerMachine(RuleBasedStateMachine):
     def live_rows_line_up(self):
         if not hasattr(self, "tk"):
             return
-        ids = [t.id for t in self.tk.live]
+        ids = self.tk.live.tolist()
         assert ids == sorted(set(ids)) and not self.dead & set(ids)
         assert len(self.tk.memory) == len(self.tk.query) == len(ids)
-        assert all(self.tk.state(t) == TrackState.DEAD for t in self.tk.tracks if t.id in self.dead)
+        assert all(self.tk.state(t) == TrackState.DEAD for t in self.dead)
 
 
 TestTrackerMachine = TrackerMachine.TestCase
@@ -865,13 +909,13 @@ def test_default_settings_track_a_crowded_scene():
     # logits was nearly uniform and halved every blended score, so true
     # matches fell below tau_match and each miss started a track: this scene
     # had 253 tracks and AssA 43.7 (70 and 94.7 at the new default, 0.05).
-    from trajkit.classify import classify_trajectory, label_record, to_track_record
+    from trajkit.classify import classify_trajectory
     from trajkit.metrics import EvalConfig, evaluate
     from trajkit.synth import SynthConfig, gen_scene
     scene = gen_scene(SynthConfig(n_identities=60, n_frames=15, embed_dim=32, noise_sigma=0.1,
                                   miss_rate=0.05, fp_rate=2.0, seed=1))
-    tracks = run_sequence(scene.detections, TrackerConfig())
-    assert len(tracks) <= 1.5 * 60
-    records = [label_record(r, classify_trajectory(r.entries, None, None))
-               for r in map(to_track_record, tracks)]
-    assert evaluate(records, scene.gt_tracks, EvalConfig()).overall.ass_a >= 90.0
+    table = run_sequence(scene.detections, TrackerConfig())
+    assert len(table) <= 1.5 * 60
+    cats, bounds = table.cat.tolist(), table.bounds.tolist()
+    table.label[:] = [classify_trajectory(None, cats[lo:hi], None).final for lo, hi in zip(bounds, bounds[1:])]
+    assert evaluate(table, scene.gt_tracks, EvalConfig()).overall.ass_a >= 90.0
