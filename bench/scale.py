@@ -31,8 +31,11 @@ sequence, and ``ms_per_frame_q1`` and ``ms_per_frame_q3`` hold the first and
 third quartiles of the same runs (numpy's linear interpolation), so the spread
 between runs of unchanged code shows beside each median.
 ``live_per_frame`` is the mean count of live tracks scored per frame (frame 0
-scores none) and ``live_last_frame`` the last frame's count. BLAS is pinned to
-one thread before numpy loads. Run from the root of a source checkout::
+scores none) and ``live_last_frame`` the last frame's count.
+``traced_peak_mb`` is the peak of the memory ``tracemalloc`` traces over one
+more run of the scene's steps, untimed so that tracing slows no timed run; the
+loaded blocks it tracks are not counted. BLAS is pinned to one thread before
+numpy loads. Run from the root of a source checkout::
 
     python3 bench/scale.py                       # 100, 300, 1,000 and 3,000 identities
     python3 bench/scale.py --identities 100 --frames 40 --runs 5 --out BENCH_scale.json
@@ -47,6 +50,7 @@ import platform
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -129,12 +133,26 @@ def _run(out: Path, vocab: io.Vocabulary) -> tuple[dict, io.TrackTable, list[int
     return spent, table, live
 
 
+def _traced_peak(out: Path) -> float:
+    """MB at the peak of the memory traced while one run steps the scene written in ``out``."""
+    dets = io.load_detections(out / "detections.jsonl")
+    tracemalloc.start()
+    try:
+        tk = tracker.Tracker()
+        for frame in sorted(dets):
+            tk.step(frame, dets[frame])
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
 def cell(identities: int, frames: int, runs: int) -> dict:
     scene = _scene(identities, frames)
     with tempfile.TemporaryDirectory() as out:
         io.write_detections(scene.detections, Path(out) / "detections.jsonl", sidecar=True)
         io.write_groundtruth(scene.gt_tracks, Path(out) / "groundtruth.jsonl")
         results = [_run(Path(out), scene.vocabulary) for _ in range(runs)]
+        peak = _traced_peak(Path(out))
     _, table, live = results[0]
     return {
         "identities": identities,
@@ -143,6 +161,7 @@ def cell(identities: int, frames: int, runs: int) -> dict:
         "live_per_frame": round(float(np.mean(live)), 1),
         "live_last_frame": live[-1],
         "tracks": len(table),
+        "traced_peak_mb": round(peak, 1),
         **{key: {stage: round(1000 * float(np.percentile([r[0][stage] for r in results], q)) / frames, 3)
                  for stage in STAGES}
            for key, q in (("ms_per_frame", 50), ("ms_per_frame_q1", 25), ("ms_per_frame_q3", 75))},

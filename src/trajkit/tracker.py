@@ -2,7 +2,12 @@
 
 Similarity between a track and a detection blends the memory and bank
 cosines, ``alpha_sim * C_mem + (1 - alpha_sim) * C_bank``, optionally
-averaged with a bi-directional softmax of the same matrix. The memory is an
+averaged with a bi-directional softmax of the same matrix. ``score_matrix``
+computes that softmax detection-major, in blocks of detection rows whose
+logits it shifts by the bound ``max ||query||`` rather than by their maxima
+(``bisoftmax``'s max shift where that bound would underflow ``exp``), and
+returns the (tracks, detections) view of a (detections, tracks) array, so
+that each detection's scores are one contiguous row. The memory is an
 EMA of the matched embeddings, ``alpha_mem * det + (1 - alpha_mem) * memory``;
 the feature bank holds the last ``n_bank`` as unit rows, and its mean cosine
 (more noise tolerant than an EMA alone) is one dot product with the mean of
@@ -21,11 +26,11 @@ rings in one row of a store, which the next birth takes once it dies: its
 k-th entry's unit row in slot ``k % n_bank`` of the feature store, its
 retained category in slot ``k % w`` of the category store. A step updates
 the tracks it matched together: one category vote (``retain_categories``),
-one bank write, one mean per fill count, one EMA, one normalization and one
-blend. It appends its matches' and births' (track, detection, retained
-category, box, confidence) columns, which ``Tracker.table`` sorts by track
-into one ``io.TrackTable`` with one stable sort. Detection embeddings are
-never mutated.
+one bank write, one sum of their banks place by place (one sum per fill
+count at d == 1), one EMA, one normalization and one blend. It appends its matches'
+and births' (track, detection, retained category, box, confidence) columns,
+which ``Tracker.table`` sorts by track into one ``io.TrackTable`` with one
+stable sort. Detection embeddings are never mutated.
 """
 
 from __future__ import annotations
@@ -105,8 +110,8 @@ def update_memory(memory: np.ndarray, det_emb: np.ndarray, alpha_mem: float) -> 
 
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
+    norms = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))  # np.linalg.norm's bits, minus its wrapper
+    if not norms.all():
         raise ZeroNormError("cannot normalize zero-norm embedding")
     return x / norms
 
@@ -126,25 +131,65 @@ def bisoftmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     return 0.5 * (_softmax(logits, axis=1) + _softmax(logits, axis=0))
 
 
+# Detection rows per block of score_matrix's bounded pass, whose exp, sums and blend stay in cache
+_BLOCK = 64
+# The widest logit spread the bound shift takes: exp(-700) is about 1e-304, a normal float, so no
+# row or column sum underflows to zero
+_EXP_SPAN = 700.0
+
+
 def score_matrix(query: np.ndarray, det_units: np.ndarray, cfg: TrackerConfig) -> np.ndarray:
     """(T, D) association scores of T query rows against D unit detection rows: a bank's mean
-    cosine is the dot product with its mean row, so the memory and bank blend is one product."""
+    cosine is the dot product with its mean row, so the memory and bank blend is one product,
+    ``0.5 * (r + bisoftmax(r, softmax_temperature))`` (``query @ det_units.T`` for cosine_only).
+
+    The bi-softmax pass is detection-major: ``r = det_units @ query.T`` is (D, T) and the result
+    is the (T, D) transposed view of a (D, T) array, so each detection's scores are one
+    contiguous row. A query row is a convex blend of unit rows, so every cosine lies within
+    ``m = max ||q||`` of zero, and the logits are shifted by that bound, not by their maxima:
+    ``exp((r - m) / T)`` lies in ``[exp(-2m / T), 1]``. Blocks of ``_BLOCK`` detection rows are
+    then independent: each takes one exp in place, its row sums and its part of the column
+    sums, and one more pass normalizes and blends them in place. Where ``2m / T`` exceeds
+    ``_EXP_SPAN``, the exp could underflow, and ``bisoftmax``'s max shift scores instead."""
     T, D = len(query), len(det_units)
     if T == 0 or D == 0:
         return np.zeros((T, D))
-    r = query @ det_units.T
     if cfg.sim_mode == "cosine_only":
-        return r
+        return query @ det_units.T
     # Embeddings are unit vectors inside this op, so the dot-product logits
     # feeding the bi-directional softmax coincide with the cosine blend.
-    return 0.5 * (r + bisoftmax(r, cfg.softmax_temperature))
+    r, t = det_units @ query.T, cfg.softmax_temperature
+    bound = math.sqrt(np.add.reduce(query * query, axis=1).max())
+    if 2.0 * bound / t > _EXP_SPAN:
+        return (0.5 * (r + bisoftmax(r, t))).T
+    out, per_det, per_track = np.empty_like(r), np.empty((D, 1)), np.zeros(T)
+    for lo in range(0, D, _BLOCK):
+        block = out[lo:lo + _BLOCK]
+        np.subtract(r[lo:lo + _BLOCK], bound, out=block)
+        block /= t
+        np.exp(block, out=block)
+        np.add.reduce(block, axis=1, keepdims=True, out=per_det[lo:lo + _BLOCK])
+        per_track += np.add.reduce(block, axis=0)
+    for lo in range(0, D, _BLOCK):
+        block = out[lo:lo + _BLOCK]
+        over_tracks = block / per_det[lo:lo + _BLOCK]
+        block /= per_track  # the softmax over detections
+        block += over_tracks
+        block *= 0.5
+        block += r[lo:lo + _BLOCK]
+        block *= 0.5
+    return out.T
 
+
+# Bytes of bank rows that Tracker._push gathers and sums at a time, which stay in cache meanwhile
+_GATHER_BYTES = 256 * 1024
 
 # Prefix rounds of the batched greedy before the displaced rest is matched one at a time; no
 # frame of perfbench's longrun and crowd scenes (seeds 1-3) or bench/scale.py's scenes of 100 to
 # 1,000 identities takes more than 3. Uncapped, a frame in which every detection ranks the tracks
 # alike takes one round per detection, O(T * D**2): at T = D = 1,000 on one core of a 2-core
-# Xeon, 1.2 s, against 32 ms with 4 rounds, about 3 ms more per further round, and 22 ms with 1.
+# Xeon, with the scores laid out as score_matrix returns them, 0.9 s, against 16 ms with 4 rounds,
+# about 2 ms more per further round, and 9 ms with 1.
 _GREEDY_ROUNDS = 4
 
 
@@ -180,21 +225,23 @@ def associate_frame(track_ids: Sequence[int], dets: DetectionFrame, scores: np.n
     if scores.shape != (T, D):
         raise DimMismatchError(f"scores shape {scores.shape} != ({T}, {D})")
     tau = cfg.tau_match
+    by_det = scores.T  # row j: detection j's scores, contiguous as score_matrix lays out the bi-softmax's
     # stable: equal confidences keep the lower index first
-    order = np.lexsort((-dets.confidence,))
-    track_of, score_of = np.full(D, -1), np.zeros(D)
-    rest, claimed = order, np.zeros(T, dtype=bool)
+    order = np.argsort(-dets.confidence, kind="stable")
+    track_of, score_of = np.full(D, -1), np.zeros(D)  # by visit position
+    done, claimed = 0, np.zeros(T, dtype=bool)
     for round_ in range(_GREEDY_ROUNDS if T else 0):
-        if not len(rest):
+        if done == D:
             break
-        if round_:  # a copy of the rest's columns only, claimed tracks masked
-            cols = scores[:, rest]
-            cols[claimed] = -np.inf
-            best = cols.argmax(axis=0)
-            best_score = cols[best, np.arange(len(rest))]
+        rest = order[done:]
+        if round_:  # a copy of the rest's rows only, claimed tracks masked
+            rows = by_det[rest]
+            rows[:, claimed] = -np.inf
+            best = rows.argmax(axis=1)
+            best_score = rows[np.arange(len(rest)), best]
         else:  # the whole matrix, read in place
-            best = scores.argmax(axis=0)[rest]
-            best_score = scores[best, rest]
+            best = by_det.argmax(axis=1)[rest]
+            best_score = by_det[rest, best]
         at = np.flatnonzero(best_score >= tau)
         first = np.full(T, len(rest))  # the first position that claims each track
         np.minimum.at(first, best[at], at)
@@ -203,15 +250,14 @@ def associate_frame(track_ids: Sequence[int], dets: DetectionFrame, scores: np.n
         clash = ~(best_score < tau) & (first[best] < np.arange(len(rest)))
         n = int(clash.argmax()) if clash.any() else len(rest)
         won = at[at < n]
-        track_of[rest[won]], score_of[rest[won]] = best[won], best_score[won]
+        track_of[done + won], score_of[done + won] = best[won], best_score[won]
         claimed[best[won]] = True
-        rest = rest[n:]
-    if T and len(rest):
-        open_rows = scores[:, rest].T.copy()
+        done += n
+    if T and done < D:
+        open_rows = by_det[order[done:]]
         open_rows[:, claimed] = -np.inf
-        track_of[rest], score_of[rest] = _greedy_loop(open_rows, tau)
+        track_of[done:], score_of[done:] = _greedy_loop(open_rows, tau)
 
-    track_of, score_of = track_of[order], score_of[order]
     matched = track_of >= 0
     born = ~matched & (dets.confidence[order] >= cfg.tau_new)
     track = np.full(D, -1, dtype=np.int64)
@@ -262,7 +308,8 @@ def retain_categories(banks: np.ndarray, known: np.ndarray, confidence: np.ndarr
 
 class Tracker:
     """Stateful frame-by-frame association engine. After each ``step``, ``last_scores`` is the
-    (live, detections) score matrix association used, its rows the tracks ``last_ids``."""
+    (live, detections) score matrix association used, its rows the tracks ``last_ids``: with the
+    bi-softmax, the transposed view of a (detections, live) array."""
 
     def __init__(self, cfg: TrackerConfig | None = None):
         self.cfg = cfg or TrackerConfig()
@@ -295,11 +342,14 @@ class Tracker:
         if width is not None and (shape := dets.embedding.shape[1:]) != (width,):
             raise DimMismatchError(f"frame {frame}: detection 0 embedding has shape {shape}, expected {(width,)}")
         rows = dets.embedding.astype(np.float64)
-        finite = np.isfinite(rows).all(axis=1) & np.isfinite(dets.confidence)
-        if not finite.all():
-            i = int(finite.argmin())
-            what = "embedding" if not np.isfinite(rows[i]).all() else "confidence"
-            raise NonFiniteError(f"frame {frame}: detection {i} has a non-finite {what}")
+        # A non-finite value makes the sum non-finite, so only a block whose sum is not (or overflowed)
+        # is scanned for it
+        if not math.isfinite(np.add.reduce(rows, axis=None) + np.add.reduce(dets.confidence)):
+            finite = np.isfinite(rows).all(axis=1) & np.isfinite(dets.confidence)
+            if not finite.all():
+                i = int(finite.argmin())
+                what = "embedding" if not np.isfinite(rows[i]).all() else "confidence"
+                raise NonFiniteError(f"frame {frame}: detection {i} has a non-finite {what}")
         if width is None:
             self._width = rows.shape[1]
             self.memory, self.query = np.zeros((0, self._width)), np.zeros((0, self._width))
@@ -322,11 +372,10 @@ class Tracker:
         return (TrackState.DEAD if row is None else TrackState.ACTIVE
                 if self._last_step[row] == len(self._frames) - 1 else TrackState.LOST)
 
-    def _ring(self, rows: np.ndarray, fill: int) -> np.ndarray:
-        """The banks of live ``rows`` that each hold ``fill`` rows, as (rows, fill, d), oldest first."""
-        n = self.cfg.n_bank
-        slots = (self._entries[rows, None] - fill + np.arange(fill)) % n
-        return self._banks[self._slot[rows, None], slots]
+    def _ring(self, slots: np.ndarray, entries: np.ndarray, fill: int) -> np.ndarray:
+        """The last ``fill`` rows of the banks ``slots``, which hold ``entries`` rows each, as
+        (len(slots), fill, d), oldest first."""
+        return self._banks[slots[:, None], (entries[:, None] - fill + np.arange(fill)) % self.cfg.n_bank]
 
     def bank(self, track_id: int) -> np.ndarray:
         """A live track's last ``n_bank`` matched embeddings as (n, d) float64 unit rows,
@@ -334,19 +383,22 @@ class Tracker:
         row = self._row(track_id)
         if row is None:
             raise ValueError(f"track {track_id} is not live, and only a live track has a bank")
-        return self._ring(np.array([row]), min(int(self._entries[row]), self.cfg.n_bank))[0]
+        entries = self._entries[row:row + 1]
+        return self._ring(self._slot[row:row + 1], entries, min(int(entries[0]), self.cfg.n_bank))[0]
 
-    def _retain(self, rows: np.ndarray, confidence: np.ndarray, category_id: np.ndarray) -> np.ndarray:
-        """The retained category (``retain_categories``) of live row ``rows[j]`` matched to a
-        detection of ``confidence[j]`` and ``category_id[j]``, kept in the category banks."""
-        if (n := self._cats.shape[1]) < self.cfg.n_cat_bank and n <= (count := int(self._entries[rows].max())):
+    def _retain(self, slots: np.ndarray, entries: np.ndarray, confidence: np.ndarray,
+                category_id: np.ndarray) -> np.ndarray:
+        """The retained category (``retain_categories``) of a match of a detection of
+        ``confidence[j]`` and ``category_id[j]`` to the track whose banks are rows ``slots[j]``,
+        with ``entries[j]`` entries before it, kept in the category banks."""
+        if (n := self._cats.shape[1]) < self.cfg.n_cat_bank and n <= (count := int(entries.max())):
             n = self._widen(min(self.cfg.n_cat_bank, max(count + 1, 2 * n)))
         kept, low = category_id.astype(self._cats.dtype), np.flatnonzero(confidence < self.cfg.tau_high)
         if len(low):
-            at = self._entries[rows[low], None] - n + np.arange(n)  # the last n entries, oldest first
-            kept[low] = retain_categories(self._cats[self._slot[rows[low], None], at % n], at >= 0,
+            at = entries[low, None] - n + np.arange(n)  # the last n entries, oldest first
+            kept[low] = retain_categories(self._cats[slots[low, None], at % n], at >= 0,
                                           confidence[low], category_id[low], self.cfg)
-        self._cats[self._slot[rows], self._entries[rows] % n] = kept
+        self._cats[slots, entries % n] = kept
         return kept
 
     def _widen(self, width: int) -> int:
@@ -357,21 +409,30 @@ class Tracker:
         self._cats[slots, at % width] = old[slots, at % old.shape[1]]  # an unknown entry lands where none is kept
         return width
 
-    def _push(self, rows: np.ndarray, units: np.ndarray) -> np.ndarray:
-        """Bank ``units[j]`` in live row ``rows[j]``'s bank; the mean of each bank after."""
-        n = self.cfg.n_bank
-        self._banks[self._slot[rows], self._entries[rows] % n] = units
-        self._entries[rows] += 1
-        fill = np.minimum(self._entries[rows], n)
-        means = np.empty_like(units)
-        for f in set(fill.tolist()):
-            # Summed afresh from the kept rows, oldest first, as np.add.reduce sums one bank: subtracting
-            # evicted rows would build up rounding error, and an empty slot's zero turn -0.0 into 0.0.
-            group = fill == f
-            means[group] = np.add.reduce(self._ring(rows[group], f), axis=1) / f
-        return means
+    def _push(self, slots: np.ndarray, entries: np.ndarray, units: np.ndarray) -> np.ndarray:
+        """Bank ``units[j]`` as entry ``entries[j]`` (counted from 1) of bank row ``slots[j]``;
+        the mean of each bank after."""
+        n, d = self.cfg.n_bank, units.shape[1]
+        flat, base = self._banks.reshape(-1, d), slots * n  # place k of bank row s is flat row s * n + k
+        flat[base + (entries - 1) % n] = units
+        fill = np.minimum(entries, n)
+        # Summed afresh from the kept rows, oldest first, as np.add.reduce sums one bank: subtracting
+        # evicted rows would build up rounding error.
+        if d == 1:  # numpy sums one bank pairwise here, which a padded or place-major sum would not match
+            means = np.empty_like(units)
+            for f in set(fill.tolist()):
+                group = fill == f
+                means[group] = np.add.reduce(self._ring(slots[group], entries[group], f), axis=1) / f
+            return means
+        # Place by place across the banks, each step one contiguous (banks, d) plane, a bank that is
+        # not full led by its unwritten places' -0.0 (x + -0.0 == x); a cache's worth of banks a gather.
+        at = base + (entries + np.arange(-n, 0)[:, None]) % n  # (n, banks), oldest place first
+        sums, step = np.empty_like(units), max(1, _GATHER_BYTES // (8 * n * d))
+        for lo in range(0, len(slots), step):
+            np.add.reduce(flat.take(at[:, lo:lo + step], axis=0), axis=0, out=sums[lo:lo + step])
+        return sums / fill[:, None]
 
-    def _take_slots(self, count: int) -> list[int]:
+    def _take_slots(self, count: int) -> np.ndarray:
         """``count`` free rows of the bank stores, which double when they run out, zeroed: their
         memory becomes resident only once rows are banked in them."""
         free = self._free
@@ -381,7 +442,7 @@ class Tracker:
             self._banks, self._cats = (np.concatenate([store, np.zeros((grow, *store.shape[1:]), store.dtype)])
                                        for store in (self._banks, self._cats))
             free.extend(range(size, size + grow))
-        taken = free[-count:]
+        taken = np.array(free[-count:])
         del free[-count:]
         return taken
 
@@ -404,12 +465,15 @@ class Tracker:
         kind, track, det = events.kind, events.track, events.det
         a, last = cfg.alpha_sim, self._last_step
         if (hit := kind == _MATCHED).any():
-            cols, conf = det[hit], dets.confidence[det[hit]]
-            rows = np.searchsorted(ids, track[hit])
-            cats = self._retain(rows, conf, dets.category_id[cols])
-            self._new.append((now, track[hit], cols, cats, dets.bbox[cols], conf))
-            means = self._push(rows, units[cols])
-            memory = update_memory(self.memory[rows], emb[cols], cfg.alpha_mem)
+            cols, matched = det[hit], track[hit]
+            conf, rows = dets.confidence[cols], np.searchsorted(ids, matched)
+            slots, entries = self._slot[rows], self._entries[rows]
+            cats = self._retain(slots, entries, conf, dets.category_id[cols])
+            self._new.append((now, matched, cols, cats, dets.bbox[cols], conf))
+            entries += 1
+            self._entries[rows] = entries
+            means = self._push(slots, entries, units[cols])
+            memory = cfg.alpha_mem * emb[cols] + (1.0 - cfg.alpha_mem) * self.memory[rows]  # update_memory
             self.memory[rows] = memory
             self.query[rows] = a * _normalize_rows(memory) + (1.0 - a) * means
             last[rows] = now
@@ -433,6 +497,7 @@ class Tracker:
             slots = self._take_slots(len(cols))
             block = units[cols]
             self._banks[slots, 0] = block
+            self._banks[slots, 1:] = -0.0  # the places no entry has reached lead the bank's sum
             self._cats[slots, 0] = cats = dets.category_id[cols]
             self._new.append((now, new_ids, cols, cats, dets.bbox[cols], dets.confidence[cols]))
             ids = np.concatenate([ids, new_ids])

@@ -21,7 +21,8 @@ def test_scale_writes_one_cell(tmp_path):
     (cell,) = record["cells"]
     assert (cell["identities"], cell["frames"]) == (10, 3)
     assert set(cell) == {"identities", "frames", "detections", "live_per_frame", "live_last_frame", "tracks",
-                         "ms_per_frame", "ms_per_frame_q1", "ms_per_frame_q3"}
+                         "traced_peak_mb", "ms_per_frame", "ms_per_frame_q1", "ms_per_frame_q3"}
+    assert cell["traced_peak_mb"] > 0
     for key in ("ms_per_frame", "ms_per_frame_q1", "ms_per_frame_q3"):
         assert set(cell[key]) == {"load", "score_matrix", "associate_frame", "update", "step", "label", "write",
                                   "evaluate", "frame_matching"}

@@ -490,7 +490,8 @@ def test_labelled_outputs_pinned_on_a_noisy_scene(tmp_path):
     # track, classify and bench-fusion label through one loop; these digests
     # were taken before they shared it, and re-taken when the default
     # softmax_temperature went from 1.0 to 0.05. The events and synth digests were taken while
-    # the writers spelled every float with %s and json.dumps
+    # the writers spelled every float with %s and json.dumps; the events digest was re-taken when
+    # score_matrix went detection-major, which moved score bits and no decision
     for argv in _labelled_runs(tmp_path):
         assert _run(argv) == 0
     _synth(tmp_path / "sidecar", seed=6, extra=[*NOISY, "--sidecar"])
@@ -503,7 +504,7 @@ def test_labelled_outputs_pinned_on_a_noisy_scene(tmp_path):
         "vocab/tracks.jsonl": "ffea863f59ec144b",
         "cls/tracks.jsonl": "ba0a09c78b8b2f69",
         "bench/bench.json": "6d4f4321af01795c",
-        "plain/events.jsonl": "a78cb9b1f8e70283",
+        "plain/events.jsonl": "c85c6cd8f6569c1f",
         "scene/detections.jsonl": "876d71e1071b26f5",
         "sidecar/detections.jsonl": "f68805c3f077afb1",
         "scene/groundtruth.jsonl": "7a21f9163e4da4ab",

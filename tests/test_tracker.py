@@ -13,6 +13,7 @@ from scipy.special import softmax
 
 from blocks import block
 from trajkit import io
+from trajkit import tracker as tracker_module
 from trajkit.errors import DimMismatchError, NonFiniteError, ZeroNormError
 from trajkit.io import AssociationEvent
 from trajkit.synth import SynthConfig, gen_scene
@@ -40,6 +41,11 @@ def _det(emb, conf=0.9, cat=0, frame=0, cat_score=None, bbox=(0.0, 0.0, 1.0, 1.0
     return io.DetectionRecord(frame, bbox, conf, cat,
                               conf if cat_score is None else cat_score,
                               np.asarray(emb, dtype=np.float32))
+
+
+# The tracker's bi-softmax scores are a (D, T) product with a bound shift, the oracle's a (T, D)
+# product with scipy's max shift: they agree to 1e-12 relative, with a floor for a score near 0.
+SCORE_RTOL, SCORE_ATOL = 1e-12, 1e-15
 
 
 def _oracle_cosine(a, b):
@@ -242,18 +248,73 @@ def test_score_matrix_oracle():
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
+def _unit_rows(rng, n, d):
+    x = rng.normal(size=(n, d))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def _queries(rng, T, d):
+    """T query rows as the tracker's are, blends of unit rows: norms in [0.3, 1], the first 1."""
+    return _unit_rows(rng, T, d) * np.concatenate([[1.0], rng.uniform(0.3, 1.0, size=T - 1)])[:, None]
+
+
 def test_score_matrix_cosine_only():
     cfg = TrackerConfig(sim_mode="cosine_only", alpha_sim=0.5)
     query = _oracle_query([_OracleTrack(0, [1.0, 0.0])], cfg)
     dets = [_det([1.0, 0.0]), _det([0.0, 1.0])]
     got = score_matrix(query, _unit_dets(dets), cfg)
     np.testing.assert_allclose(got, [[1.0, 0.0]], atol=1e-12)
+    # the bi-softmax scores detection-major; cosine_only keeps the (T, D) product's bits
+    rng = np.random.default_rng(3)
+    query, units = _queries(rng, 20, 8), _unit_rows(rng, 70, 8)
+    assert score_matrix(query, units, cfg).tobytes() == (query @ units.T).tobytes()
 
 
 def test_score_matrix_empty():
     cfg = TrackerConfig()
     assert score_matrix(np.zeros((0, 2)), _unit_dets([_det([1.0, 0.0])]), cfg).shape == (0, 1)
     assert score_matrix(np.array([[1.0, 0.0]]), np.zeros((0, 2)), cfg).shape == (1, 0)
+
+
+@pytest.mark.parametrize("D", [0, 1, 63, 64, 65, 129])
+@pytest.mark.parametrize("temperature", [1.0, 0.05, 0.003, 1e-3, 1e-300])
+def test_score_matrix_is_the_bisoftmax_blend(monkeypatch, D, temperature):
+    # Detection rows are scored in blocks of 64, so D runs around the block edge. Down to
+    # T = 0.003 the logits are shifted by max ||q|| = 1 (exp(-2 / T) stays normal); at 1e-3 and
+    # below bisoftmax's max shift scores, and a temperature this small leaves no NaN.
+    maxshift = []
+    monkeypatch.setattr(tracker_module, "bisoftmax", lambda *a: maxshift.append(a) or bisoftmax(*a))
+    rng = np.random.default_rng(D)
+    query, units = _queries(rng, 37, 16), _unit_rows(rng, D, 16)
+    got = score_matrix(query, units, TrackerConfig(softmax_temperature=temperature))
+    assert got.shape == (37, D) and not np.isnan(got).any()
+    r = query @ units.T
+    want = 0.5 * (r + bisoftmax(r, temperature)) if D else r
+    np.testing.assert_allclose(got, want, rtol=SCORE_RTOL, atol=SCORE_ATOL)
+    assert len(maxshift) == (D > 0 and temperature <= 1e-3)
+
+
+def test_step_scores_and_associates_through_the_module_names(monkeypatch):
+    # perfbench counts tracker.pairs_scored as len(args[0]) * len(args[1]) of each call of the
+    # module's score_matrix, and bench/scale.py times both names, so a step calls each once
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append((fn.__name__, args, kwargs))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("score_matrix", "associate_frame"):
+        monkeypatch.setattr(tracker_module, name, counted(getattr(tracker_module, name)))
+    tk = Tracker()
+    tk.step(0, block([_det([1.0, 0.0]), _det([0.0, 1.0])]))
+    calls.clear()
+    tk.step(1, block([_det([1.0, 0.1], frame=1), _det([0.1, 1.0], frame=1), _det([1.0, 1.0], frame=1)]))
+    assert [name for name, _, _ in calls] == ["score_matrix", "associate_frame"]
+    query, units, cfg = calls[0][1]
+    assert query.shape == (2, 2) and units.shape == (3, 2) and cfg is tk.cfg and not calls[0][2]
+    assert tk.last_scores.shape == (2, 3)
 
 
 def test_associate_greedy_trace():
@@ -279,6 +340,12 @@ def test_associate_argmax_tie_lowest_track():
     scores = np.array([[0.7], [0.7]])
     events = associate_frame([3, 4], block([_det([1.0, 0.0])]), scores, cfg)
     assert events[0].track_id == 3
+    # the same in score_matrix's detection-major layout: tracks 10 and 12 have one query row, so
+    # each detection's scores tie between them
+    scores = score_matrix(np.array([[0.5, 0.5], [0.25, 0.0], [0.5, 0.5]]), np.eye(2), cfg)
+    assert scores[0].tobytes() == scores[2].tobytes()
+    dets = block([_det([1.0, 0.0], conf=0.9), _det([0.0, 1.0], conf=0.8)])
+    assert [(ev.det_idx, ev.track_id) for ev in associate_frame([10, 11, 12], dets, scores, cfg)] == [(0, 10), (1, 12)]
 
 
 def test_associate_confidence_tie_lower_index_first():
@@ -734,34 +801,74 @@ def _random_config(rng, k):
                          softmax_temperature=float(rng.choice([0.05, 1.0])))
 
 
+def _scores_agree(got, want, cfg):
+    if cfg.sim_mode == "cosine_only":  # the same product as the oracle's
+        assert got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=SCORE_RTOL, atol=SCORE_ATOL)
+
+
+def _decision(ev):
+    return ev.frame, ev.kind, ev.track_id, ev.det_idx
+
+
+def _step_beside_oracle(frames, cfg):
+    """A Tracker stepped through ``frames`` beside ``_per_match_oracle``: every decision, memory,
+    query, bank, state and table entry bit for bit, the scores by ``_scores_agree``; the frames'
+    events and the tracker."""
+    tk, stepped = Tracker(cfg), []
+    for (frame, dets), (scores, ids, events, live, tracks) in zip(frames, _per_match_oracle(frames, cfg)):
+        got = tk.step(frame, block(dets))
+        assert tk.last_scores.shape == scores.shape
+        _scores_agree(tk.last_scores, scores, cfg)
+        assert tk.last_ids == ids
+        assert [_decision(ev) for ev in got] == [_decision(ev) for ev in events]
+        _scores_agree(got.score, np.array([np.nan if ev.score is None else ev.score for ev in events]), cfg)
+        assert tk.live.tolist() == [t.id for t in live]
+        assert len(tk.memory) == len(tk.query) == len(live)
+        for row, want in enumerate(live):
+            assert tk.bank(want.id).tobytes() == want.feature_bank.tobytes()
+            assert tk.memory[row].tobytes() == want.memory.tobytes()
+            assert tk.query[row].tobytes() == _oracle_query([want], cfg)[0].tobytes()
+        assert [tk.state(t.id) for t in tracks] == [t.state for t in tracks]
+        stepped.append(got)
+    table = tk.table()
+    assert [r.track_id for r in table] == [t.id for t in tracks]
+    return stepped, tk
+
+
 def test_batched_update_matches_per_match_oracle_bit_for_bit():
     rng = np.random.default_rng(16)
     deaths = wrapped = rematched = 0
     for k in range(16):
         cfg = _random_config(rng, k)
         frames = _random_scene(rng, d=(1, 8, 9, 128)[k // 4])
-        tk = Tracker(cfg)
-        for (frame, dets), (scores, ids, events, live, tracks) in zip(
-                frames, _per_match_oracle(frames, cfg)):
-            got = tk.step(frame, block(dets))
-            assert tk.last_scores.shape == scores.shape
-            assert tk.last_scores.tobytes() == scores.tobytes()
-            assert tk.last_ids == ids
-            assert list(got) == events
-            assert tk.live.tolist() == [t.id for t in live]
-            assert len(tk.memory) == len(tk.query) == len(live)
-            for row, want in enumerate(live):
-                assert tk.bank(want.id).tobytes() == want.feature_bank.tobytes()
-                assert tk.memory[row].tobytes() == want.memory.tobytes()
-                assert tk.query[row].tobytes() == _oracle_query([want], cfg)[0].tobytes()
-            assert [tk.state(t.id) for t in tracks] == [t.state for t in tracks]
-            deaths += sum(ev.kind == DIED for ev in got)
+        stepped, tk = _step_beside_oracle(frames, cfg)
+        deaths += sum(ev.kind == DIED for got in stepped for ev in got)
         table = tk.table()
-        assert [r.track_id for r in table] == [t.id for t in tracks]
         wrapped += sum(len(r.entries) > cfg.n_bank for r in table)
         rematched += sum(b.frame - a.frame > 1 for r in table for a, b in zip(r.entries, r.entries[1:]))
     # the scenes exercised deaths, wrapped banks and rematches after a gap
     assert deaths >= 20 and wrapped >= 20 and rematched >= 20
+
+
+def test_one_wide_banks_sum_as_one_bank_does():
+    # At d == 1 numpy sums one bank's (f, 1) rows pairwise, so a batched bank mean there must not
+    # pad part-full banks to n_bank or sum them place by place. Unit rows of float32 values are
+    # +-1.0 exactly and sum alike in any order; float64 values this small have subnormal squares,
+    # so their unit rows are off +-1.0 and the order shows. A track is born every third frame, so
+    # each frame matches banks of up to four fills, up to 19 of 20.
+    rng = np.random.default_rng(23)
+    cfg = TrackerConfig(n_bank=20, max_age=40)
+    frames = []
+    for frame in range(19):
+        signs = [1.0, -1.0, 1.0, -1.0][:1 + frame // 3]
+        frames.append((frame, [io.DetectionRecord(frame, (0.0, 0.0, 1.0, 1.0), 0.9, 0, 0.9,
+                                                  np.array([sign * 1e-160 * rng.uniform(0.5, 2.0)]))
+                               for sign in signs]))
+    _, tk = _step_beside_oracle(frames, cfg)
+    assert [len(r.entries) for r in tk.table()] == [19, 16, 13, 10]
+    assert all(abs(tk.bank(t)).max() != 1.0 for t in tk.live.tolist())
 
 
 # A block holds one width, so its first detection names a refused width.
